@@ -54,7 +54,6 @@ from .quantum import (
     DensityOperator,
     HamiltonianOperator,
     LindbladSpec,
-    PositivityLossError,
     depolarizing_jump_operators,
     dissipative_production_rate,
     evolve_closed,
@@ -79,7 +78,7 @@ from .sde import (
 from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian, relative_entropy
 
 NUMERICAL_ERRORS = (PositivityError, StabilityError, TrajectoryDivergence,
-                    PositivityLossError, np.linalg.LinAlgError)
+                    np.linalg.LinAlgError)
 
 KINDS = ("fp-run", "control-run", "decompose", "sde-run", "quantum-run", "paths-run")
 
@@ -135,6 +134,8 @@ class ScenarioConfig:
             raise ConfigError("grid_cells must be >= 2")
         if float(self.numerics.get("grid_hi", 8.0)) <= float(self.numerics.get("grid_lo", -8.0)):
             raise ConfigError("grid_hi must exceed grid_lo")
+        if int(self.numerics.get("store_every", 1)) < 1:
+            raise ConfigError("store_every must be >= 1")
 
     @classmethod
     def from_ini(cls, path) -> "ScenarioConfig":
@@ -581,12 +582,12 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         manifest = run_scenario(cfg, out_dir=args.out, seed=args.seed)
+    except NUMERICAL_ERRORS as e:  # before ValueError: LinAlgError subclasses it
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 3
     for name in sorted(manifest["files"]):
         print(f"{name}  sha256={manifest['files'][name][:16]}...")
     return 0

@@ -205,7 +205,7 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
         def flow_with(u_faces):
             return HamiltonianFlow(ham, gain=0.0,
                                    control=lambda g, t: u_faces,
-                                   control_on_faces=True, static=True)
+                                   control_on_faces=True)
 
         pred = _make_stepper(grid, flow_with(_feedback_faces(grid, ham, rho, a)),
                              0.0, dt, theta)
@@ -269,8 +269,7 @@ def replay_feedback(ham: HamiltonianSpec, law: FeedbackLaw, rho0: GridDensity,
         k = int(round((t - law.mid_times[0]) / law.dt))
         return steps[k]
 
-    flow = HamiltonianFlow(ham, gain=0.0, control=control, control_on_faces=True,
-                           static=False)
+    flow = HamiltonianFlow(ham, gain=0.0, control=control, control_on_faces=True)
     t1 = law.dt * len(law.faces)
     return evolve(flow, rho0, 0.0, t1, law.dt, store_every=store_every)
 

@@ -151,7 +151,6 @@ class HamiltonianFlow:
     gain: float | Callable[[float], float] = 0.0
     control: Callable | None = None
     control_on_faces: bool = False
-    static: bool | None = None
 
     def alpha(self, t: float) -> float:
         a = self.gain(t) if callable(self.gain) else self.gain
@@ -161,8 +160,6 @@ class HamiltonianFlow:
 
     @property
     def is_static(self) -> bool:
-        if self.static is not None:
-            return self.static
         return not callable(self.gain) and self.control is None
 
     def half_diffusion(self, t: float) -> float:

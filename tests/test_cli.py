@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from entroflow import cli
 from entroflow.cli import (
     BUILTIN_FACTORIES,
     ConfigError,
@@ -157,20 +158,46 @@ def test_quantum_run_missing_files_flag(capsys):
 
 
 def test_numerical_failure_exit_and_cleanup(tmp_path, capsys):
-    h = tmp_path / "h.txt"
-    l1 = tmp_path / "l.txt"
-    r = tmp_path / "rho.txt"
-    save_operator(np.zeros((2, 2), dtype=complex), h)
-    save_operator(sigma_x, l1)
-    save_operator(np.diag([1.0, 0.0]).astype(complex), r)
+    # a Crank-Nicolson step this coarse drives the density negative
     out = tmp_path / "boom"
-    code = main(["quantum-run", "--hamiltonian", str(h), "--lindblad", str(l1),
-                 "--rho0", str(r), "--t1", "40", "--dt", "4.0",
+    code = main(["control-run", "--alpha", "1", "--t1", "0.2", "--dt", "0.05",
                  "--out", str(out)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert not (out / "evolution.csv").exists()
+    assert not (out / "moments.csv").exists()
+    assert not (out / "divergence.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    def fail(cfg, w):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setitem(cli.RUNNERS, "quantum-run", fail)
+    assert main(["quantum-run", "--scenario", "qubit-lindblad",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_operator_file_rejected(tmp_path, capsys):
+    h = tmp_path / "h.txt"
+    r = tmp_path / "rho.txt"
+    h.write_text("2\nnan+0i\n0+0i\n0+0i\n1+0i\n")
+    save_operator(np.diag([0.8, 0.2]).astype(complex), r)
+    out = tmp_path / "q"
+    code = main(["quantum-run", "--hamiltonian", str(h), "--rho0", str(r),
+                 "--t1", "0.01", "--dt", "0.001", "--out", str(out)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "evolution.csv").exists()
+
+
+def test_store_every_zero_rejected(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(FAST_CONTROL_INI.replace("store_every = 5", "store_every = 0"))
+    code = main(["control-run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "store_every" in capsys.readouterr().err
 
 
 def test_gain_table_flag(tmp_path):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from entroflow.quantum import (
     DensityOperator,
     HamiltonianOperator,
     LindbladSpec,
     OpenProductionRate,
-    PositivityLossError,
     depolarizing_jump_operators,
     dissipative_production_rate,
     evolve_closed,
@@ -270,12 +271,48 @@ def test_lindblad_stationary_state_fixed():
         assert np.max(np.abs(s.matrix - mixed.matrix)) < 1e-8
 
 
-def test_lindblad_positivity_guard():
+def test_lindblad_step_size_independent():
+    # steps are exact, so dt far beyond the decay scale changes nothing
     spec = LindbladSpec(HamiltonianOperator(np.zeros((2, 2))),
                         depolarizing_jump_operators(1.0))
-    with pytest.raises(PositivityLossError, match="try dt"):
-        # dt far beyond the decay scale makes RK4 overshoot negative
-        lindblad_evolve(spec, DensityOperator(np.diag([1.0, 0.0])), 40.0, 4.0)
+    rho0 = DensityOperator(np.diag([1.0, 0.0]))
+    coarse = lindblad_evolve(spec, rho0, 40.0, 4.0)
+    fine = lindblad_evolve(spec, rho0, 40.0, 1e-2, store_every=400)
+    assert np.allclose(coarse.times, fine.times, rtol=0.0, atol=1e-9)
+    for a, b in zip(coarse.states, fine.states):
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+
+
+def kron_liouvillian(H, jumps):
+    """Row-major vec form: vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(H.shape[0])
+    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for L in jumps:
+        LdL = L.conj().T @ L
+        S += np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
+    return S
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 5), n_jumps=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 2.0),
+       steps=st.integers(1, 30), store_every=st.integers(1, 7))
+def test_lindblad_cptp_and_exact(n, n_jumps, seed, dt, steps, store_every):
+    rng = np.random.default_rng(seed)
+    H = random_hamiltonian(rng, n)
+    jumps = tuple(0.5 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                  for _ in range(n_jumps))
+    rho0 = random_density(rng, n)
+    traj = lindblad_evolve(LindbladSpec(H, jumps), rho0, steps * dt, dt,
+                           store_every=store_every)
+    S = kron_liouvillian(H.matrix, jumps)
+    for t, state in zip(traj.times, traj.states):
+        M = state.matrix
+        assert abs(np.trace(M).real - 1.0) <= 1e-12
+        assert np.max(np.abs(M - M.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(M).min() >= -1e-12
+        exact = (scipy.linalg.expm(t * S) @ rho0.matrix.reshape(-1)).reshape(n, n)
+        assert np.max(np.abs(M - exact)) < 1e-10
 
 
 def test_thermal_qubit_gibbs_stationary_and_monotone():
