@@ -30,9 +30,11 @@ from .thermo import (
 )
 from .fokker_planck import (
     BoundaryDecayReport,
+    ConvergenceError,
     DensityTrajectory,
     DriftSpec,
     HamiltonianFlow,
+    MassDriftError,
     PositivityError,
     StabilityError,
     boundary_decay_report,
@@ -90,8 +92,8 @@ __all__ = [
     "GaussianDensity", "HamiltonianSpec", "MassMismatchWarning",
     "flux_and_force", "free_energy", "gibbs_density",
     "quadratic_hamiltonian", "relative_entropy",
-    "BoundaryDecayReport", "DensityTrajectory", "DriftSpec",
-    "HamiltonianFlow", "PositivityError", "StabilityError",
+    "BoundaryDecayReport", "ConvergenceError", "DensityTrajectory", "DriftSpec",
+    "HamiltonianFlow", "MassDriftError", "PositivityError", "StabilityError",
     "boundary_decay_report", "continuity_velocity", "evolve",
     "BoundaryLeakWarning", "ProductionReport", "entropy_rate",
     "free_energy_decay_rate", "production_decomposition",

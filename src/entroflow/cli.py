@@ -35,10 +35,10 @@ from .control import (
     evolve_modulated,
 )
 from .fokker_planck import (
-    HamiltonianFlow,
+    ConvergenceError,
+    MassDriftError,
     PositivityError,
     StabilityError,
-    evolve,
 )
 from .grids import Grid, GridDensity
 from .paths import (
@@ -77,8 +77,8 @@ from .sde import (
 )
 from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian, relative_entropy
 
-NUMERICAL_ERRORS = (PositivityError, StabilityError, TrajectoryDivergence,
-                    np.linalg.LinAlgError)
+NUMERICAL_ERRORS = (PositivityError, StabilityError, ConvergenceError, MassDriftError,
+                    TrajectoryDivergence, np.linalg.LinAlgError)
 
 KINDS = ("fp-run", "control-run", "decompose", "sde-run", "quantum-run", "paths-run")
 
@@ -127,8 +127,8 @@ class ScenarioConfig:
                 raise ConfigError("ill-posed gain")
         dt = float(self.numerics.get("dt", 1e-3))
         t1 = float(self.numerics.get("t1", 0.1))
-        if dt <= 0.0 or t1 <= 0.0:
-            raise ConfigError("dt and t1 must be positive")
+        if not (np.isfinite(dt) and np.isfinite(t1)) or dt <= 0.0 or t1 <= 0.0:
+            raise ConfigError("dt and t1 must be finite and positive")
         cells = int(self.numerics.get("grid_cells", 1024))
         if cells < 2:
             raise ConfigError("grid_cells must be >= 2")
@@ -222,6 +222,7 @@ def _fmt(v) -> str:
 class ArtifactWriter:
     def __init__(self, out_dir):
         self.out_dir = out_dir
+        self.created = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         self.files: list[str] = []
 
@@ -252,9 +253,12 @@ class ArtifactWriter:
         return p
 
     def cleanup(self) -> None:
+        """Remove the written files, and the directory if this run made it."""
         for p in self.files:
             if os.path.exists(p):
                 os.remove(p)
+        if self.created and not os.listdir(self.out_dir):
+            os.rmdir(self.out_dir)
 
 
 # ---------------------------------------------------------------------------

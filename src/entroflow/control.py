@@ -36,8 +36,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fokker_planck import DensityTrajectory, HamiltonianFlow, _make_stepper, evolve
-from .grids import Grid, GridDensity, VectorFieldGrid
+from .fokker_planck import (
+    DensityTrajectory,
+    HamiltonianFlow,
+    _make_stepper,
+    energy_slopes,
+    evolve,
+)
+from .grids import Grid, GridDensity, VectorFieldGrid, time_steps
 from .production import log_ratio_gradient, production_decomposition, ProductionReport
 from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density, relative_entropy
 
@@ -155,25 +161,16 @@ def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
 # direct nonlinear simulation of the feedback law
 # ---------------------------------------------------------------------------
 
-def _feedback_faces(grid: Grid, ham: HamiltonianSpec, rho_values: np.ndarray,
-                    a: float) -> list[np.ndarray]:
+def _feedback_faces(grid: Grid, slopes: Sequence[np.ndarray], kT: float,
+                    rho_values: np.ndarray, a: float) -> list[np.ndarray]:
     """-a * grad log(rho/rho_bar) sampled at interior faces via differences.
 
-    grad log rho_bar = -grad H / kT is taken from energy differences, the
-    same face quantities the flux assembly uses.
+    grad log rho_bar = -grad H / kT is taken from the energy ``slopes`` of
+    :func:`energy_slopes`, the same face quantities the flux assembly uses.
     """
-    H = ham.sample_energy(grid)
     logr = np.log(np.maximum(rho_values, 1e-300))
-    out = []
-    for ax in range(grid.ndim):
-        lo = [slice(None)] * grid.ndim
-        hi = [slice(None)] * grid.ndim
-        lo[ax] = slice(None, -1)
-        hi[ax] = slice(1, None)
-        dlog = (logr[tuple(hi)] - logr[tuple(lo)]) / grid.dx[ax]
-        dham = (H[tuple(hi)] - H[tuple(lo)]) / grid.dx[ax]
-        out.append(-a * (dlog + dham / ham.kT))
-    return out
+    return [-a * (np.diff(logr, axis=ax) / grid.dx[ax] + slopes[ax] / kT)
+            for ax in range(grid.ndim)]
 
 
 def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
@@ -183,40 +180,36 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
 
     Per step: freeze u at the current density, take a theta step, then
     refine once with u evaluated at the midpoint density (one fixed-point
-    iteration, consistent with the scheme's second order).  Agrees with
+    iteration, consistent with the scheme's second order).  Both solves have
+    the positivity check of :func:`evolve`.  Agrees with
     :func:`evolve_modulated` up to the spatial consistency error of the two
     operator forms.
     """
     gain = as_gain(alpha)
     validate_gain(gain, ham, 0.0, t1, dt)
     grid = rho0.grid
-    n_steps = int(round(t1 / dt))
-    if n_steps < 1 or abs(n_steps * dt - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValueError("t1 must be a positive multiple of dt")
+    n_steps = time_steps(0.0, t1, dt)
+    slopes = energy_slopes(grid, ham.sample_energy(grid))
+    D = 0.5 * ham.sigma2
+    plain = [-D / ham.kT * g for g in slopes]  # gain-free potential drift
+
+    def step(rho, u_faces, t_end):
+        faces = [b + u for b, u in zip(plain, u_faces)]
+        return _make_stepper(grid, D, faces, dt, theta).advance(rho, 1.0, t_end)
 
     rho = rho0.values.copy()
     times = [0.0]
     stored = [rho0]
     for k in range(n_steps):
-        a = gain(( k + 0.5) * dt)
+        a = gain((k + 0.5) * dt)
         if a <= -0.5 * ham.sigma2:
             raise ValueError("ill-posed gain")
-
-        def flow_with(u_faces):
-            return HamiltonianFlow(ham, gain=0.0,
-                                   control=lambda g, t: u_faces,
-                                   control_on_faces=True)
-
-        pred = _make_stepper(grid, flow_with(_feedback_faces(grid, ham, rho, a)),
-                             0.0, dt, theta)
-        rho_star = pred.step(rho.ravel()).reshape(grid.shape)
-        mid = 0.5 * (rho + np.maximum(rho_star, 0.0))
-        corr = _make_stepper(grid, flow_with(_feedback_faces(grid, ham, mid, a)),
-                             0.0, dt, theta)
-        rho = corr.step(rho.ravel()).reshape(grid.shape)
-        rho = np.maximum(rho, 0.0)
+        t_end = (k + 1) * dt
+        rho_star = step(rho, _feedback_faces(grid, slopes, ham.kT, rho, a), t_end)
+        mid = 0.5 * (rho + rho_star)
+        rho = step(rho, _feedback_faces(grid, slopes, ham.kT, mid, a), t_end)
         if (k + 1) % store_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
+            times.append(t_end)
             stored.append(GridDensity(grid, rho, mass=rho0.mass))
     return DensityTrajectory(np.asarray(times), stored, dt)
 
@@ -248,12 +241,13 @@ def record_feedback_law(ham: HamiltonianSpec, alpha, rho0: GridDensity,
     gain = as_gain(alpha)
     traj = evolve_modulated(ham, gain, rho0, t1, dt, store_every=1)
     grid = rho0.grid
+    slopes = energy_slopes(grid, ham.sample_energy(grid))
     faces = []
     mids = []
     for k in range(len(traj) - 1):
         t_mid = 0.5 * (traj.times[k] + traj.times[k + 1])
         rho_mid = 0.5 * (traj.densities[k].values + traj.densities[k + 1].values)
-        faces.append(_feedback_faces(grid, ham, rho_mid, gain(t_mid)))
+        faces.append(_feedback_faces(grid, slopes, ham.kT, rho_mid, gain(t_mid)))
         mids.append(t_mid)
     return FeedbackLaw(grid, dt, np.asarray(mids), faces)
 

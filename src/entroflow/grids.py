@@ -118,6 +118,23 @@ class Grid:
         return np.ravel_multi_index(tuple(ij.T), self.cells), inside
 
 
+def time_steps(t0: float, t1: float, dt: float) -> int:
+    """Number of steps of size dt from t0 to t1.
+
+    Rejects a dt that is not positive and a horizon that is not a finite
+    positive multiple of dt (nothing is rounded away silently).
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    ratio = (t1 - t0) / dt
+    if not np.isfinite(ratio):
+        raise ValueError("the horizon must be finite")
+    n = int(round(ratio))
+    if n < 1 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+        raise ValueError("(t1 - t0) must be a positive multiple of dt")
+    return n
+
+
 def quadrature(grid: Grid, values: np.ndarray) -> float:
     """Midpoint-rule integral of a sampled scalar field."""
     return float(np.sum(values) * grid.cell_volume)

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.ndimage import gaussian_filter
 
-from .grids import Grid, GridDensity
+from .grids import Grid, GridDensity, time_steps
 from .thermo import HamiltonianSpec
 
 NOISE_BLOCK = 1024
@@ -108,9 +108,7 @@ def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
     noise amplitude only (``sigma=0`` gives the noise-free ODE limit while
     keeping the model drift).
     """
-    if dt <= 0.0 or t1 <= 0.0:
-        raise ValueError("dt and t1 must be positive")
-    steps = int(round(t1 / dt))
+    steps = time_steps(0.0, t1, dt)
     dim = ham.dim
     if sigma is None:
         sigma = np.sqrt(ham.sigma2)
@@ -236,9 +234,7 @@ def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
     forces plus Gamma-noise; positions then move with the new momenta and
     carry no noise (singular diffusion).
     """
-    if dt <= 0.0 or t1 <= 0.0:
-        raise ValueError("dt and t1 must be positive")
-    steps = int(round(t1 / dt))
+    steps = time_steps(0.0, t1, dt)
     nc = spec.n_coords
     m = spec.mass_per_coord
     G = spec.noise_matrix

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from entroflow import cli
+from entroflow import GaussianDensity, Grid, cli, fokker_planck, quadratic_hamiltonian
 from entroflow.cli import (
     BUILTIN_FACTORIES,
     ConfigError,
@@ -167,6 +168,60 @@ def test_numerical_failure_exit_and_cleanup(tmp_path, capsys):
     assert not (out / "moments.csv").exists()
     assert not (out / "divergence.csv").exists()
     assert not (out / "manifest.json").exists()
+    assert not out.exists()  # the run made the directory, so it goes too
+
+
+def test_cleanup_keeps_existing_output_directory(tmp_path, capsys):
+    out = tmp_path / "kept"
+    out.mkdir()
+    code = main(["control-run", "--alpha", "1", "--t1", "0.2", "--dt", "0.05",
+                 "--out", str(out)])
+    assert code == 3
+    assert out.is_dir() and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flags", [["--t1", "inf"], ["--t1", "nan"], ["--dt", "inf"]])
+def test_non_finite_horizon_rejected(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    assert main(["control-run", *flags, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t1", ["0.055", "0.005"])
+def test_sde_run_rejects_partial_horizon(tmp_path, capsys, t1):
+    out = tmp_path / "sde"
+    code = main(["sde-run", "--model", "overdamped", "--n", "10",
+                 "--dt", "0.01", "--t1", t1, "--out", str(out)])
+    assert code == 2
+    assert "multiple of dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mass_drift_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fokker_planck, "TRAJECTORY_MASS_TOL", -1.0)
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(FAST_CONTROL_INI)
+    out = tmp_path / "o"
+    assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "mass drift" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_krylov_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    def stalled(A, b, x0=None, **kwargs):
+        return x0, 7
+
+    def run_2d(cfg, w):
+        grid = Grid((-4.0, -4.0), (4.0, 4.0), (12, 12))
+        rho0 = GaussianDensity([0.0, 0.0], np.eye(2)).sample_on(grid)
+        ham = quadratic_hamiltonian(np.eye(2), kT=1.0, sigma2=2.0)
+        fokker_planck.evolve(fokker_planck.HamiltonianFlow(ham), rho0, 0.0, 0.1, 0.05)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", stalled)
+    monkeypatch.setitem(cli.RUNNERS, "fp-run", run_2d)
+    assert main(["fp-run", "--out", str(tmp_path / "o")]) == 3
+    assert "BiCGSTAB" in capsys.readouterr().err
 
 
 def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):

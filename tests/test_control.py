@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroflow import GaussianDensity, Grid, gibbs_density
+from entroflow import GaussianDensity, Grid, GridDensity, gibbs_density
 from entroflow.control import (
     FeedbackLaw,
     GainSchedule,
@@ -16,7 +16,7 @@ from entroflow.control import (
     replay_feedback,
     simulate_feedback,
 )
-from entroflow.fokker_planck import HamiltonianFlow, evolve
+from entroflow.fokker_planck import HamiltonianFlow, PositivityError, evolve
 from entroflow.thermo import relative_entropy
 
 
@@ -132,6 +132,17 @@ def test_direct_feedback_matches_modulated(ou_ham, ou_grid):
     sup = max(np.max(np.abs(x.values - y.values))
               for x, y in zip(a.densities, b.densities))
     assert sup < 1e-6
+
+
+def test_feedback_positivity_error_on_rough_data(ou_ham):
+    # a one-cell spike under Crank-Nicolson with a coarse dt rings negative;
+    # the feedback solver stops instead of clamping the ringing away
+    grid = Grid((-8.0,), (8.0,), (128,))
+    vals = np.full(128, 1e-6)
+    vals[64] += 1.0
+    spike = GridDensity(grid, vals / (vals.sum() * grid.cell_volume))
+    with pytest.raises(PositivityError, match="positivity lost"):
+        simulate_feedback(ou_ham, 1.0, spike, 0.1, 0.05)
 
 
 def test_offline_replay_matches_modulated(ou_ham, ou_grid):

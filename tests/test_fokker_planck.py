@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
 from entroflow.fokker_planck import (
+    DensityTrajectory,
     DriftSpec,
     HamiltonianFlow,
+    MassDriftError,
     PositivityError,
     StabilityError,
+    _StepperND,
     _assemble_1d,
     _assemble_nd,
     bernoulli,
@@ -15,7 +21,7 @@ from entroflow.fokker_planck import (
     evolve,
 )
 from entroflow.grids import quadrature
-from entroflow.thermo import relative_entropy
+from entroflow.thermo import HamiltonianSpec, quadratic_hamiltonian, relative_entropy
 
 
 def test_bernoulli_limits():
@@ -203,3 +209,98 @@ def test_boundary_decay_report(ou_ham, ou_grid):
     assert rep3.max_ref_drift_rho == 0.0
     assert rep3.max_drift_rho == 0.0
     assert rep3.max_drift_rho_log == 0.0
+
+
+def test_mass_drift_is_a_numerical_error():
+    grid = Grid((-4.0,), (4.0,), (64,))
+    rho = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
+    heavier = GridDensity(grid, rho.values * (1.0 + 2e-7), mass=1.0 + 2e-7)
+    with pytest.raises(MassDriftError, match="mass drift"):
+        DensityTrajectory(np.array([0.0, 1.0]), [rho, heavier], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the gain as a time change: property tests on random 2-D grids
+# ---------------------------------------------------------------------------
+
+def quartic_hamiltonian(c, kT, sigma2):
+    """H(x) = sum_i c_i x_i^4 / 4."""
+    c = np.asarray(c, dtype=float)
+    return HamiltonianSpec(dim=c.size, energy=lambda x: np.atleast_2d(x) ** 4 @ c / 4.0,
+                           grad=lambda x: c * np.atleast_2d(x) ** 3, kT=kT, sigma2=sigma2)
+
+
+@st.composite
+def time_change_cases(draw):
+    cells = (draw(st.integers(8, 40)), draw(st.integers(8, 40)))
+    half = draw(st.floats(3.0, 6.0))
+    kT = draw(st.floats(0.5, 2.0))
+    sigma2 = draw(st.floats(0.5, 3.0))
+    c = [draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))]
+    if draw(st.booleans()):
+        ham = quadratic_hamiltonian(np.diag(c) + 0.2 * min(c) * (1.0 - np.eye(2)),
+                                    kT=kT, sigma2=sigma2)
+    else:
+        ham = quartic_hamiltonian(c, kT=kT, sigma2=sigma2)
+    # gains in [-0.45 sigma2, 2 sigma2]: every D = sigma2/2 + alpha stays positive
+    lo, hi = (draw(st.floats(-0.45, 2.0)) * sigma2 for _ in range(2))
+    grid = Grid((-half, -half), (half, half), cells)
+    return ham, grid, lo, hi
+
+
+def scheduled(lo, hi, t1):
+    return lambda t: lo + (hi - lo) * t / t1
+
+
+def step_for(ham, grid, gain, theta, r):
+    """dt with (1 - theta) dt max|diag A| = r: r <= 1 keeps the explicit half
+    nonnegative, so steps preserve positivity on any data (backward Euler
+    always does; there r only sets the stiffness, up to 25)."""
+    flow = HamiltonianFlow(ham, gain=gain)
+    A = _assemble_nd(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
+    return r / (max(1.0 - theta, 0.04) * np.max(np.abs(A.diagonal())))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=time_change_cases())
+def test_operator_is_a_time_change(case):
+    ham, grid, lo, hi = case
+    flow0, flow = HamiltonianFlow(ham, gain=lo), HamiltonianFlow(ham, gain=hi)
+    A0 = _assemble_nd(grid, flow0.half_diffusion(0.0), flow0.face_drifts(grid, 0.0))
+    A = _assemble_nd(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
+    s = flow.half_diffusion(0.0) / flow0.half_diffusion(0.0)
+    assert abs(A - s * A0).max() <= 1e-13 * abs(A).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=time_change_cases(), theta=st.sampled_from([0.5, 1.0]),
+       r=st.floats(0.05, 1.0))
+def test_krylov_step_matches_direct_solve(case, theta, r):
+    ham, grid, lo, hi = case
+    dt = step_for(ham, grid, hi, theta, r)
+    flow0 = HamiltonianFlow(ham, gain=lo)
+    D0 = flow0.half_diffusion(0.0)
+    s = HamiltonianFlow(ham, gain=hi).half_diffusion(0.0) / D0
+    stepper = _StepperND(grid, D0, flow0.face_drifts(grid, 0.0), dt, theta)
+    rho = GaussianDensity([0.5, -0.3], np.diag([0.8, 1.2])).sample_on(grid).values
+    x = stepper.advance(rho, s, dt)
+    eye = scipy.sparse.identity(grid.size, format="csc")
+    A = stepper.A
+    ref = scipy.sparse.linalg.spsolve((eye - theta * dt * s * A).tocsc(),
+                                      rho.ravel() + (1.0 - theta) * dt * s * (A @ rho.ravel()))
+    assert np.max(np.abs(x.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=time_change_cases(), steps=st.integers(1, 8), r=st.floats(0.05, 1.0))
+def test_scheduled_gain_conserves_mass_and_gibbs(case, steps, r):
+    ham, grid, lo, hi = case
+    dt = step_for(ham, grid, max(lo, hi), 0.5, r)
+    flow = HamiltonianFlow(ham, gain=scheduled(lo, hi, steps * dt))
+    rho0 = GaussianDensity([0.5, -0.3], np.diag([0.8, 1.2])).sample_on(grid)
+    masses = evolve(flow, rho0, 0.0, steps * dt, dt).mass_curve()
+    assert np.max(np.abs(masses - masses[0])) <= 1e-12
+    rho_bar = gibbs_density(ham, grid)
+    traj = evolve(flow, rho_bar, 0.0, steps * dt, dt)
+    for d in traj.densities:
+        assert np.max(np.abs(d.values - rho_bar.values)) <= 1e-12
