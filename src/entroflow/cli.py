@@ -39,6 +39,7 @@ from .fokker_planck import (
     MassDriftError,
     PositivityError,
     StabilityError,
+    admissible_gain,
 )
 from .grids import Grid, GridDensity
 from .paths import (
@@ -123,8 +124,7 @@ class ScenarioConfig:
         if sigma2 < 0.0:
             raise ConfigError("sigma2 must be nonnegative")
         if "alpha" in self.control:
-            if float(self.control["alpha"]) <= -0.5 * sigma2:
-                raise ConfigError("ill-posed gain")
+            admissible_gain(float(self.control["alpha"]), sigma2)
         dt = float(self.numerics.get("dt", 1e-3))
         t1 = float(self.numerics.get("t1", 0.1))
         if not (np.isfinite(dt) and np.isfinite(t1)) or dt <= 0.0 or t1 <= 0.0:

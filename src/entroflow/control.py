@@ -40,8 +40,10 @@ from .fokker_planck import (
     DensityTrajectory,
     HamiltonianFlow,
     _make_stepper,
+    admissible_gain,
     energy_slopes,
     evolve,
+    march,
 )
 from .grids import Grid, GridDensity, VectorFieldGrid, time_steps
 from .production import log_ratio_gradient, production_decomposition, ProductionReport
@@ -100,15 +102,6 @@ def as_gain(alpha) -> GainSchedule:
     return GainSchedule.constant(float(alpha))
 
 
-def validate_gain(alpha: GainSchedule, ham: HamiltonianSpec,
-                  t0: float, t1: float, dt: float) -> None:
-    """Admissibility alpha(t) > -sigma2/2 at every step midpoint."""
-    n = int(round((t1 - t0) / dt))
-    for k in range(max(n, 1)):
-        if alpha(t0 + (k + 0.5) * dt) <= -0.5 * ham.sigma2:
-            raise ValueError("ill-posed gain")
-
-
 def feedback_control(rho_u: GridDensity, equilibrium: GridDensity,
                      alpha: float) -> VectorFieldGrid:
     """u = -alpha grad log(rho_u / equilibrium) on the shared stencil."""
@@ -124,14 +117,9 @@ def evolve_modulated(ham: HamiltonianSpec, alpha, rho0: GridDensity,
 
     Delegates to the finite-volume solver with drift
     -(sigma2/2 + alpha(t)) grad H / kT and diffusion sigma2 + 2 alpha(t); the
-    gain is sampled at step midpoints and validated for admissibility first.
+    gain is sampled, and checked for admissibility, at every step midpoint.
     """
-    gain = as_gain(alpha)
-    validate_gain(gain, ham, 0.0, t1, dt)
-    if callable(alpha) or isinstance(alpha, GainSchedule):
-        flow = HamiltonianFlow(ham, gain=gain.func)
-    else:
-        flow = HamiltonianFlow(ham, gain=float(alpha))
+    flow = HamiltonianFlow(ham, gain=as_gain(alpha))
     return evolve(flow, rho0, 0.0, t1, dt, store_every=store_every)
 
 
@@ -142,8 +130,7 @@ def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
     Cross-checked against the generic production decomposition with the
     feedback control substituted; disagreement beyond 1e-12 raises.
     """
-    if alpha <= -0.5 * ham.sigma2:
-        raise ValueError("ill-posed gain")
+    admissible_gain(alpha, ham.sigma2)
     equilibrium = gibbs_density(ham, rho_u.grid)
     g = log_ratio_gradient(rho_u, equilibrium)
     w = np.where(rho_u.values > 0.0, rho_u.values, 0.0)
@@ -173,6 +160,24 @@ def _feedback_faces(grid: Grid, slopes: Sequence[np.ndarray], kT: float,
             for ax in range(grid.ndim)]
 
 
+def _controlled_advance(ham: HamiltonianSpec, grid: Grid, slopes: Sequence[np.ndarray],
+                        dt: float, theta: float):
+    """Return ``advance(rho, u_faces, t_end)``, one checked theta step.
+
+    The face drift is the gain-free potential drift plus the per-axis face
+    control ``u_faces``.  The control changes from step to step, so each
+    call assembles its own operator.
+    """
+    D = 0.5 * ham.sigma2
+    plain = [-D / ham.kT * g for g in slopes]
+
+    def advance(rho, u_faces, t_end):
+        faces = [b + u for b, u in zip(plain, u_faces)]
+        return _make_stepper(grid, D, faces, dt, theta).advance(rho, 1.0, t_end)
+
+    return advance
+
+
 def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
                       t1: float, dt: float, store_every: int = 1,
                       theta: float = 0.5) -> DensityTrajectory:
@@ -186,32 +191,19 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
     operator forms.
     """
     gain = as_gain(alpha)
-    validate_gain(gain, ham, 0.0, t1, dt)
     grid = rho0.grid
     n_steps = time_steps(0.0, t1, dt)
     slopes = energy_slopes(grid, ham.sample_energy(grid))
-    D = 0.5 * ham.sigma2
-    plain = [-D / ham.kT * g for g in slopes]  # gain-free potential drift
+    advance = _controlled_advance(ham, grid, slopes, dt, theta)
 
-    def step(rho, u_faces, t_end):
-        faces = [b + u for b, u in zip(plain, u_faces)]
-        return _make_stepper(grid, D, faces, dt, theta).advance(rho, 1.0, t_end)
-
-    rho = rho0.values.copy()
-    times = [0.0]
-    stored = [rho0]
-    for k in range(n_steps):
-        a = gain((k + 0.5) * dt)
-        if a <= -0.5 * ham.sigma2:
-            raise ValueError("ill-posed gain")
+    def step(k, rho):
+        a = admissible_gain(gain((k + 0.5) * dt), ham.sigma2)
         t_end = (k + 1) * dt
-        rho_star = step(rho, _feedback_faces(grid, slopes, ham.kT, rho, a), t_end)
+        rho_star = advance(rho, _feedback_faces(grid, slopes, ham.kT, rho, a), t_end)
         mid = 0.5 * (rho + rho_star)
-        rho = step(rho, _feedback_faces(grid, slopes, ham.kT, mid, a), t_end)
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            times.append(t_end)
-            stored.append(GridDensity(grid, rho, mass=rho0.mass))
-    return DensityTrajectory(np.asarray(times), stored, dt)
+        return advance(rho, _feedback_faces(grid, slopes, ham.kT, mid, a), t_end)
+
+    return march(step, rho0, 0.0, dt, n_steps, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +218,6 @@ class FeedbackLaw:
     dt: float
     mid_times: np.ndarray
     faces: list  # per step: per-axis interior-face arrays
-
-    def face_control(self, step: int) -> list[np.ndarray]:
-        return self.faces[step]
 
 
 def record_feedback_law(ham: HamiltonianSpec, alpha, rho0: GridDensity,
@@ -254,18 +243,17 @@ def record_feedback_law(ham: HamiltonianSpec, alpha, rho0: GridDensity,
 
 def replay_feedback(ham: HamiltonianSpec, law: FeedbackLaw, rho0: GridDensity,
                     store_every: int = 1) -> DensityTrajectory:
-    """Pass 2: feed the recorded u(x, t) to the generic controlled solver."""
+    """Pass 2: step the uncontrolled equation plus the recorded u of each step."""
     if rho0.grid != law.grid:
         raise ValueError("density grid != recorded law grid")
-    steps = {k: law.face_control(k) for k in range(len(law.faces))}
+    grid = law.grid
+    advance = _controlled_advance(ham, grid, energy_slopes(grid, ham.sample_energy(grid)),
+                                  law.dt, theta=0.5)
 
-    def control(grid, t):
-        k = int(round((t - law.mid_times[0]) / law.dt))
-        return steps[k]
+    def step(k, rho):
+        return advance(rho, law.faces[k], (k + 1) * law.dt)
 
-    flow = HamiltonianFlow(ham, gain=0.0, control=control, control_on_faces=True)
-    t1 = law.dt * len(law.faces)
-    return evolve(flow, rho0, 0.0, t1, law.dt, store_every=store_every)
+    return march(step, rho0, 0.0, law.dt, len(law.faces), store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +311,13 @@ def gauss_markov_propagate(Q, ham: HamiltonianSpec, alpha,
     if abs(ham.energy(probe)[0] - 0.5 * probe[0] @ Q @ probe[0]) > 1e-8:
         raise ValueError("hamiltonian is not the quadratic form of Q")
     gain = as_gain(alpha)
-    n = int(round((t1 - state0.time) / dt))
-    if n < 1:
-        raise ValueError("t1 must exceed the initial time by at least dt")
+    n = time_steps(state0.time, t1, dt)
 
     dim = Q.shape[0]
     eye = np.eye(dim)
 
     def rhs(t, m, P):
-        a = gain(t)
-        if a <= -0.5 * ham.sigma2:
-            raise ValueError("ill-posed gain")
+        a = admissible_gain(gain(t), ham.sigma2)
         A = -(0.5 * ham.sigma2 + a) / ham.kT * Q
         return A @ m, A @ P + P @ A.T + (ham.sigma2 + 2.0 * a) * eye
 

@@ -18,20 +18,26 @@ b dx / D = -(H_{i+1} - H_i)/kT, so the sampled Gibbs density is an exact
 stationary point of the discrete operator for every admissible gain.
 
 Time stepping: theta-scheme (default theta = 1/2, Crank-Nicolson), with the
-operator sampled at step midpoints.  For a Hamiltonian flow without additive
-control the Peclet numbers -(H_{i+1} - H_i)/kT do not depend on the gain, so
-the operator at time t is exactly (D(t)/D_0) A_0: the gain only rescales the
-clock.  Such a flow (and any static drift) is assembled once per run, and each
-step uses the scale s = D(t_mid)/D_0, which is exactly 1.0 for a constant
-gain.  In 1-D the tridiagonal system (I - theta dt s A_0) x = b is solved
-directly with a banded solver, rebuilt only when s changes.  In N-D it is
-solved with Jacobi-preconditioned BiCGSTAB, warm-started from the current
-density, to the relative residual KRYLOV_RTOL = 1e-14.  Over 100 steps of
-a scheduled-gain run on 128^2 cells a residual of 1e-12 let the mass drift
-by 1e-11; 1e-14 holds it at 4e-15 and keeps the densities within 2e-14 of
-the peak of a direct sparse-LU solve.  A solve that does not reach it raises
-:class:`ConvergenceError`.  Controlled flows (feedback fields) are
-reassembled at every step and use the same solvers.
+operator sampled at step midpoints.  For a Hamiltonian flow the Peclet numbers
+-(H_{i+1} - H_i)/kT do not depend on the gain, so the operator at time t is
+exactly (D(t)/D_0) A_0: the gain only rescales the clock.  Such a flow (and
+any static drift) is assembled once per run, and each step uses the scale
+s = D(t_mid)/D_0, which is exactly 1.0 for a constant gain.  In 1-D the
+tridiagonal system (I - theta dt s A_0) x = b is solved directly with a
+banded solver, rebuilt only when s changes.  In N-D it is solved with
+Jacobi-preconditioned BiCGSTAB, warm-started from the current density, to
+the relative residual KRYLOV_RTOL = 1e-14.  Over 100 steps of a
+scheduled-gain run on 128^2 cells a residual of 1e-12 let the mass drift by
+1e-11; 1e-14 holds it at 4e-15 and keeps the densities within 2e-14 of the
+peak of a direct sparse-LU solve.  A solve that does not reach it raises
+:class:`ConvergenceError`.
+
+One loop, :func:`march`, steps a density and stores it for every caller: it
+takes a per-step function ``step(k, rho) -> rho``.  :func:`evolve` passes the
+rescaled fixed operator (or, for a time-dependent callable drift, one
+assembled at the step midpoint); the feedback solvers in :mod:`.control`
+pass the gain-free potential drift plus face controls, which change from
+step to step and so are assembled per step with the same solvers.
 
 theta >= 1/2 is unconditionally stable; for theta < 1/2 every step is
 validated against the Gershgorin bound of s A_0 and rejected with a
@@ -40,7 +46,9 @@ abort the run, tinier negatives are clamped to zero.
 
 Mass is conserved exactly in the discrete algebra: the fluxes telescope, so
 every column of the operator sums to zero and the theta step preserves the
-total up to linear-solver roundoff.
+total up to linear-solver roundoff.  :func:`march` compares the quadrature
+mass of each stored density with the initial one at ``grids.MASS_TOL``; a
+solver that leaks more raises :class:`MassDriftError`.
 """
 
 from __future__ import annotations
@@ -53,11 +61,19 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .grids import Grid, GridDensity, VectorFieldGrid, gradient, time_steps
+from .grids import (
+    MASS_TOL,
+    Grid,
+    GridDensity,
+    VectorFieldGrid,
+    face_sides,
+    gradient,
+    quadrature,
+    time_steps,
+)
 from .thermo import HamiltonianSpec
 
 POSITIVITY_TOL = 1e-12
-TRAJECTORY_MASS_TOL = 1e-7
 KRYLOV_RTOL = 1e-14
 
 
@@ -74,7 +90,18 @@ class ConvergenceError(RuntimeError):
 
 
 class MassDriftError(RuntimeError):
-    """Total mass drifted beyond TRAJECTORY_MASS_TOL along a trajectory."""
+    """Total mass drifted beyond grids.MASS_TOL along a trajectory."""
+
+
+def admissible_gain(a: float, sigma2: float) -> float:
+    """Return the feedback gain ``a`` if the flow is well posed, a > -sigma2/2.
+
+    At a = -sigma2/2 the rescaled diffusion sigma2 + 2a vanishes and the
+    controlled equation stops being parabolic.
+    """
+    if a <= -0.5 * sigma2:
+        raise ValueError("ill-posed gain")
+    return a
 
 
 def bernoulli(z: np.ndarray) -> np.ndarray:
@@ -136,11 +163,8 @@ class DriftSpec:
                 out.append(vec.reshape(pts.shape[:-1] + (grid.ndim,))[..., a])
             else:
                 v = self.field.vectors[..., a]
-                lo = [slice(None)] * grid.ndim
-                hi = [slice(None)] * grid.ndim
-                lo[a] = slice(None, -1)
-                hi[a] = slice(1, None)
-                out.append(0.5 * (v[tuple(lo)] + v[tuple(hi)]))
+                lo, hi = face_sides(a)
+                out.append(0.5 * (v[lo] + v[hi]))
         return out
 
     def cell_drift(self, grid: Grid, t: float) -> np.ndarray:
@@ -152,91 +176,43 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class HamiltonianFlow:
-    """Gradient-drift evolution with optional gain and additive control.
+    """Gain-modulated gradient flow of the Hamiltonian ``ham``.
 
-    Covers both the plain controlled equation (gain = 0, diffusion sigma2)
-    and the gain-modulated linear equation, whose drift is
-    -(sigma2/2 + alpha(t)) grad H / kT with diffusion sigma2 + 2 alpha(t).
-    The potential part of the face drift always uses sampled energy
-    differences, so the sampled Gibbs density is exactly stationary for any
-    admissible gain; the friction/diffusion pair keeps the Einstein ratio kT
-    by construction.
-
-    control: None, a callable ``(points, t) -> vectors`` sampled at interior
-    faces, or a callable ``(grid, t) -> [per-axis face arrays]`` (used to
-    replay precomputed feedback fields exactly).
+    Drift -(sigma2/2 + alpha(t)) grad H / kT with diffusion
+    sigma2 + 2 alpha(t): the linear equation that the log-ratio feedback of
+    gain alpha produces (gain = 0 is the uncontrolled equation).  The
+    potential part of the face drift uses sampled energy differences, so the
+    sampled Gibbs density is exactly stationary for any admissible gain, and
+    the friction/diffusion pair keeps the Einstein ratio kT by construction.
+    The face Peclet numbers -(H_{i+1} - H_i)/kT do not depend on the gain,
+    so the operator is D(t) A_0 for one fixed A_0: every such flow is a time
+    change, assembled once per :func:`evolve` call.
     """
 
     ham: HamiltonianSpec
     gain: float | Callable[[float], float] = 0.0
-    control: Callable | None = None
-    control_on_faces: bool = False
+
+    is_time_change = True
 
     def alpha(self, t: float) -> float:
-        a = self.gain(t) if callable(self.gain) else self.gain
-        if a <= -0.5 * self.ham.sigma2:
-            raise ValueError("ill-posed gain")
-        return a
-
-    @property
-    def is_time_change(self) -> bool:
-        """The operator is D(t) A_0 for one fixed A_0: true without control.
-
-        The face Peclet numbers -(H_{i+1} - H_i)/kT do not depend on the
-        gain, so a constant or scheduled gain only rescales the clock.
-        """
-        return self.control is None
+        return admissible_gain(self.gain(t) if callable(self.gain) else self.gain,
+                               self.ham.sigma2)
 
     def half_diffusion(self, t: float) -> float:
         return 0.5 * self.ham.sigma2 + self.alpha(t)
 
     def face_drifts(self, grid: Grid, t: float) -> list[np.ndarray]:
         coeff = -self.half_diffusion(t) / self.ham.kT
-        out = [coeff * g for g in energy_slopes(grid, self.ham.sample_energy(grid))]
-        if self.control is not None:
-            if self.control_on_faces:
-                for a, u in enumerate(self.control(grid, t)):
-                    out[a] = out[a] + u
-            else:
-                for a in range(grid.ndim):
-                    pts = _face_points(grid, a)
-                    u = np.asarray(self.control(pts.reshape(-1, grid.ndim), t), dtype=float)
-                    out[a] = out[a] + u.reshape(pts.shape[:-1] + (grid.ndim,))[..., a]
-        return out
+        return [coeff * g for g in energy_slopes(grid, self.ham.sample_energy(grid))]
 
     def cell_drift(self, grid: Grid, t: float) -> np.ndarray:
-        H = self.ham.sample_energy(grid)
         coeff = -self.half_diffusion(t) / self.ham.kT
-        drift = coeff * gradient(grid, H)
-        if self.control is not None and not self.control_on_faces:
-            u = np.asarray(self.control(grid.points(), t), dtype=float)
-            drift = drift + u.reshape(grid.shape + (grid.ndim,))
-        elif self.control is not None:
-            drift = drift + faces_to_cells(grid, self.control(grid, t))
-        return drift
+        return coeff * gradient(grid, self.ham.sample_energy(grid))
 
 
 def energy_slopes(grid: Grid, H: np.ndarray) -> list[np.ndarray]:
     """Per-axis (H_{i+1} - H_i)/dx at the interior faces."""
     return [np.diff(H, axis=a) / grid.dx[a] for a in range(grid.ndim)]
-
-
-def faces_to_cells(grid: Grid, faces: Sequence[np.ndarray]) -> np.ndarray:
-    """Average per-axis interior-face values back to cell centers."""
-    out = np.zeros(grid.shape + (grid.ndim,))
-    for a, f in enumerate(faces):
-        pad_lo = [slice(None)] * grid.ndim
-        pad_hi = [slice(None)] * grid.ndim
-        pad_lo[a] = slice(None, -1)
-        pad_hi[a] = slice(1, None)
-        acc = np.zeros(grid.shape)
-        cnt = np.zeros(grid.shape)
-        acc[tuple(pad_lo)] += f
-        cnt[tuple(pad_lo)] += 1.0
-        acc[tuple(pad_hi)] += f
-        cnt[tuple(pad_hi)] += 1.0
-        out[..., a] = acc / cnt
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +255,9 @@ def _assemble_nd(grid: Grid, D: float, face_drifts) -> scipy.sparse.csr_matrix:
     idx = np.arange(size).reshape(shape)
     for a, (lo_c, hi_c) in enumerate(coeffs):
         dx = grid.dx[a]
-        sl_lo = [slice(None)] * grid.ndim
-        sl_hi = [slice(None)] * grid.ndim
-        sl_lo[a] = slice(None, -1)
-        sl_hi[a] = slice(1, None)
-        i_lo = idx[tuple(sl_lo)].ravel()
-        i_hi = idx[tuple(sl_hi)].ravel()
+        lo, hi = face_sides(a)
+        i_lo = idx[lo].ravel()
+        i_hi = idx[hi].ravel()
         cl = (lo_c / dx).ravel()
         ch = (hi_c / dx).ravel()
         rows += [i_lo, i_lo, i_hi, i_hi]
@@ -391,17 +364,21 @@ def _make_stepper(grid: Grid, D: float, face_drifts, dt: float, theta: float) ->
 
 @dataclass
 class DensityTrajectory:
-    """Densities on a uniform time grid; see :func:`evolve`."""
+    """Densities on a uniform time grid; see :func:`evolve`.
+
+    Every density must declare the mass of the first within
+    ``grids.MASS_TOL``; each ``GridDensity`` holds its quadrature to its
+    declared mass.
+    """
 
     times: np.ndarray
     densities: list[GridDensity]
     dt: float
 
     def __post_init__(self):
-        m0 = self.densities[0].integrate()
-        for d in self.densities:
-            if abs(d.integrate() - m0) > TRAJECTORY_MASS_TOL:
-                raise MassDriftError("mass drift beyond tolerance along trajectory")
+        m0 = self.densities[0].mass
+        if any(abs(d.mass - m0) > MASS_TOL for d in self.densities):
+            raise MassDriftError("mass drift beyond tolerance along trajectory")
 
     @property
     def grid(self) -> Grid:
@@ -409,10 +386,6 @@ class DensityTrajectory:
 
     def __len__(self) -> int:
         return len(self.densities)
-
-    def at_time(self, t: float) -> GridDensity:
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.densities[k]
 
     def mass_curve(self) -> np.ndarray:
         return np.array([d.integrate() for d in self.densities])
@@ -428,6 +401,32 @@ class DensityTrajectory:
         return np.array([relative_entropy(d, reference) for d in self.densities])
 
 
+def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
+          t0: float, dt: float, n_steps: int, store_every: int) -> DensityTrajectory:
+    """Apply ``step(k, rho) -> rho`` for k = 0 .. n_steps-1, starting at ``rho0``.
+
+    Step k ends at t0 + (k+1) dt.  Every ``store_every``-th density and the
+    last are stored.  A stored density whose quadrature mass differs from
+    ``rho0.mass`` by more than ``grids.MASS_TOL`` raises
+    :class:`MassDriftError` (a numerical failure, not invalid input).
+    """
+    grid = rho0.grid
+    rho = rho0.values.copy()
+    times = [t0]
+    stored = [rho0]
+    for k in range(n_steps):
+        rho = step(k, rho)
+        if (k + 1) % store_every == 0 or k == n_steps - 1:
+            t = t0 + (k + 1) * dt
+            mass = quadrature(grid, rho)
+            if abs(mass - rho0.mass) > MASS_TOL:
+                raise MassDriftError(
+                    f"mass drift at t={t:.6g}: {mass!r} != initial {rho0.mass!r}")
+            times.append(t)
+            stored.append(GridDensity(grid, rho, mass=rho0.mass))
+    return DensityTrajectory(np.asarray(times), stored, dt)
+
+
 def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
            theta: float = 0.5, store_every: int = 1) -> DensityTrajectory:
     """Integrate the continuity-form equation from t0 to t1 with fixed dt.
@@ -441,8 +440,6 @@ def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
     bound and rejected with a suggestion.  Steps that drive any cell below
     -1e-12 raise :class:`PositivityError`; tinier negatives are clamped.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     grid = rho0.grid
@@ -457,22 +454,16 @@ def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
         t_ref = t0 + 0.5 * dt
         fixed, D0 = assemble(t_ref), drift.half_diffusion(t_ref)
 
-    rho = rho0.values.copy()
-    mass = rho0.mass
-    times = [t0]
-    stored = [rho0]
-    for k in range(n_steps):
+    def step(k, rho):
         t_mid = t0 + (k + 0.5) * dt
         if fixed is None:
             st, s = assemble(t_mid), 1.0
         else:
             # D0 = 0 only for a drift without diffusion, whose D never changes
             st, s = fixed, (drift.half_diffusion(t_mid) / D0 if D0 > 0.0 else 1.0)
-        rho = st.advance(rho, s, t0 + (k + 1) * dt)
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            times.append(t0 + (k + 1) * dt)
-            stored.append(GridDensity(grid, rho, mass=mass))
-    return DensityTrajectory(np.asarray(times), stored, dt)
+        return st.advance(rho, s, t0 + (k + 1) * dt)
+
+    return march(step, rho0, t0, dt, n_steps, store_every)
 
 
 def continuity_velocity(rho: GridDensity, drift, t: float) -> VectorFieldGrid:

@@ -95,13 +95,8 @@ class Grid:
 
     def boundary_mask(self) -> np.ndarray:
         """Boolean array, True on cells touching the box boundary."""
-        mask = np.zeros(self.shape, dtype=bool)
-        for a in range(self.ndim):
-            idx = [slice(None)] * self.ndim
-            idx[a] = 0
-            mask[tuple(idx)] = True
-            idx[a] = -1
-            mask[tuple(idx)] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[(slice(1, -1),) * self.ndim] = False
         return mask
 
     def cell_index(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +111,16 @@ class Grid:
         inside = np.all((ij >= 0) & (ij < np.asarray(self.cells)), axis=1)
         ij = np.clip(ij, 0, np.asarray(self.cells) - 1)
         return np.ravel_multi_index(tuple(ij.T), self.cells), inside
+
+
+def face_sides(axis: int) -> tuple[tuple, tuple]:
+    """Index tuples (lo, hi) of the cells below and above each interior face.
+
+    ``values[lo]`` and ``values[hi]`` have the interior-face shape along
+    ``axis``; the axes after it are taken whole.
+    """
+    head = (slice(None),) * axis
+    return head + (slice(None, -1),), head + (slice(1, None),)
 
 
 def time_steps(t0: float, t1: float, dt: float) -> int:

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .grids import time_steps
+
 HERMITICITY_TOL = 1e-12
 EIG_FLOOR = 1e-12
 TRACE_TOL = 1e-12
@@ -265,12 +267,10 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
     renormalised after each step so roundoff cannot accumulate over long
     runs.
     """
-    if dt <= 0.0 or t1 <= 0.0:
-        raise ValueError("dt and t1 must be positive")
     n = rho0.dim
     if spec.hamiltonian.dim != n:
         raise ValueError("dimension mismatch")
-    steps = int(round(t1 / dt))
+    steps = time_steps(0.0, t1, dt)
     # S[k] = L[E_k] for the k-th matrix unit E_k, i.e. column k of the
     # superoperator; scaled in place so expm runs with no second copy
     S = spec.generator(np.eye(n * n, dtype=complex).reshape(n * n, n, n))

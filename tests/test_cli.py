@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from entroflow import GaussianDensity, Grid, cli, fokker_planck, quadratic_hamiltonian
@@ -154,6 +155,19 @@ def test_quantum_run_from_operator_files(tmp_path):
     assert np.allclose(data[:, 1], 1.0, atol=1e-10)
 
 
+def test_quantum_run_rejects_partial_horizon(tmp_path, capsys):
+    h = tmp_path / "h.txt"
+    r = tmp_path / "rho.txt"
+    save_operator(np.diag([1.0, -1.0]).astype(complex), h)
+    save_operator(np.diag([0.8, 0.2]).astype(complex), r)
+    out = tmp_path / "q"
+    code = main(["quantum-run", "--hamiltonian", str(h), "--rho0", str(r),
+                 "--t1", "0.0025", "--dt", "0.001", "--out", str(out)])
+    assert code == 2
+    assert "multiple of dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quantum_run_missing_files_flag(capsys):
     assert main(["quantum-run", "--t1", "1.0"]) == 2
 
@@ -199,11 +213,16 @@ def test_sde_run_rejects_partial_horizon(tmp_path, capsys, t1):
 
 
 def test_mass_drift_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(fokker_planck, "TRAJECTORY_MASS_TOL", -1.0)
-    cfg = tmp_path / "c.ini"
-    cfg.write_text(FAST_CONTROL_INI)
+    # a leak of 1e-9 per step is 2e-7 over ou-relax's 200 steps: above
+    # grids.MASS_TOL, so it must be caught before a GridDensity is built
+    solve_banded = scipy.linalg.solve_banded
+
+    def leaky(*args, **kwargs):
+        return solve_banded(*args, **kwargs) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", leaky)
     out = tmp_path / "o"
-    assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 3
+    assert main(["control-run", "--scenario", "ou-relax", "--out", str(out)]) == 3
     assert "mass drift" in capsys.readouterr().err
     assert not out.exists()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entroflow import GaussianDensity, Grid, GridDensity, gibbs_density
+from entroflow.cli import ScenarioConfig
 from entroflow.control import (
     FeedbackLaw,
     GainSchedule,
@@ -94,6 +95,38 @@ def test_modulated_rejects_ill_posed_gain(ou_ham):
         evolve_modulated(ou_ham, -2.0, rho0, 0.1, 1e-3)
     with pytest.raises(ValueError, match="ill-posed gain"):
         evolve_modulated(ou_ham, lambda t: -1.5 * t, rho0, 1.0, 1e-2)
+
+
+SMALL = Grid((-8.0,), (8.0,), (64,))
+
+
+def _start():
+    return GaussianDensity([1.0], [[2.0]]).sample_on(SMALL)
+
+
+# every entry point that takes a gain, at the boundary alpha = -sigma2/2 = -1
+# for ou_ham; "late" turns ill-posed after a few admissible steps
+ILL_POSED_CALLS = {
+    "evolve": lambda ham: evolve(HamiltonianFlow(ham, gain=-1.0), _start(), 0.0, 0.01, 1e-3),
+    "evolve_late": lambda ham: evolve(HamiltonianFlow(ham, gain=lambda t: 1.0 - 300.0 * t),
+                                      _start(), 0.0, 0.01, 1e-3),
+    "evolve_modulated": lambda ham: evolve_modulated(ham, -1.0, _start(), 0.01, 1e-3),
+    "modulated_decay_rate": lambda ham: modulated_decay_rate(_start(), ham, -1.0),
+    "simulate_feedback": lambda ham: simulate_feedback(ham, -1.0, _start(), 0.01, 1e-3),
+    "simulate_feedback_late": lambda ham: simulate_feedback(
+        ham, lambda t: 1.0 - 300.0 * t, _start(), 0.01, 1e-3),
+    "record_feedback_law": lambda ham: record_feedback_law(ham, -1.0, _start(), 0.01, 1e-3),
+    "gauss_markov_propagate": lambda ham: gauss_markov_propagate(
+        1.0, ham, -1.0, GaussMarkovState(0.0, [1.0], [[2.0]]), 0.1, 1e-2),
+    "ScenarioConfig": lambda ham: ScenarioConfig(
+        "bad", "control-run", model=dict(sigma2=ham.sigma2), control=dict(alpha=-1.0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ILL_POSED_CALLS))
+def test_ill_posed_gain_every_entry_point(ou_ham, entry):
+    with pytest.raises(ValueError, match="ill-posed gain"):
+        ILL_POSED_CALLS[entry](ou_ham)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +226,12 @@ def test_gauss_markov_validation(ou_ham):
     other = quadratic_hamiltonian(3.0, kT=1.0, sigma2=2.0)
     with pytest.raises(ValueError, match="quadratic form"):
         gauss_markov_propagate(1.0, other, 0.0, s0, 0.1, 1e-2)
+
+
+def test_gauss_markov_rejects_partial_horizon(ou_ham):
+    s0 = GaussMarkovState(0.0, [1.0], [[2.0]])
+    with pytest.raises(ValueError, match="multiple of dt"):
+        gauss_markov_propagate(1.0, ou_ham, 0.0, s0, 0.105, 1e-2)
 
 
 def test_gauss_markov_divergence_matches_grid(ou_ham):

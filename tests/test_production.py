@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
+from entroflow.control import feedback_control
 from entroflow.fokker_planck import DriftSpec, HamiltonianFlow, continuity_velocity, evolve
 from entroflow.grids import gradient, quadrature
 from entroflow.production import (
@@ -13,7 +15,12 @@ from entroflow.production import (
     production_decomposition,
     relative_entropy_rate,
 )
-from entroflow.thermo import relative_entropy
+from entroflow.thermo import (
+    HamiltonianSpec,
+    flux_and_force,
+    quadratic_hamiltonian,
+    relative_entropy,
+)
 
 
 def gaussian_rate_oracle(m, v, sigma2=2.0):
@@ -205,3 +212,76 @@ def test_divergence_decay_monotone_along_solver(ou_ham):
                   0.0, 1.0, 1e-3, store_every=50)
     D = traj.divergence_curve(rho_bar)
     assert np.all(np.diff(D) < 0.0)
+
+
+# ---------------------------------------------------------------------------
+# property tests on random 1-D and 2-D grids
+# ---------------------------------------------------------------------------
+
+@st.composite
+def production_cases(draw):
+    """Grid, Hamiltonian (quadratic or quartic), Gaussian or quartic density
+    and a control: a random cell field or the log-ratio feedback field of a
+    random admissible gain (``None`` for the former)."""
+    ndim = draw(st.integers(1, 2))
+    cells = tuple(draw(st.integers(8, 200 if ndim == 1 else 32)) for _ in range(ndim))
+    half = draw(st.floats(3.0, 4.0))
+    grid = Grid((-half,) * ndim, (half,) * ndim, cells)
+    kT = draw(st.floats(0.5, 2.0))
+    sigma2 = draw(st.floats(0.5, 3.0))
+    c = np.array([draw(st.floats(0.3, 1.5)) for _ in range(ndim)])
+    if draw(st.booleans()):
+        ham = quadratic_hamiltonian(np.diag(c), kT=kT, sigma2=sigma2)
+    else:
+        ham = HamiltonianSpec(dim=ndim, energy=lambda x: np.atleast_2d(x) ** 4 @ c / 4.0,
+                              grad=lambda x: c * np.atleast_2d(x) ** 3, kT=kT, sigma2=sigma2)
+    if draw(st.booleans()):
+        mean = [draw(st.floats(-1.0, 1.0)) for _ in range(ndim)]
+        var = [draw(st.floats(0.3, 2.0)) for _ in range(ndim)]
+        rho = GaussianDensity(mean, np.diag(var)).sample_on(grid)
+    else:
+        b = np.array([draw(st.floats(0.3, 1.5)) for _ in range(ndim)])
+        raw = np.exp(-(grid.centers() - draw(st.floats(-0.5, 0.5))) ** 4 @ b / 4.0)
+        rho = GridDensity(grid, raw / quadrature(grid, raw))
+    equilibrium = gibbs_density(ham, grid)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        gain = None
+        u = VectorFieldGrid(grid, rng.normal(scale=2.0, size=grid.shape + (ndim,)))
+    else:
+        gain = draw(st.floats(-0.45, 2.0)) * sigma2
+        u = feedback_control(rho, equilibrium, gain)
+    return ham, rho, equilibrium, u, gain
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=production_cases())
+def test_decomposition_identity_on_random_grids(case):
+    ham, rho, equilibrium, u, gain = case
+    rep = production_decomposition(rho, equilibrium, u, ham.sigma2)
+    scale = max(1.0, rep.pepr + abs(rep.epur))
+    assert rep.pepr >= 0.0
+    assert rep.total == pytest.approx(-rep.pepr + rep.epur, rel=0.0, abs=1e-12 * scale)
+    # the generic two-flow rate with the controlled velocity against the
+    # stationary reference is the same integral, written without the split
+    g = log_ratio_gradient(rho, equilibrium)
+    f_tilde = VectorFieldGrid(rho.grid, u.vectors - 0.5 * ham.sigma2 * g)
+    generic = relative_entropy_rate(rho, equilibrium, f_tilde,
+                                    VectorFieldGrid.zero(rho.grid), check_boundary=False)
+    assert rep.total == pytest.approx(generic, rel=0.0, abs=1e-12 * scale)
+    if gain is not None:
+        # feedback of gain a: the rate is -(sigma2/2 + a) * Fisher
+        fisher = 2.0 * rep.pepr / ham.sigma2
+        assert rep.total == pytest.approx(-(0.5 * ham.sigma2 + gain) * fisher,
+                                          rel=0.0, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=production_cases())
+def test_free_energy_forms_agree_on_random_grids(case):
+    ham, rho, _, _, _ = case
+    fisher_form = free_energy_decay_rate(rho, ham)
+    J, Phi = flux_and_force(rho, ham)
+    flux_force = -float(np.sum(J.vectors * Phi.vectors) * rho.grid.cell_volume)
+    assert fisher_form <= 0.0
+    assert fisher_form == pytest.approx(flux_force, rel=1e-9, abs=1e-12)
