@@ -41,7 +41,7 @@ from .fokker_planck import (
     StabilityError,
     admissible_gain,
 )
-from .grids import Grid, GridDensity
+from .grids import Grid, GridDensity, time_steps
 from .paths import (
     current_drift,
     drift_fields_to_csv,
@@ -65,6 +65,7 @@ from .quantum import (
     relative_entropy_rate as q_relative_entropy_rate,
     sigma_x,
     sigma_y,
+    von_neumann_entropy,
 )
 from .sde import (
     TrajectoryDivergence,
@@ -415,9 +416,7 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     traj = lindblad_evolve(spec, rho0, t1, dt, store_every=store)
     rows = []
     for t, s in zip(traj.times, traj.states):
-        lam = s.spectrum()
-        ent = float(-np.sum(lam[lam > 1e-12] * np.log(lam[lam > 1e-12])))
-        rows.append((t, np.trace(s.matrix).real, s.purity(), ent))
+        rows.append((t, np.trace(s.matrix).real, s.purity(), von_neumann_entropy(s)))
     w.write_csv("evolution.csv", ["t", "trace", "purity", "entropy"], rows)
 
 
@@ -430,13 +429,16 @@ def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     dt = float(num.get("dt", 5e-3))
     t1 = float(num.get("t1", 0.6))
     seed = int(num.get("seed", 42))
+    n_times = time_steps(0.0, t1, dt) + 1
+    k = int(num.get("t_index", n_times // 2))
+    if not 0 <= k < n_times:
+        raise ConfigError(f"t_index must lie in [0, {n_times}), got {k}")
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ham, None, x0, n, dt, t1, seed)
     grid = Grid((float(num.get("grid_lo", -4.0)),),
                 (float(num.get("grid_hi", 4.0)),),
                 (int(num.get("grid_cells", 48)),))
-    k = int(num.get("t_index", len(ens.times) // 2))
-    pool = list(range(max(1, k - 80), min(len(ens.times) - 1, k + 80)))
+    pool = list(range(max(1, k - 80), min(n_times - 1, k + 80)))
     beta = estimate_forward_drift(ens, pool, grid)
     gamma = estimate_backward_drift(ens, pool, grid)
     v = current_drift(beta, gamma)

@@ -46,7 +46,8 @@ from .fokker_planck import (
     march,
 )
 from .grids import Grid, GridDensity, VectorFieldGrid, time_steps
-from .production import log_ratio_gradient, production_decomposition, ProductionReport
+from .production import (DENSITY_FLOOR, ProductionReport, log_ratio_gradient,
+                         production_decomposition)
 from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density, relative_entropy
 
 
@@ -155,7 +156,7 @@ def _feedback_faces(grid: Grid, slopes: Sequence[np.ndarray], kT: float,
     grad log rho_bar = -grad H / kT is taken from the energy ``slopes`` of
     :func:`energy_slopes`, the same face quantities the flux assembly uses.
     """
-    logr = np.log(np.maximum(rho_values, 1e-300))
+    logr = np.log(np.maximum(rho_values, DENSITY_FLOOR))
     return [-a * (np.diff(logr, axis=ax) / grid.dx[ax] + slopes[ax] / kT)
             for ax in range(grid.ndim)]
 
@@ -216,7 +217,6 @@ class FeedbackLaw:
 
     grid: Grid
     dt: float
-    mid_times: np.ndarray
     faces: list  # per step: per-axis interior-face arrays
 
 
@@ -232,13 +232,11 @@ def record_feedback_law(ham: HamiltonianSpec, alpha, rho0: GridDensity,
     grid = rho0.grid
     slopes = energy_slopes(grid, ham.sample_energy(grid))
     faces = []
-    mids = []
     for k in range(len(traj) - 1):
         t_mid = 0.5 * (traj.times[k] + traj.times[k + 1])
         rho_mid = 0.5 * (traj.densities[k].values + traj.densities[k + 1].values)
         faces.append(_feedback_faces(grid, slopes, ham.kT, rho_mid, gain(t_mid)))
-        mids.append(t_mid)
-    return FeedbackLaw(grid, dt, np.asarray(mids), faces)
+    return FeedbackLaw(grid, dt, faces)
 
 
 def replay_feedback(ham: HamiltonianSpec, law: FeedbackLaw, rho0: GridDensity,

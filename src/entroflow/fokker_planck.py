@@ -99,7 +99,7 @@ def admissible_gain(a: float, sigma2: float) -> float:
     At a = -sigma2/2 the rescaled diffusion sigma2 + 2a vanishes and the
     controlled equation stops being parabolic.
     """
-    if a <= -0.5 * sigma2:
+    if not a > -0.5 * sigma2:  # NaN fails too
         raise ValueError("ill-posed gain")
     return a
 
@@ -389,12 +389,6 @@ class DensityTrajectory:
 
     def mass_curve(self) -> np.ndarray:
         return np.array([d.integrate() for d in self.densities])
-
-    def mean_curve(self) -> np.ndarray:
-        return np.array([d.mean() for d in self.densities])
-
-    def covariance_curve(self) -> np.ndarray:
-        return np.array([d.covariance() for d in self.densities])
 
     def divergence_curve(self, reference: GridDensity) -> np.ndarray:
         from .thermo import relative_entropy

@@ -206,13 +206,6 @@ class GridDensity:
         outer = d[..., :, np.newaxis] * d[..., np.newaxis, :]
         return np.sum(outer * w, axis=tuple(range(self.grid.ndim))) * self.grid.cell_volume / self.mass
 
-    def renormalized(self, mass: float = 1.0) -> "GridDensity":
-        got = self.integrate()
-        if got <= 0.0:
-            raise ValueError("cannot renormalize a zero density")
-        return GridDensity(self.grid, self.values * (mass / got), mass=mass,
-                           boundary_suspect=self.boundary_suspect)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GridDensity) and self.grid == other.grid
                 and np.array_equal(self.values, other.values))

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import Grid, GridDensity, VectorFieldGrid, gradient
+from .production import DENSITY_FLOOR
 from .sde import PathEnsemble
 
 MIN_CELL_COUNT = 30
@@ -62,42 +63,39 @@ class DriftEstimate:
         return self.vectors.reshape(-1, self.grid.ndim)[idx], valid
 
 
-class _CellAccumulator:
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.counts = np.zeros(grid.size)
-        self.sums = np.zeros((grid.size, grid.ndim))
-        self.sq = np.zeros((grid.size, grid.ndim))
-
-    def add(self, positions: np.ndarray, responses: np.ndarray) -> None:
-        idx, inside = self.grid.cell_index(positions)
-        idx = idx[inside]
-        self.counts += np.bincount(idx, minlength=self.grid.size)
-        for a in range(self.grid.ndim):
-            self.sums[:, a] += np.bincount(idx, weights=responses[inside, a],
-                                           minlength=self.grid.size)
-            self.sq[:, a] += np.bincount(idx, weights=responses[inside, a] ** 2,
-                                         minlength=self.grid.size)
-
-    def finish(self, min_count: int) -> DriftEstimate:
-        grid = self.grid
-        counts = self.counts
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = self.sums / counts[:, None]
-            var = np.maximum(self.sq / counts[:, None] - mean**2, 0.0)
-            se = np.sqrt(var / counts[:, None])
-        occupied = counts >= min_count
-        mean[~occupied] = 0.0
-        se[~occupied] = 0.0
-        return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
-                             counts.reshape(grid.shape),
-                             se.reshape(grid.shape + (grid.ndim,)), min_count)
-
-
 def _as_indices(t_index) -> list[int]:
     if np.isscalar(t_index):
         return [int(t_index)]
     return [int(k) for k in t_index]
+
+
+def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,
+                  lag: int) -> DriftEstimate:
+    """Bin the increments (x(t + lag dt) - x(t)) / (lag dt) by the cell of x(t)."""
+    counts = np.zeros(grid.size)
+    sums = np.zeros((grid.size, grid.ndim))
+    sq = np.zeros((grid.size, grid.ndim))
+    for k in _as_indices(t_index):
+        if not (0 <= k < len(ens.times) and 0 <= k + lag < len(ens.times)):
+            raise ValueError(f"t_index {k} has no time point at lag {lag:+d}")
+        x = ens.states[:, k, :]
+        dx = (ens.states[:, k + lag, :] - x) / (lag * ens.dt)
+        idx, inside = grid.cell_index(x)
+        idx = idx[inside]
+        counts += np.bincount(idx, minlength=grid.size)
+        for a in range(grid.ndim):
+            sums[:, a] += np.bincount(idx, weights=dx[inside, a], minlength=grid.size)
+            sq[:, a] += np.bincount(idx, weights=dx[inside, a] ** 2, minlength=grid.size)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = sums / counts[:, None]
+        var = np.maximum(sq / counts[:, None] - mean**2, 0.0)
+        se = np.sqrt(var / counts[:, None])
+    occupied = counts >= min_count
+    mean[~occupied] = 0.0
+    se[~occupied] = 0.0
+    return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
+                         counts.reshape(grid.shape),
+                         se.reshape(grid.shape + (grid.ndim,)), min_count)
 
 
 def estimate_forward_drift(ens: PathEnsemble, t_index, grid: Grid,
@@ -108,13 +106,7 @@ def estimate_forward_drift(ens: PathEnsemble, t_index, grid: Grid,
     pooled across them (appropriate for stationary ensembles, where the
     drift field does not depend on t).
     """
-    acc = _CellAccumulator(grid)
-    for k in _as_indices(t_index):
-        if k < 0 or k >= len(ens.times) - 1:
-            raise ValueError("t_index must precede the last time point")
-        x = ens.states[:, k, :]
-        acc.add(x, (ens.states[:, k + 1, :] - x) / ens.dt)
-    return acc.finish(min_count)
+    return _binned_drift(ens, t_index, grid, min_count, +1)
 
 
 def estimate_backward_drift(ens: PathEnsemble, t_index, grid: Grid,
@@ -124,13 +116,7 @@ def estimate_backward_drift(ens: PathEnsemble, t_index, grid: Grid,
     Accepts a sequence of indices for pooling, like
     :func:`estimate_forward_drift`.
     """
-    acc = _CellAccumulator(grid)
-    for k in _as_indices(t_index):
-        if k < 1 or k > len(ens.times) - 1:
-            raise ValueError("t_index must follow the first time point")
-        x = ens.states[:, k, :]
-        acc.add(x, (x - ens.states[:, k - 1, :]) / ens.dt)
-    return acc.finish(min_count)
+    return _binned_drift(ens, t_index, grid, min_count, -1)
 
 
 def osmotic_residual(beta: DriftEstimate, gamma: DriftEstimate,
@@ -144,7 +130,7 @@ def osmotic_residual(beta: DriftEstimate, gamma: DriftEstimate,
         raise ValueError("estimates and density must share a grid")
     grid = beta.grid
     mask = beta.mask & gamma.mask & (density.values > 0.0)
-    g = gradient(grid, np.log(np.maximum(density.values, 1e-300)))
+    g = gradient(grid, np.log(np.maximum(density.values, DENSITY_FLOOR)))
     diff = beta.vectors - gamma.vectors - sigma2 * g
     w = np.where(mask, density.values * np.minimum(beta.counts, gamma.counts), 0.0)
     num = np.sum(w * np.einsum("...i,...i->...", diff, diff))

@@ -99,9 +99,6 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
 
-    def is_full_rank(self, floor: float = EIG_FLOOR) -> bool:
-        return bool(self.spectrum().min() > floor)
-
 
 @dataclass(frozen=True)
 class HamiltonianOperator:

@@ -17,7 +17,10 @@ Two integrators:
 Noise streams are counter-based (Philox) and keyed by (seed, block) for
 blocks of 1024 trajectories: the ensemble is bit-reproducible for a given
 seed, trajectory i depends only on (seed, i, step count), and blocks can be
-produced in parallel without changing the result.
+produced in parallel without changing the result.  Both integrators are
+per-step rules of one loop, :func:`_march_paths`, which owns the noise and
+the escape check: a state that leaves the escape radius or is not finite
+raises :class:`TrajectoryDivergence` with the time and trajectory index.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth) and equipartition kinetic temperatures
@@ -95,6 +98,43 @@ def _resolve_x0(x0, rng: Generator, size: int, dim: int) -> np.ndarray:
     return np.broadcast_to(arr.reshape(1, dim), (size, dim)).copy()
 
 
+def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
+                 t1: float, seed: int, escape_radius: float | None) -> PathEnsemble:
+    """The one loop over noise blocks and time steps of every path ensemble.
+
+    Each block's stream draws ``start(rng) -> (NOISE_BLOCK, dim)``, then
+    ``(NOISE_BLOCK, steps, noise_dim)`` noise; ``step(k, y, dW)`` maps the
+    states at t_k to t_k+1.  Non-finite initial states are invalid input;
+    the default escape radius is 50x the spread of the first block's
+    initial states (floor 1).
+    """
+    steps = time_steps(0.0, t1, dt)
+    times = dt * np.arange(steps + 1)
+    states = np.empty((n_traj, steps + 1, dim))
+    radius = escape_radius
+    for first in range(0, n_traj, NOISE_BLOCK):
+        nb = min(NOISE_BLOCK, n_traj - first)
+        rng = _block_rng(seed, first // NOISE_BLOCK)
+        y = start(rng)[:nb]
+        if not np.all(np.isfinite(y)):
+            raise ValueError("initial states must be finite")
+        noise = rng.standard_normal((NOISE_BLOCK, steps, noise_dim))[:nb]
+        if radius is None:
+            radius = 50.0 * max(1.0, float(np.std(y)))
+        block = states[first:first + nb]
+        block[:, 0] = y
+        for k in range(steps):
+            y = step(k, y, noise[:, k])
+            worst = np.max(np.abs(y))
+            if not worst <= radius:  # NaN fails too
+                bad = first + int(np.argmax(np.max(np.abs(y), axis=1)))
+                raise TrajectoryDivergence(
+                    f"trajectory divergence: |state| = {worst:.3g} > {radius:.3g} "
+                    f"at t = {times[k + 1]:.6g}, trajectory index {bad}")
+            block[:, k + 1] = y
+    return PathEnsemble(times, states, dt, seed)
+
+
 def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
                         t1: float, seed: int,
                         escape_radius: float | None = None,
@@ -108,37 +148,19 @@ def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
     noise amplitude only (``sigma=0`` gives the noise-free ODE limit while
     keeping the model drift).
     """
-    steps = time_steps(0.0, t1, dt)
     dim = ham.dim
     if sigma is None:
         sigma = np.sqrt(ham.sigma2)
-    states = np.empty((n_traj, steps + 1, dim))
-    radius = escape_radius
-    for start in range(0, n_traj, NOISE_BLOCK):
-        block = start // NOISE_BLOCK
-        nb = min(NOISE_BLOCK, n_traj - start)
-        rng = _block_rng(seed, block)
-        x = _resolve_x0(x0, rng, NOISE_BLOCK, dim)[:nb]
-        noise = rng.standard_normal((NOISE_BLOCK, steps, dim))[:nb]
-        if radius is None:
-            radius = 50.0 * max(1.0, float(np.std(x)))
-        states[start:start + nb, 0] = x
-        root_dt = np.sqrt(dt)
-        for k in range(steps):
-            t = k * dt
-            f = ham.drift(x)
-            if u is not None:
-                f = f + np.asarray(u(x, t), dtype=float).reshape(nb, dim)
-            x = x + f * dt + sigma * root_dt * noise[:, k]
-            worst = np.max(np.abs(x))
-            if worst > radius:
-                bad = start + int(np.argmax(np.max(np.abs(x), axis=1)))
-                raise TrajectoryDivergence(
-                    f"trajectory divergence: |x| = {worst:.3g} > {radius:.3g} "
-                    f"at t = {t + dt:.6g}, trajectory index {bad}")
-            states[start:start + nb, k + 1] = x
-    times = dt * np.arange(steps + 1)
-    return PathEnsemble(times, states, dt, seed)
+    root_dt = np.sqrt(dt)
+
+    def step(k, x, dW):
+        f = ham.drift(x)
+        if u is not None:
+            f = f + np.asarray(u(x, k * dt), dtype=float).reshape(x.shape)
+        return x + f * dt + sigma * root_dt * dW
+
+    return _march_paths(lambda rng: _resolve_x0(x0, rng, NOISE_BLOCK, dim), step,
+                        n_traj, dim, dim, dt, t1, seed, escape_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -234,50 +256,41 @@ def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
     forces plus Gamma-noise; positions then move with the new momenta and
     carry no noise (singular diffusion).
     """
-    steps = time_steps(0.0, t1, dt)
     nc = spec.n_coords
     m = spec.mass_per_coord
     G = spec.noise_matrix
     drag = spec.gamma + spec.control_gain
-    states = np.empty((n_traj, steps + 1, 2 * nc))
     if escape_radius is None:
         escape_radius = 50.0 * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
-                                   np.sqrt(spec.temperature) )
+                                   np.sqrt(spec.temperature))
     root_dt = np.sqrt(dt)
     noisy = np.any(G != 0.0)
-    for start in range(0, n_traj, NOISE_BLOCK):
-        block = start // NOISE_BLOCK
-        nb = min(NOISE_BLOCK, n_traj - start)
-        rng = _block_rng(seed, block)
-        q = _resolve_x0(q0, rng, NOISE_BLOCK, nc)[:nb]
-        p = _resolve_x0(p0, rng, NOISE_BLOCK, nc)[:nb]
-        noise = rng.standard_normal((NOISE_BLOCK, steps, nc))[:nb] if noisy else None
-        states[start:start + nb, 0, :nc] = q
-        states[start:start + nb, 0, nc:] = p
-        for k in range(steps):
-            force = -np.asarray(spec.grad_potential(q), dtype=float).reshape(nb, nc)
-            p = p + dt * (force - drag * (p / m))
-            if noisy:
-                p = p + root_dt * noise[:, k] @ G.T
-            q = q + dt * (p / m)
-            worst = max(np.max(np.abs(q)), np.max(np.abs(p)))
-            if worst > escape_radius:
-                bad = start + int(np.argmax(np.max(np.abs(q), axis=1)))
-                raise TrajectoryDivergence(
-                    f"trajectory divergence: amplitude {worst:.3g} > "
-                    f"{escape_radius:.3g} at trajectory index {bad}")
-            states[start:start + nb, k + 1, :nc] = q
-            states[start:start + nb, k + 1, nc:] = p
-    times = dt * np.arange(steps + 1)
-    return PathEnsemble(times, states, dt, seed)
 
+    def start(rng):
+        q = _resolve_x0(q0, rng, NOISE_BLOCK, nc)
+        p = _resolve_x0(p0, rng, NOISE_BLOCK, nc)
+        return np.concatenate([q, p], axis=1)
 
-def polymer_positions(ens: PathEnsemble, spec: PolymerSpec) -> np.ndarray:
-    return ens.states[:, :, :spec.n_coords]
+    def step(k, y, dW):
+        q, p = y[:, :nc], y[:, nc:]
+        force = -np.asarray(spec.grad_potential(q), dtype=float).reshape(q.shape)
+        p = p + dt * (force - drag * (p / m))
+        if noisy:
+            p = p + root_dt * dW @ G.T
+        return np.concatenate([q + dt * (p / m), p], axis=1)
+
+    return _march_paths(start, step, n_traj, 2 * nc, nc if noisy else 0, dt, t1, seed,
+                        escape_radius)
 
 
 def polymer_momenta(ens: PathEnsemble, spec: PolymerSpec) -> np.ndarray:
     return ens.states[:, :, spec.n_coords:]
+
+
+def _block_mv2(p: np.ndarray, spec: PolymerSpec) -> np.ndarray:
+    """m V^2 per coordinate of momenta ``p``, shape p.shape[:-1] + (n_blocks, block_dim)."""
+    m = spec.mass_per_coord
+    return ((p / m) ** 2 * m).reshape(p.shape[:-1] + (spec.n_blocks, spec.block_dim))
 
 
 @dataclass(frozen=True)
@@ -300,10 +313,7 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
     if lo < ens.times[0] - 1e-12 or hi > ens.times[-1] + 1e-12 or hi <= lo:
         raise ValueError("window outside ensemble horizon")
     sel = (ens.times >= lo) & (ens.times <= hi)
-    p = polymer_momenta(ens, spec)[:, sel, :]
-    m = spec.mass_per_coord
-    v2 = (p / m) ** 2 * m  # m V^2 per coordinate
-    per_block = v2.reshape(p.shape[0], p.shape[1], spec.n_blocks, spec.block_dim)
+    per_block = _block_mv2(polymer_momenta(ens, spec)[:, sel, :], spec)
     # window average per trajectory and block, then ensemble statistics
     traj_vals = per_block.mean(axis=(1, 3))  # (n_traj, n_blocks)
     values = traj_vals.mean(axis=0)
@@ -408,8 +418,5 @@ def ensemble_summary_csv(ens: PathEnsemble, path,
             cov = np.cov(x.T, ddof=1).reshape(dim, dim)
             row = [t, *mean, *cov.ravel()]
             if spec is not None:
-                p = x[:, spec.n_coords:]
-                v2 = (p / spec.mass_per_coord) ** 2 * spec.mass_per_coord
-                per_block = v2.reshape(x.shape[0], spec.n_blocks, spec.block_dim)
-                row.extend(per_block.mean(axis=(0, 2)))
+                row.extend(_block_mv2(x[:, spec.n_coords:], spec).mean(axis=(0, 2)))
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -73,12 +73,13 @@ def test_unknown_scenario_name(capsys):
 
 
 def test_ill_posed_gain_rejected(tmp_path, capsys):
-    bad = FAST_CONTROL_INI.replace("alpha = 0.5", "alpha = -2.0")
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(bad)
-    code = main(["control-run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "ill-posed gain" in capsys.readouterr().err
+    for alpha in ("-2.0", "nan"):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(FAST_CONTROL_INI.replace("alpha = 0.5", f"alpha = {alpha}"))
+        code = main(["control-run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "ill-posed gain" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -209,6 +210,18 @@ def test_sde_run_rejects_partial_horizon(tmp_path, capsys, t1):
                  "--dt", "0.01", "--t1", t1, "--out", str(out)])
     assert code == 2
     assert "multiple of dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_index", ["500", "21", "-1"])
+def test_paths_run_t_index_out_of_range(tmp_path, capsys, t_index):
+    # t1 / dt = 20 steps: the time indices are 0..20
+    cfg = tmp_path / "p.ini"
+    cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 50\n"
+                   f"dt = 0.005\nt1 = 0.1\nt_index = {t_index}\n")
+    out = tmp_path / "paths"
+    assert main(["paths-run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "t_index must lie in [0, 21)" in capsys.readouterr().err
     assert not out.exists()
 
 

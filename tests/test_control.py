@@ -104,29 +104,31 @@ def _start():
     return GaussianDensity([1.0], [[2.0]]).sample_on(SMALL)
 
 
-# every entry point that takes a gain, at the boundary alpha = -sigma2/2 = -1
-# for ou_ham; "late" turns ill-posed after a few admissible steps
+# every entry point that takes a gain, with a bad gain: the boundary
+# alpha = -sigma2/2 = -1 for ou_ham, or NaN; "late" turns bad after a few
+# admissible steps
 ILL_POSED_CALLS = {
-    "evolve": lambda ham: evolve(HamiltonianFlow(ham, gain=-1.0), _start(), 0.0, 0.01, 1e-3),
-    "evolve_late": lambda ham: evolve(HamiltonianFlow(ham, gain=lambda t: 1.0 - 300.0 * t),
-                                      _start(), 0.0, 0.01, 1e-3),
-    "evolve_modulated": lambda ham: evolve_modulated(ham, -1.0, _start(), 0.01, 1e-3),
-    "modulated_decay_rate": lambda ham: modulated_decay_rate(_start(), ham, -1.0),
-    "simulate_feedback": lambda ham: simulate_feedback(ham, -1.0, _start(), 0.01, 1e-3),
-    "simulate_feedback_late": lambda ham: simulate_feedback(
-        ham, lambda t: 1.0 - 300.0 * t, _start(), 0.01, 1e-3),
-    "record_feedback_law": lambda ham: record_feedback_law(ham, -1.0, _start(), 0.01, 1e-3),
-    "gauss_markov_propagate": lambda ham: gauss_markov_propagate(
-        1.0, ham, -1.0, GaussMarkovState(0.0, [1.0], [[2.0]]), 0.1, 1e-2),
-    "ScenarioConfig": lambda ham: ScenarioConfig(
-        "bad", "control-run", model=dict(sigma2=ham.sigma2), control=dict(alpha=-1.0)),
+    "evolve": lambda ham, bad: evolve(HamiltonianFlow(ham, gain=bad), _start(), 0.0, 0.01, 1e-3),
+    "evolve_late": lambda ham, bad: evolve(
+        HamiltonianFlow(ham, gain=lambda t: 1.0 if t < 5e-3 else bad), _start(), 0.0, 0.01, 1e-3),
+    "evolve_modulated": lambda ham, bad: evolve_modulated(ham, bad, _start(), 0.01, 1e-3),
+    "modulated_decay_rate": lambda ham, bad: modulated_decay_rate(_start(), ham, bad),
+    "simulate_feedback": lambda ham, bad: simulate_feedback(ham, bad, _start(), 0.01, 1e-3),
+    "simulate_feedback_late": lambda ham, bad: simulate_feedback(
+        ham, lambda t: 1.0 if t < 5e-3 else bad, _start(), 0.01, 1e-3),
+    "record_feedback_law": lambda ham, bad: record_feedback_law(ham, bad, _start(), 0.01, 1e-3),
+    "gauss_markov_propagate": lambda ham, bad: gauss_markov_propagate(
+        1.0, ham, bad, GaussMarkovState(0.0, [1.0], [[2.0]]), 0.1, 1e-2),
+    "ScenarioConfig": lambda ham, bad: ScenarioConfig(
+        "bad", "control-run", model=dict(sigma2=ham.sigma2), control=dict(alpha=bad)),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ILL_POSED_CALLS))
 def test_ill_posed_gain_every_entry_point(ou_ham, entry):
-    with pytest.raises(ValueError, match="ill-posed gain"):
-        ILL_POSED_CALLS[entry](ou_ham)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="ill-posed gain"):
+            ILL_POSED_CALLS[entry](ou_ham, bad)
 
 
 # ---------------------------------------------------------------------------

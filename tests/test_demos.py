@@ -1,4 +1,4 @@
-"""The demos that step densities through the shared solver loop run clean."""
+"""Every demo runs clean: they step densities, path ensembles and quantum states."""
 
 import os
 import pathlib
@@ -10,8 +10,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["02_relaxation_and_production.py",
-                                  "03_feedback_modulation.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_exits_zero(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,

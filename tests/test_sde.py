@@ -57,12 +57,20 @@ def test_seed_determinism(ou_ham):
 
 
 def test_trajectory_stable_across_ensemble_size(ou_ham):
-    # per-block streams: trajectory i depends on (seed, i), not on n_traj
-    big = simulate_overdamped(ou_ham, None, gaussian_x0(0.0, 1.0),
-                              n_traj=2000, dt=1e-2, t1=0.1, seed=5)
-    small = simulate_overdamped(ou_ham, None, gaussian_x0(0.0, 1.0),
-                                n_traj=700, dt=1e-2, t1=0.1, seed=5)
-    assert np.array_equal(big.states[:700], small.states)
+    # per-block streams: trajectory i depends on (seed, i), not on n_traj;
+    # 700 and 2000 lie on both sides of the 1024-trajectory noise block
+    spec = harmonic_cantilever(1.0, control_gain=0.5)
+    simulators = [
+        lambda n: simulate_overdamped(ou_ham, None, gaussian_x0(0.0, 1.0),
+                                      n_traj=n, dt=1e-2, t1=0.1, seed=5),
+        lambda n: simulate_polymer(spec, n_traj=n, dt=1e-2, t1=0.1, seed=5,
+                                   q0=gaussian_x0(0.0, 1.0), p0=gaussian_x0(0.0, 1.0)),
+    ]
+    for simulate in simulators:
+        big = simulate(2000)
+        small = simulate(700)
+        assert np.array_equal(big.states[:700], small.states)
+        assert not np.array_equal(big.states[1024:1724], small.states)
 
 
 def test_control_field_enters_drift(ou_ham):
@@ -81,6 +89,21 @@ def test_escape_radius_aborts(ou_ham):
     with pytest.raises(TrajectoryDivergence, match="trajectory index"):
         simulate_overdamped(unstable, None, 2.0, n_traj=4, dt=1e-2, t1=200.0,
                             seed=3, escape_radius=10.0)
+
+
+def test_non_finite_state_is_divergence(ou_ham):
+    # a NaN drift in trajectory 2 from t = 0.05 on is a numerical failure,
+    # not an invalid ensemble; a NaN initial state is invalid input
+    def u(x, t):
+        out = np.zeros_like(x)
+        if t >= 0.05:
+            out[2] = np.nan
+        return out
+
+    with pytest.raises(TrajectoryDivergence, match=r"t = 0\.06, trajectory index 2$"):
+        simulate_overdamped(ou_ham, u, 0.0, n_traj=5, dt=1e-2, t1=0.2, seed=3)
+    with pytest.raises(ValueError, match="initial states must be finite"):
+        simulate_overdamped(ou_ham, None, np.nan, n_traj=5, dt=1e-2, t1=0.2, seed=3)
 
 
 def test_path_ensemble_validation():
@@ -139,6 +162,23 @@ def test_hamiltonian_limit_energy_conservation():
     H = 0.5 * (q**2 + p**2)
     per_step = np.abs(np.diff(H))
     assert np.max(per_step) <= 1.2 * dt**2 * 2.0 * H[0]
+
+
+def test_momentum_escape_names_its_trajectory():
+    # trajectory 3 escapes in momentum while trajectory 5 holds the largest
+    # position; the default radius is 50 for T = m = 1
+    spec = harmonic_cantilever(1.0, gamma=0.0)
+
+    def start(value, row):
+        def x0(rng, size):
+            out = np.zeros((size, 1))
+            out[row] = value
+            return out
+        return x0
+
+    with pytest.raises(TrajectoryDivergence, match=r"trajectory index 3$"):
+        simulate_polymer(spec, n_traj=8, dt=1e-2, t1=1.0, seed=0,
+                         q0=start(10.0, 5), p0=start(100.0, 3))
 
 
 def test_kinetic_temperature_edge_cases():
