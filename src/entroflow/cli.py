@@ -41,7 +41,7 @@ from .fokker_planck import (
     StabilityError,
     admissible_gain,
 )
-from .grids import Grid, GridDensity, time_steps
+from .grids import Grid, density_covariance, density_mean, time_steps
 from .paths import (
     current_drift,
     drift_fields_to_csv,
@@ -65,7 +65,8 @@ from .quantum import (
     relative_entropy_rate as q_relative_entropy_rate,
     sigma_x,
     sigma_y,
-    von_neumann_entropy,
+    spectral_entropy,
+    spectral_purity,
 )
 from .sde import (
     TrajectoryDivergence,
@@ -77,7 +78,7 @@ from .sde import (
     simulate_overdamped,
     simulate_polymer,
 )
-from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian, relative_entropy
+from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian
 
 NUMERICAL_ERRORS = (PositivityError, StabilityError, ConvergenceError, MassDriftError,
                     TrajectoryDivergence, np.linalg.LinAlgError)
@@ -137,6 +138,10 @@ class ScenarioConfig:
             raise ConfigError("grid_hi must exceed grid_lo")
         if int(self.numerics.get("store_every", 1)) < 1:
             raise ConfigError("store_every must be >= 1")
+        if not np.isfinite(float(self.numerics.get("mean0", 0.0))):
+            raise ConfigError("mean0 must be finite")
+        if not 0.0 <= float(self.numerics.get("var0", 1.0)) < np.inf:
+            raise ConfigError("var0 must be finite and nonnegative")
 
     @classmethod
     def from_ini(cls, path) -> "ScenarioConfig":
@@ -297,16 +302,15 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     rho_bar = gibbs_density(ham, grid)
 
     if cfg.kind == "fp-run":
-        x_idx = np.arange(grid.cells[0])
-        rows = ((t, i, d.values[i]) for t, d in zip(traj.times, traj.densities)
-                for i in x_idx)
+        rows = ((t, i, v) for t, row in zip(traj.times, traj.values)
+                for i, v in enumerate(row))
         w.write_csv("trajectory.csv", ["t", "cell_index", "density"], rows)
 
     if cfg.kind in ("fp-run", "control-run"):
-        rows = []
-        for t, d in zip(traj.times, traj.densities):
-            rows.append((t, d.integrate(), d.mean()[0], d.covariance()[0, 0],
-                         relative_entropy(d, rho_bar)))
+        rows = ((t, mass, density_mean(grid, v, traj.mass)[0],
+                 density_covariance(grid, v, traj.mass)[0, 0], D)
+                for t, v, mass, D in zip(traj.times, traj.values, traj.mass_curve(),
+                                         traj.divergence_curve(rho_bar)))
         w.write_csv("moments.csv", ["t", "mass", "mean", "cov", "D_to_equilibrium"],
                     rows)
 
@@ -396,7 +400,8 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         traj = lindblad_evolve(spec, rho0, t1, dt, store_every=store)
         mixed = DensityOperator.maximally_mixed(2)
         rows = []
-        for t, s in zip(traj.times, traj.states):
+        for t, M in zip(traj.times, traj.matrices):
+            s = DensityOperator(M)
             rows.append((t, np.trace(s.matrix).real,
                          q_relative_entropy(s, mixed),
                          dissipative_production_rate(s, spec, mixed)))
@@ -414,9 +419,9 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     spec = LindbladSpec(H, jumps)
     store = int(num.get("store_every", 1))
     traj = lindblad_evolve(spec, rho0, t1, dt, store_every=store)
-    rows = []
-    for t, s in zip(traj.times, traj.states):
-        rows.append((t, np.trace(s.matrix).real, s.purity(), von_neumann_entropy(s)))
+    traces = np.trace(traj.matrices, axis1=1, axis2=2).real
+    rows = zip(traj.times, traces, spectral_purity(traj.spectra),
+               spectral_entropy(traj.spectra))
     w.write_csv("evolution.csv", ["t", "trace", "purity", "entropy"], rows)
 
 

@@ -26,7 +26,7 @@ Three executable routes to the same flow live here:
 
 For quadratic Hamiltonians the densities stay Gaussian and the grid solve
 may be replaced by moment equations; :func:`gauss_markov_propagate`
-integrates them and serves as the closed-form cross-check.
+solves them in closed form and serves as the cross-check.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from .fokker_planck import (
     march,
 )
 from .grids import Grid, GridDensity, VectorFieldGrid, time_steps
-from .production import (DENSITY_FLOOR, ProductionReport, log_ratio_gradient,
-                         production_decomposition)
-from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density, relative_entropy
+from .production import DENSITY_FLOOR, log_ratio_gradient, production_decomposition
+from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,7 @@ def record_feedback_law(ham: HamiltonianSpec, alpha, rho0: GridDensity,
     faces = []
     for k in range(len(traj) - 1):
         t_mid = 0.5 * (traj.times[k] + traj.times[k + 1])
-        rho_mid = 0.5 * (traj.densities[k].values + traj.densities[k + 1].values)
+        rho_mid = 0.5 * (traj.values[k] + traj.values[k + 1])
         faces.append(_feedback_faces(grid, slopes, ham.kT, rho_mid, gain(t_mid)))
     return FeedbackLaw(grid, dt, faces)
 
@@ -292,45 +291,36 @@ def equilibrium_gaussian(Q, kT: float) -> GaussianDensity:
 def gauss_markov_propagate(Q, ham: HamiltonianSpec, alpha,
                            state0: GaussMarkovState, t1: float, dt: float
                            ) -> list[GaussMarkovState]:
-    """Integrate the moment equations of the gain-modulated linear flow.
+    """Exact moments of the gain-modulated linear flow on the time grid.
 
-    With A(t) = -(sigma2/2 + alpha(t)) Q / kT,
+    With c(t) = sigma2/2 + alpha(t) every A(t) = -c(t) Q / kT commutes with
+    every other, so with the clock tau = sum dt c(t_mid) (the time change
+    the grid solver uses) and Sigma = kT Q^{-1},
 
-        dm/dt = A(t) m,
-        dP/dt = A(t) P + P A(t)^T + (sigma2 + 2 alpha(t)) I,
+        m = exp(-tau Q / kT) m0,
+        P = exp(-tau Q / kT) (P0 - Sigma) exp(-tau Q / kT) + Sigma.
 
-    integrated with fixed-step RK4.  Exact within the Gaussian family; the
-    grid solver provides the independent cross-check.
+    The gain is sampled, and checked for admissibility, at every step
+    midpoint.  The grid solver provides the independent cross-check.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if np.max(np.abs(Q - Q.T)) > 1e-12 or np.min(np.linalg.eigvalsh(Q)) <= 0.0:
+    lam, V = np.linalg.eigh(Q)
+    if np.max(np.abs(Q - Q.T)) > 1e-12 or np.min(lam) <= 0.0:
         raise ValueError("Q must be symmetric positive-definite")
     probe = np.ones((1, Q.shape[0]))
     if abs(ham.energy(probe)[0] - 0.5 * probe[0] @ Q @ probe[0]) > 1e-8:
         raise ValueError("hamiltonian is not the quadratic form of Q")
     gain = as_gain(alpha)
     n = time_steps(state0.time, t1, dt)
-
-    dim = Q.shape[0]
-    eye = np.eye(dim)
-
-    def rhs(t, m, P):
-        a = admissible_gain(gain(t), ham.sigma2)
-        A = -(0.5 * ham.sigma2 + a) / ham.kT * Q
-        return A @ m, A @ P + P @ A.T + (ham.sigma2 + 2.0 * a) * eye
-
+    sigma = (V * (ham.kT / lam)) @ V.T
     out = [state0]
-    m, P, t = state0.mean.copy(), state0.cov.copy(), state0.time
-    for _ in range(n):
-        k1m, k1P = rhs(t, m, P)
-        k2m, k2P = rhs(t + dt / 2, m + dt / 2 * k1m, P + dt / 2 * k1P)
-        k3m, k3P = rhs(t + dt / 2, m + dt / 2 * k2m, P + dt / 2 * k2P)
-        k4m, k4P = rhs(t + dt, m + dt * k3m, P + dt * k3P)
-        m = m + dt / 6 * (k1m + 2 * k2m + 2 * k3m + k4m)
-        P = P + dt / 6 * (k1P + 2 * k2P + 2 * k3P + k4P)
-        P = 0.5 * (P + P.T)
-        t += dt
-        out.append(GaussMarkovState(t, m, P))
+    tau = 0.0
+    for k in range(n):
+        a = admissible_gain(gain(state0.time + (k + 0.5) * dt), ham.sigma2)
+        tau += dt * (0.5 * ham.sigma2 + a)
+        E = (V * np.exp(-tau * lam / ham.kT)) @ V.T
+        out.append(GaussMarkovState(state0.time + (k + 1) * dt, E @ state0.mean,
+                                    E @ (state0.cov - sigma) @ E + sigma))
     return out
 
 
@@ -351,14 +341,12 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
     equilibrium = gibbs_density(ham, traj.grid)
     ts = traj.times
     n = len(traj)
-    D = np.empty(n)
+    D = traj.divergence_curve(equilibrium)
     total = np.full(n, np.nan)
     pepr = np.full(n, np.nan)
     epur = np.full(n, np.nan)
-    for k, d in enumerate(traj.densities):
-        D[k] = relative_entropy(d, equilibrium)
-        if not np.isfinite(D[k]):
-            continue
+    for k in np.flatnonzero(np.isfinite(D)):
+        d = GridDensity(traj.grid, traj.values[k], mass=traj.mass)
         u = feedback_control(d, equilibrium, gain(ts[k]))
         rep = production_decomposition(d, equilibrium, u, ham.sigma2)
         total[k], pepr[k], epur[k] = rep.total, rep.pepr, rep.epur

@@ -32,28 +32,28 @@ scheduled-gain run on 128^2 cells a residual of 1e-12 let the mass drift by
 peak of a direct sparse-LU solve.  A solve that does not reach it raises
 :class:`ConvergenceError`.
 
-One loop, :func:`march`, steps a density and stores it for every caller: it
-takes a per-step function ``step(k, rho) -> rho``.  :func:`evolve` passes the
-rescaled fixed operator (or, for a time-dependent callable drift, one
-assembled at the step midpoint); the feedback solvers in :mod:`.control`
-pass the gain-free potential drift plus face controls, which change from
-step to step and so are assembled per step with the same solvers.
+One loop, :func:`march`, steps a density for every caller, which hands it a
+per-step function ``step(k, rho) -> rho``: :func:`evolve` the rescaled fixed
+operator (or, for a time-dependent callable drift, one assembled at the step
+midpoint), the feedback solvers in :mod:`.control` the gain-free potential
+drift plus face controls, assembled per step because they change.  The
+stored densities fill one preallocated read-only ``(n_times, *shape)``
+array, the :class:`DensityTrajectory`; density objects are built on demand.
 
 theta >= 1/2 is unconditionally stable; for theta < 1/2 every step is
 validated against the Gershgorin bound of s A_0 and rejected with a
-suggested dt.  Positivity is enforced a posteriori: values below -1e-12
-abort the run, tinier negatives are clamped to zero.
-
-Mass is conserved exactly in the discrete algebra: the fluxes telescope, so
-every column of the operator sums to zero and the theta step preserves the
-total up to linear-solver roundoff.  :func:`march` compares the quadrature
-mass of each stored density with the initial one at ``grids.MASS_TOL``; a
-solver that leaks more raises :class:`MassDriftError`.
+suggested dt.  Each invariant is checked once.  Positivity, in every step:
+values below -1e-12 abort the run, tinier negatives are clamped to zero.
+Mass and finiteness, in :func:`march` for every stored density: the fluxes
+telescope, so every column of the operator sums to zero and a step keeps the
+total up to linear-solver roundoff; a quadrature mass off the initial one by
+more than ``grids.MASS_TOL``, or not finite, raises :class:`MassDriftError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,9 +69,10 @@ from .grids import (
     face_sides,
     gradient,
     quadrature,
+    require_same_grid,
     time_steps,
 )
-from .thermo import HamiltonianSpec
+from .thermo import HamiltonianSpec, relative_entropy_rows
 
 POSITIVITY_TOL = 1e-12
 KRYLOV_RTOL = 1e-14
@@ -364,35 +365,31 @@ def _make_stepper(grid: Grid, D: float, face_drifts, dt: float, theta: float) ->
 
 @dataclass
 class DensityTrajectory:
-    """Densities on a uniform time grid; see :func:`evolve`.
+    """Densities ``values[k]`` at ``times[k]`` in one read-only array.
 
-    Every density must declare the mass of the first within
-    ``grids.MASS_TOL``; each ``GridDensity`` holds its quadrature to its
-    declared mass.
+    :func:`march` has checked each for quadrature mass ``mass`` and finiteness,
+    its steps for positivity.
     """
 
+    grid: Grid
     times: np.ndarray
-    densities: list[GridDensity]
-    dt: float
-
-    def __post_init__(self):
-        m0 = self.densities[0].mass
-        if any(abs(d.mass - m0) > MASS_TOL for d in self.densities):
-            raise MassDriftError("mass drift beyond tolerance along trajectory")
-
-    @property
-    def grid(self) -> Grid:
-        return self.densities[0].grid
+    values: np.ndarray
+    mass: float = 1.0
 
     def __len__(self) -> int:
-        return len(self.densities)
+        return len(self.times)
+
+    @cached_property
+    def densities(self) -> tuple[GridDensity, ...]:
+        """The stored densities as validated objects, built on first use."""
+        return tuple(GridDensity(self.grid, v, mass=self.mass) for v in self.values)
 
     def mass_curve(self) -> np.ndarray:
-        return np.array([d.integrate() for d in self.densities])
+        return np.array([quadrature(self.grid, v) for v in self.values])
 
     def divergence_curve(self, reference: GridDensity) -> np.ndarray:
-        from .thermo import relative_entropy
-        return np.array([relative_entropy(d, reference) for d in self.densities])
+        require_same_grid(self, reference)
+        return relative_entropy_rows(self.values, self.mass, reference)
 
 
 def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
@@ -400,25 +397,30 @@ def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
     """Apply ``step(k, rho) -> rho`` for k = 0 .. n_steps-1, starting at ``rho0``.
 
     Step k ends at t0 + (k+1) dt.  Every ``store_every``-th density and the
-    last are stored.  A stored density whose quadrature mass differs from
-    ``rho0.mass`` by more than ``grids.MASS_TOL`` raises
-    :class:`MassDriftError` (a numerical failure, not invalid input).
+    last are written into one preallocated array.  A stored density whose
+    quadrature mass differs from ``rho0.mass`` by more than
+    ``grids.MASS_TOL``, or is not finite, raises :class:`MassDriftError` (a
+    numerical failure, not invalid input).
     """
     grid = rho0.grid
+    n_stored = -(-n_steps // store_every) + 1
+    times = np.empty(n_stored)
+    values = np.empty((n_stored,) + grid.shape)
+    times[0], values[0] = t0, rho0.values
     rho = rho0.values.copy()
-    times = [t0]
-    stored = [rho0]
+    j = 0
     for k in range(n_steps):
         rho = step(k, rho)
         if (k + 1) % store_every == 0 or k == n_steps - 1:
             t = t0 + (k + 1) * dt
             mass = quadrature(grid, rho)
-            if abs(mass - rho0.mass) > MASS_TOL:
+            if not abs(mass - rho0.mass) <= MASS_TOL:  # NaN and inf fail too
                 raise MassDriftError(
                     f"mass drift at t={t:.6g}: {mass!r} != initial {rho0.mass!r}")
-            times.append(t)
-            stored.append(GridDensity(grid, rho, mass=rho0.mass))
-    return DensityTrajectory(np.asarray(times), stored, dt)
+            j += 1
+            times[j], values[j] = t, rho
+    values.flags.writeable = False
+    return DensityTrajectory(grid, times, values, rho0.mass)
 
 
 def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,

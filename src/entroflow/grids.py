@@ -15,6 +15,7 @@ rejected at the type level (there is no way to build one).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,9 @@ class Grid:
 
     lo, hi : per-dimension bounds (state units)
     cells  : per-dimension cell counts, each >= 2
+
+    ``dx``, ``cell_volume`` and ``centers()`` are computed once per grid and
+    read-only; equality and hashing use the three fields only.
     """
 
     lo: tuple[float, ...]
@@ -61,11 +65,13 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.cells
 
-    @property
+    @cached_property
     def dx(self) -> np.ndarray:
-        return (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.cells)
+        dx = (np.asarray(self.hi) - np.asarray(self.lo)) / np.asarray(self.cells)
+        dx.flags.writeable = False
+        return dx
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.dx))
 
@@ -85,9 +91,14 @@ class Grid:
 
     def centers(self) -> np.ndarray:
         """Cell-center coordinates, shape ``shape + (ndim,)``."""
+        return self._centers
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
         axes = [self.axis_centers(a) for a in range(self.ndim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        x.flags.writeable = False
+        return x
 
     def points(self) -> np.ndarray:
         """Cell centers flattened to ``(size, ndim)`` in C order."""
@@ -145,6 +156,20 @@ def quadrature(grid: Grid, values: np.ndarray) -> float:
     return float(np.sum(values) * grid.cell_volume)
 
 
+def density_mean(grid: Grid, values: np.ndarray, mass: float = 1.0) -> np.ndarray:
+    """Mean of the sampled density ``values`` of quadrature mass ``mass``."""
+    w = values[..., np.newaxis]
+    return np.sum(grid.centers() * w, axis=tuple(range(grid.ndim))) * grid.cell_volume / mass
+
+
+def density_covariance(grid: Grid, values: np.ndarray, mass: float = 1.0) -> np.ndarray:
+    """Covariance of the sampled density ``values`` of quadrature mass ``mass``."""
+    d = grid.centers() - density_mean(grid, values, mass)
+    w = values[..., np.newaxis, np.newaxis]
+    outer = d[..., :, np.newaxis] * d[..., np.newaxis, :]
+    return np.sum(outer * w, axis=tuple(range(grid.ndim))) * grid.cell_volume / mass
+
+
 def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Discrete gradient, shape ``grid.shape + (ndim,)``.
 
@@ -188,23 +213,11 @@ class GridDensity:
     def integrate(self) -> float:
         return quadrature(self.grid, self.values)
 
-    def log_values(self) -> np.ndarray:
-        """log(values); zero cells map to -inf without warnings."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.values)
-
     def mean(self) -> np.ndarray:
-        x = self.grid.centers()
-        w = self.values[..., np.newaxis]
-        return np.sum(x * w, axis=tuple(range(self.grid.ndim))) * self.grid.cell_volume / self.mass
+        return density_mean(self.grid, self.values, self.mass)
 
     def covariance(self) -> np.ndarray:
-        x = self.grid.centers()
-        m = self.mean()
-        d = x - m
-        w = self.values[..., np.newaxis, np.newaxis]
-        outer = d[..., :, np.newaxis] * d[..., np.newaxis, :]
-        return np.sum(outer * w, axis=tuple(range(self.grid.ndim))) * self.grid.cell_volume / self.mass
+        return density_covariance(self.grid, self.values, self.mass)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GridDensity) and self.grid == other.grid

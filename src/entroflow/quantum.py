@@ -20,12 +20,16 @@ rates mirror the classical formulas:
 All matrix functions go through Hermitian eigendecompositions, so the
 functional calculus is exact for the operators this module accepts.  Open
 evolution steps with the exponential of the generator's superoperator, so
-it is exact for any step size.
+it is exact for any step size.  Its stored states form one read-only
+``(n_times, n, n)`` stack, checked once for trace, Hermiticity and
+eigenvalues by the check every :class:`DensityOperator` runs; the batched
+eigenvalues feed the purity and entropy curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -51,9 +55,24 @@ def _as_matrix(M) -> np.ndarray:
 
 
 def _require_hermitian(M: np.ndarray, what: str) -> np.ndarray:
-    if np.max(np.abs(M - M.conj().T)) > HERMITICITY_TOL:
+    """Hermitian part of a matrix or a stack ``(..., n, n)``, if close to it."""
+    Mh = np.swapaxes(M.conj(), -1, -2)
+    if not np.max(np.abs(M - Mh)) <= HERMITICITY_TOL:  # NaN fails too
         raise ValueError(f"{what} must be Hermitian")
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + Mh)
+
+
+def _check_density(M: np.ndarray, vectors: bool = False):
+    """Eigenvalues (and eigenvectors if ``vectors``) of a density matrix or a
+    stack of them, checked: Hermitian, unit trace, none below -EIG_FLOOR."""
+    M = _require_hermitian(M, "density operator")
+    off = np.max(np.abs(np.trace(M, axis1=-2, axis2=-1).real - 1.0))
+    if not off <= TRACE_TOL:
+        raise ValueError(f"trace must be 1 (off by {off:.3e})")
+    lam, U = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
+    if lam.min() < -EIG_FLOOR:
+        raise ValueError(f"negative eigenvalue {lam.min():.3e}")
+    return lam, U
 
 
 class DensityOperator:
@@ -64,13 +83,7 @@ class DensityOperator:
     """
 
     def __init__(self, matrix):
-        M = _require_hermitian(_as_matrix(matrix), "density operator")
-        tr = np.trace(M).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1 (got {tr!r})")
-        lam, U = np.linalg.eigh(M)
-        if lam.min() < -EIG_FLOOR:
-            raise ValueError(f"negative eigenvalue {lam.min():.3e}")
+        lam, U = _check_density(_as_matrix(matrix), vectors=True)
         lam = np.maximum(lam, 0.0)
         M = (U * lam) @ U.conj().T
         self.matrix = M / np.trace(M).real
@@ -97,7 +110,7 @@ class DensityOperator:
         return np.linalg.eigvalsh(self.matrix)
 
     def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
+        return float(spectral_purity(self.spectrum()))
 
 
 @dataclass(frozen=True)
@@ -165,9 +178,18 @@ def _log_psd(rho: DensityOperator, what: str = "state") -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-tr(rho log rho) in nats, with 0 log 0 = 0."""
-    lam = rho.spectrum()
-    lam = lam[lam > EIG_FLOOR]
-    return float(-np.sum(lam * np.log(lam)))
+    return float(spectral_entropy(rho.spectrum()))
+
+
+def spectral_entropy(lam: np.ndarray) -> np.ndarray:
+    """-sum lam log lam over the last axis of spectra; lam <= EIG_FLOOR counts as 0."""
+    lam = np.where(lam > EIG_FLOOR, lam, 1.0)
+    return -np.sum(lam * np.log(lam), axis=-1)
+
+
+def spectral_purity(lam: np.ndarray) -> np.ndarray:
+    """tr(rho^2) = sum lam^2 over the last axis of spectra."""
+    return np.sum(lam * lam, axis=-1)
 
 
 def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -241,16 +263,26 @@ def relative_entropy_rate(rho: DensityOperator, delta_h: HamiltonianOperator,
 
 @dataclass
 class OperatorTrajectory:
-    """Density operators on a uniform time grid."""
+    """States ``matrices[k]`` at ``times[k]`` in one read-only stack, and their
+    eigenvalues ``spectra[k]`` from the check in :func:`lindblad_evolve`."""
 
     times: np.ndarray
-    states: list
+    matrices: np.ndarray
+    spectra: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
+
+    @cached_property
+    def states(self) -> tuple[DensityOperator, ...]:
+        """The stored states as validated objects, built on first use."""
+        return tuple(DensityOperator(M) for M in self.matrices)
 
     def divergence_curve(self, reference: DensityOperator) -> np.ndarray:
         return np.array([relative_entropy(s, reference) for s in self.states])
+
+
+CHECK_BLOCK = 64  # states per batched check: temporaries stay a block, not the stack
 
 
 def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
@@ -262,7 +294,8 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
     depend on time, so each step is exact up to roundoff and completely
     positive and trace-preserving (Lindblad's theorem).  The trace is
     renormalised after each step so roundoff cannot accumulate over long
-    runs.
+    runs.  Every ``store_every``-th state and the last go into one stack,
+    checked once, block by block, as a :class:`DensityOperator` is.
     """
     n = rho0.dim
     if spec.hamiltonian.dim != n:
@@ -274,16 +307,22 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
     S *= dt
     step = scipy.linalg.expm(S.reshape(n * n, n * n).T)
 
+    n_stored = -(-steps // store_every) + 1
+    times = np.empty(n_stored)
+    matrices = np.empty((n_stored, n, n), dtype=complex)
+    times[0], matrices[0] = 0.0, rho0.matrix
     rho = rho0.matrix.reshape(-1)
-    times = [0.0]
-    states = [rho0]
+    j = 0
     for k in range(steps):
         rho = step @ rho
         rho = rho / rho[::n + 1].sum().real
         if (k + 1) % store_every == 0 or k == steps - 1:
-            times.append((k + 1) * dt)
-            states.append(DensityOperator(rho.reshape(n, n)))
-    return OperatorTrajectory(np.asarray(times), states)
+            j += 1
+            times[j], matrices[j] = (k + 1) * dt, rho.reshape(n, n)
+    matrices.flags.writeable = False
+    spectra = np.concatenate([_check_density(matrices[i:i + CHECK_BLOCK])[0]
+                              for i in range(0, n_stored, CHECK_BLOCK)])
+    return OperatorTrajectory(times, matrices, spectra)
 
 
 def dissipative_production_rate(rho: DensityOperator, spec: LindbladSpec,

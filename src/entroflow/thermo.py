@@ -198,17 +198,28 @@ def relative_entropy(rho: GridDensity, sigma: GridDensity) -> float:
     nonnegativity is guaranteed for equal masses, but the functional itself
     is defined for any pair of nonnegative fields.
     """
-    grid = require_same_grid(rho, sigma)
-    if abs(rho.mass - sigma.mass) > 1e-6:
+    require_same_grid(rho, sigma)
+    return float(relative_entropy_rows(rho.values[np.newaxis], rho.mass, sigma)[0])
+
+
+def relative_entropy_rows(rows: np.ndarray, mass: float, sigma: GridDensity) -> np.ndarray:
+    """D(rho_k||sigma) for each density ``rows[k]`` of mass ``mass`` on sigma's grid.
+
+    The one implementation behind :func:`relative_entropy` and trajectory curves.
+    """
+    if abs(mass - sigma.mass) > 1e-6:
         warnings.warn(
-            f"mass mismatch {rho.mass!r} vs {sigma.mass!r}; divergence may be negative",
-            MassMismatchWarning, stacklevel=2)
-    supp = rho.values > 0.0
-    if np.any(sigma.values[supp] == 0.0):
-        return np.inf
-    r = rho.values[supp]
-    s = sigma.values[supp]
-    return float(np.sum(r * np.log(r / s)) * grid.cell_volume)
+            f"mass mismatch {mass!r} vs {sigma.mass!r}; divergence may be negative",
+            MassMismatchWarning, stacklevel=3)
+    out = np.empty(len(rows))
+    for k, values in enumerate(rows):
+        supp = values > 0.0
+        if np.any(sigma.values[supp] == 0.0):
+            out[k] = np.inf
+            continue
+        r, s = values[supp], sigma.values[supp]
+        out[k] = np.sum(r * np.log(r / s)) * sigma.grid.cell_volume
+    return out
 
 
 def free_energy(rho: GridDensity, equilibrium: GridDensity, kT: float) -> float:

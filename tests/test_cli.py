@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,22 @@ def test_paths_run_t_index_out_of_range(tmp_path, capsys, t_index):
     assert main(["paths-run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "t_index must lie in [0, 21)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_initial_moments_checked_by_key(tmp_path, capsys):
+    cases = [("sde-run", "var0", "-1"), ("sde-run", "var0", "nan"),
+             ("control-run", "mean0", "nan")]
+    for kind, key, value in cases:
+        cfg = tmp_path / f"{kind}-{key}.ini"
+        cfg.write_text(f"[scenario]\nkind = {kind}\n\n[numerics]\nn_traj = 20\n"
+                       f"dt = 0.01\nt1 = 0.05\n{key} = {value}\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
 
 def test_mass_drift_is_numerical_failure(tmp_path, monkeypatch, capsys):

@@ -196,12 +196,14 @@ def test_offline_replay_matches_modulated(ou_ham, ou_grid):
 # ---------------------------------------------------------------------------
 
 def test_gauss_markov_scalar_closed_form(ou_ham):
+    # exact for any dt: a step far from the RK4 regime changes nothing
     s0 = GaussMarkovState(0.0, [1.0], [[2.0]])
-    states = gauss_markov_propagate(1.0, ou_ham, 0.0, s0, 0.3, 1e-3)
-    last = states[-1]
-    assert last.time == pytest.approx(0.3)
-    assert last.mean[0] == pytest.approx(np.exp(-0.3), rel=1e-8)
-    assert last.cov[0, 0] == pytest.approx(1.0 + np.exp(-0.6), rel=1e-8)
+    for dt in (1e-3, 0.1):
+        states = gauss_markov_propagate(1.0, ou_ham, 0.0, s0, 0.3, dt)
+        last = states[-1]
+        assert last.time == pytest.approx(0.3)
+        assert last.mean[0] == pytest.approx(np.exp(-0.3), rel=1e-12)
+        assert last.cov[0, 0] == pytest.approx(1.0 + np.exp(-0.6), rel=1e-12)
 
 
 def test_gauss_markov_stationary(ou_ham):

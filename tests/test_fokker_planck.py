@@ -5,8 +5,8 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
+from entroflow.control import simulate_feedback
 from entroflow.fokker_planck import (
-    DensityTrajectory,
     DriftSpec,
     HamiltonianFlow,
     MassDriftError,
@@ -19,8 +19,9 @@ from entroflow.fokker_planck import (
     boundary_decay_report,
     continuity_velocity,
     evolve,
+    march,
 )
-from entroflow.grids import quadrature
+from entroflow.grids import MASS_TOL, quadrature
 from entroflow.thermo import HamiltonianSpec, quadratic_hamiltonian, relative_entropy
 
 
@@ -212,11 +213,50 @@ def test_boundary_decay_report(ou_ham, ou_grid):
 
 
 def test_mass_drift_is_a_numerical_error():
+    # a leak above MASS_TOL and a step that is not finite fail the same check
     grid = Grid((-4.0,), (4.0,), (64,))
     rho = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
-    heavier = GridDensity(grid, rho.values * (1.0 + 2e-7), mass=1.0 + 2e-7)
-    with pytest.raises(MassDriftError, match="mass drift"):
-        DensityTrajectory(np.array([0.0, 1.0]), [rho, heavier], 1.0)
+    for factor in (1.0 + 2e-7, np.nan):
+        with pytest.raises(MassDriftError, match="mass drift"):
+            march(lambda k, r: r * factor, rho, 0.0, 0.1, 3, 1)
+
+
+@st.composite
+def stored_runs(draw):
+    ndim = draw(st.sampled_from([1, 2]))
+    cells = tuple(draw(st.integers(8, 32)) for _ in range(ndim))
+    half = draw(st.floats(3.0, 6.0))
+    q = [draw(st.floats(0.3, 2.0)) for _ in range(ndim)]
+    ham = quadratic_hamiltonian(np.diag(q), kT=1.0, sigma2=2.0)
+    grid = Grid((-half,) * ndim, (half,) * ndim, cells)
+    rho0 = GaussianDensity([0.5, -0.3][:ndim], np.diag([0.8, 1.2][:ndim])).sample_on(grid)
+    gain = draw(st.floats(-0.9, 2.0))  # admissible: > -sigma2/2
+    return ham, rho0, gain, draw(st.integers(1, 12)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=stored_runs(), r=st.floats(0.05, 1.0))
+def test_stored_trajectory_is_one_checked_array(run, r):
+    ham, rho0, gain, steps, store_every = run
+    grid = rho0.grid
+    runs = {
+        "evolve": lambda dt: evolve(HamiltonianFlow(ham, gain=gain), rho0, 0.0,
+                                    steps * dt, dt, store_every=store_every),
+        # backward Euler: positivity holds for any feedback drift
+        "simulate_feedback": lambda dt: simulate_feedback(
+            ham, gain, rho0, steps * dt, dt, store_every=store_every, theta=1.0),
+    }
+    for name, run_with in runs.items():
+        dt = step_for(ham, grid, gain, 0.5 if name == "evolve" else 1.0, r)
+        traj = run_with(dt)
+        assert len(traj) == -(-steps // store_every) + 1
+        assert traj.values.shape == (len(traj),) + grid.shape
+        assert not traj.values.flags.writeable
+        assert traj.times[-1] == steps * dt
+        for k, d in enumerate(traj.densities):
+            assert np.array_equal(traj.values[k], d.values)
+        assert np.max(np.abs(traj.mass_curve() - rho0.mass)) <= MASS_TOL
+        assert traj.values.min() >= 0.0
 
 
 # ---------------------------------------------------------------------------

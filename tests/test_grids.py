@@ -18,6 +18,18 @@ def test_grid_invariants():
     assert g.axis_centers(0)[0] == pytest.approx(-1.75)
 
 
+def test_grid_geometry_cached_and_read_only():
+    g = Grid((-2.0, 0.0), (2.0, 1.0), (8, 4))
+    assert g.centers() is g.centers() and g.dx is g.dx
+    with pytest.raises(ValueError):
+        g.dx[0] = 1.0
+    with pytest.raises(ValueError):
+        g.centers()[0, 0, 0] = 1.0
+    fresh = Grid((-2.0, 0.0), (2.0, 1.0), (8, 4))
+    assert g == fresh and hash(g) == hash(fresh)
+    assert {g: 1}[fresh] == 1
+
+
 def test_points_and_boundary_mask():
     g = Grid((0.0, 0.0), (1.0, 1.0), (4, 3))
     assert g.points().shape == (12, 2)

@@ -305,6 +305,10 @@ def test_lindblad_cptp_and_exact(n, n_jumps, seed, dt, steps, store_every):
     rho0 = random_density(rng, n)
     traj = lindblad_evolve(LindbladSpec(H, jumps), rho0, steps * dt, dt,
                            store_every=store_every)
+    stack = np.stack([s.matrix for s in traj.states])
+    assert traj.matrices.shape == (len(traj), n, n) and not traj.matrices.flags.writeable
+    assert np.max(np.abs(traj.matrices - stack)) <= 1e-14
+    assert np.max(np.abs(traj.spectra - np.linalg.eigvalsh(stack))) <= 1e-14
     S = kron_liouvillian(H.matrix, jumps)
     for t, state in zip(traj.times, traj.states):
         M = state.matrix
