@@ -50,7 +50,6 @@ from .paths import (
     finite_energy_estimate,
     osmotic_residual,
 )
-from .production import production_decomposition
 from .quantum import (
     DensityOperator,
     HamiltonianOperator,

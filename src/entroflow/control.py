@@ -46,7 +46,15 @@ from .fokker_planck import (
     march,
 )
 from .grids import Grid, GridDensity, VectorFieldGrid, time_steps
-from .production import DENSITY_FLOOR, log_ratio_gradient, production_decomposition
+from .production import (
+    check_decomposition_identity,
+    floored_log,
+    floored_log_ratio_gradient,
+    log_ratio_gradient,
+    split_rate,
+    support_weight,
+    weighted_inner,
+)
 from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density
 
 
@@ -107,8 +115,7 @@ def feedback_control(rho_u: GridDensity, equilibrium: GridDensity,
     """u = -alpha grad log(rho_u / equilibrium) on the shared stencil."""
     if np.any(rho_u.values <= 0.0) or np.any(equilibrium.values <= 0.0):
         raise ValueError("nonpositive density")
-    g = log_ratio_gradient(rho_u, equilibrium)
-    return VectorFieldGrid(rho_u.grid, -alpha * g)
+    return VectorFieldGrid(rho_u.grid, -alpha * log_ratio_gradient(rho_u, equilibrium))
 
 
 def evolve_modulated(ham: HamiltonianSpec, alpha, rho0: GridDensity,
@@ -127,19 +134,18 @@ def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
                          alpha: float) -> float:
     """-(sigma2/2 + alpha) * Fisher(rho_u | gibbs): the modulated decay rate.
 
-    Cross-checked against the generic production decomposition with the
-    feedback control substituted; disagreement beyond 1e-12 raises.
+    Cross-checked against the production split with the feedback control
+    u = -alpha grad log(rho_u / gibbs) substituted, from the same gradient;
+    disagreement beyond 1e-12 raises.
     """
     admissible_gain(alpha, ham.sigma2)
-    equilibrium = gibbs_density(ham, rho_u.grid)
-    g = log_ratio_gradient(rho_u, equilibrium)
-    w = np.where(rho_u.values > 0.0, rho_u.values, 0.0)
-    fisher = float(np.sum(np.einsum("...i,...i->...", g, g) * w)
-                   * rho_u.grid.cell_volume)
-    rate = -(0.5 * ham.sigma2 + alpha) * fisher
-    rep = production_decomposition(
-        rho_u, equilibrium, feedback_control(rho_u, equilibrium, alpha), ham.sigma2)
-    if abs(rate - rep.total) > 1e-12 * max(1.0, abs(rate)):
+    grid = rho_u.grid
+    equilibrium = gibbs_density(ham, grid).values
+    w = support_weight(rho_u.values, equilibrium)
+    g = floored_log_ratio_gradient(grid, rho_u.values, equilibrium)
+    rate = -(0.5 * ham.sigma2 + alpha) * weighted_inner(grid, g, g, w)
+    total, _, _ = split_rate(grid, g, -alpha * g, w, ham.sigma2)
+    if abs(rate - total) > 1e-12 * max(1.0, abs(rate)):
         raise RuntimeError("modulated rate disagrees with production decomposition")
     return rate
 
@@ -155,7 +161,7 @@ def _feedback_faces(grid: Grid, slopes: Sequence[np.ndarray], kT: float,
     grad log rho_bar = -grad H / kT is taken from the energy ``slopes`` of
     :func:`energy_slopes`, the same face quantities the flux assembly uses.
     """
-    logr = np.log(np.maximum(rho_values, DENSITY_FLOOR))
+    logr = floored_log(rho_values)
     return [-a * (np.diff(logr, axis=ax) / grid.dx[ax] + slopes[ax] / kT)
             for ax in range(grid.ndim)]
 
@@ -332,24 +338,30 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
                         ) -> dict[str, np.ndarray]:
     """Per stored time: divergence to equilibrium, rate split and FD residual.
 
-    Columns: t, D, total_rate, pepr, epur, fd_check_residual.  The control is
-    the feedback law at the stored density; the finite-difference residual
+    Columns: t, D, total_rate, pepr, epur, fd_check_residual.  Each stored
+    row's rates come from the stored array: one log-ratio gradient g, the
+    feedback control u = -alpha(t) g and :func:`production.split_rate`.  The
+    equilibrium's positivity and -PEPR + EPuR = total are checked once per
+    curve (`march` checked the rows).  The finite-difference residual
     compares total_rate to the central difference of D (one-sided at the
     ends).  Times where D is infinite get NaN rates (sentinel, not an error).
     """
     gain = as_gain(alpha)
-    equilibrium = gibbs_density(ham, traj.grid)
+    grid = traj.grid
+    equilibrium = gibbs_density(ham, grid)
+    ref = equilibrium.values
     ts = traj.times
-    n = len(traj)
     D = traj.divergence_curve(equilibrium)
-    total = np.full(n, np.nan)
-    pepr = np.full(n, np.nan)
-    epur = np.full(n, np.nan)
-    for k in np.flatnonzero(np.isfinite(D)):
-        d = GridDensity(traj.grid, traj.values[k], mass=traj.mass)
-        u = feedback_control(d, equilibrium, gain(ts[k]))
-        rep = production_decomposition(d, equilibrium, u, ham.sigma2)
-        total[k], pepr[k], epur[k] = rep.total, rep.pepr, rep.epur
+    total, pepr, epur = np.full((3, len(traj)), np.nan)
+    finite = np.isfinite(D)
+    if np.any(finite) and np.any(ref <= 0.0):  # the feedback law needs log(equilibrium)
+        raise ValueError("nonpositive density")
+    for k in np.flatnonzero(finite):
+        row = traj.values[k]
+        g = floored_log_ratio_gradient(grid, row, ref)
+        total[k], pepr[k], epur[k] = split_rate(grid, g, -gain(ts[k]) * g,
+                                               support_weight(row), ham.sigma2)
+    check_decomposition_identity(total[finite], pepr[finite], epur[finite])
     fd = np.gradient(D, ts, edge_order=1)
     resid = np.abs(fd - total) / np.maximum(np.abs(total), 1e-30)
     return {"t": ts, "D": D, "total_rate": total, "pepr": pepr, "epur": epur,

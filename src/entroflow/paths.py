@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import Grid, GridDensity, VectorFieldGrid, gradient
-from .production import DENSITY_FLOOR
+from .production import floored_log
 from .sde import PathEnsemble
 
 MIN_CELL_COUNT = 30
@@ -130,7 +130,7 @@ def osmotic_residual(beta: DriftEstimate, gamma: DriftEstimate,
         raise ValueError("estimates and density must share a grid")
     grid = beta.grid
     mask = beta.mask & gamma.mask & (density.values > 0.0)
-    g = gradient(grid, np.log(np.maximum(density.values, DENSITY_FLOOR)))
+    g = gradient(grid, floored_log(density.values))
     diff = beta.vectors - gamma.vectors - sigma2 * g
     w = np.where(mask, density.values * np.minimum(beta.counts, gamma.counts), 0.0)
     num = np.sum(w * np.einsum("...i,...i->...", diff, diff))

@@ -17,11 +17,12 @@ the entire control dependence.  The free energy kT D(rho||rho_bar) decays at
 rate -(sigma2 kT / 2) * Fisher = -integral J . Phi, and the equality of the
 two forms is asserted on every call as a discretization self-check.
 
-All integrands share the discrete gradient of `grids.gradient`, so the
-cross-identities between this module, `thermo.flux_and_force` and the
-finite-volume solver hold to roundoff rather than to discretization error.
-Cells with density below 1e-300 are excluded from log-ratio integrands
-(IEEE underflow guard; their weight is the density itself).
+One array kernel computes every grid rate: the floored log-ratio gradient on
+the shared stencil of `grids.gradient`, the support weight, which gives
+cells below ``DENSITY_FLOOR`` = 1e-300 zero weight, and one weighted inner
+product.  The functions here and in `control` wrap it, so the identities
+with `thermo.flux_and_force` and the finite-volume solver hold to roundoff
+rather than to discretization error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fokker_planck import BoundaryDecayReport, boundary_decay_report
-from .grids import GridDensity, VectorFieldGrid, gradient, require_same_grid
+from .grids import Grid, GridDensity, VectorFieldGrid, gradient, quadrature, require_same_grid
 from .thermo import HamiltonianSpec, gibbs_density, flux_and_force
 
 DENSITY_FLOOR = 1e-300
@@ -42,23 +43,47 @@ class BoundaryLeakWarning(UserWarning):
     """Boundary-decay certificate failed: rate may carry boundary-term bias."""
 
 
-def _safe_log(values: np.ndarray) -> np.ndarray:
+def floored_log(values) -> np.ndarray:
+    """log(values) with values floored at DENSITY_FLOOR (IEEE underflow guard)."""
     return np.log(np.maximum(values, DENSITY_FLOOR))
 
 
-def _support_mask(rho: GridDensity) -> np.ndarray:
-    return rho.values >= DENSITY_FLOOR
+def floored_log_ratio_gradient(grid: Grid, values: np.ndarray,
+                               ref_values: np.ndarray) -> np.ndarray:
+    """grad log(values/ref_values) on the shared stencil, both floored at 1e-300."""
+    return gradient(grid, floored_log(values) - floored_log(ref_values))
 
 
-def _require_positive_on(mask: np.ndarray, rho: GridDensity) -> None:
-    if np.any(rho.values[mask] <= 0.0):
+def support_weight(values: np.ndarray, ref_values: np.ndarray | None = None) -> np.ndarray:
+    """Density on cells at or above DENSITY_FLOOR, 0 below; ref_values must be > 0 there."""
+    supp = values >= DENSITY_FLOOR
+    if ref_values is not None and np.any(ref_values[supp] <= 0.0):
         raise ValueError("nonpositive density")
+    return np.where(supp, values, 0.0)
+
+
+def weighted_inner(grid: Grid, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
+    """Midpoint quadrature of the cellwise dot product a . b weighted by w."""
+    return quadrature(grid, np.einsum("...i,...i->...", a, b) * w)
+
+
+def split_rate(grid: Grid, g: np.ndarray, u: np.ndarray, w: np.ndarray,
+               sigma2: float) -> tuple[float, float, float]:
+    """(total, pepr, epur) from the log-ratio gradient g, control u and weight w."""
+    pepr = 0.5 * sigma2 * weighted_inner(grid, g, g, w)
+    epur = weighted_inner(grid, g, u, w)
+    return -pepr + epur, pepr, epur
+
+
+def check_decomposition_identity(total, pepr, epur) -> None:
+    """Raise unless total = -pepr + epur to 1e-12, elementwise (NaN fails)."""
+    if not np.all(np.isclose(total, -pepr + epur, rtol=0.0, atol=1e-12)):
+        raise ValueError("decomposition identity violated")
 
 
 def log_ratio_gradient(rho: GridDensity, ref: GridDensity) -> np.ndarray:
     """grad log(rho/ref) with the shared discrete stencil; floored at 1e-300."""
-    require_same_grid(rho, ref)
-    return gradient(rho.grid, _safe_log(rho.values) - _safe_log(ref.values))
+    return floored_log_ratio_gradient(require_same_grid(rho, ref), rho.values, ref.values)
 
 
 def relative_entropy_rate(rho_tilde: GridDensity, rho: GridDensity,
@@ -71,28 +96,23 @@ def relative_entropy_rate(rho_tilde: GridDensity, rho: GridDensity,
     (the returned value is then boundary-suspect).
     """
     grid = require_same_grid(rho_tilde, rho, f_tilde, f)
-    mask = _support_mask(rho_tilde)
-    _require_positive_on(mask, rho)
-    g = log_ratio_gradient(rho_tilde, rho)
-    integrand = np.einsum("...i,...i->...", g, f_tilde.vectors - f.vectors)
-    integrand = np.where(mask, integrand * rho_tilde.values, 0.0)
+    w = support_weight(rho_tilde.values, rho.values)
+    g = floored_log_ratio_gradient(grid, rho_tilde.values, rho.values)
+    rate = weighted_inner(grid, g, f_tilde.vectors - f.vectors, w)
     if check_boundary:
         report = boundary_decay_report(rho_tilde, f_tilde, rho, f)
         if not report.passed:
             warnings.warn("boundary-suspect: decay certificate failed "
                           f"(max term {max(report.max_drift_rho_log, report.max_drift_rho, report.max_ref_drift_rho):.2e})",
                           BoundaryLeakWarning, stacklevel=2)
-    return float(np.sum(integrand) * grid.cell_volume)
+    return rate
 
 
 def entropy_rate(rho: GridDensity, f: VectorFieldGrid) -> float:
     """d/dt S(rho) = -integral grad log rho . f rho for a continuity flow."""
     grid = require_same_grid(rho, f)
-    mask = _support_mask(rho)
-    g = gradient(grid, _safe_log(rho.values))
-    integrand = np.einsum("...i,...i->...", g, f.vectors)
-    integrand = np.where(mask, integrand * rho.values, 0.0)
-    return -float(np.sum(integrand) * grid.cell_volume)
+    g = gradient(grid, floored_log(rho.values))
+    return -weighted_inner(grid, g, f.vectors, support_weight(rho.values))
 
 
 @dataclass(frozen=True)
@@ -115,8 +135,7 @@ class ProductionReport:
         return -self.total
 
     def __post_init__(self):
-        if not np.isclose(self.total, -self.pepr + self.epur, rtol=0.0, atol=1e-12):
-            raise ValueError("decomposition identity violated")
+        check_decomposition_identity(self.total, self.pepr, self.epur)
 
 
 def production_decomposition(rho_u: GridDensity, equilibrium: GridDensity,
@@ -128,20 +147,15 @@ def production_decomposition(rho_u: GridDensity, equilibrium: GridDensity,
     only through log ratios, so this cannot be verified here).
     """
     grid = require_same_grid(rho_u, equilibrium, u)
-    mask = _support_mask(rho_u)
-    _require_positive_on(mask, equilibrium)
-    g = log_ratio_gradient(rho_u, equilibrium)
-    w = np.where(mask, rho_u.values, 0.0)
-    fisher = np.sum(np.einsum("...i,...i->...", g, g) * w) * grid.cell_volume
-    pepr = 0.5 * sigma2 * float(fisher)
-    epur = float(np.sum(np.einsum("...i,...i->...", g, u.vectors) * w) * grid.cell_volume)
+    w = support_weight(rho_u.values, equilibrium.values)
+    g = floored_log_ratio_gradient(grid, rho_u.values, equilibrium.values)
+    total, pepr, epur = split_rate(grid, g, u.vectors, w, sigma2)
     # velocity of the controlled flow relative to equilibrium (the reference
     # flow is stationary with velocity 0)
     f_tilde = VectorFieldGrid(grid, u.vectors - 0.5 * sigma2 * g)
     report = boundary_decay_report(rho_u, f_tilde, equilibrium,
                                    VectorFieldGrid.zero(grid))
-    return ProductionReport(total=-pepr + epur, pepr=pepr, epur=epur,
-                            boundary=report)
+    return ProductionReport(total=total, pepr=pepr, epur=epur, boundary=report)
 
 
 def free_energy_decay_rate(rho: GridDensity, ham: HamiltonianSpec) -> float:
@@ -150,13 +164,14 @@ def free_energy_decay_rate(rho: GridDensity, ham: HamiltonianSpec) -> float:
     Also evaluates the flux-force form -integral J . Phi and raises if the
     two disagree beyond 1e-6 relative (a discretization inconsistency).
     """
-    equilibrium = gibbs_density(ham, rho.grid)
-    decomposition = production_decomposition(
-        rho, equilibrium, VectorFieldGrid.zero(rho.grid), ham.sigma2)
-    form1 = ham.kT * decomposition.total
+    grid = rho.grid
+    equilibrium = gibbs_density(ham, grid).values
+    g = floored_log_ratio_gradient(grid, rho.values, equilibrium)
+    w = support_weight(rho.values, equilibrium)
+    pepr = 0.5 * ham.sigma2 * weighted_inner(grid, g, g, w)
+    form1 = -ham.kT * pepr
     J, Phi = flux_and_force(rho, ham)
-    form2 = -float(np.sum(np.einsum("...i,...i->...", J.vectors, Phi.vectors))
-                   * rho.grid.cell_volume)
+    form2 = -weighted_inner(grid, J.vectors, Phi.vectors, 1.0)
     scale = max(abs(form1), abs(form2))
     if scale > 1e-12 and abs(form1 - form2) > 1e-6 * scale:
         raise ValueError("FE identity violated: "

@@ -69,7 +69,8 @@ class PathEnsemble:
             raise ValueError("times incompatible with states")
         if times.size > 1 and not np.allclose(np.diff(times), self.dt, rtol=1e-9):
             raise ValueError("time grid must be uniform with step dt")
-        if not np.all(np.isfinite(states)):
+        # min and max propagate NaN, so no elementwise temporary is needed
+        if states.size and not (np.isfinite(states.min()) and np.isfinite(states.max())):
             raise ValueError("ensemble states must be finite")
 
     @property

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from entroflow import (
     GaussianDensity,
@@ -226,6 +227,22 @@ def test_criterion_07_velocity_feedback_cooling(tmp_path):
     assert temps[0] - temps[-1] > 3.0 * (errs[0] + errs[-1])
     announce(7, f"T_kin(alpha=gamma) = {temps[k_gamma]:.3f} << 1; "
                 f"monotone over gains {temps.round(3).tolist()}")
+
+
+def test_criterion_07_cooling_matches_discrete_lyapunov(tmp_path):
+    # the cantilever is linear: the symplectic-Euler recursion y' = A y + B w
+    # of y = (q, p) has the stationary covariance P = A P A^T + B B^T, exact
+    # for the scheme at its dt (K = m = gamma = T = 1 in the builtin)
+    run_scenario(BUILTIN_FACTORIES["polymer-cooling"](), out_dir=str(tmp_path / "cooling"))
+    rows = (tmp_path / "cooling" / "temperature.csv").read_text().strip().splitlines()[1:]
+    dt, K, m, gamma, T = 5e-3, 1.0, 1.0, 1.0, 1.0
+    for alpha_c, t_kin, se in (map(float, r.split(",")) for r in rows):
+        c = 1.0 - dt * (gamma + alpha_c) / m
+        A = np.array([[1.0 - dt**2 * K / m, dt * c / m], [-dt * K, c]])
+        B = np.sqrt(2.0 * gamma * T * dt) * np.array([[dt / m], [1.0]])
+        lyapunov = scipy.linalg.solve_discrete_lyapunov(A, B @ B.T)[1, 1] / m
+        assert abs(t_kin - lyapunov) <= 3.0 * se, (alpha_c, t_kin, lyapunov, se)
+    announce(7, "T_kin within 3 SE of the discrete-Lyapunov value at every gain")
 
 
 def test_criterion_08_quantum_closed():

@@ -314,6 +314,38 @@ def test_gain_table_flag(tmp_path):
     assert (out / "divergence.csv").exists()
 
 
+NARROW_CONTROL_INI = """\
+[scenario]
+kind = control-run
+
+[control]
+alpha = {alpha}
+
+[numerics]
+mean0 = 0.0
+var0 = 0.01
+t1 = 0.01
+dt = 0.001
+store_every = 1
+"""
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_underflowed_density_tails_are_a_valid_run(tmp_path, alpha):
+    # N(0, 0.01) on the default [-8, 8] x 1024 grid: the tails underflow to
+    # exact zeros, which carry zero weight in the rates
+    rho0 = GaussianDensity([0.0], [[0.01]]).sample_on(Grid((-8.0,), (8.0,), (1024,)))
+    assert np.count_nonzero(rho0.values == 0.0) > 0
+    cfg = tmp_path / "narrow.ini"
+    cfg.write_text(NARROW_CONTROL_INI.format(alpha=alpha))
+    out = tmp_path / "o"
+    assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 0
+    _, data = read_csv(out / "divergence.csv")
+    m, v = 0.0, 0.01
+    exact = -(1.0 + alpha) * (m**2 + (v - 1.0) ** 2 / v)  # sigma2/2 = 1
+    assert data[0, 2] == pytest.approx(exact, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------

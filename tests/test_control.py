@@ -18,7 +18,8 @@ from entroflow.control import (
     simulate_feedback,
 )
 from entroflow.fokker_planck import HamiltonianFlow, PositivityError, evolve
-from entroflow.thermo import relative_entropy
+from entroflow.production import production_decomposition
+from entroflow.thermo import quadratic_hamiltonian, relative_entropy
 
 
 GRID = Grid((-8.0,), (8.0,), (1024,))
@@ -265,3 +266,20 @@ def test_decomposition_curve(ou_ham):
     assert np.allclose(curve["total_rate"], -curve["pepr"] + curve["epur"], atol=1e-12)
     # central-difference residual small in the interior
     assert np.all(curve["fd_check_residual"][1:-1] < 1e-2)
+    # every row equals the object-level decomposition under the feedback law
+    # exactly, on this constant-gain run and on a scheduled 2-D run
+    ham2 = quadratic_hamiltonian(np.diag([1.0, 2.0]), kT=1.0, sigma2=2.0)
+    grid2 = Grid((-6.0, -6.0), (6.0, 6.0), (40, 40))
+    sched = GainSchedule.from_table([0.0, 0.02], [0.3, 1.2])
+    rho2 = GaussianDensity([1.0, -0.5], [[1.5, 0.3], [0.3, 0.8]]).sample_on(grid2)
+    traj2 = evolve_modulated(ham2, sched, rho2, 0.02, 2e-3, store_every=5)
+    runs = [(ou_ham, lambda t: 1.0, traj, curve),
+            (ham2, sched, traj2, decomposition_curve(traj2, ham2, sched))]
+    for ham, gain, tr, c in runs:
+        gibbs = gibbs_density(ham, tr.grid)
+        for k, (t, row) in enumerate(zip(tr.times, tr.values)):
+            rho = GridDensity(tr.grid, row, mass=tr.mass)
+            rep = production_decomposition(rho, gibbs, feedback_control(rho, gibbs, gain(t)),
+                                           ham.sigma2)
+            assert (c["total_rate"][k], c["pepr"][k], c["epur"][k]) == \
+                (rep.total, rep.pepr, rep.epur)

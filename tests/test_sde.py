@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid
 from entroflow.sde import (
+    NOISE_BLOCK,
     KineticTemperature,
     PathEnsemble,
     PolymerSpec,
     TrajectoryDivergence,
+    _march_paths,
     ensemble_summary_csv,
     ensemble_to_csv,
     estimate_density,
@@ -113,6 +118,39 @@ def test_path_ensemble_validation():
         PathEnsemble(np.array([0.0, 0.3]), np.zeros((2, 2, 1)), 0.1, 0)
     with pytest.raises(ValueError):
         PathEnsemble(np.array([0.0, 0.1]), np.full((2, 2, 1), np.nan), 0.1, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        states = np.zeros((2, 2, 1))
+        states[1, 0, 0] = bad
+        with pytest.raises(ValueError, match="ensemble states must be finite"):
+            PathEnsemble(np.array([0.0, 0.1]), states, 0.1, 0)
+    assert PathEnsemble(np.array([0.0, 0.1]), np.zeros((2, 2, 0)), 0.1, 0).dim == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_escape_check_names_trajectory_and_time(data):
+    # trajectory i of an ensemble spanning several noise blocks leaves the
+    # radius 1, or turns NaN or infinite, at t_k; every other state stays 0
+    n_traj = data.draw(st.integers(NOISE_BLOCK + 1, 3 * NOISE_BLOCK), label="n_traj")
+    i = data.draw(st.integers(0, n_traj - 1), label="i")
+    steps, dt = 5, 0.1
+    k = data.draw(st.integers(1, steps), label="k")
+    bad = data.draw(st.sampled_from([2.0, -2.0, np.nan, np.inf, -np.inf]), label="bad")
+    blocks = []
+
+    def start(rng):
+        blocks.append(len(blocks))
+        return np.zeros((NOISE_BLOCK, 1))
+
+    def step(j, y, dW):
+        y = y.copy()
+        if j + 1 == k and blocks[-1] == i // NOISE_BLOCK:
+            y[i % NOISE_BLOCK] = bad
+        return y
+
+    with pytest.raises(TrajectoryDivergence,
+                       match=re.escape(f"at t = {k * dt:.6g}, trajectory index {i}") + "$"):
+        _march_paths(start, step, n_traj, 1, 1, dt, steps * dt, 0, escape_radius=1.0)
 
 
 # ---------------------------------------------------------------------------
