@@ -101,6 +101,7 @@ _SECTION_KEYS = {
     "numerics": {"grid_lo", "grid_hi", "grid_cells", "dt", "t1", "n_traj",
                  "seed", "mean0", "var0", "store_every", "window_lo", "t_index"},
     "outputs": {"dir"},
+    "files": {"hamiltonian", "rho0", "delta_h", "lindblad"},
 }
 
 
@@ -161,8 +162,17 @@ class ScenarioConfig:
         scen = sections.get("scenario", {})
         if "kind" not in scen:
             raise ConfigError("missing [scenario] kind")
+        model = sections.get("model", {})
+        if "files" in sections:
+            if scen["kind"] != "quantum-run":
+                raise ConfigError("[files] is only valid with kind = quantum-run")
+            files = sections["files"]
+            for key in ("hamiltonian", "rho0"):
+                if not files.get(key):
+                    raise ConfigError(f"missing [files] {key}")
+            model["files"] = dict(files, lindblad=files.get("lindblad", "").split())
         return cls(name=scen.get("name", "custom"), kind=scen["kind"],
-                   model=sections.get("model", {}),
+                   model=model,
                    control=sections.get("control", {}),
                    numerics=sections.get("numerics", {}),
                    outputs=sections.get("outputs", {}))
@@ -298,23 +308,25 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     store = int(num.get("store_every", 10))
     alpha = _gain(cfg) if cfg.kind != "fp-run" else 0.0
     traj = evolve_modulated(ham, alpha, rho0, t1, dt, store_every=store)
-    rho_bar = gibbs_density(ham, grid)
 
     if cfg.kind == "fp-run":
         rows = ((t, i, v) for t, row in zip(traj.times, traj.values)
                 for i, v in enumerate(row))
         w.write_csv("trajectory.csv", ["t", "cell_index", "density"], rows)
+        divergence = traj.divergence_curve(gibbs_density(ham, grid))
+    else:
+        curve = decomposition_curve(traj, ham, alpha)
+        divergence = curve["D"]
 
     if cfg.kind in ("fp-run", "control-run"):
         rows = ((t, mass, density_mean(grid, v, traj.mass)[0],
                  density_covariance(grid, v, traj.mass)[0, 0], D)
                 for t, v, mass, D in zip(traj.times, traj.values, traj.mass_curve(),
-                                         traj.divergence_curve(rho_bar)))
+                                         divergence))
         w.write_csv("moments.csv", ["t", "mass", "mean", "cov", "D_to_equilibrium"],
                     rows)
 
-    if cfg.kind in ("control-run", "decompose"):
-        curve = decomposition_curve(traj, ham, alpha)
+    if cfg.kind != "fp-run":
         cols = ["t", "D", "total_rate", "pepr", "epur", "fd_check_residual"]
         rows = zip(*(curve[c] for c in cols))
         w.write_csv("divergence.csv", cols, rows)
@@ -367,18 +379,17 @@ def _qubit_qrec_rows(dt, t1):
     Ht = HamiltonianOperator(H.matrix + dH.matrix)
     rho0 = DensityOperator(0.5 * (np.eye(2) + 0.5 * sigma_y))
     rho_tilde0 = gibbs_state(H, 1.0)
+
+    def states(t):
+        return evolve_closed(H, rho0, t), evolve_closed(Ht, rho_tilde0, t)
+
     eps = 1e-5
     for t in np.arange(0.0, t1 + dt / 2, dt):
-        rho_t = evolve_closed(H, rho0, t)
-        rho_tilde_t = evolve_closed(Ht, rho_tilde0, t)
-        D = q_relative_entropy(rho_t, rho_tilde_t)
+        rho_t, rho_tilde_t = states(t)
         rate = q_relative_entropy_rate(rho_t, dH, rho_tilde_t)
-        Dm = q_relative_entropy(evolve_closed(H, rho0, t - eps),
-                                evolve_closed(Ht, rho_tilde0, t - eps))
-        Dp = q_relative_entropy(evolve_closed(H, rho0, t + eps),
-                                evolve_closed(Ht, rho_tilde0, t + eps))
-        fd = (Dp - Dm) / (2.0 * eps)
-        yield t, D, rate, abs(rate - fd)
+        fd = (q_relative_entropy(*states(t + eps))
+              - q_relative_entropy(*states(t - eps))) / (2.0 * eps)
+        yield t, q_relative_entropy(rho_t, rho_tilde_t), rate, abs(rate - fd)
 
 
 def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
@@ -398,12 +409,9 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         store = int(num.get("store_every", 10))
         traj = lindblad_evolve(spec, rho0, t1, dt, store_every=store)
         mixed = DensityOperator.maximally_mixed(2)
-        rows = []
-        for t, M in zip(traj.times, traj.matrices):
-            s = DensityOperator(M)
-            rows.append((t, np.trace(s.matrix).real,
-                         q_relative_entropy(s, mixed),
-                         dissipative_production_rate(s, spec, mixed)))
+        rows = ((t, np.trace(s.matrix).real, q_relative_entropy(s, mixed),
+                 dissipative_production_rate(s, spec, mixed))
+                for t, s in zip(traj.times, traj.states))
         w.write_csv("lindblad.csv", ["t", "trace", "D", "dissipative_rate"], rows)
         return
     # file-driven run

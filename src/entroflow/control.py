@@ -113,7 +113,7 @@ def as_gain(alpha) -> GainSchedule:
 def feedback_control(rho_u: GridDensity, equilibrium: GridDensity,
                      alpha: float) -> VectorFieldGrid:
     """u = -alpha grad log(rho_u / equilibrium) on the shared stencil."""
-    if np.any(rho_u.values <= 0.0) or np.any(equilibrium.values <= 0.0):
+    if np.any(equilibrium.values <= 0.0):  # zeros in rho_u take the floored log
         raise ValueError("nonpositive density")
     return VectorFieldGrid(rho_u.grid, -alpha * log_ratio_gradient(rho_u, equilibrium))
 

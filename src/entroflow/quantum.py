@@ -18,7 +18,10 @@ rates mirror the classical formulas:
   stationary for the semigroup (Lindblad monotonicity).
 
 All matrix functions go through Hermitian eigendecompositions, so the
-functional calculus is exact for the operators this module accepts.  Open
+functional calculus is exact for the operators this module accepts.  Each
+state and Hamiltonian is diagonalised once: a state keeps the eigensystem
+its check computes, a Hamiltonian its own from first use, and closed
+evolution, which keeps the spectrum, only rotates the eigenvectors.  Open
 evolution steps with the exponential of the generator's superoperator, so
 it is exact for any step size.  Its stored states form one read-only
 ``(n_times, n, n)`` stack, checked once for trace, Hermiticity and
@@ -39,6 +42,9 @@ from .grids import time_steps
 HERMITICITY_TOL = 1e-12
 EIG_FLOOR = 1e-12
 TRACE_TOL = 1e-12
+SUPPORT_ESCAPE_TOL = 1e-10  # weight of rho outside supp(sigma) that makes D infinite
+IMAG_RESIDUE_TOL = 1e-10    # imaginary part a real rate may carry from roundoff
+COMMUTATION_TOL = 1e-10     # largest entry of [rho_bar, H] for a commuting target
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -76,18 +82,28 @@ def _check_density(M: np.ndarray, vectors: bool = False):
 
 
 class DensityOperator:
-    """Hermitian positive-semidefinite unit-trace matrix.
+    """Hermitian positive-semidefinite unit-trace matrix with its eigensystem.
 
     Eigenvalues in [-1e-12, 0) are clamped to zero; anything more negative
-    or a trace off 1 by more than 1e-12 is rejected.
+    or a trace off 1 by more than 1e-12 is rejected.  ``matrix`` is built
+    from the eigenvalues (clamped, unit sum) and eigenvectors, kept read-only.
     """
 
     def __init__(self, matrix):
         lam, U = _check_density(_as_matrix(matrix), vectors=True)
         lam = np.maximum(lam, 0.0)
-        M = (U * lam) @ U.conj().T
-        self.matrix = M / np.trace(M).real
-        self.matrix.flags.writeable = False
+        self._keep(lam / lam.sum(), U)
+
+    @classmethod
+    def _from_eigensystem(cls, lam: np.ndarray, U: np.ndarray) -> "DensityOperator":
+        """Eigenvalues ``lam`` >= 0 with unit sum, orthonormal ``U``: not checked."""
+        return cls.__new__(cls)._keep(lam, U)
+
+    def _keep(self, lam: np.ndarray, U: np.ndarray) -> "DensityOperator":
+        self._lam, self._U, self.matrix = lam, U, (U * lam) @ U.conj().T
+        for a in (lam, U, self.matrix):
+            a.flags.writeable = False
+        return self
 
     @property
     def dim(self) -> int:
@@ -104,10 +120,10 @@ class DensityOperator:
         return cls(np.eye(n) / n)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.matrix)
+        return self._lam, self._U
 
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        return self._lam
 
     def purity(self) -> float:
         return float(spectral_purity(self.spectrum()))
@@ -122,6 +138,7 @@ class HamiltonianOperator:
 
     def __post_init__(self):
         M = _require_hermitian(_as_matrix(self.matrix), "hamiltonian")
+        M.flags.writeable = False  # _eigh is cached from it
         object.__setattr__(self, "matrix", M)
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
@@ -129,6 +146,10 @@ class HamiltonianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.matrix)  # once per Hamiltonian, on first use
 
 
 @dataclass(frozen=True)
@@ -198,27 +219,21 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
         raise ValueError("dimension mismatch")
     lam, U = rho.eigensystem()
     mu, V = sigma.eigensystem()
-    lam = np.maximum(lam, 0.0)
     overlap = np.abs(U.conj().T @ V) ** 2  # overlap[i, j] = |<u_i|v_j>|^2
     sing = mu <= EIG_FLOOR
-    if np.any(sing):
-        escaped = float(lam @ overlap[:, sing].sum(axis=1))
-        if escaped > 1e-10:
-            return np.inf
-    keep = lam > EIG_FLOOR
-    s_rho = float(np.sum(lam[keep] * np.log(lam[keep])))
+    if lam @ overlap[:, sing].sum(axis=1) > SUPPORT_ESCAPE_TOL:
+        return np.inf
     cross = float((lam[:, None] * overlap[:, ~sing] * np.log(mu[~sing])[None, :]).sum())
-    return s_rho - cross
+    return -float(spectral_entropy(lam)) - cross
 
 
 def gibbs_state(H: HamiltonianOperator, beta: float) -> DensityOperator:
     """Z^{-1} exp(-beta H); commutes with H by construction."""
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    lam, U = np.linalg.eigh(H.matrix)
+    lam, U = H._eigh
     w = np.exp(-beta * (lam - lam.min()))
-    w /= w.sum()
-    return DensityOperator((U * w) @ U.conj().T)
+    return DensityOperator._from_eigensystem(w / w.sum(), U)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +242,18 @@ def gibbs_state(H: HamiltonianOperator, beta: float) -> DensityOperator:
 
 def evolve_closed(H: HamiltonianOperator, rho0: DensityOperator,
                   t: float) -> DensityOperator:
-    """rho_t = U rho0 U^dag with U = exp(-i H t / hbar)."""
+    """rho_t = U rho0 U^dag with U = exp(-i H t / hbar): the eigenvalues of
+    rho0 with eigenvectors U V0 (unitary conjugation keeps the spectrum)."""
     if H.dim != rho0.dim:
         raise ValueError("dimension mismatch")
-    lam, V = np.linalg.eigh(H.matrix)
-    phases = np.exp(-1j * lam * t / H.hbar)
-    U = (V * phases) @ V.conj().T
-    return DensityOperator(U @ rho0.matrix @ U.conj().T)
+    lam, V = H._eigh
+    U = (V * np.exp(-1j * lam * t / H.hbar)) @ V.conj().T
+    p, W = rho0.eigensystem()
+    return DensityOperator._from_eigensystem(p, U @ W)
 
 
 def _real_rate(value: complex, what: str) -> float:
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise RuntimeError(f"{what} has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -330,11 +346,11 @@ def dissipative_production_rate(rho: DensityOperator, spec: LindbladSpec,
     """tr(L[rho] (log rho - log rho_bar)) for a commuting full-rank target.
 
     Nonpositive whenever rho_bar is stationary for the semigroup; requires
-    [rho_bar, H] = 0 (within 1e-10) and full-rank states.
+    [rho_bar, H] = 0 (within COMMUTATION_TOL) and full-rank states.
     """
     H = spec.hamiltonian.matrix
     comm = rho_bar.matrix @ H - H @ rho_bar.matrix
-    if np.max(np.abs(comm)) > 1e-10:
+    if np.max(np.abs(comm)) > COMMUTATION_TOL:
         raise ValueError("target state does not commute with the effective hamiltonian")
     diff = _log_psd(rho) - _log_psd(rho_bar, "target state")
     val = np.trace(spec.dissipator(rho.matrix) @ diff)

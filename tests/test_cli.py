@@ -174,6 +174,62 @@ def test_quantum_run_missing_files_flag(capsys):
     assert main(["quantum-run", "--t1", "1.0"]) == 2
 
 
+QUANTUM_INI = """\
+[scenario]
+kind = {kind}
+
+[files]
+{files}
+
+[numerics]
+t1 = 0.05
+dt = 0.001
+"""
+
+
+def test_quantum_run_files_section(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.op" for name in ("h", "dh", "l1", "l2", "rho")}
+    save_operator(np.diag([1.0, -1.0]).astype(complex), paths["h"])
+    save_operator(0.3 * sigma_x, paths["dh"])
+    save_operator(0.4 * sigma_x, paths["l1"])
+    save_operator(np.diag([0.0, 0.5]).astype(complex), paths["l2"])
+    save_operator(np.diag([0.8, 0.2]).astype(complex), paths["rho"])
+    code = main(["quantum-run", "--hamiltonian", str(paths["h"]), "--delta-h", str(paths["dh"]),
+                 "--lindblad", str(paths["l1"]), str(paths["l2"]), "--rho0", str(paths["rho"]),
+                 "--t1", "0.05", "--dt", "0.001", "--out", str(tmp_path / "flags")])
+    assert code == 0
+    files = (f"hamiltonian = {paths['h']}\ndelta_h = {paths['dh']}\n"
+             f"lindblad = {paths['l1']}\n    {paths['l2']}\nrho0 = {paths['rho']}")
+    ini = tmp_path / "q.ini"
+    ini.write_text(QUANTUM_INI.format(kind="quantum-run", files=files))
+    assert main(["quantum-run", "--config", str(ini), "--out", str(tmp_path / "ini")]) == 0
+    flags = json.loads((tmp_path / "flags" / "manifest.json").read_text())
+    from_ini = json.loads((tmp_path / "ini" / "manifest.json").read_text())
+    assert from_ini["files"] == flags["files"]
+    capsys.readouterr()
+
+    ini.write_text(QUANTUM_INI.format(kind="control-run", files=files))
+    assert main(["control-run", "--config", str(ini), "--out", str(tmp_path / "c")]) == 2
+    assert "[files]" in capsys.readouterr().err
+    for key in ("hamiltonian", "rho0"):
+        kept = "\n".join(ln for ln in files.splitlines() if not ln.startswith(key))
+        ini.write_text(QUANTUM_INI.format(kind="quantum-run", files=kept))
+        assert main(["quantum-run", "--config", str(ini), "--out", str(tmp_path / "m")]) == 2
+        assert f"missing [files] {key}" in capsys.readouterr().err
+
+
+def test_quantum_builtins_diagonalise_each_operator_once(tmp_path, monkeypatch):
+    # each state and Hamiltonian keeps its eigensystem: qubit-qrec diagonalises
+    # H, H + dH and rho0 once; qubit-lindblad rho0, I/2 and each stored state
+    eigh = np.linalg.eigh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    for name, limit in (("qubit-qrec", 3), ("qubit-lindblad", 103)):
+        calls.clear()
+        run_scenario(BUILTIN_FACTORIES[name](), out_dir=str(tmp_path / name))
+        assert len(calls) <= limit, name
+
+
 def test_numerical_failure_exit_and_cleanup(tmp_path, capsys):
     # a Crank-Nicolson step this coarse drives the density negative
     out = tmp_path / "boom"

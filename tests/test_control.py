@@ -61,6 +61,20 @@ def test_feedback_ou_hand_value(ou_ham):
     assert u.vectors[k, 0] == pytest.approx(-1.0, abs=5e-3)
 
 
+def test_feedback_accepts_underflowed_tails(ou_ham):
+    # the tails of N(0, 0.01) underflow to exact zeros, which carry no weight,
+    # so the substituted law gives -(sigma2/2 + 1)(m^2 + (v-1)^2/v) = -196.02
+    rho = GaussianDensity([0.0], [[0.01]]).sample_on(GRID)
+    assert np.count_nonzero(rho.values == 0.0) == 530
+    gibbs = gibbs_density(ou_ham, GRID)
+    total = production_decomposition(rho, gibbs, feedback_control(rho, gibbs, 1.0),
+                                     ou_ham.sigma2).total
+    assert total == pytest.approx(modulated_decay_rate(rho, ou_ham, 1.0), rel=1e-12)
+    assert total == pytest.approx(-196.02, rel=1e-6)
+    with pytest.raises(ValueError, match="nonpositive density"):
+        feedback_control(gibbs, rho, 1.0)  # the law needs log(equilibrium)
+
+
 # ---------------------------------------------------------------------------
 # modulated evolution
 # ---------------------------------------------------------------------------

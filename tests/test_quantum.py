@@ -106,6 +106,26 @@ def test_unitary_invariants_random_systems():
         assert rho_t.purity() == pytest.approx(rho0.purity(), abs=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), t=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_closed_evolution_is_the_unitary_conjugation(n, t, seed):
+    # evolve_closed rotates the stored eigensystem and skips the check, so the
+    # result is compared with expm and put through the check here
+    rng = np.random.default_rng(seed)
+    H = random_hamiltonian(rng, n)
+    rho, sigma = random_density(rng, n), random_density(rng, n)
+    U = scipy.linalg.expm(-1j * t * H.matrix / H.hbar)
+    rho_t = evolve_closed(H, rho, t)
+    assert np.max(np.abs(rho_t.matrix - U @ rho.matrix @ U.conj().T)) <= 1e-12
+    checked = DensityOperator(rho_t.matrix)
+    assert np.array_equal(rho_t.spectrum(), rho.spectrum())
+    assert np.max(np.abs(rho_t.spectrum() - np.linalg.eigvalsh(rho_t.matrix))) <= 1e-12
+    assert np.max(np.abs(checked.spectrum() - rho.spectrum())) <= 1e-12
+    # a shared unitary flow conserves the divergence (the delta H = 0 rate)
+    D = relative_entropy(rho, sigma)
+    assert relative_entropy(rho_t, evolve_closed(H, sigma, t)) == pytest.approx(D, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # relative entropy
 # ---------------------------------------------------------------------------
