@@ -293,6 +293,12 @@ def _grid_model(cfg: ScenarioConfig):
     return ham, grid, rho0
 
 
+def _seed(cfg: ScenarioConfig) -> int:
+    """The seed a run uses and its manifest records: the configured one, else
+    the default of its kind (42 for paths-run, 0 otherwise)."""
+    return int(cfg.numerics.get("seed", 42 if cfg.kind == "paths-run" else 0))
+
+
 def _gain(cfg: ScenarioConfig):
     if "alpha_table" in cfg.control:
         return GainSchedule.from_csv(cfg.control["alpha_table"])
@@ -334,7 +340,7 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
 
 def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     num = cfg.numerics
-    seed = int(num.get("seed", 0))
+    seed = _seed(cfg)
     dt = float(num.get("dt", 1e-3))
     t1 = float(num.get("t1", 1.0))
     n = int(num.get("n_traj", 1000))
@@ -440,7 +446,7 @@ def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     n = int(num.get("n_traj", 30_000))
     dt = float(num.get("dt", 5e-3))
     t1 = float(num.get("t1", 0.6))
-    seed = int(num.get("seed", 42))
+    seed = _seed(cfg)
     n_times = time_steps(0.0, t1, dt) + 1
     k = int(num.get("t_index", n_times // 2))
     if not 0 <= k < n_times:
@@ -487,7 +493,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
     except Exception:
         w.cleanup()
         raise
-    manifest_path = w.manifest(cfg, int(cfg.numerics.get("seed", 0)))
+    manifest_path = w.manifest(cfg, _seed(cfg))
     with open(manifest_path) as fh:
         return json.load(fh)
 

@@ -344,24 +344,24 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
     equilibrium's positivity and -PEPR + EPuR = total are checked once per
     curve (`march` checked the rows).  The finite-difference residual
     compares total_rate to the central difference of D (one-sided at the
-    ends).  Times where D is infinite get NaN rates (sentinel, not an error).
+    ends).
     """
     gain = as_gain(alpha)
     grid = traj.grid
     equilibrium = gibbs_density(ham, grid)
     ref = equilibrium.values
+    n_zero = np.count_nonzero(ref <= 0.0)  # the feedback law needs log(equilibrium)
+    if n_zero:
+        raise ValueError(f"equilibrium density underflows to zero on {n_zero} of "
+                         f"{ref.size} cells; narrow the grid box")
     ts = traj.times
     D = traj.divergence_curve(equilibrium)
-    total, pepr, epur = np.full((3, len(traj)), np.nan)
-    finite = np.isfinite(D)
-    if np.any(finite) and np.any(ref <= 0.0):  # the feedback law needs log(equilibrium)
-        raise ValueError("nonpositive density")
-    for k in np.flatnonzero(finite):
-        row = traj.values[k]
+    total, pepr, epur = np.empty((3, len(traj)))
+    for k, row in enumerate(traj.values):
         g = floored_log_ratio_gradient(grid, row, ref)
         total[k], pepr[k], epur[k] = split_rate(grid, g, -gain(ts[k]) * g,
                                                support_weight(row), ham.sigma2)
-    check_decomposition_identity(total[finite], pepr[finite], epur[finite])
+    check_decomposition_identity(total, pepr, epur)
     fd = np.gradient(D, ts, edge_order=1)
     resid = np.abs(fd - total) / np.maximum(np.abs(total), 1e-30)
     return {"t": ts, "D": D, "total_rate": total, "pepr": pepr, "epur": epur,

@@ -20,22 +20,22 @@ stationary point of the discrete operator for every admissible gain.
 Time stepping: theta-scheme (default theta = 1/2, Crank-Nicolson), with the
 operator sampled at step midpoints.  For a Hamiltonian flow the Peclet numbers
 -(H_{i+1} - H_i)/kT do not depend on the gain, so the operator at time t is
-exactly (D(t)/D_0) A_0: the gain only rescales the clock.  Such a flow (and
-any static drift) is assembled once per run, and each step uses the scale
+exactly (D(t)/D_0) A_0: the gain only rescales the clock.  Every flow of
+:func:`evolve` is such a time change (a static drift a constant one), so
+:func:`_assemble` builds A_0 once per run and each step uses the scale
 s = D(t_mid)/D_0, which is exactly 1.0 for a constant gain.  In 1-D the
 tridiagonal system (I - theta dt s A_0) x = b is solved directly with a
-banded solver, rebuilt only when s changes.  In N-D it is solved with
-Jacobi-preconditioned BiCGSTAB, warm-started from the current density, to
-the relative residual KRYLOV_RTOL = 1e-14.  Over 100 steps of a
-scheduled-gain run on 128^2 cells a residual of 1e-12 let the mass drift by
-1e-11; 1e-14 holds it at 4e-15 and keeps the densities within 2e-14 of the
-peak of a direct sparse-LU solve.  A solve that does not reach it raises
-:class:`ConvergenceError`.
+banded solver on the three bands of A_0, rebuilt only when s changes.  In
+N-D it is solved with Jacobi-preconditioned BiCGSTAB, warm-started from the
+current density, to the relative residual KRYLOV_RTOL = 1e-14.  Over 100
+steps of a scheduled-gain run on 128^2 cells a residual of 1e-12 let the
+mass drift by 1e-11; 1e-14 holds it at 4e-15 and keeps the densities within
+2e-14 of the peak of a direct sparse-LU solve.  A solve that does not reach
+it raises :class:`ConvergenceError`.
 
 One loop, :func:`march`, steps a density for every caller, which hands it a
 per-step function ``step(k, rho) -> rho``: :func:`evolve` the rescaled fixed
-operator (or, for a time-dependent callable drift, one assembled at the step
-midpoint), the feedback solvers in :mod:`.control` the gain-free potential
+operator, the feedback solvers in :mod:`.control` the gain-free potential
 drift plus face controls, assembled per step because they change.  The
 stored densities fill one preallocated read-only ``(n_times, *shape)``
 array, the :class:`DensityTrajectory`; density objects are built on demand.
@@ -127,30 +127,18 @@ def _face_points(grid: Grid, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift field plus effective diffusion coefficient.
+    """Static drift ``func(points) -> vectors`` plus diffusion coefficient.
 
-    Exactly one of ``func`` (callable ``(points, t) -> vectors``) or
-    ``field`` (static sampled drift) must be given.  ``sigma2`` is the
-    coefficient of the Laplacian written as (sigma2/2) Laplacian(rho).
+    ``sigma2`` is the coefficient of the Laplacian written as
+    (sigma2/2) Laplacian(rho).
     """
 
     sigma2: float
-    func: Callable[[np.ndarray, float], np.ndarray] | None = None
-    field: VectorFieldGrid | None = None
-    time_dependent: bool | None = None
+    func: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
-        if (self.func is None) == (self.field is None):
-            raise ValueError("exactly one of func or field must be given")
-
-    @property
-    def is_time_change(self) -> bool:
-        """The operator is D(t) A_0 for one fixed A_0 (here: constant)."""
-        if self.time_dependent is not None:
-            return not self.time_dependent
-        return self.field is not None
 
     def half_diffusion(self, t: float) -> float:
         return 0.5 * self.sigma2
@@ -158,21 +146,14 @@ class DriftSpec:
     def face_drifts(self, grid: Grid, t: float) -> list[np.ndarray]:
         out = []
         for a in range(grid.ndim):
-            if self.func is not None:
-                pts = _face_points(grid, a)
-                vec = np.asarray(self.func(pts.reshape(-1, grid.ndim), t), dtype=float)
-                out.append(vec.reshape(pts.shape[:-1] + (grid.ndim,))[..., a])
-            else:
-                v = self.field.vectors[..., a]
-                lo, hi = face_sides(a)
-                out.append(0.5 * (v[lo] + v[hi]))
+            pts = _face_points(grid, a)
+            vec = np.asarray(self.func(pts.reshape(-1, grid.ndim)), dtype=float)
+            out.append(vec.reshape(pts.shape[:-1] + (grid.ndim,))[..., a])
         return out
 
     def cell_drift(self, grid: Grid, t: float) -> np.ndarray:
-        if self.func is not None:
-            vec = np.asarray(self.func(grid.points(), t), dtype=float)
-            return vec.reshape(grid.shape + (grid.ndim,))
-        return self.field.vectors
+        vec = np.asarray(self.func(grid.points()), dtype=float)
+        return vec.reshape(grid.shape + (grid.ndim,))
 
 
 @dataclass(frozen=True)
@@ -192,8 +173,6 @@ class HamiltonianFlow:
 
     ham: HamiltonianSpec
     gain: float | Callable[[float], float] = 0.0
-
-    is_time_change = True
 
     def alpha(self, t: float) -> float:
         return admissible_gain(self.gain(t) if callable(self.gain) else self.gain,
@@ -236,24 +215,11 @@ def _face_coefficients(grid: Grid, D: float, face_drifts: Sequence[np.ndarray]):
     return coeffs
 
 
-def _assemble_1d(grid: Grid, D: float, face_drifts):
-    (lo_c, hi_c), = _face_coefficients(grid, D, face_drifts)
-    dx = grid.dx[0]
-    n = grid.cells[0]
-    diag = np.zeros(n)
-    diag[:-1] -= lo_c / dx
-    diag[1:] -= hi_c / dx
-    sub = lo_c / dx       # A[i+1, i]
-    sup = hi_c / dx       # A[i, i+1]
-    return sub, diag, sup
-
-
-def _assemble_nd(grid: Grid, D: float, face_drifts) -> scipy.sparse.csr_matrix:
+def _assemble(grid: Grid, D: float, face_drifts) -> scipy.sparse.csr_matrix:
+    """The CSR operator A of the face fluxes; its columns sum to zero."""
     coeffs = _face_coefficients(grid, D, face_drifts)
-    shape = grid.shape
-    size = grid.size
     rows, cols, vals = [], [], []
-    idx = np.arange(size).reshape(shape)
+    idx = np.arange(grid.size).reshape(grid.shape)
     for a, (lo_c, hi_c) in enumerate(coeffs):
         dx = grid.dx[a]
         lo, hi = face_sides(a)
@@ -267,7 +233,7 @@ def _assemble_nd(grid: Grid, D: float, face_drifts) -> scipy.sparse.csr_matrix:
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(grid.size, grid.size))
 
 
 class _Stepper:
@@ -278,10 +244,11 @@ class _Stepper:
     changes.
     """
 
-    def __init__(self, dt, theta, max_diag):
+    def __init__(self, grid, D, face_drifts, dt, theta):
+        self.A = _assemble(grid, D, face_drifts)
         self.dt = dt
         self.theta = theta
-        self.max_diag = max_diag
+        self.max_diag = float(np.max(np.abs(self.A.diagonal())))
         self.scale = None
 
     def advance(self, rho: np.ndarray, s: float, t_end: float) -> np.ndarray:
@@ -308,18 +275,20 @@ class _Stepper:
 class _Stepper1D(_Stepper):
     """Direct O(n) banded solve of the tridiagonal system."""
 
-    def __init__(self, grid, D, face_drifts, dt, theta):
-        self.sub, self.diag, self.sup = _assemble_1d(grid, D, face_drifts)
-        super().__init__(dt, theta, float(np.max(np.abs(self.diag))))
-        self.ab = np.zeros((3, grid.cells[0]))
+    @cached_property
+    def bands(self):
+        """(sub, diag, sup): A[i+1, i], A[i, i] and A[i, i+1]."""
+        return self.A.diagonal(-1), self.A.diagonal(0), self.A.diagonal(1)
 
     def _rescale(self, s):
+        sub, diag, sup = self.bands
         c = self.theta * self.dt * s
-        self.ab[0, 1:] = -c * self.sup
-        self.ab[1, :] = 1.0 - c * self.diag
-        self.ab[2, :-1] = -c * self.sub
+        self.ab = np.zeros((3, len(diag)))
+        self.ab[0, 1:] = -c * sup
+        self.ab[1, :] = 1.0 - c * diag
+        self.ab[2, :-1] = -c * sub
         e = self.dt * (1.0 - self.theta) * s
-        self.expl = (e * self.sub, e * self.diag, e * self.sup)
+        self.expl = (e * sub, e * diag, e * sup)
 
     def _solve(self, rho):
         sub, diag, sup = self.expl
@@ -331,10 +300,6 @@ class _Stepper1D(_Stepper):
 
 class _StepperND(_Stepper):
     """Jacobi-preconditioned BiCGSTAB, warm-started from the current density."""
-
-    def __init__(self, grid, D, face_drifts, dt, theta):
-        self.A = _assemble_nd(grid, D, face_drifts)
-        super().__init__(dt, theta, float(np.max(np.abs(self.A.diagonal()))))
 
     def _rescale(self, s):
         eye = scipy.sparse.identity(self.A.shape[0], format="csr")
@@ -427,37 +392,27 @@ def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
            theta: float = 0.5, store_every: int = 1) -> DensityTrajectory:
     """Integrate the continuity-form equation from t0 to t1 with fixed dt.
 
-    ``drift`` is a :class:`DriftSpec` or :class:`HamiltonianFlow`.  The
-    operator is sampled at step midpoints; a drift whose operator is
-    D(t) A_0 (``is_time_change``) is assembled once, at the first midpoint,
-    and each step rescales it by D(t_mid)/D_0.  With the default theta = 1/2
-    the scheme is second order in time and unconditionally stable.  For
-    theta < 1/2 each step is validated against the Gershgorin stability
-    bound and rejected with a suggestion.  Steps that drive any cell below
-    -1e-12 raise :class:`PositivityError`; tinier negatives are clamped.
+    ``drift`` is a :class:`DriftSpec` or :class:`HamiltonianFlow`, whose
+    operator D(t) A_0 is assembled once, at the first step midpoint; each step
+    rescales it by D(t_mid)/D_0.  With the default theta = 1/2 the scheme is
+    second order in time and unconditionally stable.  For theta < 1/2 each
+    step is validated against the Gershgorin stability bound and rejected
+    with a suggestion.  Steps that drive any cell below -1e-12 raise
+    :class:`PositivityError`; tinier negatives are clamped.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     grid = rho0.grid
     n_steps = time_steps(t0, t1, dt)
-
-    def assemble(t):
-        return _make_stepper(grid, drift.half_diffusion(t), drift.face_drifts(grid, t),
-                            dt, theta)
-
-    fixed = None
-    if drift.is_time_change:
-        t_ref = t0 + 0.5 * dt
-        fixed, D0 = assemble(t_ref), drift.half_diffusion(t_ref)
+    t_ref = t0 + 0.5 * dt
+    D0 = drift.half_diffusion(t_ref)
+    stepper = _make_stepper(grid, D0, drift.face_drifts(grid, t_ref), dt, theta)
 
     def step(k, rho):
+        # D0 = 0 only for a drift without diffusion, whose D never changes
         t_mid = t0 + (k + 0.5) * dt
-        if fixed is None:
-            st, s = assemble(t_mid), 1.0
-        else:
-            # D0 = 0 only for a drift without diffusion, whose D never changes
-            st, s = fixed, (drift.half_diffusion(t_mid) / D0 if D0 > 0.0 else 1.0)
-        return st.advance(rho, s, t0 + (k + 1) * dt)
+        s = drift.half_diffusion(t_mid) / D0 if D0 > 0.0 else 1.0
+        return stepper.advance(rho, s, t0 + (k + 1) * dt)
 
     return march(step, rho0, t0, dt, n_steps, store_every)
 

@@ -399,6 +399,10 @@ def load_operator(path) -> np.ndarray:
     n = int(tokens[0])
     if len(tokens) != 1 + n * n:
         raise ValueError(f"expected {n * n} entries, got {len(tokens) - 1}")
-    vals = [complex(tok.replace("i", "j")) if ("i" in tok or "j" in tok)
-            else complex(float(tok)) for tok in tokens[1:]]
-    return np.array(vals, dtype=complex).reshape(n, n)
+    # only a trailing i or j is the imaginary unit, so inf and nan parse
+    vals = [complex(tok[:-1] + "j") if tok[-1] in "ij" else complex(float(tok))
+            for tok in tokens[1:]]
+    try:
+        return _as_matrix(np.array(vals).reshape(n, n))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

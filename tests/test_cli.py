@@ -282,6 +282,21 @@ def test_paths_run_t_index_out_of_range(tmp_path, capsys, t_index):
     assert not out.exists()
 
 
+def test_paths_run_manifest_records_default_seed(tmp_path):
+    cfg = tmp_path / "p.ini"
+    cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 50\n"
+                   "dt = 0.005\nt1 = 0.1\n")
+    seedless = tmp_path / "a"
+    assert main(["paths-run", "--config", str(cfg), "--out", str(seedless)]) == 0
+    seeded = tmp_path / "b"
+    assert main(["paths-run", "--config", str(cfg), "--out", str(seeded),
+                 "--seed", "42"]) == 0
+    a = json.loads((seedless / "manifest.json").read_text())
+    b = json.loads((seeded / "manifest.json").read_text())
+    assert a["seed"] == b["seed"] == 42
+    assert a["files"] == b["files"]
+
+
 def test_initial_moments_checked_by_key(tmp_path, capsys):
     cases = [("sde-run", "var0", "-1"), ("sde-run", "var0", "nan"),
              ("control-run", "mean0", "nan")]
@@ -339,16 +354,18 @@ def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_non_finite_operator_file_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("entry", ["nan+0i", "inf", "-inf+0i"])
+def test_non_finite_operator_file_rejected(tmp_path, capsys, entry):
     h = tmp_path / "h.txt"
     r = tmp_path / "rho.txt"
-    h.write_text("2\nnan+0i\n0+0i\n0+0i\n1+0i\n")
+    h.write_text(f"2\n{entry}\n0+0i\n0+0i\n1+0i\n")
     save_operator(np.diag([0.8, 0.2]).astype(complex), r)
     out = tmp_path / "q"
     code = main(["quantum-run", "--hamiltonian", str(h), "--rho0", str(r),
                  "--t1", "0.01", "--dt", "0.001", "--out", str(out)])
     assert code == 2
-    assert "finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "finite" in err and str(h) in err
     assert not (out / "evolution.csv").exists()
 
 
@@ -400,6 +417,20 @@ def test_underflowed_density_tails_are_a_valid_run(tmp_path, alpha):
     m, v = 0.0, 0.01
     exact = -(1.0 + alpha) * (m**2 + (v - 1.0) ** 2 / v)  # sigma2/2 = 1
     assert data[0, 2] == pytest.approx(exact, rel=1e-6)
+
+
+def test_wide_box_equilibrium_underflow_rejected(tmp_path, capsys):
+    # exp(-x^2/2) underflows to exact zeros near x = +-40, where no feedback
+    # law log(rho / rho_bar) exists
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(FAST_CONTROL_INI.replace(
+        "grid_cells = 256", "grid_lo = -40\ngrid_hi = 40\ngrid_cells = 512"))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "underflows to zero on 18 of 512 cells" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

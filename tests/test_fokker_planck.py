@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
+from entroflow import fokker_planck
 from entroflow.control import simulate_feedback
 from entroflow.fokker_planck import (
     DriftSpec,
@@ -12,9 +13,9 @@ from entroflow.fokker_planck import (
     MassDriftError,
     PositivityError,
     StabilityError,
+    _Stepper1D,
     _StepperND,
-    _assemble_1d,
-    _assemble_nd,
+    _assemble,
     bernoulli,
     boundary_decay_report,
     continuity_velocity,
@@ -36,33 +37,56 @@ def test_bernoulli_limits():
 
 
 def test_assembly_1d_matches_nd():
+    # the banded 1-D step solves the theta system of the one CSR operator
     grid = Grid((-2.0,), (2.0,), (32,))
     rng = np.random.default_rng(0)
     faces = [rng.normal(size=31)]
-    sub, diag, sup = _assemble_1d(grid, 0.7, faces)
-    A = _assemble_nd(grid, 0.7, faces).toarray()
-    assert np.allclose(np.diag(A), diag)
-    assert np.allclose(np.diag(A, -1), sub)
-    assert np.allclose(np.diag(A, 1), sup)
+    rho = GaussianDensity([0.3], [[0.5]]).sample_on(grid).values
+    eye = scipy.sparse.identity(grid.size, format="csc")
+    dt = 0.01
+    for theta in (0.5, 1.0):
+        stepper = _Stepper1D(grid, 0.7, faces, dt, theta)
+        A = stepper.A
+        for s in (1.0, 1.7):
+            x = stepper.advance(rho, s, dt)
+            ref = scipy.sparse.linalg.spsolve((eye - theta * dt * s * A).tocsc(),
+                                              rho + (1.0 - theta) * dt * s * (A @ rho))
+            assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
     # columns sum to zero: mass conservation is structural
-    assert np.allclose(A.sum(axis=0), 0.0, atol=1e-14)
+    assert np.allclose(A.toarray().sum(axis=0), 0.0, atol=1e-14)
+
+
+def test_evolve_assembles_once(monkeypatch, ou_ham):
+    real, calls = fokker_planck._assemble, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fokker_planck, "_assemble", counting)
+    grid_1d = Grid((-6.0,), (6.0,), (64,))
+    grid_2d = Grid((-4.0, -4.0), (4.0, 4.0), (16, 16))
+    ham_2d = quadratic_hamiltonian(np.eye(2), kT=1.0, sigma2=2.0)
+    cases = [(DriftSpec(sigma2=2.0, func=lambda x: -x), grid_1d),
+             (HamiltonianFlow(ou_ham, gain=lambda t: 10.0 * t), grid_1d),
+             (HamiltonianFlow(ham_2d, gain=lambda t: 10.0 * t), grid_2d)]
+    for flow, grid in cases:
+        calls.clear()
+        rho0 = GaussianDensity(np.full(grid.ndim, 0.5), np.eye(grid.ndim)).sample_on(grid)
+        evolve(flow, rho0, 0.0, 0.05, 0.01)
+        assert len(calls) == 1
 
 
 def test_driftspec_validation():
     with pytest.raises(ValueError):
-        DriftSpec(sigma2=-1.0, func=lambda x, t: -x)
-    with pytest.raises(ValueError):
-        DriftSpec(sigma2=1.0)
-    with pytest.raises(ValueError):
-        DriftSpec(sigma2=1.0, func=lambda x, t: -x,
-                  field=VectorFieldGrid.zero(Grid((-1.0,), (1.0,), (4,))))
+        DriftSpec(sigma2=-1.0, func=lambda x: -x)
 
 
 def test_heat_kernel_variance():
     # pure diffusion: Var(t) = Var(0) + sigma2 * t
     grid = Grid((-9.0,), (9.0,), (1024,))
     rho0 = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: np.zeros_like(x), time_dependent=False)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: np.zeros_like(x))
     traj = evolve(drift, rho0, 0.0, 0.5, 1e-3, store_every=100)
     v = traj.densities[-1].covariance()[0, 0]
     assert v == pytest.approx(2.0, rel=0.01)
@@ -74,7 +98,7 @@ def test_ou_moments():
     # linear SDE moment ODEs: m(t) = m0 e^{-t}, P(t) = 1 + (P0 - 1) e^{-2t}
     grid = Grid((-9.0,), (9.0,), (1024,))
     rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: -x, time_dependent=False)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
     traj = evolve(drift, rho0, 0.0, 0.3, 1e-3, store_every=50)
     m = traj.densities[-1].mean()[0]
     v = traj.densities[-1].covariance()[0, 0]
@@ -96,7 +120,7 @@ def test_gibbs_is_stationary(ou_ham, ou_grid):
 def test_gibbs_stationary_under_generic_drift(ou_ham, ou_grid):
     # same statement through the sampled-drift route (exact for quadratic H)
     rho_bar = gibbs_density(ou_ham, ou_grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: -x, time_dependent=False)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
     traj = evolve(drift, rho_bar, 0.0, 0.5, 1e-2, store_every=10)
     assert np.max(np.abs(traj.densities[-1].values - rho_bar.values)) < 1e-6
 
@@ -104,7 +128,7 @@ def test_gibbs_stationary_under_generic_drift(ou_ham, ou_grid):
 def test_mass_conservation_and_positivity():
     grid = Grid((-9.0,), (9.0,), (512,))
     rho0 = GaussianDensity([1.0], [[0.5]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: -x, time_dependent=False)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
     traj = evolve(drift, rho0, 0.0, 1.0, 1e-3, store_every=100)
     masses = traj.mass_curve()
     assert np.max(np.abs(masses - masses[0])) < 1e-10
@@ -116,7 +140,7 @@ def test_modulated_flow_equals_rescaled_drift(ou_ham, ou_grid):
     # and diffusion sigma2 + 2 alpha: same discrete operator
     rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(ou_grid)
     a = evolve(HamiltonianFlow(ou_ham, gain=1.0), rho0, 0.0, 0.2, 1e-3, store_every=40)
-    drift = DriftSpec(sigma2=4.0, func=lambda x, t: -2.0 * x, time_dependent=False)
+    drift = DriftSpec(sigma2=4.0, func=lambda x: -2.0 * x)
     b = evolve(drift, rho0, 0.0, 0.2, 1e-3, store_every=40)
     sup = max(np.max(np.abs(x.values - y.values))
               for x, y in zip(a.densities, b.densities))
@@ -130,7 +154,7 @@ def test_convergence_order():
     def run(cells, dt):
         grid = Grid((-9.0,), (9.0,), (cells,))
         rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(grid)
-        drift = DriftSpec(sigma2=2.0, func=lambda x, t: -x, time_dependent=False)
+        drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
         traj = evolve(drift, rho0, 0.0, 0.3, dt, store_every=10**9)
         d = traj.densities[-1]
         return abs(d.mean()[0] - exact_m) + abs(d.covariance()[0, 0] - exact_v)
@@ -143,7 +167,7 @@ def test_convergence_order():
 def test_stability_error_for_explicit_scheme():
     grid = Grid((-8.0,), (8.0,), (256,))
     rho0 = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: -x, time_dependent=False)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
     with pytest.raises(StabilityError, match="use dt <="):
         evolve(drift, rho0, 0.0, 0.1, 1e-2, theta=0.0)
 
@@ -154,7 +178,7 @@ def test_positivity_error_on_rough_data():
     vals = np.zeros(128)
     vals[64] = 1.0 / grid.cell_volume
     spike = GridDensity(grid, vals)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: np.zeros_like(x), time_dependent=False)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: np.zeros_like(x))
     with pytest.raises(PositivityError, match="positivity lost"):
         evolve(drift, spike, 0.0, 0.1, 0.05)
 
@@ -162,7 +186,7 @@ def test_positivity_error_on_rough_data():
 def test_evolve_rejects_bad_time_grid():
     grid = Grid((-8.0,), (8.0,), (64,))
     rho0 = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: -x)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
     with pytest.raises(ValueError):
         evolve(drift, rho0, 0.0, 0.1, -1e-3)
     with pytest.raises(ValueError):
@@ -172,7 +196,7 @@ def test_evolve_rejects_bad_time_grid():
 def test_evolve_2d_heat():
     grid = Grid((-6.0, -6.0), (6.0, 6.0), (96, 96))
     rho0 = GaussianDensity([0.0, 0.0], np.eye(2)).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x, t: np.zeros_like(x), time_dependent=False)
+    drift = DriftSpec(sigma2=2.0, func=lambda x: np.zeros_like(x))
     traj = evolve(drift, rho0, 0.0, 0.25, 5e-3, store_every=50)
     cov = traj.densities[-1].covariance()
     assert cov[0, 0] == pytest.approx(1.5, rel=0.02)
@@ -297,7 +321,7 @@ def step_for(ham, grid, gain, theta, r):
     nonnegative, so steps preserve positivity on any data (backward Euler
     always does; there r only sets the stiffness, up to 25)."""
     flow = HamiltonianFlow(ham, gain=gain)
-    A = _assemble_nd(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
+    A = _assemble(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
     return r / (max(1.0 - theta, 0.04) * np.max(np.abs(A.diagonal())))
 
 
@@ -306,8 +330,8 @@ def step_for(ham, grid, gain, theta, r):
 def test_operator_is_a_time_change(case):
     ham, grid, lo, hi = case
     flow0, flow = HamiltonianFlow(ham, gain=lo), HamiltonianFlow(ham, gain=hi)
-    A0 = _assemble_nd(grid, flow0.half_diffusion(0.0), flow0.face_drifts(grid, 0.0))
-    A = _assemble_nd(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
+    A0 = _assemble(grid, flow0.half_diffusion(0.0), flow0.face_drifts(grid, 0.0))
+    A = _assemble(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
     s = flow.half_diffusion(0.0) / flow0.half_diffusion(0.0)
     assert abs(A - s * A0).max() <= 1e-13 * abs(A).max()
 
