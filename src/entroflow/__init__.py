@@ -50,7 +50,6 @@ from .production import (
     relative_entropy_rate,
 )
 from .control import (
-    FeedbackLaw,
     GainSchedule,
     GaussMarkovState,
     decomposition_curve,
@@ -59,8 +58,6 @@ from .control import (
     feedback_control,
     gauss_markov_propagate,
     modulated_decay_rate,
-    record_feedback_law,
-    replay_feedback,
     simulate_feedback,
 )
 from .sde import (
@@ -98,10 +95,10 @@ __all__ = [
     "BoundaryLeakWarning", "ProductionReport", "entropy_rate",
     "free_energy_decay_rate", "production_decomposition",
     "relative_entropy_rate",
-    "FeedbackLaw", "GainSchedule", "GaussMarkovState",
+    "GainSchedule", "GaussMarkovState",
     "decomposition_curve", "equilibrium_gaussian", "evolve_modulated",
     "feedback_control", "gauss_markov_propagate", "modulated_decay_rate",
-    "record_feedback_law", "replay_feedback", "simulate_feedback",
+    "simulate_feedback",
     "KineticTemperature", "PathEnsemble", "PolymerSpec",
     "TrajectoryDivergence", "estimate_density", "harmonic_cantilever",
     "kinetic_temperature", "sample_moments", "simulate_overdamped",

@@ -147,14 +147,18 @@ class ScenarioConfig:
     def from_ini(cls, path) -> "ScenarioConfig":
         parser = configparser.ConfigParser()
         parser.optionxform = str  # preserve key case (kT)
-        read = parser.read(path)
+        try:  # duplicate keys, a missing section header, a bad % interpolation
+            read = parser.read(path)
+            bodies = {sec: dict(parser.items(sec)) for sec in parser.sections()}
+        except configparser.Error as e:
+            raise ConfigError(f"malformed config file {path}: {' '.join(str(e).split())}"
+                              ) from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         sections = {}
-        for sec in parser.sections():
+        for sec, body in bodies.items():
             if sec not in _SECTION_KEYS:
                 raise ConfigError(f"unknown section [{sec}]")
-            body = dict(parser.items(sec))
             unknown = set(body) - _SECTION_KEYS[sec]
             if unknown:
                 raise ConfigError(f"unknown key(s) in [{sec}]: {sorted(unknown)}")

@@ -14,15 +14,12 @@ gain-modulated rate
 
     d/dt D(rho^u||rho_bar) = -(sigma2/2 + alpha(t)) * Fisher(rho^u|rho_bar).
 
-Three executable routes to the same flow live here:
+Two executable routes to the same flow live here:
 
 * :func:`evolve_modulated` solves the linear equation directly;
 * :func:`simulate_feedback` steps the nonlinear law self-consistently
   (predictor with the feedback frozen at the current density, then one
-  fixed-point refinement at the step midpoint);
-* :func:`record_feedback_law` / :func:`replay_feedback` demonstrate that the
-  law can be computed off-line from the linear solve and replayed later as a
-  precomputed field.
+  fixed-point refinement at the step midpoint), as the cross-check.
 
 For quadratic Hamiltonians the densities stay Gaussian and the grid solve
 may be replaced by moment equations; :func:`gauss_markov_propagate`
@@ -39,7 +36,7 @@ import numpy as np
 from .fokker_planck import (
     DensityTrajectory,
     HamiltonianFlow,
-    _make_stepper,
+    _Stepper,
     admissible_gain,
     energy_slopes,
     evolve,
@@ -166,24 +163,6 @@ def _feedback_faces(grid: Grid, slopes: Sequence[np.ndarray], kT: float,
             for ax in range(grid.ndim)]
 
 
-def _controlled_advance(ham: HamiltonianSpec, grid: Grid, slopes: Sequence[np.ndarray],
-                        dt: float, theta: float):
-    """Return ``advance(rho, u_faces, t_end)``, one checked theta step.
-
-    The face drift is the gain-free potential drift plus the per-axis face
-    control ``u_faces``.  The control changes from step to step, so each
-    call assembles its own operator.
-    """
-    D = 0.5 * ham.sigma2
-    plain = [-D / ham.kT * g for g in slopes]
-
-    def advance(rho, u_faces, t_end):
-        faces = [b + u for b, u in zip(plain, u_faces)]
-        return _make_stepper(grid, D, faces, dt, theta).advance(rho, 1.0, t_end)
-
-    return advance
-
-
 def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
                       t1: float, dt: float, store_every: int = 1,
                       theta: float = 0.5) -> DensityTrajectory:
@@ -194,69 +173,30 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
     iteration, consistent with the scheme's second order).  Both solves have
     the positivity check of :func:`evolve`.  Agrees with
     :func:`evolve_modulated` up to the spatial consistency error of the two
-    operator forms.
+    operator forms.  The face drift of a solve is the gain-free potential
+    drift plus the face control; each solve loads it into the run's one
+    stepper.
     """
     gain = as_gain(alpha)
     grid = rho0.grid
     n_steps = time_steps(0.0, t1, dt)
     slopes = energy_slopes(grid, ham.sample_energy(grid))
-    advance = _controlled_advance(ham, grid, slopes, dt, theta)
+    D = 0.5 * ham.sigma2
+    plain = [-D / ham.kT * g for g in slopes]
+    stepper = _Stepper(grid, dt, theta)
+
+    def solve(rho, controlled, a, t_end):
+        u = _feedback_faces(grid, slopes, ham.kT, controlled, a)
+        stepper.load(D, [b + u_ax for b, u_ax in zip(plain, u)])
+        return stepper.advance(rho, 1.0, t_end)
 
     def step(k, rho):
         a = admissible_gain(gain((k + 0.5) * dt), ham.sigma2)
         t_end = (k + 1) * dt
-        rho_star = advance(rho, _feedback_faces(grid, slopes, ham.kT, rho, a), t_end)
-        mid = 0.5 * (rho + rho_star)
-        return advance(rho, _feedback_faces(grid, slopes, ham.kT, mid, a), t_end)
+        rho_star = solve(rho, rho, a, t_end)
+        return solve(rho, 0.5 * (rho + rho_star), a, t_end)
 
     return march(step, rho0, 0.0, dt, n_steps, store_every)
-
-
-# ---------------------------------------------------------------------------
-# off-line feedback: record from the linear solve, replay as a known field
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeedbackLaw:
-    """Feedback field u(x, t) recorded at step midpoints on grid faces."""
-
-    grid: Grid
-    dt: float
-    faces: list  # per step: per-axis interior-face arrays
-
-
-def record_feedback_law(ham: HamiltonianSpec, alpha, rho0: GridDensity,
-                        t1: float, dt: float) -> FeedbackLaw:
-    """Pass 1: solve the linear modulated equation, store u on the time grid.
-
-    The recorded field is -alpha(t) grad log(rho^u_t / rho_bar) evaluated at
-    step midpoints from the linear solution (dense storage: every step).
-    """
-    gain = as_gain(alpha)
-    traj = evolve_modulated(ham, gain, rho0, t1, dt, store_every=1)
-    grid = rho0.grid
-    slopes = energy_slopes(grid, ham.sample_energy(grid))
-    faces = []
-    for k in range(len(traj) - 1):
-        t_mid = 0.5 * (traj.times[k] + traj.times[k + 1])
-        rho_mid = 0.5 * (traj.values[k] + traj.values[k + 1])
-        faces.append(_feedback_faces(grid, slopes, ham.kT, rho_mid, gain(t_mid)))
-    return FeedbackLaw(grid, dt, faces)
-
-
-def replay_feedback(ham: HamiltonianSpec, law: FeedbackLaw, rho0: GridDensity,
-                    store_every: int = 1) -> DensityTrajectory:
-    """Pass 2: step the uncontrolled equation plus the recorded u of each step."""
-    if rho0.grid != law.grid:
-        raise ValueError("density grid != recorded law grid")
-    grid = law.grid
-    advance = _controlled_advance(ham, grid, energy_slopes(grid, ham.sample_energy(grid)),
-                                  law.dt, theta=0.5)
-
-    def step(k, rho):
-        return advance(rho, law.faces[k], (k + 1) * law.dt)
-
-    return march(step, rho0, 0.0, law.dt, len(law.faces), store_every)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,15 @@ operator sampled at step midpoints.  For a Hamiltonian flow the Peclet numbers
 -(H_{i+1} - H_i)/kT do not depend on the gain, so the operator at time t is
 exactly (D(t)/D_0) A_0: the gain only rescales the clock.  Every flow of
 :func:`evolve` is such a time change (a static drift a constant one), so
-:func:`_assemble` builds A_0 once per run and each step uses the scale
-s = D(t_mid)/D_0, which is exactly 1.0 for a constant gain.  In 1-D the
-tridiagonal system (I - theta dt s A_0) x = b is solved directly with a
-banded solver on the three bands of A_0, rebuilt only when s changes.  In
-N-D it is solved with Jacobi-preconditioned BiCGSTAB, warm-started from the
-current density, to the relative residual KRYLOV_RTOL = 1e-14.  Over 100
+:func:`evolve` loads A_0 once per run and each step uses the scale
+s = D(t_mid)/D_0, which is exactly 1.0 for a constant gain.  The grid fixes
+the sparsity pattern of every operator on it; one stepper per run holds that
+pattern, and loading an operator writes its face coefficients in place.  In
+1-D the tridiagonal system (I - theta dt s A_0) x = b is solved directly
+with a banded solver on the three bands of A_0, rebuilt only when s or the
+operator changes.  In N-D it is solved with Jacobi-preconditioned BiCGSTAB,
+warm-started from the current density, to the relative residual
+KRYLOV_RTOL = 1e-14.  Over 100
 steps of a scheduled-gain run on 128^2 cells a residual of 1e-12 let the
 mass drift by 1e-11; 1e-14 holds it at 4e-15 and keeps the densities within
 2e-14 of the peak of a direct sparse-LU solve.  A solve that does not reach
@@ -35,8 +38,9 @@ it raises :class:`ConvergenceError`.
 
 One loop, :func:`march`, steps a density for every caller, which hands it a
 per-step function ``step(k, rho) -> rho``: :func:`evolve` the rescaled fixed
-operator, the feedback solvers in :mod:`.control` the gain-free potential
-drift plus face controls, assembled per step because they change.  The
+operator, :func:`.control.simulate_feedback` the gain-free potential drift
+plus face controls, loaded into its one stepper per solve because they
+change.  The
 stored densities fill one preallocated read-only ``(n_times, *shape)``
 array, the :class:`DensityTrajectory`; density objects are built on demand.
 
@@ -98,9 +102,10 @@ def admissible_gain(a: float, sigma2: float) -> float:
     """Return the feedback gain ``a`` if the flow is well posed, a > -sigma2/2.
 
     At a = -sigma2/2 the rescaled diffusion sigma2 + 2a vanishes and the
-    controlled equation stops being parabolic.
+    controlled equation stops being parabolic; an infinite gain has no
+    finite drift.
     """
-    if not a > -0.5 * sigma2:  # NaN fails too
+    if not -0.5 * sigma2 < a < np.inf:  # NaN fails too
         raise ValueError("ill-posed gain")
     return a
 
@@ -168,7 +173,7 @@ class HamiltonianFlow:
     the friction/diffusion pair keeps the Einstein ratio kT by construction.
     The face Peclet numbers -(H_{i+1} - H_i)/kT do not depend on the gain,
     so the operator is D(t) A_0 for one fixed A_0: every such flow is a time
-    change, assembled once per :func:`evolve` call.
+    change, loaded once per :func:`evolve` call.
     """
 
     ham: HamiltonianSpec
@@ -196,59 +201,76 @@ def energy_slopes(grid: Grid, H: np.ndarray) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly
+# the operator and its theta step
 # ---------------------------------------------------------------------------
-
-def _face_coefficients(grid: Grid, D: float, face_drifts: Sequence[np.ndarray]):
-    """Per-axis (lo_c, hi_c): F = lo_c rho_i - hi_c rho_{i+1} at each face."""
-    coeffs = []
-    for a, b in enumerate(face_drifts):
-        dx = grid.dx[a]
-        if D > 0.0:
-            w = b * dx / D
-            lo_c = (D / dx) * bernoulli(-w)
-            hi_c = (D / dx) * bernoulli(w)
-        else:
-            lo_c = np.maximum(b, 0.0)
-            hi_c = np.maximum(-b, 0.0)
-        coeffs.append((lo_c, hi_c))
-    return coeffs
-
-
-def _assemble(grid: Grid, D: float, face_drifts) -> scipy.sparse.csr_matrix:
-    """The CSR operator A of the face fluxes; its columns sum to zero."""
-    coeffs = _face_coefficients(grid, D, face_drifts)
-    rows, cols, vals = [], [], []
-    idx = np.arange(grid.size).reshape(grid.shape)
-    for a, (lo_c, hi_c) in enumerate(coeffs):
-        dx = grid.dx[a]
-        lo, hi = face_sides(a)
-        i_lo = idx[lo].ravel()
-        i_hi = idx[hi].ravel()
-        cl = (lo_c / dx).ravel()
-        ch = (hi_c / dx).ravel()
-        rows += [i_lo, i_lo, i_hi, i_hi]
-        cols += [i_lo, i_hi, i_lo, i_hi]
-        vals += [-cl, ch, cl, -ch]
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(grid.size, grid.size))
-
 
 class _Stepper:
     """Theta step (I - theta dt s A) x = (I + (1 - theta) dt s A) rho.
 
-    A is assembled once; the scale s rescales the clock (s = 1 for an
-    operator used as assembled) and the solver is rebuilt only when s
-    changes.
+    The grid fixes the CSR pattern of A: one diagonal slot per cell and two
+    coupling slots per interior face.  :meth:`load` writes the coefficients
+    of a diffusion and face drifts into them; the scale s rescales the clock
+    (s = 1 for an operator used as loaded), and the solver is rebuilt only
+    when the operator or s changes.  In 1-D the tridiagonal system is solved
+    with a banded solver, in N-D with Jacobi-preconditioned BiCGSTAB,
+    warm-started from the current density.
     """
 
-    def __init__(self, grid, D, face_drifts, dt, theta):
-        self.A = _assemble(grid, D, face_drifts)
+    def __init__(self, grid: Grid, dt: float, theta: float):
+        self.grid = grid
         self.dt = dt
         self.theta = theta
-        self.max_diag = float(np.max(np.abs(self.A.diagonal())))
+        n = grid.size
+        idx = np.arange(n).reshape(grid.shape)
+        self.faces = [(idx[lo].ravel(), idx[hi].ravel())
+                      for lo, hi in map(face_sides, range(grid.ndim))]
+        # (rows, cols) of the diagonal, then per axis of A[hi, lo] and A[lo, hi]
+        entries = [(idx.ravel(), idx.ravel())]
+        for lo, hi in self.faces:
+            entries += [(hi, lo), (lo, hi)]
+        rows, cols = (np.concatenate(e) for e in zip(*entries))
+        order = np.lexsort((cols, rows))  # canonical CSR: by row, then column
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        self.A = scipy.sparse.csr_matrix((np.zeros(order.size), cols[order], indptr),
+                                         shape=(n, n))
+        self.diag_slots, *couplings = np.split(slot, np.cumsum([r.size for r, _ in entries[:-1]]))
+        self.coupling_slots = list(zip(couplings[::2], couplings[1::2]))
+        self.scale = None
+
+    def load(self, D: float, face_drifts: Sequence[np.ndarray]) -> None:
+        """Write the operator of diffusion ``D`` and ``face_drifts`` into A.
+
+        The flux through a face is F = cl rho_lo - ch rho_hi, with
+        Chang-Cooper coefficients for D > 0 and upwinding for D = 0; so
+        A[hi, lo] = cl, A[lo, hi] = ch, and each column sums to zero.
+        """
+        data = self.A.data
+        diag = np.zeros(self.grid.size)
+        for a, b in enumerate(face_drifts):
+            if not np.all(np.isfinite(b)):
+                raise ValueError("drift not finite on grid")
+            dx = self.grid.dx[a]
+            if D > 0.0:
+                w = b * dx / D
+                lo_c = (D / dx) * bernoulli(-w)
+                hi_c = (D / dx) * bernoulli(w)
+            else:
+                lo_c = np.maximum(b, 0.0)
+                hi_c = np.maximum(-b, 0.0)
+            cl = (lo_c / dx).ravel()
+            ch = (hi_c / dx).ravel()
+            (i_lo, i_hi), (hi_lo, lo_hi) = self.faces[a], self.coupling_slots[a]
+            data[hi_lo], data[lo_hi] = cl, ch
+            # lo side, then hi side, per axis: this summation order fixes the
+            # diagonal's rounding, and with it the bytes of every artifact
+            diag[i_lo] -= cl
+            diag[i_hi] -= ch
+        data[self.diag_slots] = diag
+        if self.grid.ndim == 1:
+            self.bands = cl, diag, ch  # A[i+1, i], A[i, i], A[i, i+1]
+        self.max_diag = float(np.max(np.abs(diag)))
         self.scale = None
 
     def advance(self, rho: np.ndarray, s: float, t_end: float) -> np.ndarray:
@@ -271,43 +293,32 @@ class _Stepper:
                 f"(min {neg_min:.3e}); try dt <= {suggestion:.3e}")
         return np.maximum(out, 0.0) if neg_min < 0.0 else out
 
-
-class _Stepper1D(_Stepper):
-    """Direct O(n) banded solve of the tridiagonal system."""
-
-    @cached_property
-    def bands(self):
-        """(sub, diag, sup): A[i+1, i], A[i, i] and A[i, i+1]."""
-        return self.A.diagonal(-1), self.A.diagonal(0), self.A.diagonal(1)
-
     def _rescale(self, s):
-        sub, diag, sup = self.bands
         c = self.theta * self.dt * s
-        self.ab = np.zeros((3, len(diag)))
-        self.ab[0, 1:] = -c * sup
-        self.ab[1, :] = 1.0 - c * diag
-        self.ab[2, :-1] = -c * sub
         e = self.dt * (1.0 - self.theta) * s
-        self.expl = (e * sub, e * diag, e * sup)
+        if self.grid.ndim == 1:
+            sub, diag, sup = self.bands
+            self.ab = np.zeros((3, len(diag)))
+            self.ab[0, 1:] = -c * sup
+            self.ab[1, :] = 1.0 - c * diag
+            self.ab[2, :-1] = -c * sub
+            self.expl = (e * sub, e * diag, e * sup)
+        else:
+            # bitwise eye - c A: the pattern keeps explicit zeros, which
+            # change no product
+            self.implicit = self.A.copy()
+            self.implicit.data *= -c
+            self.implicit.data[self.diag_slots] += 1.0
+            self.jacobi = scipy.sparse.diags(1.0 / self.implicit.data[self.diag_slots])
+            self.explicit = e
 
     def _solve(self, rho):
-        sub, diag, sup = self.expl
-        rhs = rho + diag * rho
-        rhs[:-1] += sup * rho[1:]
-        rhs[1:] += sub * rho[:-1]
-        return scipy.linalg.solve_banded((1, 1), self.ab, rhs)
-
-
-class _StepperND(_Stepper):
-    """Jacobi-preconditioned BiCGSTAB, warm-started from the current density."""
-
-    def _rescale(self, s):
-        eye = scipy.sparse.identity(self.A.shape[0], format="csr")
-        self.implicit = (eye - (self.theta * self.dt * s) * self.A).tocsr()
-        self.jacobi = scipy.sparse.diags(1.0 / self.implicit.diagonal())
-        self.explicit = self.dt * (1.0 - self.theta) * s
-
-    def _solve(self, rho):
+        if self.grid.ndim == 1:
+            sub, diag, sup = self.expl
+            rhs = rho + diag * rho
+            rhs[:-1] += sup * rho[1:]
+            rhs[1:] += sub * rho[:-1]
+            return scipy.linalg.solve_banded((1, 1), self.ab, rhs)
         rhs = rho + self.explicit * (self.A @ rho)
         x, info = scipy.sparse.linalg.bicgstab(self.implicit, rhs, x0=rho,
                                                rtol=KRYLOV_RTOL, atol=0.0,
@@ -317,15 +328,6 @@ class _StepperND(_Stepper):
                 f"BiCGSTAB did not reach relative residual {KRYLOV_RTOL:g} "
                 f"(info={info})")
         return x
-
-
-def _make_stepper(grid: Grid, D: float, face_drifts, dt: float, theta: float) -> _Stepper:
-    """Assemble the operator of the given face drifts and diffusion once."""
-    for b in face_drifts:
-        if not np.all(np.isfinite(b)):
-            raise ValueError("drift not finite on grid")
-    cls = _Stepper1D if grid.ndim == 1 else _StepperND
-    return cls(grid, D, face_drifts, dt, theta)
 
 
 @dataclass
@@ -406,7 +408,8 @@ def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
     n_steps = time_steps(t0, t1, dt)
     t_ref = t0 + 0.5 * dt
     D0 = drift.half_diffusion(t_ref)
-    stepper = _make_stepper(grid, D0, drift.face_drifts(grid, t_ref), dt, theta)
+    stepper = _Stepper(grid, dt, theta)
+    stepper.load(D0, drift.face_drifts(grid, t_ref))
 
     def step(k, rho):
         # D0 = 0 only for a drift without diffusion, whose D never changes

@@ -394,15 +394,20 @@ def save_operator(M, path) -> None:
 
 
 def load_operator(path) -> np.ndarray:
+    """Read the size n, then the n*n entries row by row; errors name the file."""
     with open(path) as fh:
         tokens = fh.read().split()
-    n = int(tokens[0])
-    if len(tokens) != 1 + n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(tokens) - 1}")
-    # only a trailing i or j is the imaginary unit, so inf and nan parse
-    vals = [complex(tok[:-1] + "j") if tok[-1] in "ij" else complex(float(tok))
-            for tok in tokens[1:]]
     try:
+        if not tokens:
+            raise ValueError("empty operator file")
+        n = int(tokens[0]) if tokens[0].lstrip("+-").isdigit() else 0
+        if n < 1:
+            raise ValueError(f"size must be an integer >= 1, got {tokens[0]!r}")
+        if len(tokens) != 1 + n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(tokens) - 1}")
+        # only a trailing i or j is the imaginary unit, so inf and nan parse
+        vals = [complex(tok[:-1] + "j") if tok[-1] in "ij" else complex(float(tok))
+                for tok in tokens[1:]]
         return _as_matrix(np.array(vals).reshape(n, n))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None

@@ -158,6 +158,9 @@ class GaussianDensity:
         """Sample at cell centers and renormalize to quadrature mass 1."""
         vals = self.pdf(grid.points()).reshape(grid.shape)
         z = quadrature(grid, vals)
+        if not 0.0 < z < np.inf:  # NaN fails too
+            raise ValueError(f"the sampled density has quadrature mass {z:g} on the grid "
+                             "box; move the box over the density's support")
         return GridDensity(grid, vals / z, mass=1.0)
 
     def kl_to(self, other: "GaussianDensity") -> float:

@@ -90,6 +90,17 @@ def test_config_unknown_key_rejected(tmp_path):
         ScenarioConfig.from_ini(cfg)
 
 
+def test_duplicate_config_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "dup.ini"
+    cfg.write_text(FAST_CONTROL_INI + "dt = 0.02\n")
+    out = tmp_path / "o"
+    assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cfg) in err and "already exists" in err
+    assert not out.exists()
+
+
 def test_config_kind_mismatch(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(FAST_CONTROL_INI)
@@ -369,6 +380,21 @@ def test_non_finite_operator_file_rejected(tmp_path, capsys, entry):
     assert not (out / "evolution.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["", "two\n1 0 0 1\n", "0\n", "2\n1 0 0\n"],
+                         ids=["empty", "size-not-integer", "size-zero", "short"])
+def test_malformed_operator_file_names_the_file(tmp_path, capsys, text):
+    h = tmp_path / "h.txt"
+    r = tmp_path / "rho.txt"
+    h.write_text(text)
+    save_operator(np.diag([0.8, 0.2]).astype(complex), r)
+    out = tmp_path / "q"
+    code = main(["quantum-run", "--hamiltonian", str(h), "--rho0", str(r),
+                 "--t1", "0.01", "--dt", "0.001", "--out", str(out)])
+    assert code == 2
+    assert str(h) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_store_every_zero_rejected(tmp_path, capsys):
     cfg = tmp_path / "c.ini"
     cfg.write_text(FAST_CONTROL_INI.replace("store_every = 5", "store_every = 0"))
@@ -430,6 +456,18 @@ def test_wide_box_equilibrium_underflow_rejected(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "underflows to zero on 18 of 512 cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_initial_density_off_the_box_rejected(tmp_path, capsys):
+    # N(100, 2) underflows to exact zeros on [-8, 8]: zero mass to normalise
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(FAST_CONTROL_INI + "mean0 = 100\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "quadrature mass 0 on the grid box" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,7 +5,6 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
-from entroflow import fokker_planck
 from entroflow.control import simulate_feedback
 from entroflow.fokker_planck import (
     DriftSpec,
@@ -13,9 +12,7 @@ from entroflow.fokker_planck import (
     MassDriftError,
     PositivityError,
     StabilityError,
-    _Stepper1D,
-    _StepperND,
-    _assemble,
+    _Stepper,
     bernoulli,
     boundary_decay_report,
     continuity_velocity,
@@ -45,7 +42,8 @@ def test_assembly_1d_matches_nd():
     eye = scipy.sparse.identity(grid.size, format="csc")
     dt = 0.01
     for theta in (0.5, 1.0):
-        stepper = _Stepper1D(grid, 0.7, faces, dt, theta)
+        stepper = _Stepper(grid, dt, theta)
+        stepper.load(0.7, faces)
         A = stepper.A
         for s in (1.0, 1.7):
             x = stepper.advance(rho, s, dt)
@@ -56,25 +54,29 @@ def test_assembly_1d_matches_nd():
     assert np.allclose(A.toarray().sum(axis=0), 0.0, atol=1e-14)
 
 
-def test_evolve_assembles_once(monkeypatch, ou_ham):
-    real, calls = fokker_planck._assemble, []
+def test_one_stepper_per_run(monkeypatch, ou_ham):
+    # the grid fixes the operator's pattern, so a run builds one stepper:
+    # evolve loads it once, simulate_feedback once per solve
+    real, builds = _Stepper.__init__, []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(self, *args):
+        builds.append(args)
+        real(self, *args)
 
-    monkeypatch.setattr(fokker_planck, "_assemble", counting)
+    monkeypatch.setattr(_Stepper, "__init__", counting)
     grid_1d = Grid((-6.0,), (6.0,), (64,))
     grid_2d = Grid((-4.0, -4.0), (4.0, 4.0), (16, 16))
     ham_2d = quadratic_hamiltonian(np.eye(2), kT=1.0, sigma2=2.0)
-    cases = [(DriftSpec(sigma2=2.0, func=lambda x: -x), grid_1d),
-             (HamiltonianFlow(ou_ham, gain=lambda t: 10.0 * t), grid_1d),
-             (HamiltonianFlow(ham_2d, gain=lambda t: 10.0 * t), grid_2d)]
-    for flow, grid in cases:
-        calls.clear()
+    for ham, grid in ((ou_ham, grid_1d), (ham_2d, grid_2d)):
         rho0 = GaussianDensity(np.full(grid.ndim, 0.5), np.eye(grid.ndim)).sample_on(grid)
-        evolve(flow, rho0, 0.0, 0.05, 0.01)
-        assert len(calls) == 1
+        for run in (
+                lambda: evolve(DriftSpec(sigma2=2.0, func=lambda x: -x), rho0, 0.0, 0.05, 0.01),
+                lambda: evolve(HamiltonianFlow(ham, gain=lambda t: 10.0 * t), rho0,
+                               0.0, 0.05, 0.01),
+                lambda: simulate_feedback(ham, lambda t: 10.0 * t, rho0, 0.05, 0.01)):
+            builds.clear()
+            run()
+            assert len(builds) == 1
 
 
 def test_driftspec_validation():
@@ -316,12 +318,19 @@ def scheduled(lo, hi, t1):
     return lambda t: lo + (hi - lo) * t / t1
 
 
+def operator(grid, D, face_drifts):
+    """The operator A of diffusion ``D`` and ``face_drifts``, as loaded."""
+    stepper = _Stepper(grid, 1.0, 0.5)
+    stepper.load(D, face_drifts)
+    return stepper.A
+
+
 def step_for(ham, grid, gain, theta, r):
     """dt with (1 - theta) dt max|diag A| = r: r <= 1 keeps the explicit half
     nonnegative, so steps preserve positivity on any data (backward Euler
     always does; there r only sets the stiffness, up to 25)."""
     flow = HamiltonianFlow(ham, gain=gain)
-    A = _assemble(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
+    A = operator(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
     return r / (max(1.0 - theta, 0.04) * np.max(np.abs(A.diagonal())))
 
 
@@ -330,8 +339,8 @@ def step_for(ham, grid, gain, theta, r):
 def test_operator_is_a_time_change(case):
     ham, grid, lo, hi = case
     flow0, flow = HamiltonianFlow(ham, gain=lo), HamiltonianFlow(ham, gain=hi)
-    A0 = _assemble(grid, flow0.half_diffusion(0.0), flow0.face_drifts(grid, 0.0))
-    A = _assemble(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
+    A0 = operator(grid, flow0.half_diffusion(0.0), flow0.face_drifts(grid, 0.0))
+    A = operator(grid, flow.half_diffusion(0.0), flow.face_drifts(grid, 0.0))
     s = flow.half_diffusion(0.0) / flow0.half_diffusion(0.0)
     assert abs(A - s * A0).max() <= 1e-13 * abs(A).max()
 
@@ -345,7 +354,8 @@ def test_krylov_step_matches_direct_solve(case, theta, r):
     flow0 = HamiltonianFlow(ham, gain=lo)
     D0 = flow0.half_diffusion(0.0)
     s = HamiltonianFlow(ham, gain=hi).half_diffusion(0.0) / D0
-    stepper = _StepperND(grid, D0, flow0.face_drifts(grid, 0.0), dt, theta)
+    stepper = _Stepper(grid, dt, theta)
+    stepper.load(D0, flow0.face_drifts(grid, 0.0))
     rho = GaussianDensity([0.5, -0.3], np.diag([0.8, 1.2])).sample_on(grid).values
     x = stepper.advance(rho, s, dt)
     eye = scipy.sparse.identity(grid.size, format="csc")
@@ -368,3 +378,71 @@ def test_scheduled_gain_conserves_mass_and_gibbs(case, steps, r):
     traj = evolve(flow, rho_bar, 0.0, steps * dt, dt)
     for d in traj.densities:
         assert np.max(np.abs(d.values - rho_bar.values)) <= 1e-12
+
+
+@st.composite
+def loaded_operators(draw):
+    """A random 1-3-D grid and two diffusion/face-drift pairs on it (D = 0 too)."""
+    ndim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.integers(2, 6)) for _ in range(ndim))
+    lo = tuple(draw(st.floats(-3.0, -0.5)) for _ in range(ndim))
+    hi = tuple(draw(st.floats(0.5, 3.0)) for _ in range(ndim))
+    grid = Grid(lo, hi, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(2):
+        D = draw(st.sampled_from([0.0, 0.05, 0.7, 3.0]))
+        scale = draw(st.floats(0.1, 20.0))
+        faces = [scale * rng.normal(size=tuple(c - (i == a) for i, c in enumerate(cells)))
+                 for a in range(ndim)]
+        pairs.append((D, faces))
+    return grid, pairs
+
+
+def dense_operator(grid, D, face_drifts):
+    """A built cell by cell: the flux F = cl rho_lo - ch rho_hi through each
+    interior face leaves the cell below it and enters the cell above it."""
+    n = grid.size
+    M = np.zeros((n, n))
+    idx = np.arange(n).reshape(grid.shape)
+    for a, b in enumerate(face_drifts):
+        dx = grid.dx[a]
+        for face in np.ndindex(b.shape):
+            p = idx[face]
+            q = idx[tuple(i + (ax == a) for ax, i in enumerate(face))]
+            if D > 0.0:
+                w = b[face] * dx / D
+                cl = D / dx * bernoulli(np.array([-w]))[0] / dx
+                ch = D / dx * bernoulli(np.array([w]))[0] / dx
+            else:
+                cl, ch = max(b[face], 0.0) / dx, max(-b[face], 0.0) / dx
+            M[p, p] -= cl
+            M[q, p] += cl
+            M[p, q] += ch
+            M[q, q] -= ch
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=loaded_operators(), theta=st.sampled_from([0.5, 1.0]))
+def test_loaded_operator_matches_face_fluxes(case, theta):
+    grid, ((D1, faces1), (D2, faces2)) = case
+    stepper = _Stepper(grid, 1.0, theta)
+    scales = []
+    for D, faces in ((D1, faces1), (D2, faces2)):
+        stepper.load(D, faces)
+        A = stepper.A.toarray()
+        M = dense_operator(grid, D, faces)
+        scales.append(np.max(np.abs(M)))
+        assert np.max(np.abs(A - M)) <= 1e-14 * scales[-1]
+        assert np.max(np.abs(A.sum(axis=0))) <= 1e-14 * scales[-1]  # mass conservation
+    # a reloaded stepper steps exactly like a fresh one: no stale solver state
+    dt = 0.5 / max(scales)  # keeps the explicit half nonnegative: positivity holds
+    rho = np.random.default_rng(1).uniform(0.5, 1.5, grid.shape)
+    reused = _Stepper(grid, dt, theta)
+    reused.load(D1, faces1)
+    reused.advance(rho, 1.3, dt)
+    reused.load(D2, faces2)
+    fresh = _Stepper(grid, dt, theta)
+    fresh.load(D2, faces2)
+    assert np.array_equal(reused.advance(rho, 1.3, dt), fresh.advance(rho, 1.3, dt))
