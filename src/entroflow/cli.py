@@ -10,11 +10,15 @@ quantum-run  : Lindblad propagation from operator files;
 paths-run    : drift-field estimation on a stationary ensemble;
 list         : the builtin scenarios.
 
-Every run writes its CSVs plus a manifest.json mapping each artifact to its
-sha256; identical config and seed give byte-identical artifacts (floats are
-printed with 17 significant digits, nothing timestamps the outputs).  Exit
-codes: 0 ok, 2 usage/validation, 3 numerical failure (partial outputs are
-removed on failure).
+A scenario sets keys in its [model], [control] and [numerics] sections or by
+flags.  ``KIND_KEYS`` lists the keys each kind reads with their defaults;
+``ScenarioConfig.values`` casts and checks each key once and rejects a key
+the kind does not read.  Every run writes its CSVs plus a manifest.json
+mapping each artifact to its sha256; identical config and seed give
+byte-identical artifacts (floats are printed with 17 significant digits,
+nothing timestamps the outputs).  Exit codes: 0 ok, 2 usage/validation or an
+unreadable input file, 3 numerical failure (partial outputs are removed on
+failure).
 """
 
 from __future__ import annotations
@@ -82,9 +86,6 @@ from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian
 NUMERICAL_ERRORS = (PositivityError, StabilityError, ConvergenceError, MassDriftError,
                     TrajectoryDivergence, np.linalg.LinAlgError)
 
-KINDS = ("fp-run", "control-run", "decompose", "sde-run", "quantum-run", "paths-run")
-
-
 class ConfigError(ValueError):
     """Invalid scenario configuration (exit code 2)."""
 
@@ -105,9 +106,77 @@ _SECTION_KEYS = {
 }
 
 
+def _n_times(c) -> int:
+    return time_steps(0.0, c["t1"], c["dt"]) + 1
+
+
+# The keys each kind reads, in the order they are resolved, with their
+# defaults: a tuple lists the admissible values (the first is the default),
+# None leaves the key unset, a callable derives it from the keys before it.
+_OU = dict(hamiltonian=("quadratic",), q=1.0, kT=1.0, sigma2=2.0)
+_CLOCK = dict(seed=0, dt=1e-3)
+_GRID = dict(_OU, grid_lo=-8.0, grid_hi=8.0, grid_cells=1024, mean0=1.0, var0=2.0,
+             **_CLOCK, t1=0.2, store_every=10)
+_GAIN = dict(_GRID, alpha=0.0, alpha_table=None)
+KIND_KEYS = {
+    "fp-run": _GRID,
+    "control-run": _GAIN,
+    "decompose": _GAIN,
+    "sde-run": dict(_OU, model=("overdamped", "polymer"), n_traj=1000, **_CLOCK,
+                    t1=1.0, mean0=0.0, var0=1.0, spring_k=1.0, mass=1.0, gamma=1.0,
+                    temperature=1.0, alpha_c=None, window_lo=lambda c: c["t1"] / 3.0),
+    "quantum-run": dict(model=(None, "qubit-qrec", "qubit-lindblad"), files=None,
+                        gamma=1.0, **_CLOCK, t1=1.0, store_every=1),
+    "paths-run": dict(_OU, n_traj=30_000, seed=42, dt=5e-3, t1=0.6,
+                      t_index=lambda c: _n_times(c) // 2,
+                      grid_lo=-4.0, grid_hi=4.0, grid_cells=48),
+}
+
+_INTS = {"grid_cells", "n_traj", "seed", "store_every", "t_index"}
+_STRS = {"hamiltonian", "model", "alpha_table"}
+
+# key -> (test of the value a run uses, given the keys resolved before it;
+# what the value must do).  A test that raises ValueError gives its own reason.
+_CHECKS = {
+    "kT": (lambda v, c: v > 0.0, "be positive"),
+    "sigma2": (lambda v, c: v >= 0.0, "be nonnegative"),
+    "alpha": (lambda v, c: admissible_gain(v, c["sigma2"]) == v, ""),
+    "var0": (lambda v, c: v >= 0.0, "be nonnegative"),
+    "grid_cells": (lambda v, c: v >= 2, "be >= 2"),
+    "grid_hi": (lambda v, c: v > c["grid_lo"], "exceed grid_lo"),
+    "dt": (lambda v, c: v > 0.0, "be positive"),
+    "t1": (lambda v, c: _n_times(c) > 1, ""),
+    "store_every": (lambda v, c: v >= 1, "be >= 1"),
+    "n_traj": (lambda v, c: v >= 1, "be >= 1"),
+    "seed": (lambda v, c: 0 <= v < 2**64, "lie in [0, 2**64)"),
+    "gamma": (lambda v, c: v >= 0.0, "be nonnegative"),
+    "files": (lambda v, c: v or c["model"], "name the operator files when no model is set"),
+    "t_index": (lambda v, c: 0 <= v < _n_times(c), lambda c: f"lie in [0, {_n_times(c)})"),
+}
+
+
+def _cast(key, raw):
+    """``raw`` as the type of ``key``.  A float must be finite, except the
+    gain, whose own check calls a NaN or infinite gain ill-posed."""
+    if raw is None or key == "files":  # unset, or the operator file paths
+        return raw
+    if key in _STRS:
+        return str(raw)
+    try:
+        v = int(raw) if key in _INTS else float(raw)
+        if key in _INTS and not isinstance(raw, str) and v != raw:
+            raise ValueError  # 2.5 is no integer
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if key in _INTS else "a number"
+        raise ConfigError(f"{key} must be {what}, got {raw!r}") from None
+    if key not in _INTS and key != "alpha" and not np.isfinite(v):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return v
+
+
 @dataclass
 class ScenarioConfig:
-    """Typed scenario description; all numeric constraints re-checked here."""
+    """A scenario: its kind and the keys it sets, checked by :meth:`values`."""
 
     name: str
     kind: str
@@ -117,31 +186,36 @@ class ScenarioConfig:
     outputs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_KEYS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        kT = float(self.model.get("kT", 1.0))
-        sigma2 = float(self.model.get("sigma2", 2.0))
-        if kT <= 0.0:
-            raise ConfigError("kT must be positive")
-        if sigma2 < 0.0:
-            raise ConfigError("sigma2 must be nonnegative")
-        if "alpha" in self.control:
-            admissible_gain(float(self.control["alpha"]), sigma2)
-        dt = float(self.numerics.get("dt", 1e-3))
-        t1 = float(self.numerics.get("t1", 0.1))
-        if not (np.isfinite(dt) and np.isfinite(t1)) or dt <= 0.0 or t1 <= 0.0:
-            raise ConfigError("dt and t1 must be finite and positive")
-        cells = int(self.numerics.get("grid_cells", 1024))
-        if cells < 2:
-            raise ConfigError("grid_cells must be >= 2")
-        if float(self.numerics.get("grid_hi", 8.0)) <= float(self.numerics.get("grid_lo", -8.0)):
-            raise ConfigError("grid_hi must exceed grid_lo")
-        if int(self.numerics.get("store_every", 1)) < 1:
-            raise ConfigError("store_every must be >= 1")
-        if not np.isfinite(float(self.numerics.get("mean0", 0.0))):
-            raise ConfigError("mean0 must be finite")
-        if not 0.0 <= float(self.numerics.get("var0", 1.0)) < np.inf:
-            raise ConfigError("var0 must be finite and nonnegative")
+        self.values()
+
+    def values(self) -> dict:
+        """Every key of ``KIND_KEYS[kind]``: set or defaulted, cast and checked.
+
+        Raises ConfigError naming the first key whose value a run cannot use,
+        then any key set that this kind does not read.
+        """
+        given = {**self.model, **self.control, **self.numerics}
+        vals = {}
+        for key, default in KIND_KEYS[self.kind].items():
+            choices = default if isinstance(default, tuple) else None
+            raw = given.get(key, choices[0] if choices else default)
+            v = vals[key] = _cast(key, raw(vals) if callable(raw) else raw)
+            if choices and v not in choices:
+                raise ConfigError(f"{key} must be one of {[c for c in choices if c]}, got {v!r}")
+            ok, what = _CHECKS.get(key, (lambda v, c: True, ""))
+            try:
+                good = ok(v, vals)
+            except ValueError as e:
+                raise ConfigError(f"{key} = {v!r}: {e}") from None
+            if not good:
+                what = what(vals) if callable(what) else what
+                raise ConfigError(f"{key} must {what}, got {v!r}")
+        unread = sorted(set(given) - set(vals))
+        if unread:
+            raise ConfigError(f"{self.kind} does not read {', '.join(unread)}")
+        return vals
 
     @classmethod
     def from_ini(cls, path) -> "ScenarioConfig":
@@ -175,29 +249,23 @@ class ScenarioConfig:
                 if not files.get(key):
                     raise ConfigError(f"missing [files] {key}")
             model["files"] = dict(files, lindblad=files.get("lindblad", "").split())
-        return cls(name=scen.get("name", "custom"), kind=scen["kind"],
-                   model=model,
-                   control=sections.get("control", {}),
-                   numerics=sections.get("numerics", {}),
-                   outputs=sections.get("outputs", {}))
+        return cls(name=scen.get("name", "custom"), kind=scen["kind"], model=model,
+                   **{s: sections.get(s, {}) for s in ("control", "numerics", "outputs")})
 
 
-def _ou_numerics(**over):
-    base = dict(grid_lo=-8.0, grid_hi=8.0, grid_cells=1024, dt=1e-3, t1=0.2,
-                seed=42, mean0=1.0, var0=2.0, store_every=10)
-    base.update(over)
-    return base
+_OU_NUMERICS = dict(grid_lo=-8.0, grid_hi=8.0, grid_cells=1024, dt=1e-3, t1=0.2,
+                    seed=42, mean0=1.0, var0=2.0, store_every=10)
 
 
 BUILTIN_FACTORIES = {
     "ou-relax": lambda: ScenarioConfig(
         "ou-relax", "control-run",
         model=dict(hamiltonian="quadratic", q=1.0, kT=1.0, sigma2=2.0),
-        control=dict(alpha=0.0), numerics=_ou_numerics()),
+        control=dict(alpha=0.0), numerics=dict(_OU_NUMERICS)),
     "ou-modulated": lambda: ScenarioConfig(
         "ou-modulated", "control-run",
         model=dict(hamiltonian="quadratic", q=1.0, kT=1.0, sigma2=2.0),
-        control=dict(alpha=1.0), numerics=_ou_numerics()),
+        control=dict(alpha=1.0), numerics=dict(_OU_NUMERICS)),
     "polymer-cooling": lambda: ScenarioConfig(
         "polymer-cooling", "sde-run",
         model=dict(model="polymer", spring_k=1.0, mass=1.0, gamma=1.0,
@@ -284,40 +352,23 @@ class ArtifactWriter:
 # runners
 # ---------------------------------------------------------------------------
 
-def _grid_model(cfg: ScenarioConfig):
-    num = cfg.numerics
-    ham = quadratic_hamiltonian(float(cfg.model.get("q", 1.0)),
-                                kT=float(cfg.model.get("kT", 1.0)),
-                                sigma2=float(cfg.model.get("sigma2", 2.0)))
-    grid = Grid((float(num.get("grid_lo", -8.0)),),
-                (float(num.get("grid_hi", 8.0)),),
-                (int(num.get("grid_cells", 1024)),))
-    rho0 = GaussianDensity([float(num.get("mean0", 1.0))],
-                           [[float(num.get("var0", 2.0))]]).sample_on(grid)
-    return ham, grid, rho0
-
-
-def _seed(cfg: ScenarioConfig) -> int:
-    """The seed a run uses and its manifest records: the configured one, else
-    the default of its kind (42 for paths-run, 0 otherwise)."""
-    return int(cfg.numerics.get("seed", 42 if cfg.kind == "paths-run" else 0))
-
-
-def _gain(cfg: ScenarioConfig):
-    if "alpha_table" in cfg.control:
-        return GainSchedule.from_csv(cfg.control["alpha_table"])
-    return float(cfg.control.get("alpha", 0.0))
+def _ou_hamiltonian(c: dict):
+    return quadratic_hamiltonian(c["q"], kT=c["kT"], sigma2=c["sigma2"])
 
 
 def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     """fp-run / control-run / decompose: one trajectory plus its CSVs."""
-    ham, grid, rho0 = _grid_model(cfg)
-    num = cfg.numerics
-    dt = float(num.get("dt", 1e-3))
-    t1 = float(num.get("t1", 0.2))
-    store = int(num.get("store_every", 10))
-    alpha = _gain(cfg) if cfg.kind != "fp-run" else 0.0
-    traj = evolve_modulated(ham, alpha, rho0, t1, dt, store_every=store)
+    c = cfg.values()
+    ham = _ou_hamiltonian(c)
+    grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
+    rho0 = GaussianDensity([c["mean0"]], [[c["var0"]]]).sample_on(grid)
+    if cfg.kind == "fp-run":
+        alpha = 0.0
+    elif c["alpha_table"] is not None:
+        alpha = GainSchedule.from_csv(c["alpha_table"])
+    else:
+        alpha = c["alpha"]
+    traj = evolve_modulated(ham, alpha, rho0, c["t1"], c["dt"], store_every=c["store_every"])
 
     if cfg.kind == "fp-run":
         rows = ((t, i, v) for t, row in zip(traj.times, traj.values)
@@ -343,44 +394,26 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
 
 
 def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    num = cfg.numerics
-    seed = _seed(cfg)
-    dt = float(num.get("dt", 1e-3))
-    t1 = float(num.get("t1", 1.0))
-    n = int(num.get("n_traj", 1000))
-    model = cfg.model.get("model", "overdamped")
-    if model == "overdamped":
-        ham = quadratic_hamiltonian(float(cfg.model.get("q", 1.0)),
-                                    kT=float(cfg.model.get("kT", 1.0)),
-                                    sigma2=float(cfg.model.get("sigma2", 2.0)))
-        mean0 = float(num.get("mean0", 0.0))
-        var0 = float(num.get("var0", 1.0))
-        x0 = lambda rng, size: mean0 + np.sqrt(var0) * rng.standard_normal((size, 1))
-        ens = simulate_overdamped(ham, None, x0, n, dt, t1, seed)
+    c = cfg.values()
+    n, dt, t1, seed = c["n_traj"], c["dt"], c["t1"], c["seed"]
+    if c["model"] == "overdamped":
+        mean0, sd0 = c["mean0"], np.sqrt(c["var0"])
+        x0 = lambda rng, size: mean0 + sd0 * rng.standard_normal((size, 1))
+        ens = simulate_overdamped(_ou_hamiltonian(c), None, x0, n, dt, t1, seed)
         ensemble_to_csv(ens, w.path("paths.csv"))
         ensemble_summary_csv(ens, w.path("summary.csv"))
-    elif model == "polymer":
-        gamma = float(cfg.model.get("gamma", 1.0))
-        window_lo = float(num.get("window_lo", t1 / 3.0))
-        gains = [0.0, 0.5 * gamma, gamma, 2.0 * gamma]
-        if "alpha_c" in cfg.model:
-            gains = [float(cfg.model["alpha_c"])]
-        rows = []
-        last = None
-        for ac in gains:
-            spec = harmonic_cantilever(
-                spring_k=float(cfg.model.get("spring_k", 1.0)),
-                mass=float(cfg.model.get("mass", 1.0)),
-                gamma=gamma, control_gain=ac,
-                temperature=float(cfg.model.get("temperature", 1.0)))
-            ens = simulate_polymer(spec, n, dt, t1, seed)
-            kt = kinetic_temperature(ens, spec, (window_lo, t1))
-            rows.append((ac, kt.values[0], kt.stderr[0]))
-            last = (ens, spec)
-        w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
-        ensemble_summary_csv(last[0], w.path("summary.csv"), spec=last[1])
-    else:
-        raise ConfigError(f"unknown sde model {model!r}")
+        return
+    gamma = c["gamma"]
+    gains = [0.0, 0.5 * gamma, gamma, 2.0 * gamma] if c["alpha_c"] is None else [c["alpha_c"]]
+    rows = []
+    for ac in gains:
+        spec = harmonic_cantilever(spring_k=c["spring_k"], mass=c["mass"], gamma=gamma,
+                                   control_gain=ac, temperature=c["temperature"])
+        ens = simulate_polymer(spec, n, dt, t1, seed)
+        kt = kinetic_temperature(ens, spec, (c["window_lo"], t1))
+        rows.append((ac, kt.values[0], kt.stderr[0]))
+    w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
+    ensemble_summary_csv(ens, w.path("summary.csv"), spec=spec)
 
 
 def _qubit_qrec_rows(dt, t1):
@@ -403,39 +436,31 @@ def _qubit_qrec_rows(dt, t1):
 
 
 def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    num = cfg.numerics
-    dt = float(num.get("dt", 1e-3))
-    t1 = float(num.get("t1", 1.0))
-    model = cfg.model.get("model")
-    if model == "qubit-qrec":
+    c = cfg.values()
+    dt, t1 = c["dt"], c["t1"]
+    if c["model"] == "qubit-qrec":
         w.write_csv("rates.csv", ["t", "D", "rate", "fd_residual"],
                     _qubit_qrec_rows(dt, t1))
         return
-    if model == "qubit-lindblad":
-        gamma = float(cfg.model.get("gamma", 1.0))
+    if c["model"] == "qubit-lindblad":
         spec = LindbladSpec(HamiltonianOperator(np.zeros((2, 2))),
-                            depolarizing_jump_operators(gamma))
+                            depolarizing_jump_operators(c["gamma"]))
         rho0 = DensityOperator(np.diag([0.9, 0.1]))
-        store = int(num.get("store_every", 10))
-        traj = lindblad_evolve(spec, rho0, t1, dt, store_every=store)
+        traj = lindblad_evolve(spec, rho0, t1, dt, store_every=c["store_every"])
         mixed = DensityOperator.maximally_mixed(2)
         rows = ((t, np.trace(s.matrix).real, q_relative_entropy(s, mixed),
                  dissipative_production_rate(s, spec, mixed))
                 for t, s in zip(traj.times, traj.states))
         w.write_csv("lindblad.csv", ["t", "trace", "D", "dissipative_rate"], rows)
         return
-    # file-driven run
-    files = cfg.model.get("files")
-    if not files:
-        raise ConfigError("quantum-run needs a builtin model or operator files")
+    files = c["files"]
     H = HamiltonianOperator(load_operator(files["hamiltonian"]))
     if files.get("delta_h"):
         H = HamiltonianOperator(H.matrix + load_operator(files["delta_h"]), H.hbar)
     jumps = tuple(load_operator(p) for p in files.get("lindblad", []))
     rho0 = DensityOperator(load_operator(files["rho0"]))
     spec = LindbladSpec(H, jumps)
-    store = int(num.get("store_every", 1))
-    traj = lindblad_evolve(spec, rho0, t1, dt, store_every=store)
+    traj = lindblad_evolve(spec, rho0, t1, dt, store_every=c["store_every"])
     traces = np.trace(traj.matrices, axis1=1, axis2=2).real
     rows = zip(traj.times, traces, spectral_purity(traj.spectra),
                spectral_entropy(traj.spectra))
@@ -443,23 +468,12 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
 
 
 def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    num = cfg.numerics
-    ham = quadratic_hamiltonian(float(cfg.model.get("q", 1.0)),
-                                kT=float(cfg.model.get("kT", 1.0)),
-                                sigma2=float(cfg.model.get("sigma2", 2.0)))
-    n = int(num.get("n_traj", 30_000))
-    dt = float(num.get("dt", 5e-3))
-    t1 = float(num.get("t1", 0.6))
-    seed = _seed(cfg)
-    n_times = time_steps(0.0, t1, dt) + 1
-    k = int(num.get("t_index", n_times // 2))
-    if not 0 <= k < n_times:
-        raise ConfigError(f"t_index must lie in [0, {n_times}), got {k}")
+    c = cfg.values()
+    ham = _ou_hamiltonian(c)
+    k, n_times = c["t_index"], _n_times(c)
     x0 = lambda rng, size: rng.standard_normal((size, 1))
-    ens = simulate_overdamped(ham, None, x0, n, dt, t1, seed)
-    grid = Grid((float(num.get("grid_lo", -4.0)),),
-                (float(num.get("grid_hi", 4.0)),),
-                (int(num.get("grid_cells", 48)),))
+    ens = simulate_overdamped(ham, None, x0, c["n_traj"], c["dt"], c["t1"], c["seed"])
+    grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     pool = list(range(max(1, k - 80), min(n_times - 1, k + 80)))
     beta = estimate_forward_drift(ens, pool, grid)
     gamma = estimate_backward_drift(ens, pool, grid)
@@ -489,7 +503,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
     Partial outputs are removed if the run fails.
     """
     if seed is not None:
-        cfg.numerics["seed"] = int(seed)
+        cfg.numerics["seed"] = seed
+    seed = cfg.values()["seed"]
     out = out_dir or cfg.outputs.get("dir") or cfg.name
     w = ArtifactWriter(out)
     try:
@@ -497,7 +512,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
     except Exception:
         w.cleanup()
         raise
-    manifest_path = w.manifest(cfg, _seed(cfg))
+    manifest_path = w.manifest(cfg, seed)
     with open(manifest_path) as fh:
         return json.load(fh)
 
@@ -505,13 +520,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _add_common(p):
-    p.add_argument("--scenario", help="builtin scenario name")
-    p.add_argument("--config", help="INI scenario file")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="seed override")
-
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="entroflow",
@@ -521,19 +529,21 @@ def build_parser() -> argparse.ArgumentParser:
     listp = sub.add_parser("list", help="list builtin scenarios")
     listp.add_argument("--json", action="store_true")
 
-    for kind in KINDS:
+    for kind in KIND_KEYS:
         sp = sub.add_parser(kind, help=f"run a {kind} scenario")
-        _add_common(sp)
+        sp.add_argument("--scenario", help="builtin scenario name")
+        sp.add_argument("--config", help="INI scenario file")
+        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--seed", type=int, help="seed override")
+        if kind in ("control-run", "sde-run", "quantum-run"):
+            sp.add_argument("--t1", type=float)
+            sp.add_argument("--dt", type=float)
         if kind == "control-run":
             sp.add_argument("--alpha", type=float)
             sp.add_argument("--alpha-table", help="CSV t,alpha gain schedule")
-            sp.add_argument("--t1", type=float)
-            sp.add_argument("--dt", type=float)
         if kind == "sde-run":
             sp.add_argument("--model", choices=["overdamped", "polymer"])
             sp.add_argument("--n", type=int)
-            sp.add_argument("--dt", type=float)
-            sp.add_argument("--t1", type=float)
             sp.add_argument("--alpha-c", type=float)
             sp.add_argument("--gamma", type=float)
         if kind == "quantum-run":
@@ -541,9 +551,13 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--delta-h")
             sp.add_argument("--lindblad", nargs="*", default=[])
             sp.add_argument("--rho0")
-            sp.add_argument("--t1", type=float)
-            sp.add_argument("--dt", type=float)
     return p
+
+
+# flag (argparse dest) -> the key it sets; quantum-run's other flags name files
+_FLAG_KEYS = {"alpha": "alpha", "alpha_table": "alpha_table", "model": "model",
+              "gamma": "gamma", "alpha_c": "alpha_c", "n": "n_traj", "dt": "dt",
+              "t1": "t1"}
 
 
 def _config_from_args(args) -> ScenarioConfig:
@@ -561,36 +575,20 @@ def _config_from_args(args) -> ScenarioConfig:
             raise ConfigError(
                 f"builtin {args.scenario!r} is a {cfg.kind} scenario")
         return cfg
-    # assemble from direct flags
-    model: dict = {}
-    control: dict = {}
-    numerics: dict = {}
-    if args.command == "control-run":
-        if getattr(args, "alpha", None) is not None:
-            control["alpha"] = args.alpha
-        if getattr(args, "alpha_table", None):
-            control["alpha_table"] = args.alpha_table
-    if args.command == "sde-run":
-        model["model"] = args.model or "overdamped"
-        if args.gamma is not None:
-            model["gamma"] = args.gamma
-        if args.alpha_c is not None:
-            model["alpha_c"] = args.alpha_c
-        if args.n is not None:
-            numerics["n_traj"] = args.n
+    sections = {"model": {}, "control": {}, "numerics": {}}
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            sec = next(s for s in sections if key in _SECTION_KEYS[s])
+            sections[sec][key] = getattr(args, flag)
     if args.command == "quantum-run":
         if not args.hamiltonian or not args.rho0:
             raise ConfigError("quantum-run needs --hamiltonian and --rho0 "
                               "(or --scenario/--config)")
-        model["files"] = {"hamiltonian": args.hamiltonian,
-                          "delta_h": args.delta_h,
-                          "lindblad": list(args.lindblad),
-                          "rho0": args.rho0}
-    for key in ("dt", "t1"):
-        if getattr(args, key, None) is not None:
-            numerics[key] = getattr(args, key)
-    return ScenarioConfig(name=args.command, kind=args.command, model=model,
-                          control=control, numerics=numerics)
+        sections["model"]["files"] = {"hamiltonian": args.hamiltonian,
+                                      "delta_h": args.delta_h,
+                                      "lindblad": list(args.lindblad),
+                                      "rho0": args.rho0}
+    return ScenarioConfig(name=args.command, kind=args.command, **sections)
 
 
 def main(argv=None) -> int:
@@ -613,7 +611,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as e:  # before ValueError: LinAlgError subclasses it
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as e:
+    except (ValueError, OSError) as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     for name in sorted(manifest["files"]):

@@ -217,6 +217,8 @@ class _Stepper:
     """
 
     def __init__(self, grid: Grid, dt: float, theta: float):
+        if not 0.0 <= theta <= 1.0:  # NaN fails too
+            raise ValueError("theta must lie in [0, 1]")
         self.grid = grid
         self.dt = dt
         self.theta = theta
@@ -402,8 +404,6 @@ def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
     with a suggestion.  Steps that drive any cell below -1e-12 raise
     :class:`PositivityError`; tinier negatives are clamped.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
     grid = rho0.grid
     n_steps = time_steps(t0, t1, dt)
     t_ref = t0 + 0.5 * dt

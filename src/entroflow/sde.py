@@ -198,12 +198,12 @@ class PolymerSpec:
     def __post_init__(self):
         masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
         object.__setattr__(self, "masses", masses)
-        if np.any(masses <= 0.0):
-            raise ValueError("masses must be positive")
-        if self.gamma < 0.0 or self.control_gain < 0.0:
-            raise ValueError("gamma and control_gain must be nonnegative")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not np.all((0.0 < masses) & (masses < np.inf)):  # NaN fails too
+            raise ValueError("masses must be finite and positive")
+        if not (0.0 <= self.gamma < np.inf and 0.0 <= self.control_gain < np.inf):
+            raise ValueError("gamma and control_gain must be finite and nonnegative")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and positive")
         if self.block_dim < 1:
             raise ValueError("block_dim must be >= 1")
         n = self.n_coords
@@ -311,7 +311,7 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
     each contributing its own window average.
     """
     lo, hi = window
-    if lo < ens.times[0] - 1e-12 or hi > ens.times[-1] + 1e-12 or hi <= lo:
+    if not ens.times[0] - 1e-12 <= lo < hi <= ens.times[-1] + 1e-12:  # NaN fails too
         raise ValueError("window outside ensemble horizon")
     sel = (ens.times >= lo) & (ens.times <= hi)
     per_block = _block_mv2(polymer_momenta(ens, spec)[:, sel, :], spec)

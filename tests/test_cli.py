@@ -403,6 +403,23 @@ def test_store_every_zero_rejected(tmp_path, capsys):
     assert "store_every" in capsys.readouterr().err
 
 
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    r = tmp_path / "rho.txt"
+    save_operator(np.diag([0.8, 0.2]).astype(complex), r)
+    table, op = tmp_path / "absent.csv", tmp_path / "absent.op"
+    runs = [(table, ["control-run", "--alpha-table", str(table), "--t1", "0.05",
+                     "--dt", "0.01"]),
+            (op, ["quantum-run", "--hamiltonian", str(op), "--rho0", str(r),
+                  "--t1", "0.01", "--dt", "0.001"])]
+    for path, argv in runs:
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+        assert not out.exists()
+
+
 def test_gain_table_flag(tmp_path):
     table = tmp_path / "alpha.csv"
     table.write_text("t,alpha\n0,0\n1,1\n")
@@ -469,6 +486,51 @@ def test_initial_density_off_the_box_rejected(tmp_path, capsys):
         assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "quadrature mass 0 on the grid box" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _bad_key_cases():
+    """(kind, key, value) for every key of KIND_KEYS that a bad value can reach,
+    one key per kind that the kind does not read, and out-of-range values."""
+    settable = set().union(*(cli._SECTION_KEYS[s] for s in ("model", "control", "numerics")))
+    for kind, keys in cli.KIND_KEYS.items():
+        for key in keys:
+            if key in cli._INTS:
+                yield kind, key, "2.5"
+            elif key not in cli._STRS and key != "files":
+                yield kind, key, "nan"
+                yield kind, key, "inf"
+        yield kind, sorted(settable - set(keys))[0], "1"
+        yield kind, "seed", "-1"
+        for key, value in (("hamiltonian", "doublewell"), ("model", "nosuch"),
+                           ("n_traj", "0")):
+            if key in keys:
+                yield kind, key, value
+
+
+@pytest.mark.parametrize("kind,key,value", list(_bad_key_cases()))
+def test_every_key_checked_once(tmp_path, capsys, kind, key, value):
+    sections = {s: {} for s in ("model", "control", "numerics")}
+    if kind == "quantum-run" and key != "model":
+        sections["model"]["model"] = "qubit-lindblad"
+    sections[next(s for s in sections if key in cli._SECTION_KEYS[s])][key] = value
+    body = "".join(f"\n[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for s, keys in sections.items() if keys)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n{body}")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_store_every_defaults_per_kind():
+    # one default per kind: quantum runs store every step unless told otherwise
+    assert ScenarioConfig("q", "quantum-run", model=dict(model="qubit-lindblad")
+                          ).values()["store_every"] == 1
+    assert ScenarioConfig("c", "control-run").values()["store_every"] == 10
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,19 @@ def test_stability_error_for_explicit_scheme():
         evolve(drift, rho0, 0.0, 0.1, 1e-2, theta=0.0)
 
 
+@pytest.mark.parametrize("theta", [1.7, -0.1, np.nan])
+@pytest.mark.parametrize("solver", ["evolve", "simulate_feedback"])
+def test_theta_outside_unit_interval_rejected(ou_ham, solver, theta):
+    # both solvers build their stepper through _Stepper, which checks theta
+    grid = Grid((-8.0,), (8.0,), (128,))
+    rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(grid)
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        if solver == "evolve":
+            evolve(HamiltonianFlow(ou_ham), rho0, 0.0, 0.05, 1e-2, theta=theta)
+        else:
+            simulate_feedback(ou_ham, 1.0, rho0, 0.05, 1e-2, theta=theta)
+
+
 def test_positivity_error_on_rough_data():
     # a single-cell spike under Crank-Nicolson with a large dt rings negative
     grid = Grid((-8.0,), (8.0,), (128,))

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,23 @@ def test_polymer_spec_validation():
         harmonic_cantilever(1.0, mass=-1.0)
     with pytest.raises(ValueError):
         harmonic_cantilever(1.0, temperature=0.0)
+
+
+@pytest.mark.parametrize("key", ["mass", "gamma", "control_gain", "temperature"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_polymer_spec_rejects_non_finite(key, bad):
+    with pytest.raises(ValueError, match=f"{key.split('_')[0]}.* must be finite"):
+        harmonic_cantilever(1.0, **{key: bad})
+
+
+@pytest.mark.parametrize("window", [(np.nan, 0.1), (0.0, np.nan), (0.05, 0.05)])
+def test_kinetic_temperature_rejects_bad_window(window):
+    spec = harmonic_cantilever(1.0)
+    ens = simulate_polymer(spec, n_traj=4, dt=1e-2, t1=0.1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="window outside ensemble horizon"):
+            kinetic_temperature(ens, spec, window)
 
 
 def test_cantilever_equipartition():
