@@ -13,8 +13,6 @@ from .grids import (
     GridDensity,
     GridMismatchError,
     VectorFieldGrid,
-    density_from_csv,
-    density_to_csv,
     gradient,
     quadrature,
 )
@@ -85,7 +83,7 @@ from . import quantum
 
 __all__ = [
     "Grid", "GridDensity", "GridMismatchError", "VectorFieldGrid",
-    "density_from_csv", "density_to_csv", "gradient", "quadrature",
+    "gradient", "quadrature",
     "GaussianDensity", "HamiltonianSpec", "MassMismatchWarning",
     "flux_and_force", "free_energy", "gibbs_density",
     "quadratic_hamiltonian", "relative_entropy",

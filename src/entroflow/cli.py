@@ -48,7 +48,7 @@ from .fokker_planck import (
 from .grids import Grid, density_covariance, density_mean, time_steps
 from .paths import (
     current_drift,
-    drift_fields_to_csv,
+    drift_field_rows,
     estimate_backward_drift,
     estimate_forward_drift,
     finite_energy_estimate,
@@ -73,8 +73,8 @@ from .quantum import (
 )
 from .sde import (
     TrajectoryDivergence,
-    ensemble_summary_csv,
-    ensemble_to_csv,
+    ensemble_rows,
+    ensemble_summary,
     estimate_density,
     harmonic_cantilever,
     kinetic_temperature,
@@ -110,23 +110,42 @@ def _n_times(c) -> int:
     return time_steps(0.0, c["t1"], c["dt"]) + 1
 
 
+@dataclass(frozen=True)
+class _Only:
+    """A key read only while the key ``dep``, resolved before it, is one of
+    ``values``; ``default`` as in ``KIND_KEYS``."""
+
+    dep: str
+    values: tuple
+    default: object
+
+
+def _only(dep, values, **keys):
+    return {key: _Only(dep, values, default) for key, default in keys.items()}
+
+
 # The keys each kind reads, in the order they are resolved, with their
 # defaults: a tuple lists the admissible values (the first is the default),
-# None leaves the key unset, a callable derives it from the keys before it.
+# None leaves the key unset, a callable derives it from the keys before it,
+# and an ``_Only`` is a key the run reads under some settings only.
 _OU = dict(hamiltonian=("quadratic",), q=1.0, kT=1.0, sigma2=2.0)
 _CLOCK = dict(seed=0, dt=1e-3)
 _GRID = dict(_OU, grid_lo=-8.0, grid_hi=8.0, grid_cells=1024, mean0=1.0, var0=2.0,
              **_CLOCK, t1=0.2, store_every=10)
-_GAIN = dict(_GRID, alpha=0.0, alpha_table=None)
+_GAIN = dict(_GRID, alpha_table=None, **_only("alpha_table", (None,), alpha=0.0))
 KIND_KEYS = {
     "fp-run": _GRID,
     "control-run": _GAIN,
     "decompose": _GAIN,
-    "sde-run": dict(_OU, model=("overdamped", "polymer"), n_traj=1000, **_CLOCK,
-                    t1=1.0, mean0=0.0, var0=1.0, spring_k=1.0, mass=1.0, gamma=1.0,
-                    temperature=1.0, alpha_c=None, window_lo=lambda c: c["t1"] / 3.0),
-    "quantum-run": dict(model=(None, "qubit-qrec", "qubit-lindblad"), files=None,
-                        gamma=1.0, **_CLOCK, t1=1.0, store_every=1),
+    "sde-run": dict(model=("overdamped", "polymer"), n_traj=1000, **_CLOCK, t1=1.0,
+                    **_only("model", ("overdamped",), **_OU, mean0=0.0, var0=1.0),
+                    **_only("model", ("polymer",), spring_k=1.0, mass=1.0, gamma=1.0,
+                            temperature=1.0, alpha_c=None,
+                            window_lo=lambda c: c["t1"] / 3.0)),
+    "quantum-run": dict(model=(None, "qubit-qrec", "qubit-lindblad"), **_CLOCK, t1=1.0,
+                        **_only("model", (None,), files=None),
+                        **_only("model", ("qubit-lindblad",), gamma=1.0),
+                        **_only("model", (None, "qubit-lindblad"), store_every=1)),
     "paths-run": dict(_OU, n_traj=30_000, seed=42, dt=5e-3, t1=0.6,
                       t_index=lambda c: _n_times(c) // 2,
                       grid_lo=-4.0, grid_hi=4.0, grid_cells=48),
@@ -150,7 +169,7 @@ _CHECKS = {
     "n_traj": (lambda v, c: v >= 1, "be >= 1"),
     "seed": (lambda v, c: 0 <= v < 2**64, "lie in [0, 2**64)"),
     "gamma": (lambda v, c: v >= 0.0, "be nonnegative"),
-    "files": (lambda v, c: v or c["model"], "name the operator files when no model is set"),
+    "files": (lambda v, c: v, "name the operator files when no model is set"),
     "t_index": (lambda v, c: 0 <= v < _n_times(c), lambda c: f"lie in [0, {_n_times(c)})"),
 }
 
@@ -194,11 +213,16 @@ class ScenarioConfig:
         """Every key of ``KIND_KEYS[kind]``: set or defaulted, cast and checked.
 
         Raises ConfigError naming the first key whose value a run cannot use,
-        then any key set that this kind does not read.
+        then any key set that this kind, with these settings, does not read.
         """
         given = {**self.model, **self.control, **self.numerics}
-        vals = {}
+        vals, skipped = {}, {}
         for key, default in KIND_KEYS[self.kind].items():
+            if isinstance(default, _Only):
+                if vals[default.dep] not in default.values:
+                    skipped[key] = f" with {default.dep} = {vals[default.dep]}"
+                    continue
+                default = default.default
             choices = default if isinstance(default, tuple) else None
             raw = given.get(key, choices[0] if choices else default)
             v = vals[key] = _cast(key, raw(vals) if callable(raw) else raw)
@@ -214,7 +238,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must {what}, got {v!r}")
         unread = sorted(set(given) - set(vals))
         if unread:
-            raise ConfigError(f"{self.kind} does not read {', '.join(unread)}")
+            raise ConfigError(f"{self.kind} does not read "
+                              + ", ".join(k + skipped.get(k, "") for k in unread))
         return vals
 
     @classmethod
@@ -313,13 +338,11 @@ class ArtifactWriter:
         os.makedirs(out_dir, exist_ok=True)
         self.files: list[str] = []
 
-    def path(self, name: str) -> str:
+    def write_csv(self, name: str, header, rows) -> str:
+        """Write ``header`` and ``rows`` as ``name``; the one place artifacts are
+        formatted (ints as ints, floats with 17 significant digits)."""
         p = os.path.join(self.out_dir, name)
         self.files.append(p)
-        return p
-
-    def write_csv(self, name: str, header, rows) -> str:
-        p = self.path(name)
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
@@ -400,8 +423,8 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         mean0, sd0 = c["mean0"], np.sqrt(c["var0"])
         x0 = lambda rng, size: mean0 + sd0 * rng.standard_normal((size, 1))
         ens = simulate_overdamped(_ou_hamiltonian(c), None, x0, n, dt, t1, seed)
-        ensemble_to_csv(ens, w.path("paths.csv"))
-        ensemble_summary_csv(ens, w.path("summary.csv"))
+        w.write_csv("paths.csv", *ensemble_rows(ens))
+        w.write_csv("summary.csv", *ensemble_summary(ens))
         return
     gamma = c["gamma"]
     gains = [0.0, 0.5 * gamma, gamma, 2.0 * gamma] if c["alpha_c"] is None else [c["alpha_c"]]
@@ -413,7 +436,7 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         kt = kinetic_temperature(ens, spec, (c["window_lo"], t1))
         rows.append((ac, kt.values[0], kt.stderr[0]))
     w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
-    ensemble_summary_csv(ens, w.path("summary.csv"), spec=spec)
+    w.write_csv("summary.csv", *ensemble_summary(ens, spec))
 
 
 def _qubit_qrec_rows(dt, t1):
@@ -478,7 +501,7 @@ def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     beta = estimate_forward_drift(ens, pool, grid)
     gamma = estimate_backward_drift(ens, pool, grid)
     v = current_drift(beta, gamma)
-    drift_fields_to_csv(beta, gamma, v, w.path("fields.csv"))
+    w.write_csv("fields.csv", *drift_field_rows(beta, gamma, v))
     p_hat = estimate_density(ens, k, grid)
     resid = osmotic_residual(beta, gamma, p_hat, ham.sigma2)
     fe = finite_energy_estimate(ens, lambda x: ham.drift(x))

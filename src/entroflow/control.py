@@ -81,18 +81,23 @@ class GainSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "GainSchedule":
-        """Two-column CSV ``t,alpha`` (an optional header line is skipped)."""
+        """Two-column CSV ``t,alpha``.  Only the first line may be a non-numeric
+        header; every other non-blank line must hold exactly two numbers."""
         rows = []
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
                     continue
-                parts = line.split(",")
                 try:
-                    rows.append((float(parts[0]), float(parts[1])))
+                    row = tuple(float(s) for s in line.split(","))
                 except ValueError:
-                    continue  # header
+                    if n == 1:
+                        continue  # header
+                    row = ()
+                if len(row) != 2:
+                    raise ValueError(f"gain table {path} line {n}: expected two numbers "
+                                     f"t,alpha, got {line.strip()!r}")
+                rows.append(row)
         if not rows:
             raise ValueError(f"no numeric rows in gain table {path}")
         t, a = zip(*rows)

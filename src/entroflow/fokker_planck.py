@@ -188,7 +188,8 @@ class HamiltonianFlow:
 
     def face_drifts(self, grid: Grid, t: float) -> list[np.ndarray]:
         coeff = -self.half_diffusion(t) / self.ham.kT
-        return [coeff * g for g in energy_slopes(grid, self.ham.sample_energy(grid))]
+        with np.errstate(over="ignore", invalid="ignore"):  # _Stepper.load rejects inf/NaN
+            return [coeff * g for g in energy_slopes(grid, self.ham.sample_energy(grid))]
 
     def cell_drift(self, grid: Grid, t: float) -> np.ndarray:
         coeff = -self.half_diffusion(t) / self.ham.kT

@@ -54,6 +54,8 @@ class Grid:
             raise ValueError("grid dimension must be >= 1")
         if any(h <= l for l, h in zip(lo, hi)):
             raise ValueError("upper bound must exceed lower bound")
+        if not all(np.isfinite(h - l) for l, h in zip(lo, hi)):  # NaN, inf or overflow
+            raise ValueError(f"grid bounds lo = {lo}, hi = {hi} give no finite cell width")
         if any(c < 2 for c in cells):
             raise ValueError("need at least 2 cells per dimension")
 
@@ -255,39 +257,3 @@ def require_same_grid(*fields) -> Grid:
         if f.grid != grid:
             raise GridMismatchError("fields live on different grids")
     return grid
-
-
-def density_to_csv(density: GridDensity, path) -> None:
-    """Write ``# grid: lo hi cells`` header then one ``x..., value`` row per cell."""
-    grid = density.grid
-    header = "# grid: " + " ".join(
-        f"{grid.lo[a]:.17g} {grid.hi[a]:.17g} {grid.cells[a]:d}" for a in range(grid.ndim))
-    pts = grid.points()
-    vals = density.values.reshape(-1)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for p, v in zip(pts, vals):
-            coords = ",".join(f"{c:.17g}" for c in p)
-            fh.write(f"{coords},{v:.17g}\n")
-
-
-def density_from_csv(path) -> GridDensity:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# grid:"):
-            raise ValueError("missing '# grid:' header")
-        toks = header[len("# grid:"):].split()
-        if len(toks) % 3 != 0:
-            raise ValueError("grid header must hold lo hi cells per dimension")
-        lo, hi, cells = [], [], []
-        for i in range(0, len(toks), 3):
-            lo.append(float(toks[i]))
-            hi.append(float(toks[i + 1]))
-            cells.append(int(toks[i + 2]))
-        grid = Grid(tuple(lo), tuple(hi), tuple(cells))
-        vals = np.empty(grid.size)
-        for k in range(grid.size):
-            row = fh.readline().split(",")
-            vals[k] = float(row[-1])
-    values = vals.reshape(grid.shape)
-    return GridDensity(grid, values, mass=quadrature(grid, values))

@@ -19,6 +19,8 @@ standard errors, and cells with fewer samples than a threshold are flagged
 empty rather than trusted.
 
 Estimation is pathwise; nothing here assumes the ensemble is Markovian.
+CSV export: :func:`drift_field_rows` returns a header and lazy per-cell rows
+for ``cli.ArtifactWriter.write_csv``; this module opens no files.
 """
 
 from __future__ import annotations
@@ -248,23 +250,24 @@ def weak_continuity_check(ens: PathEnsemble, v: DriftEstimate,
     return rows
 
 
-def drift_fields_to_csv(beta: DriftEstimate, gamma: DriftEstimate,
-                        v: DriftEstimate, path) -> None:
-    """Rows ``x..., beta, gamma, v, count, se`` per cell (populated or not)."""
+# ---------------------------------------------------------------------------
+# CSV rows (written by cli.ArtifactWriter.write_csv)
+# ---------------------------------------------------------------------------
+
+def drift_field_rows(beta: DriftEstimate, gamma: DriftEstimate, v: DriftEstimate):
+    """Header and lazy rows ``x..., beta, gamma, v, count, se``, one per cell
+    (populated or not)."""
     grid = beta.grid
     dim = grid.ndim
-    names = [f"x{a}" for a in range(dim)]
+    header = [f"x{a}" for a in range(dim)]
     for fieldname in ("beta", "gamma", "v"):
-        names += [fieldname] if dim == 1 else [f"{fieldname}{a}" for a in range(dim)]
-    names += ["count", "se"]
+        header += [fieldname] if dim == 1 else [f"{fieldname}{a}" for a in range(dim)]
+    header += ["count", "se"]
     pts = grid.points()
     b = beta.vectors.reshape(-1, dim)
     g = gamma.vectors.reshape(-1, dim)
     cur = v.vectors.reshape(-1, dim)
     counts = v.counts.reshape(-1)
     se = np.linalg.norm(v.stderr.reshape(-1, dim), axis=1)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(grid.size):
-            row = [*pts[i], *b[i], *g[i], *cur[i], counts[i], se[i]]
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+    rows = ((*pts[i], *b[i], *g[i], *cur[i], counts[i], se[i]) for i in range(grid.size))
+    return header, rows

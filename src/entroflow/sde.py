@@ -24,7 +24,10 @@ raises :class:`TrajectoryDivergence` with the time and trajectory index.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth) and equipartition kinetic temperatures
-with per-trajectory standard errors.
+with per-trajectory standard errors.  CSV export: :func:`ensemble_rows` and
+:func:`ensemble_summary` return a header and lazy rows, which
+``cli.ArtifactWriter.write_csv`` formats and writes; this module opens no
+files.
 """
 
 from __future__ import annotations
@@ -390,34 +393,31 @@ def sample_moments(ens: PathEnsemble, t_index: int) -> SampleMoments:
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# CSV rows (written by cli.ArtifactWriter.write_csv)
 # ---------------------------------------------------------------------------
 
-def ensemble_to_csv(ens: PathEnsemble, path) -> None:
-    """Rows ``t, trajectory, x_1..x_dim`` in full double precision."""
-    with open(path, "w") as fh:
-        fh.write("t,trajectory," + ",".join(f"x{i}" for i in range(ens.dim)) + "\n")
-        for k, t in enumerate(ens.times):
-            for i in range(ens.n_traj):
-                coords = ",".join(f"{c:.17g}" for c in ens.states[i, k])
-                fh.write(f"{t:.17g},{i},{coords}\n")
+def ensemble_rows(ens: PathEnsemble):
+    """Header and lazy rows ``t, trajectory, x_1..x_dim`` of every state."""
+    header = ["t", "trajectory"] + [f"x{i}" for i in range(ens.dim)]
+    rows = ((t, i, *ens.states[i, k]) for k, t in enumerate(ens.times)
+            for i in range(ens.n_traj))
+    return header, rows
 
 
-def ensemble_summary_csv(ens: PathEnsemble, path,
-                         spec: PolymerSpec | None = None) -> None:
-    """Per-time mean and covariance entries; kinetic temperature for polymer runs."""
+def ensemble_summary(ens: PathEnsemble, spec: PolymerSpec | None = None):
+    """Header and lazy per-time rows of the mean and covariance entries, plus
+    the kinetic temperature of each block for polymer runs."""
     dim = ens.dim
-    cols = ["t"] + [f"mean{i}" for i in range(dim)] + \
-           [f"cov{i}{j}" for i in range(dim) for j in range(dim)]
+    header = ["t"] + [f"mean{i}" for i in range(dim)] + \
+             [f"cov{i}{j}" for i in range(dim) for j in range(dim)]
     if spec is not None:
-        cols += [f"Tkin{k}" for k in range(spec.n_blocks)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, t in enumerate(ens.times):
-            x = ens.states[:, k, :]
-            mean = x.mean(axis=0)
-            cov = np.cov(x.T, ddof=1).reshape(dim, dim)
-            row = [t, *mean, *cov.ravel()]
-            if spec is not None:
-                row.extend(_block_mv2(x[:, spec.n_coords:], spec).mean(axis=(0, 2)))
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        header += [f"Tkin{k}" for k in range(spec.n_blocks)]
+
+    def row(k, t):
+        x = ens.states[:, k, :]
+        cov = np.cov(x.T, ddof=1).reshape(dim, dim)
+        tkin = () if spec is None else \
+            _block_mv2(x[:, spec.n_coords:], spec).mean(axis=(0, 2))
+        return (t, *x.mean(axis=0), *cov.ravel(), *tkin)
+
+    return header, (row(k, t) for k, t in enumerate(ens.times))

@@ -14,7 +14,14 @@ from entroflow.cli import (
     main,
     run_scenario,
 )
+from entroflow.paths import (
+    current_drift,
+    drift_field_rows,
+    estimate_backward_drift,
+    estimate_forward_drift,
+)
 from entroflow.quantum import save_operator, sigma_x
+from entroflow.sde import ensemble_rows, ensemble_summary, simulate_overdamped
 
 
 FAST_CONTROL_INI = """\
@@ -430,6 +437,21 @@ def test_gain_table_flag(tmp_path):
     assert (out / "divergence.csv").exists()
 
 
+@pytest.mark.parametrize("row", ["0.1", "0.05,abc", "0.05,0.5,1"])
+def test_gain_table_rows_parse_strictly(tmp_path, capsys, row):
+    # only the first line may be a header: a short, non-numeric or long row
+    # after it names the file and line instead of being skipped
+    table = tmp_path / "alpha.csv"
+    table.write_text(f"t,alpha\n0,0\n\n{row}\n1,1\n")
+    out = tmp_path / "o"
+    assert main(["control-run", "--alpha-table", str(table), "--t1", "0.05",
+                 "--dt", "0.01", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{table} line 4" in err
+    assert not out.exists()
+
+
 NARROW_CONTROL_INI = """\
 [scenario]
 kind = control-run
@@ -510,7 +532,11 @@ def _bad_key_cases():
 @pytest.mark.parametrize("kind,key,value", list(_bad_key_cases()))
 def test_every_key_checked_once(tmp_path, capsys, kind, key, value):
     sections = {s: {} for s in ("model", "control", "numerics")}
-    if kind == "quantum-run" and key != "model":
+    # set a model that reads the key, so its value is what gets checked
+    default = cli.KIND_KEYS[kind].get(key)
+    if isinstance(default, cli._Only) and default.dep == "model":
+        sections["model"]["model"] = next(m for m in default.values if m)
+    elif kind == "quantum-run" and key != "model":
         sections["model"]["model"] = "qubit-lindblad"
     sections[next(s for s in sections if key in cli._SECTION_KEYS[s])][key] = value
     body = "".join(f"\n[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -526,6 +552,54 @@ def test_every_key_checked_once(tmp_path, capsys, kind, key, value):
     assert not out.exists()
 
 
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+UNREAD_KEY_RUNS = {
+    "gamma": lambda p: ["sde-run", "--model", "overdamped", "--gamma", "5", "--n", "10",
+                        "--dt", "0.01", "--t1", "0.05"],
+    "files": lambda p: ["quantum-run", "--config", _write(
+        p / "q.ini", "[scenario]\nkind = quantum-run\n\n[model]\nmodel = qubit-qrec\n\n"
+        f"[files]\nhamiltonian = {p / 'absent.op'}\nrho0 = {p / 'absent.op'}\n")],
+    "alpha": lambda p: ["control-run", "--alpha", "0.5", "--alpha-table",
+                        _write(p / "alpha.csv", "t,alpha\n0,0\n1,1\n"),
+                        "--t1", "0.05", "--dt", "0.01"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(UNREAD_KEY_RUNS))
+def test_key_the_selected_model_never_reads_rejected(tmp_path, capsys, key):
+    # the kind reads the key, but not with this model or with a gain table
+    out = tmp_path / "o"
+    assert main([*UNREAD_KEY_RUNS[key](tmp_path), "--out", str(out)]) == 2
+    assert f"does not read {key} with " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,body", [
+    ("model", "q = 1e308"), ("model", "sigma2 = 1e308"), ("control", "alpha = 1e308"),
+    ("model", "kT = 1e-308"), ("numerics", "grid_lo = -1e308\ngrid_hi = 1e308")],
+    ids=["q", "sigma2", "alpha", "kT", "box"])
+def test_huge_finite_values_rejected_without_warning(tmp_path, capsys, section, body):
+    # finite inputs whose drift or cell width overflows: the finiteness checks
+    # reject them before numpy has anything to warn about
+    sections = {"numerics": "grid_cells = 64\nt1 = 0.05\ndt = 0.01\n"}
+    sections[section] = sections.get(section, "") + body + "\n"
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[scenario]\nkind = control-run\n"
+                   + "".join(f"\n[{s}]\n{b}" for s, b in sections.items()))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def test_store_every_defaults_per_kind():
     # one default per kind: quantum runs store every step unless told otherwise
     assert ScenarioConfig("q", "quantum-run", model=dict(model="qubit-lindblad")
@@ -536,6 +610,35 @@ def test_store_every_defaults_per_kind():
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
+
+def test_artifacts_are_write_csv_of_the_row_builders(tmp_path):
+    # the runners format nothing themselves: each ensemble CSV is
+    # ArtifactWriter.write_csv of a row builder, byte for byte
+    ham = quadratic_hamiltonian(1.0, kT=1.0, sigma2=2.0)
+    direct = cli.ArtifactWriter(str(tmp_path / "direct"))
+
+    assert main(["sde-run", "--model", "overdamped", "--n", "20", "--dt", "0.01",
+                 "--t1", "0.05", "--seed", "3", "--out", str(tmp_path / "sde")]) == 0
+    x0 = lambda rng, size: 0.0 + 1.0 * rng.standard_normal((size, 1))
+    ens = simulate_overdamped(ham, None, x0, 20, 0.01, 0.05, 3)
+    for name, (header, rows) in (("paths.csv", ensemble_rows(ens)),
+                                 ("summary.csv", ensemble_summary(ens))):
+        direct.write_csv(name, header, rows)
+        assert (tmp_path / "sde" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+    cfg = tmp_path / "p.ini"
+    cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 200\n"
+                   "dt = 0.005\nt1 = 0.1\nseed = 5\n")
+    assert main(["paths-run", "--config", str(cfg), "--out", str(tmp_path / "paths")]) == 0
+    x0 = lambda rng, size: rng.standard_normal((size, 1))
+    ens = simulate_overdamped(ham, None, x0, 200, 0.005, 0.1, 5)
+    grid, pool = Grid((-4.0,), (4.0,), (48,)), list(range(1, 20))  # t_index 10
+    beta = estimate_forward_drift(ens, pool, grid)
+    gamma = estimate_backward_drift(ens, pool, grid)
+    direct.write_csv("fields.csv", *drift_field_rows(beta, gamma, current_drift(beta, gamma)))
+    assert (tmp_path / "paths" / "fields.csv").read_bytes() \
+        == (tmp_path / "direct" / "fields.csv").read_bytes()
+
 
 def test_run_scenario_reproducible_hashes(tmp_path):
     cfg = ScenarioConfig("t", "control-run", model=dict(q=1.0, kT=1.0, sigma2=2.0),

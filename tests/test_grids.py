@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroflow import Grid, GridDensity, VectorFieldGrid, density_from_csv, density_to_csv
+from entroflow import Grid, GridDensity, VectorFieldGrid
 from entroflow.grids import gradient, quadrature
 
 
@@ -12,6 +12,9 @@ def test_grid_invariants():
         Grid((0.0,), (1.0,), (1,))
     with pytest.raises(ValueError):
         Grid((), (), ())
+    for lo, hi in ((np.nan, 1.0), (0.0, np.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="no finite cell width"):
+            Grid((lo,), (hi,), (8,))
     g = Grid((-2.0, 0.0), (2.0, 1.0), (8, 4))
     assert g.ndim == 2
     assert g.cell_volume == pytest.approx(0.5 * 0.25)
@@ -94,16 +97,3 @@ def test_vector_field_validation():
         VectorFieldGrid(g, np.full((4, 1), np.nan))
     z = VectorFieldGrid.zero(g)
     assert z.vectors.shape == (4, 1)
-
-
-def test_csv_roundtrip(tmp_path):
-    g = Grid((-2.0, 0.0), (2.0, 1.0), (8, 4))
-    rng = np.random.default_rng(7)
-    vals = rng.uniform(0.1, 1.0, size=g.shape)
-    vals /= quadrature(g, vals)
-    d = GridDensity(g, vals)
-    path = tmp_path / "density.csv"
-    density_to_csv(d, path)
-    back = density_from_csv(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, d.values)  # 17 sig digits: bit-exact

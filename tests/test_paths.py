@@ -8,7 +8,7 @@ from entroflow.paths import (
     DriftEstimate,
     current_drift,
     default_test_functions,
-    drift_fields_to_csv,
+    drift_field_rows,
     estimate_backward_drift,
     estimate_forward_drift,
     finite_energy_estimate,
@@ -308,12 +308,10 @@ def test_rate_formula_with_current_drifts(ou_ham):
 # export
 # ---------------------------------------------------------------------------
 
-def test_drift_fields_csv(tmp_path, ou_stationary):
+def test_drift_fields_csv(ou_stationary):
     beta = estimate_forward_drift(ou_stationary, 50, BIN_GRID)
     gamma = estimate_backward_drift(ou_stationary, 50, BIN_GRID)
     v = current_drift(beta, gamma)
-    path = tmp_path / "fields.csv"
-    drift_fields_to_csv(beta, gamma, v, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,beta,gamma,v,count,se"
-    assert len(lines) == 1 + BIN_GRID.size
+    header, rows = drift_field_rows(beta, gamma, v)
+    assert header == ["x0", "beta", "gamma", "v", "count", "se"]
+    assert [len(r) for r in rows] == [len(header)] * BIN_GRID.size

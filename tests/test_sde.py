@@ -13,8 +13,8 @@ from entroflow.sde import (
     PolymerSpec,
     TrajectoryDivergence,
     _march_paths,
-    ensemble_summary_csv,
-    ensemble_to_csv,
+    ensemble_rows,
+    ensemble_summary,
     estimate_density,
     harmonic_cantilever,
     kinetic_temperature,
@@ -304,20 +304,20 @@ def test_scott_bandwidth_1d():
 
 
 # ---------------------------------------------------------------------------
-# CSV export
+# CSV rows
 # ---------------------------------------------------------------------------
 
-def test_csv_exports(tmp_path, ou_ham):
+def test_csv_exports(ou_ham):
     ens = simulate_overdamped(ou_ham, None, 0.5, n_traj=3, dt=0.1, t1=0.2, seed=11)
-    p1 = tmp_path / "paths.csv"
-    ensemble_to_csv(ens, p1)
-    lines = p1.read_text().strip().splitlines()
-    assert lines[0] == "t,trajectory,x0"
-    assert len(lines) == 1 + 3 * 3
+    header, rows = ensemble_rows(ens)
+    assert header == ["t", "trajectory", "x0"]
+    assert len(list(rows)) == 3 * 3
+    header, rows = ensemble_summary(ens)
+    assert header == ["t", "mean0", "cov00"]
+    assert [len(r) for r in rows] == [3] * 3
 
     spec = harmonic_cantilever(1.0)
     pens = simulate_polymer(spec, n_traj=4, dt=0.1, t1=0.2, seed=1)
-    p2 = tmp_path / "summary.csv"
-    ensemble_summary_csv(pens, p2, spec=spec)
-    header = p2.read_text().splitlines()[0].split(",")
-    assert "Tkin0" in header and "cov00" in header
+    header, rows = ensemble_summary(pens, spec)
+    assert header == ["t", "mean0", "mean1", "cov00", "cov01", "cov10", "cov11", "Tkin0"]
+    assert [len(r) for r in rows] == [len(header)] * 3
