@@ -82,6 +82,7 @@ from .sde import (
     simulate_polymer,
 )
 from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian
+from .tolerances import QREC_FD_STEP
 
 NUMERICAL_ERRORS = (PositivityError, StabilityError, ConvergenceError, MassDriftError,
                     TrajectoryDivergence, np.linalg.LinAlgError)
@@ -449,12 +450,11 @@ def _qubit_qrec_rows(dt, t1):
     def states(t):
         return evolve_closed(H, rho0, t), evolve_closed(Ht, rho_tilde0, t)
 
-    eps = 1e-5
     for t in np.arange(0.0, t1 + dt / 2, dt):
         rho_t, rho_tilde_t = states(t)
         rate = q_relative_entropy_rate(rho_t, dH, rho_tilde_t)
-        fd = (q_relative_entropy(*states(t + eps))
-              - q_relative_entropy(*states(t - eps))) / (2.0 * eps)
+        fd = (q_relative_entropy(*states(t + QREC_FD_STEP))
+              - q_relative_entropy(*states(t - QREC_FD_STEP))) / (2.0 * QREC_FD_STEP)
         yield t, q_relative_entropy(rho_t, rho_tilde_t), rate, abs(rate - fd)
 
 

@@ -52,7 +52,8 @@ from .production import (
     support_weight,
     weighted_inner,
 )
-from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density
+from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density, require_spd
+from .tolerances import FD_RESIDUAL_FLOOR, MODULATED_RATE_RTOL, QUADRATIC_FORM_TOL
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
 
     Cross-checked against the production split with the feedback control
     u = -alpha grad log(rho_u / gibbs) substituted, from the same gradient;
-    disagreement beyond 1e-12 raises.
+    disagreement beyond MODULATED_RATE_RTOL raises.
     """
     admissible_gain(alpha, ham.sigma2)
     grid = rho_u.grid
@@ -147,7 +148,7 @@ def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
     g = floored_log_ratio_gradient(grid, rho_u.values, equilibrium)
     rate = -(0.5 * ham.sigma2 + alpha) * weighted_inner(grid, g, g, w)
     total, _, _ = split_rate(grid, g, -alpha * g, w, ham.sigma2)
-    if abs(rate - total) > 1e-12 * max(1.0, abs(rate)):
+    if abs(rate - total) > MODULATED_RATE_RTOL * max(1.0, abs(rate)):
         raise RuntimeError("modulated rate disagrees with production decomposition")
     return rate
 
@@ -217,14 +218,9 @@ class GaussMarkovState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        if np.max(np.abs(cov - cov.T)) > 1e-10:
-            raise ValueError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) <= 0.0:
-            raise ValueError("covariance must be positive-definite")
+        checked = GaussianDensity(self.mean, self.cov)
+        object.__setattr__(self, "mean", checked.mean)
+        object.__setattr__(self, "cov", checked.cov)
 
     def gaussian(self) -> GaussianDensity:
         return GaussianDensity(self.mean, self.cov)
@@ -255,11 +251,9 @@ def gauss_markov_propagate(Q, ham: HamiltonianSpec, alpha,
     midpoint.  The grid solver provides the independent cross-check.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    lam, V = np.linalg.eigh(Q)
-    if np.max(np.abs(Q - Q.T)) > 1e-12 or np.min(lam) <= 0.0:
-        raise ValueError("Q must be symmetric positive-definite")
+    lam, V = require_spd(Q, "Q")
     probe = np.ones((1, Q.shape[0]))
-    if abs(ham.energy(probe)[0] - 0.5 * probe[0] @ Q @ probe[0]) > 1e-8:
+    if abs(ham.energy(probe)[0] - 0.5 * probe[0] @ Q @ probe[0]) > QUADRATIC_FORM_TOL:
         raise ValueError("hamiltonian is not the quadratic form of Q")
     gain = as_gain(alpha)
     n = time_steps(state0.time, t1, dt)
@@ -308,6 +302,6 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
                                                support_weight(row), ham.sigma2)
     check_decomposition_identity(total, pepr, epur)
     fd = np.gradient(D, ts, edge_order=1)
-    resid = np.abs(fd - total) / np.maximum(np.abs(total), 1e-30)
+    resid = np.abs(fd - total) / np.maximum(np.abs(total), FD_RESIDUAL_FLOOR)
     return {"t": ts, "D": D, "total_rate": total, "pepr": pepr, "epur": epur,
             "fd_check_residual": resid}

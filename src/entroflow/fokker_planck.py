@@ -30,7 +30,7 @@ pattern, and loading an operator writes its face coefficients in place.  In
 with a banded solver on the three bands of A_0, rebuilt only when s or the
 operator changes.  In N-D it is solved with Jacobi-preconditioned BiCGSTAB,
 warm-started from the current density, to the relative residual
-KRYLOV_RTOL = 1e-14.  Over 100
+``KRYLOV_RTOL`` (1e-14; every tolerance lives in `tolerances`).  Over 100
 steps of a scheduled-gain run on 128^2 cells a residual of 1e-12 let the
 mass drift by 1e-11; 1e-14 holds it at 4e-15 and keeps the densities within
 2e-14 of the peak of a direct sparse-LU solve.  A solve that does not reach
@@ -47,11 +47,12 @@ array, the :class:`DensityTrajectory`; density objects are built on demand.
 theta >= 1/2 is unconditionally stable; for theta < 1/2 every step is
 validated against the Gershgorin bound of s A_0 and rejected with a
 suggested dt.  Each invariant is checked once.  Positivity, in every step:
-values below -1e-12 abort the run, tinier negatives are clamped to zero.
-Mass and finiteness, in :func:`march` for every stored density: the fluxes
-telescope, so every column of the operator sums to zero and a step keeps the
-total up to linear-solver roundoff; a quadrature mass off the initial one by
-more than ``grids.MASS_TOL``, or not finite, raises :class:`MassDriftError`.
+values below -POSITIVITY_TOL abort the run, tinier negatives are clamped to
+zero.  Mass and finiteness, in :func:`march` for every stored density: the
+fluxes telescope, so every column of the operator sums to zero and a step
+keeps the total up to linear-solver roundoff; a quadrature mass off the
+initial one by more than ``MASS_TOL``, or not finite, raises
+:class:`MassDriftError`.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .grids import (
-    MASS_TOL,
     Grid,
     GridDensity,
     VectorFieldGrid,
@@ -77,9 +77,8 @@ from .grids import (
     time_steps,
 )
 from .thermo import HamiltonianSpec, relative_entropy_rows
-
-POSITIVITY_TOL = 1e-12
-KRYLOV_RTOL = 1e-14
+from .tolerances import (BERNOULLI_SERIES_CUTOFF, BOUNDARY_DECAY_TOL, KRYLOV_RTOL, MASS_TOL,
+                         POSITIVITY_TOL)
 
 
 class StabilityError(RuntimeError):
@@ -95,7 +94,7 @@ class ConvergenceError(RuntimeError):
 
 
 class MassDriftError(RuntimeError):
-    """Total mass drifted beyond grids.MASS_TOL along a trajectory."""
+    """Total mass drifted beyond MASS_TOL along a trajectory."""
 
 
 def admissible_gain(a: float, sigma2: float) -> float:
@@ -114,7 +113,7 @@ def bernoulli(z: np.ndarray) -> np.ndarray:
     """B(z) = z / (exp(z) - 1), stable for all z (B(0) = 1, B(+inf) = 0)."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    small = np.abs(z) < 1e-10
+    small = np.abs(z) < BERNOULLI_SERIES_CUTOFF
     out[small] = 1.0 - 0.5 * z[small] + z[small] ** 2 / 12.0
     with np.errstate(over="ignore"):
         zb = z[~small]
@@ -369,7 +368,7 @@ def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
     Step k ends at t0 + (k+1) dt.  Every ``store_every``-th density and the
     last are written into one preallocated array.  A stored density whose
     quadrature mass differs from ``rho0.mass`` by more than
-    ``grids.MASS_TOL``, or is not finite, raises :class:`MassDriftError` (a
+    ``MASS_TOL``, or is not finite, raises :class:`MassDriftError` (a
     numerical failure, not invalid input).
     """
     grid = rho0.grid
@@ -402,7 +401,7 @@ def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
     rescales it by D(t_mid)/D_0.  With the default theta = 1/2 the scheme is
     second order in time and unconditionally stable.  For theta < 1/2 each
     step is validated against the Gershgorin stability bound and rejected
-    with a suggestion.  Steps that drive any cell below -1e-12 raise
+    with a suggestion.  Steps that drive any cell below -POSITIVITY_TOL raise
     :class:`PositivityError`; tinier negatives are clamped.
     """
     grid = rho0.grid
@@ -445,23 +444,22 @@ class BoundaryDecayReport:
 
     Certifies that the truncated domain behaves like all of R^n: the rate
     formulas drop boundary terms |f rho|, |f~ rho| and |f~ rho log(rho/ref)|,
-    which must all be negligible at the box edge.
+    which must all be below BOUNDARY_DECAY_TOL at the box edge (``passed``).
     """
 
     max_ref_drift_rho: float
     max_drift_rho: float
     max_drift_rho_log: float
-    threshold: float
 
     @property
     def passed(self) -> bool:
         return max(self.max_ref_drift_rho, self.max_drift_rho,
-                   self.max_drift_rho_log) < self.threshold
+                   self.max_drift_rho_log) < BOUNDARY_DECAY_TOL
 
 
 def boundary_decay_report(rho: GridDensity, f: VectorFieldGrid,
-                          rho_ref: GridDensity, f_ref: VectorFieldGrid | None = None,
-                          threshold: float = 1e-9) -> BoundaryDecayReport:
+                          rho_ref: GridDensity, f_ref: VectorFieldGrid | None = None
+                          ) -> BoundaryDecayReport:
     """Check the boundary-decay conditions on the truncated domain.
 
     ``rho`` is the density whose rate is being computed, ``f`` its velocity
@@ -479,4 +477,4 @@ def boundary_decay_report(rho: GridDensity, f: VectorFieldGrid,
     term1 = float(np.max(fref * r))
     term2 = float(np.max(fn * r))
     term3 = float(np.max(np.abs(fn * r * logratio)))
-    return BoundaryDecayReport(term1, term2, term3, threshold)
+    return BoundaryDecayReport(term1, term2, term3)

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-MASS_TOL = 1e-8
+from .tolerances import MASS_TOL, TIME_GRID_RTOL
 
 
 class GridMismatchError(ValueError):
@@ -148,7 +148,7 @@ def time_steps(t0: float, t1: float, dt: float) -> int:
     if not np.isfinite(ratio):
         raise ValueError("the horizon must be finite")
     n = int(round(ratio))
-    if n < 1 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+    if n < 1 or abs(t0 + n * dt - t1) > TIME_GRID_RTOL * max(1.0, abs(t1)):
         raise ValueError("(t1 - t0) must be a positive multiple of dt")
     return n
 

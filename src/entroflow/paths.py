@@ -201,11 +201,6 @@ class ContinuityRow:
     se_transport: float
 
     @property
-    def discrepancy(self) -> float:
-        scale = max(abs(self.ensemble_rate), abs(self.transport_rate), 1e-12)
-        return abs(self.ensemble_rate - self.transport_rate) / scale
-
-    @property
     def consistent(self) -> bool:
         return (abs(self.ensemble_rate - self.transport_rate)
                 <= 3.0 * (self.se_ensemble + self.se_transport))

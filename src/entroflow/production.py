@@ -15,12 +15,13 @@ u - (sigma2/2) grad log(rho^u / rho_bar) splits the rate into
 an always-dissipative Fisher-information term and a pumping term carrying
 the entire control dependence.  The free energy kT D(rho||rho_bar) decays at
 rate -(sigma2 kT / 2) * Fisher = -integral J . Phi, and the equality of the
-two forms is asserted on every call as a discretization self-check.
+two forms is asserted on every call (to ``FREE_ENERGY_RTOL``) as a
+discretization self-check.
 
 One array kernel computes every grid rate: the floored log-ratio gradient on
 the shared stencil of `grids.gradient`, the support weight, which gives
-cells below ``DENSITY_FLOOR`` = 1e-300 zero weight, and one weighted inner
-product.  The functions here and in `control` wrap it, so the identities
+cells below ``DENSITY_FLOOR`` (1e-300, in `tolerances`) zero weight, and one
+weighted inner product.  The functions here and in `control` wrap it, so the identities
 with `thermo.flux_and_force` and the finite-volume solver hold to roundoff
 rather than to discretization error.
 """
@@ -35,8 +36,8 @@ import numpy as np
 from .fokker_planck import BoundaryDecayReport, boundary_decay_report
 from .grids import Grid, GridDensity, VectorFieldGrid, gradient, quadrature, require_same_grid
 from .thermo import HamiltonianSpec, gibbs_density, flux_and_force
-
-DENSITY_FLOOR = 1e-300
+from .tolerances import (DECOMPOSITION_TOL, DENSITY_FLOOR, FREE_ENERGY_RTOL,
+                         FREE_ENERGY_SCALE_FLOOR)
 
 
 class BoundaryLeakWarning(UserWarning):
@@ -50,7 +51,7 @@ def floored_log(values) -> np.ndarray:
 
 def floored_log_ratio_gradient(grid: Grid, values: np.ndarray,
                                ref_values: np.ndarray) -> np.ndarray:
-    """grad log(values/ref_values) on the shared stencil, both floored at 1e-300."""
+    """grad log(values/ref_values) on the shared stencil, both floored at DENSITY_FLOOR."""
     return gradient(grid, floored_log(values) - floored_log(ref_values))
 
 
@@ -76,13 +77,13 @@ def split_rate(grid: Grid, g: np.ndarray, u: np.ndarray, w: np.ndarray,
 
 
 def check_decomposition_identity(total, pepr, epur) -> None:
-    """Raise unless total = -pepr + epur to 1e-12, elementwise (NaN fails)."""
-    if not np.all(np.isclose(total, -pepr + epur, rtol=0.0, atol=1e-12)):
+    """Raise unless total = -pepr + epur to DECOMPOSITION_TOL, elementwise (NaN fails)."""
+    if not np.all(np.isclose(total, -pepr + epur, rtol=0.0, atol=DECOMPOSITION_TOL)):
         raise ValueError("decomposition identity violated")
 
 
 def log_ratio_gradient(rho: GridDensity, ref: GridDensity) -> np.ndarray:
-    """grad log(rho/ref) with the shared discrete stencil; floored at 1e-300."""
+    """grad log(rho/ref) with the shared discrete stencil; floored at DENSITY_FLOOR."""
     return floored_log_ratio_gradient(require_same_grid(rho, ref), rho.values, ref.values)
 
 
@@ -162,7 +163,8 @@ def free_energy_decay_rate(rho: GridDensity, ham: HamiltonianSpec) -> float:
     """d/dt F(rho) = -(sigma2 kT / 2) integral |grad log(rho/rho_bar)|^2 rho.
 
     Also evaluates the flux-force form -integral J . Phi and raises if the
-    two disagree beyond 1e-6 relative (a discretization inconsistency).
+    two disagree beyond FREE_ENERGY_RTOL relative (a discretization
+    inconsistency); below FREE_ENERGY_SCALE_FLOOR both count as zero.
     """
     grid = rho.grid
     equilibrium = gibbs_density(ham, grid).values
@@ -173,7 +175,7 @@ def free_energy_decay_rate(rho: GridDensity, ham: HamiltonianSpec) -> float:
     J, Phi = flux_and_force(rho, ham)
     form2 = -weighted_inner(grid, J.vectors, Phi.vectors, 1.0)
     scale = max(abs(form1), abs(form2))
-    if scale > 1e-12 and abs(form1 - form2) > 1e-6 * scale:
+    if scale > FREE_ENERGY_SCALE_FLOOR and abs(form1 - form2) > FREE_ENERGY_RTOL * scale:
         raise ValueError("FE identity violated: "
                          f"{form1!r} (Fisher form) vs {form2!r} (flux-force form)")
     return form1

@@ -26,7 +26,8 @@ evolution steps with the exponential of the generator's superoperator, so
 it is exact for any step size.  Its stored states form one read-only
 ``(n_times, n, n)`` stack, checked once for trace, Hermiticity and
 eigenvalues by the check every :class:`DensityOperator` runs; the batched
-eigenvalues feed the purity and entropy curves.
+eigenvalues feed the purity and entropy curves, and one batched
+eigendecomposition gives the state objects.
 """
 
 from __future__ import annotations
@@ -38,13 +39,8 @@ import numpy as np
 import scipy.linalg
 
 from .grids import time_steps
-
-HERMITICITY_TOL = 1e-12
-EIG_FLOOR = 1e-12
-TRACE_TOL = 1e-12
-SUPPORT_ESCAPE_TOL = 1e-10  # weight of rho outside supp(sigma) that makes D infinite
-IMAG_RESIDUE_TOL = 1e-10    # imaginary part a real rate may carry from roundoff
-COMMUTATION_TOL = 1e-10     # largest entry of [rho_bar, H] for a commuting target
+from .tolerances import (COMMUTATION_TOL, EIG_FLOOR, HERMITICITY_TOL, IMAG_RESIDUE_TOL,
+                         SUPPORT_ESCAPE_TOL, TRACE_TOL)
 
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 sigma_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -84,9 +80,10 @@ def _check_density(M: np.ndarray, vectors: bool = False):
 class DensityOperator:
     """Hermitian positive-semidefinite unit-trace matrix with its eigensystem.
 
-    Eigenvalues in [-1e-12, 0) are clamped to zero; anything more negative
-    or a trace off 1 by more than 1e-12 is rejected.  ``matrix`` is built
-    from the eigenvalues (clamped, unit sum) and eigenvectors, kept read-only.
+    Eigenvalues in [-EIG_FLOOR, 0) are clamped to zero; anything more
+    negative or a trace off 1 by more than TRACE_TOL is rejected.  ``matrix``
+    is built from the eigenvalues (clamped, unit sum) and eigenvectors, kept
+    read-only.
     """
 
     def __init__(self, matrix):
@@ -291,8 +288,14 @@ class OperatorTrajectory:
 
     @cached_property
     def states(self) -> tuple[DensityOperator, ...]:
-        """The stored states as validated objects, built on first use."""
-        return tuple(DensityOperator(M) for M in self.matrices)
+        """The stored states as :class:`DensityOperator` objects, built on first
+        use from one batched eigensystem of the stack :func:`lindblad_evolve`
+        checked: eigenvalues clamped at 0 and normalised, as each state's own."""
+        M = self.matrices
+        lam, U = np.linalg.eigh(0.5 * (M + np.swapaxes(M.conj(), -1, -2)))
+        lam = np.maximum(lam, 0.0)
+        lam /= lam.sum(axis=-1, keepdims=True)
+        return tuple(map(DensityOperator._from_eigensystem, lam, U))
 
     def divergence_curve(self, reference: DensityOperator) -> np.ndarray:
         return np.array([relative_entropy(s, reference) for s in self.states])
@@ -319,9 +322,13 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
     steps = time_steps(0.0, t1, dt)
     # S[k] = L[E_k] for the k-th matrix unit E_k, i.e. column k of the
     # superoperator; scaled in place so expm runs with no second copy
-    S = spec.generator(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
-    S *= dt
-    step = scipy.linalg.expm(S.reshape(n * n, n * n).T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        S = spec.generator(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+        S *= dt
+        step = scipy.linalg.expm(S.reshape(n * n, n * n).T)
+    if not np.all(np.isfinite(step)):
+        raise ValueError(f"the step propagator exp(dt L) is not finite at dt = {dt:g}: "
+                         "the generator's rates overflow")
 
     n_stored = -(-steps // store_every) + 1
     times = np.empty(n_stored)

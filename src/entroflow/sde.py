@@ -41,6 +41,8 @@ from scipy.ndimage import gaussian_filter
 
 from .grids import Grid, GridDensity, time_steps
 from .thermo import HamiltonianSpec
+from .tolerances import (ESCAPED_FRACTION_MAX, FLUCTUATION_DISSIPATION_TOL, TIME_GRID_RTOL,
+                         WINDOW_SLACK)
 
 NOISE_BLOCK = 1024
 
@@ -70,7 +72,7 @@ class PathEnsemble:
             raise ValueError("states must be (n_traj >= 1, n_times, dim)")
         if times.shape != (states.shape[1],):
             raise ValueError("times incompatible with states")
-        if times.size > 1 and not np.allclose(np.diff(times), self.dt, rtol=1e-9):
+        if times.size > 1 and not np.allclose(np.diff(times), self.dt, rtol=TIME_GRID_RTOL):
             raise ValueError("time grid must be uniform with step dt")
         # min and max propagate NaN, so no elementwise temporary is needed
         if states.size and not (np.isfinite(states.min()) and np.isfinite(states.max())):
@@ -108,34 +110,40 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
 
     Each block's stream draws ``start(rng) -> (NOISE_BLOCK, dim)``, then
     ``(NOISE_BLOCK, steps, noise_dim)`` noise; ``step(k, y, dW)`` maps the
-    states at t_k to t_k+1.  Non-finite initial states are invalid input;
-    the default escape radius is 50x the spread of the first block's
-    initial states (floor 1).
+    states at t_k to t_k+1.  Non-finite initial states, and initial states
+    whose default escape radius (50x the spread of the first block, floor 1)
+    is not finite, are invalid input.  Steps run with numpy's overflow and
+    invalid-value warnings off: the escape check after each step rejects a
+    state that overflowed.
     """
     steps = time_steps(0.0, t1, dt)
     times = dt * np.arange(steps + 1)
     states = np.empty((n_traj, steps + 1, dim))
     radius = escape_radius
-    for first in range(0, n_traj, NOISE_BLOCK):
-        nb = min(NOISE_BLOCK, n_traj - first)
-        rng = _block_rng(seed, first // NOISE_BLOCK)
-        y = start(rng)[:nb]
-        if not np.all(np.isfinite(y)):
-            raise ValueError("initial states must be finite")
-        noise = rng.standard_normal((NOISE_BLOCK, steps, noise_dim))[:nb]
-        if radius is None:
-            radius = 50.0 * max(1.0, float(np.std(y)))
-        block = states[first:first + nb]
-        block[:, 0] = y
-        for k in range(steps):
-            y = step(k, y, noise[:, k])
-            worst = np.max(np.abs(y))
-            if not worst <= radius:  # NaN fails too
-                bad = first + int(np.argmax(np.max(np.abs(y), axis=1)))
-                raise TrajectoryDivergence(
-                    f"trajectory divergence: |state| = {worst:.3g} > {radius:.3g} "
-                    f"at t = {times[k + 1]:.6g}, trajectory index {bad}")
-            block[:, k + 1] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, n_traj, NOISE_BLOCK):
+            nb = min(NOISE_BLOCK, n_traj - first)
+            rng = _block_rng(seed, first // NOISE_BLOCK)
+            y = start(rng)[:nb]
+            if not np.all(np.isfinite(y)):
+                raise ValueError("initial states must be finite")
+            noise = rng.standard_normal((NOISE_BLOCK, steps, noise_dim))[:nb]
+            if radius is None:
+                radius = 50.0 * float(np.maximum(1.0, np.std(y)))  # keeps a NaN
+                if not radius < np.inf:
+                    raise ValueError("the spread of the initial states overflows, "
+                                     "so no escape radius can be set")
+            block = states[first:first + nb]
+            block[:, 0] = y
+            for k in range(steps):
+                y = step(k, y, noise[:, k])
+                worst = np.max(np.abs(y))
+                if not worst <= radius:  # NaN fails too
+                    bad = first + int(np.argmax(np.max(np.abs(y), axis=1)))
+                    raise TrajectoryDivergence(
+                        f"trajectory divergence: |state| = {worst:.3g} > {radius:.3g} "
+                        f"at t = {times[k + 1]:.6g}, trajectory index {bad}")
+                block[:, k + 1] = y
     return PathEnsemble(times, states, dt, seed)
 
 
@@ -186,7 +194,7 @@ class PolymerSpec:
     noise_matrix : optional Gamma acting on momenta; defaults to
                    sqrt(2 gamma T) I and must satisfy the fluctuation-
                    dissipation relation Gamma Gamma^T = 2 gamma T I of the
-                   uncontrolled model to 1e-12.
+                   uncontrolled model to FLUCTUATION_DISSIPATION_TOL.
     """
 
     masses: np.ndarray
@@ -217,7 +225,7 @@ class PolymerSpec:
             G = np.atleast_2d(np.asarray(self.noise_matrix, dtype=float))
             object.__setattr__(self, "noise_matrix", G)
             target = 2.0 * self.gamma * self.temperature * np.eye(n)
-            if G.shape != (n, n) or np.max(np.abs(G @ G.T - target)) > 1e-12:
+            if G.shape != (n, n) or np.max(np.abs(G @ G.T - target)) > FLUCTUATION_DISSIPATION_TOL:
                 raise ValueError(
                     "noise matrix violates fluctuation-dissipation: "
                     "Gamma Gamma^T != 2 gamma T I")
@@ -314,7 +322,8 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
     each contributing its own window average.
     """
     lo, hi = window
-    if not ens.times[0] - 1e-12 <= lo < hi <= ens.times[-1] + 1e-12:  # NaN fails too
+    # NaN fails too
+    if not ens.times[0] - WINDOW_SLACK <= lo < hi <= ens.times[-1] + WINDOW_SLACK:
         raise ValueError("window outside ensemble horizon")
     sel = (ens.times >= lo) & (ens.times <= hi)
     per_block = _block_mv2(polymer_momenta(ens, spec)[:, sel, :], spec)
@@ -351,7 +360,7 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid,
         raise ValueError("ensemble dimension != grid dimension")
     _, inside = grid.cell_index(x)
     escaped = 1.0 - inside.mean()
-    if escaped > 1e-3:
+    if escaped > ESCAPED_FRACTION_MAX:
         raise ValueError(f"grid does not cover ensemble: escaped fraction {escaped:.3e}")
     if isinstance(bandwidth, str):
         if bandwidth != "auto":

@@ -36,9 +36,8 @@ from .grids import (
     quadrature,
     require_same_grid,
 )
-
-GRAD_CHECK_RTOL = 1e-5
-BOUNDARY_DECAY_FACTOR = 1e-10
+from .tolerances import (BOUNDARY_DECAY_FACTOR, GRAD_CHECK_RTOL, GRAD_CHECK_STEP,
+                         HERMITICITY_TOL, MASS_MISMATCH_TOL)
 
 
 class MassMismatchWarning(UserWarning):
@@ -56,7 +55,8 @@ class HamiltonianSpec:
     dim       : state dimension
 
     The supplied gradient is checked against central differences of the
-    energy at a fixed set of probe points (relative tolerance 1e-5).
+    energy at a fixed set of probe points (step GRAD_CHECK_STEP, relative
+    tolerance GRAD_CHECK_RTOL).
     """
 
     dim: int
@@ -78,13 +78,12 @@ class HamiltonianSpec:
         rng = np.random.default_rng(1234)
         pts = rng.uniform(-1.0, 1.0, size=(8, self.dim))
         g = np.asarray(self.grad(pts), dtype=float).reshape(8, self.dim)
-        h = 1e-6
         fd = np.empty_like(g)
         for a in range(self.dim):
             dp = np.zeros(self.dim)
-            dp[a] = h
+            dp[a] = GRAD_CHECK_STEP
             fd[:, a] = (np.asarray(self.energy(pts + dp), dtype=float)
-                        - np.asarray(self.energy(pts - dp), dtype=float)) / (2 * h)
+                        - np.asarray(self.energy(pts - dp), dtype=float)) / (2 * GRAD_CHECK_STEP)
         scale = np.maximum(np.abs(g), 1.0)
         if np.max(np.abs(fd - g) / scale) > GRAD_CHECK_RTOL:
             raise ValueError("grad does not match finite differences of energy")
@@ -98,15 +97,23 @@ class HamiltonianSpec:
         return -(self.sigma2 / (2.0 * self.kT)) * np.asarray(self.grad(x), dtype=float)
 
 
+def require_spd(M: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the 2-D array ``M``, checked: square,
+    symmetric to HERMITICITY_TOL, smallest eigenvalue > 0 (NaN fails)."""
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} must be square")
+    if not np.max(np.abs(M - M.T)) <= HERMITICITY_TOL:
+        raise ValueError(f"{what} must be symmetric")
+    lam, V = np.linalg.eigh(M)
+    if not lam[0] > 0.0:
+        raise ValueError(f"{what} must be positive-definite")
+    return lam, V
+
+
 def quadratic_hamiltonian(Q, kT: float, sigma2: float) -> HamiltonianSpec:
     """H(x) = x^T Q x / 2 for symmetric positive-definite Q (scalar Q means 1-D)."""
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    if Q.shape[0] != Q.shape[1]:
-        raise ValueError("Q must be square")
-    if not np.allclose(Q, Q.T, atol=1e-12):
-        raise ValueError("Q must be symmetric")
-    if np.min(np.linalg.eigvalsh(Q)) <= 0.0:
-        raise ValueError("Q must be positive-definite")
+    require_spd(Q, "Q")
     dim = Q.shape[0]
 
     def energy(x):
@@ -134,10 +141,7 @@ class GaussianDensity:
         object.__setattr__(self, "cov", cov)
         if cov.shape != (mean.size, mean.size):
             raise ValueError("cov shape incompatible with mean")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise ValueError("cov must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) <= 0.0:
-            raise ValueError("cov must be positive-definite")
+        require_spd(cov, "cov")
 
     @property
     def dim(self) -> int:
@@ -178,8 +182,8 @@ def gibbs_density(ham: HamiltonianSpec, grid: Grid) -> GridDensity:
     """Equilibrium density proportional to exp(-H/kT), grid-normalized.
 
     The result is flagged ``boundary_suspect`` when the boundary values are
-    not negligible (>= 1e-10 of the peak), i.e. when the box truncates the
-    equilibrium support.
+    not negligible (>= BOUNDARY_DECAY_FACTOR of the peak), i.e. when the box
+    truncates the equilibrium support.
     """
     H = ham.sample_energy(grid)
     if not np.all(np.isfinite(H)):
@@ -210,7 +214,7 @@ def relative_entropy_rows(rows: np.ndarray, mass: float, sigma: GridDensity) -> 
 
     The one implementation behind :func:`relative_entropy` and trajectory curves.
     """
-    if abs(mass - sigma.mass) > 1e-6:
+    if abs(mass - sigma.mass) > MASS_MISMATCH_TOL:
         warnings.warn(
             f"mass mismatch {mass!r} vs {sigma.mass!r}; divergence may be negative",
             MassMismatchWarning, stacklevel=3)

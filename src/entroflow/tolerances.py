@@ -1,0 +1,77 @@
+"""Every tolerance an invariant check reads, named once.
+
+The paper's results are identities: -PEPR + EPuR = total rate, the
+free-energy decay law, Gibbs invariance and Lindblad monotonicity.  The code
+checks each of them, and each state it builds, numerically.  Every check
+reads its tolerance here, under the name of the invariant it guards, and one
+line says why the value is what it is.  Plain numbers; nothing is imported.
+"""
+
+# -- grids, time grids and the finite-volume solver --------------------------
+
+# quadrature mass a density may differ from its declared or initial mass by
+MASS_TOL = 1e-8
+# relative slack of a horizon against n dt, and of a stored time step against dt
+TIME_GRID_RTOL = 1e-9
+# a theta step below -this aborts; tinier negatives are roundoff, clamped to 0
+POSITIVITY_TOL = 1e-12
+# N-D solve residual: at 1e-12 the mass drifted 1e-11 over 100 steps of 128^2
+KRYLOV_RTOL = 1e-14
+# |z| below which B(z) takes its series: z / expm1(z) loses digits there
+BERNOULLI_SERIES_CUTOFF = 1e-10
+# largest boundary term the rate formulas may drop for a passing certificate
+BOUNDARY_DECAY_TOL = 1e-9
+
+# -- thermodynamics -----------------------------------------------------------
+
+# central-difference step of the check of a supplied grad H
+GRAD_CHECK_STEP = 1e-6
+# grad H against those differences, relative to max(|grad H|, 1)
+GRAD_CHECK_RTOL = 1e-5
+# Gibbs boundary value, relative to the peak, that flags a truncated support
+BOUNDARY_DECAY_FACTOR = 1e-10
+# mass difference past which D(rho||sigma) may turn negative: a warning
+MASS_MISMATCH_TOL = 1e-6
+# largest entry of M - M^H of a symmetric or Hermitian matrix: roundoff only
+HERMITICITY_TOL = 1e-12
+
+# -- production rates and feedback control ------------------------------------
+
+# density below which a cell has zero weight and its log is floored (underflow)
+DENSITY_FLOOR = 1e-300
+# |total - (-PEPR + EPuR)|: the split is one sum, so roundoff only
+DECOMPOSITION_TOL = 1e-12
+# Fisher form vs flux-force form of dF/dt, relative: same stencil, roundoff
+FREE_ENERGY_RTOL = 1e-6
+# scale of dF/dt below which both forms count as zero and are not compared
+FREE_ENERGY_SCALE_FLOOR = 1e-12
+# -(sigma2/2 + alpha) Fisher vs the production split, relative to max(|rate|, 1)
+MODULATED_RATE_RTOL = 1e-12
+# H(1, ..., 1) vs 1^T Q 1 / 2: the Hamiltonian is the quadratic form of Q
+QUADRATIC_FORM_TOL = 1e-8
+# smallest |total_rate| the finite-difference residual is taken relative to
+FD_RESIDUAL_FLOOR = 1e-30
+
+# -- path ensembles -----------------------------------------------------------
+
+# largest entry of Gamma Gamma^T - 2 gamma T I: fluctuation-dissipation
+FLUCTUATION_DISSIPATION_TOL = 1e-12
+# roundoff by which a time window may reach past the ensemble's horizon
+WINDOW_SLACK = 1e-12
+# share of samples outside the grid box that a density estimate tolerates
+ESCAPED_FRACTION_MAX = 1e-3
+
+# -- quantum states and rates -------------------------------------------------
+
+# eigenvalue below -this rejects a state; at or below +this it counts as 0
+EIG_FLOOR = 1e-12
+# trace of a density operator off 1
+TRACE_TOL = 1e-12
+# weight of rho outside supp(sigma) that makes D(rho||sigma) infinite
+SUPPORT_ESCAPE_TOL = 1e-10
+# imaginary part a real rate may carry from roundoff
+IMAG_RESIDUE_TOL = 1e-10
+# largest entry of [rho_bar, H] for a target that commutes with H
+COMMUTATION_TOL = 1e-10
+# central-difference step of the qubit-qrec check of the closed-system rate
+QREC_FD_STEP = 1e-5

@@ -238,11 +238,12 @@ def test_quantum_run_files_section(tmp_path, capsys):
 
 def test_quantum_builtins_diagonalise_each_operator_once(tmp_path, monkeypatch):
     # each state and Hamiltonian keeps its eigensystem: qubit-qrec diagonalises
-    # H, H + dH and rho0 once; qubit-lindblad rho0, I/2 and each stored state
+    # H, H + dH and rho0 once; qubit-lindblad rho0, I/2 and, in one batched
+    # call, the stack of stored states that lindblad_evolve checked
     eigh = np.linalg.eigh
     calls = []
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
-    for name, limit in (("qubit-qrec", 3), ("qubit-lindblad", 103)):
+    for name, limit in (("qubit-qrec", 3), ("qubit-lindblad", 3)):
         calls.clear()
         run_scenario(BUILTIN_FACTORIES[name](), out_dir=str(tmp_path / name))
         assert len(calls) <= limit, name
@@ -596,6 +597,33 @@ def test_huge_finite_values_rejected_without_warning(tmp_path, capsys, section, 
         assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,body,code,message", [
+    ("sde-run", "[numerics]\nmean0 = 1e308\n", 2, "error: the spread of the initial states"),
+    ("sde-run", "[model]\nq = 1e308\n", 3, "numerical failure: trajectory divergence"),
+    ("sde-run", "[model]\nkT = 1e-308\n", 3, "numerical failure: trajectory divergence"),
+    ("paths-run", "[model]\nq = 1e308\n", 3, "numerical failure: trajectory divergence"),
+    ("quantum-run", "[model]\nmodel = qubit-lindblad\ngamma = 1e308\n", 2,
+     "error: the step propagator exp(dt L) is not finite"),
+], ids=["sde-mean0", "sde-q", "sde-kT", "paths-q", "lindblad-gamma"])
+def test_overflowing_model_values_exit_without_warning(tmp_path, capsys, kind, body, code,
+                                                       message):
+    # finite values whose states or propagator overflow: invalid input (2) or
+    # a numerical failure (3), one message line, no numpy warning, no outputs
+    size = "" if kind == "quantum-run" else "n_traj = 64\n"
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n\n{body}\n"
+                   + ("" if "[numerics]" in body else "[numerics]\n")
+                   + f"{size}dt = 0.01\nt1 = 0.05\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 

@@ -162,7 +162,7 @@ def test_decomposition_specializes_theorem_rate(ou_ham, ou_grid, gauss12):
 
 def test_production_report_identity_enforced():
     from entroflow.fokker_planck import BoundaryDecayReport
-    rep = BoundaryDecayReport(0.0, 0.0, 0.0, 1e-9)
+    rep = BoundaryDecayReport(0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="decomposition identity"):
         ProductionReport(total=1.0, pepr=1.0, epur=1.0, boundary=rep)
 

@@ -327,6 +327,12 @@ def test_lindblad_cptp_and_exact(n, n_jumps, seed, dt, steps, store_every):
                            store_every=store_every)
     stack = np.stack([s.matrix for s in traj.states])
     assert traj.matrices.shape == (len(traj), n, n) and not traj.matrices.flags.writeable
+    # states come from one batched eigh of the checked stack, bitwise the
+    # state that the full DensityOperator check builds from each matrix
+    for state, M in zip(traj.states, traj.matrices):
+        own = DensityOperator(M)
+        assert np.array_equal(state.matrix, own.matrix)
+        assert np.array_equal(state.spectrum(), own.spectrum())
     assert np.max(np.abs(traj.matrices - stack)) <= 1e-14
     assert np.max(np.abs(traj.spectra - np.linalg.eigvalsh(stack))) <= 1e-14
     S = kron_liouvillian(H.matrix, jumps)

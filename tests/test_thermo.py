@@ -3,6 +3,7 @@ import pytest
 
 from entroflow import (
     GaussianDensity,
+    GaussMarkovState,
     Grid,
     GridDensity,
     GridMismatchError,
@@ -10,6 +11,7 @@ from entroflow import (
     MassMismatchWarning,
     flux_and_force,
     free_energy,
+    gauss_markov_propagate,
     gibbs_density,
     quadratic_hamiltonian,
     relative_entropy,
@@ -36,6 +38,30 @@ def test_hamiltonian_validation():
                         energy=lambda x: 0.5 * np.atleast_2d(x)[:, 0] ** 2,
                         grad=lambda x: 2.0 * np.atleast_2d(x),
                         kT=1.0, sigma2=2.0)
+
+
+SPD = np.array([[2.0, 1.0], [1.0, 2.0]])
+SPD_CHECKS = {
+    "quadratic_hamiltonian": lambda M: quadratic_hamiltonian(M, kT=1.0, sigma2=2.0),
+    "GaussianDensity": lambda M: GaussianDensity([0.0, 0.0], M),
+    "GaussMarkovState": lambda M: GaussMarkovState(0.0, [0.0, 0.0], M),
+    "gauss_markov_propagate": lambda M: gauss_markov_propagate(
+        M, quadratic_hamiltonian(SPD, kT=1.0, sigma2=2.0), 0.0,
+        GaussMarkovState(0.0, [0.0, 0.0], np.eye(2)), 0.1, 0.01),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SPD_CHECKS))
+def test_one_symmetric_positive_definite_check(entry):
+    # every matrix that must be SPD passes one check: symmetric to
+    # HERMITICITY_TOL (1e-12, absolute), smallest eigenvalue > 0
+    check = SPD_CHECKS[entry]
+    check(SPD + np.array([[0.0, 1e-13], [0.0, 0.0]]))
+    for bad, what in ((SPD + np.array([[0.0, 1e-11], [0.0, 0.0]]), "symmetric"),
+                      (np.diag([1.0, 0.0]), "positive-definite"),
+                      (np.diag([1.0, np.nan]), "symmetric")):
+        with pytest.raises(ValueError, match=f"must be {what}"):
+            check(bad)
 
 
 def test_quadratic_hamiltonian_2d():
