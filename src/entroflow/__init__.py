@@ -12,6 +12,7 @@ from .grids import (
     Grid,
     GridDensity,
     GridMismatchError,
+    NumericalFailure,
     VectorFieldGrid,
     gradient,
     quadrature,
@@ -82,7 +83,7 @@ from .paths import (
 from . import quantum
 
 __all__ = [
-    "Grid", "GridDensity", "GridMismatchError", "VectorFieldGrid",
+    "Grid", "GridDensity", "GridMismatchError", "NumericalFailure", "VectorFieldGrid",
     "gradient", "quadrature",
     "GaussianDensity", "HamiltonianSpec", "MassMismatchWarning",
     "flux_and_force", "free_energy", "gibbs_density",

@@ -13,12 +13,15 @@ list         : the builtin scenarios.
 A scenario sets keys in its [model], [control] and [numerics] sections or by
 flags.  ``KIND_KEYS`` lists the keys each kind reads with their defaults;
 ``ScenarioConfig.values`` casts and checks each key once and rejects a key
-the kind does not read.  Every run writes its CSVs plus a manifest.json
-mapping each artifact to its sha256; identical config and seed give
-byte-identical artifacts (floats are printed with 17 significant digits,
-nothing timestamps the outputs).  Exit codes: 0 ok, 2 usage/validation or an
-unreadable input file, 3 numerical failure (partial outputs are removed on
-failure).
+the kind does not read.  A builtin (``BUILTINS``) is a kind, a description
+and only the keys it sets over those defaults; a kind's flags are the keys in
+``KIND_FLAGS``, typed and restricted as the key is.  Every run writes its
+CSVs plus a manifest.json mapping each artifact to its sha256; identical
+config and seed give byte-identical artifacts (floats are printed with 17
+significant digits, nothing timestamps the outputs).  Exit codes: 0 ok, 2
+usage/validation, an unreadable input file or a size too large to allocate,
+3 numerical failure: any ``grids.NumericalFailure`` or numpy ``LinAlgError``
+(partial outputs are removed on failure).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,14 +41,8 @@ from .control import (
     decomposition_curve,
     evolve_modulated,
 )
-from .fokker_planck import (
-    ConvergenceError,
-    MassDriftError,
-    PositivityError,
-    StabilityError,
-    admissible_gain,
-)
-from .grids import Grid, density_covariance, density_mean, time_steps
+from .fokker_planck import admissible_gain
+from .grids import Grid, NumericalFailure, density_covariance, density_mean, time_steps
 from .paths import (
     current_drift,
     drift_field_rows,
@@ -72,7 +69,6 @@ from .quantum import (
     spectral_purity,
 )
 from .sde import (
-    TrajectoryDivergence,
     ensemble_rows,
     ensemble_summary,
     estimate_density,
@@ -84,8 +80,6 @@ from .sde import (
 from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian
 from .tolerances import QREC_FD_STEP
 
-NUMERICAL_ERRORS = (PositivityError, StabilityError, ConvergenceError, MassDriftError,
-                    TrajectoryDivergence, np.linalg.LinAlgError)
 
 class ConfigError(ValueError):
     """Invalid scenario configuration (exit code 2)."""
@@ -167,7 +161,7 @@ _CHECKS = {
     "dt": (lambda v, c: v > 0.0, "be positive"),
     "t1": (lambda v, c: _n_times(c) > 1, ""),
     "store_every": (lambda v, c: v >= 1, "be >= 1"),
-    "n_traj": (lambda v, c: v >= 1, "be >= 1"),
+    "n_traj": (lambda v, c: v >= 2, "be >= 2"),  # every ensemble writes sample covariances
     "seed": (lambda v, c: 0 <= v < 2**64, "lie in [0, 2**64)"),
     "gamma": (lambda v, c: v >= 0.0, "be nonnegative"),
     "files": (lambda v, c: v, "name the operator files when no model is set"),
@@ -279,47 +273,37 @@ class ScenarioConfig:
                    **{s: sections.get(s, {}) for s in ("control", "numerics", "outputs")})
 
 
-_OU_NUMERICS = dict(grid_lo=-8.0, grid_hi=8.0, grid_cells=1024, dt=1e-3, t1=0.2,
-                    seed=42, mean0=1.0, var0=2.0, store_every=10)
+def _sections(keys: dict) -> dict:
+    """``keys`` filed under the [model], [control] and [numerics] sections."""
+    return {sec: {k: v for k, v in keys.items() if k in _SECTION_KEYS[sec]}
+            for sec in ("model", "control", "numerics")}
 
+
+# name -> (kind, description, the keys that make the experiment; every other
+# key keeps its KIND_KEYS default)
+BUILTINS = {
+    "ou-relax": ("control-run",
+                 "uncontrolled OU relaxation: divergence decay and rate decomposition",
+                 dict(seed=42)),
+    "ou-modulated": ("control-run", "gain-1 feedback OU run: doubled decay rate",
+                     dict(alpha=1.0, seed=42)),
+    "polymer-cooling": ("sde-run", "velocity-feedback cantilever: kinetic temperature vs gain",
+                        dict(model="polymer", n_traj=1500, dt=5e-3, t1=12.0, seed=7)),
+    "qubit-qrec": ("quantum-run",
+                   "closed 2-level system: perturbed-Hamiltonian divergence rate vs FD",
+                   dict(model="qubit-qrec", t1=0.5)),
+    "qubit-lindblad": ("quantum-run",
+                       "depolarizing qubit: monotone divergence and dissipative rate",
+                       dict(model="qubit-lindblad", store_every=10)),
+    "paths-osmotic": ("paths-run",
+                      "stationary OU ensemble: drift fields, osmotic relation, energy",
+                      dict(n_traj=100_000, t1=1.0, grid_cells=64)),
+}
 
 BUILTIN_FACTORIES = {
-    "ou-relax": lambda: ScenarioConfig(
-        "ou-relax", "control-run",
-        model=dict(hamiltonian="quadratic", q=1.0, kT=1.0, sigma2=2.0),
-        control=dict(alpha=0.0), numerics=dict(_OU_NUMERICS)),
-    "ou-modulated": lambda: ScenarioConfig(
-        "ou-modulated", "control-run",
-        model=dict(hamiltonian="quadratic", q=1.0, kT=1.0, sigma2=2.0),
-        control=dict(alpha=1.0), numerics=dict(_OU_NUMERICS)),
-    "polymer-cooling": lambda: ScenarioConfig(
-        "polymer-cooling", "sde-run",
-        model=dict(model="polymer", spring_k=1.0, mass=1.0, gamma=1.0,
-                   temperature=1.0),
-        numerics=dict(n_traj=1500, dt=5e-3, t1=12.0, seed=7, window_lo=4.0)),
-    "qubit-qrec": lambda: ScenarioConfig(
-        "qubit-qrec", "quantum-run",
-        model=dict(model="qubit-qrec"),
-        numerics=dict(dt=1e-3, t1=0.5)),
-    "qubit-lindblad": lambda: ScenarioConfig(
-        "qubit-lindblad", "quantum-run",
-        model=dict(model="qubit-lindblad", gamma=1.0),
-        numerics=dict(dt=1e-3, t1=1.0, store_every=10)),
-    "paths-osmotic": lambda: ScenarioConfig(
-        "paths-osmotic", "paths-run",
-        model=dict(hamiltonian="quadratic", q=1.0, kT=1.0, sigma2=2.0),
-        numerics=dict(n_traj=100_000, dt=5e-3, t1=1.0, seed=42,
-                      grid_lo=-4.0, grid_hi=4.0, grid_cells=64, t_index=100)),
-}
-
-BUILTIN_DESCRIPTIONS = {
-    "ou-relax": "uncontrolled OU relaxation: divergence decay and rate decomposition",
-    "ou-modulated": "gain-1 feedback OU run: doubled decay rate",
-    "polymer-cooling": "velocity-feedback cantilever: kinetic temperature vs gain",
-    "qubit-qrec": "closed 2-level system: perturbed-Hamiltonian divergence rate vs FD",
-    "qubit-lindblad": "depolarizing qubit: monotone divergence and dissipative rate",
-    "paths-osmotic": "stationary OU ensemble: drift fields, osmotic relation, energy",
-}
+    name: (lambda name=name, kind=kind, keys=keys:
+           ScenarioConfig(name, kind, **_sections(keys)))
+    for name, (kind, _, keys) in BUILTINS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +463,11 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     files = c["files"]
     H = HamiltonianOperator(load_operator(files["hamiltonian"]))
     if files.get("delta_h"):
-        H = HamiltonianOperator(H.matrix + load_operator(files["delta_h"]), H.hbar)
+        dH = load_operator(files["delta_h"])
+        if dH.shape != H.matrix.shape:  # no broadcasting a 1x1 operator
+            raise ValueError(f"{files['delta_h']}: delta_h and hamiltonian differ in size")
+        with np.errstate(over="ignore"):  # an overflowed sum is not finite: rejected
+            H = HamiltonianOperator(H.matrix + dH, H.hbar)
     jumps = tuple(load_operator(p) for p in files.get("lindblad", []))
     rho0 = DensityOperator(load_operator(files["rho0"]))
     spec = LindbladSpec(H, jumps)
@@ -525,8 +513,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
 
     Partial outputs are removed if the run fails.
     """
-    if seed is not None:
-        cfg.numerics["seed"] = seed
+    if seed is not None:  # the caller's config keeps its own seed
+        cfg = replace(cfg, numerics={**cfg.numerics, "seed": seed})
     seed = cfg.values()["seed"]
     out = out_dir or cfg.outputs.get("dir") or cfg.name
     w = ArtifactWriter(out)
@@ -544,6 +532,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# the keys each kind also takes as flags: --alpha-table sets alpha_table, --n n_traj
+KIND_FLAGS = {
+    "control-run": ("t1", "dt", "alpha", "alpha_table"),
+    "sde-run": ("t1", "dt", "model", "n_traj", "alpha_c", "gamma"),
+    "quantum-run": ("t1", "dt"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="entroflow",
                                 description="entropy production laboratory")
@@ -558,29 +554,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="INI scenario file")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--seed", type=int, help="seed override")
-        if kind in ("control-run", "sde-run", "quantum-run"):
-            sp.add_argument("--t1", type=float)
-            sp.add_argument("--dt", type=float)
-        if kind == "control-run":
-            sp.add_argument("--alpha", type=float)
-            sp.add_argument("--alpha-table", help="CSV t,alpha gain schedule")
-        if kind == "sde-run":
-            sp.add_argument("--model", choices=["overdamped", "polymer"])
-            sp.add_argument("--n", type=int)
-            sp.add_argument("--alpha-c", type=float)
-            sp.add_argument("--gamma", type=float)
+        for key in KIND_FLAGS.get(kind, ()):
+            default = KIND_KEYS[kind][key]
+            default = default.default if isinstance(default, _Only) else default
+            sp.add_argument("--n" if key == "n_traj" else "--" + key.replace("_", "-"),
+                            dest=key, help=f"sets {key}",
+                            type=int if key in _INTS else None if key in _STRS else float,
+                            choices=default if isinstance(default, tuple) else None)
         if kind == "quantum-run":
             sp.add_argument("--hamiltonian")
             sp.add_argument("--delta-h")
             sp.add_argument("--lindblad", nargs="*", default=[])
             sp.add_argument("--rho0")
     return p
-
-
-# flag (argparse dest) -> the key it sets; quantum-run's other flags name files
-_FLAG_KEYS = {"alpha": "alpha", "alpha_table": "alpha_table", "model": "model",
-              "gamma": "gamma", "alpha_c": "alpha_c", "n": "n_traj", "dt": "dt",
-              "t1": "t1"}
 
 
 def _config_from_args(args) -> ScenarioConfig:
@@ -598,11 +584,8 @@ def _config_from_args(args) -> ScenarioConfig:
             raise ConfigError(
                 f"builtin {args.scenario!r} is a {cfg.kind} scenario")
         return cfg
-    sections = {"model": {}, "control": {}, "numerics": {}}
-    for flag, key in _FLAG_KEYS.items():
-        if getattr(args, flag, None) is not None:
-            sec = next(s for s in sections if key in _SECTION_KEYS[s])
-            sections[sec][key] = getattr(args, flag)
+    flags = {key: getattr(args, key) for key in KIND_FLAGS.get(args.command, ())}
+    sections = _sections({key: v for key, v in flags.items() if v is not None})
     if args.command == "quantum-run":
         if not args.hamiltonian or not args.rho0:
             raise ConfigError("quantum-run needs --hamiltonian and --rho0 "
@@ -622,20 +605,21 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         if args.json:
-            print(json.dumps(BUILTIN_DESCRIPTIONS, indent=2, sort_keys=True))
+            print(json.dumps({name: text for name, (_, text, _) in BUILTINS.items()},
+                             indent=2, sort_keys=True))
         else:
-            for name in BUILTIN_FACTORIES:
-                print(f"{name:18s} {BUILTIN_DESCRIPTIONS[name]}")
+            for name, (_, text, _) in BUILTINS.items():
+                print(f"{name:18s} {text}")
         return 0
 
     try:
         cfg = _config_from_args(args)
         manifest = run_scenario(cfg, out_dir=args.out, seed=args.seed)
-    except NUMERICAL_ERRORS as e:  # before ValueError: LinAlgError subclasses it
+    except (NumericalFailure, np.linalg.LinAlgError) as e:  # LinAlgError is a ValueError
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as e:  # ConfigError is a ValueError
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as e:  # ConfigError is a ValueError
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     for name in sorted(manifest["files"]):
         print(f"{name}  sha256={manifest['files'][name][:16]}...")

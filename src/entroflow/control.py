@@ -42,7 +42,7 @@ from .fokker_planck import (
     evolve,
     march,
 )
-from .grids import Grid, GridDensity, VectorFieldGrid, time_steps
+from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, time_steps
 from .production import (
     check_decomposition_identity,
     floored_log,
@@ -149,7 +149,7 @@ def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
     rate = -(0.5 * ham.sigma2 + alpha) * weighted_inner(grid, g, g, w)
     total, _, _ = split_rate(grid, g, -alpha * g, w, ham.sigma2)
     if abs(rate - total) > MODULATED_RATE_RTOL * max(1.0, abs(rate)):
-        raise RuntimeError("modulated rate disagrees with production decomposition")
+        raise NumericalFailure("modulated rate disagrees with production decomposition")
     return rate
 
 

@@ -69,6 +69,7 @@ import scipy.sparse.linalg
 from .grids import (
     Grid,
     GridDensity,
+    NumericalFailure,
     VectorFieldGrid,
     face_sides,
     gradient,
@@ -81,19 +82,19 @@ from .tolerances import (BERNOULLI_SERIES_CUTOFF, BOUNDARY_DECAY_TOL, KRYLOV_RTO
                          POSITIVITY_TOL)
 
 
-class StabilityError(RuntimeError):
+class StabilityError(NumericalFailure):
     """Time step violates the stability bound of the chosen scheme."""
 
 
-class PositivityError(RuntimeError):
+class PositivityError(NumericalFailure):
     """A step produced a negative density beyond the clamping tolerance."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalFailure):
     """The Krylov solve of a step did not reach KRYLOV_RTOL."""
 
 
-class MassDriftError(RuntimeError):
+class MassDriftError(NumericalFailure):
     """Total mass drifted beyond MASS_TOL along a trajectory."""
 
 
@@ -250,25 +251,30 @@ class _Stepper:
         """
         data = self.A.data
         diag = np.zeros(self.grid.size)
-        for a, b in enumerate(face_drifts):
-            if not np.all(np.isfinite(b)):
-                raise ValueError("drift not finite on grid")
-            dx = self.grid.dx[a]
-            if D > 0.0:
-                w = b * dx / D
-                lo_c = (D / dx) * bernoulli(-w)
-                hi_c = (D / dx) * bernoulli(w)
-            else:
-                lo_c = np.maximum(b, 0.0)
-                hi_c = np.maximum(-b, 0.0)
-            cl = (lo_c / dx).ravel()
-            ch = (hi_c / dx).ravel()
-            (i_lo, i_hi), (hi_lo, lo_hi) = self.faces[a], self.coupling_slots[a]
-            data[hi_lo], data[lo_hi] = cl, ch
-            # lo side, then hi side, per axis: this summation order fixes the
-            # diagonal's rounding, and with it the bytes of every artifact
-            diag[i_lo] -= cl
-            diag[i_hi] -= ch
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for a, b in enumerate(face_drifts):
+                if not np.all(np.isfinite(b)):
+                    raise ValueError("drift not finite on grid")
+                dx = self.grid.dx[a]
+                if D > 0.0:
+                    w = b * dx / D
+                    lo_c = (D / dx) * bernoulli(-w)
+                    hi_c = (D / dx) * bernoulli(w)
+                else:
+                    lo_c = np.maximum(b, 0.0)
+                    hi_c = np.maximum(-b, 0.0)
+                cl = (lo_c / dx).ravel()
+                ch = (hi_c / dx).ravel()
+                (i_lo, i_hi), (hi_lo, lo_hi) = self.faces[a], self.coupling_slots[a]
+                data[hi_lo], data[lo_hi] = cl, ch
+                # lo side, then hi side, per axis: this summation order fixes the
+                # diagonal's rounding, and with it the bytes of every artifact
+                diag[i_lo] -= cl
+                diag[i_hi] -= ch
+        # an overflowed coefficient leaves its diagonal entries inf or NaN
+        if not np.all(np.isfinite(diag)):
+            raise ValueError("operator coefficients overflow: the diffusion or drift is "
+                             "too large for the cell width")
         data[self.diag_slots] = diag
         if self.grid.ndim == 1:
             self.bands = cl, diag, ch  # A[i+1, i], A[i, i], A[i, i+1]

@@ -26,6 +26,11 @@ class GridMismatchError(ValueError):
     """Two fields that must share a grid do not."""
 
 
+class NumericalFailure(RuntimeError):
+    """A computation on valid input failed numerically (exit code 3); every
+    solver, integrator and self-check failure derives from it."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Axis-aligned box divided into uniform cells.

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .grids import time_steps
+from .grids import NumericalFailure, time_steps
 from .tolerances import (COMMUTATION_TOL, EIG_FLOOR, HERMITICITY_TOL, IMAG_RESIDUE_TOL,
                          SUPPORT_ESCAPE_TOL, TRACE_TOL)
 
@@ -59,16 +59,19 @@ def _as_matrix(M) -> np.ndarray:
 def _require_hermitian(M: np.ndarray, what: str) -> np.ndarray:
     """Hermitian part of a matrix or a stack ``(..., n, n)``, if close to it."""
     Mh = np.swapaxes(M.conj(), -1, -2)
-    if not np.max(np.abs(M - Mh)) <= HERMITICITY_TOL:  # NaN fails too
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN
+        off = np.max(np.abs(M - Mh))
+    if not off <= HERMITICITY_TOL:  # NaN fails too
         raise ValueError(f"{what} must be Hermitian")
-    return 0.5 * (M + Mh)
+    return 0.5 * M + 0.5 * Mh  # 0.5 * (M + Mh) overflows near the largest float
 
 
 def _check_density(M: np.ndarray, vectors: bool = False):
     """Eigenvalues (and eigenvectors if ``vectors``) of a density matrix or a
     stack of them, checked: Hermitian, unit trace, none below -EIG_FLOOR."""
     M = _require_hermitian(M, "density operator")
-    off = np.max(np.abs(np.trace(M, axis1=-2, axis2=-1).real - 1.0))
+    with np.errstate(over="ignore"):  # an overflowed trace is inf and fails
+        off = np.max(np.abs(np.trace(M, axis1=-2, axis2=-1).real - 1.0))
     if not off <= TRACE_TOL:
         raise ValueError(f"trace must be 1 (off by {off:.3e})")
     lam, U = np.linalg.eigh(M) if vectors else (np.linalg.eigvalsh(M), None)
@@ -251,7 +254,7 @@ def evolve_closed(H: HamiltonianOperator, rho0: DensityOperator,
 
 def _real_rate(value: complex, what: str) -> float:
     if abs(value.imag) > IMAG_RESIDUE_TOL:
-        raise RuntimeError(f"{what} has imaginary residue {value.imag:.3e}")
+        raise NumericalFailure(f"{what} has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
@@ -291,8 +294,7 @@ class OperatorTrajectory:
         """The stored states as :class:`DensityOperator` objects, built on first
         use from one batched eigensystem of the stack :func:`lindblad_evolve`
         checked: eigenvalues clamped at 0 and normalised, as each state's own."""
-        M = self.matrices
-        lam, U = np.linalg.eigh(0.5 * (M + np.swapaxes(M.conj(), -1, -2)))
+        lam, U = np.linalg.eigh(_require_hermitian(self.matrices, "density operator"))
         lam = np.maximum(lam, 0.0)
         lam /= lam.sum(axis=-1, keepdims=True)
         return tuple(map(DensityOperator._from_eigensystem, lam, U))

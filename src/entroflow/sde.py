@@ -21,6 +21,8 @@ produced in parallel without changing the result.  Both integrators are
 per-step rules of one loop, :func:`_march_paths`, which owns the noise and
 the escape check: a state that leaves the escape radius or is not finite
 raises :class:`TrajectoryDivergence` with the time and trajectory index.
+Ensembles are stored time-major, so the states at one time, which every
+estimator reads, are contiguous.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth) and equipartition kinetic temperatures
@@ -39,7 +41,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.ndimage import gaussian_filter
 
-from .grids import Grid, GridDensity, time_steps
+from .grids import Grid, GridDensity, NumericalFailure, time_steps
 from .thermo import HamiltonianSpec
 from .tolerances import (ESCAPED_FRACTION_MAX, FLUCTUATION_DISSIPATION_TOL, TIME_GRID_RTOL,
                          WINDOW_SLACK)
@@ -47,7 +49,7 @@ from .tolerances import (ESCAPED_FRACTION_MAX, FLUCTUATION_DISSIPATION_TOL, TIME
 NOISE_BLOCK = 1024
 
 
-class TrajectoryDivergence(RuntimeError):
+class TrajectoryDivergence(NumericalFailure):
     """A sample path left the escape radius."""
 
 
@@ -55,7 +57,9 @@ class TrajectoryDivergence(RuntimeError):
 class PathEnsemble:
     """N sampled trajectories on a shared uniform time grid.
 
-    states has shape (n_traj, n_times, dim); times[k] = t0 + k dt.
+    states has shape (n_traj, n_times, dim); times[k] = t0 + k dt.  The
+    simulators store it time-major and read-only: ``states`` is a view of a
+    (n_times, n_traj, dim) buffer, so each ``states[:, k]`` is contiguous.
     """
 
     times: np.ndarray
@@ -118,7 +122,7 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
     """
     steps = time_steps(0.0, t1, dt)
     times = dt * np.arange(steps + 1)
-    states = np.empty((n_traj, steps + 1, dim))
+    values = np.empty((steps + 1, n_traj, dim))  # time-major: each step is one block
     radius = escape_radius
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_traj, NOISE_BLOCK):
@@ -133,8 +137,7 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
                 if not radius < np.inf:
                     raise ValueError("the spread of the initial states overflows, "
                                      "so no escape radius can be set")
-            block = states[first:first + nb]
-            block[:, 0] = y
+            values[0, first:first + nb] = y
             for k in range(steps):
                 y = step(k, y, noise[:, k])
                 worst = np.max(np.abs(y))
@@ -143,8 +146,9 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
                     raise TrajectoryDivergence(
                         f"trajectory divergence: |state| = {worst:.3g} > {radius:.3g} "
                         f"at t = {times[k + 1]:.6g}, trajectory index {bad}")
-                block[:, k + 1] = y
-    return PathEnsemble(times, states, dt, seed)
+                values[k + 1, first:first + nb] = y
+    values.flags.writeable = False
+    return PathEnsemble(times, values.swapaxes(0, 1), dt, seed)
 
 
 def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
@@ -326,12 +330,15 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
     if not ens.times[0] - WINDOW_SLACK <= lo < hi <= ens.times[-1] + WINDOW_SLACK:
         raise ValueError("window outside ensemble horizon")
     sel = (ens.times >= lo) & (ens.times <= hi)
-    per_block = _block_mv2(polymer_momenta(ens, spec)[:, sel, :], spec)
-    # window average per trajectory and block, then ensemble statistics
-    traj_vals = per_block.mean(axis=(1, 3))  # (n_traj, n_blocks)
-    values = traj_vals.mean(axis=0)
-    stderr = traj_vals.std(axis=0, ddof=1) / np.sqrt(ens.n_traj) if ens.n_traj > 1 \
-        else np.zeros(spec.n_blocks)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        per_block = _block_mv2(polymer_momenta(ens, spec)[:, sel, :], spec)
+        # window average per trajectory and block, then ensemble statistics
+        traj_vals = per_block.mean(axis=(1, 3))  # (n_traj, n_blocks)
+        values = traj_vals.mean(axis=0)
+        stderr = traj_vals.std(axis=0, ddof=1) / np.sqrt(ens.n_traj) if ens.n_traj > 1 \
+            else np.zeros(spec.n_blocks)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(stderr))):
+        raise NumericalFailure("the kinetic temperature or its standard error overflows")
     return KineticTemperature(values, stderr, (lo, hi))
 
 
@@ -375,9 +382,13 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid,
     counts, _ = np.histogramdd(x[inside], bins=edges)
     smoothed = gaussian_filter(counts, sigma=tuple(bw / grid.dx),
                                mode="constant", truncate=6.0)
-    total = smoothed.sum() * grid.cell_volume
+    with np.errstate(over="ignore"):
+        total = smoothed.sum() * grid.cell_volume
     if total <= 0.0:
         raise ValueError("empty density estimate")
+    if total == np.inf:
+        raise ValueError(f"cells of volume {grid.cell_volume:.3g} are too large for a "
+                         "density estimate: its mass overflows")
     return GridDensity(grid, smoothed / total, mass=1.0)
 
 

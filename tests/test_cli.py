@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import assume, example, given, settings, strategies as st
 
-from entroflow import GaussianDensity, Grid, cli, fokker_planck, quadratic_hamiltonian
+from entroflow import (GaussianDensity, Grid, NumericalFailure, cli, fokker_planck,
+                       quadratic_hamiltonian)
 from entroflow.cli import (
     BUILTIN_FACTORIES,
     ConfigError,
@@ -14,6 +20,9 @@ from entroflow.cli import (
     main,
     run_scenario,
 )
+from entroflow.grids import time_steps
+from entroflow.fokker_planck import (ConvergenceError, MassDriftError, PositivityError,
+                                     StabilityError)
 from entroflow.paths import (
     current_drift,
     drift_field_rows,
@@ -21,7 +30,8 @@ from entroflow.paths import (
     estimate_forward_drift,
 )
 from entroflow.quantum import save_operator, sigma_x
-from entroflow.sde import ensemble_rows, ensemble_summary, simulate_overdamped
+from entroflow.sde import (TrajectoryDivergence, ensemble_rows, ensemble_summary,
+                           simulate_overdamped)
 
 
 FAST_CONTROL_INI = """\
@@ -373,6 +383,102 @@ def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exc", [NumericalFailure, PositivityError, StabilityError,
+                                 ConvergenceError, MassDriftError, TrajectoryDivergence],
+                         ids=lambda exc: exc.__name__)
+def test_every_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, exc):
+    def fail(cfg, w):
+        w.write_csv("partial.csv", ["t"], [(0.0,)])
+        raise exc("injected")
+
+    monkeypatch.setitem(cli.RUNNERS, "control-run", fail)
+    out = tmp_path / "o"
+    assert main(["control-run", "--scenario", "ou-relax", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: injected\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message,line", [
+    ("", "error: out of memory"),
+    ("Unable to allocate 7.28 TiB", "error: Unable to allocate 7.28 TiB")])
+def test_size_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys, message, line):
+    # an allocation that fails is a size the input asked for, not a crash
+    def fail(cfg, w):
+        w.write_csv("partial.csv", ["t"], [(0.0,)])
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.RUNNERS, "fp-run", fail)
+    out = tmp_path / "o"
+    assert main(["fp-run", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_seed_override_leaves_the_config_unchanged(tmp_path):
+    cfg = BUILTIN_FACTORIES["qubit-qrec"]()
+    assert run_scenario(cfg, out_dir=str(tmp_path / "a"), seed=5)["seed"] == 5
+    assert "seed" not in cfg.numerics
+    assert run_scenario(cfg, out_dir=str(tmp_path / "b"))["seed"] == 0
+
+
+def test_builtins_set_only_what_differs_from_the_defaults():
+    # a builtin is its kind's defaults plus the keys that make the experiment
+    for name, (kind, _, keys) in cli.BUILTINS.items():
+        cfg = BUILTIN_FACTORIES[name]()
+        assert (cfg.name, cfg.kind) == (name, kind)
+        model = {k: v for k, v in keys.items() if k == "model"}
+        defaults = ScenarioConfig(name, kind, **cli._sections(model)).values()
+        assert all(defaults[k] != v for k, v in keys.items() if k != "model"), name
+        assert {k: cfg.values()[k] for k in keys} == keys
+
+
+def test_flags_set_their_keys():
+    args = cli.build_parser().parse_args(
+        ["sde-run", "--model", "polymer", "--n", "7", "--gamma", "0.5", "--alpha-c", "2",
+         "--t1", "0.5", "--dt", "0.01"])
+    c = cli._config_from_args(args).values()
+    assert (c["model"], c["n_traj"], c["gamma"], c["alpha_c"], c["t1"], c["dt"]) \
+        == ("polymer", 7, 0.5, 2.0, 0.5, 0.01)
+    for argv in (["sde-run", "--n", "2.5"], ["sde-run", "--model", "nosuch"],
+                 ["control-run", "--alpha", "x"]):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+
+
+HERMITIAN_OVERFLOW = {"diagonal": "2\n1e308\n0\n0\n-1e308\n",
+                      "antisymmetric": "2\n0\n1e308\n-1e308\n0\n"}
+
+
+@pytest.mark.parametrize("text", HERMITIAN_OVERFLOW.values(), ids=HERMITIAN_OVERFLOW)
+def test_hamiltonian_near_the_largest_float_exits_2_without_warning(tmp_path, capsys, text):
+    r = tmp_path / "rho.txt"
+    save_operator(np.diag([0.8, 0.2]).astype(complex), r)
+    out = tmp_path / "q"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["quantum-run", "--hamiltonian", _write(tmp_path / "h.txt", text),
+                     "--rho0", str(r), "--t1", "0.01", "--dt", "0.001", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_delta_h_of_another_size_rejected(tmp_path, capsys):
+    # a 1x1 delta_h would broadcast over the 2x2 Hamiltonian
+    r = tmp_path / "rho.txt"
+    save_operator(np.diag([0.8, 0.2]).astype(complex), r)
+    dh = _write(tmp_path / "dh.txt", "1\n0.5\n")
+    out = tmp_path / "q"
+    assert main(["quantum-run", "--hamiltonian", _write(tmp_path / "h.txt", "2\n1\n0\n0\n-1\n"),
+                 "--delta-h", dh, "--rho0", str(r), "--t1", "0.01", "--dt", "0.001",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dh}: ") and "differ in size" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("entry", ["nan+0i", "inf", "-inf+0i"])
 def test_non_finite_operator_file_rejected(tmp_path, capsys, entry):
     h = tmp_path / "h.txt"
@@ -525,7 +631,7 @@ def _bad_key_cases():
         yield kind, sorted(settable - set(keys))[0], "1"
         yield kind, "seed", "-1"
         for key, value in (("hamiltonian", "doublewell"), ("model", "nosuch"),
-                           ("n_traj", "0")):
+                           ("n_traj", "0"), ("n_traj", "1")):
             if key in keys:
                 yield kind, key, value
 
@@ -581,10 +687,11 @@ def test_key_the_selected_model_never_reads_rejected(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("section,body", [
     ("model", "q = 1e308"), ("model", "sigma2 = 1e308"), ("control", "alpha = 1e308"),
-    ("model", "kT = 1e-308"), ("numerics", "grid_lo = -1e308\ngrid_hi = 1e308")],
-    ids=["q", "sigma2", "alpha", "kT", "box"])
+    ("model", "kT = 1e-308"), ("numerics", "grid_lo = -1e308\ngrid_hi = 1e308"),
+    ("model", "sigma2 = 3e307")],
+    ids=["q", "sigma2", "alpha", "kT", "box", "sigma2-over-cell-width"])
 def test_huge_finite_values_rejected_without_warning(tmp_path, capsys, section, body):
-    # finite inputs whose drift or cell width overflows: the finiteness checks
+    # finite inputs whose drift, operator or cell width overflows: the checks
     # reject them before numpy has anything to warn about
     sections = {"numerics": "grid_cells = 64\nt1 = 0.05\ndt = 0.01\n"}
     sections[section] = sections.get(section, "") + body + "\n"
@@ -608,7 +715,11 @@ def test_huge_finite_values_rejected_without_warning(tmp_path, capsys, section, 
     ("paths-run", "[model]\nq = 1e308\n", 3, "numerical failure: trajectory divergence"),
     ("quantum-run", "[model]\nmodel = qubit-lindblad\ngamma = 1e308\n", 2,
      "error: the step propagator exp(dt L) is not finite"),
-], ids=["sde-mean0", "sde-q", "sde-kT", "paths-q", "lindblad-gamma"])
+    ("sde-run", "[model]\nmodel = polymer\ntemperature = 1e200\n", 3,
+     "numerical failure: the kinetic temperature or its standard error overflows"),
+    ("paths-run", "[numerics]\ngrid_hi = 1e308\ngrid_cells = 2\n", 2, "error: cells of volume"),
+], ids=["sde-mean0", "sde-q", "sde-kT", "paths-q", "lindblad-gamma", "polymer-temperature",
+        "paths-box"])
 def test_overflowing_model_values_exit_without_warning(tmp_path, capsys, kind, body, code,
                                                        message):
     # finite values whose states or propagator overflow: invalid input (2) or
@@ -677,3 +788,135 @@ def test_run_scenario_reproducible_hashes(tmp_path):
     m2 = run_scenario(cfg, out_dir=str(tmp_path / "b"))
     assert m1["files"] == m2["files"]
     assert m1["seed"] == 11
+
+
+# ---------------------------------------------------------------------------
+# generated inputs: the exit contract on INI texts and operator files
+# ---------------------------------------------------------------------------
+
+VALUES = ["0", "-1", "2.5", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "abc", "",
+          str(2**64)]
+PLAUSIBLE = ["1", "0.5", "2", "0.1", "quadratic"]  # so that some runs go the whole way
+SETTABLE = sorted(set().union(*(cli._SECTION_KEYS[s] for s in ("model", "control", "numerics"))))
+# sizes small enough to run (50 steps): a generated key may override them
+SMALL = {"grid_cells": "16", "n_traj": "256", "dt": "0.01", "t1": "0.5"}
+
+
+@st.composite
+def ini_texts(draw):
+    """A scenario file: a kind, its small sizes, random keys of the kind (or
+    any section's) with random values, and at times a duplicate key, an
+    unknown key or an unknown section."""
+    kind = draw(st.sampled_from(sorted(cli.KIND_KEYS)))
+    readable = sorted(set(cli.KIND_KEYS[kind]) - {"files"})
+    keys = {k: v for k, v in SMALL.items() if k in readable}
+    if "model" in readable:
+        choices = [m for m in cli.KIND_KEYS[kind]["model"] if m] + ["nosuch"]
+        keys["model"] = draw(st.sampled_from(choices))
+    values = st.one_of(st.sampled_from(VALUES), st.sampled_from(PLAUSIBLE))
+    for key in draw(st.lists(st.sampled_from(readable), max_size=4, unique=True)):
+        keys[key] = draw(values)
+    if draw(st.integers(0, 4)) == 0:
+        keys[draw(st.sampled_from(SETTABLE))] = draw(values)
+    sections = {s: [f"{k} = {v}" for k, v in body.items()]
+                for s, body in cli._sections(keys).items() if body}
+    extra = ([""] * 5 + ["duplicate", "unknown key", "unknown section"])[draw(st.integers(0, 7))]
+    if extra == "duplicate" and sections:
+        lines = sections[draw(st.sampled_from(sorted(sections)))]
+        lines.append(lines[0])
+    elif extra == "unknown key":
+        sections.setdefault("numerics", []).append("whatever = 1")
+    elif extra == "unknown section":
+        sections["bogus"] = ["x = 1"]
+    return f"[scenario]\nkind = {kind}\n" + "".join(
+        f"\n[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+
+
+def _work_is_small(path) -> bool:
+    """Whether the run a valid scenario file asks for stays small."""
+    try:
+        c = ScenarioConfig.from_ini(path).values()
+    except ValueError:
+        return True  # rejected before any work
+    return (time_steps(0.0, c["t1"], c["dt"]) <= 50 and c.get("grid_cells", 0) <= 64
+            and c.get("n_traj", 0) <= 256)
+
+
+ENTRIES = ["0", "1", "-1", "0.5", "2.5", "1e308", "-1e308", "1e-308", "nan", "inf", "-inf",
+           "abc", "1+1i", "0-1i"]
+CONJUGATE = {"1+1i": "1-1i", "0-1i": "0+1i"}
+RHO = "2\n0.8\n0\n0\n0.2\n"
+
+
+@st.composite
+def operator_texts(draw):
+    """An operator file: n and n*n entries, at times mirrored to a Hermitian
+    matrix, at times cut short or empty."""
+    n = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.sampled_from(ENTRIES), min_size=n * n, max_size=n * n))
+    if draw(st.booleans()):  # mirror the upper triangle
+        for i in range(n):
+            for j in range(i):
+                entries[i * n + j] = CONJUGATE.get(entries[j * n + i], entries[j * n + i])
+    tokens = [str(n)] + entries
+    cut = draw(st.sampled_from([len(tokens), len(tokens), 0, 1, len(tokens) - 1]))
+    return "".join(t + "\n" for t in tokens[:cut])
+
+
+def _exits_cleanly(argv, out):
+    """Run main: exit 0, 2 or 3, nothing escapes, one stderr line on failure,
+    no RuntimeWarning, no output directory left after a failure."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "numerical failure: ")), lines
+        assert not os.path.exists(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=ini_texts())
+@example(text="[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 256\ndt = 0.01\n"
+              "t1 = 0.5\ngrid_hi = 1e308\n")  # the density estimate's mass overflows
+def test_generated_config_files_keep_the_exit_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gen.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        assume(_work_is_small(path))
+        kind = text.split("kind = ")[1].split("\n")[0]
+        out = os.path.join(tmp, "o")
+        _exits_cleanly([kind, "--config", path, "--out", out], out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hamiltonian=st.one_of(st.just("2\n1\n0\n0\n-1\n"), operator_texts()),
+       rho0=st.one_of(st.just(RHO), operator_texts()),
+       delta_h=st.one_of(st.none(), operator_texts()),
+       lindblad=st.lists(operator_texts(), max_size=2))
+@example(hamiltonian=HERMITIAN_OVERFLOW["diagonal"], rho0=RHO, delta_h=None, lindblad=[])
+@example(hamiltonian=HERMITIAN_OVERFLOW["antisymmetric"], rho0=RHO, delta_h=None, lindblad=[])
+@example(hamiltonian="2\n1\n0\n0\n-1\n", rho0="2\n1e308\n0\n0\n1e308\n", delta_h=None,
+         lindblad=[])  # the trace overflows
+@example(hamiltonian="1\n1e308\n", rho0=RHO, delta_h="1\n1e308\n", lindblad=[])  # H + dH does
+def test_generated_operator_files_keep_the_exit_contract(hamiltonian, rho0, delta_h, lindblad):
+    with tempfile.TemporaryDirectory() as tmp:
+        def op(name, text):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                fh.write(text)
+            return path
+
+        argv = ["quantum-run", "--hamiltonian", op("h.op", hamiltonian),
+                "--rho0", op("rho.op", rho0), "--t1", "0.05", "--dt", "0.01"]
+        if delta_h is not None:
+            argv += ["--delta-h", op("dh.op", delta_h)]
+        if lindblad:
+            argv += ["--lindblad", *(op(f"l{k}.op", t) for k, t in enumerate(lindblad))]
+        out = os.path.join(tmp, "o")
+        _exits_cleanly([*argv, "--out", out], out)

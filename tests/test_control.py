@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroflow import GaussianDensity, Grid, GridDensity, gibbs_density
+from entroflow import GaussianDensity, Grid, GridDensity, NumericalFailure, control, gibbs_density
 from entroflow.cli import ScenarioConfig
 from entroflow.control import (
     GainSchedule,
@@ -162,6 +162,17 @@ def test_modulated_rate_values(ou_ham):
     assert -0.01 < frozen < 0.0  # prefactor -> 0 freezes the flow
     with pytest.raises(ValueError, match="ill-posed gain"):
         modulated_decay_rate(rho, ou_ham, -1.0)
+
+
+def test_modulated_rate_self_check_is_numerical_failure(ou_ham, monkeypatch):
+    # a production split that disagrees with the Fisher form is a solver
+    # failure (exit code 3), not invalid input
+    rho = GaussianDensity([1.0], [[2.0]]).sample_on(GRID)
+    split = control.split_rate
+    monkeypatch.setattr(control, "split_rate",
+                        lambda *a: (split(*a)[0] + 1.0, *split(*a)[1:]))
+    with pytest.raises(NumericalFailure, match="disagrees"):
+        modulated_decay_rate(rho, ou_ham, 1.0)
 
 
 def test_modulated_rate_scaling(ou_ham):

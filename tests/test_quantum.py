@@ -3,11 +3,13 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from entroflow.grids import NumericalFailure
 from entroflow.quantum import (
     DensityOperator,
     HamiltonianOperator,
     LindbladSpec,
     OpenProductionRate,
+    _real_rate,
     depolarizing_jump_operators,
     dissipative_production_rate,
     evolve_closed,
@@ -74,6 +76,24 @@ def test_hamiltonian_validation():
         HamiltonianOperator([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError, match="hbar"):
         HamiltonianOperator(sigma_z, hbar=0.0)
+
+
+@pytest.mark.parametrize("M", [[[1e308, 0.0], [0.0, -1e308]], [[0.0, 1e308], [-1e308, 0.0]],
+                               [[0.0, 1e308j], [1e308j, 0.0]]])
+def test_hermitian_check_near_the_largest_float(M):
+    # neither the check nor the Hermitian part may overflow (RuntimeWarnings
+    # are errors here); an overflowed difference M - M^dag still fails
+    M = np.array(M, dtype=complex)
+    if np.array_equal(M, M.conj().T):
+        assert np.array_equal(HamiltonianOperator(M).matrix, M)
+    else:
+        with pytest.raises(ValueError, match="Hermitian"):
+            HamiltonianOperator(M)
+
+
+def test_imaginary_residue_is_numerical_failure():
+    with pytest.raises(NumericalFailure, match="imaginary residue"):
+        _real_rate(1.0 + 1e-3j, "rate")
 
 
 # ---------------------------------------------------------------------------

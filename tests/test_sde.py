@@ -112,6 +112,18 @@ def test_non_finite_state_is_divergence(ou_ham):
         simulate_overdamped(ou_ham, None, np.nan, n_traj=5, dt=1e-2, t1=0.2, seed=3)
 
 
+def test_ensembles_are_stored_time_major(ou_ham):
+    # one contiguous, read-only block per time point; states keeps its
+    # (n_traj, n_times, dim) shape
+    ens = simulate_overdamped(ou_ham, None, gaussian_x0(1.0, 2.0), n_traj=NOISE_BLOCK + 5,
+                              dt=1e-2, t1=0.1, seed=1)
+    assert ens.states.shape == (NOISE_BLOCK + 5, 11, 1)
+    assert not ens.states.flags.writeable
+    assert all(ens.states[:, k].flags.c_contiguous for k in range(11))
+    with pytest.raises(ValueError):
+        ens.states[0, 0, 0] = 0.0
+
+
 def test_path_ensemble_validation():
     with pytest.raises(ValueError):
         PathEnsemble(np.array([0.0, 0.1]), np.zeros((0, 2, 1)), 0.1, 0)
