@@ -44,11 +44,10 @@ from .control import (
 from .fokker_planck import admissible_gain
 from .grids import Grid, NumericalFailure, density_covariance, density_mean, time_steps
 from .paths import (
+    EnergySum,
+    IncrementBins,
     current_drift,
     drift_field_rows,
-    estimate_backward_drift,
-    estimate_forward_drift,
-    finite_energy_estimate,
     osmotic_residual,
 )
 from .quantum import (
@@ -69,13 +68,15 @@ from .quantum import (
     spectral_purity,
 )
 from .sde import (
+    PathRecord,
+    WindowTemperatures,
     ensemble_rows,
     ensemble_summary,
     estimate_density,
     harmonic_cantilever,
-    kinetic_temperature,
     simulate_overdamped,
-    simulate_polymer,
+    stream_overdamped,
+    stream_polymer,
 )
 from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian
 from .tolerances import QREC_FD_STEP
@@ -413,15 +414,17 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         return
     gamma = c["gamma"]
     gains = [0.0, 0.5 * gamma, gamma, 2.0 * gamma] if c["alpha_c"] is None else [c["alpha_c"]]
-    rows = []
-    for ac in gains:
-        spec = harmonic_cantilever(spring_k=c["spring_k"], mass=c["mass"], gamma=gamma,
-                                   control_gain=ac, temperature=c["temperature"])
-        ens = simulate_polymer(spec, n, dt, t1, seed)
-        kt = kinetic_temperature(ens, spec, (c["window_lo"], t1))
-        rows.append((ac, kt.values[0], kt.stderr[0]))
+    spec = harmonic_cantilever(spring_k=c["spring_k"], mass=c["mass"], gamma=gamma,
+                               control_gain=gains[-1], temperature=c["temperature"])
+    n_times, width = _n_times(c), 2 * spec.n_coords
+    times = dt * np.arange(n_times)
+    temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], t1))
+    # the gains step as one gain-major state; summary.csv reads the last gain's
+    last = PathRecord(n, n_times, width, columns=slice(width * (len(gains) - 1), None))
+    stream_polymer(spec, gains, n, dt, t1, seed, (temps.observe, last.observe))
+    rows = [(ac, kt.values[0], kt.stderr[0]) for ac, kt in zip(gains, temps.estimates())]
     w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
-    w.write_csv("summary.csv", *ensemble_summary(ens, spec))
+    w.write_csv("summary.csv", *ensemble_summary(last.ensemble(times, dt, seed), spec))
 
 
 def _qubit_qrec_rows(dt, t1):
@@ -479,20 +482,24 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
 
 
 def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
+    """Bins the drifts, keeps the ``t_index`` slice and sums the finite
+    energy while the ensemble steps; no state array is stored."""
     c = cfg.values()
     ham = _ou_hamiltonian(c)
-    k, n_times = c["t_index"], _n_times(c)
+    k, n_times, n, dt = c["t_index"], _n_times(c), c["n_traj"], c["dt"]
     x0 = lambda rng, size: rng.standard_normal((size, 1))
-    ens = simulate_overdamped(ham, None, x0, c["n_traj"], c["dt"], c["t1"], c["seed"])
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
-    pool = list(range(max(1, k - 80), min(n_times - 1, k + 80)))
-    beta = estimate_forward_drift(ens, pool, grid)
-    gamma = estimate_backward_drift(ens, pool, grid)
+    bins = IncrementBins(grid, range(max(1, k - 80), min(n_times - 1, k + 80)), dt)
+    slice_k = PathRecord(n, n_times, 1, at=(k,))
+    energy = EnergySum(n, n_times, dt, ham.drift)
+    stream_overdamped(ham, None, x0, n, dt, c["t1"], c["seed"],
+                      (bins.observe, slice_k.observe, energy.observe))
+    beta, gamma = bins.estimate(+1), bins.estimate(-1)
     v = current_drift(beta, gamma)
     w.write_csv("fields.csv", *drift_field_rows(beta, gamma, v))
-    p_hat = estimate_density(ens, k, grid)
+    p_hat = estimate_density(slice_k.ensemble([k * dt], dt, c["seed"]), 0, grid)
     resid = osmotic_residual(beta, gamma, p_hat, ham.sigma2)
-    fe = finite_energy_estimate(ens, lambda x: ham.drift(x))
+    fe = energy.estimate()
     w.write_csv("summary.csv",
                 ["osmotic_residual", "finite_energy", "finite_energy_se"],
                 [(resid, fe.value, fe.stderr)])

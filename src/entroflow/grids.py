@@ -124,11 +124,14 @@ class Grid:
         box; indices of outside points are clipped and must be masked by the
         caller.
         """
-        x = np.atleast_2d(x)
-        ij = np.floor((x - np.asarray(self.lo)) / self.dx).astype(int)
-        inside = np.all((ij >= 0) & (ij < np.asarray(self.cells)), axis=1)
-        ij = np.clip(ij, 0, np.asarray(self.cells) - 1)
-        return np.ravel_multi_index(tuple(ij.T), self.cells), inside
+        # axis-major (ndim, m): each operation loops over the points, not the axes
+        u = np.atleast_2d(x).T - np.asarray(self.lo)[:, None]
+        u /= self.dx[:, None]
+        ij = np.floor(u, out=u).astype(int)
+        cells = np.asarray(self.cells)[:, None]
+        inside = np.all((ij >= 0) & (ij < cells), axis=0)
+        np.clip(ij, 0, cells - 1, out=ij)
+        return np.ravel_multi_index(tuple(ij), self.cells), inside
 
 
 def face_sides(axis: int) -> tuple[tuple, tuple]:

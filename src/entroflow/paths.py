@@ -19,8 +19,12 @@ standard errors, and cells with fewer samples than a threshold are flagged
 empty rather than trusted.
 
 Estimation is pathwise; nothing here assumes the ensemble is Markovian.
-CSV export: :func:`drift_field_rows` returns a header and lazy per-cell rows
-for ``cli.ArtifactWriter.write_csv``; this module opens no files.
+The drift binning (:class:`IncrementBins`) and the energy sum
+(:class:`EnergySum`) are per-step observers, ``observe(k, first, y_prev,
+y)``, of a streamed ensemble (see :mod:`entroflow.sde`); the estimators of a
+stored ensemble feed them its states and give the same bits.  CSV export:
+:func:`drift_field_rows` returns a header and lazy per-cell rows for
+``cli.ArtifactWriter.write_csv``; this module opens no files.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Grid, GridDensity, VectorFieldGrid, gradient
+from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, gradient
 from .production import floored_log
-from .sde import PathEnsemble
+from .sde import BlockWindow, PathEnsemble
 
 MIN_CELL_COUNT = 30
 
@@ -71,23 +75,91 @@ def _as_indices(t_index) -> list[int]:
     return [int(k) for k in t_index]
 
 
-def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,
-                  lag: int) -> DriftEstimate:
-    """Bin the increments (x(t + lag dt) - x(t)) / (lag dt) by the cell of x(t)."""
-    counts = np.zeros(grid.size)
-    sums = np.zeros((grid.size, grid.ndim))
-    sq = np.zeros((grid.size, grid.ndim))
-    for k in _as_indices(t_index):
-        if not (0 <= k < len(ens.times) and 0 <= k + lag < len(ens.times)):
-            raise ValueError(f"t_index {k} has no time point at lag {lag:+d}")
-        x = ens.states[:, k, :]
-        dx = (ens.states[:, k + lag, :] - x) / (lag * ens.dt)
-        idx, inside = grid.cell_index(x)
-        idx = idx[inside]
-        counts += np.bincount(idx, minlength=grid.size)
-        for a in range(grid.ndim):
-            sums[:, a] += np.bincount(idx, weights=dx[inside, a], minlength=grid.size)
-            sq[:, a] += np.bincount(idx, weights=dx[inside, a] ** 2, minlength=grid.size)
+class IncrementBins(BlockWindow):
+    """Forward and backward increments binned by the cell of x(t_k), pooled
+    over the times k of ``pool``: a per-step observer of a path ensemble.
+
+    One increment (x(t_k+1) - x(t_k)) / dt per step is the forward increment
+    at t_k and the backward increment at t_k+1, since (a - b) / (-dt) is
+    bitwise (b - a) / dt.  Sums are kept per pooled time and add each time's
+    samples in trajectory order, so a streamed ensemble gives the bits of a
+    stored one: each chunk is one ``bincount`` whose first weights are the
+    sums so far.  A streamed run therefore holds 4 ndim + 1 numbers per cell,
+    and one more, per pooled time.  ``pool`` may repeat a time; its samples then count
+    twice.
+    """
+
+    def __init__(self, grid: Grid, pool, dt: float, forward: bool = True,
+                 backward: bool = True):
+        self.grid, self.dt = grid, dt
+        self.pool = _as_indices(pool)
+        self.times = np.array(sorted(set(self.pool)), dtype=int)
+        self.slot = {k: s for s, k in enumerate(self.times.tolist())}
+        self.lags = (+1,) * forward + (-1,) * backward
+        if self.pool:
+            super().__init__(int(self.times[0]) - backward, int(self.times[-1]) + forward)
+        else:
+            super().__init__(-1, -1)  # observes no step
+        # one extra cell per pooled time collects the samples outside the box
+        shape = (len(self.times), grid.size + 1)
+        self.counts = np.zeros(shape, dtype=np.int64)
+        self.sums = {lag: np.zeros((2, grid.ndim) + shape) for lag in self.lags}
+
+    def add_block(self, first, t0, X):
+        grid = self.grid
+        t1 = t0 + len(X) - 1
+        a = int(np.searchsorted(self.times, t0, side="left"))
+        b = int(np.searchsorted(self.times, t1, side="right"))
+        if a == b:
+            return
+        at = self.times[a:b] - t0  # the pooled times of the chunk, as rows of X
+        d = (X[1:] - X[:-1]) / self.dt  # the increment of step t0 + i
+        d2 = d ** 2
+        cells = self.counts.shape[1]
+        idx, inside = grid.cell_index(X[at].reshape(-1, grid.ndim))
+        # one row of cells, and one extra for the outside, per pooled time
+        idx = (np.where(inside, idx, grid.size).reshape(b - a, -1)
+               + cells * np.arange(b - a)[:, None])
+        # a time that ends this chunk also starts the next and is counted there
+        counted = (at < t1 - t0) | (at == self.hi - t0)
+        self.counts[a:b] += np.bincount(idx[counted].ravel(),
+                                        minlength=(b - a) * cells).reshape(b - a, cells)
+        for lag in self.lags:
+            # the rows whose step of this lag lies in the chunk
+            r0, r1 = (0, np.count_nonzero(at < t1 - t0)) if lag > 0 else \
+                (np.count_nonzero(at == 0), b - a)
+            if r0 == r1:
+                continue
+            prefix = np.concatenate([np.arange((r1 - r0) * cells),
+                                     idx[r0:r1].ravel() - r0 * cells])
+            step = at[r0:r1] - (lag < 0)
+            for moment, w in enumerate((d, d2)):
+                for ax in range(grid.ndim):
+                    acc = self.sums[lag][moment, ax, a + r0:a + r1]
+                    acc[...] = np.bincount(
+                        prefix, weights=np.concatenate([acc.ravel(), w[step, :, ax].ravel()]),
+                        minlength=acc.size).reshape(acc.shape)
+
+    def totals(self, lag: int):
+        """Counts, sums and sums of squares per cell, each (size, ndim) but
+        the counts, added over the pool in pool order."""
+        grid = self.grid
+        counts = np.zeros(grid.size)
+        sums = np.zeros((grid.ndim, grid.size))
+        sq = np.zeros((grid.ndim, grid.size))
+        for k in self.pool:
+            s = self.slot[k]
+            counts += self.counts[s, :-1]
+            sums += self.sums[lag][0, :, s, :-1]
+            sq += self.sums[lag][1, :, s, :-1]
+        return counts, sums.T, sq.T
+
+    def estimate(self, lag: int, min_count: int = MIN_CELL_COUNT) -> DriftEstimate:
+        """The forward (``lag = +1``) or backward (``-1``) drift estimate."""
+        return _drift_estimate(self.grid, *self.totals(lag), min_count)
+
+
+def _drift_estimate(grid: Grid, counts, sums, sq, min_count: int) -> DriftEstimate:
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts[:, None]
         var = np.maximum(sq / counts[:, None] - mean**2, 0.0)
@@ -98,6 +170,26 @@ def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,
     return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
                          counts.reshape(grid.shape),
                          se.reshape(grid.shape + (grid.ndim,)), min_count)
+
+
+def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,
+                  lag: int) -> DriftEstimate:
+    """Bin the increments (x(t + lag dt) - x(t)) / (lag dt) by the cell of x(t)."""
+    pool = _as_indices(t_index)
+    for k in pool:
+        if not (0 <= k < len(ens.times) and 0 <= k + lag < len(ens.times)):
+            raise ValueError(f"t_index {k} has no time point at lag {lag:+d}")
+    counts = np.zeros(grid.size)
+    sums = np.zeros((grid.size, grid.ndim))
+    sq = np.zeros((grid.size, grid.ndim))
+    for k in pool:  # one pooled time of all trajectories at a time: sums of one grid
+        bins = IncrementBins(grid, [k], ens.dt, forward=lag > 0, backward=lag < 0)
+        bins.add_block(0, bins.lo, ens.states[:, bins.lo:bins.hi + 1].swapaxes(0, 1))
+        c, s, q = bins.totals(lag)
+        counts += c
+        sums += s
+        sq += q
+    return _drift_estimate(grid, counts, sums, sq, min_count)
 
 
 def estimate_forward_drift(ens: PathEnsemble, t_index, grid: Grid,
@@ -162,6 +254,47 @@ class FiniteEnergyEstimate:
     coverage: float  # fraction of sample points with a usable drift value
 
 
+class EnergySum(BlockWindow):
+    """A per-step observer summing |beta(x(t_k))|^2 dt along each trajectory
+    over the steps k of the horizon (the last time is not an integration
+    point); ``drift_field`` is as in :func:`finite_energy_estimate`."""
+
+    def __init__(self, n_traj: int, n_times: int, dt: float, drift_field):
+        super().__init__(0, n_times - 1)
+        self.dt = dt
+        self.drift_field = drift_field
+        self.per_traj = np.zeros(n_traj)
+        self.used = 0
+        self.total = 0
+
+    def add_block(self, first, t0, X):
+        """Add the steps from X[i] to X[i + 1]; the chunks of a trajectory
+        must come in time order."""
+        _, n, dim = X.shape
+        x = X[:-1].reshape(-1, dim)
+        if isinstance(self.drift_field, DriftEstimate):
+            vec, valid = self.drift_field.lookup(x)
+            s = np.where(valid, np.einsum("mi,mi->m", vec, vec), 0.0)
+            self.used += int(valid.sum())
+        else:
+            vec = np.asarray(self.drift_field(x), dtype=float).reshape(x.shape)
+            s = np.einsum("mi,mi->m", vec, vec)
+            self.used += x.shape[0]
+        self.total += x.shape[0]
+        acc = self.per_traj[first:first + n]
+        for row in s.reshape(-1, n):  # in time order, one sum per step
+            acc += row * self.dt
+
+    def estimate(self) -> FiniteEnergyEstimate:
+        n = self.per_traj.size
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            value = float(self.per_traj.mean())
+            stderr = float(self.per_traj.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        if not (np.isfinite(value) and np.isfinite(stderr)):
+            raise NumericalFailure("the finite energy or its standard error overflows")
+        return FiniteEnergyEstimate(value, stderr, self.used / self.total)
+
+
 def finite_energy_estimate(ens: PathEnsemble, drift_field) -> FiniteEnergyEstimate:
     """Estimate the path kinetic energy E int |beta|^2 dt over the horizon.
 
@@ -169,25 +302,10 @@ def finite_energy_estimate(ens: PathEnsemble, drift_field) -> FiniteEnergyEstima
     :class:`DriftEstimate` (sample points in unpopulated cells contribute
     nothing; the coverage field reports how many were usable).
     """
-    n, T, dim = ens.states.shape
-    per_traj = np.zeros(n)
-    used = 0
-    total = 0
-    for k in range(T - 1):
-        x = ens.states[:, k, :]
-        if isinstance(drift_field, DriftEstimate):
-            vec, valid = drift_field.lookup(x)
-            s = np.where(valid, np.einsum("mi,mi->m", vec, vec), 0.0)
-            used += int(valid.sum())
-        else:
-            vec = np.asarray(drift_field(x), dtype=float).reshape(n, dim)
-            s = np.einsum("mi,mi->m", vec, vec)
-            used += n
-        total += n
-        per_traj += s * ens.dt
-    value = float(per_traj.mean())
-    stderr = float(per_traj.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return FiniteEnergyEstimate(value, stderr, used / total)
+    energy = EnergySum(ens.n_traj, len(ens.times), ens.dt, drift_field)
+    for k in range(len(ens.times) - 1):  # one step of every trajectory at a time
+        energy.add_block(0, k, ens.states[:, k:k + 2].swapaxes(0, 1))
+    return energy.estimate()
 
 
 @dataclass(frozen=True)
@@ -232,6 +350,10 @@ def weak_continuity_check(ens: PathEnsemble, v: DriftEstimate,
     x_now = ens.states[:, t_index, :]
     x_next = ens.states[:, t_index + 1, :]
     vec, valid = v.lookup(x_now)
+    n_valid = int(valid.sum())
+    if n_valid < 2:  # no mean, or no standard error, of the transport rate
+        raise ValueError(f"{n_valid} sample(s) at t_index {t_index} lie in populated "
+                         f"cells of the drift estimate; the transport rate needs 2")
     rows = []
     for name, phi, grad_phi in test_functions:
         dphi = (np.asarray(phi(x_next)) - np.asarray(phi(x_prev))) / (2.0 * ens.dt)

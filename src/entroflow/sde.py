@@ -21,8 +21,17 @@ produced in parallel without changing the result.  Both integrators are
 per-step rules of one loop, :func:`_march_paths`, which owns the noise and
 the escape check: a state that leaves the escape radius or is not finite
 raises :class:`TrajectoryDivergence` with the time and trajectory index.
-Ensembles are stored time-major, so the states at one time, which every
-estimator reads, are contiguous.
+
+The loop hands every step to per-step observers ``observe(k, first, y_prev,
+y)``: the states of trajectories ``first, first + 1, ...`` at t_k and
+t_k+1, one noise block at a time.  Storage is one such observer
+(:class:`PathRecord`), so a run keeps only what it reads.  The public
+simulators store every state time-major and return a :class:`PathEnsemble`;
+:func:`stream_overdamped` and :func:`stream_polymer` store nothing and feed
+observers only.  :func:`stream_polymer` steps several feedback gains as one
+state, a gain-major ``[q | p]`` row per gain, on one noise draw; the polymer
+simulator is its batch of one.  :class:`WindowTemperatures` sums each
+trajectory's kinetic energy over a window while the gains step.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth) and equipartition kinetic temperatures
@@ -34,7 +43,7 @@ files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -60,6 +69,8 @@ class PathEnsemble:
     states has shape (n_traj, n_times, dim); times[k] = t0 + k dt.  The
     simulators store it time-major and read-only: ``states`` is a view of a
     (n_times, n_traj, dim) buffer, so each ``states[:, k]`` is contiguous.
+    A :class:`PathRecord` builds one from the times and columns it kept,
+    such as one time slice of a streamed run or one gain of a batched one.
     """
 
     times: np.ndarray
@@ -108,22 +119,95 @@ def _resolve_x0(x0, rng: Generator, size: int, dim: int) -> np.ndarray:
     return np.broadcast_to(arr.reshape(1, dim), (size, dim)).copy()
 
 
+class PathRecord:
+    """A per-step observer that stores the states at some times and columns.
+
+    ``at`` lists the time indices kept (default: all ``n_times``) and
+    ``columns`` the state columns (default: all); ``values[r]`` holds the
+    (n_traj, width) states at time ``at[r]``, time-major.
+    """
+
+    def __init__(self, n_traj: int, n_times: int, width: int, at=None,
+                 columns=slice(None)):
+        self.rows = {k: r for r, k in enumerate(range(n_times) if at is None else at)}
+        self.values = np.empty((len(self.rows), n_traj, width))
+        self.columns = columns
+
+    def observe(self, k, first, y_prev, y):
+        last = first + y.shape[0]
+        if k == 0 and 0 in self.rows:
+            self.values[self.rows[0], first:last] = y_prev[:, self.columns]
+        row = self.rows.get(k + 1)
+        if row is not None:
+            self.values[row, first:last] = y[:, self.columns]
+
+    def ensemble(self, times, dt: float, seed: int) -> PathEnsemble:
+        """The kept states as a read-only ensemble at ``times`` (one per row)."""
+        self.values.flags.writeable = False
+        return PathEnsemble(times, self.values.swapaxes(0, 1), dt, seed)
+
+
+class BlockWindow:
+    """A per-step observer that gathers each block's states at the times
+    ``lo..hi`` and hands them on in chunks of at most ``CHUNK`` steps, so
+    that its work runs per chunk, not per step, on little memory.
+
+    ``add_block(first, t0, X)`` gets the states X[i] at time t0 + i of
+    trajectories ``first, first + 1, ...``; consecutive chunks share their
+    boundary time, so each step of the window lies in exactly one chunk.
+    """
+
+    CHUNK = 32
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+        self.buf = None
+        self.t0 = lo
+
+    def observe(self, k, first, y_prev, y):
+        if not self.lo <= k < self.hi:
+            return
+        nb = y.shape[0]
+        if k == self.lo:
+            if self.buf is None:  # the first block is the largest
+                self.buf = np.empty((self.CHUNK + 1,) + y.shape)
+            self.buf[0, :nb] = y_prev
+            self.t0 = k
+        row = k + 1 - self.t0
+        self.buf[row, :nb] = y
+        if row == self.CHUNK or k + 1 == self.hi:
+            self.add_block(first, self.t0, self.buf[:row + 1, :nb])
+            self.buf[0, :nb] = y
+            self.t0 = k + 1
+
+    def add_block(self, first: int, t0: int, X: np.ndarray) -> None:
+        raise NotImplementedError
+
+
 def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
-                 t1: float, seed: int, escape_radius: float | None) -> PathEnsemble:
+                 t1: float, seed: int, escape_radius: float | None,
+                 observers=(), store: bool = True) -> PathEnsemble | None:
     """The one loop over noise blocks and time steps of every path ensemble.
 
     Each block's stream draws ``start(rng) -> (NOISE_BLOCK, dim)``, then
     ``(NOISE_BLOCK, steps, noise_dim)`` noise; ``step(k, y, dW)`` maps the
-    states at t_k to t_k+1.  Non-finite initial states, and initial states
-    whose default escape radius (50x the spread of the first block, floor 1)
-    is not finite, are invalid input.  Steps run with numpy's overflow and
-    invalid-value warnings off: the escape check after each step rejects a
-    state that overflowed.
+    states at t_k to t_k+1.  After each step's escape check every observer
+    sees ``observe(k, first, y_prev, y)``: blocks in trajectory order, and
+    within a block the steps in time order.  With ``store`` every state is
+    kept and the ensemble returned; without it the run returns None and
+    holds one block's noise and states.  Non-finite initial states, and
+    initial states whose default escape radius (50x the spread of the first
+    block, floor 1) is not finite, are invalid input.  Steps and observers
+    run with numpy's overflow and invalid-value warnings off: the escape
+    check after each step rejects a state that overflowed.
     """
     steps = time_steps(0.0, t1, dt)
     times = dt * np.arange(steps + 1)
-    values = np.empty((steps + 1, n_traj, dim))  # time-major: each step is one block
+    record = PathRecord(n_traj, steps + 1, dim) if store else None
+    if store:
+        observers = (record.observe, *observers)
     radius = escape_radius
+    noise = np.empty((NOISE_BLOCK, steps, noise_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_traj, NOISE_BLOCK):
             nb = min(NOISE_BLOCK, n_traj - first)
@@ -131,24 +215,23 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
             y = start(rng)[:nb]
             if not np.all(np.isfinite(y)):
                 raise ValueError("initial states must be finite")
-            noise = rng.standard_normal((NOISE_BLOCK, steps, noise_dim))[:nb]
+            rng.standard_normal(out=noise)  # one buffer: no two blocks' noise at once
             if radius is None:
                 radius = 50.0 * float(np.maximum(1.0, np.std(y)))  # keeps a NaN
                 if not radius < np.inf:
                     raise ValueError("the spread of the initial states overflows, "
                                      "so no escape radius can be set")
-            values[0, first:first + nb] = y
             for k in range(steps):
-                y = step(k, y, noise[:, k])
+                y_prev, y = y, step(k, y, noise[:nb, k])
                 worst = np.max(np.abs(y))
                 if not worst <= radius:  # NaN fails too
                     bad = first + int(np.argmax(np.max(np.abs(y), axis=1)))
                     raise TrajectoryDivergence(
                         f"trajectory divergence: |state| = {worst:.3g} > {radius:.3g} "
                         f"at t = {times[k + 1]:.6g}, trajectory index {bad}")
-                values[k + 1, first:first + nb] = y
-    values.flags.writeable = False
-    return PathEnsemble(times, values.swapaxes(0, 1), dt, seed)
+                for observe in observers:
+                    observe(k, first, y_prev, y)
+    return record.ensemble(times, dt, seed) if store else None
 
 
 def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
@@ -164,7 +247,21 @@ def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
     noise amplitude only (``sigma=0`` gives the noise-free ODE limit while
     keeping the model drift).
     """
-    dim = ham.dim
+    start, step = _overdamped_rule(ham, u, x0, dt, sigma)
+    return _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, escape_radius)
+
+
+def stream_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float, t1: float,
+                      seed: int, observers) -> None:
+    """The ensemble of :func:`simulate_overdamped`, fed to ``observers``
+    step by step and not stored."""
+    start, step = _overdamped_rule(ham, u, x0, dt, None)
+    _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None, observers,
+                 store=False)
+
+
+def _overdamped_rule(ham: HamiltonianSpec, u, x0, dt: float, sigma: float | None):
+    """``start(rng)`` and ``step(k, x, dW)`` of the Euler-Maruyama scheme."""
     if sigma is None:
         sigma = np.sqrt(ham.sigma2)
     root_dt = np.sqrt(dt)
@@ -175,8 +272,7 @@ def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
             f = f + np.asarray(u(x, k * dt), dtype=float).reshape(x.shape)
         return x + f * dt + sigma * root_dt * dW
 
-    return _march_paths(lambda rng: _resolve_x0(x0, rng, NOISE_BLOCK, dim), step,
-                        n_traj, dim, dim, dt, t1, seed, escape_radius)
+    return (lambda rng: _resolve_x0(x0, rng, NOISE_BLOCK, ham.dim)), step
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +366,42 @@ def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
 
     Momenta are updated first with the potential, friction and feedback
     forces plus Gamma-noise; positions then move with the new momenta and
-    carry no noise (singular diffusion).
+    carry no noise (singular diffusion).  This is :func:`stream_polymer`'s
+    step for the one gain ``spec.control_gain``, stored.
     """
+    start, step, dim, noise_dim, radius = _polymer_rule(spec, (spec.control_gain,), q0, p0,
+                                                        dt, escape_radius)
+    return _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius)
+
+
+def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
+                   seed: int, observers) -> None:
+    """The ensembles of ``spec`` at each feedback gain in ``gains``, stepped
+    as one state from q = p = 0 and fed to ``observers``, not stored.
+
+    A state row is gain-major, ``[q | p]`` of gain 0, then of gain 1, and so
+    on; each gain's columns are bitwise the states :func:`simulate_polymer`
+    stores for ``replace(spec, control_gain=gain)``, since every gain sees
+    the same initial states and noise.  A state of any gain that leaves the
+    escape radius stops the run.
+    """
+    start, step, dim, noise_dim, radius = _polymer_rule(spec, gains, 0.0, 0.0, dt, None)
+    _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius, observers,
+                 store=False)
+
+
+def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float,
+                  escape_radius: float | None):
+    """``start``, ``step``, state width, noise width and escape radius of
+    the symplectic Euler scheme for the feedback ``gains``: one drag per
+    gain, one noise draw for all."""
+    for gain in gains:  # each gain is checked as a spec's control_gain
+        replace(spec, control_gain=gain)
     nc = spec.n_coords
+    n_gains = len(gains)
     m = spec.mass_per_coord
     G = spec.noise_matrix
-    drag = spec.gamma + spec.control_gain
+    drag = (spec.gamma + np.asarray(gains, dtype=float)).reshape(n_gains, 1)
     if escape_radius is None:
         escape_radius = 50.0 * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
                                    np.sqrt(spec.temperature))
@@ -285,18 +411,18 @@ def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
     def start(rng):
         q = _resolve_x0(q0, rng, NOISE_BLOCK, nc)
         p = _resolve_x0(p0, rng, NOISE_BLOCK, nc)
-        return np.concatenate([q, p], axis=1)
+        return np.tile(np.concatenate([q, p], axis=1), n_gains)
 
     def step(k, y, dW):
-        q, p = y[:, :nc], y[:, nc:]
-        force = -np.asarray(spec.grad_potential(q), dtype=float).reshape(q.shape)
+        y = y.reshape(y.shape[0], n_gains, 2 * nc)
+        q, p = y[:, :, :nc], y[:, :, nc:]
+        force = -np.asarray(spec.grad_potential(q.reshape(-1, nc)), dtype=float).reshape(q.shape)
         p = p + dt * (force - drag * (p / m))
         if noisy:
-            p = p + root_dt * dW @ G.T
-        return np.concatenate([q + dt * (p / m), p], axis=1)
+            p = p + (root_dt * dW @ G.T)[:, None, :]
+        return np.concatenate([q + dt * (p / m), p], axis=2).reshape(y.shape[0], -1)
 
-    return _march_paths(start, step, n_traj, 2 * nc, nc if noisy else 0, dt, t1, seed,
-                        escape_radius)
+    return start, step, 2 * nc * n_gains, nc if noisy else 0, escape_radius
 
 
 def polymer_momenta(ens: PathEnsemble, spec: PolymerSpec) -> np.ndarray:
@@ -325,21 +451,67 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
     The standard error is taken across trajectories (independent streams),
     each contributing its own window average.
     """
-    lo, hi = window
-    # NaN fails too
-    if not ens.times[0] - WINDOW_SLACK <= lo < hi <= ens.times[-1] + WINDOW_SLACK:
-        raise ValueError("window outside ensemble horizon")
-    sel = (ens.times >= lo) & (ens.times <= hi)
+    sel = _window(ens.times, window)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         per_block = _block_mv2(polymer_momenta(ens, spec)[:, sel, :], spec)
         # window average per trajectory and block, then ensemble statistics
-        traj_vals = per_block.mean(axis=(1, 3))  # (n_traj, n_blocks)
+        return _temperature(per_block.mean(axis=(1, 3)), window)  # (n_traj, n_blocks)
+
+
+def _window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """The mask of ``times`` in the closed window, which must lie in the horizon."""
+    lo, hi = window
+    # NaN fails too
+    if not times[0] - WINDOW_SLACK <= lo < hi <= times[-1] + WINDOW_SLACK:
+        raise ValueError("window outside ensemble horizon")
+    return (times >= lo) & (times <= hi)
+
+
+def _temperature(traj_vals: np.ndarray, window) -> KineticTemperature:
+    """Ensemble mean and standard error of per-trajectory window averages."""
+    n = traj_vals.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         values = traj_vals.mean(axis=0)
-        stderr = traj_vals.std(axis=0, ddof=1) / np.sqrt(ens.n_traj) if ens.n_traj > 1 \
-            else np.zeros(spec.n_blocks)
+        stderr = traj_vals.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 \
+            else np.zeros(traj_vals.shape[1])
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(stderr))):
         raise NumericalFailure("the kinetic temperature or its standard error overflows")
-    return KineticTemperature(values, stderr, (lo, hi))
+    return KineticTemperature(values, stderr, tuple(window))
+
+
+class WindowTemperatures:
+    """A per-step observer of :func:`stream_polymer`: each trajectory's sum
+    of m V^2 per block over the time window, for every gain.
+
+    ``estimates()`` gives each gain's :class:`KineticTemperature`, bitwise
+    :func:`kinetic_temperature` of that gain's stored ensemble when
+    ``spec.block_dim`` is 1: the stored window is time-major, so its time
+    average also adds the steps in time order.
+    """
+
+    def __init__(self, spec: PolymerSpec, n_gains: int, n_traj: int, times: np.ndarray,
+                 window: tuple[float, float]):
+        self.spec = spec
+        self.n_gains = n_gains
+        self.window = window
+        self.sel = _window(times, window)
+        self.sums = np.zeros((n_traj, n_gains, spec.n_blocks))
+
+    def observe(self, k, first, y_prev, y):
+        if k == 0 and self.sel[0]:
+            self._add(first, y_prev)
+        if self.sel[k + 1]:
+            self._add(first, y)
+
+    def _add(self, first, y):
+        nb, nc = y.shape[0], self.spec.n_coords
+        p = y.reshape(nb, self.n_gains, 2 * nc)[:, :, nc:]
+        self.sums[first:first + nb] += _block_mv2(p, self.spec).sum(axis=-1)
+
+    def estimates(self) -> list[KineticTemperature]:
+        count = np.count_nonzero(self.sel) * self.spec.block_dim
+        return [_temperature(self.sums[:, g] / count, self.window)
+                for g in range(self.n_gains)]
 
 
 # ---------------------------------------------------------------------------

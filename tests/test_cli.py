@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -166,6 +168,46 @@ def test_sde_run_overdamped_flags(tmp_path):
     header, data = read_csv(out / "paths.csv")
     assert header == ["t", "trajectory", "x0"]
     assert data.shape[0] == 50 * 6
+
+
+def _traced_peak(cfg, out) -> int:
+    """Peak traced memory of one run in bytes; tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        run_scenario(cfg, out_dir=str(out))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_paths_run_holds_no_state_array(tmp_path):
+    # paths-osmotic at a fifth of its size: the (201, 20 000, 1) state array
+    # the run no longer stores is 32.2 MB
+    n_traj, n_times = 20_000, 201
+    cfg = ScenarioConfig("paths", "paths-run",
+                         numerics=dict(n_traj=n_traj, t1=1.0, grid_cells=64))
+    assert _traced_peak(cfg, tmp_path) < n_traj * n_times * 8 / 4
+
+
+def test_batched_polymer_gains_hold_less_than_two_ensembles(tmp_path):
+    # four gains step as one state; only the last gain's states are stored
+    n_traj, n_times = 2000, 601
+    cfg = ScenarioConfig("polymer", "sde-run", model=dict(model="polymer"),
+                         numerics=dict(n_traj=n_traj, dt=5e-3, t1=3.0))
+    one_ensemble = n_traj * n_times * 2 * 8
+    assert _traced_peak(cfg, tmp_path) < 2 * one_ensemble
+
+
+def test_diverging_batched_gains_exit_3(tmp_path, capsys):
+    # dt (gamma + gain) / m > 2 for every gain: the momenta grow every step
+    out = tmp_path / "boom"
+    code = main(["sde-run", "--model", "polymer", "--gamma", "60", "--dt", "0.05",
+                 "--t1", "2", "--n", "50", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert re.fullmatch(r"numerical failure: trajectory divergence: .* "
+                        r"at t = \S+, trajectory index \d+", err), err
+    assert not out.exists()
 
 
 def test_quantum_run_from_operator_files(tmp_path):

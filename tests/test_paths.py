@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, HamiltonianSpec, quadratic_hamiltonian
 from entroflow.paths import (
     DriftEstimate,
+    EnergySum,
+    IncrementBins,
     current_drift,
     default_test_functions,
     drift_field_rows,
@@ -16,11 +19,17 @@ from entroflow.paths import (
     weak_continuity_check,
 )
 from entroflow.production import relative_entropy_rate
-from entroflow.sde import PathEnsemble, estimate_density, simulate_overdamped
+from entroflow.sde import PathEnsemble, estimate_density, simulate_overdamped, stream_overdamped
 from entroflow.thermo import relative_entropy
 
 BIN_GRID = Grid((-4.0,), (4.0,), (64,))
 POOL = list(range(20, 200))  # stationary: pool estimation over these indices
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
 
 
 def flat_hamiltonian(sigma2):
@@ -112,6 +121,78 @@ def test_estimator_consistency_se_scaling(ou_ham, ou_stationary):
     m = b_full.mask & b_half.mask
     ratio = np.median(b_half.stderr[..., 0][m] / b_full.stderr[..., 0][m])
     assert 1.25 <= ratio <= 1.6
+
+
+def per_time_bincount(ens, pool, grid, min_count, lag):
+    """The drift estimate as one ``bincount`` per pooled time of the increments
+    (x(t + lag dt) - x(t)) / (lag dt) of all trajectories, binned by the cell
+    of x(t) computed here from the grid's bounds (1-D)."""
+    lo, hi, cells = grid.lo[0], grid.hi[0], grid.cells[0]
+    counts = np.zeros(cells)
+    sums = np.zeros((cells, 1))
+    sq = np.zeros((cells, 1))
+    for k in pool:
+        x = ens.states[:, k, :]
+        dx = (ens.states[:, k + lag, :] - x) / (lag * ens.dt)
+        ij = np.floor((x[:, 0] - lo) / ((hi - lo) / cells)).astype(int)
+        inside = (ij >= 0) & (ij < cells)
+        idx = ij[inside]
+        counts += np.bincount(idx, minlength=cells)
+        sums[:, 0] += np.bincount(idx, weights=dx[inside, 0], minlength=cells)
+        sq[:, 0] += np.bincount(idx, weights=dx[inside, 0] ** 2, minlength=cells)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = sums / counts[:, None]
+        se = np.sqrt(np.maximum(sq / counts[:, None] - mean**2, 0.0) / counts[:, None])
+    mean[counts < min_count] = 0.0
+    se[counts < min_count] = 0.0
+    return DriftEstimate(grid, mean, counts, se, min_count)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_traj=st.sampled_from([2, 1023, 1025, 3000]), steps=st.integers(2, 80),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_one_pass_binning_is_bitwise_a_bincount_per_time(ou_ham, n_traj, steps, seed, data):
+    # the streamed observer and the stored estimators against one bincount per
+    # pooled time; the box [-0.6, 0.9] leaves about half the samples outside,
+    # and pools reach both ends of the horizon and span several chunks
+    dt = 0.01
+    x0 = lambda rng, size: rng.standard_normal((size, 1))
+    grid = Grid((-0.6,), (0.9,), (9,))
+    lo = data.draw(st.integers(1, steps - 1), label="lo")
+    pool = range(lo, data.draw(st.integers(lo + 1, steps), label="hi"))
+    loose = data.draw(st.lists(st.integers(1, steps - 1), min_size=1, max_size=6),
+                      label="unsorted pool with repeats")
+    min_count = data.draw(st.integers(1, 40), label="min_count")
+    ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed)
+    bins = IncrementBins(grid, pool, dt)
+    energy = EnergySum(n_traj, steps + 1, dt, lambda x: -x)
+    whole = IncrementBins(grid, range(1, steps), dt)  # both ends of the horizon
+    stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed,
+                      (bins.observe, whole.observe, energy.observe))
+    for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
+        for p, streamed in ((pool, bins), (range(1, steps), whole), (loose, None)):
+            ref = per_time_bincount(ens, p, grid, min_count, lag)
+            ests = [stored(ens, p, grid, min_count)]
+            if streamed is not None:
+                ests.append(streamed.estimate(lag, min_count))
+            for est in ests:
+                for field in ("vectors", "counts", "stderr"):
+                    assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
+    fe = finite_energy_estimate(ens, lambda x: -x)
+    assert energy.estimate() == fe
+    per_traj = np.zeros(n_traj)
+    for k in range(steps):
+        per_traj += ens.states[:, k, 0] ** 2 * dt
+    assert fe.value == float(per_traj.mean())
+
+
+def test_streamed_energy_from_an_estimated_field(ou_ham):
+    x0 = lambda rng, size: rng.standard_normal((size, 1))
+    ens = simulate_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5)
+    beta = estimate_forward_drift(ens, range(1, 79), BIN_GRID, min_count=5)
+    energy = EnergySum(3000, 81, 0.01, beta)
+    stream_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5, (energy.observe,))
+    assert energy.estimate() == finite_energy_estimate(ens, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +321,25 @@ def test_weak_continuity_deterministic_transport():
     rows = weak_continuity_check(ens, v, default_test_functions()[:1], 15)
     assert rows[0].ensemble_rate == pytest.approx(c, rel=1e-10)
     assert rows[0].transport_rate == pytest.approx(c, rel=1e-10)
+
+
+def test_weak_continuity_needs_two_samples_in_populated_cells(ou_ham):
+    grid = Grid((-1.0,), (1.0,), (4,))
+    # min_count above n_traj: no cell is populated, so no sample is usable
+    ens = simulate_overdamped(ou_ham, None, 0.0, n_traj=50, dt=0.01, t1=0.1, seed=1)
+    v = current_drift(estimate_forward_drift(ens, 5, grid, min_count=51),
+                      estimate_backward_drift(ens, 5, grid, min_count=51))
+    with pytest.raises(ValueError, match="0 sample"):
+        weak_continuity_check(ens, v, default_test_functions(), 5)
+    # exactly one sample in a populated cell: a mean, but no standard error
+    x = np.array([0.1, 5.0, -6.0])
+    lone = PathEnsemble(np.array([0.0, 0.1, 0.2]), np.repeat(x[:, None, None], 3, axis=1),
+                        0.1, 0)
+    full = DriftEstimate(grid, np.zeros((4, 1)), np.full(4, 100.0), np.zeros((4, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="1 sample"):
+            weak_continuity_check(lone, full, default_test_functions(), 1)
 
 
 def test_weak_continuity_ou_relaxation(ou_ham):

@@ -5,7 +5,9 @@ hooks ``len(traj)`` and ``traj.grid``, and it wraps the ``__init__`` of
 ``GridDensity``, ``DensityTrajectory``, ``PathEnsemble`` and
 ``DensityOperator`` by name.  A refactor that drops one of them must fail
 here, not only in a benchmark run.  The modules are loaded from their files
-and left unchanged; one pass of three workloads runs under the tracer.
+and left unchanged; one pass of each workload runs under the tracer.  The
+ensemble runners stream through ``sde._march_paths``, so the tracer's hooks
+on the stored simulators must still hold for a traced ensembles pass.
 """
 
 import importlib.util
@@ -29,7 +31,8 @@ def perfbench():
     return _load("workloads"), _load("spans")
 
 
-@pytest.mark.parametrize("name", ["grid-2d-scheduled", "grid-1d-dense", "quantum-nlevel"])
+@pytest.mark.parametrize("name", ["grid-2d-scheduled", "grid-1d-dense", "ensembles",
+                                  "quantum-nlevel"])
 def test_workload_pass_is_clean_under_the_tracer(perfbench, tmp_path, name):
     workloads, spans = perfbench
     workload = workloads.WORKLOADS[name](SEED, str(tmp_path))

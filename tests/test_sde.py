@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from entroflow.sde import (
     NOISE_BLOCK,
     KineticTemperature,
     PathEnsemble,
+    PathRecord,
     PolymerSpec,
     TrajectoryDivergence,
+    WindowTemperatures,
     _march_paths,
     ensemble_rows,
     ensemble_summary,
@@ -23,8 +26,16 @@ from entroflow.sde import (
     scott_bandwidth,
     simulate_overdamped,
     simulate_polymer,
+    stream_overdamped,
+    stream_polymer,
 )
 from entroflow.thermo import relative_entropy
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
 
 
 def gaussian_x0(mean, var):
@@ -269,6 +280,86 @@ def test_polymer_3d_blocks_shapes():
     assert polymer_momenta(ens, spec).shape == (16, 21, 6)
     kt = kinetic_temperature(ens, spec, window=(0.0, 0.2))
     assert kt.values.shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# streamed ensembles: per-step observers and batched gains
+# ---------------------------------------------------------------------------
+
+N_TRAJ = st.sampled_from([1, 2, NOISE_BLOCK - 1, NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3])
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_traj=N_TRAJ, steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_observers_see_the_stored_states(ou_ham, n_traj, steps, seed, data):
+    x0 = gaussian_x0(0.3, 1.5)
+    dt, t1 = 0.01, steps * 0.01
+    ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed)
+    seen = []
+
+    def observe(k, first, y_prev, y):
+        rows = ens.states[first:first + y.shape[0]]
+        assert same_bits(y_prev, rows[:, k]) and same_bits(y, rows[:, k + 1])
+        seen.append((first, k))
+
+    lo = data.draw(st.integers(0, steps), label="lo")
+    at = list(range(lo, data.draw(st.integers(lo + 1, steps + 1), label="hi")))
+    record = PathRecord(n_traj, steps + 1, 1, at=at)
+    assert stream_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed,
+                             (observe, record.observe)) is None
+    assert seen == [(first, k) for first in range(0, n_traj, NOISE_BLOCK)
+                    for k in range(steps)]
+    kept = record.ensemble(ens.times[at], dt, seed)
+    assert same_bits(kept.states, ens.states[:, at])
+    assert not kept.states.flags.writeable
+
+
+@settings(max_examples=10, deadline=None)
+@given(gains=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+       n_traj=st.sampled_from([2, NOISE_BLOCK + 7]), seed=st.integers(0, 2**32 - 1),
+       window_lo=st.sampled_from([0.0, 0.2]))
+def test_batched_gains_equal_separate_runs(gains, n_traj, seed, window_lo):
+    # one gain-major state and one noise draw for four gains; each gain's
+    # states and kinetic temperature are those of its own run, bit for bit
+    spec = harmonic_cantilever(spring_k=1.3, gamma=0.7, temperature=1.2)
+    dt, t1, n_times = 0.01, 0.5, 51
+    times = dt * np.arange(n_times)
+    width = 2 * spec.n_coords
+    temps = WindowTemperatures(spec, len(gains), n_traj, times, (window_lo, t1))
+    records = [PathRecord(n_traj, n_times, width, columns=slice(g * width, (g + 1) * width))
+               for g in range(len(gains))]
+    stream_polymer(spec, gains, n_traj, dt, t1, seed,
+                   (temps.observe, *(r.observe for r in records)))
+    for gain, kt, record in zip(gains, temps.estimates(), records):
+        own = replace(spec, control_gain=gain)
+        ens = simulate_polymer(own, n_traj, dt, t1, seed)
+        ref = kinetic_temperature(ens, own, (window_lo, t1))
+        assert same_bits(record.ensemble(times, dt, seed).states, ens.states)
+        assert same_bits(kt.values, ref.values) and same_bits(kt.stderr, ref.stderr)
+        assert kt.window == ref.window
+
+
+def test_batched_divergence_names_time_and_trajectory():
+    # 1 - dt (gamma + gain) / m < -1 from gain 39 on: that gain's momenta
+    # grow every step, while the others stay bounded
+    spec = harmonic_cantilever(spring_k=1.0, gamma=1.0)
+    n_traj, dt, t1, seed = NOISE_BLOCK + 9, 0.05, 2.0, 3
+    with pytest.raises(TrajectoryDivergence) as single:
+        simulate_polymer(replace(spec, control_gain=60.0), n_traj, dt, t1, seed)
+    with pytest.raises(TrajectoryDivergence) as batched:
+        stream_polymer(spec, [0.0, 1.0, 60.0, 2.0], n_traj, dt, t1, seed, ())
+    assert str(batched.value) == str(single.value)
+    assert re.search(r"at t = \S+, trajectory index \d+$", str(batched.value))
+
+
+def test_batched_gains_are_each_checked():
+    spec = harmonic_cantilever(spring_k=1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="control_gain"):
+            stream_polymer(spec, [0.0, bad], 4, 0.1, 0.2, 0, ())
+    with pytest.raises(ValueError, match="window"):
+        WindowTemperatures(spec, 2, 4, 0.1 * np.arange(3), (0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
