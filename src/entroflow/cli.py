@@ -421,7 +421,7 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], t1))
     # the gains step as one gain-major state; summary.csv reads the last gain's
     last = PathRecord(n, n_times, width, columns=slice(width * (len(gains) - 1), None))
-    stream_polymer(spec, gains, n, dt, t1, seed, (temps.observe, last.observe))
+    stream_polymer(spec, gains, n, dt, t1, seed, (temps.add, last.add))
     rows = [(ac, kt.values[0], kt.stderr[0]) for ac, kt in zip(gains, temps.estimates())]
     w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
     w.write_csv("summary.csv", *ensemble_summary(last.ensemble(times, dt, seed), spec))
@@ -491,9 +491,9 @@ def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     bins = IncrementBins(grid, range(max(1, k - 80), min(n_times - 1, k + 80)), dt)
     slice_k = PathRecord(n, n_times, 1, at=(k,))
-    energy = EnergySum(n, n_times, dt, ham.drift)
+    energy = EnergySum(n, dt, ham.drift)
     stream_overdamped(ham, None, x0, n, dt, c["t1"], c["seed"],
-                      (bins.observe, slice_k.observe, energy.observe))
+                      (bins.add, slice_k.add, energy.add))
     beta, gamma = bins.estimate(+1), bins.estimate(-1)
     v = current_drift(beta, gamma)
     w.write_csv("fields.csv", *drift_field_rows(beta, gamma, v))

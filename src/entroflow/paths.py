@@ -20,9 +20,10 @@ empty rather than trusted.
 
 Estimation is pathwise; nothing here assumes the ensemble is Markovian.
 The drift binning (:class:`IncrementBins`) and the energy sum
-(:class:`EnergySum`) are per-step observers, ``observe(k, first, y_prev,
-y)``, of a streamed ensemble (see :mod:`entroflow.sde`); the estimators of a
-stored ensemble feed them its states and give the same bits.  CSV export:
+(:class:`EnergySum`) are chunk observers, ``add(first, t0, X)``, in the
+sense of :mod:`entroflow.sde`: a streamed run feeds them while it steps, and
+the estimators of a stored ensemble are one of them fed by
+:func:`entroflow.sde.replay`, so both give the same bits.  CSV export:
 :func:`drift_field_rows` returns a header and lazy per-cell rows for
 ``cli.ArtifactWriter.write_csv``; this module opens no files.
 """
@@ -36,7 +37,7 @@ import numpy as np
 
 from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, gradient
 from .production import floored_log
-from .sde import BlockWindow, PathEnsemble
+from .sde import PathEnsemble, replay
 
 MIN_CELL_COUNT = 30
 
@@ -75,17 +76,18 @@ def _as_indices(t_index) -> list[int]:
     return [int(k) for k in t_index]
 
 
-class IncrementBins(BlockWindow):
+class IncrementBins:
     """Forward and backward increments binned by the cell of x(t_k), pooled
-    over the times k of ``pool``: a per-step observer of a path ensemble.
+    over the times k of ``pool``: a chunk observer of a path ensemble.
 
     One increment (x(t_k+1) - x(t_k)) / dt per step is the forward increment
     at t_k and the backward increment at t_k+1, since (a - b) / (-dt) is
     bitwise (b - a) / dt.  Sums are kept per pooled time and add each time's
-    samples in trajectory order, so a streamed ensemble gives the bits of a
-    stored one: each chunk is one ``bincount`` whose first weights are the
-    sums so far.  A streamed run therefore holds 4 ndim + 1 numbers per cell,
-    and one more, per pooled time.  ``pool`` may repeat a time; its samples then count
+    samples in trajectory order: each chunk is one ``bincount`` whose first
+    weights are the sums so far.  A sample counts for a lag only with its
+    increment, so a pooled time without a step at that lag adds nothing.
+    The observer holds 2 ndim + 1 numbers per cell, and one more, per lag
+    and pooled time.  ``pool`` may repeat a time; its samples then count
     twice.
     """
 
@@ -93,45 +95,40 @@ class IncrementBins(BlockWindow):
                  backward: bool = True):
         self.grid, self.dt = grid, dt
         self.pool = _as_indices(pool)
+        if not self.pool:
+            raise ValueError("the pool of the drift estimate names no interior time")
         self.times = np.array(sorted(set(self.pool)), dtype=int)
         self.slot = {k: s for s, k in enumerate(self.times.tolist())}
         self.lags = (+1,) * forward + (-1,) * backward
-        if self.pool:
-            super().__init__(int(self.times[0]) - backward, int(self.times[-1]) + forward)
-        else:
-            super().__init__(-1, -1)  # observes no step
         # one extra cell per pooled time collects the samples outside the box
         shape = (len(self.times), grid.size + 1)
-        self.counts = np.zeros(shape, dtype=np.int64)
+        self.counts = {lag: np.zeros(shape, dtype=np.int64) for lag in self.lags}
         self.sums = {lag: np.zeros((2, grid.ndim) + shape) for lag in self.lags}
 
-    def add_block(self, first, t0, X):
+    def add(self, first, t0, X):
         grid = self.grid
         t1 = t0 + len(X) - 1
-        a = int(np.searchsorted(self.times, t0, side="left"))
-        b = int(np.searchsorted(self.times, t1, side="right"))
+        a, b = np.searchsorted(self.times, [t0, t1 + 1])
         if a == b:
             return
         at = self.times[a:b] - t0  # the pooled times of the chunk, as rows of X
         d = (X[1:] - X[:-1]) / self.dt  # the increment of step t0 + i
         d2 = d ** 2
-        cells = self.counts.shape[1]
+        cells = grid.size + 1
         idx, inside = grid.cell_index(X[at].reshape(-1, grid.ndim))
         # one row of cells, and one extra for the outside, per pooled time
         idx = (np.where(inside, idx, grid.size).reshape(b - a, -1)
                + cells * np.arange(b - a)[:, None])
-        # a time that ends this chunk also starts the next and is counted there
-        counted = (at < t1 - t0) | (at == self.hi - t0)
-        self.counts[a:b] += np.bincount(idx[counted].ravel(),
-                                        minlength=(b - a) * cells).reshape(b - a, cells)
         for lag in self.lags:
             # the rows whose step of this lag lies in the chunk
             r0, r1 = (0, np.count_nonzero(at < t1 - t0)) if lag > 0 else \
                 (np.count_nonzero(at == 0), b - a)
             if r0 == r1:
                 continue
-            prefix = np.concatenate([np.arange((r1 - r0) * cells),
-                                     idx[r0:r1].ravel() - r0 * cells])
+            local = idx[r0:r1].ravel() - r0 * cells
+            self.counts[lag][a + r0:a + r1] += np.bincount(
+                local, minlength=(r1 - r0) * cells).reshape(r1 - r0, cells)
+            prefix = np.concatenate([np.arange((r1 - r0) * cells), local])
             step = at[r0:r1] - (lag < 0)
             for moment, w in enumerate((d, d2)):
                 for ax in range(grid.ndim):
@@ -149,7 +146,7 @@ class IncrementBins(BlockWindow):
         sq = np.zeros((grid.ndim, grid.size))
         for k in self.pool:
             s = self.slot[k]
-            counts += self.counts[s, :-1]
+            counts += self.counts[lag][s, :-1]
             sums += self.sums[lag][0, :, s, :-1]
             sq += self.sums[lag][1, :, s, :-1]
         return counts, sums.T, sq.T
@@ -179,17 +176,9 @@ def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,
     for k in pool:
         if not (0 <= k < len(ens.times) and 0 <= k + lag < len(ens.times)):
             raise ValueError(f"t_index {k} has no time point at lag {lag:+d}")
-    counts = np.zeros(grid.size)
-    sums = np.zeros((grid.size, grid.ndim))
-    sq = np.zeros((grid.size, grid.ndim))
-    for k in pool:  # one pooled time of all trajectories at a time: sums of one grid
-        bins = IncrementBins(grid, [k], ens.dt, forward=lag > 0, backward=lag < 0)
-        bins.add_block(0, bins.lo, ens.states[:, bins.lo:bins.hi + 1].swapaxes(0, 1))
-        c, s, q = bins.totals(lag)
-        counts += c
-        sums += s
-        sq += q
-    return _drift_estimate(grid, counts, sums, sq, min_count)
+    bins = IncrementBins(grid, pool, ens.dt, forward=lag > 0, backward=lag < 0)
+    replay(ens, (bins.add,))
+    return bins.estimate(lag, min_count)
 
 
 def estimate_forward_drift(ens: PathEnsemble, t_index, grid: Grid,
@@ -254,20 +243,19 @@ class FiniteEnergyEstimate:
     coverage: float  # fraction of sample points with a usable drift value
 
 
-class EnergySum(BlockWindow):
-    """A per-step observer summing |beta(x(t_k))|^2 dt along each trajectory
+class EnergySum:
+    """A chunk observer summing |beta(x(t_k))|^2 dt along each trajectory
     over the steps k of the horizon (the last time is not an integration
     point); ``drift_field`` is as in :func:`finite_energy_estimate`."""
 
-    def __init__(self, n_traj: int, n_times: int, dt: float, drift_field):
-        super().__init__(0, n_times - 1)
+    def __init__(self, n_traj: int, dt: float, drift_field):
         self.dt = dt
         self.drift_field = drift_field
         self.per_traj = np.zeros(n_traj)
         self.used = 0
         self.total = 0
 
-    def add_block(self, first, t0, X):
+    def add(self, first, t0, X):
         """Add the steps from X[i] to X[i + 1]; the chunks of a trajectory
         must come in time order."""
         _, n, dim = X.shape
@@ -286,6 +274,8 @@ class EnergySum(BlockWindow):
             acc += row * self.dt
 
     def estimate(self) -> FiniteEnergyEstimate:
+        if self.total == 0:
+            raise ValueError("the ensemble has no step to integrate the energy over")
         n = self.per_traj.size
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
             value = float(self.per_traj.mean())
@@ -302,9 +292,8 @@ def finite_energy_estimate(ens: PathEnsemble, drift_field) -> FiniteEnergyEstima
     :class:`DriftEstimate` (sample points in unpopulated cells contribute
     nothing; the coverage field reports how many were usable).
     """
-    energy = EnergySum(ens.n_traj, len(ens.times), ens.dt, drift_field)
-    for k in range(len(ens.times) - 1):  # one step of every trajectory at a time
-        energy.add_block(0, k, ens.states[:, k:k + 2].swapaxes(0, 1))
+    energy = EnergySum(ens.n_traj, ens.dt, drift_field)
+    replay(ens, (energy.add,))
     return energy.estimate()
 
 

@@ -22,14 +22,21 @@ per-step rules of one loop, :func:`_march_paths`, which owns the noise and
 the escape check: a state that leaves the escape radius or is not finite
 raises :class:`TrajectoryDivergence` with the time and trajectory index.
 
-The loop hands every step to per-step observers ``observe(k, first, y_prev,
-y)``: the states of trajectories ``first, first + 1, ...`` at t_k and
-t_k+1, one noise block at a time.  Storage is one such observer
-(:class:`PathRecord`), so a run keeps only what it reads.  The public
-simulators store every state time-major and return a :class:`PathEnsemble`;
-:func:`stream_overdamped` and :func:`stream_polymer` store nothing and feed
-observers only.  :func:`stream_polymer` steps several feedback gains as one
-state, a gain-major ``[q | p]`` row per gain, on one noise draw; the polymer
+Observers.  Every ensemble reaches its observers as chunks, ``add(first,
+t0, X)``: X[i] holds the states at time index t0 + i of trajectories
+``first, first + 1, ...``.  The chunks come one noise block at a time in
+trajectory order, and within a block in time order, each of at most
+``CHUNK`` steps.  Consecutive chunks share their boundary time, so each step
+lies in exactly one chunk, and a chunk's first time is new only when t0 is
+0.  X is a view that the next chunk overwrites: an observer copies what it
+keeps.  :func:`_march_paths` feeds its observers while it steps;
+:func:`replay` feeds a stored ensemble in the same blocks and chunks, so an
+observer sees the same bits either way.  Storing is one observer,
+:class:`PathRecord`: the public simulators keep every state time-major and
+return a :class:`PathEnsemble`, while :func:`stream_overdamped` and
+:func:`stream_polymer` keep only what their observers keep.
+:func:`stream_polymer` steps several feedback gains as one state, a
+gain-major ``[q | p]`` row per gain, on one noise draw; the polymer
 simulator is its batch of one.  :class:`WindowTemperatures` sums each
 trajectory's kinetic energy over a window while the gains step.
 
@@ -56,6 +63,7 @@ from .tolerances import (ESCAPED_FRACTION_MAX, FLUCTUATION_DISSIPATION_TOL, TIME
                          WINDOW_SLACK)
 
 NOISE_BLOCK = 1024
+CHUNK = 32
 
 
 class TrajectoryDivergence(NumericalFailure):
@@ -120,26 +128,27 @@ def _resolve_x0(x0, rng: Generator, size: int, dim: int) -> np.ndarray:
 
 
 class PathRecord:
-    """A per-step observer that stores the states at some times and columns.
+    """An observer that stores the states at some times and columns.
 
-    ``at`` lists the time indices kept (default: all ``n_times``) and
-    ``columns`` the state columns (default: all); ``values[r]`` holds the
-    (n_traj, width) states at time ``at[r]``, time-major.
+    ``at`` lists the time indices kept, increasing and in ``[0, n_times)``
+    (default: all ``n_times``), and ``columns`` the state columns (default:
+    all); ``values[r]`` holds the (n_traj, width) states at time ``at[r]``,
+    time-major.
     """
 
     def __init__(self, n_traj: int, n_times: int, width: int, at=None,
                  columns=slice(None)):
-        self.rows = {k: r for r, k in enumerate(range(n_times) if at is None else at)}
-        self.values = np.empty((len(self.rows), n_traj, width))
+        self.at = np.arange(n_times) if at is None else np.asarray(at, dtype=int)
+        if self.at.ndim != 1 or np.any(self.at < 0) or np.any(self.at >= n_times) \
+                or np.any(np.diff(self.at) <= 0):
+            raise ValueError(f"PathRecord keeps increasing time indices in [0, {n_times})")
+        self.values = np.empty((self.at.size, n_traj, width))
         self.columns = columns
 
-    def observe(self, k, first, y_prev, y):
-        last = first + y.shape[0]
-        if k == 0 and 0 in self.rows:
-            self.values[self.rows[0], first:last] = y_prev[:, self.columns]
-        row = self.rows.get(k + 1)
-        if row is not None:
-            self.values[row, first:last] = y[:, self.columns]
+    def add(self, first, t0, X):
+        a, b = np.searchsorted(self.at, [t0 + (t0 > 0), t0 + len(X)])
+        if a < b:  # the columns are taken before the rows are copied
+            self.values[a:b, first:first + X.shape[1]] = X[:, :, self.columns][self.at[a:b] - t0]
 
     def ensemble(self, times, dt: float, seed: int) -> PathEnsemble:
         """The kept states as a read-only ensemble at ``times`` (one per row)."""
@@ -147,67 +156,25 @@ class PathRecord:
         return PathEnsemble(times, self.values.swapaxes(0, 1), dt, seed)
 
 
-class BlockWindow:
-    """A per-step observer that gathers each block's states at the times
-    ``lo..hi`` and hands them on in chunks of at most ``CHUNK`` steps, so
-    that its work runs per chunk, not per step, on little memory.
-
-    ``add_block(first, t0, X)`` gets the states X[i] at time t0 + i of
-    trajectories ``first, first + 1, ...``; consecutive chunks share their
-    boundary time, so each step of the window lies in exactly one chunk.
-    """
-
-    CHUNK = 32
-
-    def __init__(self, lo: int, hi: int):
-        self.lo, self.hi = lo, hi
-        self.buf = None
-        self.t0 = lo
-
-    def observe(self, k, first, y_prev, y):
-        if not self.lo <= k < self.hi:
-            return
-        nb = y.shape[0]
-        if k == self.lo:
-            if self.buf is None:  # the first block is the largest
-                self.buf = np.empty((self.CHUNK + 1,) + y.shape)
-            self.buf[0, :nb] = y_prev
-            self.t0 = k
-        row = k + 1 - self.t0
-        self.buf[row, :nb] = y
-        if row == self.CHUNK or k + 1 == self.hi:
-            self.add_block(first, self.t0, self.buf[:row + 1, :nb])
-            self.buf[0, :nb] = y
-            self.t0 = k + 1
-
-    def add_block(self, first: int, t0: int, X: np.ndarray) -> None:
-        raise NotImplementedError
-
-
 def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
-                 t1: float, seed: int, escape_radius: float | None,
-                 observers=(), store: bool = True) -> PathEnsemble | None:
+                 t1: float, seed: int, escape_radius: float | None, observers=()) -> None:
     """The one loop over noise blocks and time steps of every path ensemble.
 
     Each block's stream draws ``start(rng) -> (NOISE_BLOCK, dim)``, then
     ``(NOISE_BLOCK, steps, noise_dim)`` noise; ``step(k, y, dW)`` maps the
-    states at t_k to t_k+1.  After each step's escape check every observer
-    sees ``observe(k, first, y_prev, y)``: blocks in trajectory order, and
-    within a block the steps in time order.  With ``store`` every state is
-    kept and the ensemble returned; without it the run returns None and
-    holds one block's noise and states.  Non-finite initial states, and
-    initial states whose default escape radius (50x the spread of the first
-    block, floor 1) is not finite, are invalid input.  Steps and observers
-    run with numpy's overflow and invalid-value warnings off: the escape
-    check after each step rejects a state that overflowed.
+    states at t_k to t_k+1.  The checked states reach every observer in
+    chunks of at most ``CHUNK`` steps (see the module docstring) from one
+    buffer, so a run holds one block's noise and one chunk of states.
+    Non-finite initial states, and initial states whose default escape
+    radius (50x the spread of the first block, floor 1) is not finite, are
+    invalid input.  Steps and observers run with numpy's overflow and
+    invalid-value warnings off: the escape check after each step rejects a
+    state that overflowed.
     """
     steps = time_steps(0.0, t1, dt)
-    times = dt * np.arange(steps + 1)
-    record = PathRecord(n_traj, steps + 1, dim) if store else None
-    if store:
-        observers = (record.observe, *observers)
     radius = escape_radius
     noise = np.empty((NOISE_BLOCK, steps, noise_dim))
+    buf = np.empty((CHUNK + 1, NOISE_BLOCK, dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n_traj, NOISE_BLOCK):
             nb = min(NOISE_BLOCK, n_traj - first)
@@ -221,17 +188,43 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
                 if not radius < np.inf:
                     raise ValueError("the spread of the initial states overflows, "
                                      "so no escape radius can be set")
+            X, t0 = buf[:, :nb], 0
+            X[0] = y
             for k in range(steps):
-                y_prev, y = y, step(k, y, noise[:nb, k])
+                y = step(k, y, noise[:nb, k])
                 worst = np.max(np.abs(y))
                 if not worst <= radius:  # NaN fails too
                     bad = first + int(np.argmax(np.max(np.abs(y), axis=1)))
                     raise TrajectoryDivergence(
                         f"trajectory divergence: |state| = {worst:.3g} > {radius:.3g} "
-                        f"at t = {times[k + 1]:.6g}, trajectory index {bad}")
-                for observe in observers:
-                    observe(k, first, y_prev, y)
-    return record.ensemble(times, dt, seed) if store else None
+                        f"at t = {(k + 1) * dt:.6g}, trajectory index {bad}")
+                row = k + 1 - t0
+                X[row] = y
+                if row == CHUNK or k + 1 == steps:
+                    for add in observers:
+                        add(first, t0, X[:row + 1])
+                    X[0], t0 = y, k + 1
+
+
+def replay(ens: PathEnsemble, observers) -> None:
+    """Feed a stored ensemble to ``observers`` in the blocks and chunks in
+    which :func:`_march_paths` fed it; a one-time ensemble is one chunk of
+    one time."""
+    for first in range(0, ens.n_traj, NOISE_BLOCK):
+        block = ens.states[first:first + NOISE_BLOCK].swapaxes(0, 1)
+        for t0 in range(0, max(len(ens.times) - 1, 1), CHUNK):
+            for add in observers:
+                add(first, t0, block[t0:t0 + CHUNK + 1])
+
+
+def _march_stored(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
+                  t1: float, seed: int, escape_radius: float | None) -> PathEnsemble:
+    """:func:`_march_paths` into a :class:`PathRecord` of every state."""
+    times = dt * np.arange(time_steps(0.0, t1, dt) + 1)
+    record = PathRecord(n_traj, times.size, dim)
+    _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, escape_radius,
+                 (record.add,))
+    return record.ensemble(times, dt, seed)
 
 
 def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
@@ -248,16 +241,15 @@ def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
     keeping the model drift).
     """
     start, step = _overdamped_rule(ham, u, x0, dt, sigma)
-    return _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, escape_radius)
+    return _march_stored(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, escape_radius)
 
 
 def stream_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float, t1: float,
                       seed: int, observers) -> None:
-    """The ensemble of :func:`simulate_overdamped`, fed to ``observers``
-    step by step and not stored."""
+    """The ensemble of :func:`simulate_overdamped`, fed to ``observers`` and
+    not stored."""
     start, step = _overdamped_rule(ham, u, x0, dt, None)
-    _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None, observers,
-                 store=False)
+    _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None, observers)
 
 
 def _overdamped_rule(ham: HamiltonianSpec, u, x0, dt: float, sigma: float | None):
@@ -371,7 +363,7 @@ def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
     """
     start, step, dim, noise_dim, radius = _polymer_rule(spec, (spec.control_gain,), q0, p0,
                                                         dt, escape_radius)
-    return _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius)
+    return _march_stored(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius)
 
 
 def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
@@ -386,8 +378,7 @@ def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
     escape radius stops the run.
     """
     start, step, dim, noise_dim, radius = _polymer_rule(spec, gains, 0.0, 0.0, dt, None)
-    _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius, observers,
-                 store=False)
+    _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius, observers)
 
 
 def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float,
@@ -480,13 +471,13 @@ def _temperature(traj_vals: np.ndarray, window) -> KineticTemperature:
 
 
 class WindowTemperatures:
-    """A per-step observer of :func:`stream_polymer`: each trajectory's sum
-    of m V^2 per block over the time window, for every gain.
+    """An observer of :func:`stream_polymer`: each trajectory's sum of m V^2
+    per block over the time window, for every gain.
 
     ``estimates()`` gives each gain's :class:`KineticTemperature`, bitwise
     :func:`kinetic_temperature` of that gain's stored ensemble when
     ``spec.block_dim`` is 1: the stored window is time-major, so its time
-    average also adds the steps in time order.
+    average also adds the times in order.
     """
 
     def __init__(self, spec: PolymerSpec, n_gains: int, n_traj: int, times: np.ndarray,
@@ -497,16 +488,15 @@ class WindowTemperatures:
         self.sel = _window(times, window)
         self.sums = np.zeros((n_traj, n_gains, spec.n_blocks))
 
-    def observe(self, k, first, y_prev, y):
-        if k == 0 and self.sel[0]:
-            self._add(first, y_prev)
-        if self.sel[k + 1]:
-            self._add(first, y)
-
-    def _add(self, first, y):
-        nb, nc = y.shape[0], self.spec.n_coords
-        p = y.reshape(nb, self.n_gains, 2 * nc)[:, :, nc:]
-        self.sums[first:first + nb] += _block_mv2(p, self.spec).sum(axis=-1)
+    def add(self, first, t0, X):
+        nb, nc = X.shape[1], self.spec.n_coords
+        acc = self.sums[first:first + nb]
+        # the times in order, one at a time, since a chunk's temporaries would
+        # outgrow the chunk buffer; a later chunk's first time ended the one before
+        for i in range(t0 > 0, len(X)):
+            if self.sel[t0 + i]:
+                p = X[i].reshape(nb, self.n_gains, 2 * nc)[:, :, nc:]
+                acc += _block_mv2(p, self.spec).sum(axis=-1)
 
     def estimates(self) -> list[KineticTemperature]:
         count = np.count_nonzero(self.sel) * self.spec.block_dim
@@ -564,6 +554,11 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid,
     return GridDensity(grid, smoothed / total, mass=1.0)
 
 
+def _need_two_trajectories(ens: PathEnsemble) -> None:
+    if ens.n_traj < 2:
+        raise ValueError("a sample covariance needs at least two trajectories")
+
+
 @dataclass(frozen=True)
 class SampleMoments:
     mean: np.ndarray
@@ -574,6 +569,7 @@ class SampleMoments:
 
 def sample_moments(ens: PathEnsemble, t_index: int) -> SampleMoments:
     """Ensemble mean/covariance at one time with standard errors."""
+    _need_two_trajectories(ens)
     x = ens.states[:, t_index, :]
     n = x.shape[0]
     mean = x.mean(axis=0)
@@ -599,6 +595,7 @@ def ensemble_rows(ens: PathEnsemble):
 def ensemble_summary(ens: PathEnsemble, spec: PolymerSpec | None = None):
     """Header and lazy per-time rows of the mean and covariance entries, plus
     the kinetic temperature of each block for polymer runs."""
+    _need_two_trajectories(ens)
     dim = ens.dim
     header = ["t"] + [f"mean{i}" for i in range(dim)] + \
              [f"cov{i}{j}" for i in range(dim) for j in range(dim)]

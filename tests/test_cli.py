@@ -353,6 +353,19 @@ def test_paths_run_t_index_out_of_range(tmp_path, capsys, t_index):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_index", ["0", "1"])
+def test_one_step_paths_run_has_no_interior_time(tmp_path, capsys, t_index):
+    # t1 = dt: the time indices are 0 and 1, and neither has both drifts
+    cfg = tmp_path / "p.ini"
+    cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 50\n"
+                   f"dt = 0.005\nt1 = 0.005\nt_index = {t_index}\n")
+    out = tmp_path / "paths"
+    assert main(["paths-run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the pool of the drift estimate names no interior time\n"
+    assert not out.exists()
+
+
 def test_paths_run_manifest_records_default_seed(tmp_path):
     cfg = tmp_path / "p.ini"
     cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 50\n"

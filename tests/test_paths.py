@@ -110,6 +110,11 @@ def test_index_validation(ou_stationary):
         estimate_forward_drift(ou_stationary, len(ou_stationary.times) - 1, BIN_GRID)
     with pytest.raises(ValueError):
         estimate_backward_drift(ou_stationary, 0, BIN_GRID)
+    for pool in ([], range(5, 5)):
+        with pytest.raises(ValueError, match="names no interior time"):
+            estimate_forward_drift(ou_stationary, pool, BIN_GRID)
+        with pytest.raises(ValueError, match="names no interior time"):
+            IncrementBins(BIN_GRID, pool, ou_stationary.dt)
 
 
 def test_estimator_consistency_se_scaling(ou_ham, ou_stationary):
@@ -165,10 +170,10 @@ def test_one_pass_binning_is_bitwise_a_bincount_per_time(ou_ham, n_traj, steps, 
     min_count = data.draw(st.integers(1, 40), label="min_count")
     ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed)
     bins = IncrementBins(grid, pool, dt)
-    energy = EnergySum(n_traj, steps + 1, dt, lambda x: -x)
+    energy = EnergySum(n_traj, dt, lambda x: -x)
     whole = IncrementBins(grid, range(1, steps), dt)  # both ends of the horizon
     stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed,
-                      (bins.observe, whole.observe, energy.observe))
+                      (bins.add, whole.add, energy.add))
     for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
         for p, streamed in ((pool, bins), (range(1, steps), whole), (loose, None)):
             ref = per_time_bincount(ens, p, grid, min_count, lag)
@@ -186,12 +191,27 @@ def test_one_pass_binning_is_bitwise_a_bincount_per_time(ou_ham, n_traj, steps, 
     assert fe.value == float(per_traj.mean())
 
 
+def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
+    # time 10 ends a 10-step run, so it has a backward step but no forward
+    # one, and time 50 lies past the horizon: neither may count a sample
+    # whose increment it never adds
+    x0 = lambda rng, size: rng.standard_normal((size, 1))
+    ens = simulate_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1)
+    bins = IncrementBins(BIN_GRID, [4, 10, 50], 0.01)
+    stream_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1, (bins.add,))
+    for lag, stored, pool in ((+1, estimate_forward_drift, [4]),
+                              (-1, estimate_backward_drift, [4, 10])):
+        est, ref = bins.estimate(lag, 5), stored(ens, pool, BIN_GRID, 5)
+        for field in ("vectors", "counts", "stderr"):
+            assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
+
+
 def test_streamed_energy_from_an_estimated_field(ou_ham):
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5)
     beta = estimate_forward_drift(ens, range(1, 79), BIN_GRID, min_count=5)
-    energy = EnergySum(3000, 81, 0.01, beta)
-    stream_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5, (energy.observe,))
+    energy = EnergySum(3000, 0.01, beta)
+    stream_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5, (energy.add,))
     assert energy.estimate() == finite_energy_estimate(ens, beta)
 
 
@@ -293,6 +313,15 @@ def test_finite_energy_from_estimated_field(ou_stationary):
     fe = finite_energy_estimate(ou_stationary, beta)
     assert fe.coverage > 0.99
     assert fe.value == pytest.approx(1.0, rel=0.05)
+
+
+def test_finite_energy_needs_a_step():
+    # a one-time ensemble has no step to integrate over
+    ens = PathEnsemble(np.array([0.0]), np.zeros((5, 1, 1)), 0.1, 0)
+    estimate = DriftEstimate(BIN_GRID, np.ones((64, 1)), np.full(64, 50), np.zeros((64, 1)))
+    for field in (lambda x: -x, estimate):
+        with pytest.raises(ValueError, match="no step"):
+            finite_energy_estimate(ens, field)
 
 
 # ---------------------------------------------------------------------------

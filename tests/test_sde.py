@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid
 from entroflow.sde import (
+    CHUNK,
     NOISE_BLOCK,
     KineticTemperature,
     PathEnsemble,
@@ -22,6 +23,7 @@ from entroflow.sde import (
     harmonic_cantilever,
     kinetic_temperature,
     polymer_momenta,
+    replay,
     sample_moments,
     scott_bandwidth,
     simulate_overdamped,
@@ -283,36 +285,57 @@ def test_polymer_3d_blocks_shapes():
 
 
 # ---------------------------------------------------------------------------
-# streamed ensembles: per-step observers and batched gains
+# streamed ensembles: chunk observers and batched gains
 # ---------------------------------------------------------------------------
 
 N_TRAJ = st.sampled_from([1, 2, NOISE_BLOCK - 1, NOISE_BLOCK + 1, 2 * NOISE_BLOCK + 3])
 
 
 @settings(max_examples=15, deadline=None)
-@given(n_traj=N_TRAJ, steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+@given(n_traj=N_TRAJ, steps=st.integers(1, 3 * CHUNK), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_observers_see_the_stored_states(ou_ham, n_traj, steps, seed, data):
+    # the march and a replay of its stored ensemble hand the observers the
+    # same (first, t0, X) chunks bit for bit: blocks in trajectory order,
+    # chunks of at most CHUNK steps sharing their boundary time, each X the
+    # stored states
     x0 = gaussian_x0(0.3, 1.5)
     dt, t1 = 0.01, steps * 0.01
     ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed)
-    seen = []
+    streamed, replayed = [], []
 
-    def observe(k, first, y_prev, y):
-        rows = ens.states[first:first + y.shape[0]]
-        assert same_bits(y_prev, rows[:, k]) and same_bits(y, rows[:, k + 1])
-        seen.append((first, k))
+    def keep(seen):
+        return lambda first, t0, X: seen.append((first, t0, X.copy()))
 
     lo = data.draw(st.integers(0, steps), label="lo")
     at = list(range(lo, data.draw(st.integers(lo + 1, steps + 1), label="hi")))
     record = PathRecord(n_traj, steps + 1, 1, at=at)
     assert stream_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed,
-                             (observe, record.observe)) is None
-    assert seen == [(first, k) for first in range(0, n_traj, NOISE_BLOCK)
-                    for k in range(steps)]
+                             (keep(streamed), record.add)) is None
+    replay(ens, (keep(replayed),))
+    assert [chunk[:2] for chunk in streamed] == [chunk[:2] for chunk in replayed] \
+        == [(first, t0) for first in range(0, n_traj, NOISE_BLOCK)
+            for t0 in range(0, steps, CHUNK)]
+    for (first, t0, X), (_, _, Y) in zip(streamed, replayed):
+        stored = ens.states[first:first + NOISE_BLOCK, t0:t0 + CHUNK + 1].swapaxes(0, 1)
+        assert same_bits(X, Y) and same_bits(X, stored)
     kept = record.ensemble(ens.times[at], dt, seed)
     assert same_bits(kept.states, ens.states[:, at])
     assert not kept.states.flags.writeable
+
+
+@pytest.mark.parametrize("at", [(5,), (3,), (-1,), (0, 3), (2, 1), (1, 1)])
+def test_path_record_keeps_only_times_of_the_run(at):
+    # on 3 time points a record of time 5 would hand out uninitialised memory
+    with pytest.raises(ValueError, match=re.escape("increasing time indices in [0, 3)")):
+        PathRecord(4, 3, 1, at=at)
+
+
+def test_one_trajectory_has_no_sample_covariance(ou_ham):
+    ens = simulate_overdamped(ou_ham, None, 0.0, n_traj=1, dt=0.1, t1=0.2, seed=0)
+    for moments in (lambda: sample_moments(ens, 1), lambda: ensemble_summary(ens)):
+        with pytest.raises(ValueError, match="at least two trajectories"):
+            moments()
 
 
 @settings(max_examples=10, deadline=None)
@@ -329,8 +352,7 @@ def test_batched_gains_equal_separate_runs(gains, n_traj, seed, window_lo):
     temps = WindowTemperatures(spec, len(gains), n_traj, times, (window_lo, t1))
     records = [PathRecord(n_traj, n_times, width, columns=slice(g * width, (g + 1) * width))
                for g in range(len(gains))]
-    stream_polymer(spec, gains, n_traj, dt, t1, seed,
-                   (temps.observe, *(r.observe for r in records)))
+    stream_polymer(spec, gains, n_traj, dt, t1, seed, (temps.add, *(r.add for r in records)))
     for gain, kt, record in zip(gains, temps.estimates(), records):
         own = replace(spec, control_gain=gain)
         ens = simulate_polymer(own, n_traj, dt, t1, seed)
