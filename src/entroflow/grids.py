@@ -117,21 +117,43 @@ class Grid:
         mask[(slice(1, -1),) * self.ndim] = False
         return mask
 
-    def cell_index(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map points ``(m, ndim)`` to flat cell indices.
+    def cell_index(self, x: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray]:
+        """Map points ``(..., ndim)`` to flat cell indices of shape ``x.shape[:-1]``.
 
         Returns (flat_index, inside) where ``inside`` marks points within the
         box; indices of outside points are clipped and must be masked by the
-        caller.
+        caller.  ``work`` is :meth:`cell_work` for at least as many points,
+        or None for fresh buffers; the results are views of it, so a call
+        with caller-owned ``work`` allocates nothing of the size of x.
         """
-        # axis-major (ndim, m): each operation loops over the points, not the axes
-        u = np.atleast_2d(x).T - np.asarray(self.lo)[:, None]
-        u /= self.dx[:, None]
-        ij = np.floor(u, out=u).astype(int)
-        cells = np.asarray(self.cells)[:, None]
-        inside = np.all((ij >= 0) & (ij < cells), axis=0)
+        x = np.atleast_2d(x)
+        lead = x.shape[:-1]
+        m = int(np.prod(lead))
+        u, ij, low, high, inside = self.cell_work(m) if work is None else work
+        # axis-major (ndim, ...): each operation loops over the points, not the axes
+        u, ij, low, high = (a[:, :m].reshape((self.ndim,) + lead) for a in (u, ij, low, high))
+        inside = inside[:m].reshape(lead)
+        col = (self.ndim,) + (1,) * len(lead)
+        cells = np.reshape(self.cells, col)
+        np.subtract(np.moveaxis(x, -1, 0), np.reshape(self.lo, col), out=u)
+        np.divide(u, self.dx.reshape(col), out=u)
+        np.copyto(ij, np.floor(u, out=u), casting="unsafe")
+        np.greater_equal(ij, 0, out=low)
+        np.less(ij, cells, out=high)
+        np.logical_and.reduce(np.logical_and(low, high, out=low), axis=0, out=inside)
         np.clip(ij, 0, cells - 1, out=ij)
-        return np.ravel_multi_index(tuple(ij), self.cells), inside
+        flat = ij[0]
+        for a in range(1, self.ndim):  # C order, as np.ravel_multi_index
+            flat *= self.cells[a]
+            flat += ij[a]
+        return flat, inside
+
+    def cell_work(self, m: int) -> tuple[np.ndarray, ...]:
+        """The buffers :meth:`cell_index` uses for up to ``m`` points: a
+        float and an int array of shape (ndim, m), and three bool ones."""
+        shape = (self.ndim, m)
+        return (np.empty(shape), np.empty(shape, dtype=np.intp), np.empty(shape, dtype=bool),
+                np.empty(shape, dtype=bool), np.empty(m, dtype=bool))
 
 
 def face_sides(axis: int) -> tuple[tuple, tuple]:

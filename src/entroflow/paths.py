@@ -37,7 +37,7 @@ import numpy as np
 
 from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, gradient
 from .production import floored_log
-from .sde import PathEnsemble, replay
+from .sde import PathEnsemble, replay, row_span
 
 MIN_CELL_COUNT = 30
 
@@ -70,6 +70,21 @@ class DriftEstimate:
         return self.vectors.reshape(-1, self.grid.ndim)[idx], valid
 
 
+def _head(buf: np.ndarray, shape) -> np.ndarray:
+    """The front of the flat buffer ``buf`` as a C-contiguous array of ``shape``."""
+    return buf[:int(np.prod(shape))].reshape(shape)
+
+
+def _rows(A: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``A[rows]`` for increasing ``rows``: a view when they are consecutive,
+    else gathered into the front of ``buf``."""
+    span = row_span(rows)
+    if isinstance(span, slice):
+        return A[span]
+    # mode="raise" would gather into a temporary and copy it into out
+    return np.take(A, rows, axis=0, out=_head(buf, (len(rows),) + A.shape[1:]), mode="clip")
+
+
 def _as_indices(t_index) -> list[int]:
     if np.isscalar(t_index):
         return [int(t_index)]
@@ -83,12 +98,18 @@ class IncrementBins:
     One increment (x(t_k+1) - x(t_k)) / dt per step is the forward increment
     at t_k and the backward increment at t_k+1, since (a - b) / (-dt) is
     bitwise (b - a) / dt.  Sums are kept per pooled time and add each time's
-    samples in trajectory order: each chunk is one ``bincount`` whose first
-    weights are the sums so far.  A sample counts for a lag only with its
-    increment, so a pooled time without a step at that lag adds nothing.
-    The observer holds 2 ndim + 1 numbers per cell, and one more, per lag
-    and pooled time.  ``pool`` may repeat a time; its samples then count
-    twice.
+    samples in trajectory order: ``np.add.at`` adds a chunk's samples one
+    by one, in order, to the sums so far.  A sample counts for a lag only
+    with its increment, so a pooled time without a step at that lag adds
+    nothing.  The observer holds 2 ndim + 1 numbers per cell, and one more,
+    per lag and pooled time.  ``pool`` may repeat a time; its samples then
+    count twice.
+
+    Work buffers, made by the first chunk and grown only for a larger one,
+    hold the increments, their squares, gathered rows and the cells of the
+    pooled times: about six arrays the size of one chunk, 1.7 MB for the
+    (CHUNK + 1, NOISE_BLOCK, 1) chunks of a 1-D run, so that a chunk
+    allocates nothing of its size.
     """
 
     def __init__(self, grid: Grid, pool, dt: float, forward: bool = True,
@@ -104,6 +125,18 @@ class IncrementBins:
         shape = (len(self.times), grid.size + 1)
         self.counts = {lag: np.zeros(shape, dtype=np.int64) for lag in self.lags}
         self.sums = {lag: np.zeros((2, grid.ndim) + shape) for lag in self.lags}
+        self._fits = (0, 0)  # the (times, trajectories) of a chunk the buffers fit
+
+    def _work(self, n_times: int, n_traj: int) -> None:
+        """Grow the work buffers to fit a chunk of n_times x n_traj states."""
+        if n_times <= self._fits[0] and n_traj <= self._fits[1]:
+            return
+        n_times, n_traj = max(n_times, self._fits[0]), max(n_traj, self._fits[1])
+        self._fits = (n_times, n_traj)
+        size = n_times * n_traj * self.grid.ndim
+        self._inc, self._sq, self._rows = np.empty(size), np.empty(size), np.empty(size)
+        self._cells = self.grid.cell_work(n_times * n_traj)
+        self._offsets = np.empty(n_times * n_traj, dtype=np.intp)
 
     def add(self, first, t0, X):
         grid = self.grid
@@ -112,30 +145,32 @@ class IncrementBins:
         if a == b:
             return
         at = self.times[a:b] - t0  # the pooled times of the chunk, as rows of X
-        d = (X[1:] - X[:-1]) / self.dt  # the increment of step t0 + i
-        d2 = d ** 2
-        cells = grid.size + 1
-        idx, inside = grid.cell_index(X[at].reshape(-1, grid.ndim))
+        self._work(*X.shape[:2])
+        d = np.subtract(X[1:], X[:-1], out=_head(self._inc, X[1:].shape))
+        np.divide(d, self.dt, out=d)  # the increment of step t0 + i
+        d2 = np.square(d, out=_head(self._sq, d.shape))
+        idx, inside = grid.cell_index(_rows(X, at, self._rows), self._cells)
         # one row of cells, and one extra for the outside, per pooled time
-        idx = (np.where(inside, idx, grid.size).reshape(b - a, -1)
-               + cells * np.arange(b - a)[:, None])
+        np.copyto(idx, grid.size, where=np.logical_not(inside, out=inside))
+        # a broadcast add would allocate numpy's iteration buffers: the offsets
+        # are spread out by a copy and added elementwise
+        offsets = _head(self._offsets, idx.shape)
+        np.copyto(offsets, (grid.size + 1) * np.arange(b - a)[:, None])
+        idx += offsets
         for lag in self.lags:
             # the rows whose step of this lag lies in the chunk
             r0, r1 = (0, np.count_nonzero(at < t1 - t0)) if lag > 0 else \
                 (np.count_nonzero(at == 0), b - a)
             if r0 == r1:
                 continue
-            local = idx[r0:r1].ravel() - r0 * cells
-            self.counts[lag][a + r0:a + r1] += np.bincount(
-                local, minlength=(r1 - r0) * cells).reshape(r1 - r0, cells)
-            prefix = np.concatenate([np.arange((r1 - r0) * cells), local])
+            cells = idx[r0:r1].reshape(-1)
+            np.add.at(self.counts[lag][a:b].reshape(-1), cells, 1)
             step = at[r0:r1] - (lag < 0)
             for moment, w in enumerate((d, d2)):
+                w = _rows(w, step, self._rows)
                 for ax in range(grid.ndim):
-                    acc = self.sums[lag][moment, ax, a + r0:a + r1]
-                    acc[...] = np.bincount(
-                        prefix, weights=np.concatenate([acc.ravel(), w[step, :, ax].ravel()]),
-                        minlength=acc.size).reshape(acc.shape)
+                    np.add.at(self.sums[lag][moment, ax, a:b].reshape(-1), cells,
+                              w[:, :, ax].reshape(-1))
 
     def totals(self, lag: int):
         """Counts, sums and sums of squares per cell, each (size, ndim) but
@@ -254,19 +289,24 @@ class EnergySum:
         self.per_traj = np.zeros(n_traj)
         self.used = 0
         self.total = 0
+        self._sq = np.empty(0)  # |beta|^2 of a chunk's points, grown to the largest chunk
 
     def add(self, first, t0, X):
         """Add the steps from X[i] to X[i + 1]; the chunks of a trajectory
         must come in time order."""
         _, n, dim = X.shape
         x = X[:-1].reshape(-1, dim)
+        if self._sq.size < x.shape[0]:
+            self._sq = np.empty(x.shape[0])
+        s = self._sq[:x.shape[0]]
         if isinstance(self.drift_field, DriftEstimate):
             vec, valid = self.drift_field.lookup(x)
-            s = np.where(valid, np.einsum("mi,mi->m", vec, vec), 0.0)
+            np.einsum("mi,mi->m", vec, vec, out=s)
+            np.copyto(s, 0.0, where=~valid)
             self.used += int(valid.sum())
         else:
             vec = np.asarray(self.drift_field(x), dtype=float).reshape(x.shape)
-            s = np.einsum("mi,mi->m", vec, vec)
+            np.einsum("mi,mi->m", vec, vec, out=s)
             self.used += x.shape[0]
         self.total += x.shape[0]
         acc = self.per_traj[first:first + n]

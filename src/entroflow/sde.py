@@ -29,16 +29,18 @@ trajectory order, and within a block in time order, each of at most
 ``CHUNK`` steps.  Consecutive chunks share their boundary time, so each step
 lies in exactly one chunk, and a chunk's first time is new only when t0 is
 0.  X is a view that the next chunk overwrites: an observer copies what it
-keeps.  :func:`_march_paths` feeds its observers while it steps;
-:func:`replay` feeds a stored ensemble in the same blocks and chunks, so an
-observer sees the same bits either way.  Storing is one observer,
-:class:`PathRecord`: the public simulators keep every state time-major and
-return a :class:`PathEnsemble`, while :func:`stream_overdamped` and
-:func:`stream_polymer` keep only what their observers keep.
-:func:`stream_polymer` steps several feedback gains as one state, a
-gain-major ``[q | p]`` row per gain, on one noise draw; the polymer
-simulator is its batch of one.  :class:`WindowTemperatures` sums each
-trajectory's kinetic energy over a window while the gains step.
+keeps.  An observer may keep work buffers sized by one chunk, (CHUNK + 1,
+NOISE_BLOCK, dim), and reuse them for every chunk, so that a run maps no
+fresh chunk-sized array per chunk.  :func:`_march_paths` feeds its
+observers while it steps; :func:`replay` feeds a stored ensemble in the
+same blocks and chunks, so an observer sees the same bits either way.
+Storing is one observer, :class:`PathRecord`: the public simulators keep
+every state time-major and return a :class:`PathEnsemble`, while
+:func:`stream_overdamped` and :func:`stream_polymer` keep only what their
+observers keep.  :func:`stream_polymer` steps several feedback gains as
+one state, a gain-major ``[q | p]`` row per gain, on one noise draw; the
+polymer simulator is its batch of one.  :class:`WindowTemperatures` sums
+each trajectory's kinetic energy over a window while the gains step.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth) and equipartition kinetic temperatures
@@ -127,6 +129,14 @@ def _resolve_x0(x0, rng: Generator, size: int, dim: int) -> np.ndarray:
     return np.broadcast_to(arr.reshape(1, dim), (size, dim)).copy()
 
 
+def row_span(rows: np.ndarray):
+    """Increasing indices ``rows`` as a slice when they are consecutive, so
+    that taking them is a view; otherwise ``rows`` itself."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class PathRecord:
     """An observer that stores the states at some times and columns.
 
@@ -147,8 +157,9 @@ class PathRecord:
 
     def add(self, first, t0, X):
         a, b = np.searchsorted(self.at, [t0 + (t0 > 0), t0 + len(X)])
-        if a < b:  # the columns are taken before the rows are copied
-            self.values[a:b, first:first + X.shape[1]] = X[:, :, self.columns][self.at[a:b] - t0]
+        if a < b:  # the rows are taken before the columns, a range of them as a view
+            rows = X[row_span(self.at[a:b] - t0)]
+            self.values[a:b, first:first + X.shape[1]] = rows[:, :, self.columns]
 
     def ensemble(self, times, dt: float, seed: int) -> PathEnsemble:
         """The kept states as a read-only ensemble at ``times`` (one per row)."""
@@ -182,7 +193,9 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
             y = start(rng)[:nb]
             if not np.all(np.isfinite(y)):
                 raise ValueError("initial states must be finite")
-            rng.standard_normal(out=noise)  # one buffer: no two blocks' noise at once
+            # one buffer: no two blocks' noise at once; the draws run trajectory
+            # by trajectory, so a partial block draws a prefix of a full one
+            rng.standard_normal(out=noise[:nb])
             if radius is None:
                 radius = 50.0 * float(np.maximum(1.0, np.std(y)))  # keeps a NaN
                 if not radius < np.inf:

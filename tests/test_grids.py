@@ -51,6 +51,23 @@ def test_cell_index_roundtrip():
     assert not inside[0]
 
 
+def test_cell_index_into_caller_buffers():
+    # points of any leading shape, inside and out (NaN too), map as the
+    # floored cells flattened in C order; the buffers may be larger
+    g = Grid((-1.0, 0.0, 2.0), (1.0, 3.0, 2.5), (4, 5, 3))
+    x = np.random.default_rng(1).uniform(-2.0, 4.0, (6, 7, 3))
+    x[0, 0, 1] = np.nan
+    ij = np.floor((x - np.array(g.lo)) / g.dx)
+    inside = np.all((ij >= 0) & (ij < g.cells), axis=-1)
+    with np.errstate(invalid="ignore"):
+        ij = np.clip(np.nan_to_num(ij, nan=-1.0).astype(int), 0, np.array(g.cells) - 1)
+        for work in (None, g.cell_work(50)):
+            got, got_inside = g.cell_index(x, work)
+            assert np.array_equal(got, np.ravel_multi_index(tuple(np.moveaxis(ij, -1, 0)),
+                                                            g.cells))
+            assert np.array_equal(got_inside, inside) and got.shape == (6, 7)
+
+
 def test_gradient_exact_for_quadratics():
     # central interior + second-order one-sided edges: quadratics differentiate exactly
     g = Grid((-3.0,), (5.0,), (64,))

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,14 @@ from entroflow.paths import (
     weak_continuity_check,
 )
 from entroflow.production import relative_entropy_rate
-from entroflow.sde import PathEnsemble, estimate_density, simulate_overdamped, stream_overdamped
+from entroflow.sde import (
+    CHUNK,
+    NOISE_BLOCK,
+    PathEnsemble,
+    estimate_density,
+    simulate_overdamped,
+    stream_overdamped,
+)
 from entroflow.thermo import relative_entropy
 
 BIN_GRID = Grid((-4.0,), (4.0,), (64,))
@@ -131,26 +139,44 @@ def test_estimator_consistency_se_scaling(ou_ham, ou_stationary):
 def per_time_bincount(ens, pool, grid, min_count, lag):
     """The drift estimate as one ``bincount`` per pooled time of the increments
     (x(t + lag dt) - x(t)) / (lag dt) of all trajectories, binned by the cell
-    of x(t) computed here from the grid's bounds (1-D)."""
-    lo, hi, cells = grid.lo[0], grid.hi[0], grid.cells[0]
-    counts = np.zeros(cells)
-    sums = np.zeros((cells, 1))
-    sq = np.zeros((cells, 1))
+    of x(t) computed here from the grid's bounds: the floored cell along each
+    axis, flattened by ``np.ravel_multi_index``."""
+    lo, hi, cells = np.array(grid.lo), np.array(grid.hi), np.array(grid.cells)
+    size, dim = grid.size, grid.ndim
+    counts = np.zeros(size)
+    sums = np.zeros((size, dim))
+    sq = np.zeros((size, dim))
     for k in pool:
         x = ens.states[:, k, :]
         dx = (ens.states[:, k + lag, :] - x) / (lag * ens.dt)
-        ij = np.floor((x[:, 0] - lo) / ((hi - lo) / cells)).astype(int)
-        inside = (ij >= 0) & (ij < cells)
-        idx = ij[inside]
-        counts += np.bincount(idx, minlength=cells)
-        sums[:, 0] += np.bincount(idx, weights=dx[inside, 0], minlength=cells)
-        sq[:, 0] += np.bincount(idx, weights=dx[inside, 0] ** 2, minlength=cells)
+        ij = np.floor((x - lo) / ((hi - lo) / cells)).astype(int)
+        inside = np.all((ij >= 0) & (ij < cells), axis=1)
+        idx = np.ravel_multi_index(tuple(ij[inside].T), grid.cells)
+        counts += np.bincount(idx, minlength=size)
+        for ax in range(dim):
+            sums[:, ax] += np.bincount(idx, weights=dx[inside, ax], minlength=size)
+            sq[:, ax] += np.bincount(idx, weights=dx[inside, ax] ** 2, minlength=size)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts[:, None]
         se = np.sqrt(np.maximum(sq / counts[:, None] - mean**2, 0.0) / counts[:, None])
     mean[counts < min_count] = 0.0
     se[counts < min_count] = 0.0
-    return DriftEstimate(grid, mean, counts, se, min_count)
+    return DriftEstimate(grid, mean.reshape(grid.shape + (dim,)), counts.reshape(grid.shape),
+                         se.reshape(grid.shape + (dim,)), min_count)
+
+
+def assert_bins_match_oracle(ens, grid, min_count, pools):
+    """The stored estimators, and the streamed observer where ``pools`` pairs
+    one with its pool, are bitwise :func:`per_time_bincount`."""
+    for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
+        for p, streamed in pools:
+            ref = per_time_bincount(ens, p, grid, min_count, lag)
+            ests = [stored(ens, p, grid, min_count)]
+            if streamed is not None:
+                ests.append(streamed.estimate(lag, min_count))
+            for est in ests:
+                for field in ("vectors", "counts", "stderr"):
+                    assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
 
 
 @settings(max_examples=20, deadline=None)
@@ -174,21 +200,51 @@ def test_one_pass_binning_is_bitwise_a_bincount_per_time(ou_ham, n_traj, steps, 
     whole = IncrementBins(grid, range(1, steps), dt)  # both ends of the horizon
     stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed,
                       (bins.add, whole.add, energy.add))
-    for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
-        for p, streamed in ((pool, bins), (range(1, steps), whole), (loose, None)):
-            ref = per_time_bincount(ens, p, grid, min_count, lag)
-            ests = [stored(ens, p, grid, min_count)]
-            if streamed is not None:
-                ests.append(streamed.estimate(lag, min_count))
-            for est in ests:
-                for field in ("vectors", "counts", "stderr"):
-                    assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
+    assert_bins_match_oracle(ens, grid, min_count,
+                             ((pool, bins), (range(1, steps), whole), (loose, None)))
     fe = finite_energy_estimate(ens, lambda x: -x)
     assert energy.estimate() == fe
     per_traj = np.zeros(n_traj)
     for k in range(steps):
         per_traj += ens.states[:, k, 0] ** 2 * dt
     assert fe.value == float(per_traj.mean())
+
+
+def test_two_dimensional_binning_is_bitwise_a_bincount_per_time():
+    # a 2-D grid flattens its cells in C order; the box leaves samples outside
+    # along each axis, the ensemble ends with a one-trajectory block, and the
+    # pools span several chunks, one of them sparse, unsorted and repeating
+    ham = quadratic_hamiltonian(np.array([[1.0, 0.4], [0.4, 2.0]]), kT=1.0, sigma2=2.0)
+    x0 = lambda rng, size: rng.standard_normal((size, 2))
+    n_traj, steps, dt = NOISE_BLOCK + 1, 3 * CHUNK + 5, 0.01
+    grid = Grid((-1.2, -0.5), (0.9, 1.4), (5, 4))
+    pool = range(CHUNK - 3, 2 * CHUNK + 7)
+    loose = [70, 3, CHUNK, 17, CHUNK, 2 * CHUNK + 1, 4, 5]
+    ens = simulate_overdamped(ham, None, x0, n_traj, dt, steps * dt, 11)
+    _, inside = grid.cell_index(ens.states[:, pool].reshape(-1, 2))
+    assert 0.2 < inside.mean() < 0.8
+    bins, sparse = IncrementBins(grid, pool, dt), IncrementBins(grid, loose, dt)
+    stream_overdamped(ham, None, x0, n_traj, dt, steps * dt, 11, (bins.add, sparse.add))
+    assert_bins_match_oracle(ens, grid, 3, ((pool, bins), (loose, sparse)))
+
+
+def test_binning_a_chunk_allocates_no_chunk_sized_array():
+    # after the first chunk, the work buffers are kept: later chunks raise the
+    # traced peak by far less than the chunk itself
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((CHUNK + 1, NOISE_BLOCK, 1))
+    bins = IncrementBins(BIN_GRID, range(0, 4 * CHUNK), 0.01)
+    tracemalloc.start()
+    try:
+        bins.add(0, 0, X)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for t0 in (CHUNK, 2 * CHUNK, 3 * CHUNK):
+            bins.add(0, t0, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < X.nbytes / 4, (peak - base, X.nbytes)
 
 
 def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
