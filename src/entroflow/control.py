@@ -76,6 +76,8 @@ class GainSchedule:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape or times.size < 1:
             raise ValueError("need matching 1-D time/value tables")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ValueError("gain table times and values must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise ValueError("table times must be strictly increasing")
         return cls(lambda t: float(np.interp(t, times, values)))

@@ -97,17 +97,17 @@ class IncrementBins:
 
     One increment (x(t_k+1) - x(t_k)) / dt per step is the forward increment
     at t_k and the backward increment at t_k+1, since (a - b) / (-dt) is
-    bitwise (b - a) / dt.  Sums are kept per pooled time and add each time's
-    samples in trajectory order: ``np.add.at`` adds a chunk's samples one
-    by one, in order, to the sums so far.  A sample counts for a lag only
-    with its increment, so a pooled time without a step at that lag adds
-    nothing.  The observer holds 2 ndim + 1 numbers per cell, and one more,
-    per lag and pooled time.  ``pool`` may repeat a time; its samples then
-    count twice.
+    bitwise (b - a) / dt.  The pool is the set of its times: a repeated time
+    is the same samples, so it counts once.  Each lag keeps one pooled count,
+    sum and sum of squares per cell, 2 ndim + 1 numbers per cell whatever
+    the size of the pool, and ``np.add.at`` adds a chunk's samples to them
+    one by one, pooled time by pooled time, in trajectory order.  A sample
+    counts for a lag only with its increment, so a pooled time without a
+    step at that lag adds nothing.
 
     Work buffers, made by the first chunk and grown only for a larger one,
     hold the increments, their squares, gathered rows and the cells of the
-    pooled times: about six arrays the size of one chunk, 1.7 MB for the
+    pooled times: about five arrays the size of one chunk, 1.5 MB for the
     (CHUNK + 1, NOISE_BLOCK, 1) chunks of a 1-D run, so that a chunk
     allocates nothing of its size.
     """
@@ -115,16 +115,13 @@ class IncrementBins:
     def __init__(self, grid: Grid, pool, dt: float, forward: bool = True,
                  backward: bool = True):
         self.grid, self.dt = grid, dt
-        self.pool = _as_indices(pool)
-        if not self.pool:
+        self.times = np.unique(_as_indices(pool))
+        if not self.times.size:
             raise ValueError("the pool of the drift estimate names no interior time")
-        self.times = np.array(sorted(set(self.pool)), dtype=int)
-        self.slot = {k: s for s, k in enumerate(self.times.tolist())}
         self.lags = (+1,) * forward + (-1,) * backward
-        # one extra cell per pooled time collects the samples outside the box
-        shape = (len(self.times), grid.size + 1)
-        self.counts = {lag: np.zeros(shape, dtype=np.int64) for lag in self.lags}
-        self.sums = {lag: np.zeros((2, grid.ndim) + shape) for lag in self.lags}
+        # the last cell collects the samples outside the box
+        self.counts = {lag: np.zeros(grid.size + 1, dtype=np.int64) for lag in self.lags}
+        self.sums = {lag: np.zeros((2, grid.ndim, grid.size + 1)) for lag in self.lags}
         self._fits = (0, 0)  # the (times, trajectories) of a chunk the buffers fit
 
     def _work(self, n_times: int, n_traj: int) -> None:
@@ -136,7 +133,6 @@ class IncrementBins:
         size = n_times * n_traj * self.grid.ndim
         self._inc, self._sq, self._rows = np.empty(size), np.empty(size), np.empty(size)
         self._cells = self.grid.cell_work(n_times * n_traj)
-        self._offsets = np.empty(n_times * n_traj, dtype=np.intp)
 
     def add(self, first, t0, X):
         grid = self.grid
@@ -150,13 +146,7 @@ class IncrementBins:
         np.divide(d, self.dt, out=d)  # the increment of step t0 + i
         d2 = np.square(d, out=_head(self._sq, d.shape))
         idx, inside = grid.cell_index(_rows(X, at, self._rows), self._cells)
-        # one row of cells, and one extra for the outside, per pooled time
-        np.copyto(idx, grid.size, where=np.logical_not(inside, out=inside))
-        # a broadcast add would allocate numpy's iteration buffers: the offsets
-        # are spread out by a copy and added elementwise
-        offsets = _head(self._offsets, idx.shape)
-        np.copyto(offsets, (grid.size + 1) * np.arange(b - a)[:, None])
-        idx += offsets
+        np.copyto(idx, grid.size, where=np.logical_not(inside, out=inside))  # the outside cell
         for lag in self.lags:
             # the rows whose step of this lag lies in the chunk
             r0, r1 = (0, np.count_nonzero(at < t1 - t0)) if lag > 0 else \
@@ -164,44 +154,29 @@ class IncrementBins:
             if r0 == r1:
                 continue
             cells = idx[r0:r1].reshape(-1)
-            np.add.at(self.counts[lag][a:b].reshape(-1), cells, 1)
+            np.add.at(self.counts[lag], cells, 1)
             step = at[r0:r1] - (lag < 0)
             for moment, w in enumerate((d, d2)):
                 w = _rows(w, step, self._rows)
                 for ax in range(grid.ndim):
-                    np.add.at(self.sums[lag][moment, ax, a:b].reshape(-1), cells,
-                              w[:, :, ax].reshape(-1))
-
-    def totals(self, lag: int):
-        """Counts, sums and sums of squares per cell, each (size, ndim) but
-        the counts, added over the pool in pool order."""
-        grid = self.grid
-        counts = np.zeros(grid.size)
-        sums = np.zeros((grid.ndim, grid.size))
-        sq = np.zeros((grid.ndim, grid.size))
-        for k in self.pool:
-            s = self.slot[k]
-            counts += self.counts[lag][s, :-1]
-            sums += self.sums[lag][0, :, s, :-1]
-            sq += self.sums[lag][1, :, s, :-1]
-        return counts, sums.T, sq.T
+                    np.add.at(self.sums[lag][moment, ax], cells, w[:, :, ax].reshape(-1))
 
     def estimate(self, lag: int, min_count: int = MIN_CELL_COUNT) -> DriftEstimate:
-        """The forward (``lag = +1``) or backward (``-1``) drift estimate."""
-        return _drift_estimate(self.grid, *self.totals(lag), min_count)
-
-
-def _drift_estimate(grid: Grid, counts, sums, sq, min_count: int) -> DriftEstimate:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = sums / counts[:, None]
-        var = np.maximum(sq / counts[:, None] - mean**2, 0.0)
-        se = np.sqrt(var / counts[:, None])
-    occupied = counts >= min_count
-    mean[~occupied] = 0.0
-    se[~occupied] = 0.0
-    return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
-                         counts.reshape(grid.shape),
-                         se.reshape(grid.shape + (grid.ndim,)), min_count)
+        """The forward (``lag = +1``) or backward (``-1``) drift estimate of
+        the cells in the box."""
+        grid = self.grid
+        counts = self.counts[lag][:-1].astype(float)
+        sums, sq = self.sums[lag][:, :, :-1].transpose(0, 2, 1)  # each (size, ndim)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = sums / counts[:, None]
+            var = np.maximum(sq / counts[:, None] - mean**2, 0.0)
+            se = np.sqrt(var / counts[:, None])
+        occupied = counts >= min_count
+        mean[~occupied] = 0.0
+        se[~occupied] = 0.0
+        return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
+                             counts.reshape(grid.shape),
+                             se.reshape(grid.shape + (grid.ndim,)), min_count)
 
 
 def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,

@@ -130,8 +130,9 @@ def _resolve_x0(x0, rng: Generator, size: int, dim: int) -> np.ndarray:
 
 
 def row_span(rows: np.ndarray):
-    """Increasing indices ``rows`` as a slice when they are consecutive, so
-    that taking them is a view; otherwise ``rows`` itself."""
+    """Strictly increasing indices ``rows`` as a slice when they are
+    consecutive, so that taking them is a view; otherwise ``rows`` itself.
+    Repeats are not detected: ``[3, 3, 5]`` gives ``slice(3, 6)``."""
     if rows.size and rows[-1] - rows[0] == rows.size - 1:
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows

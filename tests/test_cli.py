@@ -614,6 +614,20 @@ def test_gain_table_rows_parse_strictly(tmp_path, capsys, row):
     assert not out.exists()
 
 
+def test_gain_table_non_finite_entries_exit_2(tmp_path, capsys):
+    # a NaN time passes the strictly-increasing check, and an entry past the
+    # horizon is never read: each table is rejected for its non-finite entry
+    table, out = tmp_path / "g.csv", tmp_path / "o"
+    for rows in ("nan,0.5", "0,0.5\ninf,1.0", "0,0.5\n0.02,0.5\n100,nan", "0,0.5\nnan,1.0"):
+        table.write_text(rows + "\n")
+        assert main(["control-run", "--alpha-table", str(table), "--t1", "0.02",
+                     "--dt", "0.01", "--out", str(out)]) == 2, rows
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, rows
+        assert "finite" in err, rows
+        assert not out.exists(), rows
+
+
 NARROW_CONTROL_INI = """\
 [scenario]
 kind = control-run

@@ -136,26 +136,30 @@ def test_estimator_consistency_se_scaling(ou_ham, ou_stationary):
     assert 1.25 <= ratio <= 1.6
 
 
-def per_time_bincount(ens, pool, grid, min_count, lag):
-    """The drift estimate as one ``bincount`` per pooled time of the increments
-    (x(t + lag dt) - x(t)) / (lag dt) of all trajectories, binned by the cell
-    of x(t) computed here from the grid's bounds: the floored cell along each
-    axis, flattened by ``np.ravel_multi_index``."""
+def pooled_add_at(ens, pool, grid, min_count, lag):
+    """The drift estimate as pooled sums of the increments
+    (x(t + lag dt) - x(t)) / (lag dt), binned by the cell of x(t) computed
+    here from the grid's bounds: the floored cell along each axis, flattened
+    by ``np.ravel_multi_index``.  For each block of ``NOISE_BLOCK``
+    trajectories, then each time of the pool once, in increasing order,
+    ``np.add.at`` adds the samples inside the box."""
     lo, hi, cells = np.array(grid.lo), np.array(grid.hi), np.array(grid.cells)
     size, dim = grid.size, grid.ndim
     counts = np.zeros(size)
     sums = np.zeros((size, dim))
     sq = np.zeros((size, dim))
-    for k in pool:
-        x = ens.states[:, k, :]
-        dx = (ens.states[:, k + lag, :] - x) / (lag * ens.dt)
-        ij = np.floor((x - lo) / ((hi - lo) / cells)).astype(int)
-        inside = np.all((ij >= 0) & (ij < cells), axis=1)
-        idx = np.ravel_multi_index(tuple(ij[inside].T), grid.cells)
-        counts += np.bincount(idx, minlength=size)
-        for ax in range(dim):
-            sums[:, ax] += np.bincount(idx, weights=dx[inside, ax], minlength=size)
-            sq[:, ax] += np.bincount(idx, weights=dx[inside, ax] ** 2, minlength=size)
+    for first in range(0, ens.n_traj, NOISE_BLOCK):
+        block = ens.states[first:first + NOISE_BLOCK]
+        for k in sorted(set(pool)):
+            x = block[:, k, :]
+            dx = (block[:, k + lag, :] - x) / (lag * ens.dt)
+            ij = np.floor((x - lo) / ((hi - lo) / cells)).astype(int)
+            inside = np.all((ij >= 0) & (ij < cells), axis=1)
+            idx = np.ravel_multi_index(tuple(ij[inside].T), grid.cells)
+            np.add.at(counts, idx, 1)
+            for ax in range(dim):
+                np.add.at(sums[:, ax], idx, dx[inside, ax])
+                np.add.at(sq[:, ax], idx, dx[inside, ax] ** 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts[:, None]
         se = np.sqrt(np.maximum(sq / counts[:, None] - mean**2, 0.0) / counts[:, None])
@@ -166,15 +170,12 @@ def per_time_bincount(ens, pool, grid, min_count, lag):
 
 
 def assert_bins_match_oracle(ens, grid, min_count, pools):
-    """The stored estimators, and the streamed observer where ``pools`` pairs
-    one with its pool, are bitwise :func:`per_time_bincount`."""
+    """The stored estimators of each pool, and the streamed observer that
+    ``pools`` pairs with it, are bitwise :func:`pooled_add_at`."""
     for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
         for p, streamed in pools:
-            ref = per_time_bincount(ens, p, grid, min_count, lag)
-            ests = [stored(ens, p, grid, min_count)]
-            if streamed is not None:
-                ests.append(streamed.estimate(lag, min_count))
-            for est in ests:
+            ref = pooled_add_at(ens, p, grid, min_count, lag)
+            for est in (stored(ens, p, grid, min_count), streamed.estimate(lag, min_count)):
                 for field in ("vectors", "counts", "stderr"):
                     assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
 
@@ -182,9 +183,9 @@ def assert_bins_match_oracle(ens, grid, min_count, pools):
 @settings(max_examples=20, deadline=None)
 @given(n_traj=st.sampled_from([2, 1023, 1025, 3000]), steps=st.integers(2, 80),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_one_pass_binning_is_bitwise_a_bincount_per_time(ou_ham, n_traj, steps, seed, data):
-    # the streamed observer and the stored estimators against one bincount per
-    # pooled time; the box [-0.6, 0.9] leaves about half the samples outside,
+def test_one_pass_binning_is_bitwise_a_pooled_add_at(ou_ham, n_traj, steps, seed, data):
+    # the streamed observer and the stored estimators against the pooled sums
+    # of the oracle; the box [-0.6, 0.9] leaves about half the samples outside,
     # and pools reach both ends of the horizon and span several chunks
     dt = 0.01
     x0 = lambda rng, size: rng.standard_normal((size, 1))
@@ -195,13 +196,13 @@ def test_one_pass_binning_is_bitwise_a_bincount_per_time(ou_ham, n_traj, steps, 
                       label="unsorted pool with repeats")
     min_count = data.draw(st.integers(1, 40), label="min_count")
     ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed)
-    bins = IncrementBins(grid, pool, dt)
+    bins, sparse = IncrementBins(grid, pool, dt), IncrementBins(grid, loose, dt)
     energy = EnergySum(n_traj, dt, lambda x: -x)
     whole = IncrementBins(grid, range(1, steps), dt)  # both ends of the horizon
     stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed,
-                      (bins.add, whole.add, energy.add))
+                      (bins.add, sparse.add, whole.add, energy.add))
     assert_bins_match_oracle(ens, grid, min_count,
-                             ((pool, bins), (range(1, steps), whole), (loose, None)))
+                             ((pool, bins), (range(1, steps), whole), (loose, sparse)))
     fe = finite_energy_estimate(ens, lambda x: -x)
     assert energy.estimate() == fe
     per_traj = np.zeros(n_traj)
@@ -210,7 +211,7 @@ def test_one_pass_binning_is_bitwise_a_bincount_per_time(ou_ham, n_traj, steps, 
     assert fe.value == float(per_traj.mean())
 
 
-def test_two_dimensional_binning_is_bitwise_a_bincount_per_time():
+def test_two_dimensional_binning_is_bitwise_a_pooled_add_at():
     # a 2-D grid flattens its cells in C order; the box leaves samples outside
     # along each axis, the ensemble ends with a one-trajectory block, and the
     # pools span several chunks, one of them sparse, unsorted and repeating
@@ -226,6 +227,34 @@ def test_two_dimensional_binning_is_bitwise_a_bincount_per_time():
     bins, sparse = IncrementBins(grid, pool, dt), IncrementBins(grid, loose, dt)
     stream_overdamped(ham, None, x0, n_traj, dt, steps * dt, 11, (bins.add, sparse.add))
     assert_bins_match_oracle(ens, grid, 3, ((pool, bins), (loose, sparse)))
+
+
+def test_a_repeated_pool_time_counts_once(ou_ham):
+    # a repeated time is the same samples: counting them twice would shrink
+    # each cell's standard error by sqrt(2) and let a cell pass min_count on
+    # half its samples
+    x0 = lambda rng, size: rng.standard_normal((size, 1))
+    n_traj, steps, dt = NOISE_BLOCK + 5, 2 * CHUNK + 3, 0.01
+    repeated, once = [9, 40, 9, CHUNK, 40, 40, 3], [3, 9, CHUNK, 40]
+    ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7)
+    twice, single = IncrementBins(BIN_GRID, repeated, dt), IncrementBins(BIN_GRID, once, dt)
+    stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7, (twice.add, single.add))
+    for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
+        pairs = ((twice.estimate(lag, 5), single.estimate(lag, 5)),
+                 (stored(ens, repeated, BIN_GRID, 5), stored(ens, once, BIN_GRID, 5)))
+        for est, ref in pairs:
+            for field in ("vectors", "counts", "stderr"):
+                assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
+
+
+def test_bins_do_not_grow_with_the_pool():
+    # one pooled count and two pooled sums per cell and lag, whatever the pool
+    grid = Grid((-4.0,), (4.0,), (1000,))
+
+    def held(bins):
+        return sum(a.nbytes for a in (*bins.counts.values(), *bins.sums.values()))
+
+    assert held(IncrementBins(grid, [80], 0.01)) == held(IncrementBins(grid, range(1, 161), 0.01))
 
 
 def test_binning_a_chunk_allocates_no_chunk_sized_array():
