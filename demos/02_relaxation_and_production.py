@@ -18,7 +18,6 @@ from entroflow import (
     gibbs_density,
     production_decomposition,
     quadratic_hamiltonian,
-    relative_entropy,
 )
 
 ham = quadratic_hamiltonian(1.0, kT=1.0, sigma2=2.0)

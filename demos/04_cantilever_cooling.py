@@ -7,8 +7,6 @@ stays tied to gamma by fluctuation-dissipation.  The feedback acts like
 extra friction without extra noise, so the measured kinetic temperature
 drops below the thermostat value and keeps dropping as the gain grows.
 """
-import numpy as np
-
 from entroflow import harmonic_cantilever, kinetic_temperature, simulate_polymer
 
 GAMMA, T = 1.0, 1.0

@@ -8,8 +8,6 @@ sigma^2 grad log p, their average (the current drift) vanishes, the path
 kinetic energy E int |beta|^2 dt equals the stationary second moment, and
 the one-time density transports along the current drift in the weak sense.
 """
-import numpy as np
-
 from entroflow import Grid, quadratic_hamiltonian, simulate_overdamped
 from entroflow.paths import (
     current_drift,

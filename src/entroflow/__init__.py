@@ -31,7 +31,6 @@ from .fokker_planck import (
     BoundaryDecayReport,
     ConvergenceError,
     DensityTrajectory,
-    DriftSpec,
     HamiltonianFlow,
     MassDriftError,
     PositivityError,
@@ -88,7 +87,7 @@ __all__ = [
     "GaussianDensity", "HamiltonianSpec", "MassMismatchWarning",
     "flux_and_force", "free_energy", "gibbs_density",
     "quadratic_hamiltonian", "relative_entropy",
-    "BoundaryDecayReport", "ConvergenceError", "DensityTrajectory", "DriftSpec",
+    "BoundaryDecayReport", "ConvergenceError", "DensityTrajectory",
     "HamiltonianFlow", "MassDriftError", "PositivityError", "StabilityError",
     "boundary_decay_report", "continuity_velocity", "evolve",
     "BoundaryLeakWarning", "ProductionReport", "entropy_rate",

@@ -427,7 +427,7 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     w.write_csv("summary.csv", *ensemble_summary(last.ensemble(times, dt, seed), spec))
 
 
-def _qubit_qrec_rows(dt, t1):
+def _qubit_qrec_rows(times):
     H = HamiltonianOperator(np.diag([1.0, -1.0]).astype(complex))
     dH = HamiltonianOperator(sigma_x)
     Ht = HamiltonianOperator(H.matrix + dH.matrix)
@@ -437,7 +437,7 @@ def _qubit_qrec_rows(dt, t1):
     def states(t):
         return evolve_closed(H, rho0, t), evolve_closed(Ht, rho_tilde0, t)
 
-    for t in np.arange(0.0, t1 + dt / 2, dt):
+    for t in times:
         rho_t, rho_tilde_t = states(t)
         rate = q_relative_entropy_rate(rho_t, dH, rho_tilde_t)
         fd = (q_relative_entropy(*states(t + QREC_FD_STEP))
@@ -450,7 +450,7 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     dt, t1 = c["dt"], c["t1"]
     if c["model"] == "qubit-qrec":
         w.write_csv("rates.csv", ["t", "D", "rate", "fd_residual"],
-                    _qubit_qrec_rows(dt, t1))
+                    _qubit_qrec_rows(dt * np.arange(_n_times(c))))
         return
     if c["model"] == "qubit-lindblad":
         spec = LindbladSpec(HamiltonianOperator(np.zeros((2, 2))),

@@ -20,12 +20,11 @@ stationary point of the discrete operator for every admissible gain.
 Time stepping: theta-scheme (default theta = 1/2, Crank-Nicolson), with the
 operator sampled at step midpoints.  For a Hamiltonian flow the Peclet numbers
 -(H_{i+1} - H_i)/kT do not depend on the gain, so the operator at time t is
-exactly (D(t)/D_0) A_0: the gain only rescales the clock.  Every flow of
-:func:`evolve` is such a time change (a static drift a constant one), so
-:func:`evolve` loads A_0 once per run and each step uses the scale
-s = D(t_mid)/D_0, which is exactly 1.0 for a constant gain.  The grid fixes
-the sparsity pattern of every operator on it; one stepper per run holds that
-pattern, and loading an operator writes its face coefficients in place.  In
+exactly (D(t)/D_0) A_0: the gain only rescales the clock.  :func:`evolve`
+takes only such flows, so it loads A_0 once per run and each step uses the
+scale s = D(t_mid)/D_0, which is exactly 1.0 for a constant gain.  The grid
+fixes the sparsity pattern of every operator on it; one stepper per run holds
+that pattern, and loading an operator writes its face coefficients in place.  In
 1-D the tridiagonal system (I - theta dt s A_0) x = b is solved directly
 with a banded solver on the three bands of A_0, rebuilt only when s or the
 operator changes.  In N-D it is solved with Jacobi-preconditioned BiCGSTAB,
@@ -122,45 +121,6 @@ def bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _face_points(grid: Grid, axis: int) -> np.ndarray:
-    """Interior face centers along ``axis``; shape (*faces_shape, ndim)."""
-    axes = [grid.axis_centers(a) for a in range(grid.ndim)]
-    axes[axis] = grid.axis_faces(axis)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1)
-
-
-@dataclass(frozen=True)
-class DriftSpec:
-    """Static drift ``func(points) -> vectors`` plus diffusion coefficient.
-
-    ``sigma2`` is the coefficient of the Laplacian written as
-    (sigma2/2) Laplacian(rho).
-    """
-
-    sigma2: float
-    func: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
-
-    def half_diffusion(self, t: float) -> float:
-        return 0.5 * self.sigma2
-
-    def face_drifts(self, grid: Grid, t: float) -> list[np.ndarray]:
-        out = []
-        for a in range(grid.ndim):
-            pts = _face_points(grid, a)
-            vec = np.asarray(self.func(pts.reshape(-1, grid.ndim)), dtype=float)
-            out.append(vec.reshape(pts.shape[:-1] + (grid.ndim,))[..., a])
-        return out
-
-    def cell_drift(self, grid: Grid, t: float) -> np.ndarray:
-        vec = np.asarray(self.func(grid.points()), dtype=float)
-        return vec.reshape(grid.shape + (grid.ndim,))
-
-
 @dataclass(frozen=True)
 class HamiltonianFlow:
     """Gain-modulated gradient flow of the Hamiltonian ``ham``.
@@ -179,21 +139,15 @@ class HamiltonianFlow:
     ham: HamiltonianSpec
     gain: float | Callable[[float], float] = 0.0
 
-    def alpha(self, t: float) -> float:
-        return admissible_gain(self.gain(t) if callable(self.gain) else self.gain,
-                               self.ham.sigma2)
-
     def half_diffusion(self, t: float) -> float:
-        return 0.5 * self.ham.sigma2 + self.alpha(t)
+        """D(t) = sigma2/2 + alpha(t), > 0 for an admissible gain."""
+        gain = self.gain(t) if callable(self.gain) else self.gain
+        return 0.5 * self.ham.sigma2 + admissible_gain(gain, self.ham.sigma2)
 
     def face_drifts(self, grid: Grid, t: float) -> list[np.ndarray]:
         coeff = -self.half_diffusion(t) / self.ham.kT
         with np.errstate(over="ignore", invalid="ignore"):  # _Stepper.load rejects inf/NaN
             return [coeff * g for g in energy_slopes(grid, self.ham.sample_energy(grid))]
-
-    def cell_drift(self, grid: Grid, t: float) -> np.ndarray:
-        coeff = -self.half_diffusion(t) / self.ham.kT
-        return coeff * gradient(grid, self.ham.sample_energy(grid))
 
 
 def energy_slopes(grid: Grid, H: np.ndarray) -> list[np.ndarray]:
@@ -398,13 +352,13 @@ def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
     return DensityTrajectory(grid, times, values, rho0.mass)
 
 
-def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
+def evolve(flow: HamiltonianFlow, rho0: GridDensity, t0: float, t1: float, dt: float,
            theta: float = 0.5, store_every: int = 1) -> DensityTrajectory:
     """Integrate the continuity-form equation from t0 to t1 with fixed dt.
 
-    ``drift`` is a :class:`DriftSpec` or :class:`HamiltonianFlow`, whose
-    operator D(t) A_0 is assembled once, at the first step midpoint; each step
-    rescales it by D(t_mid)/D_0.  With the default theta = 1/2 the scheme is
+    The operator D(t) A_0 of ``flow`` is assembled once, at the first step
+    midpoint; each step rescales it by D(t_mid)/D_0, where every D > 0 since
+    the gain is admissible.  With the default theta = 1/2 the scheme is
     second order in time and unconditionally stable.  For theta < 1/2 each
     step is validated against the Gershgorin stability bound and rejected
     with a suggestion.  Steps that drive any cell below -POSITIVITY_TOL raise
@@ -413,30 +367,30 @@ def evolve(drift, rho0: GridDensity, t0: float, t1: float, dt: float,
     grid = rho0.grid
     n_steps = time_steps(t0, t1, dt)
     t_ref = t0 + 0.5 * dt
-    D0 = drift.half_diffusion(t_ref)
+    D0 = flow.half_diffusion(t_ref)
     stepper = _Stepper(grid, dt, theta)
-    stepper.load(D0, drift.face_drifts(grid, t_ref))
+    stepper.load(D0, flow.face_drifts(grid, t_ref))
 
     def step(k, rho):
-        # D0 = 0 only for a drift without diffusion, whose D never changes
-        t_mid = t0 + (k + 0.5) * dt
-        s = drift.half_diffusion(t_mid) / D0 if D0 > 0.0 else 1.0
+        s = flow.half_diffusion(t0 + (k + 0.5) * dt) / D0
         return stepper.advance(rho, s, t0 + (k + 1) * dt)
 
     return march(step, rho0, t0, dt, n_steps, store_every)
 
 
-def continuity_velocity(rho: GridDensity, drift, t: float) -> VectorFieldGrid:
-    """Velocity field v with d rho/dt + div(v rho) = 0 for the given drift.
+def continuity_velocity(rho: GridDensity, flow: HamiltonianFlow, t: float) -> VectorFieldGrid:
+    """Velocity field v with d rho/dt + div(v rho) = 0 under ``flow``.
 
-    v = f(x, t) - (sigma2_eff/2) grad log rho; this is the field to feed the
-    relative-entropy rate formula when comparing against solver trajectories.
+    v = -D (grad H / kT + grad log rho) with D = sigma2_eff/2 = sigma2/2 + alpha(t);
+    this is the field to feed the relative-entropy rate formula when comparing
+    against solver trajectories.
     """
     grid = rho.grid
     if np.any(rho.values <= 0.0):
         raise ValueError("log-density undefined")
     g = gradient(grid, np.log(rho.values))
-    v = drift.cell_drift(grid, t) - drift.half_diffusion(t) * g
+    D = flow.half_diffusion(t)
+    v = -D / flow.ham.kT * gradient(grid, flow.ham.sample_energy(grid)) - D * g
     return VectorFieldGrid(grid, v)
 
 

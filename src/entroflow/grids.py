@@ -91,11 +91,6 @@ class Grid:
         d = self.dx[axis]
         return self.lo[axis] + d * (np.arange(self.cells[axis]) + 0.5)
 
-    def axis_faces(self, axis: int) -> np.ndarray:
-        """Interior face coordinates along one axis (cells-1 of them)."""
-        d = self.dx[axis]
-        return self.lo[axis] + d * np.arange(1, self.cells[axis])
-
     def centers(self) -> np.ndarray:
         """Cell-center coordinates, shape ``shape + (ndim,)``."""
         return self._centers

@@ -8,7 +8,7 @@ Two integrators:
   underdamped block dynamics
 
       dq = (p/m) dt,
-      dp = [-grad phi(q) - gamma V - alpha_c V] dt + Gamma dW,   V = p/m,
+      dp = [-grad phi(q) - gamma V - alpha_c V] dt + sqrt(2 gamma T) dW,   V = p/m,
 
   where noise and friction act on momenta only (singular diffusion) and the
   velocity feedback -alpha_c V cools the kinetic temperature below the
@@ -61,8 +61,7 @@ from scipy.ndimage import gaussian_filter
 
 from .grids import Grid, GridDensity, NumericalFailure, time_steps
 from .thermo import HamiltonianSpec
-from .tolerances import (ESCAPED_FRACTION_MAX, FLUCTUATION_DISSIPATION_TOL, TIME_GRID_RTOL,
-                         WINDOW_SLACK)
+from .tolerances import ESCAPED_FRACTION_MAX, TIME_GRID_RTOL, WINDOW_SLACK
 
 NOISE_BLOCK = 1024
 CHUNK = 32
@@ -243,18 +242,17 @@ def _march_stored(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
 
 def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
                         t1: float, seed: int,
-                        escape_radius: float | None = None,
-                        sigma: float | None = None) -> PathEnsemble:
-    """Euler-Maruyama ensemble of dx = [drift + u] dt + sigma dW.
+                        escape_radius: float | None = None) -> PathEnsemble:
+    """Euler-Maruyama ensemble of dx = [-(sigma2 / 2 kT) grad H + u] dt + sigma dW.
 
-    ``u`` is None or a callable ``(x, t) -> (m, dim)``; ``x0`` is a callable
+    The drift and sigma = sqrt(sigma2) both come from ``ham``; a model with
+    sigma2 = 0 is the noise-free flow of the control alone.  ``u`` is None or
+    a callable ``(x, t) -> (m, dim)``; ``x0`` is a callable
     ``(rng, size) -> (size, dim)``, an array, or a scalar.  The escape radius
     defaults to 50x the spread of the initial samples (floor 1); crossing it
-    aborts with the offending trajectory index.  ``sigma`` overrides the
-    noise amplitude only (``sigma=0`` gives the noise-free ODE limit while
-    keeping the model drift).
+    aborts with the offending trajectory index.
     """
-    start, step = _overdamped_rule(ham, u, x0, dt, sigma)
+    start, step = _overdamped_rule(ham, u, x0, dt)
     return _march_stored(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, escape_radius)
 
 
@@ -262,14 +260,13 @@ def stream_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float, t1: f
                       seed: int, observers) -> None:
     """The ensemble of :func:`simulate_overdamped`, fed to ``observers`` and
     not stored."""
-    start, step = _overdamped_rule(ham, u, x0, dt, None)
+    start, step = _overdamped_rule(ham, u, x0, dt)
     _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None, observers)
 
 
-def _overdamped_rule(ham: HamiltonianSpec, u, x0, dt: float, sigma: float | None):
+def _overdamped_rule(ham: HamiltonianSpec, u, x0, dt: float):
     """``start(rng)`` and ``step(k, x, dW)`` of the Euler-Maruyama scheme."""
-    if sigma is None:
-        sigma = np.sqrt(ham.sigma2)
+    sigma = np.sqrt(ham.sigma2)
     root_dt = np.sqrt(dt)
 
     def step(k, x, dW):
@@ -292,25 +289,22 @@ class PolymerSpec:
     masses       : one mass per block (k = 1..n_blocks)
     block_dim    : coordinates per block (3 for spatial beads, 1 for a
                    scalar cantilever mode)
-    potential    : phi(q) -> (m,) on q of shape (m, n_blocks*block_dim)
-    grad_potential : grad phi(q) -> (m, n_blocks*block_dim)
+    grad_potential : grad phi(q) -> (m, n_blocks*block_dim) on q of shape
+                   (m, n_blocks*block_dim): the force is -grad phi
     gamma        : friction coefficient (force = -gamma V)
     control_gain : feedback gain alpha_c >= 0 (force = -alpha_c V)
     temperature  : thermostat temperature T (k_B = 1 units)
-    noise_matrix : optional Gamma acting on momenta; defaults to
-                   sqrt(2 gamma T) I and must satisfy the fluctuation-
-                   dissipation relation Gamma Gamma^T = 2 gamma T I of the
-                   uncontrolled model to FLUCTUATION_DISSIPATION_TOL.
+
+    The thermostat fixes the noise on each momentum at sqrt(2 gamma T) dW
+    (fluctuation-dissipation); the feedback adds drag without noise.
     """
 
     masses: np.ndarray
-    potential: Callable[[np.ndarray], np.ndarray]
     grad_potential: Callable[[np.ndarray], np.ndarray]
     gamma: float
     control_gain: float
     temperature: float
     block_dim: int = 3
-    noise_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         masses = np.atleast_1d(np.asarray(self.masses, dtype=float))
@@ -323,18 +317,6 @@ class PolymerSpec:
             raise ValueError("temperature must be finite and positive")
         if self.block_dim < 1:
             raise ValueError("block_dim must be >= 1")
-        n = self.n_coords
-        if self.noise_matrix is None:
-            object.__setattr__(self, "noise_matrix",
-                               np.sqrt(2.0 * self.gamma * self.temperature) * np.eye(n))
-        else:
-            G = np.atleast_2d(np.asarray(self.noise_matrix, dtype=float))
-            object.__setattr__(self, "noise_matrix", G)
-            target = 2.0 * self.gamma * self.temperature * np.eye(n)
-            if G.shape != (n, n) or np.max(np.abs(G @ G.T - target)) > FLUCTUATION_DISSIPATION_TOL:
-                raise ValueError(
-                    "noise matrix violates fluctuation-dissipation: "
-                    "Gamma Gamma^T != 2 gamma T I")
 
     @property
     def n_blocks(self) -> int:
@@ -348,10 +330,6 @@ class PolymerSpec:
     def mass_per_coord(self) -> np.ndarray:
         return np.repeat(self.masses, self.block_dim)
 
-    def energy(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        kin = 0.5 * np.sum(p**2 / self.mass_per_coord, axis=-1)
-        return kin + np.asarray(self.potential(q), dtype=float)
-
 
 def harmonic_cantilever(spring_k: float, mass: float = 1.0, gamma: float = 1.0,
                         control_gain: float = 0.0, temperature: float = 1.0
@@ -359,7 +337,6 @@ def harmonic_cantilever(spring_k: float, mass: float = 1.0, gamma: float = 1.0,
     """Single scalar mode with phi(q) = K q^2 / 2 (the AFM cantilever)."""
     return PolymerSpec(
         masses=[mass],
-        potential=lambda q: 0.5 * spring_k * np.sum(np.atleast_2d(q)**2, axis=-1),
         grad_potential=lambda q: spring_k * np.atleast_2d(q),
         gamma=gamma, control_gain=control_gain, temperature=temperature,
         block_dim=1)
@@ -371,7 +348,7 @@ def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
     """Symplectic-Euler ensemble; state layout per trajectory is [q, p].
 
     Momenta are updated first with the potential, friction and feedback
-    forces plus Gamma-noise; positions then move with the new momenta and
+    forces plus the thermostat's noise; positions then move with the new momenta and
     carry no noise (singular diffusion).  This is :func:`stream_polymer`'s
     step for the one gain ``spec.control_gain``, stored.
     """
@@ -405,13 +382,13 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float,
     nc = spec.n_coords
     n_gains = len(gains)
     m = spec.mass_per_coord
-    G = spec.noise_matrix
+    c = np.sqrt(2.0 * spec.gamma * spec.temperature)  # fluctuation-dissipation
     drag = (spec.gamma + np.asarray(gains, dtype=float)).reshape(n_gains, 1)
     if escape_radius is None:
         escape_radius = 50.0 * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
                                    np.sqrt(spec.temperature))
     root_dt = np.sqrt(dt)
-    noisy = np.any(G != 0.0)
+    noisy = c != 0.0
 
     def start(rng):
         q = _resolve_x0(q0, rng, NOISE_BLOCK, nc)
@@ -424,7 +401,7 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float,
         force = -np.asarray(spec.grad_potential(q.reshape(-1, nc)), dtype=float).reshape(q.shape)
         p = p + dt * (force - drag * (p / m))
         if noisy:
-            p = p + (root_dt * dW @ G.T)[:, None, :]
+            p = p + ((root_dt * dW) * c)[:, None, :]
         return np.concatenate([q + dt * (p / m), p], axis=2).reshape(y.shape[0], -1)
 
     return start, step, 2 * nc * n_gains, nc if noisy else 0, escape_radius
@@ -464,12 +441,17 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
 
 
 def _window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    """The mask of ``times`` in the closed window, which must lie in the horizon."""
+    """The mask of ``times`` in the closed window, which must lie in the horizon
+    and hold a time, both up to ``WINDOW_SLACK``: n dt may round past an edge."""
     lo, hi = window
     # NaN fails too
     if not times[0] - WINDOW_SLACK <= lo < hi <= times[-1] + WINDOW_SLACK:
         raise ValueError("window outside ensemble horizon")
-    return (times >= lo) & (times <= hi)
+    sel = (times >= lo - WINDOW_SLACK) & (times <= hi + WINDOW_SLACK)
+    if not sel.any():  # then the window lies between two of at least two times
+        raise ValueError(f"window [{float(lo)!r}, {float(hi)!r}] holds no time of the "
+                         f"grid of step dt = {float(times[1] - times[0])!r}")
+    return sel
 
 
 def _temperature(traj_vals: np.ndarray, window) -> KineticTemperature:

@@ -54,9 +54,7 @@ FD_RESIDUAL_FLOOR = 1e-30
 
 # -- path ensembles -----------------------------------------------------------
 
-# largest entry of Gamma Gamma^T - 2 gamma T I: fluctuation-dissipation
-FLUCTUATION_DISSIPATION_TOL = 1e-12
-# roundoff by which a time window may reach past the ensemble's horizon
+# roundoff by which a time window may reach past the horizon, or n dt past an edge
 WINDOW_SLACK = 1e-12
 # share of samples outside the grid box that a density estimate tolerates
 ESCAPED_FRACTION_MAX = 1e-3

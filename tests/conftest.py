@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entroflow import Grid, GaussianDensity, quadratic_hamiltonian
+from entroflow import Grid, GaussianDensity, HamiltonianSpec, quadratic_hamiltonian
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,12 @@ def gauss01():
 
 def normal_pdf(x, mean=0.0, var=1.0):
     return np.exp(-((x - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+
+
+def flat_hamiltonian(sigma2, dim=1):
+    """H = 0: pure diffusion of intensity ``sigma2`` (sigma2 = 0: no motion
+    but the control's)."""
+    return HamiltonianSpec(dim=dim,
+                           energy=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
+                           grad=lambda x: np.zeros_like(np.atleast_2d(x)),
+                           kT=1.0, sigma2=sigma2)

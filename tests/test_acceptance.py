@@ -22,13 +22,11 @@ from entroflow import (
     free_energy_decay_rate,
     gibbs_density,
     production_decomposition,
-    quadratic_hamiltonian,
     relative_entropy,
     relative_entropy_rate,
 )
 from entroflow.control import (
     GaussMarkovState,
-    equilibrium_gaussian,
     evolve_modulated,
     feedback_control,
     gauss_markov_propagate,
@@ -45,7 +43,6 @@ from entroflow.paths import (
     osmotic_residual,
     weak_continuity_check,
 )
-from entroflow.production import log_ratio_gradient
 from entroflow.quantum import (
     DensityOperator,
     HamiltonianOperator,

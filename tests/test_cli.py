@@ -210,6 +210,52 @@ def test_diverging_batched_gains_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+WINDOW_INI = """\
+[scenario]
+kind = sde-run
+
+[model]
+model = polymer
+alpha_c = 0.5
+
+[numerics]
+t1 = {t1}
+dt = 0.1
+n_traj = 8
+window_lo = 0.29
+"""
+
+
+def test_window_ending_at_a_rounded_grid_time(tmp_path):
+    # the last time 0.1 * 3 = 0.30000000000000004 lies past t1 = 0.3 by
+    # roundoff; the window [0.29, 0.3] holds it, so the run is valid
+    cfg = tmp_path / "window.ini"
+    cfg.write_text(WINDOW_INI.format(t1="0.3"))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sde-run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    _, data = read_csv(out / "temperature.csv")
+    assert data.shape == (1, 3) and np.all(np.isfinite(data))
+
+
+def test_window_without_a_grid_time_exits_2(tmp_path, capsys):
+    # t1 = 0.2999999999 is 3 dt to the horizon's tolerance, but the window
+    # [0.29, 0.2999999999] misses the last time 0.30000000000000004: invalid
+    # input, not an overflowing temperature
+    cfg = tmp_path / "window.ini"
+    cfg.write_text(WINDOW_INI.format(t1="0.2999999999"))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sde-run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == ("error: window [0.29, 0.2999999999] holds no time of the "
+                                       "grid of step dt = 0.1\n")
+    assert not out.exists()
+
+
 def test_quantum_run_from_operator_files(tmp_path):
     h = tmp_path / "h.txt"
     l1 = tmp_path / "l.txt"

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
 from entroflow.control import simulate_feedback
 from entroflow.fokker_planck import (
-    DriftSpec,
     HamiltonianFlow,
     MassDriftError,
     PositivityError,
@@ -19,8 +18,10 @@ from entroflow.fokker_planck import (
     evolve,
     march,
 )
-from entroflow.grids import MASS_TOL, quadrature
+from entroflow.grids import MASS_TOL
 from entroflow.thermo import HamiltonianSpec, quadratic_hamiltonian, relative_entropy
+
+from conftest import flat_hamiltonian
 
 
 def test_bernoulli_limits():
@@ -70,7 +71,7 @@ def test_one_stepper_per_run(monkeypatch, ou_ham):
     for ham, grid in ((ou_ham, grid_1d), (ham_2d, grid_2d)):
         rho0 = GaussianDensity(np.full(grid.ndim, 0.5), np.eye(grid.ndim)).sample_on(grid)
         for run in (
-                lambda: evolve(DriftSpec(sigma2=2.0, func=lambda x: -x), rho0, 0.0, 0.05, 0.01),
+                lambda: evolve(HamiltonianFlow(ham), rho0, 0.0, 0.05, 0.01),
                 lambda: evolve(HamiltonianFlow(ham, gain=lambda t: 10.0 * t), rho0,
                                0.0, 0.05, 0.01),
                 lambda: simulate_feedback(ham, lambda t: 10.0 * t, rho0, 0.05, 0.01)):
@@ -79,29 +80,22 @@ def test_one_stepper_per_run(monkeypatch, ou_ham):
             assert len(builds) == 1
 
 
-def test_driftspec_validation():
-    with pytest.raises(ValueError):
-        DriftSpec(sigma2=-1.0, func=lambda x: -x)
-
-
 def test_heat_kernel_variance():
     # pure diffusion: Var(t) = Var(0) + sigma2 * t
     grid = Grid((-9.0,), (9.0,), (1024,))
     rho0 = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: np.zeros_like(x))
-    traj = evolve(drift, rho0, 0.0, 0.5, 1e-3, store_every=100)
+    traj = evolve(HamiltonianFlow(flat_hamiltonian(2.0)), rho0, 0.0, 0.5, 1e-3, store_every=100)
     v = traj.densities[-1].covariance()[0, 0]
     assert v == pytest.approx(2.0, rel=0.01)
     exact = GaussianDensity([0.0], [[2.0]]).sample_on(grid)
     assert np.max(np.abs(traj.densities[-1].values - exact.values)) < 5e-4
 
 
-def test_ou_moments():
+def test_ou_moments(ou_ham):
     # linear SDE moment ODEs: m(t) = m0 e^{-t}, P(t) = 1 + (P0 - 1) e^{-2t}
     grid = Grid((-9.0,), (9.0,), (1024,))
     rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
-    traj = evolve(drift, rho0, 0.0, 0.3, 1e-3, store_every=50)
+    traj = evolve(HamiltonianFlow(ou_ham), rho0, 0.0, 0.3, 1e-3, store_every=50)
     m = traj.densities[-1].mean()[0]
     v = traj.densities[-1].covariance()[0, 0]
     assert m == pytest.approx(np.exp(-0.3), rel=0.01)
@@ -119,45 +113,39 @@ def test_gibbs_is_stationary(ou_ham, ou_grid):
     assert relative_entropy(traj.densities[-1], rho_bar) < 1e-6
 
 
-def test_gibbs_stationary_under_generic_drift(ou_ham, ou_grid):
-    # same statement through the sampled-drift route (exact for quadratic H)
-    rho_bar = gibbs_density(ou_ham, ou_grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
-    traj = evolve(drift, rho_bar, 0.0, 0.5, 1e-2, store_every=10)
-    assert np.max(np.abs(traj.densities[-1].values - rho_bar.values)) < 1e-6
-
-
-def test_mass_conservation_and_positivity():
+def test_mass_conservation_and_positivity(ou_ham):
     grid = Grid((-9.0,), (9.0,), (512,))
     rho0 = GaussianDensity([1.0], [[0.5]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
-    traj = evolve(drift, rho0, 0.0, 1.0, 1e-3, store_every=100)
+    traj = evolve(HamiltonianFlow(ou_ham), rho0, 0.0, 1.0, 1e-3, store_every=100)
     masses = traj.mass_curve()
     assert np.max(np.abs(masses - masses[0])) < 1e-10
     assert all(d.values.min() >= 0.0 for d in traj.densities)
 
 
-def test_modulated_flow_equals_rescaled_drift(ou_ham, ou_grid):
-    # gain-alpha evolution == plain evolution with drift -(sigma2/2+alpha) x/kT
-    # and diffusion sigma2 + 2 alpha: same discrete operator
-    rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(ou_grid)
-    a = evolve(HamiltonianFlow(ou_ham, gain=1.0), rho0, 0.0, 0.2, 1e-3, store_every=40)
-    drift = DriftSpec(sigma2=4.0, func=lambda x: -2.0 * x)
-    b = evolve(drift, rho0, 0.0, 0.2, 1e-3, store_every=40)
-    sup = max(np.max(np.abs(x.values - y.values))
-              for x, y in zip(a.densities, b.densities))
-    assert sup < 1e-8
+def test_modulated_flow_equals_rescaled_drift(ou_grid):
+    # gain-alpha evolution == the uncontrolled evolution of the model with
+    # sigma2 + 2 alpha: one discrete operator, so bit for bit; the gains are
+    # dyadic, so sigma2/2 + alpha rounds alike on both sides
+    grid_2d = Grid((-5.0, -5.0), (5.0, 5.0), (32, 32))
+    for Q, grid, dt in ((1.0, ou_grid, 1e-3), ([[1.0, 0.3], [0.3, 2.0]], grid_2d, 1e-2)):
+        rho0 = GaussianDensity([1.0, -0.5][:grid.ndim],
+                               np.diag([2.0, 0.7][:grid.ndim])).sample_on(grid)
+        ham = quadratic_hamiltonian(Q, kT=1.0, sigma2=2.0)
+        for gain in (0.5, 1.0):
+            rescaled = quadratic_hamiltonian(Q, kT=1.0, sigma2=2.0 + 2.0 * gain)
+            a = evolve(HamiltonianFlow(ham, gain=gain), rho0, 0.0, 0.2, dt, store_every=40)
+            b = evolve(HamiltonianFlow(rescaled), rho0, 0.0, 0.2, dt, store_every=40)
+            assert np.array_equal(a.values, b.values)
 
 
-def test_convergence_order():
+def test_convergence_order(ou_ham):
     exact_m = np.exp(-0.3)
     exact_v = 1.0 + np.exp(-0.6)
 
     def run(cells, dt):
         grid = Grid((-9.0,), (9.0,), (cells,))
         rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(grid)
-        drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
-        traj = evolve(drift, rho0, 0.0, 0.3, dt, store_every=10**9)
+        traj = evolve(HamiltonianFlow(ou_ham), rho0, 0.0, 0.3, dt, store_every=10**9)
         d = traj.densities[-1]
         return abs(d.mean()[0] - exact_m) + abs(d.covariance()[0, 0] - exact_v)
 
@@ -166,12 +154,11 @@ def test_convergence_order():
     assert err_coarse / err_fine >= 1.8
 
 
-def test_stability_error_for_explicit_scheme():
+def test_stability_error_for_explicit_scheme(ou_ham):
     grid = Grid((-8.0,), (8.0,), (256,))
     rho0 = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
     with pytest.raises(StabilityError, match="use dt <="):
-        evolve(drift, rho0, 0.0, 0.1, 1e-2, theta=0.0)
+        evolve(HamiltonianFlow(ou_ham), rho0, 0.0, 0.1, 1e-2, theta=0.0)
 
 
 @pytest.mark.parametrize("theta", [1.7, -0.1, np.nan])
@@ -193,26 +180,25 @@ def test_positivity_error_on_rough_data():
     vals = np.zeros(128)
     vals[64] = 1.0 / grid.cell_volume
     spike = GridDensity(grid, vals)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: np.zeros_like(x))
     with pytest.raises(PositivityError, match="positivity lost"):
-        evolve(drift, spike, 0.0, 0.1, 0.05)
+        evolve(HamiltonianFlow(flat_hamiltonian(2.0)), spike, 0.0, 0.1, 0.05)
 
 
-def test_evolve_rejects_bad_time_grid():
+def test_evolve_rejects_bad_time_grid(ou_ham):
     grid = Grid((-8.0,), (8.0,), (64,))
     rho0 = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: -x)
+    flow = HamiltonianFlow(ou_ham)
     with pytest.raises(ValueError):
-        evolve(drift, rho0, 0.0, 0.1, -1e-3)
+        evolve(flow, rho0, 0.0, 0.1, -1e-3)
     with pytest.raises(ValueError):
-        evolve(drift, rho0, 0.0, 0.105, 1e-2)
+        evolve(flow, rho0, 0.0, 0.105, 1e-2)
 
 
 def test_evolve_2d_heat():
     grid = Grid((-6.0, -6.0), (6.0, 6.0), (96, 96))
     rho0 = GaussianDensity([0.0, 0.0], np.eye(2)).sample_on(grid)
-    drift = DriftSpec(sigma2=2.0, func=lambda x: np.zeros_like(x))
-    traj = evolve(drift, rho0, 0.0, 0.25, 5e-3, store_every=50)
+    traj = evolve(HamiltonianFlow(flat_hamiltonian(2.0, dim=2)), rho0, 0.0, 0.25, 5e-3,
+                  store_every=50)
     cov = traj.densities[-1].covariance()
     assert cov[0, 0] == pytest.approx(1.5, rel=0.02)
     assert cov[1, 1] == pytest.approx(1.5, rel=0.02)

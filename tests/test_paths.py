@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroflow import GaussianDensity, Grid, GridDensity, HamiltonianSpec, quadratic_hamiltonian
+from entroflow import GaussianDensity, Grid, GridDensity, quadratic_hamiltonian
 from entroflow.paths import (
     DriftEstimate,
     EnergySum,
@@ -30,6 +30,8 @@ from entroflow.sde import (
 )
 from entroflow.thermo import relative_entropy
 
+from conftest import flat_hamiltonian
+
 BIN_GRID = Grid((-4.0,), (4.0,), (64,))
 POOL = list(range(20, 200))  # stationary: pool estimation over these indices
 
@@ -38,13 +40,6 @@ def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
         np.ascontiguousarray(b).tobytes()
-
-
-def flat_hamiltonian(sigma2):
-    return HamiltonianSpec(dim=1,
-                           energy=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
-                           grad=lambda x: np.zeros_like(np.atleast_2d(x)),
-                           kT=1.0, sigma2=sigma2)
 
 
 @pytest.fixture(scope="module")
@@ -77,10 +72,9 @@ def test_backward_drift_recovers_osmotic_reversal(ou_stationary):
 
 
 def test_deterministic_ensemble_exact_drifts():
-    ham = flat_hamiltonian(2.0)
+    ham = flat_hamiltonian(0.0)
     u = lambda x, t: np.full_like(x, 0.7)
-    ens = simulate_overdamped(ham, u, 0.0, n_traj=64, dt=1e-2, t1=0.3,
-                              seed=1, sigma=0.0)
+    ens = simulate_overdamped(ham, u, 0.0, n_traj=64, dt=1e-2, t1=0.3, seed=1)
     grid = Grid((-1.0,), (1.0,), (16,))
     beta = estimate_forward_drift(ens, 10, grid, min_count=1)
     gamma = estimate_backward_drift(ens, 10, grid, min_count=1)
@@ -326,7 +320,7 @@ def test_osmotic_residual_deterministic_flow():
     ham = flat_hamiltonian(0.0)
     u = lambda x, t: np.full_like(x, 0.5)
     ens = simulate_overdamped(ham, u, lambda rng, s: rng.uniform(-1, 1, (s, 1)),
-                              n_traj=2000, dt=1e-2, t1=0.2, seed=5, sigma=0.0)
+                              n_traj=2000, dt=1e-2, t1=0.2, seed=5)
     grid = Grid((-2.0,), (2.0,), (16,))
     beta = estimate_forward_drift(ens, 10, grid, min_count=5)
     gamma = estimate_backward_drift(ens, 10, grid, min_count=5)
@@ -428,7 +422,7 @@ def test_weak_continuity_deterministic_transport():
     c = 0.8
     u = lambda x, t: np.full_like(x, c)
     ens = simulate_overdamped(ham, u, lambda rng, s: rng.uniform(-1, 1, (s, 1)),
-                              n_traj=5000, dt=1e-2, t1=0.3, seed=8, sigma=0.0)
+                              n_traj=5000, dt=1e-2, t1=0.3, seed=8)
     grid = Grid((-2.0,), (2.0,), (16,))
     v = current_drift(estimate_forward_drift(ens, 15, grid, min_count=5),
                       estimate_backward_drift(ens, 15, grid, min_count=5))

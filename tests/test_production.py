@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
 from entroflow.control import feedback_control
-from entroflow.fokker_planck import DriftSpec, HamiltonianFlow, continuity_velocity, evolve
+from entroflow.fokker_planck import HamiltonianFlow, continuity_velocity, evolve
 from entroflow.grids import gradient, quadrature
 from entroflow.production import (
     BoundaryLeakWarning,

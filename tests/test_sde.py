@@ -10,7 +10,6 @@ from entroflow import GaussianDensity, Grid
 from entroflow.sde import (
     CHUNK,
     NOISE_BLOCK,
-    KineticTemperature,
     PathEnsemble,
     PathRecord,
     PolymerSpec,
@@ -31,7 +30,9 @@ from entroflow.sde import (
     stream_overdamped,
     stream_polymer,
 )
-from entroflow.thermo import relative_entropy
+from entroflow.thermo import quadratic_hamiltonian, relative_entropy
+
+from conftest import flat_hamiltonian
 
 
 def same_bits(a, b) -> bool:
@@ -48,10 +49,12 @@ def gaussian_x0(mean, var):
 # overdamped ensembles
 # ---------------------------------------------------------------------------
 
-def test_noise_free_ode_limit(ou_ham):
-    # drift -x with the noise switched off: x(t) = e^{-t} up to O(dt)
-    ens = simulate_overdamped(ou_ham, None, 1.0, n_traj=3, dt=1e-3, t1=1.0,
-                              seed=0, sigma=0.0)
+def test_noise_free_ode_limit():
+    # a model without noise has no drift either (Einstein relation), so the
+    # control -x alone moves it: x(t) = e^{-t} up to O(dt)
+    ham = quadratic_hamiltonian(1.0, kT=1.0, sigma2=0.0)
+    ens = simulate_overdamped(ham, lambda x, t: -x, 1.0, n_traj=3, dt=1e-3, t1=1.0,
+                              seed=0)
     assert ens.states[:, -1, 0] == pytest.approx(np.exp(-1.0), abs=2e-3)
     assert np.exp(-1.0) == pytest.approx(0.36788, abs=1e-5)
 
@@ -92,10 +95,10 @@ def test_trajectory_stable_across_ensemble_size(ou_ham):
         assert not np.array_equal(big.states[1024:1724], small.states)
 
 
-def test_control_field_enters_drift(ou_ham):
-    # constant u shifts the fixed point of the noise-free flow to u
-    ens = simulate_overdamped(ou_ham, lambda x, t: np.ones_like(x), 0.0,
-                              n_traj=2, dt=1e-3, t1=4.0, seed=1, sigma=0.0)
+def test_control_field_enters_drift():
+    # the control 1 - x of a noise-free model has its fixed point at 1
+    ens = simulate_overdamped(flat_hamiltonian(0.0), lambda x, t: 1.0 - x, 0.0,
+                              n_traj=2, dt=1e-3, t1=4.0, seed=1)
     assert ens.states[0, -1, 0] == pytest.approx(1.0, abs=0.03)
 
 
@@ -184,13 +187,6 @@ def test_escape_check_names_trajectory_and_time(data):
 # ---------------------------------------------------------------------------
 
 def test_polymer_spec_validation():
-    spec = harmonic_cantilever(1.0)
-    assert spec.noise_matrix[0, 0] == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(ValueError, match="fluctuation-dissipation"):
-        PolymerSpec(masses=[1.0], potential=spec.potential,
-                    grad_potential=spec.grad_potential, gamma=1.0,
-                    control_gain=0.0, temperature=1.0, block_dim=1,
-                    noise_matrix=[[3.0]])
     with pytest.raises(ValueError):
         harmonic_cantilever(1.0, mass=-1.0)
     with pytest.raises(ValueError):
@@ -231,11 +227,8 @@ def test_cantilever_cooling_below_thermostat():
 
 
 def test_hamiltonian_limit_energy_conservation():
-    spec = PolymerSpec(masses=[1.0],
-                       potential=lambda q: 0.5 * np.sum(np.atleast_2d(q)**2, axis=-1),
-                       grad_potential=lambda q: np.atleast_2d(q),
-                       gamma=0.0, control_gain=0.0, temperature=1.0,
-                       block_dim=1, noise_matrix=[[0.0]])
+    # without friction the thermostat adds no noise either
+    spec = harmonic_cantilever(1.0, gamma=0.0)
     dt = 1e-3
     ens = simulate_polymer(spec, n_traj=1, dt=dt, t1=1.0, seed=0, q0=1.0, p0=0.0)
     q = ens.states[0, :, 0]
@@ -272,9 +265,38 @@ def test_kinetic_temperature_edge_cases():
     assert kt.values[0] == 0.0
 
 
+def test_window_edge_on_a_float_time_grid():
+    # the last time 0.1 * 3 rounds to 0.30000000000000004 > 0.3: the window
+    # reads its edges with the slack the horizon check allows, so it holds
+    # that time, stored and streamed alike
+    spec = harmonic_cantilever(1.0, control_gain=0.5)
+    ens = simulate_polymer(spec, n_traj=8, dt=0.1, t1=0.3, seed=0)
+    assert ens.times[-1] > 0.3
+    temps = WindowTemperatures(spec, 1, 8, ens.times, (0.29, 0.3))
+    stream_polymer(spec, (0.5,), 8, 0.1, 0.3, 0, (temps.add,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kt = kinetic_temperature(ens, spec, (0.29, 0.3))
+        streamed, = temps.estimates()
+    last = ens.states[:, -1, 1] ** 2
+    assert np.array_equal(kt.values, [last.mean()])
+    assert same_bits(streamed.values, kt.values)
+
+
+def test_window_without_a_grid_time_rejected():
+    # a window inside the horizon that falls between two grid times is
+    # invalid input, named with its edges and dt
+    spec = harmonic_cantilever(1.0)
+    ens = simulate_polymer(spec, n_traj=4, dt=0.1, t1=0.3, seed=0)
+    message = r"window \[0.12, 0.18\] holds no time of the grid of step dt = 0.1"
+    with pytest.raises(ValueError, match=message):
+        kinetic_temperature(ens, spec, (0.12, 0.18))
+    with pytest.raises(ValueError, match=message):
+        WindowTemperatures(spec, 1, 4, ens.times, (0.12, 0.18))
+
+
 def test_polymer_3d_blocks_shapes():
     spec = PolymerSpec(masses=[1.0, 2.0],
-                       potential=lambda q: 0.5 * np.sum(np.atleast_2d(q)**2, axis=-1),
                        grad_potential=lambda q: np.atleast_2d(q),
                        gamma=0.5, control_gain=0.0, temperature=1.0, block_dim=3)
     ens = simulate_polymer(spec, n_traj=16, dt=1e-2, t1=0.2, seed=1)
