@@ -69,6 +69,7 @@ from .quantum import (
 )
 from .sde import (
     PathRecord,
+    TimeMoments,
     WindowTemperatures,
     ensemble_rows,
     ensemble_summary,
@@ -418,13 +419,14 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
                                control_gain=gains[-1], temperature=c["temperature"])
     n_times, width = _n_times(c), 2 * spec.n_coords
     times = dt * np.arange(n_times)
-    temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], t1))
-    # the gains step as one gain-major state; summary.csv reads the last gain's
-    last = PathRecord(n, n_times, width, columns=slice(width * (len(gains) - 1), None))
+    # the window ends at the last grid time, which t1 names only up to roundoff
+    temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], times[-1]))
+    # the gains step as one gain-major state; summary.csv reads the last gain's moments
+    last = TimeMoments(n_times, width, spec, column=width * (len(gains) - 1))
     stream_polymer(spec, gains, n, dt, t1, seed, (temps.add, last.add))
     rows = [(ac, kt.values[0], kt.stderr[0]) for ac, kt in zip(gains, temps.estimates())]
     w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
-    w.write_csv("summary.csv", *ensemble_summary(last.ensemble(times, dt, seed), spec))
+    w.write_csv("summary.csv", *last.summary(times))
 
 
 def _qubit_qrec_rows(times):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, gradient
 from .production import floored_log
-from .sde import PathEnsemble, replay, row_span
+from .sde import PathEnsemble, _head, replay, row_span
 
 MIN_CELL_COUNT = 30
 
@@ -68,11 +68,6 @@ class DriftEstimate:
         idx, inside = self.grid.cell_index(x)
         valid = inside & self.mask.reshape(-1)[idx]
         return self.vectors.reshape(-1, self.grid.ndim)[idx], valid
-
-
-def _head(buf: np.ndarray, shape) -> np.ndarray:
-    """The front of the flat buffer ``buf`` as a C-contiguous array of ``shape``."""
-    return buf[:int(np.prod(shape))].reshape(shape)
 
 
 def _rows(A: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:

@@ -40,14 +40,19 @@ every state time-major and return a :class:`PathEnsemble`, while
 observers keep.  :func:`stream_polymer` steps several feedback gains as
 one state, a gain-major ``[q | p]`` row per gain, on one noise draw; the
 polymer simulator is its batch of one.  :class:`WindowTemperatures` sums
-each trajectory's kinetic energy over a window while the gains step.
+each trajectory's kinetic energy over a window while the gains step, and
+:class:`TimeMoments` keeps each time's count, mean, centred co-moment and
+sum of m V^2, merged noise block by noise block.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
-Gaussian smoothing, Scott bandwidth) and equipartition kinetic temperatures
-with per-trajectory standard errors.  CSV export: :func:`ensemble_rows` and
-:func:`ensemble_summary` return a header and lazy rows, which
-``cli.ArtifactWriter.write_csv`` formats and writes; this module opens no
-files.
+Gaussian smoothing, Scott bandwidth), equipartition kinetic temperatures
+with per-trajectory standard errors, and per-time moments: the moment
+estimators of a stored ensemble, :func:`ensemble_summary` and
+:func:`sample_moments`, are :class:`TimeMoments` fed by :func:`replay`, so a
+streamed run and a stored one give the same bits.  CSV export:
+:func:`ensemble_rows` and :func:`ensemble_summary` return a header and lazy
+rows, which ``cli.ArtifactWriter.write_csv`` formats and writes; this module
+opens no files.
 """
 
 from __future__ import annotations
@@ -78,8 +83,8 @@ class PathEnsemble:
     states has shape (n_traj, n_times, dim); times[k] = t0 + k dt.  The
     simulators store it time-major and read-only: ``states`` is a view of a
     (n_times, n_traj, dim) buffer, so each ``states[:, k]`` is contiguous.
-    A :class:`PathRecord` builds one from the times and columns it kept,
-    such as one time slice of a streamed run or one gain of a batched one.
+    A :class:`PathRecord` builds one from the times it kept, such as one
+    time slice of a streamed run.
     """
 
     times: np.ndarray
@@ -137,29 +142,30 @@ def row_span(rows: np.ndarray):
     return rows
 
 
+def _head(buf: np.ndarray, shape) -> np.ndarray:
+    """The front of the flat buffer ``buf`` as a C-contiguous array of ``shape``."""
+    return buf[:int(np.prod(shape))].reshape(shape)
+
+
 class PathRecord:
-    """An observer that stores the states at some times and columns.
+    """An observer that stores the states at some times.
 
     ``at`` lists the time indices kept, increasing and in ``[0, n_times)``
-    (default: all ``n_times``), and ``columns`` the state columns (default:
-    all); ``values[r]`` holds the (n_traj, width) states at time ``at[r]``,
-    time-major.
+    (default: all ``n_times``); ``values[r]`` holds the (n_traj, width)
+    states at time ``at[r]``, time-major.
     """
 
-    def __init__(self, n_traj: int, n_times: int, width: int, at=None,
-                 columns=slice(None)):
+    def __init__(self, n_traj: int, n_times: int, width: int, at=None):
         self.at = np.arange(n_times) if at is None else np.asarray(at, dtype=int)
         if self.at.ndim != 1 or np.any(self.at < 0) or np.any(self.at >= n_times) \
                 or np.any(np.diff(self.at) <= 0):
             raise ValueError(f"PathRecord keeps increasing time indices in [0, {n_times})")
         self.values = np.empty((self.at.size, n_traj, width))
-        self.columns = columns
 
     def add(self, first, t0, X):
         a, b = np.searchsorted(self.at, [t0 + (t0 > 0), t0 + len(X)])
-        if a < b:  # the rows are taken before the columns, a range of them as a view
-            rows = X[row_span(self.at[a:b] - t0)]
-            self.values[a:b, first:first + X.shape[1]] = rows[:, :, self.columns]
+        if a < b:
+            self.values[a:b, first:first + X.shape[1]] = X[row_span(self.at[a:b] - t0)]
 
     def ensemble(self, times, dt: float, seed: int) -> PathEnsemble:
         """The kept states as a read-only ensemble at ``times`` (one per row)."""
@@ -550,9 +556,84 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid,
     return GridDensity(grid, smoothed / total, mass=1.0)
 
 
-def _need_two_trajectories(ens: PathEnsemble) -> None:
-    if ens.n_traj < 2:
-        raise ValueError("a sample covariance needs at least two trajectories")
+class TimeMoments:
+    """An observer of the per-time moments of ``width`` state columns from
+    ``column`` on: for every time, the count, mean and centred co-moment of
+    those columns, and, given the polymer ``spec`` whose ``[q | p]`` states
+    they are, the sum of m V^2 per block.
+
+    Each chunk's columns are copied into a work buffer sized by one chunk,
+    trajectories innermost, so the bits do not depend on where the chunk
+    came from.  Every time's mean and co-moment over the chunk's noise block
+    then merge into the running ones, vectorised over the chunk's times, by
+    the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37 (1983) 242):
+    with n_a and n_b trajectories and delta = mean_b - mean_a,
+
+        mean = mean_a + delta n_b / n,
+        M2 = M2_a + (M2_b + delta delta^T n_a n_b / n),   n = n_a + n_b.
+    """
+
+    def __init__(self, n_times: int, width: int, spec: PolymerSpec | None = None,
+                 column: int = 0):
+        self.columns = slice(column, column + width)
+        self.spec = spec
+        self.count = np.zeros(n_times, dtype=np.int64)
+        self.mean = np.zeros((n_times, width))
+        self.comoment = np.zeros((n_times, width, width))
+        self.mv2 = np.zeros((n_times, 0 if spec is None else spec.n_blocks))
+        self._x = np.empty((CHUNK + 1) * width * NOISE_BLOCK)
+        self._v = np.empty(0 if spec is None else (CHUNK + 1) * spec.n_coords * NOISE_BLOCK)
+
+    def add(self, first, t0, X):
+        r0 = int(t0 > 0)  # a later chunk's first time ended the one before
+        n_rows, nb, w = len(X) - r0, X.shape[1], self.mean.shape[1]
+        x = _head(self._x, (n_rows, w, nb))
+        np.copyto(x, X[r0:, :, self.columns].transpose(0, 2, 1))
+        times = slice(t0 + r0, t0 + len(X))
+        spec = self.spec
+        if spec is not None:  # m V^2 = (p / m)^2 m per momentum, as _block_mv2
+            nc, m = spec.n_coords, spec.mass_per_coord[:, None]
+            v = np.divide(x[:, nc:], m, out=_head(self._v, (n_rows, nc, nb)))
+            np.multiply(np.square(v, out=v), m, out=v)
+            per_coord = v.sum(axis=2).reshape(n_rows, spec.n_blocks, spec.block_dim)
+            self.mv2[times] += per_coord.sum(axis=2)
+        mean_b = x.mean(axis=2)
+        np.subtract(x, mean_b[:, :, None], out=x)
+        m2_b = np.einsum("tin,tjn->tij", x, x)
+        n_a = self.count[times]
+        n = n_a + nb
+        delta = mean_b - self.mean[times]
+        self.mean[times] += delta * (nb / n)[:, None]
+        self.comoment[times] += m2_b + delta[:, :, None] * delta[:, None, :] \
+            * (n_a * nb / n)[:, None, None]
+        self.count[times] = n
+
+    def cov(self) -> np.ndarray:
+        """The sample covariance (ddof 1) at every time."""
+        if self.count.min() < 2:
+            raise ValueError("a sample covariance needs at least two trajectories")
+        return self.comoment / (self.count - 1)[:, None, None]
+
+    def summary(self, times):
+        """Header and lazy rows ``t, mean.., cov.., Tkin..`` at ``times``, one
+        per time; the kinetic temperatures m <V^2> / d of the blocks with a
+        ``spec``."""
+        cov = self.cov()
+        dim = self.mean.shape[1]
+        header = ["t"] + [f"mean{i}" for i in range(dim)] + \
+                 [f"cov{i}{j}" for i in range(dim) for j in range(dim)] + \
+                 [f"Tkin{k}" for k in range(self.mv2.shape[1])]
+        tkin = self.mv2 if self.spec is None else \
+            self.mv2 / (self.count[:, None] * self.spec.block_dim)
+        return header, ((t, *m, *c.ravel(), *k)
+                        for t, m, c, k in zip(times, self.mean, cov, tkin))
+
+
+def _moments(ens: PathEnsemble, spec: PolymerSpec | None = None) -> TimeMoments:
+    """:class:`TimeMoments` of every column of a stored ensemble."""
+    moments = TimeMoments(len(ens.times), ens.dim, spec)
+    replay(ens, (moments.add,))
+    return moments
 
 
 @dataclass(frozen=True)
@@ -564,12 +645,13 @@ class SampleMoments:
 
 
 def sample_moments(ens: PathEnsemble, t_index: int) -> SampleMoments:
-    """Ensemble mean/covariance at one time with standard errors."""
-    _need_two_trajectories(ens)
+    """Ensemble mean/covariance at one time with standard errors: the mean and
+    covariance are :class:`TimeMoments` of that time alone, and the standard
+    errors, which need the fourth moment, come from the time slice."""
     x = ens.states[:, t_index, :]
+    moments = _moments(PathEnsemble(ens.times[[t_index]], x[:, None, :], ens.dt, ens.seed))
+    mean, cov = moments.mean[0], moments.cov()[0]
     n = x.shape[0]
-    mean = x.mean(axis=0)
-    cov = np.cov(x.T, ddof=1).reshape(ens.dim, ens.dim)
     se_mean = x.std(axis=0, ddof=1) / np.sqrt(n)
     centered = (x - mean) ** 2
     se_var = centered.std(axis=0, ddof=1) / np.sqrt(n)
@@ -590,19 +672,6 @@ def ensemble_rows(ens: PathEnsemble):
 
 def ensemble_summary(ens: PathEnsemble, spec: PolymerSpec | None = None):
     """Header and lazy per-time rows of the mean and covariance entries, plus
-    the kinetic temperature of each block for polymer runs."""
-    _need_two_trajectories(ens)
-    dim = ens.dim
-    header = ["t"] + [f"mean{i}" for i in range(dim)] + \
-             [f"cov{i}{j}" for i in range(dim) for j in range(dim)]
-    if spec is not None:
-        header += [f"Tkin{k}" for k in range(spec.n_blocks)]
-
-    def row(k, t):
-        x = ens.states[:, k, :]
-        cov = np.cov(x.T, ddof=1).reshape(dim, dim)
-        tkin = () if spec is None else \
-            _block_mv2(x[:, spec.n_coords:], spec).mean(axis=(0, 2))
-        return (t, *x.mean(axis=0), *cov.ravel(), *tkin)
-
-    return header, (row(k, t) for k, t in enumerate(ens.times))
+    the kinetic temperature of each block for polymer runs: the
+    :meth:`TimeMoments.summary` of the stored ensemble."""
+    return _moments(ens, spec).summary(ens.times)

@@ -190,12 +190,22 @@ def test_paths_run_holds_no_state_array(tmp_path):
 
 
 def test_batched_polymer_gains_hold_less_than_two_ensembles(tmp_path):
-    # four gains step as one state; only the last gain's states are stored
+    # four gains step as one state on one noise draw
     n_traj, n_times = 2000, 601
     cfg = ScenarioConfig("polymer", "sde-run", model=dict(model="polymer"),
                          numerics=dict(n_traj=n_traj, dt=5e-3, t1=3.0))
     one_ensemble = n_traj * n_times * 2 * 8
     assert _traced_peak(cfg, tmp_path) < 2 * one_ensemble
+
+
+def test_polymer_sde_run_holds_no_state_record(tmp_path):
+    # summary.csv streams the last gain's moments: the (201, 20 000, 2)
+    # record of that gain, 64.3 MB, is not stored, and the block noise
+    # buffer, 1024 x 200 doubles (1.6 MB), stays far below a quarter of it
+    n_traj, n_times = 20_000, 201
+    cfg = ScenarioConfig("polymer", "sde-run", model=dict(model="polymer"),
+                         numerics=dict(n_traj=n_traj, dt=5e-3, t1=1.0))
+    assert _traced_peak(cfg, tmp_path) < n_traj * n_times * 2 * 8 / 4
 
 
 def test_diverging_batched_gains_exit_3(tmp_path, capsys):
@@ -240,20 +250,18 @@ def test_window_ending_at_a_rounded_grid_time(tmp_path):
     assert data.shape == (1, 3) and np.all(np.isfinite(data))
 
 
-def test_window_without_a_grid_time_exits_2(tmp_path, capsys):
-    # t1 = 0.2999999999 is 3 dt to the horizon's tolerance, but the window
-    # [0.29, 0.2999999999] misses the last time 0.30000000000000004: invalid
-    # input, not an overflowing temperature
-    cfg = tmp_path / "window.ini"
-    cfg.write_text(WINDOW_INI.format(t1="0.2999999999"))
+@pytest.mark.parametrize("t1", ["0.3000000001", "0.30000000001", "0.2999999999"])
+def test_default_window_ends_at_the_last_grid_time(tmp_path, t1):
+    # time_steps reads each t1 as 3 steps of 0.1, so the last grid time is
+    # 0.1 * 3 = 0.30000000000000004 whichever side of it t1 lies; the window
+    # [t1 / 3, last grid time] lies in the horizon and holds it
     out = tmp_path / "o"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["sde-run", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert capsys.readouterr().err == ("error: window [0.29, 0.2999999999] holds no time of the "
-                                       "grid of step dt = 0.1\n")
-    assert not out.exists()
+    assert main(["sde-run", "--model", "polymer", "--n", "8", "--dt", "0.1", "--t1", t1,
+                 "--out", str(out)]) == 0
+    _, temps = read_csv(out / "temperature.csv")
+    _, summary = read_csv(out / "summary.csv")
+    assert temps.shape == (4, 3) and summary.shape == (4, 8)
+    assert np.all(np.isfinite(temps)) and np.all(np.isfinite(summary))
 
 
 def test_quantum_run_from_operator_files(tmp_path):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -13,8 +14,10 @@ from entroflow.sde import (
     PathEnsemble,
     PathRecord,
     PolymerSpec,
+    TimeMoments,
     TrajectoryDivergence,
     WindowTemperatures,
+    _block_mv2,
     _march_paths,
     ensemble_rows,
     ensemble_summary,
@@ -374,14 +377,14 @@ def test_batched_gains_equal_separate_runs(gains, n_traj, seed, window_lo):
     times = dt * np.arange(n_times)
     width = 2 * spec.n_coords
     temps = WindowTemperatures(spec, len(gains), n_traj, times, (window_lo, t1))
-    records = [PathRecord(n_traj, n_times, width, columns=slice(g * width, (g + 1) * width))
-               for g in range(len(gains))]
-    stream_polymer(spec, gains, n_traj, dt, t1, seed, (temps.add, *(r.add for r in records)))
-    for gain, kt, record in zip(gains, temps.estimates(), records):
+    record = PathRecord(n_traj, n_times, width * len(gains))
+    stream_polymer(spec, gains, n_traj, dt, t1, seed, (temps.add, record.add))
+    batched = record.ensemble(times, dt, seed).states
+    for g, (gain, kt) in enumerate(zip(gains, temps.estimates())):
         own = replace(spec, control_gain=gain)
         ens = simulate_polymer(own, n_traj, dt, t1, seed)
         ref = kinetic_temperature(ens, own, (window_lo, t1))
-        assert same_bits(record.ensemble(times, dt, seed).states, ens.states)
+        assert same_bits(batched[:, :, g * width:(g + 1) * width], ens.states)
         assert same_bits(kt.values, ref.values) and same_bits(kt.stderr, ref.stderr)
         assert kt.window == ref.window
 
@@ -406,6 +409,103 @@ def test_batched_gains_are_each_checked():
             stream_polymer(spec, [0.0, bad], 4, 0.1, 0.2, 0, ())
     with pytest.raises(ValueError, match="window"):
         WindowTemperatures(spec, 2, 4, 0.1 * np.arange(3), (0.0, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# per-time moments
+# ---------------------------------------------------------------------------
+
+def block_merge_moments(ens, spec=None):
+    """Oracle of TimeMoments in plain numpy: each noise block's per-time
+    mean, centred co-moment and m V^2 sum over the whole horizon at once,
+    trajectories innermost, merged block by block (Chan, Golub & LeVeque)."""
+    n_times, dim = len(ens.times), ens.dim
+    count, mean, comoment = 0, np.zeros((n_times, dim)), np.zeros((n_times, dim, dim))
+    mv2 = np.zeros((n_times, 0 if spec is None else spec.n_blocks))
+    for first in range(0, ens.n_traj, NOISE_BLOCK):
+        x = np.ascontiguousarray(ens.states[first:first + NOISE_BLOCK].transpose(1, 2, 0))
+        nb = x.shape[2]
+        if spec is not None:
+            nc, m = spec.n_coords, spec.mass_per_coord[:, None]
+            per_coord = ((x[:, nc:] / m) ** 2 * m).sum(axis=2)
+            mv2 = mv2 + per_coord.reshape(n_times, spec.n_blocks, spec.block_dim).sum(axis=2)
+        mean_b = x.mean(axis=2)
+        d = x - mean_b[:, :, None]
+        m2_b = np.einsum("tin,tjn->tij", d, d)
+        n = count + nb
+        delta = mean_b - mean
+        mean = mean + delta * (nb / n)
+        comoment = comoment + (m2_b + delta[:, :, None] * delta[:, None, :] * (count * nb / n))
+        count = n
+    return count, mean, comoment, mv2
+
+
+# np.cov and the per-time m V^2 mean sum in another order: both sides are
+# within a few n eps of the exact moments, n <= 3000 trajectories
+MOMENT_RTOL = 1e-12
+TWO_BLOCKS_OF_3 = PolymerSpec(masses=[1.0, 2.5], grad_potential=lambda q: 1.5 * np.atleast_2d(q),
+                              gamma=0.8, control_gain=0.6, temperature=1.1, block_dim=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_traj=st.sampled_from([2, NOISE_BLOCK, NOISE_BLOCK + 1, 3000]),
+       steps=st.integers(CHUNK + 1, 3 * CHUNK + 1), seed=st.integers(0, 2**32 - 1),
+       polymer=st.booleans())
+def test_streamed_moments_are_the_block_merge(ou_ham, n_traj, steps, seed, polymer):
+    # a march and a replay of its stored ensemble give the same moments bit
+    # for bit, and both are the block merge of the stored states; a polymer
+    # streams its moments from the last gain of a batch of two
+    dt, t1 = 0.01, steps * 0.01
+    if polymer:
+        spec = TWO_BLOCKS_OF_3
+        ens = simulate_polymer(spec, n_traj, dt, t1, seed)
+        streamed = TimeMoments(steps + 1, ens.dim, spec, column=ens.dim)
+        stream_polymer(spec, [0.0, spec.control_gain], n_traj, dt, t1, seed, (streamed.add,))
+    else:
+        spec, x0 = None, gaussian_x0(0.3, 1.5)
+        ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed)
+        streamed = TimeMoments(steps + 1, 1)
+        stream_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed, (streamed.add,))
+    replayed = TimeMoments(steps + 1, ens.dim, spec)
+    replay(ens, (replayed.add,))
+    count, mean, comoment, mv2 = block_merge_moments(ens, spec)
+    for moments in (streamed, replayed):
+        assert np.all(moments.count == count)
+        assert same_bits(moments.mean, mean) and same_bits(moments.comoment, comoment)
+        assert same_bits(moments.mv2, mv2)
+
+    cov = replayed.cov()
+    ref_cov = np.stack([np.cov(ens.states[:, k].T, ddof=1).reshape(ens.dim, ens.dim)
+                        for k in range(steps + 1)])
+    sd = np.sqrt(np.diagonal(ref_cov, axis1=1, axis2=2))
+    ref_mean = ens.states.mean(axis=0)
+    assert np.all(np.abs(cov - ref_cov) <= MOMENT_RTOL * sd[:, :, None] * sd[:, None, :])
+    assert np.all(np.abs(mean - ref_mean) <= MOMENT_RTOL * (np.abs(ref_mean) + sd))
+    if polymer:
+        tkin = mv2 / (count * spec.block_dim)
+        ref_tkin = _block_mv2(polymer_momenta(ens, spec), spec).mean(axis=(0, 3))
+        assert np.all(np.abs(tkin - ref_tkin) <= MOMENT_RTOL * ref_tkin)
+
+
+def test_moments_of_a_chunk_allocate_no_chunk_sized_array():
+    # after the first chunk, the work buffers are kept: later chunks raise the
+    # traced peak by far less than the chunk of the columns kept
+    spec = harmonic_cantilever(1.0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((CHUNK + 1, NOISE_BLOCK, 8))  # four gains' [q | p]
+    moments = TimeMoments(4 * CHUNK + 1, 2, spec, column=6)
+    tracemalloc.start()
+    try:
+        moments.add(0, 0, X)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for t0 in (CHUNK, 2 * CHUNK, 3 * CHUNK):
+            moments.add(0, t0, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = X[:, :, 6:].nbytes
+    assert peak - base < kept / 4, (peak - base, kept)
 
 
 # ---------------------------------------------------------------------------
