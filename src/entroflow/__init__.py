@@ -20,7 +20,6 @@ from .grids import (
 from .thermo import (
     GaussianDensity,
     HamiltonianSpec,
-    MassMismatchWarning,
     flux_and_force,
     free_energy,
     gibbs_density,
@@ -34,7 +33,6 @@ from .fokker_planck import (
     HamiltonianFlow,
     MassDriftError,
     PositivityError,
-    StabilityError,
     boundary_decay_report,
     continuity_velocity,
     evolve,
@@ -84,11 +82,11 @@ from . import quantum
 __all__ = [
     "Grid", "GridDensity", "GridMismatchError", "NumericalFailure", "VectorFieldGrid",
     "gradient", "quadrature",
-    "GaussianDensity", "HamiltonianSpec", "MassMismatchWarning",
+    "GaussianDensity", "HamiltonianSpec",
     "flux_and_force", "free_energy", "gibbs_density",
     "quadratic_hamiltonian", "relative_entropy",
     "BoundaryDecayReport", "ConvergenceError", "DensityTrajectory",
-    "HamiltonianFlow", "MassDriftError", "PositivityError", "StabilityError",
+    "HamiltonianFlow", "MassDriftError", "PositivityError",
     "boundary_decay_report", "continuity_velocity", "evolve",
     "BoundaryLeakWarning", "ProductionReport", "entropy_rate",
     "free_energy_decay_rate", "production_decomposition",

@@ -390,8 +390,7 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         divergence = curve["D"]
 
     if cfg.kind in ("fp-run", "control-run"):
-        rows = ((t, mass, density_mean(grid, v, traj.mass)[0],
-                 density_covariance(grid, v, traj.mass)[0, 0], D)
+        rows = ((t, mass, density_mean(grid, v)[0], density_covariance(grid, v)[0, 0], D)
                 for t, v, mass, D in zip(traj.times, traj.values, traj.mass_curve(),
                                          divergence))
         w.write_csv("moments.csv", ["t", "mass", "mean", "cov", "D_to_equilibrium"],
@@ -472,7 +471,7 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         if dH.shape != H.matrix.shape:  # no broadcasting a 1x1 operator
             raise ValueError(f"{files['delta_h']}: delta_h and hamiltonian differ in size")
         with np.errstate(over="ignore"):  # an overflowed sum is not finite: rejected
-            H = HamiltonianOperator(H.matrix + dH, H.hbar)
+            H = HamiltonianOperator(H.matrix + dH)
     jumps = tuple(load_operator(p) for p in files.get("lindblad", []))
     rho0 = DensityOperator(load_operator(files["rho0"]))
     spec = LindbladSpec(H, jumps)

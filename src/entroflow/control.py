@@ -84,27 +84,32 @@ class GainSchedule:
 
     @classmethod
     def from_csv(cls, path) -> "GainSchedule":
-        """Two-column CSV ``t,alpha``.  Only the first line may be a non-numeric
-        header; every other non-blank line must hold exactly two numbers."""
-        rows = []
+        """Two-column CSV ``t,alpha``.  Blank lines are skipped; the first
+        non-blank line is a header when none of its fields is a number, and
+        every other non-blank line must hold exactly two numbers."""
         with open(path) as fh:
-            for n, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    row = tuple(float(s) for s in line.split(","))
-                except ValueError:
-                    if n == 1:
-                        continue  # header
-                    row = ()
-                if len(row) != 2:
-                    raise ValueError(f"gain table {path} line {n}: expected two numbers "
-                                     f"t,alpha, got {line.strip()!r}")
-                rows.append(row)
+            lines = [(n, line) for n, line in enumerate(fh, 1) if line.strip()]
+        rows = []
+        for k, (n, line) in enumerate(lines):
+            row = [_number(s) for s in line.split(",")]
+            if k == 0 and all(v is None for v in row):
+                continue  # the header
+            if len(row) != 2 or None in row:
+                raise ValueError(f"gain table {path} line {n}: expected two numbers "
+                                 f"t,alpha, got {line.strip()!r}")
+            rows.append(row)
         if not rows:
             raise ValueError(f"no numeric rows in gain table {path}")
         t, a = zip(*rows)
         return cls.from_table(t, a)
+
+
+def _number(field: str) -> float | None:
+    """The float a CSV field holds, or None when it holds none."""
+    try:
+        return float(field)
+    except ValueError:
+        return None
 
 
 def as_gain(alpha) -> GainSchedule:
@@ -172,11 +177,10 @@ def _feedback_faces(grid: Grid, slopes: Sequence[np.ndarray], kT: float,
 
 
 def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
-                      t1: float, dt: float, store_every: int = 1,
-                      theta: float = 0.5) -> DensityTrajectory:
+                      t1: float, dt: float, store_every: int = 1) -> DensityTrajectory:
     """Step the controlled equation with the feedback law evaluated on the fly.
 
-    Per step: freeze u at the current density, take a theta step, then
+    Per step: freeze u at the current density, take a Crank-Nicolson step, then
     refine once with u evaluated at the midpoint density (one fixed-point
     iteration, consistent with the scheme's second order).  Both solves have
     the positivity check of :func:`evolve`.  Agrees with
@@ -191,7 +195,7 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
     slopes = energy_slopes(grid, ham.sample_energy(grid))
     D = 0.5 * ham.sigma2
     plain = [-D / ham.kT * g for g in slopes]
-    stepper = _Stepper(grid, dt, theta)
+    stepper = _Stepper(grid, dt)
 
     def solve(rho, controlled, a, t_end):
         u = _feedback_faces(grid, slopes, ham.kT, controlled, a)

@@ -17,23 +17,23 @@ from a Hamiltonian the face drift is taken from potential differences,
 b dx / D = -(H_{i+1} - H_i)/kT, so the sampled Gibbs density is an exact
 stationary point of the discrete operator for every admissible gain.
 
-Time stepping: theta-scheme (default theta = 1/2, Crank-Nicolson), with the
-operator sampled at step midpoints.  For a Hamiltonian flow the Peclet numbers
--(H_{i+1} - H_i)/kT do not depend on the gain, so the operator at time t is
-exactly (D(t)/D_0) A_0: the gain only rescales the clock.  :func:`evolve`
-takes only such flows, so it loads A_0 once per run and each step uses the
-scale s = D(t_mid)/D_0, which is exactly 1.0 for a constant gain.  The grid
-fixes the sparsity pattern of every operator on it; one stepper per run holds
-that pattern, and loading an operator writes its face coefficients in place.  In
-1-D the tridiagonal system (I - theta dt s A_0) x = b is solved directly
-with a banded solver on the three bands of A_0, rebuilt only when s or the
-operator changes.  In N-D it is solved with Jacobi-preconditioned BiCGSTAB,
-warm-started from the current density, to the relative residual
-``KRYLOV_RTOL`` (1e-14; every tolerance lives in `tolerances`).  Over 100
-steps of a scheduled-gain run on 128^2 cells a residual of 1e-12 let the
-mass drift by 1e-11; 1e-14 holds it at 4e-15 and keeps the densities within
-2e-14 of the peak of a direct sparse-LU solve.  A solve that does not reach
-it raises :class:`ConvergenceError`.
+Time stepping: Crank-Nicolson, with the operator sampled at step midpoints.
+For a Hamiltonian flow the Peclet numbers -(H_{i+1} - H_i)/kT do not depend
+on the gain, so the operator at time t is exactly (D(t)/D_0) A_0: the gain
+only rescales the clock.  :func:`evolve` takes only such flows, so it loads
+A_0 once per run and each step uses the scale s = D(t_mid)/D_0, which is
+exactly 1.0 for a constant gain.  The grid fixes the sparsity pattern of
+every operator on it; one stepper per run holds that pattern, and loading an
+operator writes its face coefficients in place.  In 1-D the tridiagonal
+system (I - dt s A_0 / 2) x = b is solved directly with a banded solver on
+the three bands of A_0, rebuilt only when s or the operator changes.  In N-D
+it is solved with Jacobi-preconditioned BiCGSTAB, warm-started from the
+current density, to the relative residual ``KRYLOV_RTOL`` (1e-14; every
+tolerance lives in `tolerances`).  Over 100 steps of a scheduled-gain run on
+128^2 cells a residual of 1e-12 let the mass drift by 1e-11; 1e-14 holds it
+at 4e-15 and keeps the densities within 2e-14 of the peak of a direct
+sparse-LU solve.  A solve that does not reach it raises
+:class:`ConvergenceError`.
 
 One loop, :func:`march`, steps a density for every caller, which hands it a
 per-step function ``step(k, rho) -> rho``: :func:`evolve` the rescaled fixed
@@ -43,15 +43,15 @@ change.  The
 stored densities fill one preallocated read-only ``(n_times, *shape)``
 array, the :class:`DensityTrajectory`; density objects are built on demand.
 
-theta >= 1/2 is unconditionally stable; for theta < 1/2 every step is
-validated against the Gershgorin bound of s A_0 and rejected with a
-suggested dt.  Each invariant is checked once.  Positivity, in every step:
-values below -POSITIVITY_TOL abort the run, tinier negatives are clamped to
-zero.  Mass and finiteness, in :func:`march` for every stored density: the
-fluxes telescope, so every column of the operator sums to zero and a step
-keeps the total up to linear-solver roundoff; a quadrature mass off the
-initial one by more than ``MASS_TOL``, or not finite, raises
-:class:`MassDriftError`.
+Crank-Nicolson is unconditionally stable, and keeps positivity on any data
+when its explicit half I + dt s A / 2 is nonnegative, that is for
+dt <= 2 / (s max|diag A|).  Each invariant is checked once.  Positivity, in
+every step: values below -POSITIVITY_TOL abort the run with that bound as
+the suggested dt, tinier negatives are clamped to zero.  Mass and
+finiteness, in :func:`march` for every stored density: the fluxes telescope,
+so every column of the operator sums to zero and a step keeps the total up
+to linear-solver roundoff; a quadrature mass off 1 by more than
+``MASS_TOL``, or not finite, raises :class:`MassDriftError`.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ from .grids import (
 from .thermo import HamiltonianSpec, relative_entropy_rows
 from .tolerances import (BERNOULLI_SERIES_CUTOFF, BOUNDARY_DECAY_TOL, KRYLOV_RTOL, MASS_TOL,
                          POSITIVITY_TOL)
-
-
-class StabilityError(NumericalFailure):
-    """Time step violates the stability bound of the chosen scheme."""
 
 
 class PositivityError(NumericalFailure):
@@ -156,11 +152,11 @@ def energy_slopes(grid: Grid, H: np.ndarray) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the operator and its theta step
+# the operator and its Crank-Nicolson step
 # ---------------------------------------------------------------------------
 
 class _Stepper:
-    """Theta step (I - theta dt s A) x = (I + (1 - theta) dt s A) rho.
+    """Crank-Nicolson step (I - dt s A / 2) x = (I + dt s A / 2) rho.
 
     The grid fixes the CSR pattern of A: one diagonal slot per cell and two
     coupling slots per interior face.  :meth:`load` writes the coefficients
@@ -171,12 +167,9 @@ class _Stepper:
     warm-started from the current density.
     """
 
-    def __init__(self, grid: Grid, dt: float, theta: float):
-        if not 0.0 <= theta <= 1.0:  # NaN fails too
-            raise ValueError("theta must lie in [0, 1]")
+    def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.theta = theta
         n = grid.size
         idx = np.arange(n).reshape(grid.shape)
         self.faces = [(idx[lo].ravel(), idx[hi].ravel())
@@ -237,34 +230,26 @@ class _Stepper:
 
     def advance(self, rho: np.ndarray, s: float, t_end: float) -> np.ndarray:
         """One checked step of the density array ``rho`` ending at ``t_end``."""
-        rate = self.max_diag * s
-        if self.theta < 0.5 and self.dt * (1.0 - 2.0 * self.theta) * rate > 1.0:
-            raise StabilityError(
-                f"dt={self.dt:.3e} violates the stability bound for theta={self.theta}; "
-                f"use dt <= {1.0 / ((1.0 - 2.0 * self.theta) * rate):.3e}")
         if s != self.scale:
             self._rescale(s)
             self.scale = s
         out = self._solve(rho.ravel()).reshape(rho.shape)
         neg_min = out.min()
-        if neg_min < -POSITIVITY_TOL:
-            suggestion = (1.0 / ((1.0 - self.theta) * rate) if self.theta < 1.0
-                          else self.dt / 2.0)
+        if neg_min < -POSITIVITY_TOL:  # a nonnegative explicit half rules this out
             raise PositivityError(
                 f"positivity lost at t={t_end:.6g} "
-                f"(min {neg_min:.3e}); try dt <= {suggestion:.3e}")
+                f"(min {neg_min:.3e}); try dt <= {2.0 / (self.max_diag * s):.3e}")
         return np.maximum(out, 0.0) if neg_min < 0.0 else out
 
     def _rescale(self, s):
-        c = self.theta * self.dt * s
-        e = self.dt * (1.0 - self.theta) * s
+        c = 0.5 * self.dt * s  # the implicit and the explicit half alike
         if self.grid.ndim == 1:
             sub, diag, sup = self.bands
             self.ab = np.zeros((3, len(diag)))
             self.ab[0, 1:] = -c * sup
             self.ab[1, :] = 1.0 - c * diag
             self.ab[2, :-1] = -c * sub
-            self.expl = (e * sub, e * diag, e * sup)
+            self.expl = (c * sub, c * diag, c * sup)
         else:
             # bitwise eye - c A: the pattern keeps explicit zeros, which
             # change no product
@@ -272,7 +257,7 @@ class _Stepper:
             self.implicit.data *= -c
             self.implicit.data[self.diag_slots] += 1.0
             self.jacobi = scipy.sparse.diags(1.0 / self.implicit.data[self.diag_slots])
-            self.explicit = e
+            self.explicit = c
 
     def _solve(self, rho):
         if self.grid.ndim == 1:
@@ -296,14 +281,13 @@ class _Stepper:
 class DensityTrajectory:
     """Densities ``values[k]`` at ``times[k]`` in one read-only array.
 
-    :func:`march` has checked each for quadrature mass ``mass`` and finiteness,
-    its steps for positivity.
+    :func:`march` has checked each for quadrature mass 1 and finiteness, its
+    steps for positivity.
     """
 
     grid: Grid
     times: np.ndarray
     values: np.ndarray
-    mass: float = 1.0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -311,14 +295,14 @@ class DensityTrajectory:
     @cached_property
     def densities(self) -> tuple[GridDensity, ...]:
         """The stored densities as validated objects, built on first use."""
-        return tuple(GridDensity(self.grid, v, mass=self.mass) for v in self.values)
+        return tuple(GridDensity(self.grid, v) for v in self.values)
 
     def mass_curve(self) -> np.ndarray:
         return np.array([quadrature(self.grid, v) for v in self.values])
 
     def divergence_curve(self, reference: GridDensity) -> np.ndarray:
         require_same_grid(self, reference)
-        return relative_entropy_rows(self.values, self.mass, reference)
+        return relative_entropy_rows(self.values, reference)
 
 
 def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
@@ -327,9 +311,9 @@ def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
 
     Step k ends at t0 + (k+1) dt.  Every ``store_every``-th density and the
     last are written into one preallocated array.  A stored density whose
-    quadrature mass differs from ``rho0.mass`` by more than
-    ``MASS_TOL``, or is not finite, raises :class:`MassDriftError` (a
-    numerical failure, not invalid input).
+    quadrature mass differs from 1 by more than ``MASS_TOL``, or is not
+    finite, raises :class:`MassDriftError` (a numerical failure, not invalid
+    input).
     """
     grid = rho0.grid
     n_stored = -(-n_steps // store_every) + 1
@@ -343,32 +327,30 @@ def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
         if (k + 1) % store_every == 0 or k == n_steps - 1:
             t = t0 + (k + 1) * dt
             mass = quadrature(grid, rho)
-            if not abs(mass - rho0.mass) <= MASS_TOL:  # NaN and inf fail too
-                raise MassDriftError(
-                    f"mass drift at t={t:.6g}: {mass!r} != initial {rho0.mass!r}")
+            if not abs(mass - 1.0) <= MASS_TOL:  # NaN and inf fail too
+                raise MassDriftError(f"mass drift at t={t:.6g}: {mass!r} != 1")
             j += 1
             times[j], values[j] = t, rho
     values.flags.writeable = False
-    return DensityTrajectory(grid, times, values, rho0.mass)
+    return DensityTrajectory(grid, times, values)
 
 
 def evolve(flow: HamiltonianFlow, rho0: GridDensity, t0: float, t1: float, dt: float,
-           theta: float = 0.5, store_every: int = 1) -> DensityTrajectory:
+           store_every: int = 1) -> DensityTrajectory:
     """Integrate the continuity-form equation from t0 to t1 with fixed dt.
 
     The operator D(t) A_0 of ``flow`` is assembled once, at the first step
     midpoint; each step rescales it by D(t_mid)/D_0, where every D > 0 since
-    the gain is admissible.  With the default theta = 1/2 the scheme is
-    second order in time and unconditionally stable.  For theta < 1/2 each
-    step is validated against the Gershgorin stability bound and rejected
-    with a suggestion.  Steps that drive any cell below -POSITIVITY_TOL raise
-    :class:`PositivityError`; tinier negatives are clamped.
+    the gain is admissible.  The Crank-Nicolson scheme is second order in
+    time and unconditionally stable.  Steps that drive any cell below
+    -POSITIVITY_TOL raise :class:`PositivityError`, which suggests a dt;
+    tinier negatives are clamped.
     """
     grid = rho0.grid
     n_steps = time_steps(t0, t1, dt)
     t_ref = t0 + 0.5 * dt
     D0 = flow.half_diffusion(t_ref)
-    stepper = _Stepper(grid, dt, theta)
+    stepper = _Stepper(grid, dt)
     stepper.load(D0, flow.face_drifts(grid, t_ref))
 
     def step(k, rho):
@@ -418,19 +400,18 @@ class BoundaryDecayReport:
 
 
 def boundary_decay_report(rho: GridDensity, f: VectorFieldGrid,
-                          rho_ref: GridDensity, f_ref: VectorFieldGrid | None = None
-                          ) -> BoundaryDecayReport:
+                          rho_ref: GridDensity, f_ref: VectorFieldGrid) -> BoundaryDecayReport:
     """Check the boundary-decay conditions on the truncated domain.
 
     ``rho`` is the density whose rate is being computed, ``f`` its velocity
-    field, ``rho_ref``/``f_ref`` the reference pair (``f_ref`` defaults to
-    ``f``).  Purely diagnostic: never raises.
+    field, ``rho_ref``/``f_ref`` the reference pair.  Purely diagnostic:
+    never raises.
     """
     grid = rho.grid
     mask = grid.boundary_mask()
     r = rho.values[mask]
     fn = np.linalg.norm(f.vectors, axis=-1)[mask]
-    fref = fn if f_ref is None else np.linalg.norm(f_ref.vectors, axis=-1)[mask]
+    fref = np.linalg.norm(f_ref.vectors, axis=-1)[mask]
     with np.errstate(divide="ignore", invalid="ignore"):
         logratio = np.where(r > 0.0,
                             np.log(r) - np.log(rho_ref.values[mask]), 0.0)

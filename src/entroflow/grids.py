@@ -183,18 +183,18 @@ def quadrature(grid: Grid, values: np.ndarray) -> float:
     return float(np.sum(values) * grid.cell_volume)
 
 
-def density_mean(grid: Grid, values: np.ndarray, mass: float = 1.0) -> np.ndarray:
-    """Mean of the sampled density ``values`` of quadrature mass ``mass``."""
+def density_mean(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Mean of the sampled probability density ``values``."""
     w = values[..., np.newaxis]
-    return np.sum(grid.centers() * w, axis=tuple(range(grid.ndim))) * grid.cell_volume / mass
+    return np.sum(grid.centers() * w, axis=tuple(range(grid.ndim))) * grid.cell_volume
 
 
-def density_covariance(grid: Grid, values: np.ndarray, mass: float = 1.0) -> np.ndarray:
-    """Covariance of the sampled density ``values`` of quadrature mass ``mass``."""
-    d = grid.centers() - density_mean(grid, values, mass)
+def density_covariance(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Covariance of the sampled probability density ``values``."""
+    d = grid.centers() - density_mean(grid, values)
     w = values[..., np.newaxis, np.newaxis]
     outer = d[..., :, np.newaxis] * d[..., np.newaxis, :]
-    return np.sum(outer * w, axis=tuple(range(grid.ndim))) * grid.cell_volume / mass
+    return np.sum(outer * w, axis=tuple(range(grid.ndim))) * grid.cell_volume
 
 
 def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -215,12 +215,11 @@ def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
 class GridDensity:
     """Nonnegative sampled probability density on a grid.
 
-    The quadrature mass must match the declared ``mass`` (normally 1) to
-    within ``MASS_TOL``.  Instances are immutable once built.
+    The quadrature mass must be 1 to within ``MASS_TOL``.  Instances are
+    immutable once built.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, mass: float = 1.0,
-                 boundary_suspect: bool = False):
+    def __init__(self, grid: Grid, values: np.ndarray, boundary_suspect: bool = False):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
@@ -229,22 +228,21 @@ class GridDensity:
         if np.any(values < 0.0):
             raise ValueError("density values must be nonnegative")
         got = quadrature(grid, values)
-        if abs(got - mass) > MASS_TOL:
-            raise ValueError(f"quadrature mass {got!r} != declared mass {mass!r}")
+        if abs(got - 1.0) > MASS_TOL:
+            raise ValueError(f"quadrature mass {got!r} != 1")
         self.grid = grid
         self.values = values.copy()
         self.values.flags.writeable = False
-        self.mass = float(mass)
         self.boundary_suspect = bool(boundary_suspect)
 
     def integrate(self) -> float:
         return quadrature(self.grid, self.values)
 
     def mean(self) -> np.ndarray:
-        return density_mean(self.grid, self.values, self.mass)
+        return density_mean(self.grid, self.values)
 
     def covariance(self) -> np.ndarray:
-        return density_covariance(self.grid, self.values, self.mass)
+        return density_covariance(self.grid, self.values)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GridDensity) and self.grid == other.grid

@@ -107,16 +107,14 @@ class IncrementBins:
     allocates nothing of its size.
     """
 
-    def __init__(self, grid: Grid, pool, dt: float, forward: bool = True,
-                 backward: bool = True):
+    def __init__(self, grid: Grid, pool, dt: float):
         self.grid, self.dt = grid, dt
         self.times = np.unique(_as_indices(pool))
         if not self.times.size:
             raise ValueError("the pool of the drift estimate names no interior time")
-        self.lags = (+1,) * forward + (-1,) * backward
-        # the last cell collects the samples outside the box
-        self.counts = {lag: np.zeros(grid.size + 1, dtype=np.int64) for lag in self.lags}
-        self.sums = {lag: np.zeros((2, grid.ndim, grid.size + 1)) for lag in self.lags}
+        # per lag, forward then backward; the last cell collects the samples outside the box
+        self.counts = {lag: np.zeros(grid.size + 1, dtype=np.int64) for lag in (+1, -1)}
+        self.sums = {lag: np.zeros((2, grid.ndim, grid.size + 1)) for lag in (+1, -1)}
         self._fits = (0, 0)  # the (times, trajectories) of a chunk the buffers fit
 
     def _work(self, n_times: int, n_traj: int) -> None:
@@ -142,7 +140,7 @@ class IncrementBins:
         d2 = np.square(d, out=_head(self._sq, d.shape))
         idx, inside = grid.cell_index(_rows(X, at, self._rows), self._cells)
         np.copyto(idx, grid.size, where=np.logical_not(inside, out=inside))  # the outside cell
-        for lag in self.lags:
+        for lag in self.counts:
             # the rows whose step of this lag lies in the chunk
             r0, r1 = (0, np.count_nonzero(at < t1 - t0)) if lag > 0 else \
                 (np.count_nonzero(at == 0), b - a)
@@ -176,12 +174,14 @@ class IncrementBins:
 
 def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,
                   lag: int) -> DriftEstimate:
-    """Bin the increments (x(t + lag dt) - x(t)) / (lag dt) by the cell of x(t)."""
+    """Bin the increments (x(t + lag dt) - x(t)) / (lag dt) by the cell of x(t).
+
+    Both lags are binned in one pass; the estimate reads the one asked for."""
     pool = _as_indices(t_index)
     for k in pool:
         if not (0 <= k < len(ens.times) and 0 <= k + lag < len(ens.times)):
             raise ValueError(f"t_index {k} has no time point at lag {lag:+d}")
-    bins = IncrementBins(grid, pool, ens.dt, forward=lag > 0, backward=lag < 0)
+    bins = IncrementBins(grid, pool, ens.dt)
     replay(ens, (bins.add,))
     return bins.estimate(lag, min_count)
 

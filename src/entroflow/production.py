@@ -88,24 +88,23 @@ def log_ratio_gradient(rho: GridDensity, ref: GridDensity) -> np.ndarray:
 
 
 def relative_entropy_rate(rho_tilde: GridDensity, rho: GridDensity,
-                          f_tilde: VectorFieldGrid, f: VectorFieldGrid,
-                          check_boundary: bool = True) -> float:
+                          f_tilde: VectorFieldGrid, f: VectorFieldGrid) -> float:
     """d/dt D(rho~||rho) from the velocity fields of the two evolutions.
 
-    Quadrature of grad log(rho~/rho) . (f~ - f) rho~.  Emits a
-    :class:`BoundaryLeakWarning` when the boundary-decay certificate fails
-    (the returned value is then boundary-suspect).
+    Quadrature of grad log(rho~/rho) . (f~ - f) rho~.  Every call checks
+    the boundary-decay certificate of :func:`boundary_decay_report` and
+    emits a :class:`BoundaryLeakWarning` when it fails (the returned value
+    is then boundary-suspect).
     """
     grid = require_same_grid(rho_tilde, rho, f_tilde, f)
     w = support_weight(rho_tilde.values, rho.values)
     g = floored_log_ratio_gradient(grid, rho_tilde.values, rho.values)
     rate = weighted_inner(grid, g, f_tilde.vectors - f.vectors, w)
-    if check_boundary:
-        report = boundary_decay_report(rho_tilde, f_tilde, rho, f)
-        if not report.passed:
-            warnings.warn("boundary-suspect: decay certificate failed "
-                          f"(max term {max(report.max_drift_rho_log, report.max_drift_rho, report.max_ref_drift_rho):.2e})",
-                          BoundaryLeakWarning, stacklevel=2)
+    report = boundary_decay_report(rho_tilde, f_tilde, rho, f)
+    if not report.passed:
+        worst = max(report.max_drift_rho_log, report.max_drift_rho, report.max_ref_drift_rho)
+        warnings.warn(f"boundary-suspect: decay certificate failed (max term {worst:.2e})",
+                      BoundaryLeakWarning, stacklevel=2)
     return rate
 
 

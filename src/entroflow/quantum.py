@@ -1,7 +1,8 @@
 """Closed and open n-level quantum systems and their entropy production.
 
-Closed dynamics is the unitary von Neumann flow i hbar d rho/dt = [H, rho];
-open dynamics adds the Lindblad dissipator
+Units have hbar = 1, so energies are rates.  Closed dynamics is the unitary
+von Neumann flow i d rho/dt = [H, rho]; open dynamics adds the Lindblad
+dissipator
 
     L[rho] = sum_k ( L_k rho L_k^dag - (L_k^dag L_k rho + rho L_k^dag L_k)/2 ).
 
@@ -10,9 +11,9 @@ The relative entropy D(rho||sigma) = tr(rho (log rho - log sigma)) with the
 rates mirror the classical formulas:
 
 * perturbing the Hamiltonian of the reference evolution by Delta H gives
-  d/dt D(rho||rho~) = (i/hbar) <[Delta H, log rho~]>_rho  (closed systems);
+  d/dt D(rho||rho~) = i <[Delta H, log rho~]>_rho  (closed systems);
 * against a fixed full-rank target rho_bar commuting with H,
-  d/dt D(rho||rho_bar) = -(i/hbar) <[Delta H, log rho_bar]>_rho
+  d/dt D(rho||rho_bar) = -i <[Delta H, log rho_bar]>_rho
                          + tr(L[rho](log rho - log rho_bar)),
   and the dissipative term alone is nonpositive whenever rho_bar is
   stationary for the semigroup (Lindblad monotonicity).
@@ -131,17 +132,14 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class HamiltonianOperator:
-    """Hermitian energy observable with its Planck-constant scale."""
+    """Hermitian energy observable, in units with hbar = 1."""
 
     matrix: np.ndarray
-    hbar: float = 1.0
 
     def __post_init__(self):
         M = _require_hermitian(_as_matrix(self.matrix), "hamiltonian")
         M.flags.writeable = False  # _eigh is cached from it
         object.__setattr__(self, "matrix", M)
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
 
     @property
     def dim(self) -> int:
@@ -177,7 +175,7 @@ class LindbladSpec:
     def generator(self, rho: np.ndarray) -> np.ndarray:
         H = self.hamiltonian.matrix
         comm = H @ rho - rho @ H
-        return -1j / self.hamiltonian.hbar * comm + self.dissipator(rho)
+        return -1j * comm + self.dissipator(rho)
 
 
 def depolarizing_jump_operators(rate: float) -> tuple:
@@ -242,12 +240,12 @@ def gibbs_state(H: HamiltonianOperator, beta: float) -> DensityOperator:
 
 def evolve_closed(H: HamiltonianOperator, rho0: DensityOperator,
                   t: float) -> DensityOperator:
-    """rho_t = U rho0 U^dag with U = exp(-i H t / hbar): the eigenvalues of
+    """rho_t = U rho0 U^dag with U = exp(-i H t): the eigenvalues of
     rho0 with eigenvectors U V0 (unitary conjugation keeps the spectrum)."""
     if H.dim != rho0.dim:
         raise ValueError("dimension mismatch")
     lam, V = H._eigh
-    U = (V * np.exp(-1j * lam * t / H.hbar)) @ V.conj().T
+    U = (V * np.exp(-1j * lam * t)) @ V.conj().T
     p, W = rho0.eigensystem()
     return DensityOperator._from_eigensystem(p, U @ W)
 
@@ -260,7 +258,7 @@ def _real_rate(value: complex, what: str) -> float:
 
 def relative_entropy_rate(rho: DensityOperator, delta_h: HamiltonianOperator,
                           rho_tilde: DensityOperator) -> float:
-    """d/dt D(rho||rho~) = (i/hbar) <[Delta H, log rho~]>_rho.
+    """d/dt D(rho||rho~) = i <[Delta H, log rho~]>_rho.
 
     ``rho`` follows the unperturbed Hamiltonian, ``rho~`` the perturbed one
     H + Delta H; both evaluated at the same instant.  ``rho~`` must be
@@ -269,7 +267,7 @@ def relative_entropy_rate(rho: DensityOperator, delta_h: HamiltonianOperator,
     """
     L = _log_psd(rho_tilde, "state")
     comm = delta_h.matrix @ L - L @ delta_h.matrix
-    val = 1j / delta_h.hbar * np.trace(rho.matrix @ comm)
+    val = 1j * np.trace(rho.matrix @ comm)
     return _real_rate(val, "relative entropy rate")
 
 
@@ -380,7 +378,7 @@ def production_decomposition(rho: DensityOperator, delta_h: HamiltonianOperator,
                              ) -> OpenProductionRate:
     """Split d/dt D(rho||rho_bar) for the flow with Hamiltonian H + Delta H.
 
-    hamiltonian_term = -(i/hbar) <[Delta H, log rho_bar]>_rho,
+    hamiltonian_term = -i <[Delta H, log rho_bar]>_rho,
     dissipative_term = tr(L[rho](log rho - log rho_bar));
     ``rho_bar`` is a fixed target commuting with the effective H.
     """

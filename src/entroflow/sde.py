@@ -247,19 +247,18 @@ def _march_stored(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
 
 
 def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
-                        t1: float, seed: int,
-                        escape_radius: float | None = None) -> PathEnsemble:
+                        t1: float, seed: int) -> PathEnsemble:
     """Euler-Maruyama ensemble of dx = [-(sigma2 / 2 kT) grad H + u] dt + sigma dW.
 
     The drift and sigma = sqrt(sigma2) both come from ``ham``; a model with
     sigma2 = 0 is the noise-free flow of the control alone.  ``u`` is None or
     a callable ``(x, t) -> (m, dim)``; ``x0`` is a callable
     ``(rng, size) -> (size, dim)``, an array, or a scalar.  The escape radius
-    defaults to 50x the spread of the initial samples (floor 1); crossing it
-    aborts with the offending trajectory index.
+    is 50x the spread of the initial samples (floor 1); crossing it aborts
+    with the offending trajectory index.
     """
     start, step = _overdamped_rule(ham, u, x0, dt)
-    return _march_stored(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, escape_radius)
+    return _march_stored(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None)
 
 
 def stream_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float, t1: float,
@@ -349,8 +348,7 @@ def harmonic_cantilever(spring_k: float, mass: float = 1.0, gamma: float = 1.0,
 
 
 def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
-                     seed: int, q0=0.0, p0=0.0,
-                     escape_radius: float | None = None) -> PathEnsemble:
+                     seed: int, q0=0.0, p0=0.0) -> PathEnsemble:
     """Symplectic-Euler ensemble; state layout per trajectory is [q, p].
 
     Momenta are updated first with the potential, friction and feedback
@@ -358,8 +356,7 @@ def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
     carry no noise (singular diffusion).  This is :func:`stream_polymer`'s
     step for the one gain ``spec.control_gain``, stored.
     """
-    start, step, dim, noise_dim, radius = _polymer_rule(spec, (spec.control_gain,), q0, p0,
-                                                        dt, escape_radius)
+    start, step, dim, noise_dim, radius = _polymer_rule(spec, (spec.control_gain,), q0, p0, dt)
     return _march_stored(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius)
 
 
@@ -374,15 +371,15 @@ def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
     the same initial states and noise.  A state of any gain that leaves the
     escape radius stops the run.
     """
-    start, step, dim, noise_dim, radius = _polymer_rule(spec, gains, 0.0, 0.0, dt, None)
+    start, step, dim, noise_dim, radius = _polymer_rule(spec, gains, 0.0, 0.0, dt)
     _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius, observers)
 
 
-def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float,
-                  escape_radius: float | None):
+def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
     """``start``, ``step``, state width, noise width and escape radius of
     the symplectic Euler scheme for the feedback ``gains``: one drag per
-    gain, one noise draw for all."""
+    gain, one noise draw for all.  The radius is 50x the thermal spread
+    sqrt(T / m) of the lightest mass and sqrt(T), floor 1."""
     for gain in gains:  # each gain is checked as a spec's control_gain
         replace(spec, control_gain=gain)
     nc = spec.n_coords
@@ -390,9 +387,8 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float,
     m = spec.mass_per_coord
     c = np.sqrt(2.0 * spec.gamma * spec.temperature)  # fluctuation-dissipation
     drag = (spec.gamma + np.asarray(gains, dtype=float)).reshape(n_gains, 1)
-    if escape_radius is None:
-        escape_radius = 50.0 * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
-                                   np.sqrt(spec.temperature))
+    radius = 50.0 * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
+                        np.sqrt(spec.temperature))
     root_dt = np.sqrt(dt)
     noisy = c != 0.0
 
@@ -410,7 +406,7 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float,
             p = p + ((root_dt * dW) * c)[:, None, :]
         return np.concatenate([q + dt * (p / m), p], axis=2).reshape(y.shape[0], -1)
 
-    return start, step, 2 * nc * n_gains, nc if noisy else 0, escape_radius
+    return start, step, 2 * nc * n_gains, nc if noisy else 0, radius
 
 
 def polymer_momenta(ens: PathEnsemble, spec: PolymerSpec) -> np.ndarray:
@@ -517,10 +513,11 @@ def scott_bandwidth(samples: np.ndarray) -> np.ndarray:
     return factor * samples.std(axis=0, ddof=1 if n > 1 else 0)
 
 
-def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid,
-                     bandwidth="auto") -> GridDensity:
+def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid) -> GridDensity:
     """Gaussian-kernel density estimate of the time slice on a grid.
 
+    The kernel width is Scott's rule, :func:`scott_bandwidth` of the slice
+    (zero for a single sample, which leaves its histogram cell).
     Histogram-then-smooth implementation (binning error is O(dx^2/bw^2),
     negligible against the kernel itself); the result is renormalized to
     quadrature mass 1.  Fails if more than 0.1% of the samples fall outside
@@ -533,14 +530,7 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid,
     escaped = 1.0 - inside.mean()
     if escaped > ESCAPED_FRACTION_MAX:
         raise ValueError(f"grid does not cover ensemble: escaped fraction {escaped:.3e}")
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise ValueError("bandwidth must be 'auto' or positive number(s)")
-        bw = scott_bandwidth(x)
-    else:
-        bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (grid.ndim,))
-    if np.any(bw < 0.0):
-        raise ValueError("bandwidth must be nonnegative")
+    bw = scott_bandwidth(x)
     edges = [np.linspace(grid.lo[a], grid.hi[a], grid.cells[a] + 1)
              for a in range(grid.ndim)]
     counts, _ = np.histogramdd(x[inside], bins=edges)
@@ -553,7 +543,7 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid,
     if total == np.inf:
         raise ValueError(f"cells of volume {grid.cell_volume:.3g} are too large for a "
                          "density estimate: its mass overflows")
-    return GridDensity(grid, smoothed / total, mass=1.0)
+    return GridDensity(grid, smoothed / total)
 
 
 class TimeMoments:

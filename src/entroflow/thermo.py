@@ -22,7 +22,6 @@ identity hold in the discrete algebra, not merely in the continuum limit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,12 +35,7 @@ from .grids import (
     quadrature,
     require_same_grid,
 )
-from .tolerances import (BOUNDARY_DECAY_FACTOR, GRAD_CHECK_RTOL, GRAD_CHECK_STEP,
-                         HERMITICITY_TOL, MASS_MISMATCH_TOL)
-
-
-class MassMismatchWarning(UserWarning):
-    """Densities of unequal mass: nonnegativity of the divergence is not guaranteed."""
+from .tolerances import BOUNDARY_DECAY_FACTOR, GRAD_CHECK_RTOL, GRAD_CHECK_STEP, HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class GaussianDensity:
         if not 0.0 < z < np.inf:  # NaN fails too
             raise ValueError(f"the sampled density has quadrature mass {z:g} on the grid "
                              "box; move the box over the density's support")
-        return GridDensity(grid, vals / z, mass=1.0)
+        return GridDensity(grid, vals / z)
 
     def kl_to(self, other: "GaussianDensity") -> float:
         """Closed-form D(self || other) in nats."""
@@ -194,30 +188,26 @@ def gibbs_density(ham: HamiltonianSpec, grid: Grid) -> GridDensity:
     peak = values.max()
     boundary = values[grid.boundary_mask()]
     suspect = bool(boundary.max() >= BOUNDARY_DECAY_FACTOR * peak)
-    return GridDensity(grid, values, mass=1.0, boundary_suspect=suspect)
+    return GridDensity(grid, values, boundary_suspect=suspect)
 
 
 def relative_entropy(rho: GridDensity, sigma: GridDensity) -> float:
     """D(rho||sigma) = sum rho log(rho/sigma) dV in nats.
 
     Cells with rho = 0 contribute nothing (0 log 0 = 0); rho > 0 on a cell
-    where sigma = 0 yields +inf.  Unequal masses only trigger a warning:
-    nonnegativity is guaranteed for equal masses, but the functional itself
-    is defined for any pair of nonnegative fields.
+    where sigma = 0 yields +inf.  Both are probability densities, of unit
+    quadrature mass to within ``MASS_TOL``, so the divergence is
+    nonnegative up to that error.
     """
     require_same_grid(rho, sigma)
-    return float(relative_entropy_rows(rho.values[np.newaxis], rho.mass, sigma)[0])
+    return float(relative_entropy_rows(rho.values[np.newaxis], sigma)[0])
 
 
-def relative_entropy_rows(rows: np.ndarray, mass: float, sigma: GridDensity) -> np.ndarray:
-    """D(rho_k||sigma) for each density ``rows[k]`` of mass ``mass`` on sigma's grid.
+def relative_entropy_rows(rows: np.ndarray, sigma: GridDensity) -> np.ndarray:
+    """D(rho_k||sigma) for each probability density ``rows[k]`` on sigma's grid.
 
     The one implementation behind :func:`relative_entropy` and trajectory curves.
     """
-    if abs(mass - sigma.mass) > MASS_MISMATCH_TOL:
-        warnings.warn(
-            f"mass mismatch {mass!r} vs {sigma.mass!r}; divergence may be negative",
-            MassMismatchWarning, stacklevel=3)
     out = np.empty(len(rows))
     for k, values in enumerate(rows):
         supp = values > 0.0

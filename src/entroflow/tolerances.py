@@ -9,11 +9,11 @@ line says why the value is what it is.  Plain numbers; nothing is imported.
 
 # -- grids, time grids and the finite-volume solver --------------------------
 
-# quadrature mass a density may differ from its declared or initial mass by
+# quadrature mass a probability density may differ from 1 by
 MASS_TOL = 1e-8
 # relative slack of a horizon against n dt, and of a stored time step against dt
 TIME_GRID_RTOL = 1e-9
-# a theta step below -this aborts; tinier negatives are roundoff, clamped to 0
+# a solver step below -this aborts; tinier negatives are roundoff, clamped to 0
 POSITIVITY_TOL = 1e-12
 # N-D solve residual: at 1e-12 the mass drifted 1e-11 over 100 steps of 128^2
 KRYLOV_RTOL = 1e-14
@@ -30,8 +30,6 @@ GRAD_CHECK_STEP = 1e-6
 GRAD_CHECK_RTOL = 1e-5
 # Gibbs boundary value, relative to the peak, that flags a truncated support
 BOUNDARY_DECAY_FACTOR = 1e-10
-# mass difference past which D(rho||sigma) may turn negative: a warning
-MASS_MISMATCH_TOL = 1e-6
 # largest entry of M - M^H of a symmetric or Hermitian matrix: roundoff only
 HERMITICITY_TOL = 1e-12
 

@@ -23,8 +23,7 @@ from entroflow.cli import (
     run_scenario,
 )
 from entroflow.grids import time_steps
-from entroflow.fokker_planck import (ConvergenceError, MassDriftError, PositivityError,
-                                     StabilityError)
+from entroflow.fokker_planck import ConvergenceError, MassDriftError, PositivityError
 from entroflow.paths import (
     current_drift,
     drift_field_rows,
@@ -492,8 +491,8 @@ def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("exc", [NumericalFailure, PositivityError, StabilityError,
-                                 ConvergenceError, MassDriftError, TrajectoryDivergence],
+@pytest.mark.parametrize("exc", [NumericalFailure, PositivityError, ConvergenceError,
+                                 MassDriftError, TrajectoryDivergence],
                          ids=lambda exc: exc.__name__)
 def test_every_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, exc):
     def fail(cfg, w):
@@ -666,6 +665,29 @@ def test_gain_table_rows_parse_strictly(tmp_path, capsys, row):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{table} line 4" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text,bad_line", [("0,0.5,\n0.005,1.0\n", 1),
+                                           ("\nt,alpha\n0,0.5\n0.005,1.0\n", None)],
+                         ids=["trailing-comma", "blank-then-header"])
+def test_gain_table_header_is_the_first_nonblank_line(tmp_path, capsys, text, bad_line):
+    # the first non-blank line is a header only when none of its fields is a
+    # number: a first data row is never dropped, and a header after a blank
+    # line is no row; a table that parses runs as the same table written plainly
+    table, out = tmp_path / "alpha.csv", tmp_path / "o"
+    table.write_text(text)
+    argv = ["--t1", "0.01", "--dt", "0.001"]
+    code = main(["control-run", "--alpha-table", str(table), *argv, "--out", str(out)])
+    if bad_line is not None:
+        assert code == 2
+        assert f"{table} line {bad_line}: expected two numbers" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    plain, ref = tmp_path / "plain.csv", tmp_path / "ref"
+    plain.write_text("0,0.5\n0.005,1.0\n")
+    assert main(["control-run", "--alpha-table", str(plain), *argv, "--out", str(ref)]) == 0
+    assert (out / "divergence.csv").read_bytes() == (ref / "divergence.csv").read_bytes()
 
 
 def test_gain_table_non_finite_entries_exit_2(tmp_path, capsys):

@@ -295,7 +295,7 @@ def test_decomposition_curve(ou_ham):
     for ham, gain, tr, c in runs:
         gibbs = gibbs_density(ham, tr.grid)
         for k, (t, row) in enumerate(zip(tr.times, tr.values)):
-            rho = GridDensity(tr.grid, row, mass=tr.mass)
+            rho = GridDensity(tr.grid, row)
             rep = production_decomposition(rho, gibbs, feedback_control(rho, gibbs, gain(t)),
                                            ham.sigma2)
             assert (c["total_rate"][k], c["pepr"][k], c["epur"][k]) == \

@@ -89,9 +89,9 @@ def test_density_validation():
     with pytest.raises(ValueError):
         GridDensity(g, np.array([1.0, -0.1, 1.0, 1.0]))
     with pytest.raises(ValueError):
-        GridDensity(g, np.full(4, 2.0))  # mass 2 vs declared 1
-    d = GridDensity(g, np.full(4, 2.0), mass=2.0)
-    assert d.integrate() == pytest.approx(2.0)
+        GridDensity(g, np.full(4, 2.0))  # mass 2, not 1
+    d = GridDensity(g, np.full(4, 1.0))
+    assert d.integrate() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         d.values[0] = 3.0  # immutable
 

@@ -324,7 +324,7 @@ def test_osmotic_residual_deterministic_flow():
     grid = Grid((-2.0,), (2.0,), (16,))
     beta = estimate_forward_drift(ens, 10, grid, min_count=5)
     gamma = estimate_backward_drift(ens, 10, grid, min_count=5)
-    p = estimate_density(ens, 10, grid, bandwidth=0.2)
+    p = estimate_density(ens, 10, grid)
     assert osmotic_residual(beta, gamma, p, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -470,22 +470,19 @@ def test_weak_continuity_ou_relaxation(ou_ham):
 
 def _floored(d, eps=1e-10):
     vals = (1.0 - eps) * d.values + eps / np.prod(np.asarray(d.grid.hi) - np.asarray(d.grid.lo))
-    return GridDensity(d.grid, vals, mass=1.0)
+    return GridDensity(d.grid, vals)
 
 
-def _estimated_rate_and_fd(ens_a, ens_b, grid, k, dk, bw):
+def _estimated_rate_and_fd(ens_a, ens_b, grid, k, dk):
     va = current_drift(estimate_forward_drift(ens_a, k, grid),
                        estimate_backward_drift(ens_a, k, grid))
     vb = current_drift(estimate_forward_drift(ens_b, k, grid),
                        estimate_backward_drift(ens_b, k, grid))
-    pa = _floored(estimate_density(ens_a, k, grid, bandwidth=bw))
-    pb = _floored(estimate_density(ens_b, k, grid, bandwidth=bw))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        formula = relative_entropy_rate(pa, pb, va.field(), vb.field(),
-                                        check_boundary=False)
-    D = [relative_entropy(_floored(estimate_density(ens_a, k + s, grid, bandwidth=bw)),
-                          _floored(estimate_density(ens_b, k + s, grid, bandwidth=bw)))
+    pa = _floored(estimate_density(ens_a, k, grid))
+    pb = _floored(estimate_density(ens_b, k, grid))
+    formula = relative_entropy_rate(pa, pb, va.field(), vb.field())
+    D = [relative_entropy(_floored(estimate_density(ens_a, k + s, grid)),
+                          _floored(estimate_density(ens_b, k + s, grid)))
          for s in (-dk, dk)]
     fd = (D[1] - D[0]) / (2 * dk * ens_a.dt)
     return formula, fd
@@ -499,14 +496,14 @@ def test_rate_formula_with_current_drifts(ou_ham):
         n_traj=n, dt=dt, t1=0.4, seed=seed)
     ens_a = mk(10, 1.0)
     ens_b = mk(11, 0.0)
-    k, dk, bw = 40, 10, 0.11
-    formula, fd = _estimated_rate_and_fd(ens_a, ens_b, grid, k, dk, bw)
+    k, dk = 40, 10
+    formula, fd = _estimated_rate_and_fd(ens_a, ens_b, grid, k, dk)
     diffs = []
     for i in range(10):
         sl = slice(i * n // 10, (i + 1) * n // 10)
         f_i, fd_i = _estimated_rate_and_fd(
             PathEnsemble(ens_a.times, ens_a.states[sl], dt, 0),
-            PathEnsemble(ens_b.times, ens_b.states[sl], dt, 0), grid, k, dk, bw)
+            PathEnsemble(ens_b.times, ens_b.states[sl], dt, 0), grid, k, dk)
         diffs.append(f_i - fd_i)
     se = np.std(diffs, ddof=1) / np.sqrt(len(diffs))
     assert abs(formula - fd) < 3.0 * se

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,17 @@ def gaussian_rate_oracle(m, v, sigma2=2.0):
     divergence decay rate against N(0,1) under the uncontrolled flow."""
     second_moment = v * (1.0 - 1.0 / v) ** 2 + (m * (1.0 - 1.0 / v) + m / v) ** 2
     return -0.5 * sigma2 * second_moment
+
+
+def certified_rate(report, *fields):
+    """relative_entropy_rate(*fields), which warns of a boundary leak exactly
+    when ``report``, the certificate of the same four fields, fails."""
+    if report.passed:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", BoundaryLeakWarning)
+            return relative_entropy_rate(*fields)
+    with pytest.warns(BoundaryLeakWarning):
+        return relative_entropy_rate(*fields)
 
 
 def test_gaussian_rate_oracle_value():
@@ -86,7 +99,7 @@ def test_rate_rejects_support_violation(ou_grid, gauss01):
     rho = GridDensity(ou_grid, vals)
     f = VectorFieldGrid.zero(ou_grid)
     with pytest.raises(ValueError, match="nonpositive density"):
-        relative_entropy_rate(rho_t, rho, f, f, check_boundary=False)
+        relative_entropy_rate(rho_t, rho, f, f)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +167,7 @@ def test_decomposition_specializes_theorem_rate(ou_ham, ou_grid, gauss12):
     u = VectorFieldGrid(ou_grid, 0.3 * np.cos(ou_grid.centers()))
     rep = production_decomposition(rho_u, rho_bar, u, 2.0)
     f_tilde = VectorFieldGrid(ou_grid, u.vectors - 1.0 * g)
-    rate = relative_entropy_rate(rho_u, rho_bar, f_tilde,
-                                 VectorFieldGrid.zero(ou_grid),
-                                 check_boundary=False)
+    rate = certified_rate(rep.boundary, rho_u, rho_bar, f_tilde, VectorFieldGrid.zero(ou_grid))
     assert rate == pytest.approx(rep.total, abs=1e-12)
 
 
@@ -266,8 +277,8 @@ def test_decomposition_identity_on_random_grids(case):
     # stationary reference is the same integral, written without the split
     g = log_ratio_gradient(rho, equilibrium)
     f_tilde = VectorFieldGrid(rho.grid, u.vectors - 0.5 * ham.sigma2 * g)
-    generic = relative_entropy_rate(rho, equilibrium, f_tilde,
-                                    VectorFieldGrid.zero(rho.grid), check_boundary=False)
+    generic = certified_rate(rep.boundary, rho, equilibrium, f_tilde,
+                             VectorFieldGrid.zero(rho.grid))
     assert rep.total == pytest.approx(generic, rel=0.0, abs=1e-12 * scale)
     if gain is not None:
         # feedback of gain a: the rate is -(sigma2/2 + a) * Fisher

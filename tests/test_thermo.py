@@ -8,7 +8,6 @@ from entroflow import (
     GridDensity,
     GridMismatchError,
     HamiltonianSpec,
-    MassMismatchWarning,
     flux_and_force,
     free_energy,
     gauss_markov_propagate,
@@ -172,14 +171,6 @@ def test_relative_entropy_grid_mismatch(gauss01):
     b = gauss01.sample_on(Grid((-8.0,), (8.0,), (512,)))
     with pytest.raises(GridMismatchError):
         relative_entropy(a, b)
-
-
-def test_relative_entropy_mass_mismatch_warns(gauss01):
-    grid = Grid((-8.0,), (8.0,), (256,))
-    rho = gauss01.sample_on(grid)
-    half = GridDensity(grid, rho.values * 0.5, mass=0.5)
-    with pytest.warns(MassMismatchWarning):
-        relative_entropy(rho, half)
 
 
 def test_relative_entropy_support_conventions(gauss01):
