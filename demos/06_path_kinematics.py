@@ -12,8 +12,7 @@ from entroflow import Grid, quadratic_hamiltonian, simulate_overdamped
 from entroflow.paths import (
     current_drift,
     default_test_functions,
-    estimate_backward_drift,
-    estimate_forward_drift,
+    estimate_drifts,
     finite_energy_estimate,
     osmotic_residual,
     weak_continuity_check,
@@ -27,8 +26,7 @@ print(f"stationary OU ensemble: {ens.n_traj} paths, {len(ens.times)} time points
 
 grid = Grid((-4.0,), (4.0,), (64,))
 pool = list(range(20, 200))
-beta = estimate_forward_drift(ens, pool, grid)
-gamma = estimate_backward_drift(ens, pool, grid)
+beta, gamma = estimate_drifts(ens, pool, grid)
 v = current_drift(beta, gamma)
 
 x = grid.centers()[..., 0]

@@ -71,8 +71,7 @@ from .sde import (
 from .paths import (
     DriftEstimate,
     current_drift,
-    estimate_backward_drift,
-    estimate_forward_drift,
+    estimate_drifts,
     finite_energy_estimate,
     osmotic_residual,
     weak_continuity_check,
@@ -99,9 +98,8 @@ __all__ = [
     "TrajectoryDivergence", "estimate_density", "harmonic_cantilever",
     "kinetic_temperature", "sample_moments", "simulate_overdamped",
     "simulate_polymer",
-    "DriftEstimate", "current_drift", "estimate_backward_drift",
-    "estimate_forward_drift", "finite_energy_estimate", "osmotic_residual",
-    "weak_continuity_check",
+    "DriftEstimate", "current_drift", "estimate_drifts", "finite_energy_estimate",
+    "osmotic_residual", "weak_continuity_check",
     "quantum",
 ]
 

@@ -166,6 +166,7 @@ _CHECKS = {
     "n_traj": (lambda v, c: v >= 2, "be >= 2"),  # every ensemble writes sample covariances
     "seed": (lambda v, c: 0 <= v < 2**64, "lie in [0, 2**64)"),
     "gamma": (lambda v, c: v >= 0.0, "be nonnegative"),
+    "alpha_c": (lambda v, c: v is None or v >= 0.0, "be nonnegative"),
     "files": (lambda v, c: v, "name the operator files when no model is set"),
     "t_index": (lambda v, c: 0 <= v < _n_times(c), lambda c: f"lie in [0, {_n_times(c)})"),
 }
@@ -415,7 +416,7 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     gamma = c["gamma"]
     gains = [0.0, 0.5 * gamma, gamma, 2.0 * gamma] if c["alpha_c"] is None else [c["alpha_c"]]
     spec = harmonic_cantilever(spring_k=c["spring_k"], mass=c["mass"], gamma=gamma,
-                               control_gain=gains[-1], temperature=c["temperature"])
+                               temperature=c["temperature"])
     n_times, width = _n_times(c), 2 * spec.n_coords
     times = dt * np.arange(n_times)
     # the window ends at the last grid time, which t1 names only up to roundoff

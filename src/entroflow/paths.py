@@ -23,7 +23,10 @@ The drift binning (:class:`IncrementBins`) and the energy sum
 (:class:`EnergySum`) are chunk observers, ``add(first, t0, X)``, in the
 sense of :mod:`entroflow.sde`: a streamed run feeds them while it steps, and
 the estimators of a stored ensemble are one of them fed by
-:func:`entroflow.sde.replay`, so both give the same bits.  CSV export:
+:func:`entroflow.sde.replay`, so both give the same bits.  One binning pass
+gives both drifts: :func:`estimate_drifts` returns the pair (beta, gamma),
+since each increment is the forward one of its first time and the
+backward one of its second.  CSV export:
 :func:`drift_field_rows` returns a header and lazy per-cell rows for
 ``cli.ArtifactWriter.write_csv``; this module opens no files.
 """
@@ -172,39 +175,30 @@ class IncrementBins:
                              se.reshape(grid.shape + (grid.ndim,)), min_count)
 
 
-def _binned_drift(ens: PathEnsemble, t_index, grid: Grid, min_count: int,
-                  lag: int) -> DriftEstimate:
-    """Bin the increments (x(t + lag dt) - x(t)) / (lag dt) by the cell of x(t).
-
-    Both lags are binned in one pass; the estimate reads the one asked for."""
-    pool = _as_indices(t_index)
-    for k in pool:
-        if not (0 <= k < len(ens.times) and 0 <= k + lag < len(ens.times)):
-            raise ValueError(f"t_index {k} has no time point at lag {lag:+d}")
-    bins = IncrementBins(grid, pool, ens.dt)
-    replay(ens, (bins.add,))
-    return bins.estimate(lag, min_count)
-
-
-def estimate_forward_drift(ens: PathEnsemble, t_index, grid: Grid,
-                           min_count: int = MIN_CELL_COUNT) -> DriftEstimate:
-    """Conditional mean of the forward increment, binned at time t.
+def estimate_drifts(ens: PathEnsemble, t_index, grid: Grid,
+                    min_count: int = MIN_CELL_COUNT) -> tuple[DriftEstimate, DriftEstimate]:
+    """The forward and backward drift estimates (beta, gamma) of a stored
+    ensemble, binned at the times ``t_index``: one :class:`IncrementBins`
+    fed by :func:`entroflow.sde.replay`.
 
     ``t_index`` may be a sequence of indices, in which case samples are
     pooled across them (appropriate for stationary ensembles, where the
-    drift field does not depend on t).
+    drift field does not depend on t).  Every pooled index lies in
+    [0, last]; a pooled time adds to each lag that has a step at it, so the
+    last time adds only a backward sample and time 0 only a forward one,
+    and a lag that gets no pooled time is an error.
     """
-    return _binned_drift(ens, t_index, grid, min_count, +1)
-
-
-def estimate_backward_drift(ens: PathEnsemble, t_index, grid: Grid,
-                            min_count: int = MIN_CELL_COUNT) -> DriftEstimate:
-    """Conditional mean of the backward increment, binned at time t.
-
-    Accepts a sequence of indices for pooling, like
-    :func:`estimate_forward_drift`.
-    """
-    return _binned_drift(ens, t_index, grid, min_count, -1)
+    pool = _as_indices(t_index)
+    last = len(ens.times) - 1
+    for k in pool:
+        if not 0 <= k <= last:
+            raise ValueError(f"t_index {k} lies outside the time indices [0, {last}]")
+    for lone, lag in ((last, +1), (0, -1)):
+        if set(pool) == {lone}:
+            raise ValueError(f"t_index {lone} has no time point at lag {lag:+d}")
+    bins = IncrementBins(grid, pool, ens.dt)
+    replay(ens, (bins.add,))
+    return bins.estimate(+1, min_count), bins.estimate(-1, min_count)
 
 
 def osmotic_residual(beta: DriftEstimate, gamma: DriftEstimate,

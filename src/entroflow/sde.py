@@ -14,6 +14,10 @@ Two integrators:
   velocity feedback -alpha_c V cools the kinetic temperature below the
   thermostat value.
 
+The model states the drift and noise; the control is the simulators'
+argument beside it, the field u of the overdamped run and the gain alpha_c
+of the polymer run.
+
 Noise streams are counter-based (Philox) and keyed by (seed, block) for
 blocks of 1024 trajectories: the ensemble is bit-reproducible for a given
 seed, trajectory i depends only on (seed, i, step count), and blocks can be
@@ -46,10 +50,12 @@ sum of m V^2, merged noise block by noise block.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth), equipartition kinetic temperatures
-with per-trajectory standard errors, and per-time moments: the moment
-estimators of a stored ensemble, :func:`ensemble_summary` and
-:func:`sample_moments`, are :class:`TimeMoments` fed by :func:`replay`, so a
-streamed run and a stored one give the same bits.  CSV export:
+with per-trajectory standard errors, and per-time moments.  Each ensemble
+quantity has one estimator, a chunk observer: :func:`kinetic_temperature`
+is :class:`WindowTemperatures` of one gain, and :func:`ensemble_summary`
+and :func:`sample_moments` are :class:`TimeMoments`, each fed a stored
+ensemble by :func:`replay`, so a streamed run and a stored one give the
+same bits.  CSV export:
 :func:`ensemble_rows` and :func:`ensemble_summary` return a header and lazy
 rows, which ``cli.ArtifactWriter.write_csv`` formats and writes; this module
 opens no files.
@@ -57,7 +63,7 @@ opens no files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -227,13 +233,15 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
 
 def replay(ens: PathEnsemble, observers) -> None:
     """Feed a stored ensemble to ``observers`` in the blocks and chunks in
-    which :func:`_march_paths` fed it; a one-time ensemble is one chunk of
-    one time."""
-    for first in range(0, ens.n_traj, NOISE_BLOCK):
-        block = ens.states[first:first + NOISE_BLOCK].swapaxes(0, 1)
-        for t0 in range(0, max(len(ens.times) - 1, 1), CHUNK):
-            for add in observers:
-                add(first, t0, block[t0:t0 + CHUNK + 1])
+    which :func:`_march_paths` fed it, with the same overflow and
+    invalid-value warnings off; a one-time ensemble is one chunk of one
+    time."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, ens.n_traj, NOISE_BLOCK):
+            block = ens.states[first:first + NOISE_BLOCK].swapaxes(0, 1)
+            for t0 in range(0, max(len(ens.times) - 1, 1), CHUNK):
+                for add in observers:
+                    add(first, t0, block[t0:t0 + CHUNK + 1])
 
 
 def _march_stored(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
@@ -297,17 +305,17 @@ class PolymerSpec:
     grad_potential : grad phi(q) -> (m, n_blocks*block_dim) on q of shape
                    (m, n_blocks*block_dim): the force is -grad phi
     gamma        : friction coefficient (force = -gamma V)
-    control_gain : feedback gain alpha_c >= 0 (force = -alpha_c V)
     temperature  : thermostat temperature T (k_B = 1 units)
 
     The thermostat fixes the noise on each momentum at sqrt(2 gamma T) dW
-    (fluctuation-dissipation); the feedback adds drag without noise.
+    (fluctuation-dissipation).  The feedback gain alpha_c (force -alpha_c V)
+    is not part of the model: the simulators take it as an argument, and it
+    adds drag without noise.
     """
 
     masses: np.ndarray
     grad_potential: Callable[[np.ndarray], np.ndarray]
     gamma: float
-    control_gain: float
     temperature: float
     block_dim: int = 3
 
@@ -316,8 +324,8 @@ class PolymerSpec:
         object.__setattr__(self, "masses", masses)
         if not np.all((0.0 < masses) & (masses < np.inf)):  # NaN fails too
             raise ValueError("masses must be finite and positive")
-        if not (0.0 <= self.gamma < np.inf and 0.0 <= self.control_gain < np.inf):
-            raise ValueError("gamma and control_gain must be finite and nonnegative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and nonnegative")
         if not 0.0 < self.temperature < np.inf:
             raise ValueError("temperature must be finite and positive")
         if self.block_dim < 1:
@@ -337,26 +345,25 @@ class PolymerSpec:
 
 
 def harmonic_cantilever(spring_k: float, mass: float = 1.0, gamma: float = 1.0,
-                        control_gain: float = 0.0, temperature: float = 1.0
-                        ) -> PolymerSpec:
+                        temperature: float = 1.0) -> PolymerSpec:
     """Single scalar mode with phi(q) = K q^2 / 2 (the AFM cantilever)."""
     return PolymerSpec(
         masses=[mass],
         grad_potential=lambda q: spring_k * np.atleast_2d(q),
-        gamma=gamma, control_gain=control_gain, temperature=temperature,
-        block_dim=1)
+        gamma=gamma, temperature=temperature, block_dim=1)
 
 
-def simulate_polymer(spec: PolymerSpec, n_traj: int, dt: float, t1: float,
+def simulate_polymer(spec: PolymerSpec, gain: float, n_traj: int, dt: float, t1: float,
                      seed: int, q0=0.0, p0=0.0) -> PathEnsemble:
-    """Symplectic-Euler ensemble; state layout per trajectory is [q, p].
+    """Symplectic-Euler ensemble under the feedback gain ``gain``; state
+    layout per trajectory is [q, p].
 
     Momenta are updated first with the potential, friction and feedback
     forces plus the thermostat's noise; positions then move with the new momenta and
     carry no noise (singular diffusion).  This is :func:`stream_polymer`'s
-    step for the one gain ``spec.control_gain``, stored.
+    step for the one gain ``gain``, stored.
     """
-    start, step, dim, noise_dim, radius = _polymer_rule(spec, (spec.control_gain,), q0, p0, dt)
+    start, step, dim, noise_dim, radius = _polymer_rule(spec, (gain,), q0, p0, dt)
     return _march_stored(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius)
 
 
@@ -367,9 +374,8 @@ def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
 
     A state row is gain-major, ``[q | p]`` of gain 0, then of gain 1, and so
     on; each gain's columns are bitwise the states :func:`simulate_polymer`
-    stores for ``replace(spec, control_gain=gain)``, since every gain sees
-    the same initial states and noise.  A state of any gain that leaves the
-    escape radius stops the run.
+    stores for that gain, since every gain sees the same initial states and
+    noise.  A state of any gain that leaves the escape radius stops the run.
     """
     start, step, dim, noise_dim, radius = _polymer_rule(spec, gains, 0.0, 0.0, dt)
     _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius, observers)
@@ -380,8 +386,10 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
     the symplectic Euler scheme for the feedback ``gains``: one drag per
     gain, one noise draw for all.  The radius is 50x the thermal spread
     sqrt(T / m) of the lightest mass and sqrt(T), floor 1."""
-    for gain in gains:  # each gain is checked as a spec's control_gain
-        replace(spec, control_gain=gain)
+    for gain in gains:
+        if not 0.0 <= gain < np.inf:  # NaN fails too
+            raise ValueError(f"the feedback gain alpha_c must be finite and nonnegative, "
+                             f"got {gain!r}")
     nc = spec.n_coords
     n_gains = len(gains)
     m = spec.mass_per_coord
@@ -409,16 +417,6 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
     return start, step, 2 * nc * n_gains, nc if noisy else 0, radius
 
 
-def polymer_momenta(ens: PathEnsemble, spec: PolymerSpec) -> np.ndarray:
-    return ens.states[:, :, spec.n_coords:]
-
-
-def _block_mv2(p: np.ndarray, spec: PolymerSpec) -> np.ndarray:
-    """m V^2 per coordinate of momenta ``p``, shape p.shape[:-1] + (n_blocks, block_dim)."""
-    m = spec.mass_per_coord
-    return ((p / m) ** 2 * m).reshape(p.shape[:-1] + (spec.n_blocks, spec.block_dim))
-
-
 @dataclass(frozen=True)
 class KineticTemperature:
     """Per-block equipartition temperature m_k <V_k^2> / (d k_B)."""
@@ -430,16 +428,16 @@ class KineticTemperature:
 
 def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
                         window: tuple[float, float]) -> KineticTemperature:
-    """Time-and-ensemble averaged kinetic temperature over a time window.
+    """Time-and-ensemble averaged kinetic temperature of a stored polymer
+    ensemble over a time window: :class:`WindowTemperatures` of one gain fed
+    by :func:`replay`.
 
     The standard error is taken across trajectories (independent streams),
     each contributing its own window average.
     """
-    sel = _window(ens.times, window)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        per_block = _block_mv2(polymer_momenta(ens, spec)[:, sel, :], spec)
-        # window average per trajectory and block, then ensemble statistics
-        return _temperature(per_block.mean(axis=(1, 3)), window)  # (n_traj, n_blocks)
+    temps = WindowTemperatures(spec, 1, ens.n_traj, ens.times, window)
+    replay(ens, (temps.add,))
+    return temps.estimates()[0]
 
 
 def _window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -470,12 +468,12 @@ def _temperature(traj_vals: np.ndarray, window) -> KineticTemperature:
 
 class WindowTemperatures:
     """An observer of :func:`stream_polymer`: each trajectory's sum of m V^2
-    per block over the time window, for every gain.
+    per block over the time window, for every gain, adding the times in
+    order.
 
-    ``estimates()`` gives each gain's :class:`KineticTemperature`, bitwise
-    :func:`kinetic_temperature` of that gain's stored ensemble when
-    ``spec.block_dim`` is 1: the stored window is time-major, so its time
-    average also adds the times in order.
+    ``estimates()`` gives each gain's :class:`KineticTemperature`, the
+    window average per trajectory and block, then its ensemble mean and
+    standard error.
     """
 
     def __init__(self, spec: PolymerSpec, n_gains: int, n_traj: int, times: np.ndarray,
@@ -487,14 +485,16 @@ class WindowTemperatures:
         self.sums = np.zeros((n_traj, n_gains, spec.n_blocks))
 
     def add(self, first, t0, X):
-        nb, nc = X.shape[1], self.spec.n_coords
+        spec = self.spec
+        nb, nc, m = X.shape[1], spec.n_coords, spec.mass_per_coord
+        per_coord = (nb, self.n_gains, spec.n_blocks, spec.block_dim)
         acc = self.sums[first:first + nb]
         # the times in order, one at a time, since a chunk's temporaries would
         # outgrow the chunk buffer; a later chunk's first time ended the one before
         for i in range(t0 > 0, len(X)):
             if self.sel[t0 + i]:
                 p = X[i].reshape(nb, self.n_gains, 2 * nc)[:, :, nc:]
-                acc += _block_mv2(p, self.spec).sum(axis=-1)
+                acc += ((p / m) ** 2 * m).reshape(per_coord).sum(axis=-1)
 
     def estimates(self) -> list[KineticTemperature]:
         count = np.count_nonzero(self.sel) * self.spec.block_dim
@@ -581,7 +581,7 @@ class TimeMoments:
         np.copyto(x, X[r0:, :, self.columns].transpose(0, 2, 1))
         times = slice(t0 + r0, t0 + len(X))
         spec = self.spec
-        if spec is not None:  # m V^2 = (p / m)^2 m per momentum, as _block_mv2
+        if spec is not None:  # m V^2 = (p / m)^2 m per momentum, as WindowTemperatures
             nc, m = spec.n_coords, spec.mass_per_coord[:, None]
             v = np.divide(x[:, nc:], m, out=_head(self._v, (n_rows, nc, nb)))
             np.multiply(np.square(v, out=v), m, out=v)

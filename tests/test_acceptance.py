@@ -37,8 +37,7 @@ from entroflow.grids import quadrature
 from entroflow.paths import (
     current_drift,
     default_test_functions,
-    estimate_backward_drift,
-    estimate_forward_drift,
+    estimate_drifts,
     finite_energy_estimate,
     osmotic_residual,
     weak_continuity_check,
@@ -320,8 +319,7 @@ def test_criterion_10_path_kinematics(ou_ham):
                               t1=1.0, seed=42)
     bin_grid = Grid((-4.0,), (4.0,), (64,))
     pool = list(range(20, 200))
-    beta = estimate_forward_drift(ens, pool, bin_grid)
-    gamma = estimate_backward_drift(ens, pool, bin_grid)
+    beta, gamma = estimate_drifts(ens, pool, bin_grid)
     x = bin_grid.centers()[..., 0]
     m = beta.mask & gamma.mask
     zb = np.max(np.abs(beta.vectors[..., 0] + x)[m] / beta.stderr[..., 0][m])

@@ -27,8 +27,7 @@ from entroflow.fokker_planck import ConvergenceError, MassDriftError, Positivity
 from entroflow.paths import (
     current_drift,
     drift_field_rows,
-    estimate_backward_drift,
-    estimate_forward_drift,
+    estimate_drifts,
 )
 from entroflow.quantum import save_operator, sigma_x
 from entroflow.sde import (TrajectoryDivergence, ensemble_rows, ensemble_summary,
@@ -216,6 +215,13 @@ def test_diverging_batched_gains_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert re.fullmatch(r"numerical failure: trajectory divergence: .* "
                         r"at t = \S+, trajectory index \d+", err), err
+    assert not out.exists()
+
+
+def test_negative_feedback_gain_names_its_key(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["sde-run", "--model", "polymer", "--alpha-c", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: alpha_c must be nonnegative, got -1.0\n"
     assert not out.exists()
 
 
@@ -917,8 +923,7 @@ def test_artifacts_are_write_csv_of_the_row_builders(tmp_path):
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ham, None, x0, 200, 0.005, 0.1, 5)
     grid, pool = Grid((-4.0,), (4.0,), (48,)), list(range(1, 20))  # t_index 10
-    beta = estimate_forward_drift(ens, pool, grid)
-    gamma = estimate_backward_drift(ens, pool, grid)
+    beta, gamma = estimate_drifts(ens, pool, grid)
     direct.write_csv("fields.csv", *drift_field_rows(beta, gamma, current_drift(beta, gamma)))
     assert (tmp_path / "paths" / "fields.csv").read_bytes() \
         == (tmp_path / "direct" / "fields.csv").read_bytes()

@@ -1,7 +1,11 @@
-"""No dead names: every import is read, and the package exports what it lists."""
+"""No dead names: every import is read, the package exports what it lists, and
+the names README.md gives resolve."""
 
 import ast
+import importlib
 import pathlib
+import pkgutil
+import re
 
 import pytest
 
@@ -40,3 +44,20 @@ def test_every_export_resolves():
     namespace = {}
     exec("from entroflow import *", namespace)
     assert set(entroflow.__all__) <= set(namespace)
+
+
+def test_readme_names_resolve():
+    # a backticked `module.attr` names an attribute of that entroflow module;
+    # file names such as `cli.py` or `summary.csv` are not attributes
+    modules = {info.name for info in pkgutil.iter_modules(entroflow.__path__)}
+    text = (ROOT / "README.md").read_text()
+    stale = []
+    for module, attr in re.findall(r"`(\w+)\.(\w+(?:\.\w+)*)`", text):
+        if module not in modules or attr in ("py", "csv", "json"):
+            continue
+        obj = importlib.import_module(f"entroflow.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            stale.append(f"{module}.{attr}")
+    assert stale == []

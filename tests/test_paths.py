@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -13,8 +14,7 @@ from entroflow.paths import (
     current_drift,
     default_test_functions,
     drift_field_rows,
-    estimate_backward_drift,
-    estimate_forward_drift,
+    estimate_drifts,
     finite_energy_estimate,
     osmotic_residual,
     weak_continuity_check,
@@ -54,7 +54,7 @@ def ou_stationary(ou_ham):
 # ---------------------------------------------------------------------------
 
 def test_forward_drift_recovers_ou(ou_stationary):
-    beta = estimate_forward_drift(ou_stationary, POOL, BIN_GRID)
+    beta, _ = estimate_drifts(ou_stationary, POOL, BIN_GRID)
     x = BIN_GRID.centers()[..., 0]
     m = beta.mask
     assert m.sum() > 40
@@ -64,7 +64,7 @@ def test_forward_drift_recovers_ou(ou_stationary):
 
 def test_backward_drift_recovers_osmotic_reversal(ou_stationary):
     # gamma = beta - sigma2 grad log p = -x + 2x = +x for the stationary OU
-    gamma = estimate_backward_drift(ou_stationary, POOL, BIN_GRID)
+    _, gamma = estimate_drifts(ou_stationary, POOL, BIN_GRID)
     x = BIN_GRID.centers()[..., 0]
     m = gamma.mask
     z = np.abs(gamma.vectors[..., 0] - x)[m] / gamma.stderr[..., 0][m]
@@ -76,8 +76,7 @@ def test_deterministic_ensemble_exact_drifts():
     u = lambda x, t: np.full_like(x, 0.7)
     ens = simulate_overdamped(ham, u, 0.0, n_traj=64, dt=1e-2, t1=0.3, seed=1)
     grid = Grid((-1.0,), (1.0,), (16,))
-    beta = estimate_forward_drift(ens, 10, grid, min_count=1)
-    gamma = estimate_backward_drift(ens, 10, grid, min_count=1)
+    beta, gamma = estimate_drifts(ens, 10, grid, min_count=1)
     occupied = beta.counts > 0
     assert np.allclose(beta.vectors[occupied], 0.7, atol=1e-12)
     assert np.allclose(gamma.vectors[occupied], 0.7, atol=1e-12)
@@ -88,7 +87,7 @@ def test_pure_wiener_driftless(ou_ham):
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ham, None, x0, n_traj=50_000, dt=5e-3, t1=0.25,
                               seed=3)
-    beta = estimate_forward_drift(ens, list(range(10, 50)), BIN_GRID)
+    beta, _ = estimate_drifts(ens, list(range(10, 50)), BIN_GRID)
     m = beta.mask
     z = np.abs(beta.vectors[..., 0][m]) / beta.stderr[..., 0][m]
     assert np.max(z) < 3.0
@@ -101,20 +100,25 @@ def test_backward_drift_wide_wiener_interior():
     ens = simulate_overdamped(ham, None, x0, n_traj=50_000, dt=5e-3, t1=0.05,
                               seed=4)
     interior = Grid((-3.0,), (3.0,), (24,))
-    gamma = estimate_backward_drift(ens, [6, 7, 8, 9, 10], interior)
+    _, gamma = estimate_drifts(ens, [6, 7, 8, 9, 10], interior)
     m = gamma.mask
     z = np.abs(gamma.vectors[..., 0][m]) / gamma.stderr[..., 0][m]
     assert np.max(z) < 3.3
 
 
 def test_index_validation(ou_stationary):
-    with pytest.raises(ValueError):
-        estimate_forward_drift(ou_stationary, len(ou_stationary.times) - 1, BIN_GRID)
-    with pytest.raises(ValueError):
-        estimate_backward_drift(ou_stationary, 0, BIN_GRID)
+    # a lone last time gives the forward lag no step, a lone 0 the backward
+    # one; a pooled time outside the horizon is no time point at all
+    last = len(ou_stationary.times) - 1
+    for pool, lag in ((last, "+1"), ([0, 0], "-1")):
+        with pytest.raises(ValueError, match=f"no time point at lag {re.escape(lag)}"):
+            estimate_drifts(ou_stationary, pool, BIN_GRID)
+    for pool in ([5, last + 1], [-1, 5]):
+        with pytest.raises(ValueError, match=re.escape(f"outside the time indices [0, {last}]")):
+            estimate_drifts(ou_stationary, pool, BIN_GRID)
     for pool in ([], range(5, 5)):
         with pytest.raises(ValueError, match="names no interior time"):
-            estimate_forward_drift(ou_stationary, pool, BIN_GRID)
+            estimate_drifts(ou_stationary, pool, BIN_GRID)
         with pytest.raises(ValueError, match="names no interior time"):
             IncrementBins(BIN_GRID, pool, ou_stationary.dt)
 
@@ -123,8 +127,8 @@ def test_estimator_consistency_se_scaling(ou_ham, ou_stationary):
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     half = simulate_overdamped(ou_ham, None, x0, n_traj=50_000, dt=5e-3,
                                t1=1.0, seed=42)
-    b_full = estimate_forward_drift(ou_stationary, POOL, BIN_GRID)
-    b_half = estimate_forward_drift(half, POOL, BIN_GRID)
+    b_full, _ = estimate_drifts(ou_stationary, POOL, BIN_GRID)
+    b_half, _ = estimate_drifts(half, POOL, BIN_GRID)
     m = b_full.mask & b_half.mask
     ratio = np.median(b_half.stderr[..., 0][m] / b_full.stderr[..., 0][m])
     assert 1.25 <= ratio <= 1.6
@@ -163,13 +167,20 @@ def pooled_add_at(ens, pool, grid, min_count, lag):
                          se.reshape(grid.shape + (dim,)), min_count)
 
 
+def stored_drifts(ens, pool, grid, min_count):
+    """The forward and backward estimates of one :func:`estimate_drifts`
+    call, keyed by lag (+1, -1)."""
+    return dict(zip((+1, -1), estimate_drifts(ens, pool, grid, min_count)))
+
+
 def assert_bins_match_oracle(ens, grid, min_count, pools):
-    """The stored estimators of each pool, and the streamed observer that
+    """The stored estimates of each pool, and the streamed observer that
     ``pools`` pairs with it, are bitwise :func:`pooled_add_at`."""
-    for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
-        for p, streamed in pools:
+    for p, streamed in pools:
+        stored = stored_drifts(ens, p, grid, min_count)
+        for lag in (+1, -1):
             ref = pooled_add_at(ens, p, grid, min_count, lag)
-            for est in (stored(ens, p, grid, min_count), streamed.estimate(lag, min_count)):
+            for est in (stored[lag], streamed.estimate(lag, min_count)):
                 for field in ("vectors", "counts", "stderr"):
                     assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
 
@@ -233,9 +244,10 @@ def test_a_repeated_pool_time_counts_once(ou_ham):
     ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7)
     twice, single = IncrementBins(BIN_GRID, repeated, dt), IncrementBins(BIN_GRID, once, dt)
     stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7, (twice.add, single.add))
-    for lag, stored in ((+1, estimate_forward_drift), (-1, estimate_backward_drift)):
+    stored_twice, stored_once = (stored_drifts(ens, p, BIN_GRID, 5) for p in (repeated, once))
+    for lag in (+1, -1):
         pairs = ((twice.estimate(lag, 5), single.estimate(lag, 5)),
-                 (stored(ens, repeated, BIN_GRID, 5), stored(ens, once, BIN_GRID, 5)))
+                 (stored_twice[lag], stored_once[lag]))
         for est, ref in pairs:
             for field in ("vectors", "counts", "stderr"):
                 assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
@@ -273,14 +285,15 @@ def test_binning_a_chunk_allocates_no_chunk_sized_array():
 def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
     # time 10 ends a 10-step run, so it has a backward step but no forward
     # one, and time 50 lies past the horizon: neither may count a sample
-    # whose increment it never adds
+    # whose increment it never adds.  The stored pool [4, 10] follows the
+    # same rule: 10 adds to the backward lag only
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1)
     bins = IncrementBins(BIN_GRID, [4, 10, 50], 0.01)
     stream_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1, (bins.add,))
-    for lag, stored, pool in ((+1, estimate_forward_drift, [4]),
-                              (-1, estimate_backward_drift, [4, 10])):
-        est, ref = bins.estimate(lag, 5), stored(ens, pool, BIN_GRID, 5)
+    stored = stored_drifts(ens, [4, 10], BIN_GRID, 5)
+    for lag in (+1, -1):
+        est, ref = bins.estimate(lag, 5), stored[lag]
         for field in ("vectors", "counts", "stderr"):
             assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
 
@@ -288,7 +301,7 @@ def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
 def test_streamed_energy_from_an_estimated_field(ou_ham):
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5)
-    beta = estimate_forward_drift(ens, range(1, 79), BIN_GRID, min_count=5)
+    beta, _ = estimate_drifts(ens, range(1, 79), BIN_GRID, min_count=5)
     energy = EnergySum(3000, 0.01, beta)
     stream_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5, (energy.add,))
     assert energy.estimate() == finite_energy_estimate(ens, beta)
@@ -299,8 +312,7 @@ def test_streamed_energy_from_an_estimated_field(ou_ham):
 # ---------------------------------------------------------------------------
 
 def test_osmotic_residual_statistical_floor(ou_stationary):
-    beta = estimate_forward_drift(ou_stationary, POOL, BIN_GRID)
-    gamma = estimate_backward_drift(ou_stationary, POOL, BIN_GRID)
+    beta, gamma = estimate_drifts(ou_stationary, POOL, BIN_GRID)
     p_hat = estimate_density(ou_stationary, 100, BIN_GRID)
     assert osmotic_residual(beta, gamma, p_hat, 2.0) < 0.1
 
@@ -310,8 +322,7 @@ def test_osmotic_residual_shrinks_with_ensemble(ou_ham, ou_stationary):
     small = simulate_overdamped(ou_ham, None, x0, n_traj=10_000, dt=5e-3,
                                 t1=1.0, seed=42)
     def resid(ens):
-        b = estimate_forward_drift(ens, POOL, BIN_GRID)
-        g = estimate_backward_drift(ens, POOL, BIN_GRID)
+        b, g = estimate_drifts(ens, POOL, BIN_GRID)
         return osmotic_residual(b, g, estimate_density(ens, 100, BIN_GRID), 2.0)
     assert resid(ou_stationary) < resid(small)
 
@@ -322,8 +333,7 @@ def test_osmotic_residual_deterministic_flow():
     ens = simulate_overdamped(ham, u, lambda rng, s: rng.uniform(-1, 1, (s, 1)),
                               n_traj=2000, dt=1e-2, t1=0.2, seed=5)
     grid = Grid((-2.0,), (2.0,), (16,))
-    beta = estimate_forward_drift(ens, 10, grid, min_count=5)
-    gamma = estimate_backward_drift(ens, 10, grid, min_count=5)
+    beta, gamma = estimate_drifts(ens, 10, grid, min_count=5)
     p = estimate_density(ens, 10, grid)
     assert osmotic_residual(beta, gamma, p, 0.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -344,8 +354,7 @@ def test_osmotic_identity_synthetic_fields():
 # ---------------------------------------------------------------------------
 
 def test_current_drift_vanishes_in_stationarity(ou_stationary):
-    beta = estimate_forward_drift(ou_stationary, POOL, BIN_GRID)
-    gamma = estimate_backward_drift(ou_stationary, POOL, BIN_GRID)
+    beta, gamma = estimate_drifts(ou_stationary, POOL, BIN_GRID)
     v = current_drift(beta, gamma)
     m = v.mask
     z = np.abs(v.vectors[..., 0][m]) / v.stderr[..., 0][m]
@@ -388,7 +397,7 @@ def test_finite_energy_steeper_well():
 
 
 def test_finite_energy_from_estimated_field(ou_stationary):
-    beta = estimate_forward_drift(ou_stationary, POOL, BIN_GRID)
+    beta, _ = estimate_drifts(ou_stationary, POOL, BIN_GRID)
     fe = finite_energy_estimate(ou_stationary, beta)
     assert fe.coverage > 0.99
     assert fe.value == pytest.approx(1.0, rel=0.05)
@@ -408,8 +417,7 @@ def test_finite_energy_needs_a_step():
 # ---------------------------------------------------------------------------
 
 def test_weak_continuity_stationary(ou_stationary):
-    beta = estimate_forward_drift(ou_stationary, POOL, BIN_GRID)
-    gamma = estimate_backward_drift(ou_stationary, POOL, BIN_GRID)
+    beta, gamma = estimate_drifts(ou_stationary, POOL, BIN_GRID)
     v = current_drift(beta, gamma)
     rows = weak_continuity_check(ou_stationary, v, default_test_functions(), 100)
     for r in rows:
@@ -424,8 +432,7 @@ def test_weak_continuity_deterministic_transport():
     ens = simulate_overdamped(ham, u, lambda rng, s: rng.uniform(-1, 1, (s, 1)),
                               n_traj=5000, dt=1e-2, t1=0.3, seed=8)
     grid = Grid((-2.0,), (2.0,), (16,))
-    v = current_drift(estimate_forward_drift(ens, 15, grid, min_count=5),
-                      estimate_backward_drift(ens, 15, grid, min_count=5))
+    v = current_drift(*estimate_drifts(ens, 15, grid, min_count=5))
     rows = weak_continuity_check(ens, v, default_test_functions()[:1], 15)
     assert rows[0].ensemble_rate == pytest.approx(c, rel=1e-10)
     assert rows[0].transport_rate == pytest.approx(c, rel=1e-10)
@@ -435,8 +442,7 @@ def test_weak_continuity_needs_two_samples_in_populated_cells(ou_ham):
     grid = Grid((-1.0,), (1.0,), (4,))
     # min_count above n_traj: no cell is populated, so no sample is usable
     ens = simulate_overdamped(ou_ham, None, 0.0, n_traj=50, dt=0.01, t1=0.1, seed=1)
-    v = current_drift(estimate_forward_drift(ens, 5, grid, min_count=51),
-                      estimate_backward_drift(ens, 5, grid, min_count=51))
+    v = current_drift(*estimate_drifts(ens, 5, grid, min_count=51))
     with pytest.raises(ValueError, match="0 sample"):
         weak_continuity_check(ens, v, default_test_functions(), 5)
     # exactly one sample in a populated cell: a mean, but no standard error
@@ -456,8 +462,7 @@ def test_weak_continuity_ou_relaxation(ou_ham):
                               seed=9)
     k = 30
     grid = Grid((-4.0,), (6.0,), (64,))
-    v = current_drift(estimate_forward_drift(ens, k, grid),
-                      estimate_backward_drift(ens, k, grid))
+    v = current_drift(*estimate_drifts(ens, k, grid))
     rows = weak_continuity_check(ens, v, default_test_functions()[:1], k)
     mean_t = ens.states[:, k, 0].mean()
     assert rows[0].consistent
@@ -474,10 +479,8 @@ def _floored(d, eps=1e-10):
 
 
 def _estimated_rate_and_fd(ens_a, ens_b, grid, k, dk):
-    va = current_drift(estimate_forward_drift(ens_a, k, grid),
-                       estimate_backward_drift(ens_a, k, grid))
-    vb = current_drift(estimate_forward_drift(ens_b, k, grid),
-                       estimate_backward_drift(ens_b, k, grid))
+    va = current_drift(*estimate_drifts(ens_a, k, grid))
+    vb = current_drift(*estimate_drifts(ens_b, k, grid))
     pa = _floored(estimate_density(ens_a, k, grid))
     pb = _floored(estimate_density(ens_b, k, grid))
     formula = relative_entropy_rate(pa, pb, va.field(), vb.field())
@@ -514,8 +517,7 @@ def test_rate_formula_with_current_drifts(ou_ham):
 # ---------------------------------------------------------------------------
 
 def test_drift_fields_csv(ou_stationary):
-    beta = estimate_forward_drift(ou_stationary, 50, BIN_GRID)
-    gamma = estimate_backward_drift(ou_stationary, 50, BIN_GRID)
+    beta, gamma = estimate_drifts(ou_stationary, 50, BIN_GRID)
     v = current_drift(beta, gamma)
     header, rows = drift_field_rows(beta, gamma, v)
     assert header == ["x0", "beta", "gamma", "v", "count", "se"]

@@ -1,13 +1,13 @@
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid
+from entroflow.grids import NumericalFailure
 from entroflow.sde import (
     CHUNK,
     NOISE_BLOCK,
@@ -17,14 +17,12 @@ from entroflow.sde import (
     TimeMoments,
     TrajectoryDivergence,
     WindowTemperatures,
-    _block_mv2,
     _march_paths,
     ensemble_rows,
     ensemble_summary,
     estimate_density,
     harmonic_cantilever,
     kinetic_temperature,
-    polymer_momenta,
     replay,
     sample_moments,
     scott_bandwidth,
@@ -84,11 +82,11 @@ def test_seed_determinism(ou_ham):
 def test_trajectory_stable_across_ensemble_size(ou_ham):
     # per-block streams: trajectory i depends on (seed, i), not on n_traj;
     # 700 and 2000 lie on both sides of the 1024-trajectory noise block
-    spec = harmonic_cantilever(1.0, control_gain=0.5)
+    spec = harmonic_cantilever(1.0)
     simulators = [
         lambda n: simulate_overdamped(ou_ham, None, gaussian_x0(0.0, 1.0),
                                       n_traj=n, dt=1e-2, t1=0.1, seed=5),
-        lambda n: simulate_polymer(spec, n_traj=n, dt=1e-2, t1=0.1, seed=5,
+        lambda n: simulate_polymer(spec, 0.5, n_traj=n, dt=1e-2, t1=0.1, seed=5,
                                    q0=gaussian_x0(0.0, 1.0), p0=gaussian_x0(0.0, 1.0)),
     ]
     for simulate in simulators:
@@ -195,17 +193,17 @@ def test_polymer_spec_validation():
         harmonic_cantilever(1.0, temperature=0.0)
 
 
-@pytest.mark.parametrize("key", ["mass", "gamma", "control_gain", "temperature"])
+@pytest.mark.parametrize("key", ["mass", "gamma", "temperature"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_polymer_spec_rejects_non_finite(key, bad):
-    with pytest.raises(ValueError, match=f"{key.split('_')[0]}.* must be finite"):
+    with pytest.raises(ValueError, match=f"{key}.* must be finite"):
         harmonic_cantilever(1.0, **{key: bad})
 
 
 @pytest.mark.parametrize("window", [(np.nan, 0.1), (0.0, np.nan), (0.05, 0.05)])
 def test_kinetic_temperature_rejects_bad_window(window):
     spec = harmonic_cantilever(1.0)
-    ens = simulate_polymer(spec, n_traj=4, dt=1e-2, t1=0.1, seed=0)
+    ens = simulate_polymer(spec, 0.0, n_traj=4, dt=1e-2, t1=0.1, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="window outside ensemble horizon"):
@@ -213,17 +211,15 @@ def test_kinetic_temperature_rejects_bad_window(window):
 
 
 def test_cantilever_equipartition():
-    spec = harmonic_cantilever(spring_k=1.0, gamma=1.0, control_gain=0.0,
-                               temperature=1.0)
-    ens = simulate_polymer(spec, n_traj=1500, dt=5e-3, t1=12.0, seed=7)
+    spec = harmonic_cantilever(spring_k=1.0, gamma=1.0, temperature=1.0)
+    ens = simulate_polymer(spec, 0.0, n_traj=1500, dt=5e-3, t1=12.0, seed=7)
     kt = kinetic_temperature(ens, spec, window=(4.0, 12.0))
     assert kt.values[0] == pytest.approx(1.0, rel=0.02)
 
 
 def test_cantilever_cooling_below_thermostat():
-    spec = harmonic_cantilever(spring_k=1.0, gamma=1.0, control_gain=1.0,
-                               temperature=1.0)
-    ens = simulate_polymer(spec, n_traj=1500, dt=5e-3, t1=12.0, seed=7)
+    spec = harmonic_cantilever(spring_k=1.0, gamma=1.0, temperature=1.0)
+    ens = simulate_polymer(spec, 1.0, n_traj=1500, dt=5e-3, t1=12.0, seed=7)
     kt = kinetic_temperature(ens, spec, window=(4.0, 12.0))
     assert kt.values[0] < 1.0 - 3.0 * kt.stderr[0]
 
@@ -232,7 +228,7 @@ def test_hamiltonian_limit_energy_conservation():
     # without friction the thermostat adds no noise either
     spec = harmonic_cantilever(1.0, gamma=0.0)
     dt = 1e-3
-    ens = simulate_polymer(spec, n_traj=1, dt=dt, t1=1.0, seed=0, q0=1.0, p0=0.0)
+    ens = simulate_polymer(spec, 0.0, n_traj=1, dt=dt, t1=1.0, seed=0, q0=1.0, p0=0.0)
     q = ens.states[0, :, 0]
     p = ens.states[0, :, 1]
     H = 0.5 * (q**2 + p**2)
@@ -253,13 +249,13 @@ def test_momentum_escape_names_its_trajectory():
         return x0
 
     with pytest.raises(TrajectoryDivergence, match=r"trajectory index 3$"):
-        simulate_polymer(spec, n_traj=8, dt=1e-2, t1=1.0, seed=0,
+        simulate_polymer(spec, 0.0, n_traj=8, dt=1e-2, t1=1.0, seed=0,
                          q0=start(10.0, 5), p0=start(100.0, 3))
 
 
 def test_kinetic_temperature_edge_cases():
     spec = harmonic_cantilever(1.0)
-    ens = simulate_polymer(spec, n_traj=8, dt=1e-2, t1=0.5, seed=2)
+    ens = simulate_polymer(spec, 0.0, n_traj=8, dt=1e-2, t1=0.5, seed=2)
     with pytest.raises(ValueError, match="window"):
         kinetic_temperature(ens, spec, window=(0.0, 2.0))
     frozen = PathEnsemble(ens.times, np.zeros_like(ens.states), ens.dt, 0)
@@ -267,12 +263,26 @@ def test_kinetic_temperature_edge_cases():
     assert kt.values[0] == 0.0
 
 
+def test_stored_temperature_overflow_is_a_numerical_failure():
+    # at T = 1e200 each window average is about 1e200, so the spread of the
+    # averages overflows; momenta of 1e155 overflow m V^2 itself: both are a
+    # numerical failure, without numpy's warnings
+    spec = harmonic_cantilever(1.0, temperature=1e200)
+    ens = simulate_polymer(spec, 0.0, n_traj=8, dt=1e-2, t1=0.2, seed=3)
+    huge = PathEnsemble(ens.times, np.full_like(ens.states, 1e155), ens.dt, 0)
+    for stored in (ens, huge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalFailure, match="kinetic temperature"):
+                kinetic_temperature(stored, spec, window=(0.1, 0.2))
+
+
 def test_window_edge_on_a_float_time_grid():
     # the last time 0.1 * 3 rounds to 0.30000000000000004 > 0.3: the window
     # reads its edges with the slack the horizon check allows, so it holds
     # that time, stored and streamed alike
-    spec = harmonic_cantilever(1.0, control_gain=0.5)
-    ens = simulate_polymer(spec, n_traj=8, dt=0.1, t1=0.3, seed=0)
+    spec = harmonic_cantilever(1.0)
+    ens = simulate_polymer(spec, 0.5, n_traj=8, dt=0.1, t1=0.3, seed=0)
     assert ens.times[-1] > 0.3
     temps = WindowTemperatures(spec, 1, 8, ens.times, (0.29, 0.3))
     stream_polymer(spec, (0.5,), 8, 0.1, 0.3, 0, (temps.add,))
@@ -289,7 +299,7 @@ def test_window_without_a_grid_time_rejected():
     # a window inside the horizon that falls between two grid times is
     # invalid input, named with its edges and dt
     spec = harmonic_cantilever(1.0)
-    ens = simulate_polymer(spec, n_traj=4, dt=0.1, t1=0.3, seed=0)
+    ens = simulate_polymer(spec, 0.0, n_traj=4, dt=0.1, t1=0.3, seed=0)
     message = r"window \[0.12, 0.18\] holds no time of the grid of step dt = 0.1"
     with pytest.raises(ValueError, match=message):
         kinetic_temperature(ens, spec, (0.12, 0.18))
@@ -300,10 +310,9 @@ def test_window_without_a_grid_time_rejected():
 def test_polymer_3d_blocks_shapes():
     spec = PolymerSpec(masses=[1.0, 2.0],
                        grad_potential=lambda q: np.atleast_2d(q),
-                       gamma=0.5, control_gain=0.0, temperature=1.0, block_dim=3)
-    ens = simulate_polymer(spec, n_traj=16, dt=1e-2, t1=0.2, seed=1)
+                       gamma=0.5, temperature=1.0, block_dim=3)
+    ens = simulate_polymer(spec, 0.0, n_traj=16, dt=1e-2, t1=0.2, seed=1)
     assert ens.dim == 2 * 6
-    assert polymer_momenta(ens, spec).shape == (16, 21, 6)
     kt = kinetic_temperature(ens, spec, window=(0.0, 0.2))
     assert kt.values.shape == (2,)
 
@@ -367,11 +376,13 @@ def test_one_trajectory_has_no_sample_covariance(ou_ham):
 @settings(max_examples=10, deadline=None)
 @given(gains=st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
        n_traj=st.sampled_from([2, NOISE_BLOCK + 7]), seed=st.integers(0, 2**32 - 1),
-       window_lo=st.sampled_from([0.0, 0.2]))
-def test_batched_gains_equal_separate_runs(gains, n_traj, seed, window_lo):
+       window_lo=st.sampled_from([0.0, 0.2]), block_dim=st.sampled_from([1, 3]))
+def test_batched_gains_equal_separate_runs(gains, n_traj, seed, window_lo, block_dim):
     # one gain-major state and one noise draw for four gains; each gain's
-    # states and kinetic temperature are those of its own run, bit for bit
-    spec = harmonic_cantilever(spring_k=1.3, gamma=0.7, temperature=1.2)
+    # states and kinetic temperature are those of its own run, bit for bit,
+    # for a scalar mode and for two blocks of three coordinates
+    spec = harmonic_cantilever(spring_k=1.3, gamma=0.7, temperature=1.2) \
+        if block_dim == 1 else TWO_BLOCKS_OF_3
     dt, t1, n_times = 0.01, 0.5, 51
     times = dt * np.arange(n_times)
     width = 2 * spec.n_coords
@@ -380,9 +391,8 @@ def test_batched_gains_equal_separate_runs(gains, n_traj, seed, window_lo):
     stream_polymer(spec, gains, n_traj, dt, t1, seed, (temps.add, record.add))
     batched = record.ensemble(times, dt, seed).states
     for g, (gain, kt) in enumerate(zip(gains, temps.estimates())):
-        own = replace(spec, control_gain=gain)
-        ens = simulate_polymer(own, n_traj, dt, t1, seed)
-        ref = kinetic_temperature(ens, own, (window_lo, t1))
+        ens = simulate_polymer(spec, gain, n_traj, dt, t1, seed)
+        ref = kinetic_temperature(ens, spec, (window_lo, t1))
         assert same_bits(batched[:, :, g * width:(g + 1) * width], ens.states)
         assert same_bits(kt.values, ref.values) and same_bits(kt.stderr, ref.stderr)
         assert kt.window == ref.window
@@ -394,7 +404,7 @@ def test_batched_divergence_names_time_and_trajectory():
     spec = harmonic_cantilever(spring_k=1.0, gamma=1.0)
     n_traj, dt, t1, seed = NOISE_BLOCK + 9, 0.05, 2.0, 3
     with pytest.raises(TrajectoryDivergence) as single:
-        simulate_polymer(replace(spec, control_gain=60.0), n_traj, dt, t1, seed)
+        simulate_polymer(spec, 60.0, n_traj, dt, t1, seed)
     with pytest.raises(TrajectoryDivergence) as batched:
         stream_polymer(spec, [0.0, 1.0, 60.0, 2.0], n_traj, dt, t1, seed, ())
     assert str(batched.value) == str(single.value)
@@ -404,8 +414,10 @@ def test_batched_divergence_names_time_and_trajectory():
 def test_batched_gains_are_each_checked():
     spec = harmonic_cantilever(spring_k=1.0)
     for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="control_gain"):
+        with pytest.raises(ValueError, match="alpha_c must be finite and nonnegative"):
             stream_polymer(spec, [0.0, bad], 4, 0.1, 0.2, 0, ())
+        with pytest.raises(ValueError, match="alpha_c must be finite and nonnegative"):
+            simulate_polymer(spec, bad, 4, 0.1, 0.2, 0)
     with pytest.raises(ValueError, match="window"):
         WindowTemperatures(spec, 2, 4, 0.1 * np.arange(3), (0.0, 0.5))
 
@@ -443,7 +455,7 @@ def block_merge_moments(ens, spec=None):
 # within a few n eps of the exact moments, n <= 3000 trajectories
 MOMENT_RTOL = 1e-12
 TWO_BLOCKS_OF_3 = PolymerSpec(masses=[1.0, 2.5], grad_potential=lambda q: 1.5 * np.atleast_2d(q),
-                              gamma=0.8, control_gain=0.6, temperature=1.1, block_dim=3)
+                              gamma=0.8, temperature=1.1, block_dim=3)
 
 
 @settings(max_examples=20, deadline=None)
@@ -457,9 +469,9 @@ def test_streamed_moments_are_the_block_merge(ou_ham, n_traj, steps, seed, polym
     dt, t1 = 0.01, steps * 0.01
     if polymer:
         spec = TWO_BLOCKS_OF_3
-        ens = simulate_polymer(spec, n_traj, dt, t1, seed)
+        ens = simulate_polymer(spec, 0.6, n_traj, dt, t1, seed)
         streamed = TimeMoments(steps + 1, ens.dim, spec, column=ens.dim)
-        stream_polymer(spec, [0.0, spec.control_gain], n_traj, dt, t1, seed, (streamed.add,))
+        stream_polymer(spec, [0.0, 0.6], n_traj, dt, t1, seed, (streamed.add,))
     else:
         spec, x0 = None, gaussian_x0(0.3, 1.5)
         ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed)
@@ -482,7 +494,10 @@ def test_streamed_moments_are_the_block_merge(ou_ham, n_traj, steps, seed, polym
     assert np.all(np.abs(mean - ref_mean) <= MOMENT_RTOL * (np.abs(ref_mean) + sd))
     if polymer:
         tkin = mv2 / (count * spec.block_dim)
-        ref_tkin = _block_mv2(polymer_momenta(ens, spec), spec).mean(axis=(0, 3))
+        m = spec.mass_per_coord
+        per_coord = (ens.states[:, :, spec.n_coords:] / m) ** 2 * m
+        ref_tkin = per_coord.reshape(ens.states.shape[:2] + (spec.n_blocks, spec.block_dim)
+                                     ).mean(axis=(0, 3))
         assert np.all(np.abs(tkin - ref_tkin) <= MOMENT_RTOL * ref_tkin)
 
 
@@ -563,7 +578,7 @@ def test_csv_exports(ou_ham):
     assert [len(r) for r in rows] == [3] * 3
 
     spec = harmonic_cantilever(1.0)
-    pens = simulate_polymer(spec, n_traj=4, dt=0.1, t1=0.2, seed=1)
+    pens = simulate_polymer(spec, 0.0, n_traj=4, dt=0.1, t1=0.2, seed=1)
     header, rows = ensemble_summary(pens, spec)
     assert header == ["t", "mean0", "mean1", "cov00", "cov01", "cov10", "cov11", "Tkin0"]
     assert [len(r) for r in rows] == [len(header)] * 3
