@@ -30,7 +30,6 @@ from .fokker_planck import (
     BoundaryDecayReport,
     ConvergenceError,
     DensityTrajectory,
-    HamiltonianFlow,
     MassDriftError,
     PositivityError,
     boundary_decay_report,
@@ -85,7 +84,7 @@ __all__ = [
     "flux_and_force", "free_energy", "gibbs_density",
     "quadratic_hamiltonian", "relative_entropy",
     "BoundaryDecayReport", "ConvergenceError", "DensityTrajectory",
-    "HamiltonianFlow", "MassDriftError", "PositivityError",
+    "MassDriftError", "PositivityError",
     "boundary_decay_report", "continuity_velocity", "evolve",
     "BoundaryLeakWarning", "ProductionReport", "entropy_rate",
     "free_energy_decay_rate", "production_decomposition",

@@ -16,7 +16,9 @@ gain-modulated rate
 
 Two executable routes to the same flow live here:
 
-* :func:`evolve_modulated` solves the linear equation directly;
+* :func:`evolve_modulated` solves the linear equation directly: it is
+  :func:`.fokker_planck.evolve` from t = 0, with the gain its argument
+  beside the Hamiltonian;
 * :func:`simulate_feedback` steps the nonlinear law self-consistently
   (predictor with the feedback frozen at the current density, then one
   fixed-point refinement at the step midpoint), as the cross-check.
@@ -24,6 +26,10 @@ Two executable routes to the same flow live here:
 For quadratic Hamiltonians the densities stay Gaussian and the grid solve
 may be replaced by moment equations; :func:`gauss_markov_propagate`
 solves them in closed form and serves as the cross-check.
+
+A gain is a number or a callable of t such as a :class:`GainSchedule`;
+:func:`.fokker_planck.clock_rate` turns it into sigma2/2 + alpha(t) for the
+grid solver and the moment equations alike.
 """
 
 from __future__ import annotations
@@ -35,14 +41,16 @@ import numpy as np
 
 from .fokker_planck import (
     DensityTrajectory,
-    HamiltonianFlow,
     _Stepper,
     admissible_gain,
+    check_mass,
+    clock_rate,
     energy_slopes,
     evolve,
-    march,
+    gain_at,
+    potential_drifts,
 )
-from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, time_steps
+from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, march, time_steps
 from .production import (
     check_decomposition_identity,
     floored_log,
@@ -112,14 +120,6 @@ def _number(field: str) -> float | None:
         return None
 
 
-def as_gain(alpha) -> GainSchedule:
-    if isinstance(alpha, GainSchedule):
-        return alpha
-    if callable(alpha):
-        return GainSchedule(alpha)
-    return GainSchedule.constant(float(alpha))
-
-
 def feedback_control(rho_u: GridDensity, equilibrium: GridDensity,
                      alpha: float) -> VectorFieldGrid:
     """u = -alpha grad log(rho_u / equilibrium) on the shared stencil."""
@@ -132,12 +132,12 @@ def evolve_modulated(ham: HamiltonianSpec, alpha, rho0: GridDensity,
                      t1: float, dt: float, store_every: int = 1) -> DensityTrajectory:
     """Solve the linear gain-modulated equation from t = 0 to t1.
 
-    Delegates to the finite-volume solver with drift
+    :func:`.fokker_planck.evolve` at t0 = 0: drift
     -(sigma2/2 + alpha(t)) grad H / kT and diffusion sigma2 + 2 alpha(t); the
     gain is sampled, and checked for admissibility, at every step midpoint.
     """
-    flow = HamiltonianFlow(ham, gain=as_gain(alpha))
-    return evolve(flow, rho0, 0.0, t1, dt, store_every=store_every)
+    # kept as a name of its own: the perfbench workloads call it by this signature
+    return evolve(ham, alpha, rho0, 0.0, t1, dt, store_every=store_every)
 
 
 def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
@@ -189,12 +189,10 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
     drift plus the face control; each solve loads it into the run's one
     stepper.
     """
-    gain = as_gain(alpha)
     grid = rho0.grid
-    n_steps = time_steps(0.0, t1, dt)
-    slopes = energy_slopes(grid, ham.sample_energy(grid))
+    slopes = energy_slopes(ham, grid)
     D = 0.5 * ham.sigma2
-    plain = [-D / ham.kT * g for g in slopes]
+    plain = potential_drifts(ham, D, slopes)
     stepper = _Stepper(grid, dt)
 
     def solve(rho, controlled, a, t_end):
@@ -203,12 +201,12 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
         return stepper.advance(rho, 1.0, t_end)
 
     def step(k, rho):
-        a = admissible_gain(gain((k + 0.5) * dt), ham.sigma2)
+        a = admissible_gain(gain_at(alpha, (k + 0.5) * dt), ham.sigma2)
         t_end = (k + 1) * dt
         rho_star = solve(rho, rho, a, t_end)
-        return solve(rho, 0.5 * (rho + rho_star), a, t_end)
+        return check_mass(grid, solve(rho, 0.5 * (rho + rho_star), a, t_end), t_end)
 
-    return march(step, rho0, 0.0, dt, n_steps, store_every)
+    return DensityTrajectory(grid, *march(step, rho0.values, 0.0, t1, dt, store_every))
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +259,12 @@ def gauss_markov_propagate(Q, ham: HamiltonianSpec, alpha,
     probe = np.ones((1, Q.shape[0]))
     if abs(ham.energy(probe)[0] - 0.5 * probe[0] @ Q @ probe[0]) > QUADRATIC_FORM_TOL:
         raise ValueError("hamiltonian is not the quadratic form of Q")
-    gain = as_gain(alpha)
     n = time_steps(state0.time, t1, dt)
     sigma = (V * (ham.kT / lam)) @ V.T
     out = [state0]
     tau = 0.0
     for k in range(n):
-        a = admissible_gain(gain(state0.time + (k + 0.5) * dt), ham.sigma2)
-        tau += dt * (0.5 * ham.sigma2 + a)
+        tau += dt * clock_rate(ham, alpha, state0.time + (k + 0.5) * dt)
         E = (V * np.exp(-tau * lam / ham.kT)) @ V.T
         out.append(GaussMarkovState(state0.time + (k + 1) * dt, E @ state0.mean,
                                     E @ (state0.cov - sigma) @ E + sigma))
@@ -285,13 +281,13 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
 
     Columns: t, D, total_rate, pepr, epur, fd_check_residual.  Each stored
     row's rates come from the stored array: one log-ratio gradient g, the
-    feedback control u = -alpha(t) g and :func:`production.split_rate`.  The
+    feedback control u = -alpha(t) g, alpha(t) checked admissible at the
+    stored time, and :func:`production.split_rate`.  The
     equilibrium's positivity and -PEPR + EPuR = total are checked once per
-    curve (`march` checked the rows).  The finite-difference residual
-    compares total_rate to the central difference of D (one-sided at the
-    ends).
+    curve (each step's density was checked when it was taken).  The
+    finite-difference residual compares total_rate to the central difference
+    of D (one-sided at the ends).
     """
-    gain = as_gain(alpha)
     grid = traj.grid
     equilibrium = gibbs_density(ham, grid)
     ref = equilibrium.values
@@ -304,8 +300,9 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
     total, pepr, epur = np.empty((3, len(traj)))
     for k, row in enumerate(traj.values):
         g = floored_log_ratio_gradient(grid, row, ref)
-        total[k], pepr[k], epur[k] = split_rate(grid, g, -gain(ts[k]) * g,
-                                               support_weight(row), ham.sigma2)
+        a = admissible_gain(gain_at(alpha, ts[k]), ham.sigma2)
+        total[k], pepr[k], epur[k] = split_rate(grid, g, -a * g, support_weight(row),
+                                               ham.sigma2)
     check_decomposition_identity(total, pepr, epur)
     fd = np.gradient(D, ts, edge_order=1)
     resid = np.abs(fd - total) / np.maximum(np.abs(total), FD_RESIDUAL_FLOOR)

@@ -18,11 +18,13 @@ b dx / D = -(H_{i+1} - H_i)/kT, so the sampled Gibbs density is an exact
 stationary point of the discrete operator for every admissible gain.
 
 Time stepping: Crank-Nicolson, with the operator sampled at step midpoints.
-For a Hamiltonian flow the Peclet numbers -(H_{i+1} - H_i)/kT do not depend
-on the gain, so the operator at time t is exactly (D(t)/D_0) A_0: the gain
-only rescales the clock.  :func:`evolve` takes only such flows, so it loads
-A_0 once per run and each step uses the scale s = D(t_mid)/D_0, which is
-exactly 1.0 for a constant gain.  The grid fixes the sparsity pattern of
+:func:`evolve` takes a Hamiltonian and a feedback gain alpha beside it, the
+simulator's argument and not a field of the model.  The Peclet numbers
+-(H_{i+1} - H_i)/kT do not depend on the gain, so the operator at time t is
+exactly (D(t)/D_0) A_0 with the clock rate D(t) = sigma2/2 + alpha(t) of
+:func:`clock_rate`: the gain only rescales the clock.  So :func:`evolve`
+loads A_0 once per run and each step uses the scale s = D(t_mid)/D_0, which
+is exactly 1.0 for a constant gain.  The grid fixes the sparsity pattern of
 every operator on it; one stepper per run holds that pattern, and loading an
 operator writes its face coefficients in place.  In 1-D the tridiagonal
 system (I - dt s A_0 / 2) x = b is solved directly with a banded solver on
@@ -35,23 +37,25 @@ at 4e-15 and keeps the densities within 2e-14 of the peak of a direct
 sparse-LU solve.  A solve that does not reach it raises
 :class:`ConvergenceError`.
 
-One loop, :func:`march`, steps a density for every caller, which hands it a
-per-step function ``step(k, rho) -> rho``: :func:`evolve` the rescaled fixed
-operator, :func:`.control.simulate_feedback` the gain-free potential drift
-plus face controls, loaded into its one stepper per solve because they
-change.  The
-stored densities fill one preallocated read-only ``(n_times, *shape)``
-array, the :class:`DensityTrajectory`; density objects are built on demand.
+One loop, :func:`.grids.march`, steps a density for every caller, which
+hands it a per-step function ``step(k, rho) -> rho``: :func:`evolve` the
+rescaled fixed operator, :func:`.control.simulate_feedback` the gain-free
+potential drift plus face controls, loaded into its one stepper per solve
+because they change.  Both take the potential face drift from
+:func:`potential_drifts`.  The stored densities fill one preallocated
+read-only ``(n_times, *shape)`` array, the :class:`DensityTrajectory`;
+density objects are built on demand.
 
 Crank-Nicolson is unconditionally stable, and keeps positivity on any data
 when its explicit half I + dt s A / 2 is nonnegative, that is for
 dt <= 2 / (s max|diag A|).  Each invariant is checked once.  Positivity, in
 every step: values below -POSITIVITY_TOL abort the run with that bound as
 the suggested dt, tinier negatives are clamped to zero.  Mass and
-finiteness, in :func:`march` for every stored density: the fluxes telescope,
-so every column of the operator sums to zero and a step keeps the total up
-to linear-solver roundoff; a quadrature mass off 1 by more than
-``MASS_TOL``, or not finite, raises :class:`MassDriftError`.
+finiteness, in :func:`check_mass` for every density a step returns, stored
+or not: the fluxes telescope, so every column of the operator sums to zero
+and a step keeps the total up to linear-solver roundoff; a quadrature mass
+off 1 by more than ``MASS_TOL``, or not finite, raises
+:class:`MassDriftError` at the step that made it.
 """
 
 from __future__ import annotations
@@ -72,9 +76,9 @@ from .grids import (
     VectorFieldGrid,
     face_sides,
     gradient,
+    march,
     quadrature,
     require_same_grid,
-    time_steps,
 )
 from .thermo import HamiltonianSpec, relative_entropy_rows
 from .tolerances import (BERNOULLI_SERIES_CUTOFF, BOUNDARY_DECAY_TOL, KRYLOV_RTOL, MASS_TOL,
@@ -105,6 +109,18 @@ def admissible_gain(a: float, sigma2: float) -> float:
     return a
 
 
+def gain_at(gain: float | Callable[[float], float], t: float) -> float:
+    """alpha(t) of a feedback gain that is a number or a callable of t."""
+    return float(gain(t)) if callable(gain) else float(gain)
+
+
+def clock_rate(ham: HamiltonianSpec, gain: float | Callable[[float], float],
+               t: float) -> float:
+    """D(t) = sigma2/2 + alpha(t), the clock rate of the flow with operator
+    D(t) A_0; > 0, since the gain is checked admissible."""
+    return 0.5 * ham.sigma2 + admissible_gain(gain_at(gain, t), ham.sigma2)
+
+
 def bernoulli(z: np.ndarray) -> np.ndarray:
     """B(z) = z / (exp(z) - 1), stable for all z (B(0) = 1, B(+inf) = 0)."""
     z = np.asarray(z, dtype=float)
@@ -117,38 +133,20 @@ def bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HamiltonianFlow:
-    """Gain-modulated gradient flow of the Hamiltonian ``ham``.
-
-    Drift -(sigma2/2 + alpha(t)) grad H / kT with diffusion
-    sigma2 + 2 alpha(t): the linear equation that the log-ratio feedback of
-    gain alpha produces (gain = 0 is the uncontrolled equation).  The
-    potential part of the face drift uses sampled energy differences, so the
-    sampled Gibbs density is exactly stationary for any admissible gain, and
-    the friction/diffusion pair keeps the Einstein ratio kT by construction.
-    The face Peclet numbers -(H_{i+1} - H_i)/kT do not depend on the gain,
-    so the operator is D(t) A_0 for one fixed A_0: every such flow is a time
-    change, loaded once per :func:`evolve` call.
-    """
-
-    ham: HamiltonianSpec
-    gain: float | Callable[[float], float] = 0.0
-
-    def half_diffusion(self, t: float) -> float:
-        """D(t) = sigma2/2 + alpha(t), > 0 for an admissible gain."""
-        gain = self.gain(t) if callable(self.gain) else self.gain
-        return 0.5 * self.ham.sigma2 + admissible_gain(gain, self.ham.sigma2)
-
-    def face_drifts(self, grid: Grid, t: float) -> list[np.ndarray]:
-        coeff = -self.half_diffusion(t) / self.ham.kT
-        with np.errstate(over="ignore", invalid="ignore"):  # _Stepper.load rejects inf/NaN
-            return [coeff * g for g in energy_slopes(grid, self.ham.sample_energy(grid))]
+def energy_slopes(ham: HamiltonianSpec, grid: Grid) -> list[np.ndarray]:
+    """Per-axis (H_{i+1} - H_i)/dx of the sampled energy at the interior faces."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _Stepper.load rejects inf/NaN
+        H = ham.sample_energy(grid)
+        return [np.diff(H, axis=a) / grid.dx[a] for a in range(grid.ndim)]
 
 
-def energy_slopes(grid: Grid, H: np.ndarray) -> list[np.ndarray]:
-    """Per-axis (H_{i+1} - H_i)/dx at the interior faces."""
-    return [np.diff(H, axis=a) / grid.dx[a] for a in range(grid.ndim)]
+def potential_drifts(ham: HamiltonianSpec, D: float,
+                     slopes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The potential face drift -D grad H / kT from the energy ``slopes``:
+    the sampled Gibbs density is exactly stationary for every D > 0."""
+    coeff = -D / ham.kT
+    with np.errstate(over="ignore", invalid="ignore"):  # _Stepper.load rejects inf/NaN
+        return [coeff * g for g in slopes]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +277,9 @@ class _Stepper:
 
 @dataclass
 class DensityTrajectory:
-    """Densities ``values[k]`` at ``times[k]`` in one read-only array.
-
-    :func:`march` has checked each for quadrature mass 1 and finiteness, its
-    steps for positivity.
-    """
+    """Densities ``values[k]`` at ``times[k]`` in one read-only array from
+    :func:`.grids.march`; every step's density, stored or not, was checked
+    for positivity and by :func:`check_mass`."""
 
     grid: Grid
     times: np.ndarray
@@ -305,74 +301,56 @@ class DensityTrajectory:
         return relative_entropy_rows(self.values, reference)
 
 
-def march(step: Callable[[int, np.ndarray], np.ndarray], rho0: GridDensity,
-          t0: float, dt: float, n_steps: int, store_every: int) -> DensityTrajectory:
-    """Apply ``step(k, rho) -> rho`` for k = 0 .. n_steps-1, starting at ``rho0``.
-
-    Step k ends at t0 + (k+1) dt.  Every ``store_every``-th density and the
-    last are written into one preallocated array.  A stored density whose
-    quadrature mass differs from 1 by more than ``MASS_TOL``, or is not
-    finite, raises :class:`MassDriftError` (a numerical failure, not invalid
-    input).
-    """
-    grid = rho0.grid
-    n_stored = -(-n_steps // store_every) + 1
-    times = np.empty(n_stored)
-    values = np.empty((n_stored,) + grid.shape)
-    times[0], values[0] = t0, rho0.values
-    rho = rho0.values.copy()
-    j = 0
-    for k in range(n_steps):
-        rho = step(k, rho)
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            t = t0 + (k + 1) * dt
-            mass = quadrature(grid, rho)
-            if not abs(mass - 1.0) <= MASS_TOL:  # NaN and inf fail too
-                raise MassDriftError(f"mass drift at t={t:.6g}: {mass!r} != 1")
-            j += 1
-            times[j], values[j] = t, rho
-    values.flags.writeable = False
-    return DensityTrajectory(grid, times, values)
+def check_mass(grid: Grid, rho: np.ndarray, t: float) -> np.ndarray:
+    """``rho``, the density a step returned at time t, if its quadrature mass
+    is 1 within ``MASS_TOL``; a leak, NaN or inf raises
+    :class:`MassDriftError` (a numerical failure, not invalid input)."""
+    mass = quadrature(grid, rho)
+    if not abs(mass - 1.0) <= MASS_TOL:  # NaN and inf fail too
+        raise MassDriftError(f"mass drift at t={t:.6g}: {mass!r} != 1")
+    return rho
 
 
-def evolve(flow: HamiltonianFlow, rho0: GridDensity, t0: float, t1: float, dt: float,
-           store_every: int = 1) -> DensityTrajectory:
-    """Integrate the continuity-form equation from t0 to t1 with fixed dt.
+def evolve(ham: HamiltonianSpec, gain: float | Callable[[float], float], rho0: GridDensity,
+           t0: float, t1: float, dt: float, store_every: int = 1) -> DensityTrajectory:
+    """Integrate the gain-modulated flow of ``ham`` from t0 to t1 with fixed dt.
 
-    The operator D(t) A_0 of ``flow`` is assembled once, at the first step
-    midpoint; each step rescales it by D(t_mid)/D_0, where every D > 0 since
-    the gain is admissible.  The Crank-Nicolson scheme is second order in
-    time and unconditionally stable.  Steps that drive any cell below
+    Drift -D(t) grad H / kT and diffusion 2 D(t), D(t) of :func:`clock_rate`:
+    the linear equation the log-ratio feedback of ``gain`` (a number or a
+    callable of t; 0 is the uncontrolled equation) produces.  The operator
+    D(t) A_0 is assembled once, at the first step midpoint; each step
+    rescales it by D(t_mid)/D_0.  Steps that drive any cell below
     -POSITIVITY_TOL raise :class:`PositivityError`, which suggests a dt;
     tinier negatives are clamped.
     """
     grid = rho0.grid
-    n_steps = time_steps(t0, t1, dt)
     t_ref = t0 + 0.5 * dt
-    D0 = flow.half_diffusion(t_ref)
+    D0 = clock_rate(ham, gain, t_ref)
     stepper = _Stepper(grid, dt)
-    stepper.load(D0, flow.face_drifts(grid, t_ref))
+    stepper.load(D0, potential_drifts(ham, D0, energy_slopes(ham, grid)))
 
     def step(k, rho):
-        s = flow.half_diffusion(t0 + (k + 0.5) * dt) / D0
-        return stepper.advance(rho, s, t0 + (k + 1) * dt)
+        t_end = t0 + (k + 1) * dt
+        s = clock_rate(ham, gain, t0 + (k + 0.5) * dt) / D0
+        return check_mass(grid, stepper.advance(rho, s, t_end), t_end)
 
-    return march(step, rho0, t0, dt, n_steps, store_every)
+    return DensityTrajectory(grid, *march(step, rho0.values, t0, t1, dt, store_every))
 
 
-def continuity_velocity(rho: GridDensity, flow: HamiltonianFlow, t: float) -> VectorFieldGrid:
-    """Velocity field v with d rho/dt + div(v rho) = 0 under ``flow``.
+def continuity_velocity(rho: GridDensity, ham: HamiltonianSpec,
+                        gain: float | Callable[[float], float], t: float) -> VectorFieldGrid:
+    """Velocity field v with d rho/dt + div(v rho) = 0 under the flow of :func:`evolve`.
 
-    v = -D (grad H / kT + grad log rho) with D = sigma2_eff/2 = sigma2/2 + alpha(t);
-    this is the field to feed the relative-entropy rate formula when comparing
-    against solver trajectories.
+    v = -D (grad H / kT + grad log rho) with D = :func:`clock_rate`
+    = sigma2/2 + alpha(t); this is the field to feed the relative-entropy
+    rate formula when comparing against solver trajectories.
     """
     grid = rho.grid
     if np.any(rho.values <= 0.0):
         raise ValueError("log-density undefined")
     g = gradient(grid, np.log(rho.values))
-    D = flow.half_diffusion(t)
-    v = -D / flow.ham.kT * gradient(grid, flow.ham.sample_energy(grid)) - D * g
+    D = clock_rate(ham, gain, t)
+    v = -D / ham.kT * gradient(grid, ham.sample_energy(grid)) - D * g
     return VectorFieldGrid(grid, v)
 
 

@@ -10,12 +10,17 @@ solver) shares the conventions fixed here:
 
 Grids are rectangular and uniform by construction; non-uniform spacings are
 rejected at the type level (there is no way to build one).
+
+Time grids too: :func:`time_steps` counts the steps of a horizon, and
+:func:`march` steps every deterministic evolution (grid solvers and the
+Lindblad semigroup) into one read-only stack; its callers check the states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -176,6 +181,31 @@ def time_steps(t0: float, t1: float, dt: float) -> int:
     if n < 1 or abs(t0 + n * dt - t1) > TIME_GRID_RTOL * max(1.0, abs(t1)):
         raise ValueError("(t1 - t0) must be a positive multiple of dt")
     return n
+
+
+def march(step: Callable[[int, np.ndarray], np.ndarray], x0: np.ndarray, t0: float,
+          t1: float, dt: float, store_every: int) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``step(k, x) -> x`` for k = 0 .. n-1 from ``x0`` at t0, with
+    n = ``time_steps(t0, t1, dt)``: step k ends at t0 + (k+1) dt.  Returns
+    ``(times, stack)`` of ``x0``, every ``store_every``-th state and the last
+    in one preallocated read-only array.
+    """
+    if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
+        raise ValueError(f"store_every must be an integer >= 1, got {store_every!r}")
+    n_steps = time_steps(t0, t1, dt)
+    x = np.array(x0)
+    n_stored = -(-n_steps // store_every) + 1
+    times = np.empty(n_stored)
+    stack = np.empty((n_stored,) + x.shape, dtype=x.dtype)
+    times[0], stack[0] = t0, x
+    j = 0
+    for k in range(n_steps):
+        x = step(k, x)
+        if (k + 1) % store_every == 0 or k == n_steps - 1:
+            j += 1
+            times[j], stack[j] = t0 + (k + 1) * dt, x
+    stack.flags.writeable = False
+    return times, stack
 
 
 def quadrature(grid: Grid, values: np.ndarray) -> float:

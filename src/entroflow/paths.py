@@ -38,9 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, gradient
+from .grids import Grid, GridDensity, VectorFieldGrid, gradient
 from .production import floored_log
-from .sde import PathEnsemble, _head, replay, row_span
+from .sde import PathEnsemble, _head, mean_and_stderr, replay, row_span
 
 MIN_CELL_COUNT = 30
 
@@ -280,13 +280,8 @@ class EnergySum:
     def estimate(self) -> FiniteEnergyEstimate:
         if self.total == 0:
             raise ValueError("the ensemble has no step to integrate the energy over")
-        n = self.per_traj.size
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-            value = float(self.per_traj.mean())
-            stderr = float(self.per_traj.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        if not (np.isfinite(value) and np.isfinite(stderr)):
-            raise NumericalFailure("the finite energy or its standard error overflows")
-        return FiniteEnergyEstimate(value, stderr, self.used / self.total)
+        value, stderr = mean_and_stderr(self.per_traj, "the finite energy")
+        return FiniteEnergyEstimate(float(value), float(stderr), self.used / self.total)
 
 
 def finite_energy_estimate(ens: PathEnsemble, drift_field) -> FiniteEnergyEstimate:
@@ -334,11 +329,11 @@ def weak_continuity_check(ens: PathEnsemble, v: DriftEstimate,
     The ensemble rate is the central difference across t_index; the
     transport rate evaluates the estimated current drift at the sample
     points (skipping unpopulated cells).  Standard errors are across
-    trajectories; agreement within 3 SE is exposed per row.
+    trajectories (:func:`.sde.mean_and_stderr`); agreement within 3 SE is
+    exposed per row.
     """
     if t_index < 1 or t_index > len(ens.times) - 2:
         raise ValueError("need an interior time index")
-    n = ens.n_traj
     x_prev = ens.states[:, t_index - 1, :]
     x_now = ens.states[:, t_index, :]
     x_next = ens.states[:, t_index + 1, :]
@@ -350,13 +345,10 @@ def weak_continuity_check(ens: PathEnsemble, v: DriftEstimate,
     rows = []
     for name, phi, grad_phi in test_functions:
         dphi = (np.asarray(phi(x_next)) - np.asarray(phi(x_prev))) / (2.0 * ens.dt)
-        lhs = float(dphi.mean())
-        se_lhs = float(dphi.std(ddof=1) / np.sqrt(n))
+        lhs, se_lhs = mean_and_stderr(dphi, f"d<{name}>/dt")
         flux = np.einsum("mi,mi->m", np.asarray(grad_phi(x_now), dtype=float), vec)
-        flux = flux[valid]
-        rhs = float(flux.mean())
-        se_rhs = float(flux.std(ddof=1) / np.sqrt(flux.size))
-        rows.append(ContinuityRow(name, lhs, rhs, se_lhs, se_rhs))
+        rhs, se_rhs = mean_and_stderr(flux[valid], f"<grad {name} . v>")
+        rows.append(ContinuityRow(name, float(lhs), float(rhs), float(se_lhs), float(se_rhs)))
     return rows
 
 

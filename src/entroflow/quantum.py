@@ -24,10 +24,11 @@ state and Hamiltonian is diagonalised once: a state keeps the eigensystem
 its check computes, a Hamiltonian its own from first use, and closed
 evolution, which keeps the spectrum, only rotates the eigenvectors.  Open
 evolution steps with the exponential of the generator's superoperator, so
-it is exact for any step size.  Its stored states form one read-only
-``(n_times, n, n)`` stack, checked once for trace, Hermiticity and
-eigenvalues by the check every :class:`DensityOperator` runs; the batched
-eigenvalues feed the purity and entropy curves, and one batched
+it is exact for any step size; :func:`.grids.march`, the loop the grid
+solvers step through too, applies it and stores the states in one
+read-only ``(n_times, n, n)`` stack, checked once for trace, Hermiticity
+and eigenvalues by the check every :class:`DensityOperator` runs.  The
+batched eigenvalues feed the purity and entropy curves, and one batched
 eigendecomposition gives the state objects.
 """
 
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .grids import NumericalFailure, time_steps
+from .grids import NumericalFailure, march, time_steps
 from .tolerances import (COMMUTATION_TOL, EIG_FLOOR, HERMITICITY_TOL, IMAG_RESIDUE_TOL,
                          SUPPORT_ESCAPE_TOL, TRACE_TOL)
 
@@ -313,38 +314,32 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
     depend on time, so each step is exact up to roundoff and completely
     positive and trace-preserving (Lindblad's theorem).  The trace is
     renormalised after each step so roundoff cannot accumulate over long
-    runs.  Every ``store_every``-th state and the last go into one stack,
-    checked once, block by block, as a :class:`DensityOperator` is.
+    runs.  :func:`.grids.march` stores every ``store_every``-th state and the
+    last in one stack, checked once, block by block, as a
+    :class:`DensityOperator` is.
     """
     n = rho0.dim
     if spec.hamiltonian.dim != n:
         raise ValueError("dimension mismatch")
-    steps = time_steps(0.0, t1, dt)
+    time_steps(0.0, t1, dt)  # a bad horizon is rejected before the O(n^6) expm
     # S[k] = L[E_k] for the k-th matrix unit E_k, i.e. column k of the
     # superoperator; scaled in place so expm runs with no second copy
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         S = spec.generator(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
         S *= dt
-        step = scipy.linalg.expm(S.reshape(n * n, n * n).T)
-    if not np.all(np.isfinite(step)):
+        propagator = scipy.linalg.expm(S.reshape(n * n, n * n).T)
+    if not np.all(np.isfinite(propagator)):
         raise ValueError(f"the step propagator exp(dt L) is not finite at dt = {dt:g}: "
                          "the generator's rates overflow")
 
-    n_stored = -(-steps // store_every) + 1
-    times = np.empty(n_stored)
-    matrices = np.empty((n_stored, n, n), dtype=complex)
-    times[0], matrices[0] = 0.0, rho0.matrix
-    rho = rho0.matrix.reshape(-1)
-    j = 0
-    for k in range(steps):
-        rho = step @ rho
-        rho = rho / rho[::n + 1].sum().real
-        if (k + 1) % store_every == 0 or k == steps - 1:
-            j += 1
-            times[j], matrices[j] = (k + 1) * dt, rho.reshape(n, n)
-    matrices.flags.writeable = False
+    def step(k, rho):
+        rho = propagator @ rho
+        return rho / rho[::n + 1].sum().real
+
+    times, stack = march(step, rho0.matrix.reshape(-1), 0.0, t1, dt, store_every)
+    matrices = stack.reshape(-1, n, n)
     spectra = np.concatenate([_check_density(matrices[i:i + CHECK_BLOCK])[0]
-                              for i in range(0, n_stored, CHECK_BLOCK)])
+                              for i in range(0, len(times), CHECK_BLOCK)])
     return OperatorTrajectory(times, matrices, spectra)
 
 

@@ -454,16 +454,17 @@ def _window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     return sel
 
 
-def _temperature(traj_vals: np.ndarray, window) -> KineticTemperature:
-    """Ensemble mean and standard error of per-trajectory window averages."""
-    n = traj_vals.shape[0]
+def mean_and_stderr(samples: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over trajectories (axis 0) and its standard error, std (ddof 1)
+    / sqrt(n), or 0 for one trajectory; an overflow raises
+    :class:`.grids.NumericalFailure` naming ``what``, with no warning."""
+    n = samples.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        values = traj_vals.mean(axis=0)
-        stderr = traj_vals.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 \
-            else np.zeros(traj_vals.shape[1])
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(stderr))):
-        raise NumericalFailure("the kinetic temperature or its standard error overflows")
-    return KineticTemperature(values, stderr, tuple(window))
+        mean = samples.mean(axis=0)
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(stderr))):
+        raise NumericalFailure(f"{what} or its standard error overflows")
+    return mean, stderr
 
 
 class WindowTemperatures:
@@ -498,7 +499,9 @@ class WindowTemperatures:
 
     def estimates(self) -> list[KineticTemperature]:
         count = np.count_nonzero(self.sel) * self.spec.block_dim
-        return [_temperature(self.sums[:, g] / count, self.window)
+        return [KineticTemperature(*mean_and_stderr(self.sums[:, g] / count,
+                                                    "the kinetic temperature"),
+                                   tuple(self.window))
                 for g in range(self.n_gains)]
 
 
@@ -637,14 +640,15 @@ class SampleMoments:
 def sample_moments(ens: PathEnsemble, t_index: int) -> SampleMoments:
     """Ensemble mean/covariance at one time with standard errors: the mean and
     covariance are :class:`TimeMoments` of that time alone, and the standard
-    errors, which need the fourth moment, come from the time slice."""
+    errors, which need the fourth moment, come from the time slice
+    (:func:`mean_and_stderr`; an overflow of either raises)."""
     x = ens.states[:, t_index, :]
+    _, se_mean = mean_and_stderr(x, "the sample mean")
     moments = _moments(PathEnsemble(ens.times[[t_index]], x[:, None, :], ens.dt, ens.seed))
     mean, cov = moments.mean[0], moments.cov()[0]
-    n = x.shape[0]
-    se_mean = x.std(axis=0, ddof=1) / np.sqrt(n)
-    centered = (x - mean) ** 2
-    se_var = centered.std(axis=0, ddof=1) / np.sqrt(n)
+    with np.errstate(over="ignore"):  # an overflow is rejected by mean_and_stderr
+        centered = (x - mean) ** 2
+    _, se_var = mean_and_stderr(centered, "the sample variance")
     return SampleMoments(mean, cov, se_mean, se_var)
 
 

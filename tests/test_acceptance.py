@@ -32,7 +32,7 @@ from entroflow.control import (
     gauss_markov_propagate,
     simulate_feedback,
 )
-from entroflow.fokker_planck import HamiltonianFlow, continuity_velocity, evolve
+from entroflow.fokker_planck import continuity_velocity, evolve
 from entroflow.grids import quadrature
 from entroflow.paths import (
     current_drift,
@@ -77,10 +77,9 @@ def test_criterion_01_rate_formula_vs_finite_difference(testbed):
     ham, grid = testbed
     start = time.monotonic()
     dt = 1e-4
-    flow = HamiltonianFlow(ham)
-    traj_t = evolve(flow, GaussianDensity([1.0], [[2.0]]).sample_on(grid),
+    traj_t = evolve(ham, 0.0, GaussianDensity([1.0], [[2.0]]).sample_on(grid),
                     0.0, 0.02, dt)
-    traj_r = evolve(flow, GaussianDensity([0.5], [[1.5]]).sample_on(grid),
+    traj_r = evolve(ham, 0.0, GaussianDensity([0.5], [[1.5]]).sample_on(grid),
                     0.0, 0.02, dt)
     worst = 0.0
     for k in (40, 100, 160):
@@ -92,8 +91,8 @@ def test_criterion_01_rate_formula_vs_finite_difference(testbed):
             warnings.simplefilter("ignore")
             formula = relative_entropy_rate(
                 traj_t.densities[k], traj_r.densities[k],
-                continuity_velocity(traj_t.densities[k], flow, t),
-                continuity_velocity(traj_r.densities[k], flow, t))
+                continuity_velocity(traj_t.densities[k], ham, 0.0, t),
+                continuity_velocity(traj_r.densities[k], ham, 0.0, t))
         worst = max(worst, abs(formula - fd) / abs(fd))
     elapsed = time.monotonic() - start
     assert worst < 1e-3
@@ -184,7 +183,7 @@ def test_criterion_06_sde_fp_cross_validation(testbed):
     k = ens.index_of(t1)
     mom = sample_moments(ens, k)
 
-    fp = evolve(HamiltonianFlow(ham), GaussianDensity([1.0], [[2.0]]).sample_on(grid),
+    fp = evolve(ham, 0.0, GaussianDensity([1.0], [[2.0]]).sample_on(grid),
                 0.0, t1, dt, store_every=300)
     fp_mean = fp.densities[-1].mean()[0]
     fp_var = fp.densities[-1].covariance()[0, 0]

@@ -471,6 +471,25 @@ def test_mass_drift_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_non_finite_step_between_stored_times_exits_3(tmp_path, monkeypatch, capsys):
+    # ou-relax stores every 10th step; a NaN from the third solve fails the
+    # mass check of that step, at t = 0.003, not the next solve's input check
+    solve_banded, calls = scipy.linalg.solve_banded, []
+
+    def nan_once(*args, **kwargs):
+        x = solve_banded(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 3:
+            x[x.size // 2] = np.nan
+        return x
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", nan_once)
+    out = tmp_path / "o"
+    assert main(["control-run", "--scenario", "ou-relax", "--out", str(out)]) == 3
+    assert "numerical failure: mass drift at t=0.003: nan != 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_krylov_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
     def stalled(A, b, x0=None, **kwargs):
         return x0, 7
@@ -479,7 +498,7 @@ def test_krylov_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
         grid = Grid((-4.0, -4.0), (4.0, 4.0), (12, 12))
         rho0 = GaussianDensity([0.0, 0.0], np.eye(2)).sample_on(grid)
         ham = quadratic_hamiltonian(np.eye(2), kT=1.0, sigma2=2.0)
-        fokker_planck.evolve(fokker_planck.HamiltonianFlow(ham), rho0, 0.0, 0.1, 0.05)
+        fokker_planck.evolve(ham, 0.0, rho0, 0.0, 0.1, 0.05)
 
     monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", stalled)
     monkeypatch.setitem(cli.RUNNERS, "fp-run", run_2d)

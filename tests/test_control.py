@@ -14,7 +14,7 @@ from entroflow.control import (
     modulated_decay_rate,
     simulate_feedback,
 )
-from entroflow.fokker_planck import HamiltonianFlow, PositivityError, evolve
+from entroflow.fokker_planck import PositivityError, evolve
 from entroflow.production import production_decomposition
 from entroflow.thermo import quadratic_hamiltonian, relative_entropy
 
@@ -86,7 +86,7 @@ def test_feedback_accepts_underflowed_tails(ou_ham):
 def test_modulated_alpha_zero_reduces_to_plain(ou_ham):
     rho0 = GaussianDensity([1.0], [[2.0]]).sample_on(GRID)
     a = evolve_modulated(ou_ham, 0.0, rho0, 0.1, 1e-3, store_every=20)
-    b = evolve(HamiltonianFlow(ou_ham), rho0, 0.0, 0.1, 1e-3, store_every=20)
+    b = evolve(ou_ham, 0.0, rho0, 0.0, 0.1, 1e-3, store_every=20)
     for x, y in zip(a.densities, b.densities):
         assert np.array_equal(x.values, y.values)
 
@@ -127,14 +127,16 @@ def _start():
 # alpha = -sigma2/2 = -1 for ou_ham, NaN or inf; "late" turns bad after a few
 # admissible steps
 ILL_POSED_CALLS = {
-    "evolve": lambda ham, bad: evolve(HamiltonianFlow(ham, gain=bad), _start(), 0.0, 0.01, 1e-3),
+    "evolve": lambda ham, bad: evolve(ham, bad, _start(), 0.0, 0.01, 1e-3),
     "evolve_late": lambda ham, bad: evolve(
-        HamiltonianFlow(ham, gain=lambda t: 1.0 if t < 5e-3 else bad), _start(), 0.0, 0.01, 1e-3),
+        ham, lambda t: 1.0 if t < 5e-3 else bad, _start(), 0.0, 0.01, 1e-3),
     "evolve_modulated": lambda ham, bad: evolve_modulated(ham, bad, _start(), 0.01, 1e-3),
     "modulated_decay_rate": lambda ham, bad: modulated_decay_rate(_start(), ham, bad),
     "simulate_feedback": lambda ham, bad: simulate_feedback(ham, bad, _start(), 0.01, 1e-3),
     "simulate_feedback_late": lambda ham, bad: simulate_feedback(
         ham, lambda t: 1.0 if t < 5e-3 else bad, _start(), 0.01, 1e-3),
+    "decomposition_curve": lambda ham, bad: decomposition_curve(
+        evolve_modulated(ham, 0.0, _start(), 0.01, 1e-3), ham, bad),
     "gauss_markov_propagate": lambda ham, bad: gauss_markov_propagate(
         1.0, ham, bad, GaussMarkovState(0.0, [1.0], [[2.0]]), 0.1, 1e-2),
     "ScenarioConfig": lambda ham, bad: ScenarioConfig(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from entroflow import Grid, GridDensity, VectorFieldGrid
+from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid
+from entroflow.control import evolve_modulated, simulate_feedback
+from entroflow.fokker_planck import evolve
 from entroflow.grids import gradient, quadrature
+from entroflow.quantum import DensityOperator, HamiltonianOperator, LindbladSpec, lindblad_evolve
 
 
 def test_grid_invariants():
@@ -114,3 +117,29 @@ def test_vector_field_validation():
         VectorFieldGrid(g, np.full((4, 1), np.nan))
     z = VectorFieldGrid.zero(g)
     assert z.vectors.shape == (4, 1)
+
+
+def _density():
+    return GaussianDensity([0.5], [[1.0]]).sample_on(Grid((-6.0,), (6.0,), (32,)))
+
+
+_QUBIT = LindbladSpec(HamiltonianOperator(np.diag([1.0, -1.0])), (0.5 * np.eye(2, k=1),))
+
+# every solver that stores a march, at a valid horizon of 4 steps
+STORING_RUNS = {
+    "evolve": lambda ham, m: evolve(ham, 0.0, _density(), 0.0, 0.04, 0.01, store_every=m),
+    "evolve_modulated": lambda ham, m: evolve_modulated(ham, 1.0, _density(), 0.04, 0.01,
+                                                        store_every=m),
+    "simulate_feedback": lambda ham, m: simulate_feedback(ham, 1.0, _density(), 0.04, 0.01,
+                                                          store_every=m),
+    "lindblad_evolve": lambda ham, m: lindblad_evolve(
+        _QUBIT, DensityOperator(np.diag([0.9, 0.1])), 0.04, 0.01, store_every=m),
+}
+
+
+@pytest.mark.parametrize("store_every", [0, -1, 2.5])
+@pytest.mark.parametrize("run", sorted(STORING_RUNS))
+def test_store_every_is_an_integer_at_least_one(ou_ham, run, store_every):
+    with pytest.raises(ValueError, match="store_every must be an integer >= 1"):
+        STORING_RUNS[run](ou_ham, store_every)
+    assert len(STORING_RUNS[run](ou_ham, 3).times) == 3  # t = 0, the 3rd step, the last

@@ -1,5 +1,5 @@
 """No dead names: every import is read, the package exports what it lists, and
-the names README.md gives resolve."""
+the names README.md and the package's docstrings give resolve."""
 
 import ast
 import importlib
@@ -60,4 +60,48 @@ def test_readme_names_resolve():
             obj = getattr(obj, part, None)
         if obj is None:
             stale.append(f"{module}.{attr}")
+    assert stale == []
+
+
+MISSING = object()
+ROLE = re.compile(r":(?:func|class|meth|mod):`~?([\w.]+)`")
+
+
+def _lookup(obj, dotted):
+    for part in filter(None, dotted.split(".")):
+        obj = getattr(obj, part, MISSING)
+    return obj
+
+
+def _role_target(module, target):
+    """The object a docstring role's target names from ``module``: an
+    attribute of it, an entroflow module's attribute (``sde.replay``,
+    ``entroflow.sde.replay`` or dot-relative ``.sde.replay``), or a method of
+    one of its classes; MISSING if none."""
+    found = MISSING if target.startswith(".") else _lookup(module, target)
+    head, _, rest = target.lstrip(".").removeprefix("entroflow.").partition(".")
+    if found is MISSING and head in {m.name for m in pkgutil.iter_modules(entroflow.__path__)}:
+        found = _lookup(importlib.import_module(f"entroflow.{head}"), rest)
+    for cls in vars(module).values():
+        if found is MISSING and isinstance(cls, type) and cls.__module__ == module.__name__:
+            found = _lookup(cls, target)
+    return found
+
+
+def test_docstring_names_resolve():
+    # every :func:, :class:, :meth: and :mod: target in the docstrings of
+    # src/entroflow names an object that exists, so a renamed or deleted
+    # function leaves no stale pointer
+    stale, checked = [], 0
+    for path in sorted((ROOT / "src" / "entroflow").glob("*.py")):
+        name = "entroflow" if path.stem == "__init__" else f"entroflow.{path.stem}"
+        module = importlib.import_module(name)
+        tree = ast.parse(path.read_text())
+        docs = [ast.get_docstring(node) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        for target in ROLE.findall("\n".join(filter(None, docs))):
+            checked += 1
+            if _role_target(module, target) is MISSING:
+                stale.append(f"{path.name}: {target}")
+    assert checked > 0
     assert stale == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
 from entroflow.control import feedback_control
-from entroflow.fokker_planck import HamiltonianFlow, continuity_velocity, evolve
+from entroflow.fokker_planck import continuity_velocity, evolve
 from entroflow.grids import gradient, quadrature
 from entroflow.production import (
     BoundaryLeakWarning,
@@ -61,9 +61,8 @@ def test_rate_zero_for_identical_flows(ou_grid, gauss01):
 def test_rate_ou_testbed_closed_form(ou_ham, ou_grid, gauss12, gauss01):
     rho_t = gauss12.sample_on(ou_grid)
     rho = gauss01.sample_on(ou_grid)
-    flow = HamiltonianFlow(ou_ham)
-    f_tilde = continuity_velocity(rho_t, flow, 0.0)
-    f = continuity_velocity(rho, flow, 0.0)
+    f_tilde = continuity_velocity(rho_t, ou_ham, 0.0, 0.0)
+    f = continuity_velocity(rho, ou_ham, 0.0, 0.0)
     with pytest.warns(BoundaryLeakWarning):
         # N(1,2) on [-8,8] genuinely leaks ~4e-8 > 1e-9 at the box edge
         got = relative_entropy_rate(rho_t, rho, f_tilde, f)
@@ -74,10 +73,9 @@ def test_rate_matches_finite_difference_of_divergence(ou_ham):
     # central-difference oracle on the divergence curve of two solver runs
     grid = Grid((-8.0,), (8.0,), (1024,))
     dt = 2e-4
-    flow = HamiltonianFlow(ou_ham)
-    traj_t = evolve(flow, GaussianDensity([1.0], [[2.0]]).sample_on(grid),
+    traj_t = evolve(ou_ham, 0.0, GaussianDensity([1.0], [[2.0]]).sample_on(grid),
                     0.0, 0.02, dt)
-    traj_r = evolve(flow, GaussianDensity([0.5], [[1.5]]).sample_on(grid),
+    traj_r = evolve(ou_ham, 0.0, GaussianDensity([0.5], [[1.5]]).sample_on(grid),
                     0.0, 0.02, dt)
     k = 50
     D = [relative_entropy(traj_t.densities[k + s], traj_r.densities[k + s])
@@ -87,8 +85,8 @@ def test_rate_matches_finite_difference_of_divergence(ou_ham):
     with pytest.warns(BoundaryLeakWarning):
         formula = relative_entropy_rate(
             traj_t.densities[k], traj_r.densities[k],
-            continuity_velocity(traj_t.densities[k], flow, t),
-            continuity_velocity(traj_r.densities[k], flow, t))
+            continuity_velocity(traj_t.densities[k], ou_ham, 0.0, t),
+            continuity_velocity(traj_r.densities[k], ou_ham, 0.0, t))
     assert formula == pytest.approx(fd, rel=1e-3)
 
 
@@ -218,7 +216,7 @@ def test_free_energy_equals_kt_times_total(ou_ham, ou_grid, gauss12):
 def test_divergence_decay_monotone_along_solver(ou_ham):
     grid = Grid((-8.0,), (8.0,), (512,))
     rho_bar = gibbs_density(ou_ham, grid)
-    traj = evolve(HamiltonianFlow(ou_ham),
+    traj = evolve(ou_ham, 0.0,
                   GaussianDensity([1.0], [[2.0]]).sample_on(grid),
                   0.0, 1.0, 1e-3, store_every=50)
     D = traj.divergence_curve(rho_bar)

@@ -366,6 +366,19 @@ def test_path_record_keeps_only_times_of_the_run(at):
         PathRecord(4, 3, 1, at=at)
 
 
+def test_sample_moments_overflow_is_a_numerical_failure():
+    # four finite states whose squared deviations overflow: the standard error
+    # of the mean is not finite, which must raise, not return cov = [[nan]]
+    # with RuntimeWarnings
+    x = 1e160 * np.arange(1.0, 5.0)
+    ens = PathEnsemble(np.array([0.0]), x[:, None, None], 0.01, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure,
+                           match="the sample mean or its standard error overflows"):
+            sample_moments(ens, 0)
+
+
 def test_one_trajectory_has_no_sample_covariance(ou_ham):
     ens = simulate_overdamped(ou_ham, None, 0.0, n_traj=1, dt=0.1, t1=0.2, seed=0)
     for moments in (lambda: sample_moments(ens, 1), lambda: ensemble_summary(ens)):
