@@ -419,8 +419,7 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
                                temperature=c["temperature"])
     n_times, width = _n_times(c), 2 * spec.n_coords
     times = dt * np.arange(n_times)
-    # the window ends at the last grid time, which t1 names only up to roundoff
-    temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], times[-1]))
+    temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], t1))
     # the gains step as one gain-major state; summary.csv reads the last gain's moments
     last = TimeMoments(n_times, width, spec, column=width * (len(gains) - 1))
     stream_polymer(spec, gains, n, dt, t1, seed, (temps.add, last.add))
@@ -499,7 +498,7 @@ def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     beta, gamma = bins.estimate(+1), bins.estimate(-1)
     v = current_drift(beta, gamma)
     w.write_csv("fields.csv", *drift_field_rows(beta, gamma, v))
-    p_hat = estimate_density(slice_k.ensemble([k * dt], dt, c["seed"]), 0, grid)
+    p_hat = estimate_density(slice_k.ensemble([k * dt], dt), 0, grid)
     resid = osmotic_residual(beta, gamma, p_hat, ham.sigma2)
     fe = energy.estimate()
     w.write_csv("summary.csv",

@@ -74,10 +74,6 @@ class GainSchedule:
         return float(self.func(t))
 
     @classmethod
-    def constant(cls, value: float) -> "GainSchedule":
-        return cls(lambda t: value)
-
-    @classmethod
     def from_table(cls, times: Sequence[float], values: Sequence[float]) -> "GainSchedule":
         """Piecewise-linear interpolation, clamped outside the table range."""
         times = np.asarray(times, dtype=float)

@@ -11,13 +11,15 @@ solver) shares the conventions fixed here:
 Grids are rectangular and uniform by construction; non-uniform spacings are
 rejected at the type level (there is no way to build one).
 
-Time grids too: :func:`time_steps` counts the steps of a horizon, and
+Time grids too: :func:`time_steps` counts the steps of a horizon, by the
+slack :func:`time_slack` that every time naming a grid time reads, and
 :func:`march` steps every deterministic evolution (grid solvers and the
 Lindblad semigroup) into one read-only stack; its callers check the states.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -68,6 +70,9 @@ class Grid:
             raise ValueError(f"grid bounds lo = {lo}, hi = {hi} give no finite cell width")
         if any(c < 2 for c in cells):
             raise ValueError("need at least 2 cells per dimension")
+        if not self.cell_volume * sys.float_info.max >= 1.0:  # then 1 / volume overflows
+            raise ValueError(f"cells of volume {self.cell_volume:.3g} are too small: "
+                             "a unit-mass density on them overflows")
 
     @property
     def ndim(self) -> int:
@@ -166,6 +171,11 @@ def face_sides(axis: int) -> tuple[tuple, tuple]:
     return head + (slice(None, -1),), head + (slice(1, None),)
 
 
+def time_slack(t: float) -> float:
+    """``TIME_GRID_RTOL * max(1, |t|)``: how near a grid time t names it."""
+    return TIME_GRID_RTOL * max(1.0, abs(t))
+
+
 def time_steps(t0: float, t1: float, dt: float) -> int:
     """Number of steps of size dt from t0 to t1.
 
@@ -178,7 +188,7 @@ def time_steps(t0: float, t1: float, dt: float) -> int:
     if not np.isfinite(ratio):
         raise ValueError("the horizon must be finite")
     n = int(round(ratio))
-    if n < 1 or abs(t0 + n * dt - t1) > TIME_GRID_RTOL * max(1.0, abs(t1)):
+    if n < 1 or abs(t0 + n * dt - t1) > time_slack(t1):
         raise ValueError("(t1 - t0) must be a positive multiple of dt")
     return n
 

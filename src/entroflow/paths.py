@@ -15,8 +15,8 @@ beta - gamma = sigma^2 grad log p, their average v = (beta + gamma)/2 is the
 current drift, and the density transports along v in the weak sense
 d/dt <phi> = <grad phi . v> for smooth test functions.  Each of these
 statements has a numerical check below; estimators carry per-cell counts and
-standard errors, and cells with fewer samples than a threshold are flagged
-empty rather than trusted.
+standard errors, and cells with fewer than ``MIN_CELL_COUNT`` samples are
+flagged empty rather than trusted.
 
 Estimation is pathwise; nothing here assumes the ensemble is Markovian.
 The drift binning (:class:`IncrementBins`) and the energy sum
@@ -26,7 +26,8 @@ the estimators of a stored ensemble are one of them fed by
 :func:`entroflow.sde.replay`, so both give the same bits.  One binning pass
 gives both drifts: :func:`estimate_drifts` returns the pair (beta, gamma),
 since each increment is the forward one of its first time and the
-backward one of its second.  CSV export:
+backward one of its second.  A sample's cell is its
+:meth:`.grids.Grid.cell_index`, as in :func:`entroflow.sde.estimate_density`.  CSV export:
 :func:`drift_field_rows` returns a header and lazy per-cell rows for
 ``cli.ArtifactWriter.write_csv``; this module opens no files.
 """
@@ -40,7 +41,7 @@ import numpy as np
 
 from .grids import Grid, GridDensity, VectorFieldGrid, gradient
 from .production import floored_log
-from .sde import PathEnsemble, _head, mean_and_stderr, replay, row_span
+from .sde import CHUNK, NOISE_BLOCK, PathEnsemble, _head, mean_and_stderr, replay, row_span
 
 MIN_CELL_COUNT = 30
 
@@ -49,19 +50,18 @@ MIN_CELL_COUNT = 30
 class DriftEstimate:
     """Cell-binned conditional mean velocity with counts and standard errors.
 
-    Cells with ``counts < min_count`` are flagged empty: their vectors are
-    zero and they are excluded from norms and downstream residuals.
+    Cells with ``counts < MIN_CELL_COUNT`` are flagged empty: their vectors
+    are zero and they are excluded from norms and downstream residuals.
     """
 
     grid: Grid
     vectors: np.ndarray   # shape + (ndim,)
     counts: np.ndarray    # shape
     stderr: np.ndarray    # shape + (ndim,)
-    min_count: int = MIN_CELL_COUNT
 
     @property
     def mask(self) -> np.ndarray:
-        return self.counts >= self.min_count
+        return self.counts >= MIN_CELL_COUNT
 
     def field(self) -> VectorFieldGrid:
         return VectorFieldGrid(self.grid, self.vectors)
@@ -103,11 +103,9 @@ class IncrementBins:
     counts for a lag only with its increment, so a pooled time without a
     step at that lag adds nothing.
 
-    Work buffers, made by the first chunk and grown only for a larger one,
-    hold the increments, their squares, gathered rows and the cells of the
-    pooled times: about five arrays the size of one chunk, 1.5 MB for the
-    (CHUNK + 1, NOISE_BLOCK, 1) chunks of a 1-D run, so that a chunk
-    allocates nothing of its size.
+    Work buffers, allocated once at the chunk bound, hold the increments,
+    their squares, gathered rows and the cells of the pooled times: about
+    five arrays the size of one chunk, 1.5 MB for a 1-D run.
     """
 
     def __init__(self, grid: Grid, pool, dt: float):
@@ -118,17 +116,9 @@ class IncrementBins:
         # per lag, forward then backward; the last cell collects the samples outside the box
         self.counts = {lag: np.zeros(grid.size + 1, dtype=np.int64) for lag in (+1, -1)}
         self.sums = {lag: np.zeros((2, grid.ndim, grid.size + 1)) for lag in (+1, -1)}
-        self._fits = (0, 0)  # the (times, trajectories) of a chunk the buffers fit
-
-    def _work(self, n_times: int, n_traj: int) -> None:
-        """Grow the work buffers to fit a chunk of n_times x n_traj states."""
-        if n_times <= self._fits[0] and n_traj <= self._fits[1]:
-            return
-        n_times, n_traj = max(n_times, self._fits[0]), max(n_traj, self._fits[1])
-        self._fits = (n_times, n_traj)
-        size = n_times * n_traj * self.grid.ndim
-        self._inc, self._sq, self._rows = np.empty(size), np.empty(size), np.empty(size)
-        self._cells = self.grid.cell_work(n_times * n_traj)
+        points = (CHUNK + 1) * NOISE_BLOCK
+        self._inc, self._sq, self._rows = (np.empty(points * grid.ndim) for _ in range(3))
+        self._cells = grid.cell_work(points)
 
     def add(self, first, t0, X):
         grid = self.grid
@@ -137,7 +127,6 @@ class IncrementBins:
         if a == b:
             return
         at = self.times[a:b] - t0  # the pooled times of the chunk, as rows of X
-        self._work(*X.shape[:2])
         d = np.subtract(X[1:], X[:-1], out=_head(self._inc, X[1:].shape))
         np.divide(d, self.dt, out=d)  # the increment of step t0 + i
         d2 = np.square(d, out=_head(self._sq, d.shape))
@@ -157,7 +146,7 @@ class IncrementBins:
                 for ax in range(grid.ndim):
                     np.add.at(self.sums[lag][moment, ax], cells, w[:, :, ax].reshape(-1))
 
-    def estimate(self, lag: int, min_count: int = MIN_CELL_COUNT) -> DriftEstimate:
+    def estimate(self, lag: int) -> DriftEstimate:
         """The forward (``lag = +1``) or backward (``-1``) drift estimate of
         the cells in the box."""
         grid = self.grid
@@ -167,16 +156,16 @@ class IncrementBins:
             mean = sums / counts[:, None]
             var = np.maximum(sq / counts[:, None] - mean**2, 0.0)
             se = np.sqrt(var / counts[:, None])
-        occupied = counts >= min_count
+        occupied = counts >= MIN_CELL_COUNT
         mean[~occupied] = 0.0
         se[~occupied] = 0.0
         return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
                              counts.reshape(grid.shape),
-                             se.reshape(grid.shape + (grid.ndim,)), min_count)
+                             se.reshape(grid.shape + (grid.ndim,)))
 
 
-def estimate_drifts(ens: PathEnsemble, t_index, grid: Grid,
-                    min_count: int = MIN_CELL_COUNT) -> tuple[DriftEstimate, DriftEstimate]:
+def estimate_drifts(ens: PathEnsemble, t_index,
+                    grid: Grid) -> tuple[DriftEstimate, DriftEstimate]:
     """The forward and backward drift estimates (beta, gamma) of a stored
     ensemble, binned at the times ``t_index``: one :class:`IncrementBins`
     fed by :func:`entroflow.sde.replay`.
@@ -198,7 +187,7 @@ def estimate_drifts(ens: PathEnsemble, t_index, grid: Grid,
             raise ValueError(f"t_index {lone} has no time point at lag {lag:+d}")
     bins = IncrementBins(grid, pool, ens.dt)
     replay(ens, (bins.add,))
-    return bins.estimate(+1, min_count), bins.estimate(-1, min_count)
+    return bins.estimate(+1), bins.estimate(-1)
 
 
 def osmotic_residual(beta: DriftEstimate, gamma: DriftEstimate,
@@ -229,8 +218,7 @@ def current_drift(beta: DriftEstimate, gamma: DriftEstimate) -> DriftEstimate:
     return DriftEstimate(beta.grid,
                          0.5 * (beta.vectors + gamma.vectors),
                          np.minimum(beta.counts, gamma.counts),
-                         0.5 * np.sqrt(beta.stderr**2 + gamma.stderr**2),
-                         max(beta.min_count, gamma.min_count))
+                         0.5 * np.sqrt(beta.stderr**2 + gamma.stderr**2))
 
 
 @dataclass(frozen=True)
@@ -253,15 +241,13 @@ class EnergySum:
         self.per_traj = np.zeros(n_traj)
         self.used = 0
         self.total = 0
-        self._sq = np.empty(0)  # |beta|^2 of a chunk's points, grown to the largest chunk
+        self._sq = np.empty((CHUNK + 1) * NOISE_BLOCK)  # |beta|^2 of a chunk's points
 
     def add(self, first, t0, X):
         """Add the steps from X[i] to X[i + 1]; the chunks of a trajectory
         must come in time order."""
         _, n, dim = X.shape
         x = X[:-1].reshape(-1, dim)
-        if self._sq.size < x.shape[0]:
-            self._sq = np.empty(x.shape[0])
         s = self._sq[:x.shape[0]]
         if isinstance(self.drift_field, DriftEstimate):
             vec, valid = self.drift_field.lookup(x)

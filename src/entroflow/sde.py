@@ -33,8 +33,8 @@ trajectory order, and within a block in time order, each of at most
 ``CHUNK`` steps.  Consecutive chunks share their boundary time, so each step
 lies in exactly one chunk, and a chunk's first time is new only when t0 is
 0.  X is a view that the next chunk overwrites: an observer copies what it
-keeps.  An observer may keep work buffers sized by one chunk, (CHUNK + 1,
-NOISE_BLOCK, dim), and reuse them for every chunk, so that a run maps no
+keeps.  An observer's work buffers are allocated once, in ``__init__``, at
+the chunk bound (CHUNK + 1) x NOISE_BLOCK x width, so that a run maps no
 fresh chunk-sized array per chunk.  :func:`_march_paths` feeds its
 observers while it steps; :func:`replay` feeds a stored ensemble in the
 same blocks and chunks, so an observer sees the same bits either way.
@@ -50,7 +50,9 @@ sum of m V^2, merged noise block by noise block.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth), equipartition kinetic temperatures
-with per-trajectory standard errors, and per-time moments.  Each ensemble
+with per-trajectory standard errors, and per-time moments.  Windows and
+``PathEnsemble.index_of`` read times by :func:`.grids.time_slack`, and the
+density histogram reads cells by :meth:`.grids.Grid.cell_index`.  Each ensemble
 quantity has one estimator, a chunk observer: :func:`kinetic_temperature`
 is :class:`WindowTemperatures` of one gain, and :func:`ensemble_summary`
 and :func:`sample_moments` are :class:`TimeMoments`, each fed a stored
@@ -70,9 +72,9 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.ndimage import gaussian_filter
 
-from .grids import Grid, GridDensity, NumericalFailure, time_steps
+from .grids import Grid, GridDensity, NumericalFailure, time_slack, time_steps
 from .thermo import HamiltonianSpec
-from .tolerances import ESCAPED_FRACTION_MAX, TIME_GRID_RTOL, WINDOW_SLACK
+from .tolerances import ESCAPED_FRACTION_MAX, TIME_GRID_RTOL
 
 NOISE_BLOCK = 1024
 CHUNK = 32
@@ -90,13 +92,12 @@ class PathEnsemble:
     simulators store it time-major and read-only: ``states`` is a view of a
     (n_times, n_traj, dim) buffer, so each ``states[:, k]`` is contiguous.
     A :class:`PathRecord` builds one from the times it kept, such as one
-    time slice of a streamed run.
+    time slice of a streamed run.  Each step is dt, relative to ``TIME_GRID_RTOL``.
     """
 
     times: np.ndarray
     states: np.ndarray
     dt: float
-    seed: int
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -107,7 +108,8 @@ class PathEnsemble:
             raise ValueError("states must be (n_traj >= 1, n_times, dim)")
         if times.shape != (states.shape[1],):
             raise ValueError("times incompatible with states")
-        if times.size > 1 and not np.allclose(np.diff(times), self.dt, rtol=TIME_GRID_RTOL):
+        if times.size > 1 and not np.allclose(np.diff(times), self.dt, rtol=TIME_GRID_RTOL,
+                                                   atol=0.0):
             raise ValueError("time grid must be uniform with step dt")
         # min and max propagate NaN, so no elementwise temporary is needed
         if states.size and not (np.isfinite(states.min()) and np.isfinite(states.max())):
@@ -122,7 +124,12 @@ class PathEnsemble:
         return self.states.shape[2]
 
     def index_of(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
+        """The index of the grid time t names, to within :func:`.grids.time_slack`."""
+        k = int(np.argmin(np.abs(self.times - t)))
+        if not abs(self.times[k] - t) <= time_slack(t):  # NaN fails too
+            raise ValueError(f"t = {float(t)!r} is no time of the grid "
+                             f"[{self.times[0]!r}, {self.times[-1]!r}] of step dt = {self.dt!r}")
+        return k
 
 
 def _block_rng(seed: int, block: int) -> Generator:
@@ -173,10 +180,10 @@ class PathRecord:
         if a < b:
             self.values[a:b, first:first + X.shape[1]] = X[row_span(self.at[a:b] - t0)]
 
-    def ensemble(self, times, dt: float, seed: int) -> PathEnsemble:
+    def ensemble(self, times, dt: float) -> PathEnsemble:
         """The kept states as a read-only ensemble at ``times`` (one per row)."""
         self.values.flags.writeable = False
-        return PathEnsemble(times, self.values.swapaxes(0, 1), dt, seed)
+        return PathEnsemble(times, self.values.swapaxes(0, 1), dt)
 
 
 def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
@@ -251,7 +258,7 @@ def _march_stored(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
     record = PathRecord(n_traj, times.size, dim)
     _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, escape_radius,
                  (record.add,))
-    return record.ensemble(times, dt, seed)
+    return record.ensemble(times, dt)
 
 
 def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
@@ -442,12 +449,13 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
 
 def _window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
     """The mask of ``times`` in the closed window, which must lie in the horizon
-    and hold a time, both up to ``WINDOW_SLACK``: n dt may round past an edge."""
+    and hold a time, each edge read to within its :func:`.grids.time_slack`."""
     lo, hi = window
+    lo_slack, hi_slack = time_slack(lo), time_slack(hi)
     # NaN fails too
-    if not times[0] - WINDOW_SLACK <= lo < hi <= times[-1] + WINDOW_SLACK:
+    if not times[0] - lo_slack <= lo < hi <= times[-1] + hi_slack:
         raise ValueError("window outside ensemble horizon")
-    sel = (times >= lo - WINDOW_SLACK) & (times <= hi + WINDOW_SLACK)
+    sel = (times >= lo - lo_slack) & (times <= hi + hi_slack)
     if not sel.any():  # then the window lies between two of at least two times
         raise ValueError(f"window [{float(lo)!r}, {float(hi)!r}] holds no time of the "
                          f"grid of step dt = {float(times[1] - times[0])!r}")
@@ -522,22 +530,21 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid) -> GridDensity
     The kernel width is Scott's rule, :func:`scott_bandwidth` of the slice
     (zero for a single sample, which leaves its histogram cell).
     Histogram-then-smooth implementation (binning error is O(dx^2/bw^2),
-    negligible against the kernel itself); the result is renormalized to
+    negligible against the kernel itself), counting a sample in its
+    :meth:`.grids.Grid.cell_index` cell; the result is renormalized to
     quadrature mass 1.  Fails if more than 0.1% of the samples fall outside
     the grid box.
     """
     x = ens.states[:, t_index, :]
     if x.shape[1] != grid.ndim:
         raise ValueError("ensemble dimension != grid dimension")
-    _, inside = grid.cell_index(x)
+    cells, inside = grid.cell_index(x)
     escaped = 1.0 - inside.mean()
     if escaped > ESCAPED_FRACTION_MAX:
         raise ValueError(f"grid does not cover ensemble: escaped fraction {escaped:.3e}")
     bw = scott_bandwidth(x)
-    edges = [np.linspace(grid.lo[a], grid.hi[a], grid.cells[a] + 1)
-             for a in range(grid.ndim)]
-    counts, _ = np.histogramdd(x[inside], bins=edges)
-    smoothed = gaussian_filter(counts, sigma=tuple(bw / grid.dx),
+    counts = np.bincount(cells[inside], minlength=grid.size).astype(float)
+    smoothed = gaussian_filter(counts.reshape(grid.shape), sigma=tuple(bw / grid.dx),
                                mode="constant", truncate=6.0)
     with np.errstate(over="ignore"):
         total = smoothed.sum() * grid.cell_volume
@@ -644,7 +651,7 @@ def sample_moments(ens: PathEnsemble, t_index: int) -> SampleMoments:
     (:func:`mean_and_stderr`; an overflow of either raises)."""
     x = ens.states[:, t_index, :]
     _, se_mean = mean_and_stderr(x, "the sample mean")
-    moments = _moments(PathEnsemble(ens.times[[t_index]], x[:, None, :], ens.dt, ens.seed))
+    moments = _moments(PathEnsemble(ens.times[[t_index]], x[:, None, :], ens.dt))
     mean, cov = moments.mean[0], moments.cov()[0]
     with np.errstate(over="ignore"):  # an overflow is rejected by mean_and_stderr
         centered = (x - mean) ** 2

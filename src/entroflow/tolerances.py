@@ -11,7 +11,8 @@ line says why the value is what it is.  Plain numbers; nothing is imported.
 
 # quadrature mass a probability density may differ from 1 by
 MASS_TOL = 1e-8
-# relative slack of a horizon against n dt, and of a stored time step against dt
+# relative slack of a time (horizon, window edge, index) against its grid time, and of a
+# stored time step against dt
 TIME_GRID_RTOL = 1e-9
 # a solver step below -this aborts; tinier negatives are roundoff, clamped to 0
 POSITIVITY_TOL = 1e-12
@@ -52,8 +53,6 @@ FD_RESIDUAL_FLOOR = 1e-30
 
 # -- path ensembles -----------------------------------------------------------
 
-# roundoff by which a time window may reach past the horizon, or n dt past an edge
-WINDOW_SLACK = 1e-12
 # share of samples outside the grid box that a density estimate tolerates
 ESCAPED_FRACTION_MAX = 1e-3
 

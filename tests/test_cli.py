@@ -269,6 +269,20 @@ def test_default_window_ends_at_the_last_grid_time(tmp_path, t1):
     assert np.all(np.isfinite(temps)) and np.all(np.isfinite(summary))
 
 
+def test_window_edges_read_with_the_horizon_slack(tmp_path):
+    # time_steps reads the three t1 as one 3-step horizon, and the default
+    # window [t1 / 3, t1] reads its edges with the same slack, so each run
+    # averages over the same grid times 0.1, 0.2 and 0.3 and writes the same bytes
+    written = set()
+    for k, t1 in enumerate(["0.3", "0.3000000001", "0.2999999999"]):
+        out = tmp_path / f"o{k}"
+        assert main(["sde-run", "--model", "polymer", "--n", "8", "--dt", "0.1", "--t1", t1,
+                     "--out", str(out)]) == 0
+        written.add(tuple((out / name).read_bytes()
+                          for name in ("temperature.csv", "summary.csv")))
+    assert len(written) == 1
+
+
 def test_quantum_run_from_operator_files(tmp_path):
     h = tmp_path / "h.txt"
     l1 = tmp_path / "l.txt"
@@ -772,6 +786,20 @@ def test_wide_box_equilibrium_underflow_rejected(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "underflows to zero on 18 of 512 cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cells_too_fine_for_a_unit_mass_density_exit_2(tmp_path, capsys):
+    # cells of volume 6.25e-310: a unit-mass density on them sums past the
+    # largest float, so the grid is rejected before any density is built
+    cfg = tmp_path / "fine.ini"
+    cfg.write_text("[scenario]\nkind = control-run\n\n"
+                   "[numerics]\ngrid_lo = 0\ngrid_hi = 1e-308\ngrid_cells = 16\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cells of volume 6.25e-310 are too small" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -30,7 +30,6 @@ def test_public_names_resolve():
 
 
 def test_gain_schedule_forms(tmp_path):
-    assert GainSchedule.constant(0.7)(3.0) == 0.7
     tab = GainSchedule.from_table([0.0, 1.0], [0.0, 2.0])
     assert tab(0.25) == pytest.approx(0.5)
     assert tab(5.0) == 2.0  # clamped

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, quadratic_hamiltonian
 from entroflow.paths import (
+    MIN_CELL_COUNT,
     DriftEstimate,
     EnergySum,
     IncrementBins,
@@ -76,7 +77,7 @@ def test_deterministic_ensemble_exact_drifts():
     u = lambda x, t: np.full_like(x, 0.7)
     ens = simulate_overdamped(ham, u, 0.0, n_traj=64, dt=1e-2, t1=0.3, seed=1)
     grid = Grid((-1.0,), (1.0,), (16,))
-    beta, gamma = estimate_drifts(ens, 10, grid, min_count=1)
+    beta, gamma = estimate_drifts(ens, 10, grid)
     occupied = beta.counts > 0
     assert np.allclose(beta.vectors[occupied], 0.7, atol=1e-12)
     assert np.allclose(gamma.vectors[occupied], 0.7, atol=1e-12)
@@ -134,7 +135,7 @@ def test_estimator_consistency_se_scaling(ou_ham, ou_stationary):
     assert 1.25 <= ratio <= 1.6
 
 
-def pooled_add_at(ens, pool, grid, min_count, lag):
+def pooled_add_at(ens, pool, grid, lag):
     """The drift estimate as pooled sums of the increments
     (x(t + lag dt) - x(t)) / (lag dt), binned by the cell of x(t) computed
     here from the grid's bounds: the floored cell along each axis, flattened
@@ -161,26 +162,26 @@ def pooled_add_at(ens, pool, grid, min_count, lag):
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sums / counts[:, None]
         se = np.sqrt(np.maximum(sq / counts[:, None] - mean**2, 0.0) / counts[:, None])
-    mean[counts < min_count] = 0.0
-    se[counts < min_count] = 0.0
+    mean[counts < MIN_CELL_COUNT] = 0.0
+    se[counts < MIN_CELL_COUNT] = 0.0
     return DriftEstimate(grid, mean.reshape(grid.shape + (dim,)), counts.reshape(grid.shape),
-                         se.reshape(grid.shape + (dim,)), min_count)
+                         se.reshape(grid.shape + (dim,)))
 
 
-def stored_drifts(ens, pool, grid, min_count):
+def stored_drifts(ens, pool, grid):
     """The forward and backward estimates of one :func:`estimate_drifts`
     call, keyed by lag (+1, -1)."""
-    return dict(zip((+1, -1), estimate_drifts(ens, pool, grid, min_count)))
+    return dict(zip((+1, -1), estimate_drifts(ens, pool, grid)))
 
 
-def assert_bins_match_oracle(ens, grid, min_count, pools):
+def assert_bins_match_oracle(ens, grid, pools):
     """The stored estimates of each pool, and the streamed observer that
     ``pools`` pairs with it, are bitwise :func:`pooled_add_at`."""
     for p, streamed in pools:
-        stored = stored_drifts(ens, p, grid, min_count)
+        stored = stored_drifts(ens, p, grid)
         for lag in (+1, -1):
-            ref = pooled_add_at(ens, p, grid, min_count, lag)
-            for est in (stored[lag], streamed.estimate(lag, min_count)):
+            ref = pooled_add_at(ens, p, grid, lag)
+            for est in (stored[lag], streamed.estimate(lag)):
                 for field in ("vectors", "counts", "stderr"):
                     assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
 
@@ -199,14 +200,13 @@ def test_one_pass_binning_is_bitwise_a_pooled_add_at(ou_ham, n_traj, steps, seed
     pool = range(lo, data.draw(st.integers(lo + 1, steps), label="hi"))
     loose = data.draw(st.lists(st.integers(1, steps - 1), min_size=1, max_size=6),
                       label="unsorted pool with repeats")
-    min_count = data.draw(st.integers(1, 40), label="min_count")
     ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed)
     bins, sparse = IncrementBins(grid, pool, dt), IncrementBins(grid, loose, dt)
     energy = EnergySum(n_traj, dt, lambda x: -x)
     whole = IncrementBins(grid, range(1, steps), dt)  # both ends of the horizon
     stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed,
                       (bins.add, sparse.add, whole.add, energy.add))
-    assert_bins_match_oracle(ens, grid, min_count,
+    assert_bins_match_oracle(ens, grid,
                              ((pool, bins), (range(1, steps), whole), (loose, sparse)))
     fe = finite_energy_estimate(ens, lambda x: -x)
     assert energy.estimate() == fe
@@ -231,12 +231,12 @@ def test_two_dimensional_binning_is_bitwise_a_pooled_add_at():
     assert 0.2 < inside.mean() < 0.8
     bins, sparse = IncrementBins(grid, pool, dt), IncrementBins(grid, loose, dt)
     stream_overdamped(ham, None, x0, n_traj, dt, steps * dt, 11, (bins.add, sparse.add))
-    assert_bins_match_oracle(ens, grid, 3, ((pool, bins), (loose, sparse)))
+    assert_bins_match_oracle(ens, grid, ((pool, bins), (loose, sparse)))
 
 
 def test_a_repeated_pool_time_counts_once(ou_ham):
     # a repeated time is the same samples: counting them twice would shrink
-    # each cell's standard error by sqrt(2) and let a cell pass min_count on
+    # each cell's standard error by sqrt(2) and let a cell pass MIN_CELL_COUNT on
     # half its samples
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     n_traj, steps, dt = NOISE_BLOCK + 5, 2 * CHUNK + 3, 0.01
@@ -244,9 +244,9 @@ def test_a_repeated_pool_time_counts_once(ou_ham):
     ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7)
     twice, single = IncrementBins(BIN_GRID, repeated, dt), IncrementBins(BIN_GRID, once, dt)
     stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7, (twice.add, single.add))
-    stored_twice, stored_once = (stored_drifts(ens, p, BIN_GRID, 5) for p in (repeated, once))
+    stored_twice, stored_once = (stored_drifts(ens, p, BIN_GRID) for p in (repeated, once))
     for lag in (+1, -1):
-        pairs = ((twice.estimate(lag, 5), single.estimate(lag, 5)),
+        pairs = ((twice.estimate(lag), single.estimate(lag)),
                  (stored_twice[lag], stored_once[lag]))
         for est, ref in pairs:
             for field in ("vectors", "counts", "stderr"):
@@ -263,19 +263,22 @@ def test_bins_do_not_grow_with_the_pool():
     assert held(IncrementBins(grid, [80], 0.01)) == held(IncrementBins(grid, range(1, 161), 0.01))
 
 
-def test_binning_a_chunk_allocates_no_chunk_sized_array():
-    # after the first chunk, the work buffers are kept: later chunks raise the
-    # traced peak by far less than the chunk itself
+@pytest.mark.parametrize("observer", ["bins", "energy"])
+def test_a_first_chunk_allocates_no_chunk_sized_array(observer):
+    # the work buffers are sized once, at the chunk bound, when the observer
+    # is made: no chunk, the first included, raises the traced peak by more
+    # than a fraction of the chunk.  The energy's drift field is a
+    # preallocated array, so that only the observer's own buffers count
     rng = np.random.default_rng(0)
     X = rng.standard_normal((CHUNK + 1, NOISE_BLOCK, 1))
-    bins = IncrementBins(BIN_GRID, range(0, 4 * CHUNK), 0.01)
+    field = np.zeros((CHUNK * NOISE_BLOCK, 1))
+    add = IncrementBins(BIN_GRID, range(0, 4 * CHUNK), 0.01).add if observer == "bins" \
+        else EnergySum(NOISE_BLOCK, 0.01, lambda x: field).add
     tracemalloc.start()
     try:
-        bins.add(0, 0, X)
-        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        for t0 in (CHUNK, 2 * CHUNK, 3 * CHUNK):
-            bins.add(0, t0, X)
+        for t0 in (0, CHUNK, 2 * CHUNK, 3 * CHUNK):
+            add(0, t0, X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,9 +294,9 @@ def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
     ens = simulate_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1)
     bins = IncrementBins(BIN_GRID, [4, 10, 50], 0.01)
     stream_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1, (bins.add,))
-    stored = stored_drifts(ens, [4, 10], BIN_GRID, 5)
+    stored = stored_drifts(ens, [4, 10], BIN_GRID)
     for lag in (+1, -1):
-        est, ref = bins.estimate(lag, 5), stored[lag]
+        est, ref = bins.estimate(lag), stored[lag]
         for field in ("vectors", "counts", "stderr"):
             assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
 
@@ -301,7 +304,7 @@ def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
 def test_streamed_energy_from_an_estimated_field(ou_ham):
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5)
-    beta, _ = estimate_drifts(ens, range(1, 79), BIN_GRID, min_count=5)
+    beta, _ = estimate_drifts(ens, range(1, 79), BIN_GRID)
     energy = EnergySum(3000, 0.01, beta)
     stream_overdamped(ou_ham, None, x0, 3000, 0.01, 0.8, 5, (energy.add,))
     assert energy.estimate() == finite_energy_estimate(ens, beta)
@@ -333,7 +336,7 @@ def test_osmotic_residual_deterministic_flow():
     ens = simulate_overdamped(ham, u, lambda rng, s: rng.uniform(-1, 1, (s, 1)),
                               n_traj=2000, dt=1e-2, t1=0.2, seed=5)
     grid = Grid((-2.0,), (2.0,), (16,))
-    beta, gamma = estimate_drifts(ens, 10, grid, min_count=5)
+    beta, gamma = estimate_drifts(ens, 10, grid)
     p = estimate_density(ens, 10, grid)
     assert osmotic_residual(beta, gamma, p, 0.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -405,7 +408,7 @@ def test_finite_energy_from_estimated_field(ou_stationary):
 
 def test_finite_energy_needs_a_step():
     # a one-time ensemble has no step to integrate over
-    ens = PathEnsemble(np.array([0.0]), np.zeros((5, 1, 1)), 0.1, 0)
+    ens = PathEnsemble(np.array([0.0]), np.zeros((5, 1, 1)), 0.1)
     estimate = DriftEstimate(BIN_GRID, np.ones((64, 1)), np.full(64, 50), np.zeros((64, 1)))
     for field in (lambda x: -x, estimate):
         with pytest.raises(ValueError, match="no step"):
@@ -432,7 +435,7 @@ def test_weak_continuity_deterministic_transport():
     ens = simulate_overdamped(ham, u, lambda rng, s: rng.uniform(-1, 1, (s, 1)),
                               n_traj=5000, dt=1e-2, t1=0.3, seed=8)
     grid = Grid((-2.0,), (2.0,), (16,))
-    v = current_drift(*estimate_drifts(ens, 15, grid, min_count=5))
+    v = current_drift(*estimate_drifts(ens, 15, grid))
     rows = weak_continuity_check(ens, v, default_test_functions()[:1], 15)
     assert rows[0].ensemble_rate == pytest.approx(c, rel=1e-10)
     assert rows[0].transport_rate == pytest.approx(c, rel=1e-10)
@@ -440,15 +443,17 @@ def test_weak_continuity_deterministic_transport():
 
 def test_weak_continuity_needs_two_samples_in_populated_cells(ou_ham):
     grid = Grid((-1.0,), (1.0,), (4,))
-    # min_count above n_traj: no cell is populated, so no sample is usable
-    ens = simulate_overdamped(ou_ham, None, 0.0, n_traj=50, dt=0.01, t1=0.1, seed=1)
-    v = current_drift(*estimate_drifts(ens, 5, grid, min_count=51))
+    # fewer trajectories than MIN_CELL_COUNT: no cell is populated, so no
+    # sample is usable
+    ens = simulate_overdamped(ou_ham, None, 0.0, n_traj=MIN_CELL_COUNT - 1, dt=0.01, t1=0.1,
+                              seed=1)
+    v = current_drift(*estimate_drifts(ens, 5, grid))
     with pytest.raises(ValueError, match="0 sample"):
         weak_continuity_check(ens, v, default_test_functions(), 5)
     # exactly one sample in a populated cell: a mean, but no standard error
     x = np.array([0.1, 5.0, -6.0])
     lone = PathEnsemble(np.array([0.0, 0.1, 0.2]), np.repeat(x[:, None, None], 3, axis=1),
-                        0.1, 0)
+                        0.1)
     full = DriftEstimate(grid, np.zeros((4, 1)), np.full(4, 100.0), np.zeros((4, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -505,8 +510,8 @@ def test_rate_formula_with_current_drifts(ou_ham):
     for i in range(10):
         sl = slice(i * n // 10, (i + 1) * n // 10)
         f_i, fd_i = _estimated_rate_and_fd(
-            PathEnsemble(ens_a.times, ens_a.states[sl], dt, 0),
-            PathEnsemble(ens_b.times, ens_b.states[sl], dt, 0), grid, k, dk)
+            PathEnsemble(ens_a.times, ens_a.states[sl], dt),
+            PathEnsemble(ens_b.times, ens_b.states[sl], dt), grid, k, dk)
         diffs.append(f_i - fd_i)
     se = np.std(diffs, ddof=1) / np.sqrt(len(diffs))
     assert abs(formula - fd) < 3.0 * se

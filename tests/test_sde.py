@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entroflow import GaussianDensity, Grid
+from entroflow import GaussianDensity, Grid, sde
 from entroflow.grids import NumericalFailure
 from entroflow.sde import (
     CHUNK,
@@ -142,17 +142,32 @@ def test_ensembles_are_stored_time_major(ou_ham):
 
 def test_path_ensemble_validation():
     with pytest.raises(ValueError):
-        PathEnsemble(np.array([0.0, 0.1]), np.zeros((0, 2, 1)), 0.1, 0)
+        PathEnsemble(np.array([0.0, 0.1]), np.zeros((0, 2, 1)), 0.1)
     with pytest.raises(ValueError):
-        PathEnsemble(np.array([0.0, 0.3]), np.zeros((2, 2, 1)), 0.1, 0)
+        PathEnsemble(np.array([0.0, 0.3]), np.zeros((2, 2, 1)), 0.1)
     with pytest.raises(ValueError):
-        PathEnsemble(np.array([0.0, 0.1]), np.full((2, 2, 1), np.nan), 0.1, 0)
+        PathEnsemble(np.array([0.0, 0.1]), np.full((2, 2, 1), np.nan), 0.1)
     for bad in (np.nan, np.inf, -np.inf):
         states = np.zeros((2, 2, 1))
         states[1, 0, 0] = bad
         with pytest.raises(ValueError, match="ensemble states must be finite"):
-            PathEnsemble(np.array([0.0, 0.1]), states, 0.1, 0)
-    assert PathEnsemble(np.array([0.0, 0.1]), np.zeros((2, 2, 0)), 0.1, 0).dim == 0
+            PathEnsemble(np.array([0.0, 0.1]), states, 0.1)
+    assert PathEnsemble(np.array([0.0, 0.1]), np.zeros((2, 2, 0)), 0.1).dim == 0
+    # a step 4x dt is off, however small both are against an absolute tolerance
+    with pytest.raises(ValueError, match="uniform with step dt"):
+        PathEnsemble(np.array([0.0, 1e-9, 5e-9]), np.zeros((2, 3, 1)), 1e-9)
+    assert PathEnsemble(np.array([0.0, 1e-9, 2e-9]), np.zeros((2, 3, 1)), 1e-9).dim == 1
+
+
+def test_index_of_names_only_grid_times(ou_ham):
+    # a time within the horizon's slack of a grid time names it; a time
+    # between grid times, past the horizon or NaN names none
+    ens = simulate_overdamped(ou_ham, None, 0.0, n_traj=2, dt=0.1, t1=0.3, seed=0)
+    assert [ens.index_of(t) for t in (0.0, 0.1, 0.2, 0.3, 0.3000000001, 0.2999999999)] == \
+        [0, 1, 2, 3, 3, 3]
+    for t in (0.15, 0.1 + 1e-6, 0.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="is no time of the grid"):
+            ens.index_of(t)
 
 
 @settings(max_examples=25, deadline=None)
@@ -258,7 +273,7 @@ def test_kinetic_temperature_edge_cases():
     ens = simulate_polymer(spec, 0.0, n_traj=8, dt=1e-2, t1=0.5, seed=2)
     with pytest.raises(ValueError, match="window"):
         kinetic_temperature(ens, spec, window=(0.0, 2.0))
-    frozen = PathEnsemble(ens.times, np.zeros_like(ens.states), ens.dt, 0)
+    frozen = PathEnsemble(ens.times, np.zeros_like(ens.states), ens.dt)
     kt = kinetic_temperature(frozen, spec, window=(0.0, 0.5))
     assert kt.values[0] == 0.0
 
@@ -269,7 +284,7 @@ def test_stored_temperature_overflow_is_a_numerical_failure():
     # numerical failure, without numpy's warnings
     spec = harmonic_cantilever(1.0, temperature=1e200)
     ens = simulate_polymer(spec, 0.0, n_traj=8, dt=1e-2, t1=0.2, seed=3)
-    huge = PathEnsemble(ens.times, np.full_like(ens.states, 1e155), ens.dt, 0)
+    huge = PathEnsemble(ens.times, np.full_like(ens.states, 1e155), ens.dt)
     for stored in (ens, huge):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -353,9 +368,9 @@ def test_observers_see_the_stored_states(ou_ham, n_traj, steps, seed, data):
     for (first, t0, X), (_, _, Y) in zip(streamed, replayed):
         stored = ens.states[first:first + NOISE_BLOCK, t0:t0 + CHUNK + 1].swapaxes(0, 1)
         assert same_bits(X, Y) and same_bits(X, stored)
-    kept = record.ensemble(ens.times[at], dt, seed)
+    kept = record.ensemble(ens.times[at], dt)
     assert same_bits(kept.states, ens.states[:, at])
-    assert same_bits(sparse.ensemble(ens.times[::2], 2 * dt, seed).states, ens.states[:, ::2])
+    assert same_bits(sparse.ensemble(ens.times[::2], 2 * dt).states, ens.states[:, ::2])
     assert not kept.states.flags.writeable
 
 
@@ -371,7 +386,7 @@ def test_sample_moments_overflow_is_a_numerical_failure():
     # of the mean is not finite, which must raise, not return cov = [[nan]]
     # with RuntimeWarnings
     x = 1e160 * np.arange(1.0, 5.0)
-    ens = PathEnsemble(np.array([0.0]), x[:, None, None], 0.01, 0)
+    ens = PathEnsemble(np.array([0.0]), x[:, None, None], 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure,
@@ -402,7 +417,7 @@ def test_batched_gains_equal_separate_runs(gains, n_traj, seed, window_lo, block
     temps = WindowTemperatures(spec, len(gains), n_traj, times, (window_lo, t1))
     record = PathRecord(n_traj, n_times, width * len(gains))
     stream_polymer(spec, gains, n_traj, dt, t1, seed, (temps.add, record.add))
-    batched = record.ensemble(times, dt, seed).states
+    batched = record.ensemble(times, dt).states
     for g, (gain, kt) in enumerate(zip(gains, temps.estimates())):
         ens = simulate_polymer(spec, gain, n_traj, dt, t1, seed)
         ref = kinetic_temperature(ens, spec, (window_lo, t1))
@@ -541,7 +556,7 @@ def test_moments_of_a_chunk_allocate_no_chunk_sized_array():
 
 def _ensemble_from_samples(samples):
     samples = np.asarray(samples, dtype=float)
-    return PathEnsemble(np.array([0.0]), samples[:, np.newaxis, :], 1.0, 0)
+    return PathEnsemble(np.array([0.0]), samples[:, np.newaxis, :], 1.0)
 
 
 def test_kde_close_to_exact_gaussian():
@@ -561,6 +576,22 @@ def test_kde_single_sample_bump():
     assert est.integrate() == pytest.approx(1.0, abs=1e-9)
     x = grid.axis_centers(0)
     assert x[np.argmax(est.values)] == pytest.approx(0.5, abs=grid.dx[0])
+
+
+@pytest.mark.parametrize("grid", [Grid((-1.0,), (1.0,), (10,)),
+                                  Grid((-1.0, -1.0), (1.0, 1.0), (10, 10))],
+                         ids=["1d", "2d"])
+def test_density_histogram_is_the_cell_index_count(grid, monkeypatch):
+    # samples on the cell edges lo + j dx: the histogram counts each in the
+    # cell Grid.cell_index gives it, as the drift bins do
+    axes = [grid.lo[a] + grid.dx[a] * np.arange(grid.cells[a]) for a in range(grid.ndim)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.ndim)
+    cells, inside = grid.cell_index(x)
+    assert inside.all()
+    counts = np.bincount(cells, minlength=grid.size).reshape(grid.shape).astype(float)
+    monkeypatch.setattr(sde, "gaussian_filter", lambda counts, **kernel: counts)
+    est = estimate_density(_ensemble_from_samples(x), 0, grid)
+    assert np.array_equal(est.values, counts / (counts.sum() * grid.cell_volume))
 
 
 def test_kde_coverage_failure():
