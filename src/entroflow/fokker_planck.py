@@ -24,18 +24,23 @@ simulator's argument and not a field of the model.  The Peclet numbers
 exactly (D(t)/D_0) A_0 with the clock rate D(t) = sigma2/2 + alpha(t) of
 :func:`clock_rate`: the gain only rescales the clock.  So :func:`evolve`
 loads A_0 once per run and each step uses the scale s = D(t_mid)/D_0, which
-is exactly 1.0 for a constant gain.  The grid fixes the sparsity pattern of
-every operator on it; one stepper per run holds that pattern, and loading an
-operator writes its face coefficients in place.  In 1-D the tridiagonal
-system (I - dt s A_0 / 2) x = b is solved directly with a banded solver on
-the three bands of A_0, rebuilt only when s or the operator changes.  In N-D
-it is solved with Jacobi-preconditioned BiCGSTAB, warm-started from the
-current density, to the relative residual ``KRYLOV_RTOL`` (1e-14; every
-tolerance lives in `tolerances`).  Over 100 steps of a scheduled-gain run on
-128^2 cells a residual of 1e-12 let the mass drift by 1e-11; 1e-14 holds it
-at 4e-15 and keeps the densities within 2e-14 of the peak of a direct
-sparse-LU solve.  A solve that does not reach it raises
-:class:`ConvergenceError`.
+is exactly 1.0 for a constant gain.  An operator is a face stencil: per
+axis, the two couplings of each interior face in face shape, and the
+diagonal in grid shape.  One stepper per run holds it, and owns the work
+vectors of every solve.  In 1-D the tridiagonal system
+(I - dt s A_0 / 2) x = b is solved directly with a banded solver on the
+three bands of A_0, rebuilt only when s or the operator changes.  In N-D it
+is solved with Jacobi-preconditioned BiCGSTAB (van der Vorst 1992),
+warm-started from the current density, to the relative residual
+``KRYLOV_RTOL`` (1e-14; every tolerance lives in `tolerances`).  Over 100
+steps of a scheduled-gain run on 128^2 cells a residual of 1e-12 let the
+mass drift by 1e-11; 1e-14 holds it at 4e-15 and keeps the densities within
+2e-14 of the peak of a direct sparse-LU solve.  The loop is the stepper's
+own, with the recurrences, breakdown tests and stopping test of scipy's
+``bicgstab``, and a stencil product adds each cell's terms in the column
+order of the operator's CSR form; so a step gives the bits of scipy's sparse
+solve without allocating a vector per iteration.  A solve that does not
+reach the residual raises :class:`ConvergenceError`.
 
 One loop, :func:`.grids.march`, steps a density for every caller, which
 hands it a per-step function ``step(k, rho) -> rho``: :func:`evolve` the
@@ -66,8 +71,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .grids import (
     Grid,
@@ -81,8 +84,8 @@ from .grids import (
     require_same_grid,
 )
 from .thermo import HamiltonianSpec, relative_entropy_rows
-from .tolerances import (BERNOULLI_SERIES_CUTOFF, BOUNDARY_DECAY_TOL, KRYLOV_RTOL, MASS_TOL,
-                         POSITIVITY_TOL)
+from .tolerances import (BERNOULLI_SERIES_CUTOFF, BOUNDARY_DECAY_TOL, KRYLOV_BREAKDOWN_TOL,
+                         KRYLOV_RTOL, MASS_TOL, POSITIVITY_TOL)
 
 
 class PositivityError(NumericalFailure):
@@ -156,36 +159,37 @@ def potential_drifts(ham: HamiltonianSpec, D: float,
 class _Stepper:
     """Crank-Nicolson step (I - dt s A / 2) x = (I + dt s A / 2) rho.
 
-    The grid fixes the CSR pattern of A: one diagonal slot per cell and two
-    coupling slots per interior face.  :meth:`load` writes the coefficients
-    of a diffusion and face drifts into them; the scale s rescales the clock
-    (s = 1 for an operator used as loaded), and the solver is rebuilt only
-    when the operator or s changes.  In 1-D the tridiagonal system is solved
-    with a banded solver, in N-D with Jacobi-preconditioned BiCGSTAB,
-    warm-started from the current density.
+    A is a face stencil: per axis a, the couplings of the interior faces in
+    face shape, ``lower[a]`` = A[hi, lo] = cl and ``upper[a]`` = A[lo, hi]
+    = ch, and the diagonal ``diag`` in grid shape.  :meth:`load` writes the
+    coefficients of a diffusion and face drifts; the scale s rescales the
+    clock (s = 1 for an operator used as loaded), and the implicit operator
+    is rewritten, in place, only when the operator or s changes.  In 1-D the
+    tridiagonal system is solved with a banded solver, in N-D with the
+    Jacobi-preconditioned BiCGSTAB of :meth:`_bicgstab`, warm-started from
+    the current density.  Its work vectors are allocated once per stepper;
+    a step returns a copy of the solution, since callers feed it back in as
+    the next step's density.
     """
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        n = grid.size
-        idx = np.arange(n).reshape(grid.shape)
-        self.faces = [(idx[lo].ravel(), idx[hi].ravel())
-                      for lo, hi in map(face_sides, range(grid.ndim))]
-        # (rows, cols) of the diagonal, then per axis of A[hi, lo] and A[lo, hi]
-        entries = [(idx.ravel(), idx.ravel())]
-        for lo, hi in self.faces:
-            entries += [(hi, lo), (lo, hi)]
-        rows, cols = (np.concatenate(e) for e in zip(*entries))
-        order = np.lexsort((cols, rows))  # canonical CSR: by row, then column
-        slot = np.empty_like(order)
-        slot[order] = np.arange(order.size)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        self.A = scipy.sparse.csr_matrix((np.zeros(order.size), cols[order], indptr),
-                                         shape=(n, n))
-        self.diag_slots, *couplings = np.split(slot, np.cumsum([r.size for r, _ in entries[:-1]]))
-        self.coupling_slots = list(zip(couplings[::2], couplings[1::2]))
+        self.sides = [face_sides(a) for a in range(grid.ndim)]
         self.scale = None
+        if grid.ndim > 1:
+            def faces():
+                return [np.empty(grid.shape[:a] + (grid.shape[a] - 1,) + grid.shape[a + 1:])
+                        for a in range(grid.ndim)]
+
+            # I - c A as a stencil, the reciprocal of its diagonal, and the
+            # temporaries of one product: a face term per axis, the diagonal term
+            self.implicit = faces(), np.empty(grid.shape), faces()
+            self.jacobi = np.empty(grid.size)
+            self.face_terms = faces()
+            self.diag_term = np.empty(grid.shape)
+            # x, r, r~, p, v, t, p^ and s^, a product, the right-hand side
+            self.vectors = np.empty((9, grid.size))
 
     def load(self, D: float, face_drifts: Sequence[np.ndarray]) -> None:
         """Write the operator of diffusion ``D`` and ``face_drifts`` into A.
@@ -194,8 +198,8 @@ class _Stepper:
         Chang-Cooper coefficients for D > 0 and upwinding for D = 0; so
         A[hi, lo] = cl, A[lo, hi] = ch, and each column sums to zero.
         """
-        data = self.A.data
-        diag = np.zeros(self.grid.size)
+        self.lower, self.upper = [], []
+        self.diag = diag = np.zeros(self.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             for a, b in enumerate(face_drifts):
                 if not np.all(np.isfinite(b)):
@@ -208,21 +212,19 @@ class _Stepper:
                 else:
                     lo_c = np.maximum(b, 0.0)
                     hi_c = np.maximum(-b, 0.0)
-                cl = (lo_c / dx).ravel()
-                ch = (hi_c / dx).ravel()
-                (i_lo, i_hi), (hi_lo, lo_hi) = self.faces[a], self.coupling_slots[a]
-                data[hi_lo], data[lo_hi] = cl, ch
+                cl = lo_c / dx
+                ch = hi_c / dx
+                self.lower.append(cl)
+                self.upper.append(ch)
                 # lo side, then hi side, per axis: this summation order fixes the
                 # diagonal's rounding, and with it the bytes of every artifact
-                diag[i_lo] -= cl
-                diag[i_hi] -= ch
+                lo, hi = self.sides[a]
+                diag[lo] -= cl
+                diag[hi] -= ch
         # an overflowed coefficient leaves its diagonal entries inf or NaN
         if not np.all(np.isfinite(diag)):
             raise ValueError("operator coefficients overflow: the diffusion or drift is "
                              "too large for the cell width")
-        data[self.diag_slots] = diag
-        if self.grid.ndim == 1:
-            self.bands = cl, diag, ch  # A[i+1, i], A[i, i], A[i, i+1]
         self.max_diag = float(np.max(np.abs(diag)))
         self.scale = None
 
@@ -231,30 +233,33 @@ class _Stepper:
         if s != self.scale:
             self._rescale(s)
             self.scale = s
-        out = self._solve(rho.ravel()).reshape(rho.shape)
+        out = self._solve(rho)
         neg_min = out.min()
         if neg_min < -POSITIVITY_TOL:  # a nonnegative explicit half rules this out
             raise PositivityError(
                 f"positivity lost at t={t_end:.6g} "
                 f"(min {neg_min:.3e}); try dt <= {2.0 / (self.max_diag * s):.3e}")
-        return np.maximum(out, 0.0) if neg_min < 0.0 else out
+        if neg_min < 0.0:
+            np.maximum(out, 0.0, out=out)
+        return out
 
     def _rescale(self, s):
         c = 0.5 * self.dt * s  # the implicit and the explicit half alike
         if self.grid.ndim == 1:
-            sub, diag, sup = self.bands
+            (sub,), diag, (sup,) = self.lower, self.diag, self.upper
             self.ab = np.zeros((3, len(diag)))
             self.ab[0, 1:] = -c * sup
             self.ab[1, :] = 1.0 - c * diag
             self.ab[2, :-1] = -c * sub
             self.expl = (c * sub, c * diag, c * sup)
         else:
-            # bitwise eye - c A: the pattern keeps explicit zeros, which
-            # change no product
-            self.implicit = self.A.copy()
-            self.implicit.data *= -c
-            self.implicit.data[self.diag_slots] += 1.0
-            self.jacobi = scipy.sparse.diags(1.0 / self.implicit.data[self.diag_slots])
+            lower, diag, upper = self.implicit
+            for a in range(self.grid.ndim):
+                np.multiply(self.lower[a], -c, out=lower[a])
+                np.multiply(self.upper[a], -c, out=upper[a])
+            np.multiply(self.diag, -c, out=diag)
+            diag += 1.0
+            np.divide(1.0, diag.reshape(-1), out=self.jacobi)
             self.explicit = c
 
     def _solve(self, rho):
@@ -264,15 +269,101 @@ class _Stepper:
             rhs[:-1] += sup * rho[1:]
             rhs[1:] += sub * rho[:-1]
             return scipy.linalg.solve_banded((1, 1), self.ab, rhs)
-        rhs = rho + self.explicit * (self.A @ rho)
-        x, info = scipy.sparse.linalg.bicgstab(self.implicit, rhs, x0=rho,
-                                               rtol=KRYLOV_RTOL, atol=0.0,
-                                               M=self.jacobi)
-        if info != 0:
-            raise ConvergenceError(
-                f"BiCGSTAB did not reach relative residual {KRYLOV_RTOL:g} "
-                f"(info={info})")
-        return x
+        x, *_, b = self.vectors
+        np.copyto(x, rho.reshape(-1))
+        self._apply((self.lower, self.diag, self.upper), x, b)
+        b *= self.explicit
+        b += x  # c (A rho) + rho
+        self._bicgstab(b)
+        return x.reshape(rho.shape).copy()
+
+    def _apply(self, stencil, x, out):
+        """``out`` = M x for the flat vector x and the stencil (lower, diag,
+        upper) of M.  From zeros, each cell adds its terms in the column order
+        of M's CSR form: the lower couplings of axes 0 .. d-1, the diagonal,
+        the upper couplings of axes d-1 .. 0; so this is bitwise ``csr @ x``."""
+        lower, diag, upper = stencil
+        x = x.reshape(self.grid.shape)
+        out = out.reshape(self.grid.shape)
+        out.fill(0.0)
+        for (lo, hi), coupling, term in zip(self.sides, lower, self.face_terms):
+            np.add(out[hi], np.multiply(coupling, x[lo], out=term), out=out[hi])
+        out += np.multiply(diag, x, out=self.diag_term)
+        for a in reversed(range(self.grid.ndim)):
+            (lo, hi), term = self.sides[a], self.face_terms[a]
+            np.add(out[lo], np.multiply(upper[a], x[hi], out=term), out=out[lo])
+
+    def _precondition(self, y, out):
+        """``out`` = J y for the Jacobi reciprocal J: a product, then + 0.0,
+        since a sparse diagonal product adds into zeros and so turns -0.0
+        into +0.0."""
+        np.multiply(self.jacobi, y, out=out)
+        out += 0.0
+
+    def _bicgstab(self, b):
+        """Solve (I - c A) x = b in the work vector x, which holds the start.
+
+        Jacobi-preconditioned BiCGSTAB (van der Vorst, SIAM J. Sci. Stat.
+        Comput. 13 (1992) 631) with the recurrences, breakdown tests and
+        stopping test of scipy's ``bicgstab`` (1.17): it stops once
+        ||r|| < KRYLOV_RTOL ||b||, tested at the top of each iteration and
+        after the first update of r, within 10 n iterations, and raises
+        :class:`ConvergenceError` otherwise.  s is r itself (the two agree
+        until omega is known), and p^ and s^ share one vector, since x takes
+        alpha p^ as soon as alpha is known: x's updates keep their order.
+        x (a density of mass 1) and b (of the same sum) are never zero, so
+        scipy's shortcuts for either never apply.  z holds p^ and then s^,
+        y each product that an update subtracts or adds.
+        """
+        x, r, r0, p, v, t, z, y, _ = self.vectors
+        implicit = self.implicit
+        b_norm = np.linalg.norm(b)
+        atol = KRYLOV_RTOL * b_norm
+        self._apply(implicit, x, y)
+        np.subtract(b, y, out=r)
+        np.copyto(r0, r)
+        maxiter = 10 * x.size
+        for k in range(maxiter):
+            if np.linalg.norm(r) < atol:
+                return
+            rho = np.dot(r0, r)
+            if abs(rho) < KRYLOV_BREAKDOWN_TOL:
+                info = -10
+                break
+            if k > 0:
+                if abs(omega) < KRYLOV_BREAKDOWN_TOL:
+                    info = -11
+                    break
+                beta = (rho / rho_prev) * (alpha / omega)
+                p -= np.multiply(omega, v, out=y)
+                p *= beta
+                p += r
+            else:
+                np.copyto(p, r)
+            self._precondition(p, z)
+            self._apply(implicit, z, v)
+            rv = np.dot(r0, v)
+            if rv == 0:
+                info = -11
+                break
+            alpha = rho / rv
+            x += np.multiply(alpha, z, out=y)
+            r -= np.multiply(alpha, v, out=y)
+            if np.linalg.norm(r) < atol:
+                return
+            self._precondition(r, z)
+            self._apply(implicit, z, t)
+            omega = np.dot(t, r) / np.dot(t, t)
+            x += np.multiply(omega, z, out=y)
+            r -= np.multiply(omega, t, out=y)
+            rho_prev = rho
+        else:
+            info = k = maxiter
+        kind = {-10: "rho breakdown", -11: "omega breakdown"}.get(info, "iteration limit")
+        raise ConvergenceError(
+            f"BiCGSTAB did not reach relative residual {KRYLOV_RTOL:g}: {kind} "
+            f"(info={info}) after {k} iterations, at relative residual "
+            f"{np.linalg.norm(r) / b_norm:.3e}")
 
 
 @dataclass

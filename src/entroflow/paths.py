@@ -66,11 +66,21 @@ class DriftEstimate:
     def field(self) -> VectorFieldGrid:
         return VectorFieldGrid(self.grid, self.vectors)
 
-    def lookup(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample vectors and a validity mask (inside + populated cell)."""
-        idx, inside = self.grid.cell_index(x)
-        valid = inside & self.mask.reshape(-1)[idx]
-        return self.vectors.reshape(-1, self.grid.ndim)[idx], valid
+    def lookup(self, x: np.ndarray, work=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample vectors and a validity mask (inside + populated cell)
+        of the points ``x`` (m, ndim).  ``work`` is :meth:`.grids.Grid.cell_work`
+        and ``out`` an (at least m, ndim) array, or None for fresh ones; the
+        results are views of them, so caller-owned buffers make a lookup
+        allocate nothing of the size of x."""
+        grid = self.grid
+        idx, inside = grid.cell_index(x, work)
+        out = np.empty((idx.size, grid.ndim)) if out is None else out[:idx.size]
+        # mode="raise" would gather into a temporary and copy it into out
+        vec = np.take(self.vectors.reshape(-1, grid.ndim), idx, axis=0, out=out, mode="clip")
+        # the outside points look up a last cell that is never populated
+        np.copyto(idx, grid.size, where=np.logical_not(inside, out=inside))
+        valid = np.take(np.append(self.mask.reshape(-1), False), idx, out=inside, mode="clip")
+        return vec, valid
 
 
 def _rows(A: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -241,7 +251,11 @@ class EnergySum:
         self.per_traj = np.zeros(n_traj)
         self.used = 0
         self.total = 0
-        self._sq = np.empty((CHUNK + 1) * NOISE_BLOCK)  # |beta|^2 of a chunk's points
+        points = (CHUNK + 1) * NOISE_BLOCK
+        self._sq = np.empty(points)  # |beta|^2 of a chunk's points
+        if isinstance(drift_field, DriftEstimate):  # the cells and vectors of a lookup
+            self._cells = drift_field.grid.cell_work(points)
+            self._vec = np.empty((points, drift_field.grid.ndim))
 
     def add(self, first, t0, X):
         """Add the steps from X[i] to X[i + 1]; the chunks of a trajectory
@@ -250,10 +264,10 @@ class EnergySum:
         x = X[:-1].reshape(-1, dim)
         s = self._sq[:x.shape[0]]
         if isinstance(self.drift_field, DriftEstimate):
-            vec, valid = self.drift_field.lookup(x)
+            vec, valid = self.drift_field.lookup(x, self._cells, self._vec)
             np.einsum("mi,mi->m", vec, vec, out=s)
-            np.copyto(s, 0.0, where=~valid)
-            self.used += int(valid.sum())
+            self.used += int(np.count_nonzero(valid))
+            np.copyto(s, 0.0, where=np.logical_not(valid, out=valid))
         else:
             vec = np.asarray(self.drift_field(x), dtype=float).reshape(x.shape)
             np.einsum("mi,mi->m", vec, vec, out=s)

@@ -18,6 +18,8 @@ TIME_GRID_RTOL = 1e-9
 POSITIVITY_TOL = 1e-12
 # N-D solve residual: at 1e-12 the mass drifted 1e-11 over 100 steps of 128^2
 KRYLOV_RTOL = 1e-14
+# |rho| and |omega| below which BiCGSTAB breaks down: eps^2, as in scipy's bicgstab
+KRYLOV_BREAKDOWN_TOL = 2.0 ** -104
 # |z| below which B(z) takes its series: z / expm1(z) loses digits there
 BERNOULLI_SERIES_CUTOFF = 1e-10
 # largest boundary term the rate formulas may drop for a passing certificate

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from entroflow import Grid, GaussianDensity, HamiltonianSpec, quadratic_hamiltonian
+from entroflow.grids import face_sides
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,29 @@ def flat_hamiltonian(sigma2, dim=1):
                            energy=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
                            grad=lambda x: np.zeros_like(np.atleast_2d(x)),
                            kT=1.0, sigma2=sigma2)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+def stencil_csr(stepper):
+    """The operator A a ``fokker_planck._Stepper`` has loaded, as a canonical
+    CSR matrix built from its face stencil: A[hi, lo] = ``lower[a]`` and
+    A[lo, hi] = ``upper[a]`` at the interior faces along each axis a, and
+    ``diag`` on the diagonal.  Zero couplings stay explicit entries."""
+    grid = stepper.grid
+    idx = np.arange(grid.size).reshape(grid.shape)
+    rows, cols, values = [idx.ravel()], [idx.ravel()], [stepper.diag.ravel()]
+    for a, (lower, upper) in enumerate(zip(stepper.lower, stepper.upper)):
+        lo, hi = face_sides(a)
+        rows += [idx[hi].ravel(), idx[lo].ravel()]
+        cols += [idx[lo].ravel(), idx[hi].ravel()]
+        values += [lower.ravel(), upper.ravel()]
+    A = scipy.sparse.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.size, grid.size))
+    A.sum_duplicates()  # sorted columns, as a product sums them
+    return A

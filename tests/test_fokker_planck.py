@@ -1,4 +1,7 @@
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+import entroflow
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
 from entroflow.control import simulate_feedback
 from entroflow.fokker_planck import (
@@ -23,8 +27,9 @@ from entroflow.fokker_planck import (
 )
 from entroflow.grids import MASS_TOL
 from entroflow.thermo import HamiltonianSpec, quadratic_hamiltonian, relative_entropy
+from entroflow.tolerances import KRYLOV_RTOL
 
-from conftest import flat_hamiltonian
+from conftest import flat_hamiltonian, same_bits, stencil_csr
 
 
 def test_bernoulli_limits():
@@ -38,7 +43,7 @@ def test_bernoulli_limits():
 
 
 def test_assembly_1d_matches_nd():
-    # the banded 1-D step solves the Crank-Nicolson system of the one CSR operator
+    # the banded 1-D step solves the Crank-Nicolson system of the loaded stencil
     grid = Grid((-2.0,), (2.0,), (32,))
     rng = np.random.default_rng(0)
     faces = [rng.normal(size=31)]
@@ -47,7 +52,7 @@ def test_assembly_1d_matches_nd():
     dt = 0.01
     stepper = _Stepper(grid, dt)
     stepper.load(0.7, faces)
-    A = stepper.A
+    A = stencil_csr(stepper)
     for s in (1.0, 1.7):
         x = stepper.advance(rho, s, dt)
         ref = scipy.sparse.linalg.spsolve((eye - 0.5 * dt * s * A).tocsc(),
@@ -316,7 +321,7 @@ def operator(grid, ham, gain):
     """The operator A that evolve loads for ``ham`` under ``gain`` at t = 0."""
     stepper = _Stepper(grid, 1.0)
     stepper.load(*evolve_load(grid, ham, gain))
-    return stepper.A
+    return stencil_csr(stepper)
 
 
 def step_for(ham, grid, gain, r):
@@ -348,7 +353,7 @@ def test_krylov_step_matches_direct_solve(case, r):
     rho = GaussianDensity([0.5, -0.3], np.diag([0.8, 1.2])).sample_on(grid).values
     x = stepper.advance(rho, s, dt)
     eye = scipy.sparse.identity(grid.size, format="csc")
-    A = stepper.A
+    A = stencil_csr(stepper)
     ref = scipy.sparse.linalg.spsolve((eye - 0.5 * dt * s * A).tocsc(),
                                       rho.ravel() + 0.5 * dt * s * (A @ rho.ravel()))
     assert np.max(np.abs(x.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -370,9 +375,10 @@ def test_scheduled_gain_conserves_mass_and_gibbs(case, steps, r):
 
 
 @st.composite
-def loaded_operators(draw):
-    """A random 1-3-D grid and two diffusion/face-drift pairs on it (D = 0 too)."""
-    ndim = draw(st.integers(1, 3))
+def loaded_operators(draw, min_ndim=1):
+    """A random ``min_ndim``-3-D grid and two diffusion/face-drift pairs on it
+    (D = 0 too)."""
+    ndim = draw(st.integers(min_ndim, 3))
     cells = tuple(draw(st.integers(2, 6)) for _ in range(ndim))
     lo = tuple(draw(st.floats(-3.0, -0.5)) for _ in range(ndim))
     hi = tuple(draw(st.floats(0.5, 3.0)) for _ in range(ndim))
@@ -420,7 +426,7 @@ def test_loaded_operator_matches_face_fluxes(case):
     scales = []
     for D, faces in ((D1, faces1), (D2, faces2)):
         stepper.load(D, faces)
-        A = stepper.A.toarray()
+        A = stencil_csr(stepper).toarray()
         M = dense_operator(grid, D, faces)
         scales.append(np.max(np.abs(M)))
         assert np.max(np.abs(A - M)) <= 1e-14 * scales[-1]
@@ -435,3 +441,103 @@ def test_loaded_operator_matches_face_fluxes(case):
     fresh = _Stepper(grid, dt)
     fresh.load(D2, faces2)
     assert np.array_equal(reused.advance(rho, 1.3, dt), fresh.advance(rho, 1.3, dt))
+
+
+def implicit_csr(A, c):
+    """I - c A from the CSR matrix A: its entries times -c, then 1 added to
+    the diagonal."""
+    implicit = A.copy()
+    implicit.data *= -c
+    implicit.setdiag(implicit.diagonal() + 1.0)
+    return implicit
+
+
+def scipy_step(stepper, rho):
+    """The N-D step of ``stepper`` at its current scale s on the CSR matrix
+    of its stencil: (I - c A) x = rho + c A rho, c = dt s / 2, solved by
+    scipy's bicgstab with the Jacobi preconditioner, warm-started from rho."""
+    c = 0.5 * stepper.dt * stepper.scale
+    A = stencil_csr(stepper)
+    implicit = implicit_csr(A, c)
+    b = rho.ravel()
+    x, info = scipy.sparse.linalg.bicgstab(
+        implicit, b + c * (A @ b), x0=b, rtol=KRYLOV_RTOL, atol=0.0,
+        M=scipy.sparse.diags(1.0 / implicit.diagonal()))
+    assert info == 0
+    return x.reshape(rho.shape)
+
+
+SCALES = st.sampled_from([0.25, 1.0, 1.7, 3.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=loaded_operators(min_ndim=2), s=SCALES, seed=st.integers(0, 2**32 - 1))
+def test_stencil_product_is_the_csr_product(case, s, seed):
+    grid, ((D, faces), _) = case
+    dt = 0.01
+    stepper = _Stepper(grid, dt)
+    stepper.load(D, faces)
+    stepper._rescale(s)
+    A = stencil_csr(stepper)
+    implicit = implicit_csr(A, 0.5 * dt * s)
+    assert same_bits(stepper.jacobi, 1.0 / implicit.diagonal())
+    x = np.random.default_rng(seed).normal(size=grid.size)
+    x[::3] = -0.0
+    out = np.empty(grid.size)
+    for stencil, M in (((stepper.lower, stepper.diag, stepper.upper), A),
+                       (stepper.implicit, implicit)):
+        stepper._apply(stencil, x, out)
+        assert same_bits(out, M @ x)
+    stepper._precondition(x, out)  # a -0.0 comes out +0.0, as from a sparse product
+    assert same_bits(out, scipy.sparse.diags(1.0 / implicit.diagonal()) @ x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=loaded_operators(min_ndim=2), s=SCALES, seed=st.integers(0, 2**32 - 1))
+def test_step_is_scipys_jacobi_bicgstab(case, s, seed):
+    grid, ((D, faces), _) = case
+    stepper = _Stepper(grid, 1.0)
+    stepper.load(D, faces)
+    # dt s max|diag A| / 2 <= 1 keeps the explicit half nonnegative
+    stepper.dt = 0.25 / stepper.max_diag
+    rho = np.random.default_rng(seed).uniform(0.5, 1.5, grid.shape)
+    x = stepper.advance(rho, s, stepper.dt)
+    ref = scipy_step(stepper, rho)
+    assert same_bits(x, np.maximum(ref, 0.0) if ref.min() < 0.0 else ref)
+
+
+def test_a_returned_density_is_the_callers():
+    # the solver's work vectors are the stepper's, the densities it returns
+    # the caller's: march feeds each back in, simulate_feedback reuses its input
+    grid = Grid((-3.0, -3.0), (3.0, 3.0), (10, 12))
+    stepper = _Stepper(grid, 0.01)
+    stepper.load(0.7, [np.random.default_rng(a).normal(size=(9 + a, 12 - a))
+                       for a in range(2)])
+    rho = np.random.default_rng(2).uniform(0.5, 1.5, grid.shape)
+    first = stepper.advance(rho, 1.0, 0.01)
+    kept = first.copy()
+    second = stepper.advance(first, 1.3, 0.01)
+    stepper.advance(second, 0.7, 0.01)
+    assert same_bits(first, kept)
+
+
+def test_feedback_run_is_the_scipy_solves(monkeypatch):
+    # two solves per step, the second from the first's input: a 2-D
+    # simulate_feedback gives the bits of one whose steps are scipy's
+    ham = quadratic_hamiltonian(np.array([[1.0, 0.3], [0.3, 2.0]]), kT=1.0, sigma2=2.0)
+    grid = Grid((-5.0, -5.0), (5.0, 5.0), (24, 20))
+    rho0 = GaussianDensity([0.5, -0.2], np.eye(2)).sample_on(grid)
+    owned = simulate_feedback(ham, lambda t: 1.0 + t, rho0, 0.1, 0.01)
+    monkeypatch.setattr(_Stepper, "_solve", scipy_step)
+    assert same_bits(owned.values, simulate_feedback(ham, lambda t: 1.0 + t, rho0, 0.1, 0.01).values)
+
+
+def test_importing_entroflow_loads_no_sparse_module():
+    # the solver owns its stencil and its Krylov loop: scipy.sparse is only
+    # the tests' oracle
+    src = pathlib.Path(entroflow.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import entroflow, entroflow.cli; "
+            "print('scipy.sparse' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "False"

@@ -31,16 +31,10 @@ from entroflow.sde import (
 )
 from entroflow.thermo import relative_entropy
 
-from conftest import flat_hamiltonian
+from conftest import flat_hamiltonian, same_bits
 
 BIN_GRID = Grid((-4.0,), (4.0,), (64,))
 POOL = list(range(20, 200))  # stationary: pool estimation over these indices
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
-        np.ascontiguousarray(b).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -263,17 +257,22 @@ def test_bins_do_not_grow_with_the_pool():
     assert held(IncrementBins(grid, [80], 0.01)) == held(IncrementBins(grid, range(1, 161), 0.01))
 
 
-@pytest.mark.parametrize("observer", ["bins", "energy"])
+@pytest.mark.parametrize("observer", ["bins", "energy", "estimated energy"])
 def test_a_first_chunk_allocates_no_chunk_sized_array(observer):
     # the work buffers are sized once, at the chunk bound, when the observer
     # is made: no chunk, the first included, raises the traced peak by more
-    # than a fraction of the chunk.  The energy's drift field is a
-    # preallocated array, so that only the observer's own buffers count
+    # than a fraction of the chunk.  The energy's callable drift field is a
+    # preallocated array, so that only the observer's own buffers count; an
+    # estimated one is looked up in them
     rng = np.random.default_rng(0)
     X = rng.standard_normal((CHUNK + 1, NOISE_BLOCK, 1))
     field = np.zeros((CHUNK * NOISE_BLOCK, 1))
-    add = IncrementBins(BIN_GRID, range(0, 4 * CHUNK), 0.01).add if observer == "bins" \
-        else EnergySum(NOISE_BLOCK, 0.01, lambda x: field).add
+    counts = np.where(np.arange(BIN_GRID.size) % 3, MIN_CELL_COUNT, 0)
+    estimate = DriftEstimate(BIN_GRID, rng.standard_normal((BIN_GRID.size, 1)), counts,
+                             np.zeros((BIN_GRID.size, 1)))
+    add = {"bins": lambda: IncrementBins(BIN_GRID, range(0, 4 * CHUNK), 0.01).add,
+           "energy": lambda: EnergySum(NOISE_BLOCK, 0.01, lambda x: field).add,
+           "estimated energy": lambda: EnergySum(NOISE_BLOCK, 0.01, estimate).add}[observer]()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -33,13 +33,7 @@ from entroflow.sde import (
 )
 from entroflow.thermo import quadratic_hamiltonian, relative_entropy
 
-from conftest import flat_hamiltonian
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
-        np.ascontiguousarray(b).tobytes()
+from conftest import flat_hamiltonian, same_bits
 
 
 def gaussian_x0(mean, var):
