@@ -488,6 +488,9 @@ def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     c = cfg.values()
     ham = _ou_hamiltonian(c)
     k, n_times, n, dt = c["t_index"], _n_times(c), c["n_traj"], c["dt"]
+    if n_times < 3:  # the drifts pool the interior times, of which one step has none
+        raise ConfigError(f"paths-run needs an interior time: t1 = {c['t1']!r} is one "
+                          f"step of dt = {dt!r}")
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     bins = IncrementBins(grid, range(max(1, k - 80), min(n_times - 1, k + 80)), dt)

@@ -242,8 +242,12 @@ def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
 
     Central differences in the interior, second-order one-sided at the
     boundary (exact for quadratics, so Gaussian log-densities differentiate
-    exactly).
+    exactly), so each axis needs 3 cells.
     """
+    for axis, n in enumerate(grid.cells):
+        if n < 3:
+            raise ValueError(f"a gradient needs 3 cells along each axis; "
+                             f"axis {axis} of the grid has {n}")
     spacings = [float(d) for d in grid.dx]
     if grid.ndim == 1:
         g = np.gradient(values, spacings[0], edge_order=2)

@@ -23,13 +23,14 @@ The drift binning (:class:`IncrementBins`) and the energy sum
 (:class:`EnergySum`) are chunk observers, ``add(first, t0, X)``, in the
 sense of :mod:`entroflow.sde`: a streamed run feeds them while it steps, and
 the estimators of a stored ensemble are one of them fed by
-:func:`entroflow.sde.replay`, so both give the same bits.  One binning pass
-gives both drifts: :func:`estimate_drifts` returns the pair (beta, gamma),
-since each increment is the forward one of its first time and the
+:func:`entroflow.sde.replay`, so both give the same bits.  The drifts pool a
+:func:`entroflow.sde.time_window`, so a chunk's rows are slices.  One binning
+pass gives both drifts: :func:`estimate_drifts` returns the pair (beta,
+gamma), since each increment is the forward one of its first time and the
 backward one of its second.  A sample's cell is its
-:meth:`.grids.Grid.cell_index`, as in :func:`entroflow.sde.estimate_density`.  CSV export:
-:func:`drift_field_rows` returns a header and lazy per-cell rows for
-``cli.ArtifactWriter.write_csv``; this module opens no files.
+:meth:`.grids.Grid.cell_index`, as in :func:`entroflow.sde.estimate_density`.
+CSV export: :func:`drift_field_rows` returns a header and lazy per-cell rows
+for ``cli.ArtifactWriter.write_csv``; this module opens no files.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .grids import Grid, GridDensity, VectorFieldGrid, gradient
 from .production import floored_log
-from .sde import CHUNK, NOISE_BLOCK, PathEnsemble, _head, mean_and_stderr, replay, row_span
+from .sde import CHUNK, NOISE_BLOCK, PathEnsemble, _head, mean_and_stderr, replay, time_window
 
 MIN_CELL_COUNT = 30
 
@@ -83,78 +84,55 @@ class DriftEstimate:
         return vec, valid
 
 
-def _rows(A: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """``A[rows]`` for increasing ``rows``: a view when they are consecutive,
-    else gathered into the front of ``buf``."""
-    span = row_span(rows)
-    if isinstance(span, slice):
-        return A[span]
-    # mode="raise" would gather into a temporary and copy it into out
-    return np.take(A, rows, axis=0, out=_head(buf, (len(rows),) + A.shape[1:]), mode="clip")
-
-
-def _as_indices(t_index) -> list[int]:
-    if np.isscalar(t_index):
-        return [int(t_index)]
-    return [int(k) for k in t_index]
-
-
 class IncrementBins:
     """Forward and backward increments binned by the cell of x(t_k), pooled
-    over the times k of ``pool``: a chunk observer of a path ensemble.
+    over the window ``pool`` of times k: a chunk observer of a path ensemble.
 
     One increment (x(t_k+1) - x(t_k)) / dt per step is the forward increment
     at t_k and the backward increment at t_k+1, since (a - b) / (-dt) is
-    bitwise (b - a) / dt.  The pool is the set of its times: a repeated time
-    is the same samples, so it counts once.  Each lag keeps one pooled count,
-    sum and sum of squares per cell, 2 ndim + 1 numbers per cell whatever
-    the size of the pool, and ``np.add.at`` adds a chunk's samples to them
-    one by one, pooled time by pooled time, in trajectory order.  A sample
-    counts for a lag only with its increment, so a pooled time without a
-    step at that lag adds nothing.
+    bitwise (b - a) / dt.  Each lag keeps one pooled count, sum and sum of
+    squares per cell, 2 ndim + 1 numbers per cell whatever the size of the
+    pool, and ``np.add.at`` adds a chunk's samples to them one by one,
+    pooled time by pooled time, in trajectory order.  A sample counts for a
+    lag only with its increment, so a pooled time without a step at that
+    lag adds nothing.
 
     Work buffers, allocated once at the chunk bound, hold the increments,
-    their squares, gathered rows and the cells of the pooled times: about
-    five arrays the size of one chunk, 1.5 MB for a 1-D run.
+    their squares and the cells of the pooled times: about four arrays the
+    size of one chunk, 1.2 MB for a 1-D run.
     """
 
     def __init__(self, grid: Grid, pool, dt: float):
         self.grid, self.dt = grid, dt
-        self.times = np.unique(_as_indices(pool))
-        if not self.times.size:
+        self.pool = time_window(pool, np.inf)  # a streamed run may end before the pool
+        if not self.pool:
             raise ValueError("the pool of the drift estimate names no interior time")
         # per lag, forward then backward; the last cell collects the samples outside the box
         self.counts = {lag: np.zeros(grid.size + 1, dtype=np.int64) for lag in (+1, -1)}
         self.sums = {lag: np.zeros((2, grid.ndim, grid.size + 1)) for lag in (+1, -1)}
         points = (CHUNK + 1) * NOISE_BLOCK
-        self._inc, self._sq, self._rows = (np.empty(points * grid.ndim) for _ in range(3))
+        self._inc, self._sq = (np.empty(points * grid.ndim) for _ in range(2))
         self._cells = grid.cell_work(points)
 
     def add(self, first, t0, X):
-        grid = self.grid
-        t1 = t0 + len(X) - 1
-        a, b = np.searchsorted(self.times, [t0, t1 + 1])
-        if a == b:
+        grid, n = self.grid, len(X)
+        r0, r1 = max(self.pool.start - t0, 0), min(self.pool.stop - t0, n)  # the pooled rows
+        if r0 >= r1:
             return
-        at = self.times[a:b] - t0  # the pooled times of the chunk, as rows of X
         d = np.subtract(X[1:], X[:-1], out=_head(self._inc, X[1:].shape))
         np.divide(d, self.dt, out=d)  # the increment of step t0 + i
         d2 = np.square(d, out=_head(self._sq, d.shape))
-        idx, inside = grid.cell_index(_rows(X, at, self._rows), self._cells)
+        idx, inside = grid.cell_index(X[r0:r1], self._cells)
         np.copyto(idx, grid.size, where=np.logical_not(inside, out=inside))  # the outside cell
-        for lag in self.counts:
-            # the rows whose step of this lag lies in the chunk
-            r0, r1 = (0, np.count_nonzero(at < t1 - t0)) if lag > 0 else \
-                (np.count_nonzero(at == 0), b - a)
-            if r0 == r1:
-                continue
-            cells = idx[r0:r1].reshape(-1)
+        # row r adds its forward step r unless it is the chunk's last row, and
+        # its backward step r - 1 unless it is the first
+        for lag, a, b in ((+1, r0, min(r1, n - 1)), (-1, max(r0, 1), r1)):
+            cells = idx[a - r0:b - r0].reshape(-1)
             np.add.at(self.counts[lag], cells, 1)
-            step = at[r0:r1] - (lag < 0)
+            steps = slice(a - (lag < 0), b - (lag < 0))
             for moment, w in enumerate((d, d2)):
-                w = _rows(w, step, self._rows)
                 for ax in range(grid.ndim):
-                    np.add.at(self.sums[lag][moment, ax], cells, w[:, :, ax].reshape(-1))
+                    np.add.at(self.sums[lag][moment, ax], cells, w[steps, :, ax].reshape(-1))
 
     def estimate(self, lag: int) -> DriftEstimate:
         """The forward (``lag = +1``) or backward (``-1``) drift estimate of
@@ -177,23 +155,16 @@ class IncrementBins:
 def estimate_drifts(ens: PathEnsemble, t_index,
                     grid: Grid) -> tuple[DriftEstimate, DriftEstimate]:
     """The forward and backward drift estimates (beta, gamma) of a stored
-    ensemble, binned at the times ``t_index``: one :class:`IncrementBins`
-    fed by :func:`entroflow.sde.replay`.
-
-    ``t_index`` may be a sequence of indices, in which case samples are
-    pooled across them (appropriate for stationary ensembles, where the
-    drift field does not depend on t).  Every pooled index lies in
-    [0, last]; a pooled time adds to each lag that has a step at it, so the
-    last time adds only a backward sample and time 0 only a forward one,
-    and a lag that gets no pooled time is an error.
-    """
-    pool = _as_indices(t_index)
+    ensemble, pooled over the window ``t_index`` of time indices (a
+    :func:`entroflow.sde.time_window`; a window suits a stationary ensemble,
+    whose drifts do not depend on t): one :class:`IncrementBins` fed by
+    :func:`entroflow.sde.replay`.  A pooled time adds to each lag that has a
+    step at it, so the last time adds only a backward sample and time 0 only
+    a forward one, and a lag that gets no pooled time is an error."""
+    pool = time_window(t_index, len(ens.times))
     last = len(ens.times) - 1
-    for k in pool:
-        if not 0 <= k <= last:
-            raise ValueError(f"t_index {k} lies outside the time indices [0, {last}]")
     for lone, lag in ((last, +1), (0, -1)):
-        if set(pool) == {lone}:
+        if pool == range(lone, lone + 1):
             raise ValueError(f"t_index {lone} has no time point at lag {lag:+d}")
     bins = IncrementBins(grid, pool, ens.dt)
     replay(ens, (bins.add,))

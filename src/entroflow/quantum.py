@@ -64,7 +64,7 @@ def _require_hermitian(M: np.ndarray, what: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN
         off = np.max(np.abs(M - Mh))
     if not off <= HERMITICITY_TOL:  # NaN fails too
-        raise ValueError(f"{what} must be Hermitian")
+        raise ValueError(f"{what} must be Hermitian (off by {off:.3e})")
     return 0.5 * M + 0.5 * Mh  # 0.5 * (M + Mh) overflows near the largest float
 
 
@@ -316,7 +316,7 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
     renormalised after each step so roundoff cannot accumulate over long
     runs.  :func:`.grids.march` stores every ``store_every``-th state and the
     last in one stack, checked once, block by block, as a
-    :class:`DensityOperator` is.
+    :class:`DensityOperator` is; a state that fails is a numerical failure.
     """
     n = rho0.dim
     if spec.hamiltonian.dim != n:
@@ -338,9 +338,22 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
 
     times, stack = march(step, rho0.matrix.reshape(-1), 0.0, t1, dt, store_every)
     matrices = stack.reshape(-1, n, n)
-    spectra = np.concatenate([_check_density(matrices[i:i + CHECK_BLOCK])[0]
-                              for i in range(0, len(times), CHECK_BLOCK)])
-    return OperatorTrajectory(times, matrices, spectra)
+    return OperatorTrajectory(times, matrices, _check_evolved(times, matrices))
+
+
+def _check_evolved(times: np.ndarray, matrices: np.ndarray, block=CHECK_BLOCK) -> np.ndarray:
+    """The eigenvalues of evolved states, checked ``block`` states at a time
+    as a :class:`DensityOperator` is.  The inputs were checked, so a failure
+    is a :class:`.grids.NumericalFailure` naming the first time that fails."""
+    spectra = []
+    for i in range(0, len(times), block):
+        try:
+            spectra.append(_check_density(matrices[i:i + block])[0])
+        except ValueError as e:
+            if block > 1:  # the first state of the block that fails raises
+                _check_evolved(times[i:i + block], matrices[i:i + block], 1)
+            raise NumericalFailure(f"the evolved state at t = {times[i]:.6g}: {e}") from None
+    return np.concatenate(spectra)
 
 
 def dissipative_production_rate(rho: DensityOperator, spec: LindbladSpec,

@@ -33,9 +33,11 @@ trajectory order, and within a block in time order, each of at most
 ``CHUNK`` steps.  Consecutive chunks share their boundary time, so each step
 lies in exactly one chunk, and a chunk's first time is new only when t0 is
 0.  X is a view that the next chunk overwrites: an observer copies what it
-keeps.  An observer's work buffers are allocated once, in ``__init__``, at
-the chunk bound (CHUNK + 1) x NOISE_BLOCK x width, so that a run maps no
-fresh chunk-sized array per chunk.  :func:`_march_paths` feeds its
+keeps.  An observer's times are one window, a :func:`time_window`, so the
+rows a chunk adds are one slice of X; nothing is gathered or searched.  An
+observer's work buffers are allocated once, in ``__init__``, at the chunk
+bound (CHUNK + 1) x NOISE_BLOCK x width, so that a run maps no fresh
+chunk-sized array per chunk.  :func:`_march_paths` feeds its
 observers while it steps; :func:`replay` feeds a stored ensemble in the
 same blocks and chunks, so an observer sees the same bits either way.
 Storing is one observer, :class:`PathRecord`: the public simulators keep
@@ -146,13 +148,23 @@ def _resolve_x0(x0, rng: Generator, size: int, dim: int) -> np.ndarray:
     return np.broadcast_to(arr.reshape(1, dim), (size, dim)).copy()
 
 
-def row_span(rows: np.ndarray):
-    """Strictly increasing indices ``rows`` as a slice when they are
-    consecutive, so that taking them is a view; otherwise ``rows`` itself.
-    Repeats are not detected: ``[3, 3, 5]`` gives ``slice(3, 6)``."""
-    if rows.size and rows[-1] - rows[0] == rows.size - 1:
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
+def time_window(t_index, n_times: float) -> range:
+    """The time indices ``t_index``, a lone index or consecutive increasing
+    ones (a range or a sequence), as one window in [0, n_times); anything
+    else raises ValueError naming the indices."""
+    ks = [int(t_index)] if np.isscalar(t_index) else [int(k) for k in t_index]
+    window = range(ks[0], ks[0] + len(ks)) if ks else range(0)
+    if ks != list(window) or not 0 <= window.start <= window.stop <= n_times:
+        raise ValueError(f"time indices {ks} are not one window of consecutive increasing "
+                         f"time indices in [0, {n_times})")
+    return window
+
+
+def _new_rows(window: range, t0: int, n: int) -> slice:
+    """The rows of a chunk of ``n`` times from ``t0`` that add the times of
+    ``window``: a later chunk's first time ended the one before."""
+    a = max(window.start - t0, int(t0 > 0))
+    return slice(a, max(a, min(window.stop - t0, n)))
 
 
 def _head(buf: np.ndarray, shape) -> np.ndarray:
@@ -161,24 +173,21 @@ def _head(buf: np.ndarray, shape) -> np.ndarray:
 
 
 class PathRecord:
-    """An observer that stores the states at some times.
+    """An observer that stores the states at a window of times.
 
-    ``at`` lists the time indices kept, increasing and in ``[0, n_times)``
-    (default: all ``n_times``); ``values[r]`` holds the (n_traj, width)
-    states at time ``at[r]``, time-major.
+    ``at`` is the window of time indices kept, as :func:`time_window` reads
+    it, in ``[0, n_times)`` (default: all ``n_times``); ``values[r]`` holds
+    the (n_traj, width) states at time ``at[r]``, time-major.
     """
 
     def __init__(self, n_traj: int, n_times: int, width: int, at=None):
-        self.at = np.arange(n_times) if at is None else np.asarray(at, dtype=int)
-        if self.at.ndim != 1 or np.any(self.at < 0) or np.any(self.at >= n_times) \
-                or np.any(np.diff(self.at) <= 0):
-            raise ValueError(f"PathRecord keeps increasing time indices in [0, {n_times})")
-        self.values = np.empty((self.at.size, n_traj, width))
+        self.at = range(n_times) if at is None else time_window(at, n_times)
+        self.values = np.empty((len(self.at), n_traj, width))
 
     def add(self, first, t0, X):
-        a, b = np.searchsorted(self.at, [t0 + (t0 > 0), t0 + len(X)])
-        if a < b:
-            self.values[a:b, first:first + X.shape[1]] = X[row_span(self.at[a:b] - t0)]
+        rows = _new_rows(self.at, t0, len(X))
+        r = t0 + rows.start - self.at.start
+        self.values[r:r + rows.stop - rows.start, first:first + X.shape[1]] = X[rows]
 
     def ensemble(self, times, dt: float) -> PathEnsemble:
         """The kept states as a read-only ensemble at ``times`` (one per row)."""
@@ -447,19 +456,19 @@ def kinetic_temperature(ens: PathEnsemble, spec: PolymerSpec,
     return temps.estimates()[0]
 
 
-def _window(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    """The mask of ``times`` in the closed window, which must lie in the horizon
-    and hold a time, each edge read to within its :func:`.grids.time_slack`."""
+def _window(times: np.ndarray, window: tuple[float, float]) -> range:
+    """The :func:`time_window` of ``times`` in the closed window, which must lie in
+    the horizon and hold a time, each edge read to within its :func:`.grids.time_slack`."""
     lo, hi = window
     lo_slack, hi_slack = time_slack(lo), time_slack(hi)
     # NaN fails too
     if not times[0] - lo_slack <= lo < hi <= times[-1] + hi_slack:
         raise ValueError("window outside ensemble horizon")
-    sel = (times >= lo - lo_slack) & (times <= hi + hi_slack)
-    if not sel.any():  # then the window lies between two of at least two times
+    held = np.flatnonzero((times >= lo - lo_slack) & (times <= hi + hi_slack))
+    if not held.size:  # then the window lies between two of at least two times
         raise ValueError(f"window [{float(lo)!r}, {float(hi)!r}] holds no time of the "
                          f"grid of step dt = {float(times[1] - times[0])!r}")
-    return sel
+    return time_window(held, len(times))
 
 
 def mean_and_stderr(samples: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -478,7 +487,7 @@ def mean_and_stderr(samples: np.ndarray, what: str) -> tuple[np.ndarray, np.ndar
 class WindowTemperatures:
     """An observer of :func:`stream_polymer`: each trajectory's sum of m V^2
     per block over the time window, for every gain, adding the times in
-    order.
+    order; ``times`` is the window's range of time indices.
 
     ``estimates()`` gives each gain's :class:`KineticTemperature`, the
     window average per trajectory and block, then its ensemble mean and
@@ -490,7 +499,7 @@ class WindowTemperatures:
         self.spec = spec
         self.n_gains = n_gains
         self.window = window
-        self.sel = _window(times, window)
+        self.times = _window(times, window)
         self.sums = np.zeros((n_traj, n_gains, spec.n_blocks))
 
     def add(self, first, t0, X):
@@ -499,14 +508,13 @@ class WindowTemperatures:
         per_coord = (nb, self.n_gains, spec.n_blocks, spec.block_dim)
         acc = self.sums[first:first + nb]
         # the times in order, one at a time, since a chunk's temporaries would
-        # outgrow the chunk buffer; a later chunk's first time ended the one before
-        for i in range(t0 > 0, len(X)):
-            if self.sel[t0 + i]:
-                p = X[i].reshape(nb, self.n_gains, 2 * nc)[:, :, nc:]
-                acc += ((p / m) ** 2 * m).reshape(per_coord).sum(axis=-1)
+        # outgrow the chunk buffer
+        for x in X[_new_rows(self.times, t0, len(X))]:
+            p = x.reshape(nb, self.n_gains, 2 * nc)[:, :, nc:]
+            acc += ((p / m) ** 2 * m).reshape(per_coord).sum(axis=-1)
 
     def estimates(self) -> list[KineticTemperature]:
-        count = np.count_nonzero(self.sel) * self.spec.block_dim
+        count = len(self.times) * self.spec.block_dim
         return [KineticTemperature(*mean_and_stderr(self.sums[:, g] / count,
                                                     "the kinetic temperature"),
                                    tuple(self.window))
@@ -585,11 +593,11 @@ class TimeMoments:
         self._v = np.empty(0 if spec is None else (CHUNK + 1) * spec.n_coords * NOISE_BLOCK)
 
     def add(self, first, t0, X):
-        r0 = int(t0 > 0)  # a later chunk's first time ended the one before
-        n_rows, nb, w = len(X) - r0, X.shape[1], self.mean.shape[1]
+        rows = _new_rows(range(len(self.count)), t0, len(X))
+        n_rows, nb, w = rows.stop - rows.start, X.shape[1], self.mean.shape[1]
         x = _head(self._x, (n_rows, w, nb))
-        np.copyto(x, X[r0:, :, self.columns].transpose(0, 2, 1))
-        times = slice(t0 + r0, t0 + len(X))
+        np.copyto(x, X[rows, :, self.columns].transpose(0, 2, 1))
+        times = slice(t0 + rows.start, t0 + rows.stop)
         spec = self.spec
         if spec is not None:  # m V^2 = (p / m)^2 m per momentum, as WindowTemperatures
             nc, m = spec.n_coords, spec.mass_per_coord[:, None]

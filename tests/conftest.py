@@ -64,3 +64,17 @@ def stencil_csr(stepper):
         shape=(grid.size, grid.size))
     A.sum_duplicates()  # sorted columns, as a product sums them
     return A
+
+
+def davies_generator(H, beta, rates):
+    """Jump operators of a Davies generator for the Hermitian matrix ``H``:
+    sqrt(gamma_jk) |j><k| between its eigenvectors for every j != k, with
+    gamma_jk = rates[j, k] exp(-beta (E_j - E_k) / 2).  A symmetric
+    ``rates`` gives gamma_jk / gamma_kj = exp(-beta (E_j - E_k)), detailed
+    balance against exp(-beta H), whose Gibbs state is then stationary
+    (Davies, Commun. Math. Phys. 39 (1974) 91)."""
+    E, V = np.linalg.eigh(H)
+    n = len(E)
+    return tuple(np.sqrt(rates[j, k] * np.exp(-0.5 * beta * (E[j] - E[k])))
+                 * np.outer(V[:, j], V[:, k].conj())
+                 for j in range(n) for k in range(n) if j != k)

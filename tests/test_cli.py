@@ -313,6 +313,24 @@ def test_quantum_run_rejects_partial_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lindblad_run_that_fails_its_own_check_exits_3(tmp_path, capsys):
+    # valid operators, but a jump rate of about 1e7 lets the roundoff of the
+    # exact step move the stored states off Hermitian by up to 1.5e-10, past
+    # HERMITICITY_TOL: a numerical failure, named with its quantity and time
+    files = {"h": [[1.0, 0.5], [0.5, -1.0]], "rho": [[0.6, 0.2j], [-0.2j, 0.4]],
+             "l": 3000.0 * np.array([[1.0, 2.0], [0.5j, -1.0]])}
+    for name, matrix in files.items():
+        save_operator(np.array(matrix, dtype=complex), tmp_path / f"{name}.txt")
+    out = tmp_path / "q"
+    code = main(["quantum-run", "--hamiltonian", str(tmp_path / "h.txt"),
+                 "--lindblad", str(tmp_path / "l.txt"), "--rho0", str(tmp_path / "rho.txt"),
+                 "--t1", "1", "--dt", "0.01", "--out", str(out)])
+    assert code == 3
+    assert re.fullmatch(r"numerical failure: the evolved state at t = \S+: density operator "
+                        r"must be Hermitian \(off by \S+\)\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_quantum_run_missing_files_flag(capsys):
     assert main(["quantum-run", "--t1", "1.0"]) == 2
 
@@ -428,15 +446,35 @@ def test_paths_run_t_index_out_of_range(tmp_path, capsys, t_index):
 
 @pytest.mark.parametrize("t_index", ["0", "1"])
 def test_one_step_paths_run_has_no_interior_time(tmp_path, capsys, t_index):
-    # t1 = dt: the time indices are 0 and 1, and neither has both drifts
+    # t1 = dt: the time indices are 0 and 1, and neither has both drifts; the
+    # message names the horizon the user set, not the pool the run derives
     cfg = tmp_path / "p.ini"
     cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 50\n"
                    f"dt = 0.005\nt1 = 0.005\nt_index = {t_index}\n")
     out = tmp_path / "paths"
     assert main(["paths-run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: the pool of the drift estimate names no interior time\n"
+    assert err == "error: paths-run needs an interior time: t1 = 0.005 is one step of " \
+                  "dt = 0.005\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["control-run", "paths-run"])
+def test_two_cell_grid_names_the_grid(tmp_path, capsys, kind):
+    # Grid admits 2 cells, but the rates and the osmotic residual take
+    # gradients, which need 3 cells per axis; fp-run takes none and runs
+    cfg = tmp_path / "g.ini"
+    n_traj = "n_traj = 50\n" if kind == "paths-run" else ""
+    cfg.write_text(f"[scenario]\nkind = {kind}\n\n[numerics]\ngrid_cells = 2\n{n_traj}"
+                   "dt = 0.01\nt1 = 0.1\n")
+    out = tmp_path / "g"
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: a gradient needs 3 cells along each axis; axis 0 of the grid has 2\n"
+    assert not out.exists()
+    cfg.write_text("[scenario]\nkind = fp-run\n\n[numerics]\ngrid_cells = 2\n"
+                   "dt = 0.01\nt1 = 0.1\n")
+    assert main(["fp-run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_paths_run_manifest_records_default_seed(tmp_path):

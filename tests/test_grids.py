@@ -87,6 +87,13 @@ def test_gradient_exact_for_quadratics():
     assert np.allclose(got[..., 1], 3 * c[..., 0], atol=1e-12)
 
 
+def test_gradient_needs_three_cells_per_axis():
+    # the second-order one-sided edges take three cells along every axis
+    with pytest.raises(ValueError, match="3 cells along each axis; axis 1 of the grid has 2"):
+        gradient(Grid((-1.0, -1.0), (1.0, 1.0), (4, 2)), np.zeros((4, 2)))
+    assert gradient(Grid((-1.0,), (1.0,), (3,)), np.arange(3.0)).shape == (3, 1)
+
+
 def test_density_validation():
     g = Grid((0.0,), (1.0,), (4,))
     with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from entroflow.sde import (
     CHUNK,
     NOISE_BLOCK,
     PathEnsemble,
+    PathRecord,
     estimate_density,
     simulate_overdamped,
     stream_overdamped,
@@ -105,11 +106,11 @@ def test_index_validation(ou_stationary):
     # a lone last time gives the forward lag no step, a lone 0 the backward
     # one; a pooled time outside the horizon is no time point at all
     last = len(ou_stationary.times) - 1
-    for pool, lag in ((last, "+1"), ([0, 0], "-1")):
+    for pool, lag in ((last, "+1"), (0, "-1")):
         with pytest.raises(ValueError, match=f"no time point at lag {re.escape(lag)}"):
             estimate_drifts(ou_stationary, pool, BIN_GRID)
-    for pool in ([5, last + 1], [-1, 5]):
-        with pytest.raises(ValueError, match=re.escape(f"outside the time indices [0, {last}]")):
+    for pool in (range(5, last + 2), [-1, 0, 1]):
+        with pytest.raises(ValueError, match=re.escape(f"time indices in [0, {last + 1})")):
             estimate_drifts(ou_stationary, pool, BIN_GRID)
     for pool in ([], range(5, 5)):
         with pytest.raises(ValueError, match="names no interior time"):
@@ -134,8 +135,8 @@ def pooled_add_at(ens, pool, grid, lag):
     (x(t + lag dt) - x(t)) / (lag dt), binned by the cell of x(t) computed
     here from the grid's bounds: the floored cell along each axis, flattened
     by ``np.ravel_multi_index``.  For each block of ``NOISE_BLOCK``
-    trajectories, then each time of the pool once, in increasing order,
-    ``np.add.at`` adds the samples inside the box."""
+    trajectories, then each time of the window ``pool`` in increasing
+    order, ``np.add.at`` adds the samples inside the box."""
     lo, hi, cells = np.array(grid.lo), np.array(grid.hi), np.array(grid.cells)
     size, dim = grid.size, grid.ndim
     counts = np.zeros(size)
@@ -143,7 +144,7 @@ def pooled_add_at(ens, pool, grid, lag):
     sq = np.zeros((size, dim))
     for first in range(0, ens.n_traj, NOISE_BLOCK):
         block = ens.states[first:first + NOISE_BLOCK]
-        for k in sorted(set(pool)):
+        for k in pool:
             x = block[:, k, :]
             dx = (block[:, k + lag, :] - x) / (lag * ens.dt)
             ij = np.floor((x - lo) / ((hi - lo) / cells)).astype(int)
@@ -192,16 +193,13 @@ def test_one_pass_binning_is_bitwise_a_pooled_add_at(ou_ham, n_traj, steps, seed
     grid = Grid((-0.6,), (0.9,), (9,))
     lo = data.draw(st.integers(1, steps - 1), label="lo")
     pool = range(lo, data.draw(st.integers(lo + 1, steps), label="hi"))
-    loose = data.draw(st.lists(st.integers(1, steps - 1), min_size=1, max_size=6),
-                      label="unsorted pool with repeats")
     ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed)
-    bins, sparse = IncrementBins(grid, pool, dt), IncrementBins(grid, loose, dt)
+    bins = IncrementBins(grid, pool, dt)
     energy = EnergySum(n_traj, dt, lambda x: -x)
     whole = IncrementBins(grid, range(1, steps), dt)  # both ends of the horizon
     stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed,
-                      (bins.add, sparse.add, whole.add, energy.add))
-    assert_bins_match_oracle(ens, grid,
-                             ((pool, bins), (range(1, steps), whole), (loose, sparse)))
+                      (bins.add, whole.add, energy.add))
+    assert_bins_match_oracle(ens, grid, ((pool, bins), (range(1, steps), whole)))
     fe = finite_energy_estimate(ens, lambda x: -x)
     assert energy.estimate() == fe
     per_traj = np.zeros(n_traj)
@@ -213,38 +211,32 @@ def test_one_pass_binning_is_bitwise_a_pooled_add_at(ou_ham, n_traj, steps, seed
 def test_two_dimensional_binning_is_bitwise_a_pooled_add_at():
     # a 2-D grid flattens its cells in C order; the box leaves samples outside
     # along each axis, the ensemble ends with a one-trajectory block, and the
-    # pools span several chunks, one of them sparse, unsorted and repeating
+    # pool spans several chunks
     ham = quadratic_hamiltonian(np.array([[1.0, 0.4], [0.4, 2.0]]), kT=1.0, sigma2=2.0)
     x0 = lambda rng, size: rng.standard_normal((size, 2))
     n_traj, steps, dt = NOISE_BLOCK + 1, 3 * CHUNK + 5, 0.01
     grid = Grid((-1.2, -0.5), (0.9, 1.4), (5, 4))
     pool = range(CHUNK - 3, 2 * CHUNK + 7)
-    loose = [70, 3, CHUNK, 17, CHUNK, 2 * CHUNK + 1, 4, 5]
     ens = simulate_overdamped(ham, None, x0, n_traj, dt, steps * dt, 11)
     _, inside = grid.cell_index(ens.states[:, pool].reshape(-1, 2))
     assert 0.2 < inside.mean() < 0.8
-    bins, sparse = IncrementBins(grid, pool, dt), IncrementBins(grid, loose, dt)
-    stream_overdamped(ham, None, x0, n_traj, dt, steps * dt, 11, (bins.add, sparse.add))
-    assert_bins_match_oracle(ens, grid, ((pool, bins), (loose, sparse)))
+    bins = IncrementBins(grid, pool, dt)
+    stream_overdamped(ham, None, x0, n_traj, dt, steps * dt, 11, (bins.add,))
+    assert_bins_match_oracle(ens, grid, ((pool, bins),))
 
 
-def test_a_repeated_pool_time_counts_once(ou_ham):
-    # a repeated time is the same samples: counting them twice would shrink
-    # each cell's standard error by sqrt(2) and let a cell pass MIN_CELL_COUNT on
-    # half its samples
-    x0 = lambda rng, size: rng.standard_normal((size, 1))
-    n_traj, steps, dt = NOISE_BLOCK + 5, 2 * CHUNK + 3, 0.01
-    repeated, once = [9, 40, 9, CHUNK, 40, 40, 3], [3, 9, CHUNK, 40]
-    ens = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7)
-    twice, single = IncrementBins(BIN_GRID, repeated, dt), IncrementBins(BIN_GRID, once, dt)
-    stream_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, 7, (twice.add, single.add))
-    stored_twice, stored_once = (stored_drifts(ens, p, BIN_GRID) for p in (repeated, once))
-    for lag in (+1, -1):
-        pairs = ((twice.estimate(lag), single.estimate(lag)),
-                 (stored_twice[lag], stored_once[lag]))
-        for est, ref in pairs:
-            for field in ("vectors", "counts", "stderr"):
-                assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
+@pytest.mark.parametrize("times", [[9, 9, 10], [3, 5], [6, 5, 4], [4, 6, 5]],
+                         ids=["repeated", "gapped", "decreasing", "unsorted"])
+def test_a_pool_or_record_that_is_no_window_is_rejected(ou_stationary, times):
+    # a repeated, gapped or unsorted set of times is no window of the run:
+    # the drift estimate, the binning observer and the record each name it
+    message = re.escape(f"time indices {times} are not one window")
+    with pytest.raises(ValueError, match=message):
+        estimate_drifts(ou_stationary, times, BIN_GRID)
+    with pytest.raises(ValueError, match=message):
+        IncrementBins(BIN_GRID, times, ou_stationary.dt)
+    with pytest.raises(ValueError, match=message):
+        PathRecord(4, 20, 1, at=times)
 
 
 def test_bins_do_not_grow_with_the_pool():
@@ -286,14 +278,14 @@ def test_a_first_chunk_allocates_no_chunk_sized_array(observer):
 
 def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
     # time 10 ends a 10-step run, so it has a backward step but no forward
-    # one, and time 50 lies past the horizon: neither may count a sample
-    # whose increment it never adds.  The stored pool [4, 10] follows the
+    # one, and times 11 to 50 lie past the horizon: none may count a sample
+    # whose increment it never adds.  The stored window [4, 10] follows the
     # same rule: 10 adds to the backward lag only
     x0 = lambda rng, size: rng.standard_normal((size, 1))
     ens = simulate_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1)
-    bins = IncrementBins(BIN_GRID, [4, 10, 50], 0.01)
+    bins = IncrementBins(BIN_GRID, range(4, 51), 0.01)
     stream_overdamped(ou_ham, None, x0, 500, 0.01, 0.1, 1, (bins.add,))
-    stored = stored_drifts(ens, [4, 10], BIN_GRID)
+    stored = stored_drifts(ens, range(4, 11), BIN_GRID)
     for lag in (+1, -1):
         est, ref = bins.estimate(lag), stored[lag]
         for field in ("vectors", "counts", "stderr"):

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from entroflow.grids import NumericalFailure
+from entroflow.tolerances import COMMUTATION_TOL, EIG_FLOOR
 from entroflow.quantum import (
     DensityOperator,
     HamiltonianOperator,
@@ -25,6 +26,8 @@ from entroflow.quantum import (
     sigma_z,
     von_neumann_entropy,
 )
+
+from conftest import davies_generator
 
 
 def random_density(rng, n):
@@ -373,6 +376,58 @@ def test_thermal_qubit_gibbs_stationary_and_monotone():
     traj = lindblad_evolve(spec, rho0, 2.0, 1e-3, store_every=50)
     D = traj.divergence_curve(rho_g)
     assert np.all(np.diff(D) < 1e-10)
+
+
+@st.composite
+def davies_draws(draw):
+    """(spec, Gibbs state, full-rank state) of a random Davies generator at
+    n = 2-8: a random spectrum scaled to [-1, 1], beta <= 3 and symmetric
+    base rates in [0.1, 2]."""
+    n = draw(st.integers(2, 8), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    beta = draw(st.floats(0.0, 3.0), label="beta")
+    E, V = np.linalg.eigh(random_hamiltonian(rng, n).matrix)
+    E = 2.0 * (E - E[0]) / (E[-1] - E[0]) - 1.0
+    H = HamiltonianOperator((V * E) @ V.conj().T)
+    rates = np.triu(rng.uniform(0.1, 2.0, (n, n)))
+    spec = LindbladSpec(H, davies_generator(H.matrix, beta, rates + np.triu(rates, 1).T))
+    return spec, gibbs_state(H, beta), random_density(rng, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(draw=davies_draws())
+def test_davies_generator_annihilates_the_gibbs_state(draw):
+    spec, sigma, _ = draw
+    assert np.max(np.abs(spec.generator(sigma.matrix))) <= COMMUTATION_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(draw=davies_draws())
+def test_davies_dissipative_rate_is_nonpositive(draw):
+    # Spohn's inequality for a stationary target that commutes with H
+    spec, sigma, rho = draw
+    assert dissipative_production_rate(rho, spec, sigma) <= 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(draw=davies_draws())
+def test_davies_divergence_from_gibbs_does_not_increase(draw):
+    # up to the roundoff of the eigenvalues D is computed from
+    spec, sigma, rho = draw
+    D = lindblad_evolve(spec, rho, 1.0, 0.1).divergence_curve(sigma)
+    assert np.all(np.diff(D) <= EIG_FLOOR)
+
+
+def test_evolved_state_off_hermitian_is_a_numerical_failure():
+    # the inputs are valid, but at a jump rate of about 1e7 the roundoff of
+    # the exact step moves the stored states off Hermitian by up to 1.5e-10,
+    # past HERMITICITY_TOL: a numerical failure, not invalid input
+    H = HamiltonianOperator(np.array([[1.0, 0.5], [0.5, -1.0]]))
+    L = 3000.0 * np.array([[1.0, 2.0], [0.5j, -1.0]])
+    rho0 = DensityOperator(np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
+    with pytest.raises(NumericalFailure, match=r"^the evolved state at t = \S+: density "
+                                               r"operator must be Hermitian \(off by "):
+        lindblad_evolve(LindbladSpec(H, (L,)), rho0, 1.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
