@@ -43,7 +43,6 @@ from .fokker_planck import (
     DensityTrajectory,
     _Stepper,
     admissible_gain,
-    check_mass,
     clock_rate,
     energy_slopes,
     evolve,
@@ -178,8 +177,8 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
 
     Per step: freeze u at the current density, take a Crank-Nicolson step, then
     refine once with u evaluated at the midpoint density (one fixed-point
-    iteration, consistent with the scheme's second order).  Both solves have
-    the positivity check of :func:`evolve`.  Agrees with
+    iteration, consistent with the scheme's second order).  Both solves are
+    checked as :func:`evolve`'s steps are.  Agrees with
     :func:`evolve_modulated` up to the spatial consistency error of the two
     operator forms.  The face drift of a solve is the gain-free potential
     drift plus the face control; each solve loads it into the run's one
@@ -200,7 +199,7 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
         a = admissible_gain(gain_at(alpha, (k + 0.5) * dt), ham.sigma2)
         t_end = (k + 1) * dt
         rho_star = solve(rho, rho, a, t_end)
-        return check_mass(grid, solve(rho, 0.5 * (rho + rho_star), a, t_end), t_end)
+        return solve(rho, 0.5 * (rho + rho_star), a, t_end)
 
     return DensityTrajectory(grid, *march(step, rho0.values, 0.0, t1, dt, store_every))
 

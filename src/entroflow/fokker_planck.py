@@ -24,14 +24,14 @@ simulator's argument and not a field of the model.  The Peclet numbers
 exactly (D(t)/D_0) A_0 with the clock rate D(t) = sigma2/2 + alpha(t) of
 :func:`clock_rate`: the gain only rescales the clock.  So :func:`evolve`
 loads A_0 once per run and each step uses the scale s = D(t_mid)/D_0, which
-is exactly 1.0 for a constant gain.  An operator is a face stencil: per
-axis, the two couplings of each interior face in face shape, and the
-diagonal in grid shape.  One stepper per run holds it, and owns the work
-vectors of every solve.  In 1-D the tridiagonal system
-(I - dt s A_0 / 2) x = b is solved directly with a banded solver on the
-three bands of A_0, rebuilt only when s or the operator changes.  In N-D it
-is solved with Jacobi-preconditioned BiCGSTAB (van der Vorst 1992),
-warm-started from the current density, to the relative residual
+is exactly 1.0 for a constant gain.  On every grid an operator is a face
+stencil: per axis, the two couplings of each interior face in face shape,
+and the diagonal in grid shape.  One stepper per run holds it, and each
+right-hand side is its stencil product.  Only the solve depends on the
+dimension.  In 1-D the three bands of the implicit stencil are the rows of
+the band array of a direct tridiagonal solve.  In N-D the system
+(I - dt s A / 2) x = b is solved with Jacobi-preconditioned BiCGSTAB (van
+der Vorst 1992), warm-started from the current density, to the relative residual
 ``KRYLOV_RTOL`` (1e-14; every tolerance lives in `tolerances`).  Over 100
 steps of a scheduled-gain run on 128^2 cells a residual of 1e-12 let the
 mass drift by 1e-11; 1e-14 holds it at 4e-15 and keeps the densities within
@@ -53,14 +53,14 @@ density objects are built on demand.
 
 Crank-Nicolson is unconditionally stable, and keeps positivity on any data
 when its explicit half I + dt s A / 2 is nonnegative, that is for
-dt <= 2 / (s max|diag A|).  Each invariant is checked once.  Positivity, in
-every step: values below -POSITIVITY_TOL abort the run with that bound as
+dt <= 2 / (s max|diag A|).  Every invariant of a step is checked once, in
+:meth:`_Stepper.advance`, for every density a solve returns, stored or not.
+Positivity: values below -POSITIVITY_TOL abort the run with that bound as
 the suggested dt, tinier negatives are clamped to zero.  Mass and
-finiteness, in :func:`check_mass` for every density a step returns, stored
-or not: the fluxes telescope, so every column of the operator sums to zero
-and a step keeps the total up to linear-solver roundoff; a quadrature mass
-off 1 by more than ``MASS_TOL``, or not finite, raises
-:class:`MassDriftError` at the step that made it.
+finiteness, after the clamp: the fluxes telescope, so every column of the
+operator sums to zero and a step keeps the total up to linear-solver
+roundoff; a quadrature mass off 1 by more than ``MASS_TOL``, or not finite,
+raises :class:`MassDriftError` at the step that made it.
 """
 
 from __future__ import annotations
@@ -157,19 +157,20 @@ def potential_drifts(ham: HamiltonianSpec, D: float,
 # ---------------------------------------------------------------------------
 
 class _Stepper:
-    """Crank-Nicolson step (I - dt s A / 2) x = (I + dt s A / 2) rho.
+    """Checked Crank-Nicolson step (I - dt s A / 2) x = (I + dt s A / 2) rho.
 
     A is a face stencil: per axis a, the couplings of the interior faces in
     face shape, ``lower[a]`` = A[hi, lo] = cl and ``upper[a]`` = A[lo, hi]
     = ch, and the diagonal ``diag`` in grid shape.  :meth:`load` writes the
     coefficients of a diffusion and face drifts; the scale s rescales the
-    clock (s = 1 for an operator used as loaded), and the implicit operator
-    is rewritten, in place, only when the operator or s changes.  In 1-D the
-    tridiagonal system is solved with a banded solver, in N-D with the
-    Jacobi-preconditioned BiCGSTAB of :meth:`_bicgstab`, warm-started from
-    the current density.  Its work vectors are allocated once per stepper;
-    a step returns a copy of the solution, since callers feed it back in as
-    the next step's density.
+    clock (s = 1 for an operator used as loaded), and the implicit stencil of
+    I - dt s A / 2 is rewritten, in place, only when the operator or s
+    changes.  The right-hand side is one stencil product on every grid.  In
+    1-D the implicit stencil lives in the band array of a direct tridiagonal
+    solve, in N-D the system is solved with the Jacobi-preconditioned
+    BiCGSTAB of :meth:`_bicgstab`, warm-started from the current density.
+    The work vectors are allocated once per stepper; a step returns an array
+    of its own, since callers feed it back in as the next step's density.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -177,19 +178,24 @@ class _Stepper:
         self.dt = dt
         self.sides = [face_sides(a) for a in range(grid.ndim)]
         self.scale = None
-        if grid.ndim > 1:
-            def faces():
-                return [np.empty(grid.shape[:a] + (grid.shape[a] - 1,) + grid.shape[a + 1:])
-                        for a in range(grid.ndim)]
 
-            # I - c A as a stencil, the reciprocal of its diagonal, and the
-            # temporaries of one product: a face term per axis, the diagonal term
+        def faces():
+            return [np.empty(grid.shape[:a] + (grid.shape[a] - 1,) + grid.shape[a + 1:])
+                    for a in range(grid.ndim)]
+
+        # I - c A as a stencil (in 1-D, views into the rows of the (3, n) band
+        # array solve_banded reads), the reciprocal of its diagonal, and the
+        # temporaries of one product: a face term per axis, the diagonal term
+        if grid.ndim == 1:
+            self.bands = np.zeros((3, grid.size))
+            self.implicit = [self.bands[2, :-1]], self.bands[1], [self.bands[0, 1:]]
+        else:
             self.implicit = faces(), np.empty(grid.shape), faces()
-            self.jacobi = np.empty(grid.size)
-            self.face_terms = faces()
-            self.diag_term = np.empty(grid.shape)
-            # x, r, r~, p, v, t, p^ and s^, a product, the right-hand side
-            self.vectors = np.empty((9, grid.size))
+        self.jacobi = np.empty(grid.size)
+        self.face_terms = faces()
+        self.diag_term = np.empty(grid.shape)
+        # x, r, r~, p, v, t, p^ and s^, a product, the right-hand side
+        self.vectors = np.empty((9, grid.size))
 
     def load(self, D: float, face_drifts: Sequence[np.ndarray]) -> None:
         """Write the operator of diffusion ``D`` and ``face_drifts`` into A.
@@ -229,7 +235,8 @@ class _Stepper:
         self.scale = None
 
     def advance(self, rho: np.ndarray, s: float, t_end: float) -> np.ndarray:
-        """One checked step of the density array ``rho`` ending at ``t_end``."""
+        """One step of ``rho`` ending at ``t_end``, checked for positivity,
+        then for mass and finiteness."""
         if s != self.scale:
             self._rescale(s)
             self.scale = s
@@ -241,47 +248,37 @@ class _Stepper:
                 f"(min {neg_min:.3e}); try dt <= {2.0 / (self.max_diag * s):.3e}")
         if neg_min < 0.0:
             np.maximum(out, 0.0, out=out)
+        mass = quadrature(self.grid, out)
+        if not abs(mass - 1.0) <= MASS_TOL:  # NaN and inf fail too
+            raise MassDriftError(f"mass drift at t={t_end:.6g}: {mass!r} != 1")
         return out
 
     def _rescale(self, s):
         c = 0.5 * self.dt * s  # the implicit and the explicit half alike
-        if self.grid.ndim == 1:
-            (sub,), diag, (sup,) = self.lower, self.diag, self.upper
-            self.ab = np.zeros((3, len(diag)))
-            self.ab[0, 1:] = -c * sup
-            self.ab[1, :] = 1.0 - c * diag
-            self.ab[2, :-1] = -c * sub
-            self.expl = (c * sub, c * diag, c * sup)
-        else:
-            lower, diag, upper = self.implicit
-            for a in range(self.grid.ndim):
-                np.multiply(self.lower[a], -c, out=lower[a])
-                np.multiply(self.upper[a], -c, out=upper[a])
-            np.multiply(self.diag, -c, out=diag)
-            diag += 1.0
-            np.divide(1.0, diag.reshape(-1), out=self.jacobi)
-            self.explicit = c
+        lower, diag, upper = self.implicit
+        for a in range(self.grid.ndim):
+            np.multiply(self.lower[a], -c, out=lower[a])
+            np.multiply(self.upper[a], -c, out=upper[a])
+        np.multiply(self.diag, -c, out=diag)
+        diag += 1.0
+        np.divide(1.0, diag.reshape(-1), out=self.jacobi)
+        self.explicit = c
 
     def _solve(self, rho):
-        if self.grid.ndim == 1:
-            sub, diag, sup = self.expl
-            rhs = rho + diag * rho
-            rhs[:-1] += sup * rho[1:]
-            rhs[1:] += sub * rho[:-1]
-            return scipy.linalg.solve_banded((1, 1), self.ab, rhs)
-        x, *_, b = self.vectors
-        np.copyto(x, rho.reshape(-1))
-        self._apply((self.lower, self.diag, self.upper), x, b)
+        b = self.vectors[-1]
+        self._apply((self.lower, self.diag, self.upper), rho, b)
         b *= self.explicit
-        b += x  # c (A rho) + rho
-        self._bicgstab(b)
-        return x.reshape(rho.shape).copy()
+        b += rho.reshape(-1)  # c (A rho) + rho
+        if self.grid.ndim == 1:  # bands and rho are finite; advance checks the solution
+            return scipy.linalg.solve_banded((1, 1), self.bands, b, check_finite=False)
+        return self._bicgstab(b, rho)
 
     def _apply(self, stencil, x, out):
-        """``out`` = M x for the flat vector x and the stencil (lower, diag,
-        upper) of M.  From zeros, each cell adds its terms in the column order
-        of M's CSR form: the lower couplings of axes 0 .. d-1, the diagonal,
-        the upper couplings of axes d-1 .. 0; so this is bitwise ``csr @ x``."""
+        """``out`` = M x for the flat vector ``out``, x flat or in grid shape,
+        and the stencil (lower, diag, upper) of M.  From zeros, each cell
+        adds its terms in the column order of M's CSR form: the lower
+        couplings of axes 0 .. d-1, the diagonal, the upper couplings of axes
+        d-1 .. 0; so this is bitwise ``csr @ x``."""
         lower, diag, upper = stencil
         x = x.reshape(self.grid.shape)
         out = out.reshape(self.grid.shape)
@@ -300,8 +297,9 @@ class _Stepper:
         np.multiply(self.jacobi, y, out=out)
         out += 0.0
 
-    def _bicgstab(self, b):
-        """Solve (I - c A) x = b in the work vector x, which holds the start.
+    def _bicgstab(self, b, start):
+        """Solve (I - c A) x = b in the work vector x from the density
+        ``start``, and return a copy of x in its shape.
 
         Jacobi-preconditioned BiCGSTAB (van der Vorst, SIAM J. Sci. Stat.
         Comput. 13 (1992) 631) with the recurrences, breakdown tests and
@@ -316,6 +314,7 @@ class _Stepper:
         y each product that an update subtracts or adds.
         """
         x, r, r0, p, v, t, z, y, _ = self.vectors
+        np.copyto(x, start.reshape(-1))
         implicit = self.implicit
         b_norm = np.linalg.norm(b)
         atol = KRYLOV_RTOL * b_norm
@@ -325,7 +324,7 @@ class _Stepper:
         maxiter = 10 * x.size
         for k in range(maxiter):
             if np.linalg.norm(r) < atol:
-                return
+                return x.reshape(start.shape).copy()
             rho = np.dot(r0, r)
             if abs(rho) < KRYLOV_BREAKDOWN_TOL:
                 info = -10
@@ -350,7 +349,7 @@ class _Stepper:
             x += np.multiply(alpha, z, out=y)
             r -= np.multiply(alpha, v, out=y)
             if np.linalg.norm(r) < atol:
-                return
+                return x.reshape(start.shape).copy()
             self._precondition(r, z)
             self._apply(implicit, z, t)
             omega = np.dot(t, r) / np.dot(t, t)
@@ -369,8 +368,8 @@ class _Stepper:
 @dataclass
 class DensityTrajectory:
     """Densities ``values[k]`` at ``times[k]`` in one read-only array from
-    :func:`.grids.march`; every step's density, stored or not, was checked
-    for positivity and by :func:`check_mass`."""
+    :func:`.grids.march`; every step's density, stored or not, passed the
+    positivity, mass and finiteness checks of the step that made it."""
 
     grid: Grid
     times: np.ndarray
@@ -392,16 +391,6 @@ class DensityTrajectory:
         return relative_entropy_rows(self.values, reference)
 
 
-def check_mass(grid: Grid, rho: np.ndarray, t: float) -> np.ndarray:
-    """``rho``, the density a step returned at time t, if its quadrature mass
-    is 1 within ``MASS_TOL``; a leak, NaN or inf raises
-    :class:`MassDriftError` (a numerical failure, not invalid input)."""
-    mass = quadrature(grid, rho)
-    if not abs(mass - 1.0) <= MASS_TOL:  # NaN and inf fail too
-        raise MassDriftError(f"mass drift at t={t:.6g}: {mass!r} != 1")
-    return rho
-
-
 def evolve(ham: HamiltonianSpec, gain: float | Callable[[float], float], rho0: GridDensity,
            t0: float, t1: float, dt: float, store_every: int = 1) -> DensityTrajectory:
     """Integrate the gain-modulated flow of ``ham`` from t0 to t1 with fixed dt.
@@ -410,9 +399,10 @@ def evolve(ham: HamiltonianSpec, gain: float | Callable[[float], float], rho0: G
     the linear equation the log-ratio feedback of ``gain`` (a number or a
     callable of t; 0 is the uncontrolled equation) produces.  The operator
     D(t) A_0 is assembled once, at the first step midpoint; each step
-    rescales it by D(t_mid)/D_0.  Steps that drive any cell below
-    -POSITIVITY_TOL raise :class:`PositivityError`, which suggests a dt;
-    tinier negatives are clamped.
+    rescales it by D(t_mid)/D_0.  Each step is checked by the stepper: a
+    cell below -POSITIVITY_TOL raises :class:`PositivityError`, which
+    suggests a dt, tinier negatives are clamped, and a mass off 1 or not
+    finite raises :class:`MassDriftError`.
     """
     grid = rho0.grid
     t_ref = t0 + 0.5 * dt
@@ -423,7 +413,7 @@ def evolve(ham: HamiltonianSpec, gain: float | Callable[[float], float], rho0: G
     def step(k, rho):
         t_end = t0 + (k + 1) * dt
         s = clock_rate(ham, gain, t0 + (k + 0.5) * dt) / D0
-        return check_mass(grid, stepper.advance(rho, s, t_end), t_end)
+        return stepper.advance(rho, s, t_end)
 
     return DensityTrajectory(grid, *march(step, rho0.values, t0, t1, dt, store_every))
 

@@ -344,6 +344,9 @@ class PolymerSpec:
             raise ValueError("gamma must be finite and nonnegative")
         if not 0.0 < self.temperature < np.inf:
             raise ValueError("temperature must be finite and positive")
+        if not 2.0 * self.gamma * self.temperature < np.inf:
+            raise ValueError(f"gamma = {self.gamma!r} is too large: the noise variance "
+                             f"2 gamma T overflows at T = {self.temperature!r}")
         if self.block_dim < 1:
             raise ValueError("block_dim must be >= 1")
 
@@ -406,6 +409,9 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
         if not 0.0 <= gain < np.inf:  # NaN fails too
             raise ValueError(f"the feedback gain alpha_c must be finite and nonnegative, "
                              f"got {gain!r}")
+        if not spec.gamma + gain < np.inf:
+            raise ValueError(f"gamma = {spec.gamma!r} is too large: the drag gamma + "
+                             f"alpha_c overflows at alpha_c = {gain!r}")
     nc = spec.n_coords
     n_gains = len(gains)
     m = spec.mass_per_coord

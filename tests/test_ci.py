@@ -1,5 +1,6 @@
 """The CI workflow tests what the package declares: its ``floors`` job, which
-needs the network, installs exactly the lower bounds of ``pyproject.toml``."""
+needs the network, installs exactly the lower bounds of ``pyproject.toml``;
+and a failing randomized test leaves a reproducer behind in every job."""
 
 import pathlib
 import re
@@ -7,10 +8,10 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _floors_job() -> str:
+def _job(name: str) -> str:
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
-    job = re.search(r"^  floors:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S)
-    assert job, "tests.yml has no floors job"
+    job = re.search(rf"^  {name}:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S)
+    assert job, f"tests.yml has no {name} job"
     return job.group(1)
 
 
@@ -18,7 +19,23 @@ def test_floors_job_pins_the_declared_lower_bounds():
     project = (ROOT / "pyproject.toml").read_text()
     python = re.search(r'^requires-python = ">=([\d.]+)"$', project, re.M).group(1)
     declared = dict(re.findall(r'^\s+"([\w-]+)>=([\d.]+)",?$', project, re.M))
-    job = _floors_job()
+    job = _job("floors")
     assert re.findall(r'python-version: "([\d.]+)"', job) == [python]
     assert dict(re.findall(r'"([\w-]+)==([\d.]+)\.\*"', job)) == declared
     assert (python, declared) == ("3.10", {"numpy": "2.0", "scipy": "1.13"})
+
+
+def test_every_job_uploads_the_hypothesis_patches_on_failure():
+    # a failing hypothesis draw is written to .hypothesis/patches/ as a patch
+    # adding it as an @example (the pytest plugin needs libcst for that, which
+    # hypothesis[codemods] installs); each job uploads them after its tests
+    project = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^test = \[.*"hypothesis\[codemods\]".*\]$', project, re.M)
+    for name in ("tier1", "floors"):
+        steps = re.split(r"^      - ", _job(name), flags=re.M)
+        uploads = [s for s in steps if "uses: actions/upload-artifact@" in s]
+        assert len(uploads) == 1, name
+        assert steps[-1] == uploads[0], f"{name} uploads before its tests"
+        assert "Tier-1 tests" in steps[-2], name
+        assert re.search(r"^        if: failure\(\)$", uploads[0], re.M), name
+        assert re.search(r"^          path: \.hypothesis/patches/$", uploads[0], re.M), name

@@ -224,6 +224,22 @@ def test_negative_feedback_gain_names_its_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,overflow", [
+    (["--gamma", "1e308"], "the noise variance 2 gamma T overflows at T = 1.0"),
+    (["--gamma", "1e308", "--alpha-c", "1"], "the noise variance 2 gamma T overflows"),
+    (["--gamma", "7e307"], "the drag gamma + alpha_c overflows at alpha_c = 1.4e+308"),
+], ids=["ladder", "alpha-c", "ladder-drag"])
+def test_overflowing_polymer_gamma_names_gamma(tmp_path, capsys, args, overflow):
+    # the default gain ladder 0, gamma/2, gamma, 2 gamma and the noise
+    # sqrt(2 gamma T) derive from gamma: an overflow there is gamma's, not a
+    # bad alpha_c or a diverging trajectory
+    out = tmp_path / "o"
+    assert main(["sde-run", "--model", "polymer", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: gamma = {float(args[1])!r} is too large: {overflow}")
+    assert not out.exists()
+
+
 WINDOW_INI = """\
 [scenario]
 kind = sde-run
