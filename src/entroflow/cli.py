@@ -421,11 +421,11 @@ def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     times = dt * np.arange(n_times)
     temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], t1))
     # the gains step as one gain-major state; summary.csv reads the last gain's moments
-    last = TimeMoments(n_times, width, spec, column=width * (len(gains) - 1))
+    last = TimeMoments(n_times, width, column=width * (len(gains) - 1))
     stream_polymer(spec, gains, n, dt, t1, seed, (temps.add, last.add))
     rows = [(ac, kt.values[0], kt.stderr[0]) for ac, kt in zip(gains, temps.estimates())]
     w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
-    w.write_csv("summary.csv", *last.summary(times))
+    w.write_csv("summary.csv", *last.summary(times, spec))
 
 
 def _qubit_qrec_rows(times):

@@ -49,7 +49,8 @@ from .fokker_planck import (
     gain_at,
     potential_drifts,
 )
-from .grids import Grid, GridDensity, NumericalFailure, VectorFieldGrid, march, time_steps
+from .grids import (Grid, GridDensity, NumericalFailure, VectorFieldGrid, gradient, march,
+                    time_steps)
 from .production import (
     check_decomposition_identity,
     floored_log,
@@ -277,11 +278,11 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
     Columns: t, D, total_rate, pepr, epur, fd_check_residual.  Each stored
     row's rates come from the stored array: one log-ratio gradient g, the
     feedback control u = -alpha(t) g, alpha(t) checked admissible at the
-    stored time, and :func:`production.split_rate`.  The
-    equilibrium's positivity and -PEPR + EPuR = total are checked once per
-    curve (each step's density was checked when it was taken).  The
-    finite-difference residual compares total_rate to the central difference
-    of D (one-sided at the ends).
+    stored time, and :func:`production.split_rate`.  The equilibrium's
+    floored log is taken, and its positivity and -PEPR + EPuR = total are
+    checked, once per curve (each step's density was checked when it was
+    taken).  The finite-difference residual compares total_rate to the
+    central difference of D (one-sided at the ends).
     """
     grid = traj.grid
     equilibrium = gibbs_density(ham, grid)
@@ -292,9 +293,10 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
                          f"{ref.size} cells; narrow the grid box")
     ts = traj.times
     D = traj.divergence_curve(equilibrium)
+    log_ref = floored_log(ref)
     total, pepr, epur = np.empty((3, len(traj)))
     for k, row in enumerate(traj.values):
-        g = floored_log_ratio_gradient(grid, row, ref)
+        g = gradient(grid, floored_log(row) - log_ref)
         a = admissible_gain(gain_at(alpha, ts[k]), ham.sigma2)
         total[k], pepr[k], epur[k] = split_rate(grid, g, -a * g, support_weight(row),
                                                ham.sigma2)

@@ -28,8 +28,8 @@ is exactly 1.0 for a constant gain.  On every grid an operator is a face
 stencil: per axis, the two couplings of each interior face in face shape,
 and the diagonal in grid shape.  One stepper per run holds it, and each
 right-hand side is its stencil product.  Only the solve depends on the
-dimension.  In 1-D the three bands of the implicit stencil are the rows of
-the band array of a direct tridiagonal solve.  In N-D the system
+dimension.  In 1-D LAPACK's direct tridiagonal solve ``dgtsv`` reads the
+three arrays of the implicit stencil.  In N-D the system
 (I - dt s A / 2) x = b is solved with Jacobi-preconditioned BiCGSTAB (van
 der Vorst 1992), warm-started from the current density, to the relative residual
 ``KRYLOV_RTOL`` (1e-14; every tolerance lives in `tolerances`).  Over 100
@@ -165,10 +165,10 @@ class _Stepper:
     coefficients of a diffusion and face drifts; the scale s rescales the
     clock (s = 1 for an operator used as loaded), and the implicit stencil of
     I - dt s A / 2 is rewritten, in place, only when the operator or s
-    changes.  The right-hand side is one stencil product on every grid.  In
-    1-D the implicit stencil lives in the band array of a direct tridiagonal
-    solve, in N-D the system is solved with the Jacobi-preconditioned
-    BiCGSTAB of :meth:`_bicgstab`, warm-started from the current density.
+    changes.  The implicit stencil and each right-hand side are stencils of
+    one layout on every grid.  Only :meth:`_solve` depends on the dimension:
+    in 1-D LAPACK's tridiagonal ``dgtsv`` reads the implicit stencil, in N-D
+    the Jacobi-preconditioned BiCGSTAB of :meth:`_bicgstab` solves it.
     The work vectors are allocated once per stepper; a step returns an array
     of its own, since callers feed it back in as the next step's density.
     """
@@ -183,14 +183,9 @@ class _Stepper:
             return [np.empty(grid.shape[:a] + (grid.shape[a] - 1,) + grid.shape[a + 1:])
                     for a in range(grid.ndim)]
 
-        # I - c A as a stencil (in 1-D, views into the rows of the (3, n) band
-        # array solve_banded reads), the reciprocal of its diagonal, and the
+        # I - c A as a stencil, the reciprocal of its diagonal, and the
         # temporaries of one product: a face term per axis, the diagonal term
-        if grid.ndim == 1:
-            self.bands = np.zeros((3, grid.size))
-            self.implicit = [self.bands[2, :-1]], self.bands[1], [self.bands[0, 1:]]
-        else:
-            self.implicit = faces(), np.empty(grid.shape), faces()
+        self.implicit = faces(), np.empty(grid.shape), faces()
         self.jacobi = np.empty(grid.size)
         self.face_terms = faces()
         self.diag_term = np.empty(grid.shape)
@@ -269,9 +264,13 @@ class _Stepper:
         self._apply((self.lower, self.diag, self.upper), rho, b)
         b *= self.explicit
         b += rho.reshape(-1)  # c (A rho) + rho
-        if self.grid.ndim == 1:  # bands and rho are finite; advance checks the solution
-            return scipy.linalg.solve_banded((1, 1), self.bands, b, check_finite=False)
-        return self._bicgstab(b, rho)
+        if self.grid.ndim > 1:
+            return self._bicgstab(b, rho)
+        (lower,), diag, (upper,) = self.implicit  # dgtsv copies them; advance checks x
+        *_, x, info = scipy.linalg.lapack.dgtsv(lower, diag, upper, b)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK dgtsv info={info})")
+        return x
 
     def _apply(self, stencil, x, out):
         """``out`` = M x for the flat vector ``out``, x flat or in grid shape,

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tolerances import MASS_TOL, TIME_GRID_RTOL
+from .tolerances import BOUNDARY_DECAY_FACTOR, MASS_TOL, TIME_GRID_RTOL
 
 
 class GridMismatchError(ValueError):
@@ -263,7 +263,7 @@ class GridDensity:
     immutable once built.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, boundary_suspect: bool = False):
+    def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
@@ -277,7 +277,12 @@ class GridDensity:
         self.grid = grid
         self.values = values.copy()
         self.values.flags.writeable = False
-        self.boundary_suspect = bool(boundary_suspect)
+
+    @cached_property
+    def boundary_suspect(self) -> bool:
+        """A boundary value >= BOUNDARY_DECAY_FACTOR x the peak: the box cuts the support."""
+        boundary = self.values[self.grid.boundary_mask()]
+        return bool(boundary.max() >= BOUNDARY_DECAY_FACTOR * self.values.max())
 
     def integrate(self) -> float:
         return quadrature(self.grid, self.values)

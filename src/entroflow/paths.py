@@ -43,6 +43,7 @@ import numpy as np
 from .grids import Grid, GridDensity, VectorFieldGrid, gradient
 from .production import floored_log
 from .sde import CHUNK, NOISE_BLOCK, PathEnsemble, _head, mean_and_stderr, replay, time_window
+from .tolerances import CONTINUITY_SE_FACTOR
 
 MIN_CELL_COUNT = 30
 
@@ -280,7 +281,7 @@ class ContinuityRow:
     @property
     def consistent(self) -> bool:
         return (abs(self.ensemble_rate - self.transport_rate)
-                <= 3.0 * (self.se_ensemble + self.se_transport))
+                <= CONTINUITY_SE_FACTOR * (self.se_ensemble + self.se_transport))
 
 
 def default_test_functions() -> list[tuple[str, Callable, Callable]]:

@@ -291,9 +291,9 @@ class OperatorTrajectory:
     @cached_property
     def states(self) -> tuple[DensityOperator, ...]:
         """The stored states as :class:`DensityOperator` objects, built on first
-        use from one batched eigensystem of the stack :func:`lindblad_evolve`
-        checked: eigenvalues clamped at 0 and normalised, as each state's own."""
-        lam, U = np.linalg.eigh(_require_hermitian(self.matrices, "density operator"))
+        use from one batched eigensystem of the exactly Hermitian stack
+        :func:`lindblad_evolve` checked, eigenvalues clamped and normalised as a state's own."""
+        lam, U = np.linalg.eigh(self.matrices)
         lam = np.maximum(lam, 0.0)
         lam /= lam.sum(axis=-1, keepdims=True)
         return tuple(map(DensityOperator._from_eigensystem, lam, U))
@@ -312,11 +312,11 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
     The n^2 x n^2 superoperator is assembled once by applying the generator
     to the matrix units, and exponentiated once.  The generator does not
     depend on time, so each step is exact up to roundoff and completely
-    positive and trace-preserving (Lindblad's theorem).  The trace is
-    renormalised after each step so roundoff cannot accumulate over long
-    runs.  :func:`.grids.march` stores every ``store_every``-th state and the
-    last in one stack, checked once, block by block, as a
-    :class:`DensityOperator` is; a state that fails is a numerical failure.
+    positive and trace-preserving (Lindblad's theorem).  Each step takes the
+    Hermitian part, then renormalises the trace, so roundoff can neither move
+    the state off Hermitian nor accumulate.  :func:`.grids.march` stores every
+    ``store_every``-th state and the last in one stack, checked once, block by
+    block, as a :class:`DensityOperator` is; a failing state is a numerical failure.
     """
     n = rho0.dim
     if spec.hamiltonian.dim != n:
@@ -332,11 +332,15 @@ def lindblad_evolve(spec: LindbladSpec, rho0: DensityOperator, t1: float,
         raise ValueError(f"the step propagator exp(dt L) is not finite at dt = {dt:g}: "
                          "the generator's rates overflow")
 
+    transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)  # flat index of M^T
+
     def step(k, rho):
         rho = propagator @ rho
+        rho += rho[transpose].conj()  # exactly Hermitian; the 2 cancels in the trace
         return rho / rho[::n + 1].sum().real
 
-    times, stack = march(step, rho0.matrix.reshape(-1), 0.0, t1, dt, store_every)
+    start = _require_hermitian(rho0.matrix, "density operator")  # exactly Hermitian
+    times, stack = march(step, start.reshape(-1), 0.0, t1, dt, store_every)
     matrices = stack.reshape(-1, n, n)
     return OperatorTrajectory(times, matrices, _check_evolved(times, matrices))
 

@@ -47,8 +47,9 @@ observers keep.  :func:`stream_polymer` steps several feedback gains as
 one state, a gain-major ``[q | p]`` row per gain, on one noise draw; the
 polymer simulator is its batch of one.  :class:`WindowTemperatures` sums
 each trajectory's kinetic energy over a window while the gains step, and
-:class:`TimeMoments` keeps each time's count, mean, centred co-moment and
-sum of m V^2, merged noise block by noise block.
+:class:`TimeMoments` keeps each time's count, mean and centred co-moment,
+merged noise block by noise block; a time's kinetic temperatures are read
+off its momentum moments.
 
 Post-processing: kernel density estimates onto solver grids (histogram +
 Gaussian smoothing, Scott bandwidth), equipartition kinetic temperatures
@@ -76,7 +77,7 @@ from scipy.ndimage import gaussian_filter
 
 from .grids import Grid, GridDensity, NumericalFailure, time_slack, time_steps
 from .thermo import HamiltonianSpec
-from .tolerances import ESCAPED_FRACTION_MAX, TIME_GRID_RTOL
+from .tolerances import ESCAPE_RADIUS_FACTOR, ESCAPED_FRACTION_MAX, TIME_GRID_RTOL
 
 NOISE_BLOCK = 1024
 CHUNK = 32
@@ -205,10 +206,10 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
     chunks of at most ``CHUNK`` steps (see the module docstring) from one
     buffer, so a run holds one block's noise and one chunk of states.
     Non-finite initial states, and initial states whose default escape
-    radius (50x the spread of the first block, floor 1) is not finite, are
-    invalid input.  Steps and observers run with numpy's overflow and
-    invalid-value warnings off: the escape check after each step rejects a
-    state that overflowed.
+    radius (ESCAPE_RADIUS_FACTOR x the spread of the first block, floor 1)
+    is not finite, are invalid input.  Steps and observers run with numpy's
+    overflow and invalid-value warnings off: the escape check after each
+    step rejects a state that overflowed.
     """
     steps = time_steps(0.0, t1, dt)
     radius = escape_radius
@@ -225,7 +226,7 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
             # by trajectory, so a partial block draws a prefix of a full one
             rng.standard_normal(out=noise[:nb])
             if radius is None:
-                radius = 50.0 * float(np.maximum(1.0, np.std(y)))  # keeps a NaN
+                radius = ESCAPE_RADIUS_FACTOR * float(np.maximum(1.0, np.std(y)))  # keeps a NaN
                 if not radius < np.inf:
                     raise ValueError("the spread of the initial states overflows, "
                                      "so no escape radius can be set")
@@ -278,8 +279,8 @@ def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
     sigma2 = 0 is the noise-free flow of the control alone.  ``u`` is None or
     a callable ``(x, t) -> (m, dim)``; ``x0`` is a callable
     ``(rng, size) -> (size, dim)``, an array, or a scalar.  The escape radius
-    is 50x the spread of the initial samples (floor 1); crossing it aborts
-    with the offending trajectory index.
+    is ESCAPE_RADIUS_FACTOR x the spread of the initial samples (floor 1);
+    crossing it aborts with the offending trajectory index.
     """
     start, step = _overdamped_rule(ham, u, x0, dt)
     return _march_stored(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None)
@@ -403,8 +404,8 @@ def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
 def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
     """``start``, ``step``, state width, noise width and escape radius of
     the symplectic Euler scheme for the feedback ``gains``: one drag per
-    gain, one noise draw for all.  The radius is 50x the thermal spread
-    sqrt(T / m) of the lightest mass and sqrt(T), floor 1."""
+    gain, one noise draw for all.  The radius is ESCAPE_RADIUS_FACTOR x the
+    thermal spread sqrt(T / m) of the lightest mass and sqrt(T), floor 1."""
     for gain in gains:
         if not 0.0 <= gain < np.inf:  # NaN fails too
             raise ValueError(f"the feedback gain alpha_c must be finite and nonnegative, "
@@ -417,8 +418,8 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
     m = spec.mass_per_coord
     c = np.sqrt(2.0 * spec.gamma * spec.temperature)  # fluctuation-dissipation
     drag = (spec.gamma + np.asarray(gains, dtype=float)).reshape(n_gains, 1)
-    radius = 50.0 * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
-                        np.sqrt(spec.temperature))
+    radius = ESCAPE_RADIUS_FACTOR * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
+                                        np.sqrt(spec.temperature))
     root_dt = np.sqrt(dt)
     noisy = c != 0.0
 
@@ -573,8 +574,7 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid) -> GridDensity
 class TimeMoments:
     """An observer of the per-time moments of ``width`` state columns from
     ``column`` on: for every time, the count, mean and centred co-moment of
-    those columns, and, given the polymer ``spec`` whose ``[q | p]`` states
-    they are, the sum of m V^2 per block.
+    those columns.
 
     Each chunk's columns are copied into a work buffer sized by one chunk,
     trajectories innermost, so the bits do not depend on where the chunk
@@ -587,16 +587,12 @@ class TimeMoments:
         M2 = M2_a + (M2_b + delta delta^T n_a n_b / n),   n = n_a + n_b.
     """
 
-    def __init__(self, n_times: int, width: int, spec: PolymerSpec | None = None,
-                 column: int = 0):
+    def __init__(self, n_times: int, width: int, column: int = 0):
         self.columns = slice(column, column + width)
-        self.spec = spec
         self.count = np.zeros(n_times, dtype=np.int64)
         self.mean = np.zeros((n_times, width))
         self.comoment = np.zeros((n_times, width, width))
-        self.mv2 = np.zeros((n_times, 0 if spec is None else spec.n_blocks))
         self._x = np.empty((CHUNK + 1) * width * NOISE_BLOCK)
-        self._v = np.empty(0 if spec is None else (CHUNK + 1) * spec.n_coords * NOISE_BLOCK)
 
     def add(self, first, t0, X):
         rows = _new_rows(range(len(self.count)), t0, len(X))
@@ -604,13 +600,6 @@ class TimeMoments:
         x = _head(self._x, (n_rows, w, nb))
         np.copyto(x, X[rows, :, self.columns].transpose(0, 2, 1))
         times = slice(t0 + rows.start, t0 + rows.stop)
-        spec = self.spec
-        if spec is not None:  # m V^2 = (p / m)^2 m per momentum, as WindowTemperatures
-            nc, m = spec.n_coords, spec.mass_per_coord[:, None]
-            v = np.divide(x[:, nc:], m, out=_head(self._v, (n_rows, nc, nb)))
-            np.multiply(np.square(v, out=v), m, out=v)
-            per_coord = v.sum(axis=2).reshape(n_rows, spec.n_blocks, spec.block_dim)
-            self.mv2[times] += per_coord.sum(axis=2)
         mean_b = x.mean(axis=2)
         np.subtract(x, mean_b[:, :, None], out=x)
         m2_b = np.einsum("tin,tjn->tij", x, x)
@@ -628,26 +617,24 @@ class TimeMoments:
             raise ValueError("a sample covariance needs at least two trajectories")
         return self.comoment / (self.count - 1)[:, None, None]
 
-    def summary(self, times):
+    def summary(self, times, spec: PolymerSpec | None = None):
         """Header and lazy rows ``t, mean.., cov.., Tkin..`` at ``times``, one
-        per time; the kinetic temperatures m <V^2> / d of the blocks with a
-        ``spec``."""
+        per time; given the polymer ``spec`` whose ``[q | p]`` states the
+        columns are, each block's kinetic temperature m <V^2> / d, read off
+        the momentum moments as the block's mean of <p_i^2> / m_i."""
         cov = self.cov()
         dim = self.mean.shape[1]
+        tkin = np.empty((len(self.count), 0))
+        if spec is not None:  # <p_i^2> = M2_ii / n + mean_i^2
+            nc = spec.n_coords
+            p2 = np.diagonal(self.comoment, axis1=1, axis2=2)[:, nc:] / self.count[:, None] \
+                + self.mean[:, nc:] ** 2
+            tkin = (p2 / spec.mass_per_coord).reshape(len(p2), spec.n_blocks, -1).mean(axis=2)
         header = ["t"] + [f"mean{i}" for i in range(dim)] + \
                  [f"cov{i}{j}" for i in range(dim) for j in range(dim)] + \
-                 [f"Tkin{k}" for k in range(self.mv2.shape[1])]
-        tkin = self.mv2 if self.spec is None else \
-            self.mv2 / (self.count[:, None] * self.spec.block_dim)
+                 [f"Tkin{k}" for k in range(tkin.shape[1])]
         return header, ((t, *m, *c.ravel(), *k)
                         for t, m, c, k in zip(times, self.mean, cov, tkin))
-
-
-def _moments(ens: PathEnsemble, spec: PolymerSpec | None = None) -> TimeMoments:
-    """:class:`TimeMoments` of every column of a stored ensemble."""
-    moments = TimeMoments(len(ens.times), ens.dim, spec)
-    replay(ens, (moments.add,))
-    return moments
 
 
 @dataclass(frozen=True)
@@ -665,7 +652,8 @@ def sample_moments(ens: PathEnsemble, t_index: int) -> SampleMoments:
     (:func:`mean_and_stderr`; an overflow of either raises)."""
     x = ens.states[:, t_index, :]
     _, se_mean = mean_and_stderr(x, "the sample mean")
-    moments = _moments(PathEnsemble(ens.times[[t_index]], x[:, None, :], ens.dt))
+    moments = TimeMoments(1, ens.dim)
+    replay(PathEnsemble(ens.times[[t_index]], x[:, None, :], ens.dt), (moments.add,))
     mean, cov = moments.mean[0], moments.cov()[0]
     with np.errstate(over="ignore"):  # an overflow is rejected by mean_and_stderr
         centered = (x - mean) ** 2
@@ -688,5 +676,7 @@ def ensemble_rows(ens: PathEnsemble):
 def ensemble_summary(ens: PathEnsemble, spec: PolymerSpec | None = None):
     """Header and lazy per-time rows of the mean and covariance entries, plus
     the kinetic temperature of each block for polymer runs: the
-    :meth:`TimeMoments.summary` of the stored ensemble."""
-    return _moments(ens, spec).summary(ens.times)
+    :meth:`TimeMoments.summary` of the stored ensemble, fed by :func:`replay`."""
+    moments = TimeMoments(len(ens.times), ens.dim)
+    replay(ens, (moments.add,))
+    return moments.summary(ens.times, spec)

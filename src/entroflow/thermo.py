@@ -35,7 +35,7 @@ from .grids import (
     quadrature,
     require_same_grid,
 )
-from .tolerances import BOUNDARY_DECAY_FACTOR, GRAD_CHECK_RTOL, GRAD_CHECK_STEP, HERMITICITY_TOL
+from .tolerances import GRAD_CHECK_RTOL, GRAD_CHECK_STEP, HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -175,20 +175,14 @@ class GaussianDensity:
 def gibbs_density(ham: HamiltonianSpec, grid: Grid) -> GridDensity:
     """Equilibrium density proportional to exp(-H/kT), grid-normalized.
 
-    The result is flagged ``boundary_suspect`` when the boundary values are
-    not negligible (>= BOUNDARY_DECAY_FACTOR of the peak), i.e. when the box
+    Its ``boundary_suspect``, as every density's, tells whether the box
     truncates the equilibrium support.
     """
     H = ham.sample_energy(grid)
     if not np.all(np.isfinite(H)):
         raise ValueError("hamiltonian not finite")
     w = np.exp(-(H - H.min()) / ham.kT)
-    z = quadrature(grid, w)
-    values = w / z
-    peak = values.max()
-    boundary = values[grid.boundary_mask()]
-    suspect = bool(boundary.max() >= BOUNDARY_DECAY_FACTOR * peak)
-    return GridDensity(grid, values, boundary_suspect=suspect)
+    return GridDensity(grid, w / quadrature(grid, w))
 
 
 def relative_entropy(rho: GridDensity, sigma: GridDensity) -> float:

@@ -24,6 +24,8 @@ KRYLOV_BREAKDOWN_TOL = 2.0 ** -104
 BERNOULLI_SERIES_CUTOFF = 1e-10
 # largest boundary term the rate formulas may drop for a passing certificate
 BOUNDARY_DECAY_TOL = 1e-9
+# density boundary value, relative to its peak, that flags a support the box truncates
+BOUNDARY_DECAY_FACTOR = 1e-10
 
 # -- thermodynamics -----------------------------------------------------------
 
@@ -31,8 +33,6 @@ BOUNDARY_DECAY_TOL = 1e-9
 GRAD_CHECK_STEP = 1e-6
 # grad H against those differences, relative to max(|grad H|, 1)
 GRAD_CHECK_RTOL = 1e-5
-# Gibbs boundary value, relative to the peak, that flags a truncated support
-BOUNDARY_DECAY_FACTOR = 1e-10
 # largest entry of M - M^H of a symmetric or Hermitian matrix: roundoff only
 HERMITICITY_TOL = 1e-12
 
@@ -57,6 +57,10 @@ FD_RESIDUAL_FLOOR = 1e-30
 
 # share of samples outside the grid box that a density estimate tolerates
 ESCAPED_FRACTION_MAX = 1e-3
+# escape radius in initial or thermal spreads: a path 50 sd out has diverged, not fluctuated
+ESCAPE_RADIUS_FACTOR = 50.0
+# summed standard errors the weak continuity equation's two sides may differ by: 3 sigma
+CONTINUITY_SE_FACTOR = 3.0
 
 # -- quantum states and rates -------------------------------------------------
 

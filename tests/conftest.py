@@ -66,6 +66,16 @@ def stencil_csr(stepper):
     return A
 
 
+def kron_liouvillian(H, jumps):
+    """The Lindblad generator in row-major vec form: vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(H.shape[0])
+    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for L in jumps:
+        LdL = L.conj().T @ L
+        S += np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
+    return S
+
+
 def davies_generator(H, beta, rates):
     """Jump operators of a Davies generator for the Hermitian matrix ``H``:
     sqrt(gamma_jk) |j><k| between its eigenvectors for every j != k, with

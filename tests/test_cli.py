@@ -32,6 +32,8 @@ from entroflow.quantum import save_operator, sigma_x
 from entroflow.sde import (TrajectoryDivergence, ensemble_rows, ensemble_summary,
                            simulate_overdamped)
 
+from conftest import kron_liouvillian
+
 
 FAST_CONTROL_INI = """\
 [scenario]
@@ -329,21 +331,42 @@ def test_quantum_run_rejects_partial_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_lindblad_run_that_fails_its_own_check_exits_3(tmp_path, capsys):
-    # valid operators, but a jump rate of about 1e7 lets the roundoff of the
-    # exact step move the stored states off Hermitian by up to 1.5e-10, past
-    # HERMITICITY_TOL: a numerical failure, named with its quantity and time
+def _large_rate_lindblad_run(tmp_path, out):
+    """quantum-run of a qubit whose jump rate is about 1e7."""
     files = {"h": [[1.0, 0.5], [0.5, -1.0]], "rho": [[0.6, 0.2j], [-0.2j, 0.4]],
              "l": 3000.0 * np.array([[1.0, 2.0], [0.5j, -1.0]])}
     for name, matrix in files.items():
         save_operator(np.array(matrix, dtype=complex), tmp_path / f"{name}.txt")
-    out = tmp_path / "q"
-    code = main(["quantum-run", "--hamiltonian", str(tmp_path / "h.txt"),
+    return main(["quantum-run", "--hamiltonian", str(tmp_path / "h.txt"),
                  "--lindblad", str(tmp_path / "l.txt"), "--rho0", str(tmp_path / "rho.txt"),
-                 "--t1", "1", "--dt", "0.01", "--out", str(out)])
-    assert code == 3
-    assert re.fullmatch(r"numerical failure: the evolved state at t = \S+: density operator "
-                        r"must be Hermitian \(off by \S+\)\n", capsys.readouterr().err)
+                 "--t1", "1", "--dt", "0.01", "--out", str(out)]), files
+
+
+def test_lindblad_run_at_a_large_jump_rate_exits_0(tmp_path):
+    # at this rate the roundoff of exp(dt L) alone moves the states off
+    # Hermitian past HERMITICITY_TOL; the steps keep them exactly Hermitian,
+    # and the purities are those of exp(t L) rho0: for qubit states
+    # |tr A^2 - tr B^2| <= ||A - B||_F ||A + B||_F <= 4 max|A - B|, and
+    # max|A - B| <= steps * eps ||dt L||_1
+    out = tmp_path / "q"
+    code, files = _large_rate_lindblad_run(tmp_path, out)
+    assert code == 0
+    _, data = read_csv(out / "evolution.csv")
+    S = kron_liouvillian(np.array(files["h"]), (files["l"],))
+    tol = 4 * 100 * np.finfo(float).eps * np.linalg.norm(0.01 * S, 1)
+    rho0 = np.array(files["rho"]).reshape(-1)
+    exact = [(scipy.linalg.expm(t * S) @ rho0).reshape(2, 2) for t in data[:, 0]]
+    assert np.max(np.abs(data[:, 2] - [np.trace(r @ r).real for r in exact])) <= tol
+
+
+def test_lindblad_run_that_fails_its_own_check_exits_3(tmp_path, monkeypatch, capsys):
+    # valid operators, but a propagator that flips the sign of rho_11 is not
+    # positive: a numerical failure, named with its quantity and time
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: np.diag([1.0, 1.0, 1.0, -1.0]))
+    out = tmp_path / "q"
+    assert _large_rate_lindblad_run(tmp_path, out)[0] == 3
+    assert re.fullmatch(r"numerical failure: the evolved state at t = 0.01: negative "
+                        r"eigenvalue \S+\n", capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -526,13 +549,15 @@ def test_initial_moments_checked_by_key(tmp_path, capsys):
 
 def test_mass_drift_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # a leak of 1e-9 per step is 2e-7 over ou-relax's 200 steps: above
-    # grids.MASS_TOL, so it must be caught before a GridDensity is built
-    solve_banded = scipy.linalg.solve_banded
+    # grids.MASS_TOL, so it must be caught before a GridDensity is built;
+    # the solution is item 3 of LAPACK's dgtsv result
+    dgtsv = scipy.linalg.lapack.dgtsv
 
     def leaky(*args, **kwargs):
-        return solve_banded(*args, **kwargs) * (1.0 + 1e-9)
+        *bands, x, info = dgtsv(*args, **kwargs)
+        return *bands, x * (1.0 + 1e-9), info
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", leaky)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", leaky)
     out = tmp_path / "o"
     assert main(["control-run", "--scenario", "ou-relax", "--out", str(out)]) == 3
     assert "mass drift" in capsys.readouterr().err
@@ -542,16 +567,17 @@ def test_mass_drift_is_numerical_failure(tmp_path, monkeypatch, capsys):
 def test_non_finite_step_between_stored_times_exits_3(tmp_path, monkeypatch, capsys):
     # ou-relax stores every 10th step; a NaN from the third solve fails the
     # mass check of that step, at t = 0.003, not the next solve's input check
-    solve_banded, calls = scipy.linalg.solve_banded, []
+    dgtsv, calls = scipy.linalg.lapack.dgtsv, []
 
     def nan_once(*args, **kwargs):
-        x = solve_banded(*args, **kwargs)
+        result = dgtsv(*args, **kwargs)
         calls.append(None)
         if len(calls) == 3:
+            x = result[3]
             x[x.size // 2] = np.nan
-        return x
+        return result
 
-    monkeypatch.setattr(scipy.linalg, "solve_banded", nan_once)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", nan_once)
     out = tmp_path / "o"
     assert main(["control-run", "--scenario", "ou-relax", "--out", str(out)]) == 3
     assert "numerical failure: mass drift at t=0.003: nan != 1" in capsys.readouterr().err

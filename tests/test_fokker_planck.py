@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
@@ -251,6 +252,19 @@ def test_mass_drift_is_a_numerical_error():
         stepper._solve = nan_solve
         with pytest.raises(MassDriftError, match="mass drift at t=0.1: nan != 1"):
             stepper.advance(rho, 1.0, 0.1)
+
+
+def test_failed_tridiagonal_solve_is_a_linalg_error(monkeypatch):
+    # LAPACK reports a zero pivot through info, not by raising: the 1-D step
+    # raises LinAlgError, a numerical failure to the CLI, as solve_banded did
+    grid = Grid((-4.0,), (4.0,), (64,))
+    rho = GaussianDensity([0.0], [[1.0]]).sample_on(grid).values
+    stepper = _Stepper(grid, 0.01)
+    stepper.load(0.7, [np.zeros(63)])
+    dgtsv = scipy.linalg.lapack.dgtsv
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", lambda *args: (*dgtsv(*args)[:4], 5))
+    with pytest.raises(np.linalg.LinAlgError, match=r"dgtsv info=5"):
+        stepper.advance(rho, 1.0, 0.01)
 
 
 def stored_run(cells, half, q, gain, steps, store_every):
@@ -548,6 +562,30 @@ def test_step_is_scipys_jacobi_bicgstab(case, s, seed):
     rho /= quadrature(grid, rho)  # a step checks that its density has mass 1
     x = stepper.advance(rho, s, stepper.dt)
     ref = scipy_step(stepper, rho)
+    assert same_bits(x, np.maximum(ref, 0.0) if ref.min() < 0.0 else ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.sampled_from([2, 3, 17, 2048]), D=st.sampled_from([0.0, 0.05, 0.7, 3.0]),
+       scale=st.floats(0.1, 20.0), s=SCALES, seed=st.integers(0, 2**32 - 1))
+def test_1d_step_is_scipys_banded_solve(cells, D, scale, s, seed):
+    # the 1-D step hands the implicit stencil's three arrays to LAPACK's
+    # tridiagonal solve: bitwise solve_banded of the same stencil as a band
+    # array, on the right-hand side c A rho + rho, down to two cells
+    grid = Grid((-3.0,), (3.0,), (cells,))
+    rng = np.random.default_rng(seed)
+    stepper = _Stepper(grid, 1.0)
+    stepper.load(D, [scale * rng.normal(size=cells - 1)])
+    # dt s max|diag A| / 2 <= 1 keeps the explicit half nonnegative
+    stepper.dt = 0.25 / stepper.max_diag
+    rho = rng.uniform(0.5, 1.5, cells)
+    rho /= quadrature(grid, rho)  # a step checks that its density has mass 1
+    x = stepper.advance(rho, s, stepper.dt)
+    (lower,), diag, (upper,) = stepper.implicit
+    bands = np.zeros((3, cells))
+    bands[0, 1:], bands[1], bands[2, :-1] = upper, diag, lower
+    rhs = 0.5 * stepper.dt * s * (stencil_csr(stepper) @ rho) + rho
+    ref = scipy.linalg.solve_banded((1, 1), bands, rhs)
     assert same_bits(x, np.maximum(ref, 0.0) if ref.min() < 0.0 else ref)
 
 

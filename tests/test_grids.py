@@ -106,6 +106,17 @@ def test_density_validation():
         d.values[0] = 3.0  # immutable
 
 
+def test_boundary_flag_is_read_off_any_density():
+    # N(0, 1) cut at one sigma is flagged; at eight sigma its boundary values
+    # are 1.6e-14 of the peak, below BOUNDARY_DECAY_FACTOR
+    for half, suspect in ((1.0, True), (8.0, False)):
+        grid = Grid((-half,), (half,), (256,))
+        rho = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
+        assert rho.boundary_suspect is suspect
+        with pytest.raises(TypeError):  # the values decide it, not the caller
+            GridDensity(grid, rho.values, boundary_suspect=not suspect)
+
+
 def test_density_moments():
     g = Grid((-10.0,), (10.0,), (1024,))
     x = g.axis_centers(0)

@@ -27,7 +27,7 @@ from entroflow.quantum import (
     von_neumann_entropy,
 )
 
-from conftest import davies_generator
+from conftest import davies_generator, kron_liouvillian
 
 
 def random_density(rng, n):
@@ -324,16 +324,6 @@ def test_lindblad_step_size_independent():
         assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
 
 
-def kron_liouvillian(H, jumps):
-    """Row-major vec form: vec(A X B) = (A kron B^T) vec(X)."""
-    eye = np.eye(H.shape[0])
-    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-    for L in jumps:
-        LdL = L.conj().T @ L
-        S += np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
-    return S
-
-
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(2, 5), n_jumps=st.integers(0, 3),
        seed=st.integers(0, 2**32 - 1), dt=st.floats(1e-3, 2.0),
@@ -418,16 +408,32 @@ def test_davies_divergence_from_gibbs_does_not_increase(draw):
     assert np.all(np.diff(D) <= EIG_FLOOR)
 
 
-def test_evolved_state_off_hermitian_is_a_numerical_failure():
-    # the inputs are valid, but at a jump rate of about 1e7 the roundoff of
-    # the exact step moves the stored states off Hermitian by up to 1.5e-10,
-    # past HERMITICITY_TOL: a numerical failure, not invalid input
+def test_states_at_large_jump_rates_stay_exactly_hermitian():
+    # at a jump rate of about 1e7 the roundoff of exp(dt L) alone moves the
+    # states off Hermitian by up to 1.5e-10, past HERMITICITY_TOL; each step
+    # takes the Hermitian part, so the stack is exactly Hermitian and is
+    # exp(t L) rho0 up to the roundoff of its steps, eps ||dt L||_1 each
     H = HamiltonianOperator(np.array([[1.0, 0.5], [0.5, -1.0]]))
     L = 3000.0 * np.array([[1.0, 2.0], [0.5j, -1.0]])
     rho0 = DensityOperator(np.array([[0.6, 0.2j], [-0.2j, 0.4]]))
-    with pytest.raises(NumericalFailure, match=r"^the evolved state at t = \S+: density "
-                                               r"operator must be Hermitian \(off by "):
-        lindblad_evolve(LindbladSpec(H, (L,)), rho0, 1.0, 0.01)
+    dt = 0.01
+    traj = lindblad_evolve(LindbladSpec(H, (L,)), rho0, 1.0, dt)
+    assert np.array_equal(traj.matrices, traj.matrices.conj().swapaxes(1, 2))
+    S = kron_liouvillian(H.matrix, (L,))
+    tol = (len(traj) - 1) * np.finfo(float).eps * np.linalg.norm(dt * S, 1)
+    for t, M in zip(traj.times, traj.matrices):
+        exact = (scipy.linalg.expm(t * S) @ rho0.matrix.reshape(-1)).reshape(2, 2)
+        assert np.max(np.abs(M - exact)) <= tol
+
+
+def test_evolved_state_that_fails_its_check_is_a_numerical_failure(monkeypatch):
+    # valid inputs, but a propagator that flips the sign of rho_11 is not
+    # positive: the first evolved state has a negative eigenvalue
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: np.diag([1.0, 1.0, 1.0, -1.0]))
+    rho0 = DensityOperator(np.diag([0.8, 0.2]))
+    with pytest.raises(NumericalFailure, match=r"^the evolved state at t = 0.01: negative "
+                                               r"eigenvalue "):
+        lindblad_evolve(LindbladSpec(HamiltonianOperator(sigma_z)), rho0, 1.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
