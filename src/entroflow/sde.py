@@ -25,6 +25,15 @@ produced in parallel without changing the result.  Both integrators are
 per-step rules of one loop, :func:`_march_paths`, which owns the noise and
 the escape check: a state that leaves the escape radius or is not finite
 raises :class:`TrajectoryDivergence` with the time and trajectory index.
+The loop draws each block's stream, its initial states and then its noise,
+on one worker thread that it starts and joins itself, so no thread outlives
+a run.  While block b steps, the worker draws block b + 1 into a second
+noise buffer when one block's noise fits ``NOISE_AHEAD_BYTES`` (8 MiB), so
+the ``start`` of block b + 1 may run before the steps of block b; a larger
+block is drawn after the one before has stepped, into the one buffer.  The
+main thread takes each block's draw, its states or its exception, at that
+block's turn, so the streams, the observers' order and which error is
+raised first do not depend on the thread.
 
 Observers.  Every ensemble reaches its observers as chunks, ``add(first,
 t0, X)``: X[i] holds the states at time index t0 + i of trajectories
@@ -68,6 +77,7 @@ opens no files.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,6 +91,11 @@ from .tolerances import ESCAPE_RADIUS_FACTOR, ESCAPED_FRACTION_MAX, TIME_GRID_RT
 
 NOISE_BLOCK = 1024
 CHUNK = 32
+# the largest block of noise drawn ahead into a second buffer; above it the
+# second buffer costs more memory than the overlap saves time (a
+# polymer-cooling block is 19.7 MB: drawing it ahead too raised the peak
+# resident memory of a run of both ensemble builtins from 88 to 99 MB)
+NOISE_AHEAD_BYTES = 8 * 2**20
 
 
 class TrajectoryDivergence(NumericalFailure):
@@ -196,6 +211,20 @@ class PathRecord:
         return PathEnsemble(times, self.values.swapaxes(0, 1), dt)
 
 
+def _draw(start, seed: int, block: int, noise: np.ndarray) -> np.ndarray:
+    """The stream of noise block ``block``: ``start(rng)``'s first
+    ``len(noise)`` initial states, then ``noise`` filled in place.  It runs
+    on the march's worker thread, under the march's error state, which it
+    enters itself since numpy keeps one per thread."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = _block_rng(seed, block)
+        y = start(rng)[:len(noise)]
+        # the draws run trajectory by trajectory, so a partial block draws a
+        # prefix of a full one
+        rng.standard_normal(out=noise)
+        return y
+
+
 def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
                  t1: float, seed: int, escape_radius: float | None, observers=()) -> None:
     """The one loop over noise blocks and time steps of every path ensemble.
@@ -204,7 +233,13 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
     ``(NOISE_BLOCK, steps, noise_dim)`` noise; ``step(k, y, dW)`` maps the
     states at t_k to t_k+1.  The checked states reach every observer in
     chunks of at most ``CHUNK`` steps (see the module docstring) from one
-    buffer, so a run holds one block's noise and one chunk of states.
+    buffer.  The draws run on one worker thread, opened and joined here, so
+    no thread outlives the march.  When one block's noise fits
+    ``NOISE_AHEAD_BYTES``, block b + 1 is drawn into a second buffer while
+    block b steps, so ``start`` may run ahead of the previous block's steps;
+    otherwise it is drawn once block b has stepped, and the run holds one
+    block's noise.  Each block's draw is taken, states or exception, at its
+    turn: an error of block b is raised before any of block b + 1.
     Non-finite initial states, and initial states whose default escape
     radius (ESCAPE_RADIUS_FACTOR x the spread of the first block, floor 1)
     is not finite, are invalid input.  Steps and observers run with numpy's
@@ -213,27 +248,38 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
     """
     steps = time_steps(0.0, t1, dt)
     radius = escape_radius
-    noise = np.empty((NOISE_BLOCK, steps, noise_dim))
+    rows = min(NOISE_BLOCK, n_traj)
+    ahead = rows * steps * noise_dim * 8 <= NOISE_AHEAD_BYTES
+    noises = [np.empty((rows, steps, noise_dim)) for _ in range(2 if ahead else 1)]
     buf = np.empty((CHUNK + 1, NOISE_BLOCK, dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, n_traj, NOISE_BLOCK):
+    firsts = range(0, n_traj, NOISE_BLOCK)
+
+    # a draw that an earlier block's error overtakes is joined on leaving the
+    # pool, and its outcome is dropped
+    with np.errstate(over="ignore", invalid="ignore"), \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        def draw(b):
+            noise = noises[b % len(noises)][:min(NOISE_BLOCK, n_traj - firsts[b])]
+            return noise, pool.submit(_draw, start, seed, b, noise)
+
+        pending = draw(0)
+        for b, first in enumerate(firsts):
             nb = min(NOISE_BLOCK, n_traj - first)
-            rng = _block_rng(seed, first // NOISE_BLOCK)
-            y = start(rng)[:nb]
+            noise, drawn = pending
+            y = drawn.result()
             if not np.all(np.isfinite(y)):
                 raise ValueError("initial states must be finite")
-            # one buffer: no two blocks' noise at once; the draws run trajectory
-            # by trajectory, so a partial block draws a prefix of a full one
-            rng.standard_normal(out=noise[:nb])
             if radius is None:
                 radius = ESCAPE_RADIUS_FACTOR * float(np.maximum(1.0, np.std(y)))  # keeps a NaN
                 if not radius < np.inf:
                     raise ValueError("the spread of the initial states overflows, "
                                      "so no escape radius can be set")
+            if ahead and b + 1 < len(firsts):
+                pending = draw(b + 1)
             X, t0 = buf[:, :nb], 0
             X[0] = y
             for k in range(steps):
-                y = step(k, y, noise[:nb, k])
+                y = step(k, y, noise[:, k])
                 worst = np.max(np.abs(y))
                 if not worst <= radius:  # NaN fails too
                     bad = first + int(np.argmax(np.max(np.abs(y), axis=1)))
@@ -246,6 +292,8 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
                     for add in observers:
                         add(first, t0, X[:row + 1])
                     X[0], t0 = y, k + 1
+            if not ahead and b + 1 < len(firsts):
+                pending = draw(b + 1)
 
 
 def replay(ens: PathEnsemble, observers) -> None:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 import tracemalloc
 import warnings
 
@@ -13,7 +14,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
 from entroflow import (GaussianDensity, Grid, NumericalFailure, cli, fokker_planck,
-                       quadratic_hamiltonian)
+                       quadratic_hamiltonian, sde)
 from entroflow.cli import (
     BUILTIN_FACTORIES,
     ConfigError,
@@ -1018,6 +1019,27 @@ def test_overflowing_model_values_exit_without_warning(tmp_path, capsys, kind, b
     assert err.startswith(message) and err.count("\n") == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_overflowing_spread_drawn_ahead_exits_2_without_warning(tmp_path, capsys,
+                                                                monkeypatch):
+    # three noise blocks, each drawn ahead on the march's worker thread: the
+    # first block's spread still overflows before anything warns, and the
+    # worker is joined
+    monkeypatch.setattr(sde, "NOISE_AHEAD_BYTES", np.inf)
+    threads = threading.active_count()
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[scenario]\nkind = sde-run\n\n[numerics]\nmean0 = 1e308\n"
+                   "n_traj = 3000\ndt = 0.01\nt1 = 0.05\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sde-run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the spread of the initial states") and err.count("\n") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+    assert threading.active_count() == threads
 
 
 def test_store_every_defaults_per_kind():

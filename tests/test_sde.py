@@ -1,6 +1,10 @@
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,14 +178,17 @@ def test_escape_check_names_trajectory_and_time(data):
     steps, dt = 5, 0.1
     k = data.draw(st.integers(1, steps), label="k")
     bad = data.draw(st.sampled_from([2.0, -2.0, np.nan, np.inf, -np.inf]), label="bad")
+    # each block is counted at its first step, since the next block's start
+    # may run before this block steps
     blocks = []
 
     def start(rng):
-        blocks.append(len(blocks))
         return np.zeros((NOISE_BLOCK, 1))
 
     def step(j, y, dW):
         y = y.copy()
+        if j == 0:
+            blocks.append(len(blocks))
         if j + 1 == k and blocks[-1] == i // NOISE_BLOCK:
             y[i % NOISE_BLOCK] = bad
         return y
@@ -536,6 +543,230 @@ def test_moments_of_a_chunk_allocate_no_chunk_sized_array():
         tracemalloc.stop()
     kept = X[:, :, 6:].nbytes
     assert peak - base < kept / 4, (peak - base, kept)
+
+
+# ---------------------------------------------------------------------------
+# noise drawn ahead on the march's worker thread
+# ---------------------------------------------------------------------------
+
+def hand_drawn(start, step, n_traj, dim, noise_dim, steps, seed):
+    """Oracle of the march on one thread: each block's stream drawn by hand,
+    ``start`` and then all of its (nb, steps, noise_dim) noise, and stepped;
+    every state, time-major."""
+    states = np.empty((steps + 1, n_traj, dim))
+    for first in range(0, n_traj, NOISE_BLOCK):
+        nb = min(NOISE_BLOCK, n_traj - first)
+        rng = sde._block_rng(seed, first // NOISE_BLOCK)
+        y = start(rng)[:nb]
+        noise = rng.standard_normal((nb, steps, noise_dim))
+        states[0, first:first + nb] = y
+        for k in range(steps):
+            y = step(k, y, noise[:, k])
+            states[k + 1, first:first + nb] = y
+    return states
+
+
+def moments_of(states, dt):
+    moments = TimeMoments(states.shape[0], states.shape[2])
+    replay(PathEnsemble(dt * np.arange(states.shape[0]), states.swapaxes(0, 1), dt),
+           (moments.add,))
+    return moments
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_traj=st.sampled_from([1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1,
+                               3 * NOISE_BLOCK - 5]),
+       steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_noise_drawn_ahead_changes_no_bit(ou_ham, n_traj, steps, seed):
+    # with every block drawn ahead and with none, each run keeps the states
+    # and moments of the oracle that draws every block by hand
+    spec, x0 = harmonic_cantilever(spring_k=1.3, gamma=0.7, temperature=1.2), \
+        gaussian_x0(0.3, 1.5)
+    gains, dt = [0.0, 0.4, 1.1, 2.5], 0.01
+    t1 = steps * dt
+
+    def streamed(stream, width):
+        def run():
+            record = PathRecord(n_traj, steps + 1, width)
+            moments = TimeMoments(steps + 1, width)
+            stream((record.add, moments.add))
+            return record.values, moments
+        return run
+
+    def stored(simulate):
+        def run():
+            states = simulate().states.swapaxes(0, 1)
+            return states, moments_of(states, dt)
+        return run
+
+    rules = {
+        "stream_overdamped": (
+            streamed(lambda obs: stream_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed, obs),
+                     1),
+            sde._overdamped_rule(ou_ham, None, x0, dt) + (1, 1)),
+        "stream_polymer": (
+            streamed(lambda obs: stream_polymer(spec, gains, n_traj, dt, t1, seed, obs),
+                     2 * len(gains)),
+            sde._polymer_rule(spec, gains, 0.0, 0.0, dt)[:4]),
+        "simulate_overdamped": (
+            stored(lambda: simulate_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed)),
+            sde._overdamped_rule(ou_ham, None, x0, dt) + (1, 1)),
+        "simulate_polymer": (
+            stored(lambda: simulate_polymer(spec, gains[2], n_traj, dt, t1, seed)),
+            sde._polymer_rule(spec, gains[2:3], 0.0, 0.0, dt)[:4]),
+    }
+    for name, (run, (start, step, dim, noise_dim)) in rules.items():
+        oracle = hand_drawn(start, step, n_traj, dim, noise_dim, steps, seed)
+        expected = moments_of(oracle, dt)
+        for budget in (0, np.inf):
+            with mock.patch.object(sde, "NOISE_AHEAD_BYTES", budget):
+                states, moments = run()
+            assert same_bits(states, oracle), (name, budget)
+            assert np.all(moments.count == expected.count)
+            assert same_bits(moments.mean, expected.mean), (name, budget)
+            assert same_bits(moments.comoment, expected.comoment), (name, budget)
+
+
+def test_marches_on_many_threads_keep_their_bits(ou_ham):
+    # four marches at once, each with its own worker, under a short switch
+    # interval: each run keeps the states of the oracle for its seed
+    n_traj, steps, dt, x0 = 6 * NOISE_BLOCK - 3, 30, 0.01, gaussian_x0(0.3, 1.5)
+    start, step = sde._overdamped_rule(ou_ham, None, x0, dt)
+    oracle = {seed: hand_drawn(start, step, n_traj, 1, 1, steps, seed) for seed in range(4)}
+    states = {}
+
+    def run(seed):
+        states[seed] = simulate_overdamped(ou_ham, None, x0, n_traj, dt, steps * dt, seed).states
+
+    threads = [threading.Thread(target=run, args=(seed,)) for seed in oracle]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for seed, expected in oracle.items():
+        assert same_bits(states[seed].swapaxes(0, 1), expected), seed
+
+
+class BadStart(Exception):
+    pass
+
+
+def counted_start(blocks, bad_block=None, bad=None):
+    """A ``start`` of zero states that records the thread of each call and,
+    in block ``bad_block``, returns ``bad`` states or raises ``bad``."""
+    def start(rng):
+        blocks.append(threading.current_thread())
+        if len(blocks) - 1 == bad_block:
+            if isinstance(bad, Exception):
+                raise bad
+            return np.full((NOISE_BLOCK, 1), bad)
+        return np.zeros((NOISE_BLOCK, 1))
+    return start
+
+
+def chunks_of(firsts, steps):
+    return [(first, t0) for first in firsts for t0 in range(0, steps, CHUNK)]
+
+
+@pytest.fixture
+def drawn_ahead(monkeypatch):
+    """Every block's noise drawn ahead, whatever its size; yields the
+    thread count from before the test's marches."""
+    monkeypatch.setattr(sde, "NOISE_AHEAD_BYTES", np.inf)
+    return threading.active_count()
+
+
+def test_divergence_beats_the_next_blocks_bad_start(drawn_ahead):
+    # block 1's start, non-finite, has run on the worker before block 0
+    # diverges; the divergence is raised with its own message
+    blocks = []
+    started = lambda: len(blocks) == 2
+
+    def step(j, y, dW):
+        if j == 2:
+            for _ in range(1000):  # until block 1's draw is in flight
+                if started():
+                    break
+                time.sleep(0.01)
+            y = y.copy()
+            y[5] = 2.0
+        return y
+
+    with pytest.raises(TrajectoryDivergence) as err:
+        _march_paths(counted_start(blocks, 1, np.nan), step, 2 * NOISE_BLOCK, 1, 1, 0.1,
+                     0.5, 0, escape_radius=1.0)
+    assert str(err.value) == \
+        "trajectory divergence: |state| = 2 > 1 at t = 0.3, trajectory index 5"
+    assert started() and threading.main_thread() not in blocks
+    assert threading.active_count() == drawn_ahead
+
+
+@pytest.mark.parametrize("bad_block,bad,error,match", [
+    (2, np.nan, ValueError, "initial states must be finite"),
+    (2, np.inf, ValueError, "initial states must be finite"),
+    (1, BadStart("block 1 cannot start"), BadStart, "block 1 cannot start")])
+def test_bad_start_is_raised_at_its_blocks_turn(drawn_ahead, bad_block, bad, error, match):
+    # a block's start runs while the block before steps, but its error,
+    # unwrapped, comes only after every chunk of the blocks before it
+    # reached the observer
+    seen, blocks, steps = [], [], 2 * CHUNK + 3
+    with pytest.raises(error, match=f"^{match}$") as err:
+        _march_paths(counted_start(blocks, bad_block, bad), lambda j, y, dW: y + 0.0 * dW,
+                     3 * NOISE_BLOCK - 5, 1, 1, 0.01, steps * 0.01, 0, 1.0,
+                     (lambda first, t0, X: seen.append((first, t0)),))
+    assert type(err.value) is error
+    assert seen == chunks_of(range(0, bad_block * NOISE_BLOCK, NOISE_BLOCK), steps)
+    assert len(blocks) == bad_block + 1 and threading.main_thread() not in blocks
+    assert threading.active_count() == drawn_ahead
+
+
+def test_start_that_overflows_on_the_worker_warns_nothing(drawn_ahead):
+    # the worker runs under the march's error state: an overflow in start is
+    # an invalid initial state, not a RuntimeWarning (an error under pytest)
+    def start(rng):
+        return np.full((NOISE_BLOCK, 1), 1e308) * 10.0
+
+    with pytest.raises(ValueError, match="^initial states must be finite$"):
+        _march_paths(start, lambda j, y, dW: y, 5, 1, 1, 0.1, 0.2, 0, None)
+    assert threading.active_count() == drawn_ahead
+
+
+def test_clean_march_draws_on_one_worker_and_joins_it(drawn_ahead):
+    seen, blocks, steps = [], [], CHUNK + 1
+    _march_paths(counted_start(blocks), lambda j, y, dW: y + 0.01 * dW, 2 * NOISE_BLOCK + 1,
+                 1, 1, 0.01, steps * 0.01, 0, None,
+                 (lambda first, t0, X: seen.append((first, t0)),))
+    assert seen == chunks_of((0, NOISE_BLOCK, 2 * NOISE_BLOCK), steps)
+    assert len(set(blocks)) == 1 and threading.main_thread() not in blocks
+    assert threading.active_count() == drawn_ahead
+
+
+def traced_peak(n_traj, steps):
+    """The traced peak memory of a march of ``n_traj`` random walks over
+    ``steps`` steps, with no observer."""
+    tracemalloc.start()
+    try:
+        _march_paths(lambda rng: np.zeros((NOISE_BLOCK, 1)), lambda k, y, dW: y + dW,
+                     n_traj, 1, 1, 1.0, float(steps), 0, escape_radius=1e300)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_noise_is_drawn_ahead_only_within_the_budget():
+    # a block's noise over the budget is held once; under it, twice
+    over = sde.NOISE_AHEAD_BYTES // (8 * NOISE_BLOCK) + 76
+    block = NOISE_BLOCK * over * 8
+    assert block > sde.NOISE_AHEAD_BYTES
+    assert traced_peak(2 * NOISE_BLOCK, over) < 1.5 * block
+    block = NOISE_BLOCK * 200 * 8
+    assert 2 * block <= traced_peak(4 * NOISE_BLOCK, 200) < 2.5 * block
 
 
 # ---------------------------------------------------------------------------
