@@ -27,17 +27,14 @@ from .thermo import (
     relative_entropy,
 )
 from .fokker_planck import (
-    BoundaryDecayReport,
     ConvergenceError,
     DensityTrajectory,
     MassDriftError,
     PositivityError,
-    boundary_decay_report,
     continuity_velocity,
     evolve,
 )
 from .production import (
-    BoundaryLeakWarning,
     ProductionReport,
     entropy_rate,
     free_energy_decay_rate,
@@ -83,10 +80,9 @@ __all__ = [
     "GaussianDensity", "HamiltonianSpec",
     "flux_and_force", "free_energy", "gibbs_density",
     "quadratic_hamiltonian", "relative_entropy",
-    "BoundaryDecayReport", "ConvergenceError", "DensityTrajectory",
-    "MassDriftError", "PositivityError",
-    "boundary_decay_report", "continuity_velocity", "evolve",
-    "BoundaryLeakWarning", "ProductionReport", "entropy_rate",
+    "ConvergenceError", "DensityTrajectory", "MassDriftError", "PositivityError",
+    "continuity_velocity", "evolve",
+    "ProductionReport", "entropy_rate",
     "free_energy_decay_rate", "production_decomposition",
     "relative_entropy_rate",
     "GainSchedule", "GaussMarkovState",

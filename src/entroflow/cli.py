@@ -18,7 +18,11 @@ and only the keys it sets over those defaults; a kind's flags are the keys in
 ``KIND_FLAGS``, typed and restricted as the key is.  Every run writes its
 CSVs plus a manifest.json mapping each artifact to its sha256; identical
 config and seed give byte-identical artifacts (floats are printed with 17
-significant digits, nothing timestamps the outputs).  Exit codes: 0 ok, 2
+significant digits, nothing timestamps the outputs).  A grid run also
+writes run.json, its run record: the boundary certificate
+(`grids.boundary_certificate`) of its initial density, equilibrium and worst
+stored density.  The manifest does not list it, and a cut box still exits
+0.  Exit codes: 0 ok, 2
 usage/validation, an unreadable input file or a size too large to allocate,
 3 numerical failure: any ``grids.NumericalFailure`` or numpy ``LinAlgError``
 (partial outputs are removed on failure).
@@ -42,7 +46,8 @@ from .control import (
     evolve_modulated,
 )
 from .fokker_planck import admissible_gain
-from .grids import Grid, NumericalFailure, density_covariance, density_mean, time_steps
+from .grids import (Grid, NumericalFailure, boundary_certificate, density_covariance,
+                    density_mean, time_steps)
 from .paths import (
     EnergySum,
     IncrementBins,
@@ -319,12 +324,19 @@ def _fmt(v) -> str:
     return f"{float(v):.17g}"
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 class ArtifactWriter:
     def __init__(self, out_dir):
         self.out_dir = out_dir
         self.created = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         self.files: list[str] = []
+        self.record: str | None = None
 
     def write_csv(self, name: str, header, rows) -> str:
         """Write ``header`` and ``rows`` as ``name``; the one place artifacts are
@@ -343,17 +355,20 @@ class ArtifactWriter:
             with open(p, "rb") as fh:
                 entries[os.path.basename(p)] = hashlib.sha256(fh.read()).hexdigest()
         p = os.path.join(self.out_dir, "manifest.json")
-        with open(p, "w") as fh:
-            json.dump({"scenario": config.name, "kind": config.kind,
-                       "seed": seed, "files": entries}, fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        _write_json(p, {"scenario": config.name, "kind": config.kind, "seed": seed,
+                        "files": entries})
         return p
+
+    def write_record(self, record: dict) -> None:
+        """Write ``record``, what the run found about its own health, as
+        run.json.  It is no artifact: the manifest does not hash it."""
+        self.record = os.path.join(self.out_dir, "run.json")
+        _write_json(self.record, record)
 
     def cleanup(self) -> None:
         """Remove the written files, and the directory if this run made it."""
-        for p in self.files:
-            if os.path.exists(p):
+        for p in self.files + [self.record]:
+            if p is not None and os.path.exists(p):
                 os.remove(p)
         if self.created and not os.listdir(self.out_dir):
             os.rmdir(self.out_dir)
@@ -367,8 +382,21 @@ def _ou_hamiltonian(c: dict):
     return quadratic_hamiltonian(c["q"], kT=c["kT"], sigma2=c["sigma2"])
 
 
+def _boundary_record(traj, equilibrium) -> dict:
+    """The boundary certificate of the initial density, the equilibrium and
+    the stored density with the largest ratio (at time ``t``)."""
+    ratios, suspect = boundary_certificate(traj.grid, traj.values)
+    eq_ratio, eq_suspect = boundary_certificate(traj.grid, equilibrium.values)
+    k = int(np.argmax(ratios))
+    entry = lambda ratio, flag: {"ratio": float(ratio), "suspect": bool(flag)}
+    return {"initial": entry(ratios[0], suspect[0]),
+            "equilibrium": entry(eq_ratio, eq_suspect),
+            "worst_stored": {**entry(ratios[k], suspect[k]), "t": float(traj.times[k])}}
+
+
 def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    """fp-run / control-run / decompose: one trajectory plus its CSVs."""
+    """fp-run / control-run / decompose: one trajectory plus its CSVs, and
+    the run record of its boundary certificates."""
     c = cfg.values()
     ham = _ou_hamiltonian(c)
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
@@ -380,12 +408,14 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     else:
         alpha = c["alpha"]
     traj = evolve_modulated(ham, alpha, rho0, c["t1"], c["dt"], store_every=c["store_every"])
+    equilibrium = gibbs_density(ham, grid)
+    w.write_record({"boundary": _boundary_record(traj, equilibrium)})
 
     if cfg.kind == "fp-run":
         rows = ((t, i, v) for t, row in zip(traj.times, traj.values)
                 for i, v in enumerate(row))
         w.write_csv("trajectory.csv", ["t", "cell_index", "density"], rows)
-        divergence = traj.divergence_curve(gibbs_density(ham, grid))
+        divergence = traj.divergence_curve(equilibrium)
     else:
         curve = decomposition_curve(traj, ham, alpha)
         divergence = curve["D"]

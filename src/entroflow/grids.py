@@ -9,7 +9,9 @@ solver) shares the conventions fixed here:
   interior and the second-order one-sided difference on the boundary.
 
 Grids are rectangular and uniform by construction; non-uniform spacings are
-rejected at the type level (there is no way to build one).
+rejected at the type level (there is no way to build one).  Since a box is
+not all of R^n, :func:`boundary_certificate` tells, from a density alone,
+whether the box cuts its support.
 
 Time grids too: :func:`time_steps` counts the steps of a horizon, by the
 slack :func:`time_slack` that every time naming a grid time reads, and
@@ -237,6 +239,21 @@ def density_covariance(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.sum(outer * w, axis=tuple(range(grid.ndim))) * grid.cell_volume
 
 
+def boundary_certificate(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ratio, suspect) of a density ``values`` on ``grid``, or of each row of
+    a stack of them (leading axes): the largest boundary value over the peak,
+    and whether it reaches BOUNDARY_DECAY_FACTOR.
+
+    Rate formulas integrate by parts over all of R^n; on a box they hold when
+    the boundary terms vanish, so a suspect density (the box cuts its
+    support) carries boundary-term bias into every rate it enters.
+    """
+    lead = values.shape[:values.ndim - grid.ndim]
+    flat = values.reshape(lead + (-1,))
+    ratio = flat[..., grid.boundary_mask().ravel()].max(axis=-1) / flat.max(axis=-1)
+    return ratio, ratio >= BOUNDARY_DECAY_FACTOR
+
+
 def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Discrete gradient, shape ``grid.shape + (ndim,)``.
 
@@ -280,9 +297,8 @@ class GridDensity:
 
     @cached_property
     def boundary_suspect(self) -> bool:
-        """A boundary value >= BOUNDARY_DECAY_FACTOR x the peak: the box cuts the support."""
-        boundary = self.values[self.grid.boundary_mask()]
-        return bool(boundary.max() >= BOUNDARY_DECAY_FACTOR * self.values.max())
+        """Whether the box cuts the support, by :func:`boundary_certificate`."""
+        return bool(boundary_certificate(self.grid, self.values)[1])
 
     def integrate(self) -> float:
         return quadrature(self.grid, self.values)

@@ -24,24 +24,24 @@ cells below ``DENSITY_FLOOR`` (1e-300, in `tolerances`) zero weight, and one
 weighted inner product.  The functions here and in `control` wrap it, so the identities
 with `thermo.flux_and_force` and the finite-volume solver hold to roundoff
 rather than to discretization error.
+
+The boundary terms these formulas drop decay on all of R^n but not
+necessarily on a box: every rate here is valid when neither density it
+reads is ``boundary_suspect`` (`grids.boundary_certificate`).  A rate
+function computes only its rate; the caller reads the flag off the
+densities it passed in.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fokker_planck import BoundaryDecayReport, boundary_decay_report
 from .grids import Grid, GridDensity, VectorFieldGrid, gradient, quadrature, require_same_grid
 from .thermo import HamiltonianSpec, gibbs_density, flux_and_force
 from .tolerances import (DECOMPOSITION_TOL, DENSITY_FLOOR, FREE_ENERGY_RTOL,
                          FREE_ENERGY_SCALE_FLOOR)
-
-
-class BoundaryLeakWarning(UserWarning):
-    """Boundary-decay certificate failed: rate may carry boundary-term bias."""
 
 
 def floored_log(values) -> np.ndarray:
@@ -91,21 +91,14 @@ def relative_entropy_rate(rho_tilde: GridDensity, rho: GridDensity,
                           f_tilde: VectorFieldGrid, f: VectorFieldGrid) -> float:
     """d/dt D(rho~||rho) from the velocity fields of the two evolutions.
 
-    Quadrature of grad log(rho~/rho) . (f~ - f) rho~.  Every call checks
-    the boundary-decay certificate of :func:`boundary_decay_report` and
-    emits a :class:`BoundaryLeakWarning` when it fails (the returned value
-    is then boundary-suspect).
+    Quadrature of grad log(rho~/rho) . (f~ - f) rho~.  The formula drops
+    the boundary terms of an integration by parts, so the rate is valid when
+    neither density is ``boundary_suspect``; the caller reads that flag.
     """
     grid = require_same_grid(rho_tilde, rho, f_tilde, f)
     w = support_weight(rho_tilde.values, rho.values)
     g = floored_log_ratio_gradient(grid, rho_tilde.values, rho.values)
-    rate = weighted_inner(grid, g, f_tilde.vectors - f.vectors, w)
-    report = boundary_decay_report(rho_tilde, f_tilde, rho, f)
-    if not report.passed:
-        worst = max(report.max_drift_rho_log, report.max_drift_rho, report.max_ref_drift_rho)
-        warnings.warn(f"boundary-suspect: decay certificate failed (max term {worst:.2e})",
-                      BoundaryLeakWarning, stacklevel=2)
-    return rate
+    return weighted_inner(grid, g, f_tilde.vectors - f.vectors, w)
 
 
 def entropy_rate(rho: GridDensity, f: VectorFieldGrid) -> float:
@@ -128,7 +121,6 @@ class ProductionReport:
     total: float
     pepr: float
     epur: float
-    boundary: BoundaryDecayReport
 
     @property
     def entropy_production(self) -> float:
@@ -144,18 +136,14 @@ def production_decomposition(rho_u: GridDensity, equilibrium: GridDensity,
 
     ``equilibrium`` must be the Gibbs density of the Hamiltonian that
     generates the uncontrolled drift (caller's responsibility: it enters
-    only through log ratios, so this cannot be verified here).
+    only through log ratios, so this cannot be verified here).  The split
+    is valid when neither density is ``boundary_suspect``.
     """
     grid = require_same_grid(rho_u, equilibrium, u)
     w = support_weight(rho_u.values, equilibrium.values)
     g = floored_log_ratio_gradient(grid, rho_u.values, equilibrium.values)
     total, pepr, epur = split_rate(grid, g, u.vectors, w, sigma2)
-    # velocity of the controlled flow relative to equilibrium (the reference
-    # flow is stationary with velocity 0)
-    f_tilde = VectorFieldGrid(grid, u.vectors - 0.5 * sigma2 * g)
-    report = boundary_decay_report(rho_u, f_tilde, equilibrium,
-                                   VectorFieldGrid.zero(grid))
-    return ProductionReport(total=total, pepr=pepr, epur=epur, boundary=report)
+    return ProductionReport(total=total, pepr=pepr, epur=epur)
 
 
 def free_energy_decay_rate(rho: GridDensity, ham: HamiltonianSpec) -> float:

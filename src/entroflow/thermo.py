@@ -176,7 +176,8 @@ def gibbs_density(ham: HamiltonianSpec, grid: Grid) -> GridDensity:
     """Equilibrium density proportional to exp(-H/kT), grid-normalized.
 
     Its ``boundary_suspect``, as every density's, tells whether the box
-    truncates the equilibrium support.
+    truncates the equilibrium support; the rates of `production` against
+    it are valid when neither it nor the other density is suspect.
     """
     H = ham.sample_energy(grid)
     if not np.all(np.isfinite(H)):

@@ -22,8 +22,6 @@ KRYLOV_RTOL = 1e-14
 KRYLOV_BREAKDOWN_TOL = 2.0 ** -104
 # |z| below which B(z) takes its series: z / expm1(z) loses digits there
 BERNOULLI_SERIES_CUTOFF = 1e-10
-# largest boundary term the rate formulas may drop for a passing certificate
-BOUNDARY_DECAY_TOL = 1e-9
 # density boundary value, relative to its peak, that flags a support the box truncates
 BOUNDARY_DECAY_FACTOR = 1e-10
 

@@ -22,7 +22,8 @@ from entroflow.cli import (
     main,
     run_scenario,
 )
-from entroflow.grids import time_steps
+from entroflow.control import evolve_modulated
+from entroflow.grids import boundary_certificate, time_steps
 from entroflow.fokker_planck import ConvergenceError, MassDriftError, PositivityError
 from entroflow.paths import (
     current_drift,
@@ -859,6 +860,69 @@ def test_underflowed_density_tails_are_a_valid_run(tmp_path, alpha):
     assert data[0, 2] == pytest.approx(exact, rel=1e-6)
 
 
+TRUNCATED_CONTROL_INI = """\
+[scenario]
+kind = control-run
+
+[model]
+q = 1
+sigma2 = 2
+
+[control]
+alpha = 0
+
+[numerics]
+grid_lo = {lo}
+grid_hi = {hi}
+grid_cells = 256
+mean0 = {mean0}
+var0 = 0.1
+dt = 1e-3
+t1 = 0.1
+"""
+
+
+@pytest.mark.parametrize("lo,hi,mean0,initial,worst", [(-1.0, 1.0, 0.0, 7.006e-3, 0.2650),
+                                                       (5.0, 8.0, 6.5, 1.420e-5, 0.7135)])
+def test_truncated_box_is_recorded_in_run_json(tmp_path, lo, hi, mean0, initial, worst):
+    # N(mean0, 0.1) spreads toward the equilibrium N(0, 1), and the box cuts
+    # both: a valid run (exit 0) whose record flags every density it names
+    cfg, out = tmp_path / "cut.ini", tmp_path / "o"
+    cfg.write_text(TRUNCATED_CONTROL_INI.format(lo=lo, hi=hi, mean0=mean0))
+    assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 0
+    record = json.loads((out / "run.json").read_text())["boundary"]
+    assert sorted(record) == ["equilibrium", "initial", "worst_stored"]
+    assert all(entry["suspect"] is True for entry in record.values())
+    assert record["initial"]["ratio"] == pytest.approx(initial, rel=1e-3)
+    assert record["worst_stored"]["ratio"] == pytest.approx(worst, rel=1e-3)
+    assert record["worst_stored"]["t"] == 0.1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == ["divergence.csv", "moments.csv"]
+
+
+def test_ou_relax_records_a_certified_equilibrium(tmp_path):
+    # the Gibbs N(0, 1) on [-8, 8] falls to 1.3e-14 of its peak at the edges,
+    # but the initial N(1, 2) is cut (4.9e-6 of its peak at +8); it is the
+    # worst stored density, as it relaxes toward the equilibrium
+    out = tmp_path / "o"
+    run_scenario(BUILTIN_FACTORIES["ou-relax"](), out_dir=str(out))
+    record = json.loads((out / "run.json").read_text())["boundary"]
+    assert record["equilibrium"]["suspect"] is False
+    assert record["equilibrium"]["ratio"] == pytest.approx(1.348e-14, rel=1e-3)
+    assert record["initial"]["suspect"] is True
+    assert record["initial"]["ratio"] == pytest.approx(4.918e-6, rel=1e-3)
+    assert record["worst_stored"] == dict(record["initial"], t=0.0)
+    # every one of its 21 stored densities is cut, the last at 6.1e-8
+    grid = Grid((-8.0,), (8.0,), (1024,))
+    traj = evolve_modulated(quadratic_hamiltonian(1.0, kT=1.0, sigma2=2.0), 0.0,
+                            GaussianDensity([1.0], [[2.0]]).sample_on(grid), 0.2, 1e-3,
+                            store_every=10)
+    ratios, suspect = boundary_certificate(grid, traj.values)
+    assert len(ratios) == 21 and suspect.all()
+    assert ratios[0] == record["initial"]["ratio"]
+    assert ratios[-1] == pytest.approx(6.087e-8, rel=1e-3)
+
+
 def test_wide_box_equilibrium_underflow_rejected(tmp_path, capsys):
     # exp(-x^2/2) underflows to exact zeros near x = +-40, where no feedback
     # law log(rho / rho_bar) exists
@@ -870,7 +934,7 @@ def test_wide_box_equilibrium_underflow_rejected(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "underflows to zero on 18 of 512 cells" in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists()  # with the run.json written before the rates failed
 
 
 def test_cells_too_fine_for_a_unit_mass_density_exit_2(tmp_path, capsys):
@@ -1185,6 +1249,8 @@ def _exits_cleanly(argv, out):
 @given(text=ini_texts())
 @example(text="[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 256\ndt = 0.01\n"
               "t1 = 0.5\ngrid_hi = 1e308\n")  # the density estimate's mass overflows
+@example(text="[scenario]\nkind = fp-run\n\n[numerics]\ngrid_cells = 16\ndt = 1e308\n"
+              "t1 = 1e308\n")  # the step's coefficients overflow
 def test_generated_config_files_keep_the_exit_contract(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "gen.ini")

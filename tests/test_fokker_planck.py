@@ -11,14 +11,13 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings, strategies as st
 
 import entroflow
-from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid, gibbs_density
+from entroflow import GaussianDensity, Grid, GridDensity, gibbs_density
 from entroflow.control import simulate_feedback
 from entroflow.fokker_planck import (
     MassDriftError,
     PositivityError,
     _Stepper,
     bernoulli,
-    boundary_decay_report,
     clock_rate,
     continuity_velocity,
     energy_slopes,
@@ -205,31 +204,6 @@ def test_continuity_velocity_zero_at_equilibrium(ou_ham, ou_grid):
     rho_bar = gibbs_density(ou_ham, ou_grid)
     v = continuity_velocity(rho_bar, ou_ham, 0.0, 0.0)
     assert np.max(np.abs(v.vectors)) < 1e-10
-
-
-def test_boundary_decay_report(ou_ham, ou_grid):
-    # well-confined Gaussian pair with OU velocity fields: certified
-    rho = GaussianDensity([1.0], [[1.0]]).sample_on(ou_grid)
-    rho_ref = GaussianDensity([0.0], [[1.0]]).sample_on(ou_grid)
-    f = continuity_velocity(rho, ou_ham, 0.0, 0.0)
-    f_ref = continuity_velocity(rho_ref, ou_ham, 0.0, 0.0)
-    rep = boundary_decay_report(rho, f, rho_ref, f_ref)
-    assert rep.passed
-
-    # uniform density with constant drift on a small box: O(1) boundary terms
-    small = Grid((-1.0,), (1.0,), (32,))
-    uni = GridDensity(small, np.full(32, 0.5))
-    const = VectorFieldGrid(small, np.ones((32, 1)))
-    rep2 = boundary_decay_report(uni, const, uni, const)
-    assert not rep2.passed
-    assert rep2.max_ref_drift_rho == pytest.approx(0.5)
-
-    # identical densities with zero field: all terms identically zero
-    zero = VectorFieldGrid.zero(small)
-    rep3 = boundary_decay_report(uni, zero, uni, zero)
-    assert rep3.max_ref_drift_rho == 0.0
-    assert rep3.max_drift_rho == 0.0
-    assert rep3.max_drift_rho_log == 0.0
 
 
 def test_mass_drift_is_a_numerical_error():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid
 from entroflow.control import evolve_modulated, simulate_feedback
 from entroflow.fokker_planck import evolve
-from entroflow.grids import gradient, quadrature
+from entroflow.grids import boundary_certificate, gradient, quadrature
 from entroflow.quantum import DensityOperator, HamiltonianOperator, LindbladSpec, lindblad_evolve
 
 
@@ -108,13 +109,47 @@ def test_density_validation():
 
 def test_boundary_flag_is_read_off_any_density():
     # N(0, 1) cut at one sigma is flagged; at eight sigma its boundary values
-    # are 1.6e-14 of the peak, below BOUNDARY_DECAY_FACTOR
-    for half, suspect in ((1.0, True), (8.0, False)):
+    # are 1.6e-14 of the peak, and N(1, 1)'s 2.8e-11, below BOUNDARY_DECAY_FACTOR
+    for half, mean, suspect in ((1.0, 0.0, True), (8.0, 0.0, False), (8.0, 1.0, False)):
         grid = Grid((-half,), (half,), (256,))
-        rho = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
+        rho = GaussianDensity([mean], [[1.0]]).sample_on(grid)
         assert rho.boundary_suspect is suspect
+        assert boundary_certificate(grid, rho.values)[1] == suspect
         with pytest.raises(TypeError):  # the values decide it, not the caller
             GridDensity(grid, rho.values, boundary_suspect=not suspect)
+    # a uniform density on a small box is all boundary: ratio 1
+    small = Grid((-1.0,), (1.0,), (32,))
+    assert boundary_certificate(small, np.full(32, 0.5)) == (1.0, True)
+
+
+@st.composite
+def density_stacks(draw):
+    """A random 1-D or 2-D grid and a stack of 1-6 positive densities on it,
+    some of them cut by the box and some confined."""
+    ndim = draw(st.integers(1, 2))
+    cells = tuple(draw(st.integers(2, 64 if ndim == 1 else 16)) for _ in range(ndim))
+    grid = Grid((-1.0,) * ndim, (1.0,) * ndim, cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = grid.centers()
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = 10.0 ** rng.uniform(-1.5, 0.5)
+        d2 = np.sum((x - rng.uniform(-1, 1, ndim)) ** 2, axis=-1)
+        raw = np.exp(-(d2 - d2.min()) / width ** 2)  # peak 1: no row underflows to 0
+        rows.append(raw / quadrature(grid, raw))
+    return grid, np.stack(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=density_stacks())
+def test_boundary_certificate_of_a_stack_is_that_of_each_row(case):
+    grid, stack = case
+    ratios, suspect = boundary_certificate(grid, stack)
+    assert ratios.shape == suspect.shape == stack.shape[:1]
+    for k, values in enumerate(stack):
+        ratio, flag = boundary_certificate(grid, values)
+        assert ratios[k].tobytes() == np.float64(ratio).tobytes()
+        assert suspect[k] == flag == GridDensity(grid, values).boundary_suspect
 
 
 def test_density_moments():
