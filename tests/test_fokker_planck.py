@@ -24,7 +24,7 @@ from entroflow.fokker_planck import (
     evolve,
     potential_drifts,
 )
-from entroflow.grids import MASS_TOL, quadrature
+from entroflow.grids import MASS_TOL, boundary_certificate, quadrature
 from entroflow.thermo import HamiltonianSpec, quadratic_hamiltonian, relative_entropy
 from entroflow.tolerances import DENSITY_FLOOR, KRYLOV_RTOL
 
@@ -204,6 +204,24 @@ def test_continuity_velocity_zero_at_equilibrium(ou_ham, ou_grid):
     rho_bar = gibbs_density(ou_ham, ou_grid)
     v = continuity_velocity(rho_bar, ou_ham, 0.0, 0.0)
     assert np.max(np.abs(v.vectors)) < 1e-10
+
+
+def test_boundary_decay_report(ou_ham, ou_grid):
+    # the boundary-decay condition of the rate formulas, read off the
+    # densities: a confined Gaussian pair is certified, and so is every
+    # density the OU flow carries the first one through
+    rho = GaussianDensity([1.0], [[1.0]]).sample_on(ou_grid)
+    rho_ref = GaussianDensity([0.0], [[1.0]]).sample_on(ou_grid)
+    assert not rho.boundary_suspect and not rho_ref.boundary_suspect
+    traj = evolve(ou_ham, 0.0, rho, 0.0, 0.5, 0.05, store_every=2)
+    ratios, suspect = boundary_certificate(ou_grid, traj.values)
+    assert ratios.shape == (len(traj),) and not suspect.any()
+
+    # a uniform density on a small box is all boundary: ratio 1, suspect
+    small = Grid((-1.0,), (1.0,), (32,))
+    uni = GridDensity(small, np.full(32, 0.5))
+    assert uni.boundary_suspect
+    assert boundary_certificate(small, uni.values) == (1.0, True)
 
 
 def test_mass_drift_is_a_numerical_error():
