@@ -15,17 +15,17 @@ flags.  ``KIND_KEYS`` lists the keys each kind reads with their defaults;
 ``ScenarioConfig.values`` casts and checks each key once and rejects a key
 the kind does not read.  A builtin (``BUILTINS``) is a kind, a description
 and only the keys it sets over those defaults; a kind's flags are the keys in
-``KIND_FLAGS``, typed and restricted as the key is.  Every run writes its
-CSVs plus a manifest.json mapping each artifact to its sha256; identical
+``KIND_FLAGS``, typed and restricted as the key is.  A runner,
+``RUNNERS[kind](kind, values, writer)``, writes the CSVs and returns its run
+record or None; a manifest.json maps each CSV to its sha256, and identical
 config and seed give byte-identical artifacts (floats are printed with 17
-significant digits, nothing timestamps the outputs).  A grid run also
-writes run.json, its run record: the boundary certificate
-(`grids.boundary_certificate`) of its initial density, equilibrium and worst
-stored density.  The manifest does not list it, and a cut box still exits
-0.  Exit codes: 0 ok, 2
+significant digits, nothing timestamps the outputs).  The record of a run
+that succeeds is run.json, in no manifest: a grid run's boundary
+certificates (`grids.boundary_certificate`), a paths run's binning health
+and energy coverage.  A cut box still exits 0.  Exit codes: 0 ok, 2
 usage/validation, an unreadable input file or a size too large to allocate,
 3 numerical failure: any ``grids.NumericalFailure`` or numpy ``LinAlgError``
-(partial outputs are removed on failure).
+(partial outputs are removed on failure, and no record is written).
 """
 
 from __future__ import annotations
@@ -40,21 +40,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (
-    GainSchedule,
-    decomposition_curve,
-    evolve_modulated,
-)
+from .control import GainSchedule, decomposition_curve, evolve_modulated
 from .fokker_planck import admissible_gain
 from .grids import (Grid, NumericalFailure, boundary_certificate, density_covariance,
                     density_mean, time_steps)
-from .paths import (
-    EnergySum,
-    IncrementBins,
-    current_drift,
-    drift_field_rows,
-    osmotic_residual,
-)
+from .paths import (MIN_CELL_COUNT, EnergySum, IncrementBins, current_drift, drift_field_rows,
+                    osmotic_residual)
 from .quantum import (
     DensityOperator,
     HamiltonianOperator,
@@ -336,7 +327,6 @@ class ArtifactWriter:
         self.created = not os.path.isdir(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         self.files: list[str] = []
-        self.record: str | None = None
 
     def write_csv(self, name: str, header, rows) -> str:
         """Write ``header`` and ``rows`` as ``name``; the one place artifacts are
@@ -349,26 +339,21 @@ class ArtifactWriter:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         return p
 
-    def manifest(self, config: ScenarioConfig, seed) -> str:
+    def manifest(self, config: ScenarioConfig, seed) -> dict:
+        """Write manifest.json, the sha256 of each CSV written, and return it."""
         entries = {}
         for p in self.files:
             with open(p, "rb") as fh:
                 entries[os.path.basename(p)] = hashlib.sha256(fh.read()).hexdigest()
-        p = os.path.join(self.out_dir, "manifest.json")
-        _write_json(p, {"scenario": config.name, "kind": config.kind, "seed": seed,
-                        "files": entries})
-        return p
-
-    def write_record(self, record: dict) -> None:
-        """Write ``record``, what the run found about its own health, as
-        run.json.  It is no artifact: the manifest does not hash it."""
-        self.record = os.path.join(self.out_dir, "run.json")
-        _write_json(self.record, record)
+        manifest = {"scenario": config.name, "kind": config.kind, "seed": seed,
+                    "files": entries}
+        _write_json(os.path.join(self.out_dir, "manifest.json"), manifest)
+        return manifest
 
     def cleanup(self) -> None:
         """Remove the written files, and the directory if this run made it."""
-        for p in self.files + [self.record]:
-            if p is not None and os.path.exists(p):
+        for p in self.files:
+            if os.path.exists(p):
                 os.remove(p)
         if self.created and not os.listdir(self.out_dir):
             os.rmdir(self.out_dir)
@@ -394,14 +379,13 @@ def _boundary_record(traj, equilibrium) -> dict:
             "worst_stored": {**entry(ratios[k], suspect[k]), "t": float(traj.times[k])}}
 
 
-def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    """fp-run / control-run / decompose: one trajectory plus its CSVs, and
+def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
+    """fp-run / control-run / decompose: one trajectory plus its CSVs; returns
     the run record of its boundary certificates."""
-    c = cfg.values()
     ham = _ou_hamiltonian(c)
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     rho0 = GaussianDensity([c["mean0"]], [[c["var0"]]]).sample_on(grid)
-    if cfg.kind == "fp-run":
+    if kind == "fp-run":
         alpha = 0.0
     elif c["alpha_table"] is not None:
         alpha = GainSchedule.from_csv(c["alpha_table"])
@@ -409,9 +393,8 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         alpha = c["alpha"]
     traj = evolve_modulated(ham, alpha, rho0, c["t1"], c["dt"], store_every=c["store_every"])
     equilibrium = gibbs_density(ham, grid)
-    w.write_record({"boundary": _boundary_record(traj, equilibrium)})
 
-    if cfg.kind == "fp-run":
+    if kind == "fp-run":
         rows = ((t, i, v) for t, row in zip(traj.times, traj.values)
                 for i, v in enumerate(row))
         w.write_csv("trajectory.csv", ["t", "cell_index", "density"], rows)
@@ -420,21 +403,21 @@ def run_grid_flow(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
         curve = decomposition_curve(traj, ham, alpha)
         divergence = curve["D"]
 
-    if cfg.kind in ("fp-run", "control-run"):
+    if kind in ("fp-run", "control-run"):
         rows = ((t, mass, density_mean(grid, v)[0], density_covariance(grid, v)[0, 0], D)
                 for t, v, mass, D in zip(traj.times, traj.values, traj.mass_curve(),
                                          divergence))
         w.write_csv("moments.csv", ["t", "mass", "mean", "cov", "D_to_equilibrium"],
                     rows)
 
-    if cfg.kind != "fp-run":
+    if kind != "fp-run":
         cols = ["t", "D", "total_rate", "pepr", "epur", "fd_check_residual"]
         rows = zip(*(curve[c] for c in cols))
         w.write_csv("divergence.csv", cols, rows)
+    return {"boundary": _boundary_record(traj, equilibrium)}
 
 
-def run_sde(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    c = cfg.values()
+def run_sde(kind: str, c: dict, w: ArtifactWriter) -> None:
     n, dt, t1, seed = c["n_traj"], c["dt"], c["t1"], c["seed"]
     if c["model"] == "overdamped":
         mean0, sd0 = c["mean0"], np.sqrt(c["var0"])
@@ -476,8 +459,7 @@ def _qubit_qrec_rows(times):
         yield t, q_relative_entropy(rho_t, rho_tilde_t), rate, abs(rate - fd)
 
 
-def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    c = cfg.values()
+def run_quantum(kind: str, c: dict, w: ArtifactWriter) -> None:
     dt, t1 = c["dt"], c["t1"]
     if c["model"] == "qubit-qrec":
         w.write_csv("rates.csv", ["t", "D", "rate", "fd_residual"],
@@ -512,16 +494,27 @@ def run_quantum(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     w.write_csv("evolution.csv", ["t", "trace", "purity", "entropy"], rows)
 
 
-def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
-    """Bins the drifts, keeps the ``t_index`` slice and sums the finite
-    energy while the ensemble steps; no state array is stored."""
-    c = cfg.values()
+def _bins_record(counts: np.ndarray) -> dict:
+    """One lag's binning health, read off its counts (the last is the outside
+    cell): samples, outside share, empty-cell share, smallest occupied count."""
+    cells, samples = counts[:-1], int(counts.sum())
+    occupied = cells[cells >= MIN_CELL_COUNT]
+    return {"samples": samples, "outside_share": float(counts[-1] / samples),
+            "empty_cell_share": float(np.mean(cells < MIN_CELL_COUNT)),
+            "min_occupied_count": int(occupied.min()) if occupied.size else None}
+
+
+def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
+    """From the Gibbs density N(0, kT / q), bins the drifts, keeps the ``t_index``
+    slice and sums the energy as the ensemble steps, storing no state array;
+    returns the run record of the binning health and energy coverage."""
     ham = _ou_hamiltonian(c)
     k, n_times, n, dt = c["t_index"], _n_times(c), c["n_traj"], c["dt"]
     if n_times < 3:  # the drifts pool the interior times, of which one step has none
         raise ConfigError(f"paths-run needs an interior time: t1 = {c['t1']!r} is one "
                           f"step of dt = {dt!r}")
-    x0 = lambda rng, size: rng.standard_normal((size, 1))
+    # drawn under the march's error state, which rejects a spread that overflows
+    x0 = lambda rng, size: np.sqrt(c["kT"]) / np.sqrt(c["q"]) * rng.standard_normal((size, 1))
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     bins = IncrementBins(grid, range(max(1, k - 80), min(n_times - 1, k + 80)), dt)
     slice_k = PathRecord(n, n_times, 1, at=(k,))
@@ -537,6 +530,9 @@ def run_paths(cfg: ScenarioConfig, w: ArtifactWriter) -> None:
     w.write_csv("summary.csv",
                 ["osmotic_residual", "finite_energy", "finite_energy_se"],
                 [(resid, fe.value, fe.stderr)])
+    return {"drift_bins": {name: _bins_record(bins.counts[lag])
+                           for name, lag in (("forward", +1), ("backward", -1))},
+            "finite_energy_coverage": fe.coverage}
 
 
 RUNNERS = {
@@ -550,23 +546,21 @@ RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
-    """Execute a scenario; returns the parsed manifest.
-
-    Partial outputs are removed if the run fails.
-    """
+    """Execute a scenario, checked once, and return its manifest.  The run
+    record the runner returns, if any, is written only once it succeeds;
+    a failed run's CSVs are removed."""
     if seed is not None:  # the caller's config keeps its own seed
         cfg = replace(cfg, numerics={**cfg.numerics, "seed": seed})
-    seed = cfg.values()["seed"]
-    out = out_dir or cfg.outputs.get("dir") or cfg.name
-    w = ArtifactWriter(out)
+    c = cfg.values()
+    w = ArtifactWriter(out_dir or cfg.outputs.get("dir") or cfg.name)
     try:
-        RUNNERS[cfg.kind](cfg, w)
+        record = RUNNERS[cfg.kind](cfg.kind, c, w)
     except Exception:
         w.cleanup()
         raise
-    manifest_path = w.manifest(cfg, seed)
-    with open(manifest_path) as fh:
-        return json.load(fh)
+    if record is not None:
+        _write_json(os.path.join(w.out_dir, "run.json"), record)
+    return w.manifest(cfg, c["seed"])
 
 
 # ---------------------------------------------------------------------------

@@ -414,10 +414,7 @@ def evolve(ham: HamiltonianSpec, gain: float | Callable[[float], float], rho0: G
         s = clock_rate(ham, gain, t0 + (k + 0.5) * dt) / D0
         return stepper.advance(rho, s, t_end)
 
-    # a dt or coefficient so large that a step overflows gives a density that
-    # is not finite, which advance rejects at that step
-    with np.errstate(over="ignore", invalid="ignore"):
-        return DensityTrajectory(grid, *march(step, rho0.values, t0, t1, dt, store_every))
+    return DensityTrajectory(grid, *march(step, rho0.values, t0, t1, dt, store_every))
 
 
 def continuity_velocity(rho: GridDensity, ham: HamiltonianSpec,

@@ -128,10 +128,11 @@ class Grid:
         """Map points ``(..., ndim)`` to flat cell indices of shape ``x.shape[:-1]``.
 
         Returns (flat_index, inside) where ``inside`` marks points within the
-        box; indices of outside points are clipped and must be masked by the
-        caller.  ``work`` is :meth:`cell_work` for at least as many points,
-        or None for fresh buffers; the results are views of it, so a call
-        with caller-owned ``work`` allocates nothing of the size of x.
+        box; indices of outside points are clipped (NaN to 0, and only cell
+        numbers are cast) and must be masked by the caller.  ``work`` is
+        :meth:`cell_work` for at least as many points, or None for fresh
+        buffers; the results are views of it, so a call with caller-owned
+        ``work`` allocates nothing of the size of x.
         """
         x = np.atleast_2d(x)
         lead = x.shape[:-1]
@@ -141,14 +142,17 @@ class Grid:
         u, ij, low, high = (a[:, :m].reshape((self.ndim,) + lead) for a in (u, ij, low, high))
         inside = inside[:m].reshape(lead)
         col = (self.ndim,) + (1,) * len(lead)
-        cells = np.reshape(self.cells, col)
-        np.subtract(np.moveaxis(x, -1, 0), np.reshape(self.lo, col), out=u)
-        np.divide(u, self.dx.reshape(col), out=u)
-        np.copyto(ij, np.floor(u, out=u), casting="unsafe")
-        np.greater_equal(ij, 0, out=low)
-        np.less(ij, cells, out=high)
-        np.logical_and.reduce(np.logical_and(low, high, out=low), axis=0, out=inside)
-        np.clip(ij, 0, cells - 1, out=ij)
+        cells = np.array(self.cells, dtype=float).reshape(col)  # no int/float cast buffer
+        with np.errstate(over="ignore"):  # an overflow is an infinite coordinate: outside
+            np.subtract(np.moveaxis(x, -1, 0), np.reshape(self.lo, col), out=u)
+            np.divide(u, self.dx.reshape(col), out=u)
+        np.floor(u, out=u)
+        np.greater_equal(u, 0.0, out=low)
+        np.less(u, cells, out=high)
+        np.logical_and.reduce(np.logical_and(low, high, out=high), axis=0, out=inside)
+        np.clip(u, 0.0, cells - 1.0, out=u)
+        np.copyto(u, 0.0, where=np.logical_not(low, out=low))  # NaN, which clip keeps
+        np.copyto(ij, u, casting="unsafe")
         flat = ij[0]
         for a in range(1, self.ndim):  # C order, as np.ravel_multi_index
             flat *= self.cells[a]
@@ -200,7 +204,8 @@ def march(step: Callable[[int, np.ndarray], np.ndarray], x0: np.ndarray, t0: flo
     """Apply ``step(k, x) -> x`` for k = 0 .. n-1 from ``x0`` at t0, with
     n = ``time_steps(t0, t1, dt)``: step k ends at t0 + (k+1) dt.  Returns
     ``(times, stack)`` of ``x0``, every ``store_every``-th state and the last
-    in one preallocated read-only array.
+    in one preallocated read-only array.  Steps run with overflow and
+    invalid-value warnings off: each caller checks the states a step returns.
     """
     if not (isinstance(store_every, (int, np.integer)) and store_every >= 1):
         raise ValueError(f"store_every must be an integer >= 1, got {store_every!r}")
@@ -211,11 +216,12 @@ def march(step: Callable[[int, np.ndarray], np.ndarray], x0: np.ndarray, t0: flo
     stack = np.empty((n_stored,) + x.shape, dtype=x.dtype)
     times[0], stack[0] = t0, x
     j = 0
-    for k in range(n_steps):
-        x = step(k, x)
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            j += 1
-            times[j], stack[j] = t0 + (k + 1) * dt, x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            x = step(k, x)
+            if (k + 1) % store_every == 0 or k == n_steps - 1:
+                j += 1
+                times[j], stack[j] = t0 + (k + 1) * dt, x
     stack.flags.writeable = False
     return times, stack
 

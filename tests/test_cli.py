@@ -26,6 +26,7 @@ from entroflow.control import evolve_modulated
 from entroflow.grids import boundary_certificate, time_steps
 from entroflow.fokker_planck import ConvergenceError, MassDriftError, PositivityError
 from entroflow.paths import (
+    MIN_CELL_COUNT,
     current_drift,
     drift_field_rows,
     estimate_drifts,
@@ -518,6 +519,40 @@ def test_two_cell_grid_names_the_grid(tmp_path, capsys, kind):
     assert main(["fp-run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def _em_energy(q, kT, sigma2, dt, n_steps):
+    """E sum_k |beta(x_k)|^2 dt of the Euler-Maruyama chain of H = q x^2 / 2
+    from its Gibbs density N(0, kT / q): beta = -k x with k = sigma2 q / (2 kT)."""
+    k, v, total = sigma2 * q / (2.0 * kT), kT / q, 0.0
+    for _ in range(n_steps):
+        total += k * k * v * dt
+        v = (1.0 - k * dt) ** 2 * v + sigma2 * dt
+    return total
+
+
+def test_paths_run_starts_from_its_gibbs_density(tmp_path):
+    # q = 4, kT = 1: the ensemble starts from N(0, 1/4), so it is stationary
+    # (a N(0, 1) start relaxes, with current drift v = -1.5 x and energy 3.92)
+    run_scenario(ScenarioConfig("p", "paths-run", model=dict(q=4.0)), out_dir=str(tmp_path))
+    _, energy, se = np.loadtxt(tmp_path / "summary.csv", delimiter=",", skiprows=1)
+    assert abs(energy - _em_energy(4.0, 1.0, 2.0, 5e-3, 120)) < 3.0 * se
+    x, _, _, v, count, _ = np.loadtxt(tmp_path / "fields.csv", delimiter=",",
+                                      skiprows=1, unpack=True)
+    used = count >= MIN_CELL_COUNT
+    assert abs(np.polyfit(x[used], v[used], 1, w=np.sqrt(count[used]))[0]) < 0.1
+
+
+def test_paths_osmotic_records_its_binning_health(tmp_path):
+    # pool 20-179 of 100 000 trajectories: 16 000 000 samples per lag, 991
+    # outside [-4, 4], no cell below MIN_CELL_COUNT; run.json is in no manifest
+    manifest = run_scenario(BUILTIN_FACTORIES["paths-osmotic"](), out_dir=str(tmp_path))
+    assert sorted(manifest["files"]) == ["fields.csv", "summary.csv"]
+    record = json.loads((tmp_path / "run.json").read_text())
+    lag = {"samples": 16_000_000, "outside_share": 991 / 16_000_000,
+           "empty_cell_share": 0.0, "min_occupied_count": 348}
+    assert record == {"drift_bins": {"forward": lag, "backward": lag},
+                      "finite_energy_coverage": 1.0}
+
+
 def test_paths_run_manifest_records_default_seed(tmp_path):
     cfg = tmp_path / "p.ini"
     cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 50\n"
@@ -590,7 +625,7 @@ def test_krylov_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
     # no residual is below a relative tolerance of 0: the solve of a density
     # off equilibrium iterates until it breaks down or hits its iteration
     # limit, and says which, after how many iterations and how near it came
-    def run_2d(cfg, w):
+    def run_2d(kind, c, w):
         grid = Grid((-4.0, -4.0), (4.0, 4.0), (12, 12))
         rho0 = GaussianDensity([1.0, 0.0], np.eye(2)).sample_on(grid)
         ham = quadratic_hamiltonian(np.eye(2), kT=1.0, sigma2=2.0)
@@ -606,7 +641,7 @@ def test_krylov_failure_is_numerical_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    def fail(cfg, w):
+    def fail(kind, c, w):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setitem(cli.RUNNERS, "quantum-run", fail)
@@ -619,7 +654,7 @@ def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
                                  MassDriftError, TrajectoryDivergence],
                          ids=lambda exc: exc.__name__)
 def test_every_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, exc):
-    def fail(cfg, w):
+    def fail(kind, c, w):
         w.write_csv("partial.csv", ["t"], [(0.0,)])
         raise exc("injected")
 
@@ -635,7 +670,7 @@ def test_every_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, exc):
     ("Unable to allocate 7.28 TiB", "error: Unable to allocate 7.28 TiB")])
 def test_size_too_large_to_allocate_exits_2(tmp_path, monkeypatch, capsys, message, line):
     # an allocation that fails is a size the input asked for, not a crash
-    def fail(cfg, w):
+    def fail(kind, c, w):
         w.write_csv("partial.csv", ["t"], [(0.0,)])
         raise MemoryError(message)
 
@@ -934,7 +969,7 @@ def test_wide_box_equilibrium_underflow_rejected(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["control-run", "--config", str(cfg), "--out", str(out)]) == 2
     assert "underflows to zero on 18 of 512 cells" in capsys.readouterr().err
-    assert not out.exists()  # with the run.json written before the rates failed
+    assert not out.exists()  # a failed run writes no run.json
 
 
 def test_cells_too_fine_for_a_unit_mass_density_exit_2(tmp_path, capsys):
@@ -1059,13 +1094,15 @@ def test_huge_finite_values_rejected_without_warning(tmp_path, capsys, section, 
     ("sde-run", "[model]\nq = 1e308\n", 3, "numerical failure: trajectory divergence"),
     ("sde-run", "[model]\nkT = 1e-308\n", 3, "numerical failure: trajectory divergence"),
     ("paths-run", "[model]\nq = 1e308\n", 3, "numerical failure: trajectory divergence"),
+    ("paths-run", "[model]\nq = 1e-300\nkT = 1e300\n", 2,
+     "error: the spread of the initial states"),
     ("quantum-run", "[model]\nmodel = qubit-lindblad\ngamma = 1e308\n", 2,
      "error: the step propagator exp(dt L) is not finite"),
     ("sde-run", "[model]\nmodel = polymer\ntemperature = 1e200\n", 3,
      "numerical failure: the kinetic temperature or its standard error overflows"),
     ("paths-run", "[numerics]\ngrid_hi = 1e308\ngrid_cells = 2\n", 2, "error: cells of volume"),
-], ids=["sde-mean0", "sde-q", "sde-kT", "paths-q", "lindblad-gamma", "polymer-temperature",
-        "paths-box"])
+], ids=["sde-mean0", "sde-q", "sde-kT", "paths-q", "paths-spread", "lindblad-gamma",
+        "polymer-temperature", "paths-box"])
 def test_overflowing_model_values_exit_without_warning(tmp_path, capsys, kind, body, code,
                                                        message):
     # finite values whose states or propagator overflow: invalid input (2) or

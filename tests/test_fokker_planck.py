@@ -2,6 +2,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,23 @@ def test_mass_drift_is_a_numerical_error():
         stepper._solve = nan_solve
         with pytest.raises(MassDriftError, match="mass drift at t=0.1: nan != 1"):
             stepper.advance(rho, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda ham, rho0: evolve(ham, 1.0, rho0, 0.0, 1e308, 1e308),
+    lambda ham, rho0: simulate_feedback(ham, 1.0, rho0, 1e308, 1e308)],
+    ids=["evolve", "simulate_feedback"])
+def test_a_step_that_overflows_is_a_mass_drift_without_warning(run):
+    # a dt so large that the step's coefficients overflow gives a density
+    # that is not finite: grids.march steps with overflow warnings off, and
+    # the step's own check rejects it
+    grid = Grid((-4.0,), (4.0,), (16,))
+    rho0 = GaussianDensity([0.0], [[1.0]]).sample_on(grid)
+    ham = quadratic_hamiltonian(1.0, kT=1.0, sigma2=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MassDriftError, match=r"mass drift at t=1e\+308: nan != 1"):
+            run(ham, rho0)
 
 
 def test_failed_tridiagonal_solve_is_a_linalg_error(monkeypatch):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,13 +66,52 @@ def test_cell_index_into_caller_buffers():
     x[0, 0, 1] = np.nan
     ij = np.floor((x - np.array(g.lo)) / g.dx)
     inside = np.all((ij >= 0) & (ij < g.cells), axis=-1)
-    with np.errstate(invalid="ignore"):
-        ij = np.clip(np.nan_to_num(ij, nan=-1.0).astype(int), 0, np.array(g.cells) - 1)
-        for work in (None, g.cell_work(50)):
-            got, got_inside = g.cell_index(x, work)
-            assert np.array_equal(got, np.ravel_multi_index(tuple(np.moveaxis(ij, -1, 0)),
-                                                            g.cells))
-            assert np.array_equal(got_inside, inside) and got.shape == (6, 7)
+    ij = np.clip(np.nan_to_num(ij, nan=-1.0).astype(int), 0, np.array(g.cells) - 1)
+    for work in (None, g.cell_work(50)):
+        got, got_inside = g.cell_index(x, work)
+        assert np.array_equal(got, np.ravel_multi_index(tuple(np.moveaxis(ij, -1, 0)),
+                                                        g.cells))
+        assert np.array_equal(got_inside, inside) and got.shape == (6, 7)
+
+
+def _cell_oracle(grid, point):
+    """(flat cell, inside) of one point, axis by axis in Python floats: a
+    coordinate below the box or NaN takes the first cell, one above it the
+    last."""
+    flat, inside = 0, True
+    for v, lo, d, n in zip(point, grid.lo, grid.dx, grid.cells):
+        u = (float(v) - lo) / float(d)
+        inside = inside and 0.0 <= u < n
+        flat = flat * n + (0 if not u >= 0.0 else n - 1 if u >= n else math.floor(u))
+    return flat, inside
+
+
+@st.composite
+def grids_and_points(draw):
+    ndim = draw(st.integers(1, 3))
+    axes = [(draw(st.floats(-10.0, 10.0)), draw(st.floats(0.1, 10.0)), draw(st.integers(2, 6)))
+            for _ in range(ndim)]
+    grid = Grid(tuple(lo for lo, _, _ in axes), tuple(lo + w for lo, w, _ in axes),
+                tuple(n for _, _, n in axes))
+    coord = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300]),
+                      st.floats(-25.0, 25.0))
+    m = draw(st.integers(1, 8))
+    return grid, np.array(draw(st.lists(coord, min_size=m * ndim, max_size=m * ndim))
+                          ).reshape(m, ndim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=grids_and_points())
+def test_cell_index_of_points_not_finite_or_far_out(case):
+    # NaN, +-inf and +-1e300 coordinates are never cast: no warning, and
+    # each point maps as the oracle says, with or without work buffers
+    grid, x = case
+    want = [_cell_oracle(grid, p) for p in x]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for work in (None, grid.cell_work(len(x) + 3)):
+            flat, inside = grid.cell_index(x, work)
+            assert [(int(f), bool(i)) for f, i in zip(flat, inside)] == want
 
 
 def test_gradient_exact_for_quadratics():

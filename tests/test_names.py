@@ -12,7 +12,7 @@ import pytest
 import entroflow
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(p for d in ("src", "tests", "demos", "tools") for p in (ROOT / d).rglob("*.py"))
 
 
 def _unread_imports(path):
