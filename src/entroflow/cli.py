@@ -25,7 +25,7 @@ certificates (`grids.boundary_certificate`), a paths run's binning health
 and energy coverage.  A cut box still exits 0.  Exit codes: 0 ok, 2
 usage/validation, an unreadable input file or a size too large to allocate,
 3 numerical failure: any ``grids.NumericalFailure`` or numpy ``LinAlgError``
-(partial outputs are removed on failure, and no record is written).
+(a failed run's CSVs and any run.json are removed).
 """
 
 from __future__ import annotations
@@ -547,19 +547,22 @@ RUNNERS = {
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
     """Execute a scenario, checked once, and return its manifest.  The run
-    record the runner returns, if any, is written only once it succeeds;
-    a failed run's CSVs are removed."""
+    record the runner returns, if any, is written as run.json once it
+    succeeds; a failed run removes its CSVs and any run.json."""
     if seed is not None:  # the caller's config keeps its own seed
         cfg = replace(cfg, numerics={**cfg.numerics, "seed": seed})
     c = cfg.values()
     w = ArtifactWriter(out_dir or cfg.outputs.get("dir") or cfg.name)
+    record = os.path.join(w.out_dir, "run.json")  # in no manifest
     try:
-        record = RUNNERS[cfg.kind](cfg.kind, c, w)
+        found = RUNNERS[cfg.kind](cfg.kind, c, w)
+        if found is not None:
+            _write_json(record, found)
     except Exception:
+        if os.path.exists(record):  # one cut short, or an earlier run's
+            os.remove(record)
         w.cleanup()
         raise
-    if record is not None:
-        _write_json(os.path.join(w.out_dir, "run.json"), record)
     return w.manifest(cfg, c["seed"])
 
 

@@ -150,8 +150,7 @@ class Grid:
         np.greater_equal(u, 0.0, out=low)
         np.less(u, cells, out=high)
         np.logical_and.reduce(np.logical_and(low, high, out=high), axis=0, out=inside)
-        np.clip(u, 0.0, cells - 1.0, out=u)
-        np.copyto(u, 0.0, where=np.logical_not(low, out=low))  # NaN, which clip keeps
+        np.fmin(np.fmax(u, 0.0, out=u), cells - 1.0, out=u)  # NaN and -inf to 0, +inf to the last
         np.copyto(ij, u, casting="unsafe")
         flat = ij[0]
         for a in range(1, self.ndim):  # C order, as np.ravel_multi_index

@@ -456,6 +456,22 @@ def test_cleanup_keeps_existing_output_directory(tmp_path, capsys):
     assert out.is_dir() and not any(out.iterdir())
 
 
+def test_a_record_cut_short_removes_the_run(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    run_scenario(BUILTIN_FACTORIES["ou-relax"](), out_dir=str(out))
+    assert (out / "run.json").exists()
+
+    def partial(kind, c, w):  # json.dump writes "{" before it meets the set
+        w.write_csv("a.csv", ["x"], [(1,)])
+        return {"boundary": {1, 2}}
+
+    monkeypatch.setitem(cli.RUNNERS, "control-run", partial)
+    with pytest.raises(TypeError):
+        run_scenario(BUILTIN_FACTORIES["ou-relax"](), out_dir=str(out))
+    assert not (out / "a.csv").exists()
+    assert not (out / "run.json").exists()  # neither the partial record nor the earlier one
+
+
 @pytest.mark.parametrize("flags", [["--t1", "inf"], ["--t1", "nan"], ["--dt", "inf"]])
 def test_non_finite_horizon_rejected(tmp_path, capsys, flags):
     out = tmp_path / "o"

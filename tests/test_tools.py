@@ -4,8 +4,6 @@ checked here."""
 import importlib.util
 import pathlib
 
-import pytest
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -18,9 +16,5 @@ def _load(name):
 
 def test_seed_sweep_parses_its_arguments():
     sweep = _load("seed_sweep")
-    assert sweep.parse_args([]).seeds == range(40, 52)
-    args = sweep.parse_args(["--seeds", "7", "7", "--out", "runs"])
-    assert args.seeds == range(7, 8) and args.out == "runs"
-    for bad in (["--seeds", "5", "4"], ["--seeds", "-1", "3"], ["--seeds", "1"]):
-        with pytest.raises(SystemExit):
-            sweep.parse_args(bad)
+    assert sweep.parse_args([]).out is None
+    assert sweep.parse_args(["--out", "runs"]).out == "runs"

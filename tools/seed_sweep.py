@@ -1,14 +1,14 @@
 """Seed sweep: the gates of the ensembles benchmark over a range of seeds.
 
 Runs the polymer-cooling and paths-osmotic builtins through
-``entroflow.cli.run_scenario`` at each seed (40-51 unless told otherwise),
+``entroflow.cli.run_scenario`` at each of the seeds 40-51,
 applies the gates the ensembles benchmark workload applies to them, and
 prints, for each gate, how many seeds pass, the worst margin and the seeds
 that fail.  A gate's margin is its slack, positive when it passes, so a
 gate certified at one seed only shows up as failing seeds here.  It is no
 test: it takes about half a minute, and its failures are findings.
 
-    PYTHONPATH=src python tools/seed_sweep.py [--seeds FIRST LAST] [--out DIR]
+    PYTHONPATH=src python tools/seed_sweep.py [--out DIR]
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from entroflow import cli
 
 GAINS = [0.0, 0.5, 1.0, 2.0]
+SEEDS = range(40, 52)
 
 
 def _polymer_margins(temps, errs):
@@ -78,24 +79,17 @@ def report(margins) -> str:
 
 def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--seeds", nargs=2, type=int, default=[40, 51], metavar=("FIRST", "LAST"),
-                   help="the first and last seed swept (default 40 51)")
     p.add_argument("--out", help="keep the runs in this directory (default: a temporary one)")
-    args = p.parse_args(argv)
-    first, last = args.seeds
-    if not 0 <= first <= last:
-        p.error(f"--seeds needs 0 <= FIRST <= LAST, got {first} {last}")
-    args.seeds = range(first, last + 1)
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     if args.out:
-        print(report(sweep(args.seeds, args.out)))
+        print(report(sweep(SEEDS, args.out)))
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            print(report(sweep(args.seeds, tmp)))
+            print(report(sweep(SEEDS, tmp)))
     return 0
 
 
