@@ -10,19 +10,22 @@ quantum-run  : Lindblad propagation from operator files;
 paths-run    : drift-field estimation on a stationary ensemble;
 list         : the builtin scenarios.
 
-A scenario sets keys in its [model], [control] and [numerics] sections or by
-flags.  ``KIND_KEYS`` lists the keys each kind reads with their defaults;
+A scenario sets keys in its [model], [control] and [numerics] sections.
+``KIND_KEYS`` lists the keys each kind reads with their defaults;
 ``ScenarioConfig.values`` casts and checks each key once and rejects a key
 the kind does not read.  A builtin (``BUILTINS``) is a kind, a description
-and only the keys it sets over those defaults; a kind's flags are the keys in
-``KIND_FLAGS``, typed and restricted as the key is.  A runner,
+and only the keys it sets over those defaults.  A command runs the scenario
+of --config or of --scenario, or else its kind's defaults, and each flag
+given (``KIND_FLAGS``, --seed, quantum-run's ``FILE_FLAGS``) sets its key
+over it as the string an INI file gives.  A runner,
 ``RUNNERS[kind](kind, values, writer)``, writes the CSVs and returns its run
 record or None; a manifest.json maps each CSV to its sha256, and identical
 config and seed give byte-identical artifacts (floats are printed with 17
-significant digits, nothing timestamps the outputs).  The record of a run
-that succeeds is run.json, in no manifest: a grid run's boundary
-certificates (`grids.boundary_certificate`), a paths run's binning health
-and energy coverage.  A cut box still exits 0.  Exit codes: 0 ok, 2
+significant digits, nothing timestamps the outputs).  A run that succeeds
+writes run.json, in no manifest: the values it ran and the runner's record
+(a grid run's boundary certificates (`grids.boundary_certificate`) and
+largest interior FD residual, a paths run's binning health and energy
+coverage).  A cut box still exits 0.  Exit codes: 0 ok, 2
 usage/validation, an unreadable input file or a size too large to allocate,
 3 numerical failure: any ``grids.NumericalFailure`` or numpy ``LinAlgError``
 (a failed run's CSVs and any run.json are removed).
@@ -163,7 +166,8 @@ _CHECKS = {
     "seed": (lambda v, c: 0 <= v < 2**64, "lie in [0, 2**64)"),
     "gamma": (lambda v, c: v >= 0.0, "be nonnegative"),
     "alpha_c": (lambda v, c: v is None or v >= 0.0, "be nonnegative"),
-    "files": (lambda v, c: v, "name the operator files when no model is set"),
+    "files": (lambda v, c: bool(v and v.get("hamiltonian") and v.get("rho0")),
+              "name the hamiltonian and rho0 operator files when no model is set"),
     "t_index": (lambda v, c: 0 <= v < _n_times(c), lambda c: f"lie in [0, {_n_times(c)})"),
 }
 
@@ -238,6 +242,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_ini(cls, path) -> "ScenarioConfig":
+        return cls(**cls.ini_fields(path))
+
+    @staticmethod
+    def ini_fields(path) -> dict:
+        """The fields of the scenario the INI file ``path`` names, unchecked."""
         parser = configparser.ConfigParser()
         parser.optionxform = str  # preserve key case (kT)
         try:  # duplicate keys, a missing section header, a bad % interpolation
@@ -261,15 +270,10 @@ class ScenarioConfig:
             raise ConfigError("missing [scenario] kind")
         model = sections.get("model", {})
         if "files" in sections:
-            if scen["kind"] != "quantum-run":
-                raise ConfigError("[files] is only valid with kind = quantum-run")
             files = sections["files"]
-            for key in ("hamiltonian", "rho0"):
-                if not files.get(key):
-                    raise ConfigError(f"missing [files] {key}")
             model["files"] = dict(files, lindblad=files.get("lindblad", "").split())
-        return cls(name=scen.get("name", "custom"), kind=scen["kind"], model=model,
-                   **{s: sections.get(s, {}) for s in ("control", "numerics", "outputs")})
+        return dict(name=scen.get("name", "custom"), kind=scen["kind"], model=model,
+                    **{s: sections.get(s, {}) for s in ("control", "numerics", "outputs")})
 
 
 def _sections(keys: dict) -> dict:
@@ -381,7 +385,8 @@ def _boundary_record(traj, equilibrium) -> dict:
 
 def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
     """fp-run / control-run / decompose: one trajectory plus its CSVs; returns
-    the run record of its boundary certificates."""
+    the run record of its boundary certificates and, with a rate split, its
+    largest interior ``fd_check_residual``."""
     ham = _ou_hamiltonian(c)
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     rho0 = GaussianDensity([c["mean0"]], [[c["var0"]]]).sample_on(grid)
@@ -414,7 +419,13 @@ def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
         cols = ["t", "D", "total_rate", "pepr", "epur", "fd_check_residual"]
         rows = zip(*(curve[c] for c in cols))
         w.write_csv("divergence.csv", cols, rows)
-    return {"boundary": _boundary_record(traj, equilibrium)}
+    record = {"boundary": _boundary_record(traj, equilibrium)}
+    if kind != "fp-run":  # the end rows are one-sided differences
+        resid, times = curve["fd_check_residual"][1:-1], curve["t"][1:-1]
+        k = int(np.argmax(resid)) if resid.size else None
+        record["fd_check_residual"] = None if k is None else {
+            "max": float(resid[k]), "t": float(times[k])}
+    return record
 
 
 def run_sde(kind: str, c: dict, w: ArtifactWriter) -> None:
@@ -546,18 +557,16 @@ RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
-    """Execute a scenario, checked once, and return its manifest.  The run
-    record the runner returns, if any, is written as run.json once it
-    succeeds; a failed run removes its CSVs and any run.json."""
+    """Execute a scenario, checked once, and return its manifest.  The values
+    it ran and the record the runner returns, if any, are written as run.json
+    once it succeeds; a failed run removes its CSVs and any run.json."""
     if seed is not None:  # the caller's config keeps its own seed
         cfg = replace(cfg, numerics={**cfg.numerics, "seed": seed})
     c = cfg.values()
     w = ArtifactWriter(out_dir or cfg.outputs.get("dir") or cfg.name)
     record = os.path.join(w.out_dir, "run.json")  # in no manifest
     try:
-        found = RUNNERS[cfg.kind](cfg.kind, c, w)
-        if found is not None:
-            _write_json(record, found)
+        _write_json(record, {"values": c, **(RUNNERS[cfg.kind](cfg.kind, c, w) or {})})
     except Exception:
         if os.path.exists(record):  # one cut short, or an earlier run's
             os.remove(record)
@@ -570,12 +579,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# the keys each kind also takes as flags: --alpha-table sets alpha_table, --n n_traj
+# the keys each kind also takes as flags: --alpha-table sets alpha_table, --n
+# n_traj; quantum-run's file flags each set one entry of its files
 KIND_FLAGS = {
     "control-run": ("t1", "dt", "alpha", "alpha_table"),
     "sde-run": ("t1", "dt", "model", "n_traj", "alpha_c", "gamma"),
     "quantum-run": ("t1", "dt"),
 }
+FILE_FLAGS = ("hamiltonian", "delta_h", "lindblad", "rho0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -588,51 +599,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     for kind in KIND_KEYS:
         sp = sub.add_parser(kind, help=f"run a {kind} scenario")
-        sp.add_argument("--scenario", help="builtin scenario name")
-        sp.add_argument("--config", help="INI scenario file")
+        source = sp.add_mutually_exclusive_group()
+        source.add_argument("--scenario", help="builtin scenario name")
+        source.add_argument("--config", help="INI scenario file")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, help="seed override")
-        for key in KIND_FLAGS.get(kind, ()):
-            default = KIND_KEYS[kind][key]
-            default = default.default if isinstance(default, _Only) else default
+        for key in ("seed", *KIND_FLAGS.get(kind, ())):
             sp.add_argument("--n" if key == "n_traj" else "--" + key.replace("_", "-"),
-                            dest=key, help=f"sets {key}",
-                            type=int if key in _INTS else None if key in _STRS else float,
-                            choices=default if isinstance(default, tuple) else None)
-        if kind == "quantum-run":
-            sp.add_argument("--hamiltonian")
-            sp.add_argument("--delta-h")
-            sp.add_argument("--lindblad", nargs="*", default=[])
-            sp.add_argument("--rho0")
+                            dest=key, help=f"sets {key}")
+        for key in FILE_FLAGS if kind == "quantum-run" else ():
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=f"sets files {key}",
+                            nargs="*" if key == "lindblad" else None)
     return p
 
 
 def _config_from_args(args) -> ScenarioConfig:
+    """The scenario of --config or --scenario, else the kind's defaults, with
+    the key of each flag given set over it as the string an INI file gives."""
+    base = {"name": args.command, "kind": args.command}
     if args.config:
-        cfg = ScenarioConfig.from_ini(args.config)
-        if cfg.kind != args.command:
-            raise ConfigError(
-                f"config kind {cfg.kind!r} does not match subcommand {args.command!r}")
-        return cfg
-    if args.scenario:
+        base = ScenarioConfig.ini_fields(args.config)  # checked once the flags are set
+    elif args.scenario:
         if args.scenario not in BUILTIN_FACTORIES:
             raise ConfigError(f"unknown scenario {args.scenario!r}; see `entroflow list`")
-        cfg = BUILTIN_FACTORIES[args.scenario]()
-        if cfg.kind != args.command:
-            raise ConfigError(
-                f"builtin {args.scenario!r} is a {cfg.kind} scenario")
-        return cfg
-    flags = {key: getattr(args, key) for key in KIND_FLAGS.get(args.command, ())}
-    sections = _sections({key: v for key, v in flags.items() if v is not None})
-    if args.command == "quantum-run":
-        if not args.hamiltonian or not args.rho0:
-            raise ConfigError("quantum-run needs --hamiltonian and --rho0 "
-                              "(or --scenario/--config)")
-        sections["model"]["files"] = {"hamiltonian": args.hamiltonian,
-                                      "delta_h": args.delta_h,
-                                      "lindblad": list(args.lindblad),
-                                      "rho0": args.rho0}
-    return ScenarioConfig(name=args.command, kind=args.command, **sections)
+        base = vars(BUILTIN_FACTORIES[args.scenario]())
+    if base["kind"] != args.command:
+        raise ConfigError(f"{args.config or args.scenario!r} is a {base['kind']} scenario, "
+                          f"not {args.command}")
+    given = lambda keys: {k: v for k in keys if (v := getattr(args, k, None)) is not None}
+    over = _sections(given(("seed", *KIND_FLAGS.get(args.command, ()))))
+    files = given(FILE_FLAGS)
+    if files:
+        over["model"]["files"] = {**base.get("model", {}).get("files", {}), **files}
+    return ScenarioConfig(**{**base, **{s: {**base.get(s, {}), **keys}
+                                        for s, keys in over.items()}})
 
 
 def main(argv=None) -> int:
@@ -652,7 +651,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _config_from_args(args)
-        manifest = run_scenario(cfg, out_dir=args.out, seed=args.seed)
+        manifest = run_scenario(cfg, out_dir=args.out)
     except (NumericalFailure, np.linalg.LinAlgError) as e:  # LinAlgError is a ValueError
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

@@ -181,6 +181,8 @@ class LindbladSpec:
 
 def depolarizing_jump_operators(rate: float) -> tuple:
     """sqrt(rate/4) sigma_k for k in {x, y, z}: isotropic qubit noise."""
+    if not 0.0 <= rate < np.inf:  # NaN fails too
+        raise ValueError(f"rate must be nonnegative and finite, got {rate!r}")
     c = np.sqrt(rate / 4.0)
     return (c * sigma_x, c * sigma_y, c * sigma_z)
 
@@ -228,8 +230,8 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
 
 def gibbs_state(H: HamiltonianOperator, beta: float) -> DensityOperator:
     """Z^{-1} exp(-beta H); commutes with H by construction."""
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    if not 0.0 <= beta < np.inf:  # NaN fails too
+        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
     lam, U = H._eigh
     w = np.exp(-beta * (lam - lam.min()))
     return DensityOperator._from_eigensystem(w / w.sum(), U)

@@ -83,7 +83,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.ndimage import gaussian_filter
 
 from .grids import Grid, GridDensity, NumericalFailure, time_slack, time_steps
 from .thermo import HamiltonianSpec
@@ -605,6 +604,10 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid) -> GridDensity
     escaped = 1.0 - inside.mean()
     if escaped > ESCAPED_FRACTION_MAX:
         raise ValueError(f"grid does not cover ensemble: escaped fraction {escaped:.3e}")
+    # imported here, its only use: importing scipy.ndimage takes about a fifth
+    # of `import entroflow`, and only the density estimate needs it
+    from scipy.ndimage import gaussian_filter
+
     bw = scott_bandwidth(x)
     counts = np.bincount(cells[inside], minlength=grid.size).astype(float)
     smoothed = gaussian_filter(counts.reshape(grid.shape), sigma=tuple(bw / grid.dx),

@@ -62,10 +62,10 @@ class HamiltonianSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.kT <= 0.0:
-            raise ValueError("kT must be positive")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not 0.0 < self.kT < np.inf:  # NaN fails too
+            raise ValueError(f"kT must be positive and finite, got {self.kT!r}")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2!r}")
         self._check_gradient()
 
     def _check_gradient(self):

@@ -1,6 +1,7 @@
 """The CI workflow tests what the package declares: its ``floors`` job, which
 needs the network, installs exactly the lower bounds of ``pyproject.toml``;
-and a failing randomized test leaves a reproducer behind in every job."""
+every job runs the installed ``entroflow`` command; and a failing randomized
+test leaves a reproducer behind in every job."""
 
 import pathlib
 import re
@@ -39,3 +40,18 @@ def test_every_job_uploads_the_hypothesis_patches_on_failure():
         assert "Tier-1 tests" in steps[-2], name
         assert re.search(r"^        if: failure\(\)$", uploads[0], re.M), name
         assert re.search(r"^          path: \.hypothesis/patches/$", uploads[0], re.M), name
+
+
+def test_every_job_runs_the_installed_command():
+    # tier-1 imports the source tree, so only this step runs the
+    # [project.scripts] entry point that pip installed
+    project = (ROOT / "pyproject.toml").read_text()
+    assert re.search(r'^entroflow = "entroflow\.cli:main"$', project, re.M)
+    for name in ("tier1", "floors"):
+        steps = re.split(r"^      - ", _job(name), flags=re.M)[1:]
+        k = [s.startswith("name: Installed command\n") for s in steps].index(True)
+        assert steps[k - 1].startswith("name: Install\n"), name
+        assert steps[k + 1].startswith("name: Tier-1 tests\n"), name
+        assert re.search(r"^          entroflow list --json$", steps[k], re.M), name
+        assert re.search(r'^          entroflow control-run --scenario ou-relax --t1 0\.01 '
+                         r'--out "\$RUNNER_TEMP/smoke"$', steps[k], re.M), name

@@ -7,6 +7,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -413,12 +414,12 @@ def test_quantum_run_files_section(tmp_path, capsys):
 
     ini.write_text(QUANTUM_INI.format(kind="control-run", files=files))
     assert main(["control-run", "--config", str(ini), "--out", str(tmp_path / "c")]) == 2
-    assert "[files]" in capsys.readouterr().err
+    assert "control-run does not read files" in capsys.readouterr().err
     for key in ("hamiltonian", "rho0"):
         kept = "\n".join(ln for ln in files.splitlines() if not ln.startswith(key))
         ini.write_text(QUANTUM_INI.format(kind="quantum-run", files=kept))
         assert main(["quantum-run", "--config", str(ini), "--out", str(tmp_path / "m")]) == 2
-        assert f"missing [files] {key}" in capsys.readouterr().err
+        assert "files must name the hamiltonian and rho0" in capsys.readouterr().err
 
 
 def test_quantum_builtins_diagonalise_each_operator_once(tmp_path, monkeypatch):
@@ -565,7 +566,10 @@ def test_paths_osmotic_records_its_binning_health(tmp_path):
     record = json.loads((tmp_path / "run.json").read_text())
     lag = {"samples": 16_000_000, "outside_share": 991 / 16_000_000,
            "empty_cell_share": 0.0, "min_occupied_count": 348}
-    assert record == {"drift_bins": {"forward": lag, "backward": lag},
+    values = {"hamiltonian": "quadratic", "q": 1.0, "kT": 1.0, "sigma2": 2.0,
+              "n_traj": 100_000, "seed": 42, "dt": 5e-3, "t1": 1.0, "t_index": 100,
+              "grid_lo": -4.0, "grid_hi": 4.0, "grid_cells": 64}
+    assert record == {"values": values, "drift_bins": {"forward": lag, "backward": lag},
                       "finite_energy_coverage": 1.0}
 
 
@@ -715,17 +719,100 @@ def test_builtins_set_only_what_differs_from_the_defaults():
         assert {k: cfg.values()[k] for k in keys} == keys
 
 
-def test_flags_set_their_keys():
+def test_flags_set_their_keys(tmp_path, capsys):
     args = cli.build_parser().parse_args(
         ["sde-run", "--model", "polymer", "--n", "7", "--gamma", "0.5", "--alpha-c", "2",
          "--t1", "0.5", "--dt", "0.01"])
     c = cli._config_from_args(args).values()
     assert (c["model"], c["n_traj"], c["gamma"], c["alpha_c"], c["t1"], c["dt"]) \
         == ("polymer", 7, 0.5, 2.0, 0.5, 0.01)
-    for argv in (["sde-run", "--n", "2.5"], ["sde-run", "--model", "nosuch"],
-                 ["control-run", "--alpha", "x"]):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args(argv)
+    # a flag's value is cast and checked as the INI value of its key is
+    for argv, message in ((["sde-run", "--n", "2.5"], "n_traj must be an integer, got '2.5'"),
+                          (["sde-run", "--model", "nosuch"], "model must be one of"),
+                          (["control-run", "--alpha", "x"], "alpha must be a number, got 'x'"),
+                          (["fp-run", "--seed", "-1"], "seed must lie in [0, 2**64)")):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+
+def test_flags_set_their_keys_over_a_builtin(tmp_path):
+    # the run record says what ran; the manifest still names the builtin
+    out = tmp_path / "o"
+    assert main(["control-run", "--scenario", "ou-relax", "--alpha", "2", "--t1", "0.01",
+                 "--out", str(out)]) == 0
+    header, data = read_csv(out / "divergence.csv")
+    assert data.shape[0] == 2 and np.all(data[:, header.index("epur")] != 0.0)
+    record = json.loads((out / "run.json").read_text())
+    assert (record["values"]["alpha"], record["values"]["t1"], record["values"]["seed"]) \
+        == (2.0, 0.01, 42)
+    assert record["fd_check_residual"] is None  # both rows are one-sided differences
+    assert json.loads((out / "manifest.json").read_text())["scenario"] == "ou-relax"
+
+
+def test_flags_set_their_keys_over_a_config_file(tmp_path):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(FAST_CONTROL_INI)
+    out = tmp_path / "o"
+    assert main(["control-run", "--config", str(cfg), "--dt", "0.005", "--seed", "9",
+                 "--out", str(out)]) == 0
+    values = json.loads((out / "run.json").read_text())["values"]
+    assert (values["dt"], values["t1"], values["alpha"], values["seed"]) == (0.005, 0.05, 0.5, 9)
+    assert read_csv(out / "divergence.csv")[1].shape[0] == 3  # steps 0, 5 and 10
+
+
+def test_config_and_scenario_exclude_each_other(tmp_path, capsys):
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(FAST_CONTROL_INI)
+    out = tmp_path / "o"
+    assert main(["control-run", "--config", str(cfg), "--scenario", "ou-relax",
+                 "--out", str(out)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_file_flag_over_a_model_builtin_rejected(tmp_path, capsys):
+    h = tmp_path / "H.op"
+    save_operator(np.diag([1.0, -1.0]).astype(complex), h)
+    out = tmp_path / "o"
+    assert main(["quantum-run", "--scenario", "qubit-qrec", "--hamiltonian", str(h),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: quantum-run does not read files "
+                                       "with model = qubit-qrec\n")
+    assert not out.exists()
+
+
+def test_file_flags_set_their_files_over_a_config_file(tmp_path):
+    # the other files stay those of the INI file, which is checked only once
+    # the flags are set; the run record lists them all
+    h, dh, r = (tmp_path / f"{name}.op" for name in ("h", "dh", "rho"))
+    save_operator(np.diag([1.0, -1.0]).astype(complex), h)
+    save_operator(0.3 * sigma_x, dh)
+    save_operator(np.diag([0.8, 0.2]).astype(complex), r)
+    runs = {}
+    for name, files, flags in (("plain", f"hamiltonian = {h}\nrho0 = {r}", []),
+                               ("dh", f"hamiltonian = {h}\nrho0 = {r}", ["--delta-h", str(dh)]),
+                               ("rho0", f"hamiltonian = {h}", ["--rho0", str(r)])):
+        ini, out = tmp_path / f"{name}.ini", tmp_path / name
+        ini.write_text(QUANTUM_INI.format(kind="quantum-run", files=files))
+        assert main(["quantum-run", "--config", str(ini), *flags, "--out", str(out)]) == 0
+        runs[name] = (json.loads((out / "run.json").read_text())["values"]["files"],
+                      (out / "evolution.csv").read_bytes())
+    assert runs["plain"][0] == {"hamiltonian": str(h), "rho0": str(r), "lindblad": []}
+    assert runs["dh"][0] == {**runs["plain"][0], "delta_h": str(dh)}
+    assert runs["plain"][1] != runs["dh"][1]
+    assert runs["rho0"] == runs["plain"]
+
+
+def test_every_kind_records_the_values_it_ran(tmp_path):
+    # sde-run and quantum-run write a run.json too, in no manifest
+    for name in ("polymer-cooling", "qubit-qrec"):
+        cfg = replace(BUILTIN_FACTORIES[name](), numerics={"t1": 0.05, "dt": 0.01})
+        manifest = run_scenario(cfg, out_dir=str(tmp_path / name))
+        assert "run.json" not in manifest["files"]
+        record = json.loads((tmp_path / name / "run.json").read_text())
+        assert record == {"values": cfg.values()}
 
 
 HERMITIAN_OVERFLOW = {"diagonal": "2\n1e308\n0\n0\n-1e308\n",
@@ -957,7 +1044,13 @@ def test_ou_relax_records_a_certified_equilibrium(tmp_path):
     # worst stored density, as it relaxes toward the equilibrium
     out = tmp_path / "o"
     run_scenario(BUILTIN_FACTORIES["ou-relax"](), out_dir=str(out))
-    record = json.loads((out / "run.json").read_text())["boundary"]
+    record = json.loads((out / "run.json").read_text())
+    # the largest interior FD residual, read off divergence.csv's rows 1-19
+    _, rows = read_csv(out / "divergence.csv")
+    k = 1 + np.argmax(rows[1:-1, 5])
+    assert record["fd_check_residual"] == {"max": rows[k, 5], "t": rows[k, 0]}
+    assert rows[k, 0] == 0.19 and rows[k, 5] == pytest.approx(3.946e-5, rel=1e-3)
+    record = record["boundary"]
     assert record["equilibrium"]["suspect"] is False
     assert record["equilibrium"]["ratio"] == pytest.approx(1.348e-14, rel=1e-3)
     assert record["initial"]["suspect"] is True

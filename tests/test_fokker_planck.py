@@ -628,10 +628,11 @@ def test_feedback_run_is_the_scipy_solves(monkeypatch):
 
 def test_importing_entroflow_loads_no_sparse_module():
     # the solver owns its stencil and its Krylov loop: scipy.sparse is only
-    # the tests' oracle
+    # the tests' oracle; scipy.ndimage is imported by the density estimate
+    # that uses it
     src = pathlib.Path(entroflow.__file__).resolve().parents[1]
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import entroflow, entroflow.cli; "
-            "print('scipy.sparse' in sys.modules)")
+            "print('scipy.sparse' in sys.modules, 'scipy.ndimage' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "False False"

@@ -195,6 +195,15 @@ def test_gibbs_state_values():
         gibbs_state(H, -1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+def test_gibbs_state_and_jump_rate_not_finite_or_negative_rejected(value):
+    H = HamiltonianOperator(np.diag([1.0, -1.0]).astype(complex))
+    with pytest.raises(ValueError, match="beta"):
+        gibbs_state(H, value)
+    with pytest.raises(ValueError, match="rate"):
+        depolarizing_jump_operators(value)
+
+
 # ---------------------------------------------------------------------------
 # perturbed closed evolution rate
 # ---------------------------------------------------------------------------

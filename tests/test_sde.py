@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, sde
@@ -808,7 +809,7 @@ def test_density_histogram_is_the_cell_index_count(grid, monkeypatch):
     cells, inside = grid.cell_index(x)
     assert inside.all()
     counts = np.bincount(cells, minlength=grid.size).reshape(grid.shape).astype(float)
-    monkeypatch.setattr(sde, "gaussian_filter", lambda counts, **kernel: counts)
+    monkeypatch.setattr(scipy.ndimage, "gaussian_filter", lambda counts, **kernel: counts)
     est = estimate_density(_ensemble_from_samples(x), 0, grid)
     assert np.array_equal(est.values, counts / (counts.sum() * grid.cell_volume))
 

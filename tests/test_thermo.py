@@ -24,6 +24,14 @@ from conftest import normal_pdf
 # HamiltonianSpec
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("key", ["kT", "sigma2"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+def test_hamiltonian_constants_not_finite_or_negative_rejected(key, value):
+    constants = {"kT": 1.0, "sigma2": 2.0, key: value}
+    with pytest.raises(ValueError, match=key):
+        quadratic_hamiltonian(1.0, **constants)
+
+
 def test_hamiltonian_validation():
     with pytest.raises(ValueError):
         quadratic_hamiltonian(1.0, kT=0.0, sigma2=2.0)
