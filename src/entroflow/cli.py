@@ -15,17 +15,17 @@ A scenario sets keys in its [model], [control] and [numerics] sections.
 ``ScenarioConfig.values`` casts and checks each key once and rejects a key
 the kind does not read.  A builtin (``BUILTINS``) is a kind, a description
 and only the keys it sets over those defaults.  A command runs the scenario
-of --config or of --scenario, or else its kind's defaults, and each flag
-given (``KIND_FLAGS``, --seed, quantum-run's ``FILE_FLAGS``) sets its key
-over it as the string an INI file gives.  A runner,
-``RUNNERS[kind](kind, values, writer)``, writes the CSVs and returns its run
-record or None; a manifest.json maps each CSV to its sha256, and identical
-config and seed give byte-identical artifacts (floats are printed with 17
-significant digits, nothing timestamps the outputs).  A run that succeeds
-writes run.json, in no manifest: the values it ran and the runner's record
-(a grid run's boundary certificates (`grids.boundary_certificate`) and
-largest interior FD residual, a paths run's binning health and energy
-coverage).  A cut box still exits 0.  Exit codes: 0 ok, 2
+of --config or of --scenario, or else its kind's defaults; each key the kind
+reads is a flag, never abbreviated (--n for n_traj; quantum-run's [files]
+keys too), that sets the key over it as the string an INI file gives.  A
+runner, ``RUNNERS[kind](kind, values, writer)``, writes the CSVs and returns
+its run record or None; a manifest.json maps each CSV to its sha256, and
+identical config and seed give byte-identical artifacts (floats are printed
+with 17 significant digits, nothing timestamps the outputs).  A run that
+succeeds writes run.json, in no manifest: the values it ran and the runner's
+record (a grid run's boundary certificates (`grids.boundary_certificate`),
+stepper health and largest interior FD residual, a paths run's binning
+health and drift z-scores).  A cut box still exits 0.  Exit codes: 0 ok, 2
 usage/validation, an unreadable input file or a size too large to allocate,
 3 numerical failure: any ``grids.NumericalFailure`` or numpy ``LinAlgError``
 (a failed run's CSVs and any run.json are removed).
@@ -385,8 +385,8 @@ def _boundary_record(traj, equilibrium) -> dict:
 
 def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
     """fp-run / control-run / decompose: one trajectory plus its CSVs; returns
-    the run record of its boundary certificates and, with a rate split, its
-    largest interior ``fd_check_residual``."""
+    the run record of its boundary certificates, its stepper's health and,
+    with a rate split, its largest interior ``fd_check_residual``."""
     ham = _ou_hamiltonian(c)
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     rho0 = GaussianDensity([c["mean0"]], [[c["var0"]]]).sample_on(grid)
@@ -419,7 +419,7 @@ def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
         cols = ["t", "D", "total_rate", "pepr", "epur", "fd_check_residual"]
         rows = zip(*(curve[c] for c in cols))
         w.write_csv("divergence.csv", cols, rows)
-    record = {"boundary": _boundary_record(traj, equilibrium)}
+    record = {"boundary": _boundary_record(traj, equilibrium), "stepper": traj.health}
     if kind != "fp-run":  # the end rows are one-sided differences
         resid, times = curve["fd_check_residual"][1:-1], curve["t"][1:-1]
         k = int(np.argmax(resid)) if resid.size else None
@@ -505,20 +505,29 @@ def run_quantum(kind: str, c: dict, w: ArtifactWriter) -> None:
     w.write_csv("evolution.csv", ["t", "trace", "purity", "entropy"], rows)
 
 
-def _bins_record(counts: np.ndarray) -> dict:
+def _bins_record(counts: np.ndarray, est, model: np.ndarray) -> dict:
     """One lag's binning health, read off its counts (the last is the outside
-    cell): samples, outside share, empty-cell share, smallest occupied count."""
+    cell): samples, outside share, empty-cell share, smallest occupied count;
+    and the largest |z| = |estimate - model| / stderr over the occupied cells
+    of its 1-D drift estimate ``est``, with the centre ``x`` of its cell."""
     cells, samples = counts[:-1], int(counts.sum())
     occupied = cells[cells >= MIN_CELL_COUNT]
+    z = np.abs(est.vectors - model)
+    with np.errstate(divide="ignore"):  # no stderr: an empty cell, or a noiseless run
+        np.divide(z, est.stderr, out=z, where=z > 0.0)  # whose exact estimate has z 0
+    z = z[est.mask].reshape(-1)
+    k = int(np.argmax(z)) if z.size else None
     return {"samples": samples, "outside_share": float(counts[-1] / samples),
             "empty_cell_share": float(np.mean(cells < MIN_CELL_COUNT)),
-            "min_occupied_count": int(occupied.min()) if occupied.size else None}
+            "min_occupied_count": int(occupied.min()) if occupied.size else None,
+            "drift_z": None if k is None else {
+                "max": float(z[k]), "x": float(est.grid.centers()[est.mask].reshape(-1)[k])}}
 
 
 def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
     """From the Gibbs density N(0, kT / q), bins the drifts, keeps the ``t_index``
     slice and sums the energy as the ensemble steps, storing no state array;
-    returns the run record of the binning health and energy coverage."""
+    returns the run record of the binning health and drift z-scores per lag."""
     ham = _ou_hamiltonian(c)
     k, n_times, n, dt = c["t_index"], _n_times(c), c["n_traj"], c["dt"]
     if n_times < 3:  # the drifts pool the interior times, of which one step has none
@@ -541,9 +550,11 @@ def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
     w.write_csv("summary.csv",
                 ["osmotic_residual", "finite_energy", "finite_energy_se"],
                 [(resid, fe.value, fe.stderr)])
-    return {"drift_bins": {name: _bins_record(bins.counts[lag])
-                           for name, lag in (("forward", +1), ("backward", -1))},
-            "finite_energy_coverage": fe.coverage}
+    # stationary and reversible, so the forward drift is the model's, the backward its negative
+    drift = ham.drift(grid.centers().reshape(-1, 1))
+    return {"drift_bins": {name: _bins_record(bins.counts[lag], est, lag * drift)
+                           for name, lag, est in (("forward", +1, beta),
+                                                  ("backward", -1, gamma))}}
 
 
 RUNNERS = {
@@ -579,16 +590,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# the keys each kind also takes as flags: --alpha-table sets alpha_table, --n
-# n_traj; quantum-run's file flags each set one entry of its files
-KIND_FLAGS = {
-    "control-run": ("t1", "dt", "alpha", "alpha_table"),
-    "sde-run": ("t1", "dt", "model", "n_traj", "alpha_c", "gamma"),
-    "quantum-run": ("t1", "dt"),
-}
-FILE_FLAGS = ("hamiltonian", "delta_h", "lindblad", "rho0")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="entroflow",
                                 description="entropy production laboratory")
@@ -597,16 +598,17 @@ def build_parser() -> argparse.ArgumentParser:
     listp = sub.add_parser("list", help="list builtin scenarios")
     listp.add_argument("--json", action="store_true")
 
-    for kind in KIND_KEYS:
-        sp = sub.add_parser(kind, help=f"run a {kind} scenario")
+    for kind, keys in KIND_KEYS.items():
+        # every key the kind reads is a flag, spelled exactly: no abbreviations
+        sp = sub.add_parser(kind, help=f"run a {kind} scenario", allow_abbrev=False)
         source = sp.add_mutually_exclusive_group()
         source.add_argument("--scenario", help="builtin scenario name")
         source.add_argument("--config", help="INI scenario file")
         sp.add_argument("--out", help="output directory")
-        for key in ("seed", *KIND_FLAGS.get(kind, ())):
+        for key in [k for k in keys if k != "files"]:
             sp.add_argument("--n" if key == "n_traj" else "--" + key.replace("_", "-"),
                             dest=key, help=f"sets {key}")
-        for key in FILE_FLAGS if kind == "quantum-run" else ():
+        for key in sorted(_SECTION_KEYS["files"]) if "files" in keys else ():
             sp.add_argument("--" + key.replace("_", "-"), dest=key, help=f"sets files {key}",
                             nargs="*" if key == "lindblad" else None)
     return p
@@ -625,9 +627,10 @@ def _config_from_args(args) -> ScenarioConfig:
     if base["kind"] != args.command:
         raise ConfigError(f"{args.config or args.scenario!r} is a {base['kind']} scenario, "
                           f"not {args.command}")
+    read = KIND_KEYS[args.command]
     given = lambda keys: {k: v for k in keys if (v := getattr(args, k, None)) is not None}
-    over = _sections(given(("seed", *KIND_FLAGS.get(args.command, ()))))
-    files = given(FILE_FLAGS)
+    over = _sections(given(read))  # files has no flag of its own
+    files = given(_SECTION_KEYS["files"]) if "files" in read else {}
     if files:
         over["model"]["files"] = {**base.get("model", {}).get("files", {}), **files}
     return ScenarioConfig(**{**base, **{s: {**base.get(s, {}), **keys}

@@ -202,7 +202,8 @@ def simulate_feedback(ham: HamiltonianSpec, alpha, rho0: GridDensity,
         rho_star = solve(rho, rho, a, t_end)
         return solve(rho, 0.5 * (rho + rho_star), a, t_end)
 
-    return DensityTrajectory(grid, *march(step, rho0.values, 0.0, t1, dt, store_every))
+    return DensityTrajectory(grid, *march(step, rho0.values, 0.0, t1, dt, store_every),
+                             stepper.health())
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,14 @@ the suggested dt, tinier negatives are clamped to zero.  Mass and
 finiteness, after the clamp: the fluxes telescope, so every column of the
 operator sums to zero and a step keeps the total up to linear-solver
 roundoff; a quadrature mass off 1 by more than ``MASS_TOL``, or not finite,
-raises :class:`MassDriftError` at the step that made it.
+raises :class:`MassDriftError` at the step that made it.  What these checks
+measure over a run, with its Krylov iteration counts, is the trajectory's
+``health`` (:meth:`_Stepper.health`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -171,6 +173,7 @@ class _Stepper:
     the Jacobi-preconditioned BiCGSTAB of :meth:`_bicgstab` solves it.
     The work vectors are allocated once per stepper; a step returns an array
     of its own, since callers feed it back in as the next step's density.
+    What its checks measure on every solve is kept for :meth:`health`.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -191,6 +194,9 @@ class _Stepper:
         self.diag_term = np.empty(grid.shape)
         # x, r, r~, p, v, t, p^ and s^, a product, the right-hand side
         self.vectors = np.empty((9, grid.size))
+        self.solves = self.clamped_solves = 0
+        self.max_mass_error, self.most_negative = 0.0, None
+        self.krylov_iterations = None if grid.ndim == 1 else {"max": 0, "total": 0}
 
     def load(self, D: float, face_drifts: Sequence[np.ndarray]) -> None:
         """Write the operator of diffusion ``D`` and ``face_drifts`` into A.
@@ -243,10 +249,22 @@ class _Stepper:
                 f"(min {neg_min:.3e}); try dt <= {2.0 / (self.max_diag * s):.3e}")
         if neg_min < 0.0:
             np.maximum(out, 0.0, out=out)
+            self.clamped_solves += 1
+            self.most_negative = min(self.most_negative or 0.0, float(neg_min))
         mass = quadrature(self.grid, out)
         if not abs(mass - 1.0) <= MASS_TOL:  # NaN and inf fail too
             raise MassDriftError(f"mass drift at t={t_end:.6g}: {mass!r} != 1")
+        self.solves += 1
+        self.max_mass_error = max(self.max_mass_error, float(abs(mass - 1.0)))
         return out
+
+    def health(self) -> dict:
+        """What the checks of every solve so far measured: the solves, the
+        largest |mass - 1|, the solves clamped and their most negative value
+        (None if none was), and in N-D the BiCGSTAB iterations, max and total."""
+        return {"solves": self.solves, "max_mass_error": self.max_mass_error,
+                "clamped_solves": self.clamped_solves, "most_negative": self.most_negative,
+                "krylov_iterations": self.krylov_iterations and dict(self.krylov_iterations)}
 
     def _rescale(self, s):
         c = 0.5 * self.dt * s  # the implicit and the explicit half alike
@@ -323,7 +341,7 @@ class _Stepper:
         maxiter = 10 * x.size
         for k in range(maxiter):
             if np.linalg.norm(r) < atol:
-                return x.reshape(start.shape).copy()
+                return self._converged(start, k)
             rho = np.dot(r0, r)
             if abs(rho) < KRYLOV_BREAKDOWN_TOL:
                 info = -10
@@ -348,7 +366,7 @@ class _Stepper:
             x += np.multiply(alpha, z, out=y)
             r -= np.multiply(alpha, v, out=y)
             if np.linalg.norm(r) < atol:
-                return x.reshape(start.shape).copy()
+                return self._converged(start, k + 1)
             self._precondition(r, z)
             self._apply(implicit, z, t)
             omega = np.dot(t, r) / np.dot(t, t)
@@ -363,16 +381,26 @@ class _Stepper:
             f"(info={info}) after {k} iterations, at relative residual "
             f"{np.linalg.norm(r) / b_norm:.3e}")
 
+    def _converged(self, start, iterations):
+        """A copy of the solution x in the shape of ``start``, after counting
+        the ``iterations`` (begun) of its solve."""
+        counts = self.krylov_iterations
+        counts["max"] = max(counts["max"], iterations)
+        counts["total"] += iterations
+        return self.vectors[0].reshape(start.shape).copy()
+
 
 @dataclass
 class DensityTrajectory:
     """Densities ``values[k]`` at ``times[k]`` in one read-only array from
     :func:`.grids.march`; every step's density, stored or not, passed the
-    positivity, mass and finiteness checks of the step that made it."""
+    positivity, mass and finiteness checks of the step that made it, and
+    ``health`` is what those checks measured (:meth:`_Stepper.health`)."""
 
     grid: Grid
     times: np.ndarray
     values: np.ndarray
+    health: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -414,7 +442,8 @@ def evolve(ham: HamiltonianSpec, gain: float | Callable[[float], float], rho0: G
         s = clock_rate(ham, gain, t0 + (k + 0.5) * dt) / D0
         return stepper.advance(rho, s, t_end)
 
-    return DensityTrajectory(grid, *march(step, rho0.values, t0, t1, dt, store_every))
+    return DensityTrajectory(grid, *march(step, rho0.values, t0, t1, dt, store_every),
+                             stepper.health())
 
 
 def continuity_velocity(rho: GridDensity, ham: HamiltonianSpec,

@@ -55,3 +55,6 @@ def test_every_job_runs_the_installed_command():
         assert re.search(r"^          entroflow list --json$", steps[k], re.M), name
         assert re.search(r'^          entroflow control-run --scenario ou-relax --t1 0\.01 '
                          r'--out "\$RUNNER_TEMP/smoke"$', steps[k], re.M), name
+        # a key flag that only the flags derived from KIND_KEYS give decompose
+        assert re.search(r'^          entroflow decompose --grid-cells 64 --t1 0\.01 '
+                         r'--out "\$RUNNER_TEMP/smoke-decompose"$', steps[k], re.M), name

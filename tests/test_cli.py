@@ -560,17 +560,21 @@ def test_paths_run_starts_from_its_gibbs_density(tmp_path):
 
 def test_paths_osmotic_records_its_binning_health(tmp_path):
     # pool 20-179 of 100 000 trajectories: 16 000 000 samples per lag, 991
-    # outside [-4, 4], no cell below MIN_CELL_COUNT; run.json is in no manifest
+    # outside [-4, 4], no cell below MIN_CELL_COUNT; the largest |z| of each
+    # drift against the model's, beta = -x and gamma = x, is below criterion
+    # 10's gate of 3 at this seed; run.json is in no manifest
     manifest = run_scenario(BUILTIN_FACTORIES["paths-osmotic"](), out_dir=str(tmp_path))
     assert sorted(manifest["files"]) == ["fields.csv", "summary.csv"]
     record = json.loads((tmp_path / "run.json").read_text())
     lag = {"samples": 16_000_000, "outside_share": 991 / 16_000_000,
            "empty_cell_share": 0.0, "min_occupied_count": 348}
+    z = {"forward": {"max": pytest.approx(1.8437031198, rel=1e-9), "x": -2.3125},
+         "backward": {"max": pytest.approx(2.2252377923, rel=1e-9), "x": -0.9375}}
     values = {"hamiltonian": "quadratic", "q": 1.0, "kT": 1.0, "sigma2": 2.0,
               "n_traj": 100_000, "seed": 42, "dt": 5e-3, "t1": 1.0, "t_index": 100,
               "grid_lo": -4.0, "grid_hi": 4.0, "grid_cells": 64}
-    assert record == {"values": values, "drift_bins": {"forward": lag, "backward": lag},
-                      "finite_energy_coverage": 1.0}
+    assert record == {"values": values,
+                      "drift_bins": {name: {**lag, "drift_z": z[name]} for name in z}}
 
 
 def test_paths_run_manifest_records_default_seed(tmp_path):
@@ -735,6 +739,58 @@ def test_flags_set_their_keys(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
+
+
+FLAG_KEYS = [(kind, key) for kind, keys in cli.KIND_KEYS.items() for key in keys
+             if key != "files"]
+
+
+@pytest.mark.parametrize("kind,key", FLAG_KEYS)
+def test_every_key_a_kind_reads_is_its_flag(tmp_path, kind, key):
+    # the flag is the key with - for _ (--n for n_traj); its value is set in
+    # the key's section as the string an INI file gives
+    default, model = cli.KIND_KEYS[kind][key], []
+    if isinstance(default, cli._Only) and default.dep == "model":
+        model = ["--model", next(m for m in default.values if m)]
+    elif kind == "quantum-run" and key != "model":  # no operator files needed
+        model = ["--model", "qubit-lindblad"]
+    if key == "alpha_table":
+        value = _write(tmp_path / "alpha.csv", "t,alpha\n0,0.5\n")
+    elif key == "alpha_c":
+        value = "0.5"
+    elif isinstance(default, tuple):
+        value = default[-1]
+    else:  # the default, resolved under that model
+        base = ScenarioConfig(kind, kind, model={"model": model[1]} if model else {})
+        value = str(base.values()[key])
+    flag = "--n" if key == "n_traj" else "--" + key.replace("_", "-")
+    cfg = cli._config_from_args(cli.build_parser().parse_args([kind, *model, flag, value]))
+    section = next(s for s in ("model", "control", "numerics") if key in getattr(cfg, s))
+    assert getattr(cfg, section)[key] == value
+    assert cfg.values()[key] == cli._cast(key, value)
+
+
+def test_every_flag_key_is_in_a_section():
+    # _sections files a flag's key under its section and drops any other key,
+    # so a key no section lists would be a flag that sets nothing
+    settable = set().union(*(cli._SECTION_KEYS[s] for s in ("model", "control", "numerics")))
+    assert [(kind, key) for kind, key in FLAG_KEYS if key not in settable] == []
+
+
+def test_decompose_takes_every_key_as_a_flag(tmp_path):
+    out = tmp_path / "o"
+    assert main(["decompose", "--alpha", "1", "--t1", "0.01", "--grid-cells", "64",
+                 "--out", str(out)]) == 0
+    values = json.loads((out / "run.json").read_text())["values"]
+    assert (values["alpha"], values["t1"], values["grid_cells"]) == (1.0, 0.01, 64)
+
+
+def test_abbreviated_flag_exits_2(tmp_path, capsys):
+    # --m would match --model, --mean0 and --mass: no flag is abbreviated
+    out = tmp_path / "o"
+    assert main(["sde-run", "--m", "polymer", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --m polymer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flags_set_their_keys_over_a_builtin(tmp_path):
@@ -1050,6 +1106,11 @@ def test_ou_relax_records_a_certified_equilibrium(tmp_path):
     k = 1 + np.argmax(rows[1:-1, 5])
     assert record["fd_check_residual"] == {"max": rows[k, 5], "t": rows[k, 0]}
     assert rows[k, 0] == 0.19 and rows[k, 5] == pytest.approx(3.946e-5, rel=1e-3)
+    # all 200 steps solved, stored or not, with no clamp, by direct 1-D solves
+    stepper = record["stepper"]
+    assert stepper.pop("max_mass_error") < 1e-13
+    assert stepper == {"solves": 200, "clamped_solves": 0, "most_negative": None,
+                       "krylov_iterations": None}
     record = record["boundary"]
     assert record["equilibrium"]["suspect"] is False
     assert record["equilibrium"]["ratio"] == pytest.approx(1.348e-14, rel=1e-3)

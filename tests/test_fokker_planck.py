@@ -615,6 +615,56 @@ def test_a_returned_density_is_the_callers():
     assert same_bits(first, kept)
 
 
+def test_stepper_health_counts_every_solve(monkeypatch):
+    # 2-D: a solve's BiCGSTAB iterations, read off its stencil products: the
+    # right-hand side, the start's residual, then two per iteration begun but
+    # the last, which may stop after its first
+    grid = Grid((-3.0, -3.0), (3.0, 3.0), (10, 12))
+    stepper = _Stepper(grid, 0.01)
+    stepper.load(0.7, [np.random.default_rng(a).normal(size=(9 + a, 12 - a))
+                       for a in range(2)])
+    rho = np.random.default_rng(2).uniform(0.5, 1.5, grid.shape)
+    rho /= quadrature(grid, rho)  # a step checks that its density has mass 1
+    products, apply = [], _Stepper._apply
+    monkeypatch.setattr(_Stepper, "_apply", lambda self, *a: products.append(1) or apply(self, *a))
+    iterations = []
+    for s in (1.0, 1.3, 0.7):
+        products.clear()
+        rho = stepper.advance(rho, s, 0.01)
+        iterations.append((len(products) - 1) // 2)
+    health = stepper.health()
+    assert health.pop("krylov_iterations") == {"max": max(iterations), "total": sum(iterations)}
+    assert 0.0 <= health.pop("max_mass_error") <= MASS_TOL
+    assert health == {"solves": 3, "clamped_solves": 0, "most_negative": None}
+    # 1-D: tiny negatives are clamped and counted, with the most negative kept
+    grid = Grid((-3.0,), (3.0,), (8,))
+    stepper = _Stepper(grid, 0.01)
+    stepper.load(0.7, [np.zeros(7)])
+    rho = np.full(8, 1.0 / 6.0)
+    for neg in (-1e-14, 0.0, -3e-13, -1e-15):
+        out = rho.copy()
+        out[1] += out[0]
+        out[0] = neg  # mass 1 once clamped
+        stepper._solve = lambda rho, out=out: out
+        stepper.advance(rho, 1.0, 0.01)
+    health = stepper.health()
+    assert health.pop("max_mass_error") <= MASS_TOL
+    assert health == {"solves": 4, "clamped_solves": 3, "most_negative": -3e-13,
+                      "krylov_iterations": None}
+
+
+def test_trajectory_records_its_stepper_health(ou_ham):
+    # every step is solved and counted, stored or not: one solve per evolve
+    # step, two per simulate_feedback step
+    grid = Grid((-6.0,), (6.0,), (64,))
+    rho0 = GaussianDensity([1.0], [[0.5]]).sample_on(grid)
+    for traj, solves in ((evolve(ou_ham, 0.0, rho0, 0.0, 0.1, 0.01, store_every=5), 10),
+                         (simulate_feedback(ou_ham, 1.0, rho0, 0.1, 0.01, store_every=5), 20)):
+        assert len(traj) == 3
+        assert (traj.health["solves"], traj.health["clamped_solves"]) == (solves, 0)
+        assert traj.health["max_mass_error"] <= MASS_TOL
+
+
 def test_feedback_run_is_the_scipy_solves(monkeypatch):
     # two solves per step, the second from the first's input: a 2-D
     # simulate_feedback gives the bits of one whose steps are scipy's
