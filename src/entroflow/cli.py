@@ -25,10 +25,12 @@ with 17 significant digits, nothing timestamps the outputs).  A run that
 succeeds writes run.json, in no manifest: the values it ran and the runner's
 record (a grid run's boundary certificates (`grids.boundary_certificate`),
 stepper health and largest interior FD residual, a paths run's binning
-health and drift z-scores).  A cut box still exits 0.  Exit codes: 0 ok, 2
-usage/validation, an unreadable input file or a size too large to allocate,
-3 numerical failure: any ``grids.NumericalFailure`` or numpy ``LinAlgError``
-(a failed run's CSVs and any run.json are removed).
+health and drift z-scores, an ensemble run's escape margin).  A cut box
+still exits 0.  Exit codes: 0 ok, 2 usage/validation (an unknown flag is
+its subcommand's error, printed with that subcommand's usage), an
+unreadable input file or a size too large to allocate, 3 numerical failure:
+any ``grids.NumericalFailure`` or numpy ``LinAlgError`` (a failed run's CSVs
+and any run.json are removed).
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .sde import (
     ensemble_summary,
     estimate_density,
     harmonic_cantilever,
-    simulate_overdamped,
     stream_overdamped,
     stream_polymer,
 )
@@ -428,28 +429,37 @@ def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
     return record
 
 
-def run_sde(kind: str, c: dict, w: ArtifactWriter) -> None:
+def run_sde(kind: str, c: dict, w: ArtifactWriter) -> dict:
+    """An overdamped ensemble, stored, or the polymer's gains, streamed;
+    returns the run record of its escape margin."""
     n, dt, t1, seed = c["n_traj"], c["dt"], c["t1"], c["seed"]
+    n_times = _n_times(c)
+    times = dt * np.arange(n_times)
     if c["model"] == "overdamped":
         mean0, sd0 = c["mean0"], np.sqrt(c["var0"])
         x0 = lambda rng, size: mean0 + sd0 * rng.standard_normal((size, 1))
-        ens = simulate_overdamped(_ou_hamiltonian(c), None, x0, n, dt, t1, seed)
+        # sde.simulate_overdamped's march into a record of every state, keeping
+        # the escape margin that it drops
+        record = PathRecord(n, n_times, 1)
+        escape = stream_overdamped(_ou_hamiltonian(c), None, x0, n, dt, t1, seed,
+                                   (record.add,))
+        ens = record.ensemble(times, dt)
         w.write_csv("paths.csv", *ensemble_rows(ens))
         w.write_csv("summary.csv", *ensemble_summary(ens))
-        return
+        return {"escape": escape}
     gamma = c["gamma"]
     gains = [0.0, 0.5 * gamma, gamma, 2.0 * gamma] if c["alpha_c"] is None else [c["alpha_c"]]
     spec = harmonic_cantilever(spring_k=c["spring_k"], mass=c["mass"], gamma=gamma,
                                temperature=c["temperature"])
-    n_times, width = _n_times(c), 2 * spec.n_coords
-    times = dt * np.arange(n_times)
+    width = 2 * spec.n_coords
     temps = WindowTemperatures(spec, len(gains), n, times, (c["window_lo"], t1))
     # the gains step as one gain-major state; summary.csv reads the last gain's moments
     last = TimeMoments(n_times, width, column=width * (len(gains) - 1))
-    stream_polymer(spec, gains, n, dt, t1, seed, (temps.add, last.add))
+    escape = stream_polymer(spec, gains, n, dt, t1, seed, (temps.add, last.add))
     rows = [(ac, kt.values[0], kt.stderr[0]) for ac, kt in zip(gains, temps.estimates())]
     w.write_csv("temperature.csv", ["alpha_c", "T_kin", "stderr"], rows)
     w.write_csv("summary.csv", *last.summary(times, spec))
+    return {"escape": escape}
 
 
 def _qubit_qrec_rows(times):
@@ -527,7 +537,8 @@ def _bins_record(counts: np.ndarray, est, model: np.ndarray) -> dict:
 def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
     """From the Gibbs density N(0, kT / q), bins the drifts, keeps the ``t_index``
     slice and sums the energy as the ensemble steps, storing no state array;
-    returns the run record of the binning health and drift z-scores per lag."""
+    returns the run record of the binning health and drift z-scores per lag
+    and the escape margin."""
     ham = _ou_hamiltonian(c)
     k, n_times, n, dt = c["t_index"], _n_times(c), c["n_traj"], c["dt"]
     if n_times < 3:  # the drifts pool the interior times, of which one step has none
@@ -539,8 +550,8 @@ def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
     bins = IncrementBins(grid, range(max(1, k - 80), min(n_times - 1, k + 80)), dt)
     slice_k = PathRecord(n, n_times, 1, at=(k,))
     energy = EnergySum(n, dt, ham.drift)
-    stream_overdamped(ham, None, x0, n, dt, c["t1"], c["seed"],
-                      (bins.add, slice_k.add, energy.add))
+    escape = stream_overdamped(ham, None, x0, n, dt, c["t1"], c["seed"],
+                               (bins.add, slice_k.add, energy.add))
     beta, gamma = bins.estimate(+1), bins.estimate(-1)
     v = current_drift(beta, gamma)
     w.write_csv("fields.csv", *drift_field_rows(beta, gamma, v))
@@ -554,7 +565,8 @@ def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
     drift = ham.drift(grid.centers().reshape(-1, 1))
     return {"drift_bins": {name: _bins_record(bins.counts[lag], est, lag * drift)
                            for name, lag, est in (("forward", +1, beta),
-                                                  ("backward", -1, gamma))}}
+                                                  ("backward", -1, gamma))},
+            "escape": escape}
 
 
 RUNNERS = {
@@ -590,10 +602,22 @@ def run_scenario(cfg: ScenarioConfig, out_dir=None, seed=None) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which rejects an argument it does not know
+    itself, with its own usage and flags; argparse would hand it back to the
+    top-level parser, whose usage names only the subcommands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="entroflow",
                                 description="entropy production laboratory")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     listp = sub.add_parser("list", help="list builtin scenarios")
     listp.add_argument("--json", action="store_true")

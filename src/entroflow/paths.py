@@ -212,10 +212,24 @@ class FiniteEnergyEstimate:
     coverage: float  # fraction of sample points with a usable drift value
 
 
+# The most bytes of points a chunk hands a callable drift field at once, in
+# whole time rows: a field's temporaries (a drift makes two arrays the size of
+# its points) then stay under glibc's default mmap threshold of 128 KiB and
+# reuse freed heap blocks, where a whole chunk's (270 KB for 33 x 1024 1-D
+# points) would map and fault in fresh pages on every chunk.  Four time rows
+# of a 1024-trajectory block of one coordinate.
+ENERGY_SLAB_BYTES = 32 * 2**10
+
+
 class EnergySum:
     """A chunk observer summing |beta(x(t_k))|^2 dt along each trajectory
     over the steps k of the horizon (the last time is not an integration
-    point); ``drift_field`` is as in :func:`finite_energy_estimate`."""
+    point); ``drift_field`` is as in :func:`finite_energy_estimate`.
+
+    A callable field gets a chunk's points in slabs of whole time rows of at
+    most ``ENERGY_SLAB_BYTES``, so that its temporaries map no fresh array
+    per chunk; an estimated field looks up a whole chunk in the work buffers.
+    Either way each trajectory adds its steps in time order."""
 
     def __init__(self, n_traj: int, dt: float, drift_field):
         self.dt = dt
@@ -224,30 +238,33 @@ class EnergySum:
         self.used = 0
         self.total = 0
         points = (CHUNK + 1) * NOISE_BLOCK
-        self._sq = np.empty(points)  # |beta|^2 of a chunk's points
-        if isinstance(drift_field, DriftEstimate):  # the cells and vectors of a lookup
+        self._sq = np.empty(points)  # |beta|^2 of a slab's points
+        self._lookup = isinstance(drift_field, DriftEstimate)
+        if self._lookup:  # the cells and vectors of a lookup
             self._cells = drift_field.grid.cell_work(points)
             self._vec = np.empty((points, drift_field.grid.ndim))
 
     def add(self, first, t0, X):
         """Add the steps from X[i] to X[i + 1]; the chunks of a trajectory
         must come in time order."""
-        _, n, dim = X.shape
-        x = X[:-1].reshape(-1, dim)
-        s = self._sq[:x.shape[0]]
-        if isinstance(self.drift_field, DriftEstimate):
-            vec, valid = self.drift_field.lookup(x, self._cells, self._vec)
-            np.einsum("mi,mi->m", vec, vec, out=s)
-            self.used += int(np.count_nonzero(valid))
-            np.copyto(s, 0.0, where=np.logical_not(valid, out=valid))
-        else:
-            vec = np.asarray(self.drift_field(x), dtype=float).reshape(x.shape)
-            np.einsum("mi,mi->m", vec, vec, out=s)
-            self.used += x.shape[0]
-        self.total += x.shape[0]
+        steps, n, dim = len(X) - 1, X.shape[1], X.shape[2]
         acc = self.per_traj[first:first + n]
-        for row in s.reshape(-1, n):  # in time order, one sum per step
-            acc += row * self.dt
+        rows = max(1, steps if self._lookup else ENERGY_SLAB_BYTES // (n * dim * X.itemsize))
+        for r in range(0, steps, rows):
+            x = X[r:min(r + rows, steps)].reshape(-1, dim)
+            s = self._sq[:x.shape[0]]
+            if self._lookup:
+                vec, valid = self.drift_field.lookup(x, self._cells, self._vec)
+                np.einsum("mi,mi->m", vec, vec, out=s)
+                self.used += int(np.count_nonzero(valid))
+                np.copyto(s, 0.0, where=np.logical_not(valid, out=valid))
+            else:
+                vec = np.asarray(self.drift_field(x), dtype=float).reshape(x.shape)
+                np.einsum("mi,mi->m", vec, vec, out=s)
+                self.used += x.shape[0]
+            for row in s.reshape(-1, n):  # in time order, one sum per step
+                acc += row * self.dt
+        self.total += steps * n
 
     def estimate(self) -> FiniteEnergyEstimate:
         if self.total == 0:

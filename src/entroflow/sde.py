@@ -24,7 +24,9 @@ seed, trajectory i depends only on (seed, i, step count), and blocks can be
 produced in parallel without changing the result.  Both integrators are
 per-step rules of one loop, :func:`_march_paths`, which owns the noise and
 the escape check: a state that leaves the escape radius or is not finite
-raises :class:`TrajectoryDivergence` with the time and trajectory index.
+raises :class:`TrajectoryDivergence` with the time and trajectory index, and
+the streamed runs return the escape margin, the radius and the largest
+|state| of any step.
 The loop draws each block's stream, its initial states and then its noise,
 on one worker thread that it starts and joins itself, so no thread outlives
 a run.  While block b steps, the worker draws block b + 1 into a second
@@ -45,8 +47,10 @@ lies in exactly one chunk, and a chunk's first time is new only when t0 is
 keeps.  An observer's times are one window, a :func:`time_window`, so the
 rows a chunk adds are one slice of X; nothing is gathered or searched.  An
 observer's work buffers are allocated once, in ``__init__``, at the chunk
-bound (CHUNK + 1) x NOISE_BLOCK x width, so that a run maps no fresh
-chunk-sized array per chunk.  :func:`_march_paths` feeds its
+bound (CHUNK + 1) x NOISE_BLOCK x width, and a callable it must call on the
+points, ``paths.EnergySum``'s drift, gets them in slabs whose temporaries
+stay under malloc's mmap threshold, so that a run maps no fresh chunk-sized
+array per chunk.  :func:`_march_paths` feeds its
 observers while it steps; :func:`replay` feeds a stored ensemble in the
 same blocks and chunks, so an observer sees the same bits either way.
 Storing is one observer, :class:`PathRecord`: the public simulators keep
@@ -225,7 +229,7 @@ def _draw(start, seed: int, block: int, noise: np.ndarray) -> np.ndarray:
 
 
 def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
-                 t1: float, seed: int, escape_radius: float | None, observers=()) -> None:
+                 t1: float, seed: int, escape_radius: float | None, observers=()) -> dict:
     """The one loop over noise blocks and time steps of every path ensemble.
 
     Each block's stream draws ``start(rng) -> (NOISE_BLOCK, dim)``, then
@@ -243,7 +247,8 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
     radius (ESCAPE_RADIUS_FACTOR x the spread of the first block, floor 1)
     is not finite, are invalid input.  Steps and observers run with numpy's
     overflow and invalid-value warnings off: the escape check after each
-    step rejects a state that overflowed.
+    step rejects a state that overflowed.  Returns the escape margin, the
+    ``radius`` in use and the largest |state| of any step, ``max_abs_state``.
     """
     steps = time_steps(0.0, t1, dt)
     radius = escape_radius
@@ -252,6 +257,7 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
     noises = [np.empty((rows, steps, noise_dim)) for _ in range(2 if ahead else 1)]
     buf = np.empty((CHUNK + 1, NOISE_BLOCK, dim))
     firsts = range(0, n_traj, NOISE_BLOCK)
+    largest = 0.0
 
     # a draw that an earlier block's error overtakes is joined on leaving the
     # pool, and its outcome is dropped
@@ -279,12 +285,14 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
             X[0] = y
             for k in range(steps):
                 y = step(k, y, noise[:, k])
-                worst = np.max(np.abs(y))
+                # max |y| with no |y| array; both reductions propagate NaN
+                worst = max(y.max(), -y.min())
                 if not worst <= radius:  # NaN fails too
                     bad = first + int(np.argmax(np.max(np.abs(y), axis=1)))
                     raise TrajectoryDivergence(
                         f"trajectory divergence: |state| = {worst:.3g} > {radius:.3g} "
                         f"at t = {(k + 1) * dt:.6g}, trajectory index {bad}")
+                largest = max(largest, worst)
                 row = k + 1 - t0
                 X[row] = y
                 if row == CHUNK or k + 1 == steps:
@@ -293,6 +301,7 @@ def _march_paths(start, step, n_traj: int, dim: int, noise_dim: int, dt: float,
                     X[0], t0 = y, k + 1
             if not ahead and b + 1 < len(firsts):
                 pending = draw(b + 1)
+    return {"radius": float(radius), "max_abs_state": float(largest)}
 
 
 def replay(ens: PathEnsemble, observers) -> None:
@@ -334,23 +343,26 @@ def simulate_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float,
 
 
 def stream_overdamped(ham: HamiltonianSpec, u, x0, n_traj: int, dt: float, t1: float,
-                      seed: int, observers) -> None:
+                      seed: int, observers) -> dict:
     """The ensemble of :func:`simulate_overdamped`, fed to ``observers`` and
-    not stored."""
+    not stored; returns its escape margin (see :func:`_march_paths`)."""
     start, step = _overdamped_rule(ham, u, x0, dt)
-    _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None, observers)
+    return _march_paths(start, step, n_traj, ham.dim, ham.dim, dt, t1, seed, None, observers)
 
 
 def _overdamped_rule(ham: HamiltonianSpec, u, x0, dt: float):
     """``start(rng)`` and ``step(k, x, dW)`` of the Euler-Maruyama scheme."""
-    sigma = np.sqrt(ham.sigma2)
-    root_dt = np.sqrt(dt)
+    kick = np.sqrt(ham.sigma2) * np.sqrt(dt)
 
     def step(k, x, dW):
         f = ham.drift(x)
         if u is not None:
             f = f + np.asarray(u(x, k * dt), dtype=float).reshape(x.shape)
-        return x + f * dt + sigma * root_dt * dW
+        # bitwise x + f * dt + kick * dW, built in the drift's fresh array
+        f *= dt
+        f += x
+        f += kick * dW
+        return f
 
     return (lambda rng: _resolve_x0(x0, rng, NOISE_BLOCK, ham.dim)), step
 
@@ -435,7 +447,7 @@ def simulate_polymer(spec: PolymerSpec, gain: float, n_traj: int, dt: float, t1:
 
 
 def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
-                   seed: int, observers) -> None:
+                   seed: int, observers) -> dict:
     """The ensembles of ``spec`` at each feedback gain in ``gains``, stepped
     as one state from q = p = 0 and fed to ``observers``, not stored.
 
@@ -443,9 +455,10 @@ def stream_polymer(spec: PolymerSpec, gains, n_traj: int, dt: float, t1: float,
     on; each gain's columns are bitwise the states :func:`simulate_polymer`
     stores for that gain, since every gain sees the same initial states and
     noise.  A state of any gain that leaves the escape radius stops the run.
+    Returns the escape margin (see :func:`_march_paths`).
     """
     start, step, dim, noise_dim, radius = _polymer_rule(spec, gains, 0.0, 0.0, dt)
-    _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius, observers)
+    return _march_paths(start, step, n_traj, dim, noise_dim, dt, t1, seed, radius, observers)
 
 
 def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):

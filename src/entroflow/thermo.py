@@ -116,7 +116,12 @@ def quadratic_hamiltonian(Q, kT: float, sigma2: float) -> HamiltonianSpec:
 
     def grad(x):
         x = np.atleast_2d(x)
-        return x @ Q.T
+        # x @ Q.T, but BLAS at every dim: matmul takes a slower non-BLAS
+        # loop at dim 1.  Adding 0.0 turns the -0.0 that np.dot gives for a
+        # single point into matmul's 0.0, so that every bit is matmul's
+        g = np.dot(x, Q.T)
+        g += 0.0
+        return g
 
     return HamiltonianSpec(dim=dim, energy=energy, grad=grad, kT=kT, sigma2=sigma2)
 

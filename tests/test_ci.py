@@ -58,3 +58,7 @@ def test_every_job_runs_the_installed_command():
         # a key flag that only the flags derived from KIND_KEYS give decompose
         assert re.search(r'^          entroflow decompose --grid-cells 64 --t1 0\.01 '
                          r'--out "\$RUNNER_TEMP/smoke-decompose"$', steps[k], re.M), name
+        # an ensemble kind: the march and the model's drift, under the floors
+        # job's numpy too
+        assert re.search(r'^          entroflow paths-run --n 2000 --t1 0\.1 --t-index 10 '
+                         r'--out "\$RUNNER_TEMP/smoke-paths"$', steps[k], re.M), name

@@ -34,7 +34,7 @@ from entroflow.paths import (
 )
 from entroflow.quantum import save_operator, sigma_x
 from entroflow.sde import (TrajectoryDivergence, ensemble_rows, ensemble_summary,
-                           simulate_overdamped)
+                           harmonic_cantilever, simulate_overdamped, simulate_polymer)
 
 from conftest import kron_liouvillian
 
@@ -562,7 +562,8 @@ def test_paths_osmotic_records_its_binning_health(tmp_path):
     # pool 20-179 of 100 000 trajectories: 16 000 000 samples per lag, 991
     # outside [-4, 4], no cell below MIN_CELL_COUNT; the largest |z| of each
     # drift against the model's, beta = -x and gamma = x, is below criterion
-    # 10's gate of 3 at this seed; run.json is in no manifest
+    # 10's gate of 3 at this seed; no state came near the escape radius, 50
+    # times the unit spread of the initial states; run.json is in no manifest
     manifest = run_scenario(BUILTIN_FACTORIES["paths-osmotic"](), out_dir=str(tmp_path))
     assert sorted(manifest["files"]) == ["fields.csv", "summary.csv"]
     record = json.loads((tmp_path / "run.json").read_text())
@@ -574,7 +575,9 @@ def test_paths_osmotic_records_its_binning_health(tmp_path):
               "n_traj": 100_000, "seed": 42, "dt": 5e-3, "t1": 1.0, "t_index": 100,
               "grid_lo": -4.0, "grid_hi": 4.0, "grid_cells": 64}
     assert record == {"values": values,
-                      "drift_bins": {name: {**lag, "drift_z": z[name]} for name in z}}
+                      "drift_bins": {name: {**lag, "drift_z": z[name]} for name in z},
+                      "escape": {"radius": 50.0,
+                                 "max_abs_state": pytest.approx(4.955535175, rel=1e-9)}}
 
 
 def test_paths_run_manifest_records_default_seed(tmp_path):
@@ -793,6 +796,17 @@ def test_abbreviated_flag_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["sde-run", "--m", "polymer"], ["sde-run", "--bogus", "1"],
+                                  ["sde-run", "--model"]])
+def test_a_bad_flag_is_its_subcommands_error(capsys, argv):
+    # an unknown flag, like a missing value, prints the subcommand's usage,
+    # which lists the kind's flags, not the top-level one of the subcommands
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: entroflow sde-run [-h]") and "[--model MODEL]" in err
+    assert "\nentroflow sde-run: error: " in err
+
+
 def test_flags_set_their_keys_over_a_builtin(tmp_path):
     # the run record says what ran; the manifest still names the builtin
     out = tmp_path / "o"
@@ -868,7 +882,32 @@ def test_every_kind_records_the_values_it_ran(tmp_path):
         manifest = run_scenario(cfg, out_dir=str(tmp_path / name))
         assert "run.json" not in manifest["files"]
         record = json.loads((tmp_path / name / "run.json").read_text())
-        assert record == {"values": cfg.values()}
+        assert record.pop("values") == cfg.values()
+        assert set(record) == ({"escape"} if name == "polymer-cooling" else set())
+
+
+@pytest.mark.parametrize("model", ["overdamped", "polymer"])
+def test_ensemble_runs_record_their_escape_margin(tmp_path, model):
+    # the radius in use and the largest |state| of any step (time 0 is no
+    # step): for the overdamped run read off its stored paths, for the
+    # polymer's four gains off each gain's stored ensemble
+    cfg = ScenarioConfig("e", "sde-run", model=dict(model=model),
+                         numerics=dict(n_traj=40, dt=0.01, t1=0.05, seed=3))
+    run_scenario(cfg, out_dir=str(tmp_path))
+    escape = json.loads((tmp_path / "run.json").read_text())["escape"]
+    c = cfg.values()
+    if model == "overdamped":
+        _, _, x = np.loadtxt(tmp_path / "paths.csv", delimiter=",", skiprows=1, unpack=True)
+        x0 = x[:c["n_traj"]]  # time 0's rows come first
+        assert escape == {"radius": 50.0 * max(1.0, float(np.std(x0))),
+                          "max_abs_state": float(np.max(np.abs(x[c["n_traj"]:])))}
+        return
+    spec = harmonic_cantilever(1.0)
+    stored = [simulate_polymer(spec, gain, c["n_traj"], c["dt"], c["t1"], c["seed"])
+              for gain in (0.0, 0.5, 1.0, 2.0)]
+    assert escape == {"radius": 50.0,
+                      "max_abs_state": max(float(np.max(np.abs(ens.states[:, 1:])))
+                                           for ens in stored)}
 
 
 HERMITIAN_OVERFLOW = {"diagonal": "2\n1e308\n0\n0\n-1e308\n",

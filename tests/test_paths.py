@@ -263,7 +263,7 @@ def test_a_first_chunk_allocates_no_chunk_sized_array(observer):
     estimate = DriftEstimate(BIN_GRID, rng.standard_normal((BIN_GRID.size, 1)), counts,
                              np.zeros((BIN_GRID.size, 1)))
     add = {"bins": lambda: IncrementBins(BIN_GRID, range(0, 4 * CHUNK), 0.01).add,
-           "energy": lambda: EnergySum(NOISE_BLOCK, 0.01, lambda x: field).add,
+           "energy": lambda: EnergySum(NOISE_BLOCK, 0.01, lambda x: field[:len(x)]).add,
            "estimated energy": lambda: EnergySum(NOISE_BLOCK, 0.01, estimate).add}[observer]()
     tracemalloc.start()
     try:
@@ -274,6 +274,26 @@ def test_a_first_chunk_allocates_no_chunk_sized_array(observer):
     finally:
         tracemalloc.stop()
     assert peak - base < X.nbytes / 4, (peak - base, X.nbytes)
+
+
+def test_a_models_drift_maps_no_fresh_array_per_chunk(ou_ham):
+    # the model's drift makes temporaries the size of its points, so it gets
+    # a chunk in slabs whose temporaries stay under glibc's default mmap
+    # threshold (128 KiB) and reuse freed heap blocks: after a warm-up chunk
+    # three more raise the traced peak by less than that threshold, where
+    # one call on the whole chunk's points (270 336 B) exceeds it
+    X = np.random.default_rng(0).standard_normal((CHUNK + 1, NOISE_BLOCK, 1))
+    add = EnergySum(NOISE_BLOCK, 0.01, ou_ham.drift).add
+    add(0, 0, X)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for t0 in (CHUNK, 2 * CHUNK, 3 * CHUNK):
+            add(0, t0, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 131072, (peak - base, X.nbytes)
 
 
 def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):

@@ -37,6 +37,7 @@ from entroflow.sde import (
     stream_polymer,
 )
 from entroflow.thermo import quadratic_hamiltonian, relative_entropy
+from entroflow.tolerances import ESCAPE_RADIUS_FACTOR
 
 from conftest import flat_hamiltonian, same_bits
 
@@ -360,8 +361,12 @@ def test_observers_see_the_stored_states(ou_ham, n_traj, steps, seed, data):
     lo = data.draw(st.integers(0, steps), label="lo")
     at = list(range(lo, data.draw(st.integers(lo + 1, steps + 1), label="hi")))
     record = PathRecord(n_traj, steps + 1, 1, at=at)
-    assert stream_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed,
-                             (keep(streamed), record.add)) is None
+    escape = stream_overdamped(ou_ham, None, x0, n_traj, dt, t1, seed,
+                               (keep(streamed), record.add))
+    # the escape margin: the radius set by the first block's initial spread,
+    # and the largest |state| of any step (time 0 is no step)
+    assert escape == {"radius": ESCAPE_RADIUS_FACTOR * max(1.0, float(np.std(ens.states[:NOISE_BLOCK, 0]))),
+                      "max_abs_state": float(np.max(np.abs(ens.states[:, 1:])))}
     replay(ens, (keep(replayed),))
     assert [chunk[:2] for chunk in streamed] == [chunk[:2] for chunk in replayed] \
         == [(first, t0) for first in range(0, n_traj, NOISE_BLOCK)

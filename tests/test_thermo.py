@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entroflow import (
     GaussianDensity,
@@ -17,7 +18,7 @@ from entroflow import (
 )
 from entroflow.grids import quadrature
 
-from conftest import normal_pdf
+from conftest import normal_pdf, same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +79,23 @@ def test_quadratic_hamiltonian_2d():
     assert ham.energy(x)[0] == pytest.approx(0.5 * (2.0 - 1.0 + 1.0))
     assert np.allclose(ham.grad(x)[0], Q @ x[0])
     assert np.allclose(ham.drift(x)[0], -(1.0 / 3.0) * Q @ x[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 3), rows=st.integers(1, 40_000), seed=st.integers(0, 2**32 - 1),
+       special=st.lists(st.sampled_from([0.0, -0.0, -1.0, -3.7e-5, -2.5e6]), max_size=12))
+@example(dim=1, rows=1, seed=1, special=[-0.0])  # np.dot alone gives -0.0 here, matmul 0.0
+def test_quadratic_grad_is_bitwise_the_matmul(dim, rows, seed, special):
+    # grad calls BLAS through np.dot at every dim; its bits are x @ Q.T's,
+    # signed zeros and negative entries included
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((dim, dim))
+    Q = A @ A.T + 0.5 * np.eye(dim)
+    Q = 0.5 * (Q + Q.T)  # symmetric to the last bit
+    x = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 1))
+    x.reshape(-1)[rng.integers(0, x.size, len(special))] = special
+    x[rng.random(rows) < 0.1] = 0.0
+    assert same_bits(quadratic_hamiltonian(Q, kT=1.0, sigma2=2.0).grad(x), x @ Q.T)
 
 
 # ---------------------------------------------------------------------------
