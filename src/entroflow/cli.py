@@ -49,8 +49,7 @@ from .control import GainSchedule, decomposition_curve, evolve_modulated
 from .fokker_planck import admissible_gain
 from .grids import (Grid, NumericalFailure, boundary_certificate, density_covariance,
                     density_mean, time_steps)
-from .paths import (MIN_CELL_COUNT, EnergySum, IncrementBins, current_drift, drift_field_rows,
-                    osmotic_residual)
+from .paths import EnergySum, IncrementBins, current_drift, drift_field_rows, osmotic_residual
 from .quantum import (
     DensityOperator,
     HamiltonianOperator,
@@ -80,7 +79,7 @@ from .sde import (
     stream_polymer,
 )
 from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian
-from .tolerances import QREC_FD_STEP
+from .tolerances import MIN_CELL_COUNT, QREC_FD_STEP
 
 
 class ConfigError(ValueError):

@@ -49,17 +49,9 @@ from .fokker_planck import (
     gain_at,
     potential_drifts,
 )
-from .grids import (Grid, GridDensity, NumericalFailure, VectorFieldGrid, gradient, march,
-                    time_steps)
-from .production import (
-    check_decomposition_identity,
-    floored_log,
-    floored_log_ratio_gradient,
-    log_ratio_gradient,
-    split_rate,
-    support_weight,
-    weighted_inner,
-)
+from .grids import (Grid, GridDensity, NumericalFailure, VectorFieldGrid, floored_log,
+                    log_gradient, march, require_same_grid, support_weight, time_steps)
+from .production import check_decomposition_identity, split_rate, weighted_inner
 from .thermo import GaussianDensity, HamiltonianSpec, gibbs_density, require_spd
 from .tolerances import FD_RESIDUAL_FLOOR, MODULATED_RATE_RTOL, QUADRATIC_FORM_TOL
 
@@ -121,7 +113,9 @@ def feedback_control(rho_u: GridDensity, equilibrium: GridDensity,
     """u = -alpha grad log(rho_u / equilibrium) on the shared stencil."""
     if np.any(equilibrium.values <= 0.0):  # zeros in rho_u take the floored log
         raise ValueError("nonpositive density")
-    return VectorFieldGrid(rho_u.grid, -alpha * log_ratio_gradient(rho_u, equilibrium))
+    grid = require_same_grid(rho_u, equilibrium)
+    g = log_gradient(grid, rho_u.values, floored_log(equilibrium.values))
+    return VectorFieldGrid(grid, -alpha * g)
 
 
 def evolve_modulated(ham: HamiltonianSpec, alpha, rho0: GridDensity,
@@ -148,7 +142,7 @@ def modulated_decay_rate(rho_u: GridDensity, ham: HamiltonianSpec,
     grid = rho_u.grid
     equilibrium = gibbs_density(ham, grid).values
     w = support_weight(rho_u.values, equilibrium)
-    g = floored_log_ratio_gradient(grid, rho_u.values, equilibrium)
+    g = log_gradient(grid, rho_u.values, floored_log(equilibrium))
     rate = -(0.5 * ham.sigma2 + alpha) * weighted_inner(grid, g, g, w)
     total, _, _ = split_rate(grid, g, -alpha * g, w, ham.sigma2)
     if abs(rate - total) > MODULATED_RATE_RTOL * max(1.0, abs(rate)):
@@ -297,7 +291,7 @@ def decomposition_curve(traj: DensityTrajectory, ham: HamiltonianSpec, alpha
     log_ref = floored_log(ref)
     total, pepr, epur = np.empty((3, len(traj)))
     for k, row in enumerate(traj.values):
-        g = gradient(grid, floored_log(row) - log_ref)
+        g = log_gradient(grid, row, log_ref)
         a = admissible_gain(gain_at(alpha, ts[k]), ham.sigma2)
         total[k], pepr[k], epur[k] = split_rate(grid, g, -a * g, support_weight(row),
                                                ham.sigma2)

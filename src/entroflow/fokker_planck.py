@@ -81,6 +81,7 @@ from .grids import (
     VectorFieldGrid,
     face_sides,
     gradient,
+    log_gradient,
     march,
     quadrature,
     require_same_grid,
@@ -110,7 +111,8 @@ def admissible_gain(a: float, sigma2: float) -> float:
     finite drift.
     """
     if not -0.5 * sigma2 < a < np.inf:  # NaN fails too
-        raise ValueError("ill-posed gain")
+        raise ValueError(f"ill-posed gain {float(a)!r}: needs gain > -sigma2/2 = "
+                         f"{-0.5 * float(sigma2)!r}")
     return a
 
 
@@ -457,7 +459,7 @@ def continuity_velocity(rho: GridDensity, ham: HamiltonianSpec,
     grid = rho.grid
     if np.any(rho.values <= 0.0):
         raise ValueError("log-density undefined")
-    g = gradient(grid, np.log(rho.values))
+    g = log_gradient(grid, rho.values, 0.0)
     D = clock_rate(ham, gain, t)
     v = -D / ham.kT * gradient(grid, ham.sample_energy(grid)) - D * g
     return VectorFieldGrid(grid, v)

@@ -6,7 +6,10 @@ solver) shares the conventions fixed here:
 * cells are uniform boxes; values live at cell centers,
 * integrals are midpoint sums  sum(values) * cell_volume,
 * the discrete gradient is the second-order central difference in the
-  interior and the second-order one-sided difference on the boundary.
+  interior and the second-order one-sided difference on the boundary,
+* a density's log is floored at ``DENSITY_FLOOR``: :func:`log_gradient` is
+  every grad log of a density or of its ratio to a reference, and
+  :func:`support_weight` gives the cells below the floor zero weight.
 
 Grids are rectangular and uniform by construction; non-uniform spacings are
 rejected at the type level (there is no way to build one).  Since a box is
@@ -28,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tolerances import BOUNDARY_DECAY_FACTOR, MASS_TOL, TIME_GRID_RTOL
+from .tolerances import BOUNDARY_DECAY_FACTOR, DENSITY_FLOOR, MASS_TOL, TIME_GRID_RTOL
 
 
 class GridMismatchError(ValueError):
@@ -276,6 +279,25 @@ def gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
         return g[..., np.newaxis]
     parts = np.gradient(values, *spacings, edge_order=2)
     return np.stack(parts, axis=-1)
+
+
+def floored_log(values) -> np.ndarray:
+    """log(values) with values floored at DENSITY_FLOOR (IEEE underflow guard)."""
+    return np.log(np.maximum(values, DENSITY_FLOOR))
+
+
+def log_gradient(grid: Grid, values: np.ndarray, log_ref: np.ndarray | float) -> np.ndarray:
+    """grad(floored_log(values) - log_ref) on the shared stencil: ``log_ref`` is
+    a reference's :func:`floored_log`, for grad log(values/ref), or 0."""
+    return gradient(grid, floored_log(values) - log_ref)
+
+
+def support_weight(values: np.ndarray, ref_values: np.ndarray | None = None) -> np.ndarray:
+    """Density on cells at or above DENSITY_FLOOR, 0 below; ref_values must be > 0 there."""
+    supp = values >= DENSITY_FLOOR
+    if ref_values is not None and np.any(ref_values[supp] <= 0.0):
+        raise ValueError("nonpositive density")
+    return np.where(supp, values, 0.0)
 
 
 class GridDensity:

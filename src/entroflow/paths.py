@@ -40,12 +40,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import Grid, GridDensity, VectorFieldGrid, gradient
-from .production import floored_log
+from .grids import Grid, GridDensity, VectorFieldGrid, log_gradient
 from .sde import CHUNK, NOISE_BLOCK, PathEnsemble, _head, mean_and_stderr, replay, time_window
-from .tolerances import CONTINUITY_SE_FACTOR
-
-MIN_CELL_COUNT = 30
+from .tolerances import CONTINUITY_SE_FACTOR, MIN_CELL_COUNT
 
 
 @dataclass(frozen=True)
@@ -183,7 +180,7 @@ def osmotic_residual(beta: DriftEstimate, gamma: DriftEstimate,
         raise ValueError("estimates and density must share a grid")
     grid = beta.grid
     mask = beta.mask & gamma.mask & (density.values > 0.0)
-    g = gradient(grid, floored_log(density.values))
+    g = log_gradient(grid, density.values, 0.0)
     diff = beta.vectors - gamma.vectors - sigma2 * g
     w = np.where(mask, density.values * np.minimum(beta.counts, gamma.counts), 0.0)
     num = np.sum(w * np.einsum("...i,...i->...", diff, diff))
@@ -212,7 +209,7 @@ class FiniteEnergyEstimate:
     coverage: float  # fraction of sample points with a usable drift value
 
 
-# The most bytes of points a chunk hands a callable drift field at once, in
+# The most bytes of points a chunk hands a drift field at once, in
 # whole time rows: a field's temporaries (a drift makes two arrays the size of
 # its points) then stay under glibc's default mmap threshold of 128 KiB and
 # reuse freed heap blocks, where a whole chunk's (270 KB for 33 x 1024 1-D
@@ -226,10 +223,12 @@ class EnergySum:
     over the steps k of the horizon (the last time is not an integration
     point); ``drift_field`` is as in :func:`finite_energy_estimate`.
 
-    A callable field gets a chunk's points in slabs of whole time rows of at
-    most ``ENERGY_SLAB_BYTES``, so that its temporaries map no fresh array
-    per chunk; an estimated field looks up a whole chunk in the work buffers.
-    Either way each trajectory adds its steps in time order."""
+    Either field gets a chunk's points in slabs of whole time rows of at
+    most ``ENERGY_SLAB_BYTES`` (one row if a row is larger), so that no
+    temporary maps a fresh array per chunk: a callable field's, or the copy
+    that flattens a slab of a block narrower than ``NOISE_BLOCK``; an
+    estimated field looks a slab up in work buffers of a slab's size.  Each
+    trajectory adds its steps in time order."""
 
     def __init__(self, n_traj: int, dt: float, drift_field):
         self.dt = dt
@@ -237,7 +236,7 @@ class EnergySum:
         self.per_traj = np.zeros(n_traj)
         self.used = 0
         self.total = 0
-        points = (CHUNK + 1) * NOISE_BLOCK
+        points = max(NOISE_BLOCK, ENERGY_SLAB_BYTES // 8)  # one row, or a slab of float64s
         self._sq = np.empty(points)  # |beta|^2 of a slab's points
         self._lookup = isinstance(drift_field, DriftEstimate)
         if self._lookup:  # the cells and vectors of a lookup
@@ -249,7 +248,7 @@ class EnergySum:
         must come in time order."""
         steps, n, dim = len(X) - 1, X.shape[1], X.shape[2]
         acc = self.per_traj[first:first + n]
-        rows = max(1, steps if self._lookup else ENERGY_SLAB_BYTES // (n * dim * X.itemsize))
+        rows = max(1, ENERGY_SLAB_BYTES // (n * dim * X.itemsize))
         for r in range(0, steps, rows):
             x = X[r:min(r + rows, steps)].reshape(-1, dim)
             s = self._sq[:x.shape[0]]

@@ -18,12 +18,12 @@ rate -(sigma2 kT / 2) * Fisher = -integral J . Phi, and the equality of the
 two forms is asserted on every call (to ``FREE_ENERGY_RTOL``) as a
 discretization self-check.
 
-One array kernel computes every grid rate: the floored log-ratio gradient on
-the shared stencil of `grids.gradient`, the support weight, which gives
-cells below ``DENSITY_FLOOR`` (1e-300, in `tolerances`) zero weight, and one
-weighted inner product.  The functions here and in `control` wrap it, so the identities
-with `thermo.flux_and_force` and the finite-volume solver hold to roundoff
-rather than to discretization error.
+One array kernel computes every grid rate: the log-ratio gradient
+`grids.log_gradient` and the support weight `grids.support_weight`, which
+own the density floor, and the weighted inner product and rate split here.
+The functions here and in `control` wrap it, so the identities with
+`thermo.flux_and_force` and the finite-volume solver hold to roundoff rather
+than to discretization error.
 
 The boundary terms these formulas drop decay on all of R^n but not
 necessarily on a box: every rate here is valid when neither density it
@@ -38,29 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, GridDensity, VectorFieldGrid, gradient, quadrature, require_same_grid
+from .grids import (Grid, GridDensity, VectorFieldGrid, floored_log, log_gradient, quadrature,
+                    require_same_grid, support_weight)
 from .thermo import HamiltonianSpec, gibbs_density, flux_and_force
-from .tolerances import (DECOMPOSITION_TOL, DENSITY_FLOOR, FREE_ENERGY_RTOL,
-                         FREE_ENERGY_SCALE_FLOOR)
-
-
-def floored_log(values) -> np.ndarray:
-    """log(values) with values floored at DENSITY_FLOOR (IEEE underflow guard)."""
-    return np.log(np.maximum(values, DENSITY_FLOOR))
-
-
-def floored_log_ratio_gradient(grid: Grid, values: np.ndarray,
-                               ref_values: np.ndarray) -> np.ndarray:
-    """grad log(values/ref_values) on the shared stencil, both floored at DENSITY_FLOOR."""
-    return gradient(grid, floored_log(values) - floored_log(ref_values))
-
-
-def support_weight(values: np.ndarray, ref_values: np.ndarray | None = None) -> np.ndarray:
-    """Density on cells at or above DENSITY_FLOOR, 0 below; ref_values must be > 0 there."""
-    supp = values >= DENSITY_FLOOR
-    if ref_values is not None and np.any(ref_values[supp] <= 0.0):
-        raise ValueError("nonpositive density")
-    return np.where(supp, values, 0.0)
+from .tolerances import DECOMPOSITION_TOL, FREE_ENERGY_RTOL, FREE_ENERGY_SCALE_FLOOR
 
 
 def weighted_inner(grid: Grid, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
@@ -82,11 +63,6 @@ def check_decomposition_identity(total, pepr, epur) -> None:
         raise ValueError("decomposition identity violated")
 
 
-def log_ratio_gradient(rho: GridDensity, ref: GridDensity) -> np.ndarray:
-    """grad log(rho/ref) with the shared discrete stencil; floored at DENSITY_FLOOR."""
-    return floored_log_ratio_gradient(require_same_grid(rho, ref), rho.values, ref.values)
-
-
 def relative_entropy_rate(rho_tilde: GridDensity, rho: GridDensity,
                           f_tilde: VectorFieldGrid, f: VectorFieldGrid) -> float:
     """d/dt D(rho~||rho) from the velocity fields of the two evolutions.
@@ -97,14 +73,14 @@ def relative_entropy_rate(rho_tilde: GridDensity, rho: GridDensity,
     """
     grid = require_same_grid(rho_tilde, rho, f_tilde, f)
     w = support_weight(rho_tilde.values, rho.values)
-    g = floored_log_ratio_gradient(grid, rho_tilde.values, rho.values)
+    g = log_gradient(grid, rho_tilde.values, floored_log(rho.values))
     return weighted_inner(grid, g, f_tilde.vectors - f.vectors, w)
 
 
 def entropy_rate(rho: GridDensity, f: VectorFieldGrid) -> float:
     """d/dt S(rho) = -integral grad log rho . f rho for a continuity flow."""
     grid = require_same_grid(rho, f)
-    g = gradient(grid, floored_log(rho.values))
+    g = log_gradient(grid, rho.values, 0.0)
     return -weighted_inner(grid, g, f.vectors, support_weight(rho.values))
 
 
@@ -141,7 +117,7 @@ def production_decomposition(rho_u: GridDensity, equilibrium: GridDensity,
     """
     grid = require_same_grid(rho_u, equilibrium, u)
     w = support_weight(rho_u.values, equilibrium.values)
-    g = floored_log_ratio_gradient(grid, rho_u.values, equilibrium.values)
+    g = log_gradient(grid, rho_u.values, floored_log(equilibrium.values))
     total, pepr, epur = split_rate(grid, g, u.vectors, w, sigma2)
     return ProductionReport(total=total, pepr=pepr, epur=epur)
 
@@ -155,7 +131,7 @@ def free_energy_decay_rate(rho: GridDensity, ham: HamiltonianSpec) -> float:
     """
     grid = rho.grid
     equilibrium = gibbs_density(ham, grid).values
-    g = floored_log_ratio_gradient(grid, rho.values, equilibrium)
+    g = log_gradient(grid, rho.values, floored_log(equilibrium))
     w = support_weight(rho.values, equilibrium)
     pepr = 0.5 * ham.sigma2 * weighted_inner(grid, g, g, w)
     form1 = -ham.kT * pepr

@@ -47,7 +47,7 @@ lies in exactly one chunk, and a chunk's first time is new only when t0 is
 keeps.  An observer's times are one window, a :func:`time_window`, so the
 rows a chunk adds are one slice of X; nothing is gathered or searched.  An
 observer's work buffers are allocated once, in ``__init__``, at the chunk
-bound (CHUNK + 1) x NOISE_BLOCK x width, and a callable it must call on the
+bound (CHUNK + 1) x NOISE_BLOCK x width, and a field it must evaluate at the
 points, ``paths.EnergySum``'s drift, gets them in slabs whose temporaries
 stay under malloc's mmap threshold, so that a run maps no fresh chunk-sized
 array per chunk.  :func:`_march_paths` feeds its
@@ -465,7 +465,8 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
     """``start``, ``step``, state width, noise width and escape radius of
     the symplectic Euler scheme for the feedback ``gains``: one drag per
     gain, one noise draw for all.  The radius is ESCAPE_RADIUS_FACTOR x the
-    thermal spread sqrt(T / m) of the lightest mass and sqrt(T), floor 1."""
+    thermal spread sqrt(T / m) of the lightest mass and sqrt(T), floor 1;
+    one that overflows is invalid input."""
     for gain in gains:
         if not 0.0 <= gain < np.inf:  # NaN fails too
             raise ValueError(f"the feedback gain alpha_c must be finite and nonnegative, "
@@ -478,8 +479,12 @@ def _polymer_rule(spec: PolymerSpec, gains, q0, p0, dt: float):
     m = spec.mass_per_coord
     c = np.sqrt(2.0 * spec.gamma * spec.temperature)  # fluctuation-dissipation
     drag = (spec.gamma + np.asarray(gains, dtype=float)).reshape(n_gains, 1)
-    radius = ESCAPE_RADIUS_FACTOR * max(1.0, np.sqrt(spec.temperature / np.min(spec.masses)),
-                                        np.sqrt(spec.temperature))
+    with np.errstate(over="ignore"):  # an overflow is an infinite radius, rejected below
+        radius = ESCAPE_RADIUS_FACTOR * max(1.0, np.sqrt(spec.temperature / m.min()),
+                                            np.sqrt(spec.temperature))
+    if not radius < np.inf:
+        raise ValueError(f"sqrt(T / m) overflows at mass {float(m.min())!r} and temperature "
+                         f"{float(spec.temperature)!r}: no escape radius can be set")
     root_dt = np.sqrt(dt)
     noisy = c != 0.0
 

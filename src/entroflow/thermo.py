@@ -32,6 +32,7 @@ from .grids import (
     GridDensity,
     VectorFieldGrid,
     gradient,
+    log_gradient,
     quadrature,
     require_same_grid,
 )
@@ -229,15 +230,15 @@ def flux_and_force(rho: GridDensity, ham: HamiltonianSpec
     """Probability flux J and thermodynamic force Phi = -grad(H + kT log rho).
 
     Both fields use the shared discrete gradient on the sampled energy and on
-    log(rho); the density gradient in J is rho * grad(log rho), which makes
-    J = (sigma^2 / 2 kT) Phi rho an identity of the discrete algebra.
+    log(rho), floored as in every rate; the density gradient in J is rho *
+    grad(log rho), which makes J = (sigma^2 / 2 kT) Phi rho a discrete identity.
     """
     grid = rho.grid
     if np.any(rho.values <= 0.0):
         raise ValueError("log-density undefined")
     H = ham.sample_energy(grid)
     gH = gradient(grid, H)
-    gL = gradient(grid, np.log(rho.values))
+    gL = log_gradient(grid, rho.values, 0.0)
     w = rho.values[..., np.newaxis]
     J = -(ham.sigma2 / 2.0) * gL * w - (ham.sigma2 / (2.0 * ham.kT)) * gH * w
     Phi = -gH - ham.kT * gL

@@ -59,6 +59,8 @@ ESCAPED_FRACTION_MAX = 1e-3
 ESCAPE_RADIUS_FACTOR = 50.0
 # summed standard errors the weak continuity equation's two sides may differ by: 3 sigma
 CONTINUITY_SE_FACTOR = 3.0
+# samples below which a cell's drift is not trusted: from 30 its mean is near normal
+MIN_CELL_COUNT = 30
 
 # -- quantum states and rates -------------------------------------------------
 

@@ -62,3 +62,9 @@ def test_every_job_runs_the_installed_command():
         # job's numpy too
         assert re.search(r'^          entroflow paths-run --n 2000 --t1 0\.1 --t-index 10 '
                          r'--out "\$RUNNER_TEMP/smoke-paths"$', steps[k], re.M), name
+        # the underdamped march and the Lindblad semigroup, which no other
+        # line runs
+        assert re.search(r'^          entroflow sde-run --scenario polymer-cooling --n 200 --t1 1 '
+                         r'--out "\$RUNNER_TEMP/smoke-polymer"$', steps[k], re.M), name
+        assert re.search(r'^          entroflow quantum-run --scenario qubit-lindblad '
+                         r'--out "\$RUNNER_TEMP/smoke-lindblad"$', steps[k], re.M), name

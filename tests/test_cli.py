@@ -26,15 +26,11 @@ from entroflow.cli import (
 from entroflow.control import evolve_modulated
 from entroflow.grids import boundary_certificate, time_steps
 from entroflow.fokker_planck import ConvergenceError, MassDriftError, PositivityError
-from entroflow.paths import (
-    MIN_CELL_COUNT,
-    current_drift,
-    drift_field_rows,
-    estimate_drifts,
-)
+from entroflow.paths import current_drift, drift_field_rows, estimate_drifts
 from entroflow.quantum import save_operator, sigma_x
 from entroflow.sde import (TrajectoryDivergence, ensemble_rows, ensemble_summary,
                            harmonic_cantilever, simulate_overdamped, simulate_polymer)
+from entroflow.tolerances import MIN_CELL_COUNT
 
 from conftest import kron_liouvillian
 
@@ -103,6 +99,17 @@ def test_ill_posed_gain_rejected(tmp_path, capsys):
         assert code == 2
         assert "ill-posed gain" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["fp-run", "control-run", "decompose"])
+def test_a_zero_sigma2_names_the_bound_it_breaks(tmp_path, capsys, kind):
+    # at sigma2 = 0 no gain is admissible, the default 0 included: the error
+    # gives the gain and the bound -sigma2/2, also on fp-run, which reads no gain
+    out = tmp_path / "o"
+    assert main([kind, "--sigma2", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ill-posed gain 0.0: needs gain > -sigma2/2 = -0.0" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -1310,8 +1317,10 @@ def test_huge_finite_values_rejected_without_warning(tmp_path, capsys, section, 
     ("sde-run", "[model]\nmodel = polymer\ntemperature = 1e200\n", 3,
      "numerical failure: the kinetic temperature or its standard error overflows"),
     ("paths-run", "[numerics]\ngrid_hi = 1e308\ngrid_cells = 2\n", 2, "error: cells of volume"),
+    ("sde-run", "[model]\nmodel = polymer\nmass = 1e-320\n", 2,
+     "error: sqrt(T / m) overflows at mass 1e-320 and temperature 1.0"),
 ], ids=["sde-mean0", "sde-q", "sde-kT", "paths-q", "paths-spread", "lindblad-gamma",
-        "polymer-temperature", "paths-box"])
+        "polymer-temperature", "paths-box", "polymer-mass"])
 def test_overflowing_model_values_exit_without_warning(tmp_path, capsys, kind, body, code,
                                                        message):
     # finite values whose states or propagator overflow: invalid input (2) or

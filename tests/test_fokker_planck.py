@@ -18,6 +18,7 @@ from entroflow.fokker_planck import (
     MassDriftError,
     PositivityError,
     _Stepper,
+    admissible_gain,
     bernoulli,
     clock_rate,
     continuity_velocity,
@@ -199,6 +200,14 @@ def test_evolve_2d_heat():
     assert cov[0, 0] == pytest.approx(1.5, rel=0.02)
     assert cov[1, 1] == pytest.approx(1.5, rel=0.02)
     assert abs(cov[0, 1]) < 1e-6
+
+
+@pytest.mark.parametrize("a, sigma2", [(-3.0, 2.0), (np.float64(-3.0), np.float64(2.0))])
+def test_an_ill_posed_gain_names_itself_and_its_bound(a, sigma2):
+    # the message prints plain numbers, whatever float type the gain comes in
+    match = r"^ill-posed gain -3\.0: needs gain > -sigma2/2 = -1\.0$"
+    with pytest.raises(ValueError, match=match):
+        admissible_gain(a, sigma2)
 
 
 def test_continuity_velocity_zero_at_equilibrium(ou_ham, ou_grid):

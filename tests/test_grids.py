@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -8,8 +10,13 @@ from hypothesis import given, settings, strategies as st
 from entroflow import GaussianDensity, Grid, GridDensity, VectorFieldGrid
 from entroflow.control import evolve_modulated, simulate_feedback
 from entroflow.fokker_planck import evolve
-from entroflow.grids import boundary_certificate, gradient, quadrature
+from entroflow.grids import boundary_certificate, gradient, log_gradient, quadrature
 from entroflow.quantum import DensityOperator, HamiltonianOperator, LindbladSpec, lindblad_evolve
+from entroflow.tolerances import DENSITY_FLOOR
+
+from conftest import same_bits
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "entroflow"
 
 
 def test_grid_invariants():
@@ -135,6 +142,47 @@ def test_gradient_needs_three_cells_per_axis():
     with pytest.raises(ValueError, match="3 cells along each axis; axis 1 of the grid has 2"):
         gradient(Grid((-1.0, -1.0), (1.0, 1.0), (4, 2)), np.zeros((4, 2)))
     assert gradient(Grid((-1.0,), (1.0,), (3,)), np.arange(3.0)).shape == (3, 1)
+
+
+# zeros, subnormals, both sides of the floor and ordinary densities
+FLOOR_EDGE = [0.0, 5e-324, 1e-310, float(np.nextafter(DENSITY_FLOOR, 0.0)), DENSITY_FLOOR,
+              float(np.nextafter(DENSITY_FLOOR, 1.0)), 1e-200, 0.3, 1.0, 40.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from([(5,), (3, 4), (4, 3)]), data=st.data())
+def test_log_gradient_is_the_gradient_of_the_floored_log(shape, data):
+    grid = Grid((-1.0,) * len(shape), (2.0,) * len(shape), shape)
+    cells = st.lists(st.one_of(st.sampled_from(FLOOR_EDGE), st.floats(0.0, 1e3)),
+                     min_size=grid.size, max_size=grid.size)
+    v, ref = (np.reshape(data.draw(cells), shape) for _ in range(2))
+    for log_ref in (0.0, np.log(np.maximum(ref, DENSITY_FLOOR))):
+        want = gradient(grid, np.log(np.maximum(v, DENSITY_FLOOR)) - log_ref)
+        assert same_bits(log_gradient(grid, v, log_ref), want)
+
+
+def _name(node) -> str:
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def _log_gradients(path) -> list[int]:
+    """Lines of each ``gradient(...)`` call whose arguments call or name a
+    log, outside ``grids.log_gradient``."""
+    tree = ast.parse(path.read_text())
+    exempt = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and (path.name, f.name) == ("grids.py", "log_gradient") for n in ast.walk(f)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _name(node.func) == "gradient"
+            and id(node) not in exempt
+            and any("log" in _name(a.func if isinstance(a, ast.Call) else a)
+                    for arg in node.args for a in ast.walk(arg)
+                    if isinstance(a, (ast.Call, ast.Name)))]
+
+
+def test_every_log_gradient_is_grids_log_gradient():
+    # one grad log on the grid, under one log convention: the density floor
+    sites = {p.name: _log_gradients(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in sites.items() if lines} == {}
 
 
 def test_density_validation():

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, quadratic_hamiltonian
 from entroflow.paths import (
-    MIN_CELL_COUNT,
     DriftEstimate,
     EnergySum,
     IncrementBins,
@@ -27,10 +26,12 @@ from entroflow.sde import (
     PathEnsemble,
     PathRecord,
     estimate_density,
+    replay,
     simulate_overdamped,
     stream_overdamped,
 )
 from entroflow.thermo import relative_entropy
+from entroflow.tolerances import MIN_CELL_COUNT
 
 from conftest import flat_hamiltonian, same_bits
 
@@ -276,14 +277,8 @@ def test_a_first_chunk_allocates_no_chunk_sized_array(observer):
     assert peak - base < X.nbytes / 4, (peak - base, X.nbytes)
 
 
-def test_a_models_drift_maps_no_fresh_array_per_chunk(ou_ham):
-    # the model's drift makes temporaries the size of its points, so it gets
-    # a chunk in slabs whose temporaries stay under glibc's default mmap
-    # threshold (128 KiB) and reuse freed heap blocks: after a warm-up chunk
-    # three more raise the traced peak by less than that threshold, where
-    # one call on the whole chunk's points (270 336 B) exceeds it
-    X = np.random.default_rng(0).standard_normal((CHUNK + 1, NOISE_BLOCK, 1))
-    add = EnergySum(NOISE_BLOCK, 0.01, ou_ham.drift).add
+def warm_peak_rise(add, X) -> int:
+    """The traced peak's rise over three chunks X fed to ``add`` after a warm-up one."""
     add(0, 0, X)
     tracemalloc.start()
     try:
@@ -293,7 +288,56 @@ def test_a_models_drift_maps_no_fresh_array_per_chunk(ou_ham):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - base < 131072, (peak - base, X.nbytes)
+    return peak - base
+
+
+def test_a_models_drift_maps_no_fresh_array_per_chunk(ou_ham):
+    # the model's drift makes temporaries the size of its points, so it gets
+    # a chunk in slabs whose temporaries stay under glibc's default mmap
+    # threshold (128 KiB) and reuse freed heap blocks: after a warm-up chunk
+    # three more raise the traced peak by less than that threshold, where
+    # one call on the whole chunk's points (270 336 B) exceeds it
+    X = np.random.default_rng(0).standard_normal((CHUNK + 1, NOISE_BLOCK, 1))
+    rise = warm_peak_rise(EnergySum(NOISE_BLOCK, 0.01, ou_ham.drift).add, X)
+    assert rise < 131072, (rise, X.nbytes)
+
+
+def test_an_estimated_drift_of_a_partial_block_maps_no_fresh_array_per_chunk():
+    # a block narrower than NOISE_BLOCK is a strided view of the stored
+    # states, so flattening its points copies them; the estimated field is
+    # looked up in the same slabs as a model's, so the copy is a slab's, not
+    # the chunk's (172 032 B of points for 33 x 672)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((CHUNK + 1, NOISE_BLOCK, 1))[:, :672]
+    counts = np.where(np.arange(BIN_GRID.size) % 3, MIN_CELL_COUNT, 0)
+    estimate = DriftEstimate(BIN_GRID, rng.standard_normal((BIN_GRID.size, 1)), counts,
+                             np.zeros((BIN_GRID.size, 1)))
+    rise = warm_peak_rise(EnergySum(672, 0.01, estimate).add, X)
+    assert rise < 131072, (rise, X.nbytes)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_of_an_estimated_field_is_the_time_ordered_sum(dim):
+    # 1500 trajectories end in a partial block of 476; each trajectory's
+    # energy is its steps' |beta|^2 dt added in time order, to the bit
+    rng = np.random.default_rng(1)
+    n_traj, n_times, dt = 1500, 2 * CHUNK + 5, 0.01
+    ens = PathEnsemble(dt * np.arange(n_times),
+                       rng.standard_normal((n_times, n_traj, dim)).swapaxes(0, 1), dt)
+    grid = Grid((-3.0,) * dim, (3.0,) * dim, (12,) * dim)
+    counts = np.where(np.arange(grid.size).reshape(grid.shape) % 3, MIN_CELL_COUNT, 0)
+    beta = DriftEstimate(grid, rng.standard_normal(grid.shape + (dim,)), counts,
+                         np.zeros(grid.shape + (dim,)))
+    vec, valid = beta.lookup(ens.states[:, :-1].reshape(-1, dim))
+    sq = np.where(valid, np.einsum("mi,mi->m", vec, vec), 0.0).reshape(n_traj, n_times - 1)
+    per_traj = np.zeros(n_traj)
+    for k in range(n_times - 1):
+        per_traj += sq[:, k] * dt
+    energy = EnergySum(n_traj, dt, beta)
+    replay(ens, (energy.add,))
+    assert same_bits(energy.per_traj, per_traj)
+    assert energy.used == np.count_nonzero(valid)
+    assert energy.estimate() == finite_energy_estimate(ens, beta)
 
 
 def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):

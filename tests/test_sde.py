@@ -455,6 +455,20 @@ def test_batched_gains_are_each_checked():
         WindowTemperatures(spec, 2, 4, 0.1 * np.arange(3), (0.0, 0.5))
 
 
+@pytest.mark.parametrize("temperature", [1.0, np.float64(1.0)], ids=["float", "float64"])
+def test_an_overflowing_thermal_radius_is_invalid_input(temperature):
+    # sqrt(T / m) overflows at a subnormal mass: no escape radius can be set,
+    # so the run is rejected before a step, without a numpy warning
+    spec = harmonic_cantilever(spring_k=1.0, mass=1e-320, temperature=temperature)
+    match = r"sqrt\(T / m\) overflows at mass 1e-320 and temperature 1.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            simulate_polymer(spec, 0.0, 3, 0.01, 0.02, 0)
+        with pytest.raises(ValueError, match=match):
+            stream_polymer(spec, [0.0, 1.0], 3, 0.01, 0.02, 0, ())
+
+
 # ---------------------------------------------------------------------------
 # per-time moments
 # ---------------------------------------------------------------------------
