@@ -24,11 +24,11 @@ identical config and seed give byte-identical artifacts (floats are printed
 with 17 significant digits, nothing timestamps the outputs).  A run that
 succeeds writes run.json, in no manifest: the values it ran and the runner's
 record (a grid run's boundary certificates (`grids.boundary_certificate`),
-stepper health and largest interior FD residual, a paths run's binning
-health and drift z-scores, an ensemble run's escape margin).  A cut box
-still exits 0.  Exit codes: 0 ok, 2 usage/validation (an unknown flag is
-its subcommand's error, printed with that subcommand's usage), an
-unreadable input file or a size too large to allocate, 3 numerical failure:
+stepper health and largest interior FD residual, a paths run's binning health
+(`paths.IncrementBins.health`) and drift z-scores, an ensemble run's escape
+margin).  A cut box still exits 0.  Exit codes: 0 ok, 2 usage/validation (an
+unknown flag is its subcommand's error, printed with that subcommand's usage),
+an unreadable input file or a size too large to allocate, 3 numerical failure:
 any ``grids.NumericalFailure`` or numpy ``LinAlgError`` (a failed run's CSVs
 and any run.json are removed).
 """
@@ -72,14 +72,13 @@ from .sde import (
     TimeMoments,
     WindowTemperatures,
     ensemble_rows,
-    ensemble_summary,
     estimate_density,
     harmonic_cantilever,
     stream_overdamped,
     stream_polymer,
 )
 from .thermo import GaussianDensity, gibbs_density, quadratic_hamiltonian
-from .tolerances import MIN_CELL_COUNT, QREC_FD_STEP
+from .tolerances import QREC_FD_STEP
 
 
 class ConfigError(ValueError):
@@ -104,6 +103,13 @@ _SECTION_KEYS = {
 
 def _n_times(c) -> int:
     return time_steps(0.0, c["t1"], c["dt"]) + 1
+
+
+def _n_times_pooled(c) -> int:
+    if (n := _n_times(c)) < 3:  # paths-run's drifts pool the interior times: one step has none
+        raise ValueError(f"paths-run needs an interior time: t1 = {c['t1']!r} is one "
+                         f"step of dt = {c['dt']!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -151,12 +157,15 @@ _INTS = {"grid_cells", "n_traj", "seed", "store_every", "t_index"}
 _STRS = {"hamiltonian", "model", "alpha_table"}
 
 # key -> (test of the value a run uses, given the keys resolved before it;
-# what the value must do).  A test that raises ValueError gives its own reason.
+# what the value must do).  A test that raises ValueError gives its own reason,
+# after "key = value", or after the key if what is None (the reason names the value).
 _CHECKS = {
+    "q": (lambda v, c: v > 0.0, "be positive"),
     "kT": (lambda v, c: v > 0.0, "be positive"),
     "sigma2": (lambda v, c: v >= 0.0, "be nonnegative"),
-    "alpha": (lambda v, c: admissible_gain(v, c["sigma2"]) == v, ""),
-    "var0": (lambda v, c: v >= 0.0, "be nonnegative"),
+    "alpha": (lambda v, c: admissible_gain(v, c["sigma2"]) == v, None),
+    "var0": (lambda v, c: v > 0.0 if "grid_cells" in c else v >= 0.0,  # a grid needs a spread
+             lambda c: "be positive" if "grid_cells" in c else "be nonnegative"),
     "grid_cells": (lambda v, c: v >= 2, "be >= 2"),
     "grid_hi": (lambda v, c: v > c["grid_lo"], "exceed grid_lo"),
     "dt": (lambda v, c: v > 0.0, "be positive"),
@@ -164,11 +173,12 @@ _CHECKS = {
     "store_every": (lambda v, c: v >= 1, "be >= 1"),
     "n_traj": (lambda v, c: v >= 2, "be >= 2"),  # every ensemble writes sample covariances
     "seed": (lambda v, c: 0 <= v < 2**64, "lie in [0, 2**64)"),
+    "mass": (lambda v, c: v > 0.0, "be positive"),
     "gamma": (lambda v, c: v >= 0.0, "be nonnegative"),
     "alpha_c": (lambda v, c: v is None or v >= 0.0, "be nonnegative"),
     "files": (lambda v, c: bool(v and v.get("hamiltonian") and v.get("rho0")),
               "name the hamiltonian and rho0 operator files when no model is set"),
-    "t_index": (lambda v, c: 0 <= v < _n_times(c), lambda c: f"lie in [0, {_n_times(c)})"),
+    "t_index": (lambda v, c: 0 <= v < _n_times_pooled(c), lambda c: f"lie in [0, {_n_times(c)})"),
 }
 
 
@@ -230,7 +240,8 @@ class ScenarioConfig:
             try:
                 good = ok(v, vals)
             except ValueError as e:
-                raise ConfigError(f"{key} = {v!r}: {e}") from None
+                named = key if what is None else f"{key} = {v!r}"
+                raise ConfigError(f"{named}: {e}") from None
             if not good:
                 what = what(vals) if callable(what) else what
                 raise ConfigError(f"{key} must {what}, got {v!r}")
@@ -409,9 +420,10 @@ def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
         divergence = curve["D"]
 
     if kind in ("fp-run", "control-run"):
-        rows = ((t, mass, density_mean(grid, v)[0], density_covariance(grid, v)[0, 0], D)
-                for t, v, mass, D in zip(traj.times, traj.values, traj.mass_curve(),
-                                         divergence))
+        means = (density_mean(grid, v) for v in traj.values)
+        rows = ((t, mass, m[0], density_covariance(grid, v, m)[0, 0], D)
+                for t, v, m, mass, D in zip(traj.times, traj.values, means,
+                                            traj.mass_curve(), divergence))
         w.write_csv("moments.csv", ["t", "mass", "mean", "cov", "D_to_equilibrium"],
                     rows)
 
@@ -429,22 +441,19 @@ def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
 
 
 def run_sde(kind: str, c: dict, w: ArtifactWriter) -> dict:
-    """An overdamped ensemble, stored, or the polymer's gains, streamed;
-    returns the run record of its escape margin."""
+    """An overdamped ensemble, stored as it streams, or the polymer's gains,
+    streamed; returns the run record of its escape margin."""
     n, dt, t1, seed = c["n_traj"], c["dt"], c["t1"], c["seed"]
     n_times = _n_times(c)
     times = dt * np.arange(n_times)
     if c["model"] == "overdamped":
         mean0, sd0 = c["mean0"], np.sqrt(c["var0"])
         x0 = lambda rng, size: mean0 + sd0 * rng.standard_normal((size, 1))
-        # sde.simulate_overdamped's march into a record of every state, keeping
-        # the escape margin that it drops
-        record = PathRecord(n, n_times, 1)
+        record, moments = PathRecord(n, n_times, 1), TimeMoments(n_times, 1)
         escape = stream_overdamped(_ou_hamiltonian(c), None, x0, n, dt, t1, seed,
-                                   (record.add,))
-        ens = record.ensemble(times, dt)
-        w.write_csv("paths.csv", *ensemble_rows(ens))
-        w.write_csv("summary.csv", *ensemble_summary(ens))
+                                   (record.add, moments.add))
+        w.write_csv("paths.csv", *ensemble_rows(record.ensemble(times, dt)))
+        w.write_csv("summary.csv", *moments.summary(times))
         return {"escape": escape}
     gamma = c["gamma"]
     gains = [0.0, 0.5 * gamma, gamma, 2.0 * gamma] if c["alpha_c"] is None else [c["alpha_c"]]
@@ -491,9 +500,8 @@ def run_quantum(kind: str, c: dict, w: ArtifactWriter) -> None:
         rho0 = DensityOperator(np.diag([0.9, 0.1]))
         traj = lindblad_evolve(spec, rho0, t1, dt, store_every=c["store_every"])
         mixed = DensityOperator.maximally_mixed(2)
-        rows = ((t, np.trace(s.matrix).real, q_relative_entropy(s, mixed),
-                 dissipative_production_rate(s, spec, mixed))
-                for t, s in zip(traj.times, traj.states))
+        rows = ((t, np.trace(s.matrix).real, D, dissipative_production_rate(s, spec, mixed))
+                for t, s, D in zip(traj.times, traj.states, traj.divergence_curve(mixed)))
         w.write_csv("lindblad.csv", ["t", "trace", "D", "dissipative_rate"], rows)
         return
     files = c["files"]
@@ -514,23 +522,15 @@ def run_quantum(kind: str, c: dict, w: ArtifactWriter) -> None:
     w.write_csv("evolution.csv", ["t", "trace", "purity", "entropy"], rows)
 
 
-def _bins_record(counts: np.ndarray, est, model: np.ndarray) -> dict:
-    """One lag's binning health, read off its counts (the last is the outside
-    cell): samples, outside share, empty-cell share, smallest occupied count;
-    and the largest |z| = |estimate - model| / stderr over the occupied cells
-    of its 1-D drift estimate ``est``, with the centre ``x`` of its cell."""
-    cells, samples = counts[:-1], int(counts.sum())
-    occupied = cells[cells >= MIN_CELL_COUNT]
+def _drift_z(est, model: np.ndarray) -> dict | None:
+    """The largest |z| = |estimate - model| / stderr over the occupied cells
+    of the 1-D drift estimate ``est``, with the centre ``x`` of its cell."""
     z = np.abs(est.vectors - model)
     with np.errstate(divide="ignore"):  # no stderr: an empty cell, or a noiseless run
         np.divide(z, est.stderr, out=z, where=z > 0.0)  # whose exact estimate has z 0
-    z = z[est.mask].reshape(-1)
+    z, x = z[est.mask].reshape(-1), est.grid.centers()[est.mask].reshape(-1)
     k = int(np.argmax(z)) if z.size else None
-    return {"samples": samples, "outside_share": float(counts[-1] / samples),
-            "empty_cell_share": float(np.mean(cells < MIN_CELL_COUNT)),
-            "min_occupied_count": int(occupied.min()) if occupied.size else None,
-            "drift_z": None if k is None else {
-                "max": float(z[k]), "x": float(est.grid.centers()[est.mask].reshape(-1)[k])}}
+    return None if k is None else {"max": float(z[k]), "x": float(x[k])}
 
 
 def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
@@ -540,9 +540,6 @@ def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
     and the escape margin."""
     ham = _ou_hamiltonian(c)
     k, n_times, n, dt = c["t_index"], _n_times(c), c["n_traj"], c["dt"]
-    if n_times < 3:  # the drifts pool the interior times, of which one step has none
-        raise ConfigError(f"paths-run needs an interior time: t1 = {c['t1']!r} is one "
-                          f"step of dt = {dt!r}")
     # drawn under the march's error state, which rejects a spread that overflows
     x0 = lambda rng, size: np.sqrt(c["kT"]) / np.sqrt(c["q"]) * rng.standard_normal((size, 1))
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
@@ -562,7 +559,7 @@ def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
                 [(resid, fe.value, fe.stderr)])
     # stationary and reversible, so the forward drift is the model's, the backward its negative
     drift = ham.drift(grid.centers().reshape(-1, 1))
-    return {"drift_bins": {name: _bins_record(bins.counts[lag], est, lag * drift)
+    return {"drift_bins": {name: {**bins.health(lag), "drift_z": _drift_z(est, lag * drift)}
                            for name, lag, est in (("forward", +1, beta),
                                                   ("backward", -1, gamma))},
             "escape": escape}

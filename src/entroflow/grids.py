@@ -239,9 +239,9 @@ def density_mean(grid: Grid, values: np.ndarray) -> np.ndarray:
     return np.sum(grid.centers() * w, axis=tuple(range(grid.ndim))) * grid.cell_volume
 
 
-def density_covariance(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Covariance of the sampled probability density ``values``."""
-    d = grid.centers() - density_mean(grid, values)
+def density_covariance(grid: Grid, values: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Covariance of the sampled probability density ``values`` about its mean ``mean``."""
+    d = grid.centers() - mean
     w = values[..., np.newaxis, np.newaxis]
     outer = d[..., :, np.newaxis] * d[..., np.newaxis, :]
     return np.sum(outer * w, axis=tuple(range(grid.ndim))) * grid.cell_volume
@@ -334,7 +334,7 @@ class GridDensity:
         return density_mean(self.grid, self.values)
 
     def covariance(self) -> np.ndarray:
-        return density_covariance(self.grid, self.values)
+        return density_covariance(self.grid, self.values, self.mean())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GridDensity) and self.grid == other.grid

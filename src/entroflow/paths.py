@@ -15,8 +15,8 @@ beta - gamma = sigma^2 grad log p, their average v = (beta + gamma)/2 is the
 current drift, and the density transports along v in the weak sense
 d/dt <phi> = <grad phi . v> for smooth test functions.  Each of these
 statements has a numerical check below; estimators carry per-cell counts and
-standard errors, and cells with fewer than ``MIN_CELL_COUNT`` samples are
-flagged empty rather than trusted.
+standard errors, cells with fewer than ``MIN_CELL_COUNT`` samples are flagged
+empty rather than trusted, and :meth:`IncrementBins.health` reports them.
 
 Estimation is pathwise; nothing here assumes the ensemble is Markovian.
 The drift binning (:class:`IncrementBins`) and the energy sum
@@ -148,6 +148,14 @@ class IncrementBins:
         return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
                              counts.reshape(grid.shape),
                              se.reshape(grid.shape + (grid.ndim,)))
+
+    def health(self, lag: int) -> dict:
+        """Lag ``lag``'s samples, outside share, empty-cell share, least occupied count."""
+        cells, samples = self.counts[lag][:-1], int(self.counts[lag].sum())
+        occupied = cells[cells >= MIN_CELL_COUNT]
+        return {"samples": samples, "outside_share": float(self.counts[lag][-1] / samples),
+                "empty_cell_share": float(np.mean(cells < MIN_CELL_COUNT)),
+                "min_occupied_count": int(occupied.min()) if occupied.size else None}
 
 
 def estimate_drifts(ens: PathEnsemble, t_index,

@@ -68,3 +68,11 @@ def test_every_job_runs_the_installed_command():
                          r'--out "\$RUNNER_TEMP/smoke-polymer"$', steps[k], re.M), name
         assert re.search(r'^          entroflow quantum-run --scenario qubit-lindblad '
                          r'--out "\$RUNNER_TEMP/smoke-lindblad"$', steps[k], re.M), name
+        # the uncontrolled grid run, the overdamped ensemble (stored and
+        # summarised in one march) and the closed qubit, which no other line runs
+        assert re.search(r'^          entroflow fp-run --t1 0\.01 '
+                         r'--out "\$RUNNER_TEMP/smoke-fp"$', steps[k], re.M), name
+        assert re.search(r'^          entroflow sde-run --n 200 --t1 0\.1 '
+                         r'--out "\$RUNNER_TEMP/smoke-sde"$', steps[k], re.M), name
+        assert re.search(r'^          entroflow quantum-run --scenario qubit-qrec --t1 0\.05 '
+                         r'--out "\$RUNNER_TEMP/smoke-qrec"$', steps[k], re.M), name

@@ -104,11 +104,13 @@ def test_ill_posed_gain_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["fp-run", "control-run", "decompose"])
 def test_a_zero_sigma2_names_the_bound_it_breaks(tmp_path, capsys, kind):
     # at sigma2 = 0 no gain is admissible, the default 0 included: the error
-    # gives the gain and the bound -sigma2/2, also on fp-run, which reads no gain
+    # gives the gain, once, and the bound -sigma2/2, also on fp-run, which
+    # reads no gain
     out = tmp_path / "o"
     assert main([kind, "--sigma2", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "ill-posed gain 0.0: needs gain > -sigma2/2 = -0.0" in err and err.count("\n") == 1
+    assert "alpha = 0.0:" not in err and err.count("0.0:") == 1
     assert not out.exists()
 
 
@@ -513,16 +515,19 @@ def test_paths_run_t_index_out_of_range(tmp_path, capsys, t_index):
 @pytest.mark.parametrize("t_index", ["0", "1"])
 def test_one_step_paths_run_has_no_interior_time(tmp_path, capsys, t_index):
     # t1 = dt: the time indices are 0 and 1, and neither has both drifts; the
-    # message names the horizon the user set, not the pool the run derives
+    # message names the horizon the user set, not the pool the run derives,
+    # and the scenario is rejected when it is built, before any run
     cfg = tmp_path / "p.ini"
     cfg.write_text("[scenario]\nkind = paths-run\n\n[numerics]\nn_traj = 50\n"
                    f"dt = 0.005\nt1 = 0.005\nt_index = {t_index}\n")
     out = tmp_path / "paths"
     assert main(["paths-run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: paths-run needs an interior time: t1 = 0.005 is one step of " \
-                  "dt = 0.005\n"
+    assert err == f"error: t_index = {t_index}: paths-run needs an interior time: t1 = 0.005 " \
+                  "is one step of dt = 0.005\n"
     assert not out.exists()
+    with pytest.raises(ConfigError, match="needs an interior time"):
+        ScenarioConfig("p", "paths-run", numerics=dict(t1=0.005, dt=0.005, t_index=t_index))
 
 
 @pytest.mark.parametrize("kind", ["control-run", "paths-run"])
@@ -603,17 +608,22 @@ def test_paths_run_manifest_records_default_seed(tmp_path):
 
 
 def test_initial_moments_checked_by_key(tmp_path, capsys):
+    # a grid samples its Gaussian, so it needs a spread; an ensemble may start
+    # at a point (var0 = 0); each bad value is named by its key, not by the
+    # library parameter it would reach ("masses" contains "mass")
     cases = [("sde-run", "var0", "-1"), ("sde-run", "var0", "nan"),
-             ("control-run", "mean0", "nan")]
+             ("control-run", "mean0", "nan"), ("fp-run", "q", "0"),
+             ("decompose", "var0", "0"), ("sde-run", "mass", "-1")]
     for kind, key, value in cases:
         cfg = tmp_path / f"{kind}-{key}.ini"
-        cfg.write_text(f"[scenario]\nkind = {kind}\n\n[numerics]\nn_traj = 20\n"
-                       f"dt = 0.01\nt1 = 0.05\n{key} = {value}\n")
+        model = "model = polymer\n" if key == "mass" else ""
+        cfg.write_text(f"[scenario]\nkind = {kind}\n\n[model]\n{model}\n[numerics]\n"
+                       f"n_traj = 20\ndt = 0.01\nt1 = 0.05\n")
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
-        assert key in capsys.readouterr().err
+            assert main([kind, "--config", str(cfg), "--" + key, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
@@ -1359,6 +1369,20 @@ def test_overflowing_spread_drawn_ahead_exits_2_without_warning(tmp_path, capsys
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
     assert threading.active_count() == threads
+
+
+def test_overdamped_sde_run_is_one_march(tmp_path, monkeypatch):
+    # paths.csv and summary.csv come from the observers of one march: no
+    # stored ensemble is fed through sde.replay again
+    def replay(*args):
+        raise AssertionError("the run replays its stored ensemble")
+
+    monkeypatch.setattr(sde, "replay", replay)
+    out = tmp_path / "o"
+    assert main(["sde-run", "--n", "20", "--dt", "0.01", "--t1", "0.05",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "paths.csv",
+                                                     "run.json", "summary.csv"]
 
 
 def test_store_every_defaults_per_kind():

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import re
 import tracemalloc
 import warnings
@@ -354,6 +356,40 @@ def test_streamed_bins_count_only_samples_with_an_increment(ou_ham):
         est, ref = bins.estimate(lag), stored[lag]
         for field in ("vectors", "counts", "stderr"):
             assert same_bits(getattr(est, field), getattr(ref, field)), (lag, field)
+
+
+def test_bins_report_their_health():
+    # the first trajectory starts outside [-2, 2] and every other state lies
+    # in cell 2: the forward lag pools times 0 and 1, the backward lag time 1
+    grid = Grid((-2.0,), (2.0,), (4,))
+
+    def health(n_traj):
+        X = np.full((3, n_traj, 1), 0.5)
+        X[0, 0] = 9.0
+        bins = IncrementBins(grid, range(0, 2), 1.0)
+        bins.add(0, 0, X)
+        return bins.health(+1), bins.health(-1)
+
+    n = MIN_CELL_COUNT
+    assert health(n) == (
+        {"samples": 2 * n, "outside_share": 1 / (2 * n), "empty_cell_share": 0.75,
+         "min_occupied_count": 2 * n - 1},
+        {"samples": n, "outside_share": 0.0, "empty_cell_share": 0.75, "min_occupied_count": n})
+    # short of MIN_CELL_COUNT samples, no cell is occupied
+    assert health(5) == (
+        {"samples": 10, "outside_share": 0.1, "empty_cell_share": 1.0, "min_occupied_count": None},
+        {"samples": 5, "outside_share": 0.0, "empty_cell_share": 1.0, "min_occupied_count": None})
+
+
+def test_only_paths_reads_the_cell_count_floor():
+    # the binning health is IncrementBins.health: no other module decides
+    # which cells are empty
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "entroflow"
+    readers = {path.name for path in src.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+               and node.id == "MIN_CELL_COUNT"}
+    assert readers == {"paths.py"}
 
 
 def test_streamed_energy_from_an_estimated_field(ou_ham):
