@@ -45,8 +45,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import GainSchedule, decomposition_curve, evolve_modulated
-from .fokker_planck import admissible_gain
+from .control import GainSchedule, decomposition_curve
+from .fokker_planck import admissible_gain, evolve
 from .grids import (Grid, NumericalFailure, boundary_certificate, density_covariance,
                     density_mean, time_steps)
 from .paths import EnergySum, IncrementBins, current_drift, drift_field_rows, osmotic_residual
@@ -72,7 +72,6 @@ from .sde import (
     TimeMoments,
     WindowTemperatures,
     ensemble_rows,
-    estimate_density,
     harmonic_cantilever,
     stream_overdamped,
     stream_polymer,
@@ -407,7 +406,7 @@ def run_grid_flow(kind: str, c: dict, w: ArtifactWriter) -> dict:
         alpha = GainSchedule.from_csv(c["alpha_table"])
     else:
         alpha = c["alpha"]
-    traj = evolve_modulated(ham, alpha, rho0, c["t1"], c["dt"], store_every=c["store_every"])
+    traj = evolve(ham, alpha, rho0, 0.0, c["t1"], c["dt"], store_every=c["store_every"])
     equilibrium = gibbs_density(ham, grid)
 
     if kind == "fp-run":
@@ -534,25 +533,22 @@ def _drift_z(est, model: np.ndarray) -> dict | None:
 
 
 def run_paths(kind: str, c: dict, w: ArtifactWriter) -> dict:
-    """From the Gibbs density N(0, kT / q), bins the drifts, keeps the ``t_index``
-    slice and sums the energy as the ensemble steps, storing no state array;
-    returns the run record of the binning health and drift z-scores per lag
-    and the escape margin."""
+    """From the Gibbs density N(0, kT / q), bins the drifts around ``t_index``,
+    whose counts are the osmotic density, and sums the energy as the ensemble
+    steps, storing no state array; returns the run record of the binning
+    health and drift z-scores per lag and the escape margin."""
     ham = _ou_hamiltonian(c)
     k, n_times, n, dt = c["t_index"], _n_times(c), c["n_traj"], c["dt"]
     # drawn under the march's error state, which rejects a spread that overflows
     x0 = lambda rng, size: np.sqrt(c["kT"]) / np.sqrt(c["q"]) * rng.standard_normal((size, 1))
     grid = Grid((c["grid_lo"],), (c["grid_hi"],), (c["grid_cells"],))
     bins = IncrementBins(grid, range(max(1, k - 80), min(n_times - 1, k + 80)), dt)
-    slice_k = PathRecord(n, n_times, 1, at=(k,))
     energy = EnergySum(n, dt, ham.drift)
-    escape = stream_overdamped(ham, None, x0, n, dt, c["t1"], c["seed"],
-                               (bins.add, slice_k.add, energy.add))
+    escape = stream_overdamped(ham, None, x0, n, dt, c["t1"], c["seed"], (bins.add, energy.add))
     beta, gamma = bins.estimate(+1), bins.estimate(-1)
     v = current_drift(beta, gamma)
     w.write_csv("fields.csv", *drift_field_rows(beta, gamma, v))
-    p_hat = estimate_density(slice_k.ensemble([k * dt], dt), 0, grid)
-    resid = osmotic_residual(beta, gamma, p_hat, ham.sigma2)
+    resid = osmotic_residual(beta, gamma, bins.density(), ham.sigma2)
     fe = energy.estimate()
     w.write_csv("summary.csv",
                 ["osmotic_residual", "finite_energy", "finite_energy_se"],

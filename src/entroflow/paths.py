@@ -27,7 +27,8 @@ the estimators of a stored ensemble are one of them fed by
 :func:`entroflow.sde.time_window`, so a chunk's rows are slices.  One binning
 pass gives both drifts: :func:`estimate_drifts` returns the pair (beta,
 gamma), since each increment is the forward one of its first time and the
-backward one of its second.  A sample's cell is its
+backward one of its second; their counts are the pool's one-time density,
+:meth:`IncrementBins.density`, of the osmotic relation.  A sample's cell is its
 :meth:`.grids.Grid.cell_index`, as in :func:`entroflow.sde.estimate_density`.
 CSV export: :func:`drift_field_rows` returns a header and lazy per-cell rows
 for ``cli.ArtifactWriter.write_csv``; this module opens no files.
@@ -41,7 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grids import Grid, GridDensity, VectorFieldGrid, log_gradient
-from .sde import CHUNK, NOISE_BLOCK, PathEnsemble, _head, mean_and_stderr, replay, time_window
+from .sde import (CHUNK, NOISE_BLOCK, PathEnsemble, _head, check_coverage, mean_and_stderr,
+                  replay, time_window, unit_mass)
 from .tolerances import CONTINUITY_SE_FACTOR, MIN_CELL_COUNT
 
 
@@ -148,6 +150,15 @@ class IncrementBins:
         return DriftEstimate(grid, mean.reshape(grid.shape + (grid.ndim,)),
                              counts.reshape(grid.shape),
                              se.reshape(grid.shape + (grid.ndim,)))
+
+    def density(self) -> GridDensity:
+        """The pooled samples' one-time density: the forward lag's count per
+        cell at unit mass, an unsmoothed histogram checked as
+        :func:`entroflow.sde.estimate_density`'s is (the backward lag's too,
+        when every pooled time is interior)."""
+        counts = self.counts[+1]
+        check_coverage(counts[-1] / max(int(counts.sum()), 1))  # no sample: an empty estimate
+        return unit_mass(self.grid, counts[:-1].astype(float).reshape(self.grid.shape))
 
     def health(self, lag: int) -> dict:
         """Lag ``lag``'s samples, outside share, empty-cell share, least occupied count."""

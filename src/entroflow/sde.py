@@ -112,8 +112,8 @@ class PathEnsemble:
     states has shape (n_traj, n_times, dim); times[k] = t0 + k dt.  The
     simulators store it time-major and read-only: ``states`` is a view of a
     (n_times, n_traj, dim) buffer, so each ``states[:, k]`` is contiguous.
-    A :class:`PathRecord` builds one from the times it kept, such as one
-    time slice of a streamed run.  Each step is dt, relative to ``TIME_GRID_RTOL``.
+    A :class:`PathRecord` builds one from the states it kept.  Each step is
+    dt, relative to ``TIME_GRID_RTOL``.
     """
 
     times: np.ndarray
@@ -192,21 +192,15 @@ def _head(buf: np.ndarray, shape) -> np.ndarray:
 
 
 class PathRecord:
-    """An observer that stores the states at a window of times.
+    """An observer that stores the states at every time of the run:
+    ``values[k]`` holds the (n_traj, width) states at time k, time-major."""
 
-    ``at`` is the window of time indices kept, as :func:`time_window` reads
-    it, in ``[0, n_times)`` (default: all ``n_times``); ``values[r]`` holds
-    the (n_traj, width) states at time ``at[r]``, time-major.
-    """
-
-    def __init__(self, n_traj: int, n_times: int, width: int, at=None):
-        self.at = range(n_times) if at is None else time_window(at, n_times)
-        self.values = np.empty((len(self.at), n_traj, width))
+    def __init__(self, n_traj: int, n_times: int, width: int):
+        self.values = np.empty((n_times, n_traj, width))
 
     def add(self, first, t0, X):
-        rows = _new_rows(self.at, t0, len(X))
-        r = t0 + rows.start - self.at.start
-        self.values[r:r + rows.stop - rows.start, first:first + X.shape[1]] = X[rows]
+        rows = _new_rows(range(len(self.values)), t0, len(X))
+        self.values[t0 + rows.start:t0 + rows.stop, first:first + X.shape[1]] = X[rows]
 
     def ensemble(self, times, dt: float) -> PathEnsemble:
         """The kept states as a read-only ensemble at ``times`` (one per row)."""
@@ -619,9 +613,7 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid) -> GridDensity
     if x.shape[1] != grid.ndim:
         raise ValueError("ensemble dimension != grid dimension")
     cells, inside = grid.cell_index(x)
-    escaped = 1.0 - inside.mean()
-    if escaped > ESCAPED_FRACTION_MAX:
-        raise ValueError(f"grid does not cover ensemble: escaped fraction {escaped:.3e}")
+    check_coverage(1.0 - inside.mean())
     # imported here, its only use: importing scipy.ndimage takes about a fifth
     # of `import entroflow`, and only the density estimate needs it
     from scipy.ndimage import gaussian_filter
@@ -630,14 +622,27 @@ def estimate_density(ens: PathEnsemble, t_index: int, grid: Grid) -> GridDensity
     counts = np.bincount(cells[inside], minlength=grid.size).astype(float)
     smoothed = gaussian_filter(counts.reshape(grid.shape), sigma=tuple(bw / grid.dx),
                                mode="constant", truncate=6.0)
+    return unit_mass(grid, smoothed)
+
+
+def check_coverage(escaped: float) -> None:
+    """Reject a density estimate of samples of which a share ``escaped``
+    above ``ESCAPED_FRACTION_MAX`` lies outside the grid box."""
+    if escaped > ESCAPED_FRACTION_MAX:
+        raise ValueError(f"grid does not cover ensemble: escaped fraction {escaped:.3e}")
+
+
+def unit_mass(grid: Grid, weights: np.ndarray) -> GridDensity:
+    """The cell weights ``weights`` (grid.shape) renormalized to quadrature
+    mass 1: no density estimate if their mass is zero or overflows."""
     with np.errstate(over="ignore"):
-        total = smoothed.sum() * grid.cell_volume
+        total = weights.sum() * grid.cell_volume
     if total <= 0.0:
         raise ValueError("empty density estimate")
     if total == np.inf:
         raise ValueError(f"cells of volume {grid.cell_volume:.3g} are too large for a "
                          "density estimate: its mass overflows")
-    return GridDensity(grid, smoothed / total)
+    return GridDensity(grid, weights / total)
 
 
 class TimeMoments:

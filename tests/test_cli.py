@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -575,8 +578,14 @@ def test_paths_osmotic_records_its_binning_health(tmp_path):
     # outside [-4, 4], no cell below MIN_CELL_COUNT; the largest |z| of each
     # drift against the model's, beta = -x and gamma = x, is below criterion
     # 10's gate of 3 at this seed; no state came near the escape radius, 50
-    # times the unit spread of the initial states; run.json is in no manifest
+    # times the unit spread of the initial states; run.json is in no manifest.
+    # The osmotic density is the pool's own histogram, and the finite energy
+    # is within 3 SE of the Euler-Maruyama chain's 1.00142, which is O(dt)
+    # off the continuum's 1 (Talay & Tubaro 1990)
     manifest = run_scenario(BUILTIN_FACTORIES["paths-osmotic"](), out_dir=str(tmp_path))
+    resid, energy, se = np.loadtxt(tmp_path / "summary.csv", delimiter=",", skiprows=1)
+    assert resid == pytest.approx(0.027349829191428646, rel=1e-9)
+    assert abs(energy - _em_energy(1.0, 1.0, 2.0, 5e-3, 200)) < 3.0 * se
     assert sorted(manifest["files"]) == ["fields.csv", "summary.csv"]
     record = json.loads((tmp_path / "run.json").read_text())
     lag = {"samples": 16_000_000, "outside_share": 991 / 16_000_000,
@@ -590,6 +599,19 @@ def test_paths_osmotic_records_its_binning_health(tmp_path):
                       "drift_bins": {name: {**lag, "drift_z": z[name]} for name in z},
                       "escape": {"radius": 50.0,
                                  "max_abs_state": pytest.approx(4.955535175, rel=1e-9)}}
+
+
+def test_a_paths_run_loads_no_kernel_smoothing(tmp_path):
+    # the osmotic density is the drift pool's own histogram: a paths-run
+    # smooths nothing, so scipy.ndimage stays unloaded
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    argv = ["paths-run", "--n", "2000", "--t1", "0.1", "--t-index", "10",
+            "--out", str(tmp_path / "p")]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); from entroflow.cli import main; "
+            f"code = main({argv!r}); print(code, 'scipy.ndimage' in sys.modules, file=sys.stderr)")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stderr == "0 False\n"
 
 
 def test_paths_run_manifest_records_default_seed(tmp_path):

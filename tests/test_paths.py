@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings, strategies as st
 
 from entroflow import GaussianDensity, Grid, GridDensity, quadratic_hamiltonian
@@ -26,7 +27,6 @@ from entroflow.sde import (
     CHUNK,
     NOISE_BLOCK,
     PathEnsemble,
-    PathRecord,
     estimate_density,
     replay,
     simulate_overdamped,
@@ -232,14 +232,12 @@ def test_two_dimensional_binning_is_bitwise_a_pooled_add_at():
                          ids=["repeated", "gapped", "decreasing", "unsorted"])
 def test_a_pool_or_record_that_is_no_window_is_rejected(ou_stationary, times):
     # a repeated, gapped or unsorted set of times is no window of the run:
-    # the drift estimate, the binning observer and the record each name it
+    # the drift estimate and the binning observer each name it
     message = re.escape(f"time indices {times} are not one window")
     with pytest.raises(ValueError, match=message):
         estimate_drifts(ou_stationary, times, BIN_GRID)
     with pytest.raises(ValueError, match=message):
         IncrementBins(BIN_GRID, times, ou_stationary.dt)
-    with pytest.raises(ValueError, match=message):
-        PathRecord(4, 20, 1, at=times)
 
 
 def test_bins_do_not_grow_with_the_pool():
@@ -381,6 +379,39 @@ def test_bins_report_their_health():
         {"samples": 5, "outside_share": 0.0, "empty_cell_share": 1.0, "min_occupied_count": None})
 
 
+@pytest.mark.parametrize("grid", [Grid((-1.0,), (1.0,), (10,)),
+                                  Grid((-1.0, -1.0), (1.0, 1.0), (10, 10))],
+                         ids=["1d", "2d"])
+def test_pooled_density_is_the_unsmoothed_density_estimate(grid, monkeypatch):
+    # a pool of one interior time: both lags count its samples, and the
+    # density is the histogram estimate_density smooths, bit for bit, with
+    # two samples outside the box counted in neither; samples spread three
+    # times as wide escape the box, which both estimates reject
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, (4000, grid.ndim)), np.full((2, grid.ndim), 5.0)])
+    monkeypatch.setattr(scipy.ndimage, "gaussian_filter", lambda counts, **kernel: counts)
+
+    def estimates(x):
+        ens = PathEnsemble(np.arange(3.0), np.stack([x - 0.1, x, x + 0.1], axis=1), 1.0)
+        bins = IncrementBins(grid, (1,), ens.dt)
+        replay(ens, (bins.add,))
+        assert np.array_equal(bins.counts[+1], bins.counts[-1])
+        return bins.density, lambda: estimate_density(ens, 1, grid)
+    pooled, estimated = estimates(x)
+    assert np.array_equal(pooled().values, estimated().values)
+    for estimate in estimates(3.0 * x):
+        with pytest.raises(ValueError, match="grid does not cover ensemble: escaped fraction"):
+            estimate()
+
+
+def test_a_pool_without_samples_has_no_density():
+    # a streamed run may end before its pool: no density, and no numpy warning
+    bins = IncrementBins(BIN_GRID, range(5, 8), 0.1)
+    bins.add(0, 0, np.zeros((3, 4, 1)))
+    with pytest.raises(ValueError, match="empty density estimate"):
+        bins.density()
+
+
 def test_only_paths_reads_the_cell_count_floor():
     # the binning health is IncrementBins.health: no other module decides
     # which cells are empty
@@ -390,6 +421,17 @@ def test_only_paths_reads_the_cell_count_floor():
                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                and node.id == "MIN_CELL_COUNT"}
     assert readers == {"paths.py"}
+
+
+def test_one_function_reads_the_escaped_fraction_bound():
+    # the histogram of a time slice and the pooled one of the drift bins
+    # share one coverage check
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "entroflow"
+    readers = {(path.name, fn.name) for path in src.glob("*.py")
+               for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Name)
+               and node.id == "ESCAPED_FRACTION_MAX"}
+    assert readers == {("sde.py", "check_coverage")}
 
 
 def test_streamed_energy_from_an_estimated_field(ou_ham):
